@@ -697,7 +697,7 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
         core::ForwardInfo info;
         const size_t pred = out.models[kSentinel].ref->predictWith(
             nn::DigitDataset::render(s.digit, s.render_seed), s.seed,
-            sentinel_popts, nullptr, &info);
+            sentinel_popts, &info);
         if (sentinel_results[k].predicted != pred ||
             sentinel_results[k].scores != info.scores)
             ++out.sentinel_mismatches;

@@ -3,7 +3,11 @@
  * Throughput benchmark of the SC inference engine: single-image
  * latency of the fused word-parallel engine vs the bit-serial
  * reference oracle (with a per-phase breakdown of the fused pass),
- * and batched throughput (forwardBatch) across thread counts. Results
+ * and batched throughput (forwardBatch) across thread counts. Every
+ * single-image SC timing runs as a one-image forwardBatch on the same
+ * explicit 1-thread pool as the 1-thread batch point, so the
+ * batch/single and reference/fused ratios compare like with like on
+ * any core count; the JSON records that thread count. Results
  * are printed as a table and written as machine-readable JSON (default
  * BENCH_throughput.json, override with SCDCNN_BENCH_JSON) so the perf
  * trajectory can be tracked PR over PR; when a prior JSON exists at
@@ -70,9 +74,7 @@ struct PhaseMs
 /** Read the per-phase totals out of the tracing aggregate the
  *  engine's phase spans feed while armed — the same numbers an
  *  exported Chrome trace of the run would show, so the table, the
- *  JSON and the trace all come from one timing source
- *  (tests/test_trace.cc pins this aggregate to the engine's own
- *  PhaseBreakdown counters). */
+ *  JSON and the trace all come from one timing source. */
 PhaseMs
 phaseMs(const obs::TraceRecorder &rec, size_t reps)
 {
@@ -157,27 +159,49 @@ main()
     core::ScNetwork sc_net(net, cfg);
     nn::Tensor img = nn::DigitDataset::render(3, 7);
 
+    core::PredictOptions fused_opts; // EngineMode::Fused default
+    core::PredictOptions ref_opts;
+    ref_opts.mode = core::EngineMode::Reference;
+    core::PredictOptions prog_opts;
+    prog_opts.mode = core::EngineMode::Progressive;
+    prog_opts.progressive_margin = cfg.progressive_margin;
+    prog_opts.progressive_min_bits = cfg.progressive_min_bits;
+
+    // Single-image SC latency: a one-image forwardBatch on the explicit
+    // 1-thread pool the 1-thread batch point also runs on, so no ratio
+    // below mixes a many-thread pool with a one-thread one.
+    constexpr size_t kSingleThreads = 1;
+    ThreadPool pool1(kSingleThreads);
+    const auto single = [&pool1](const core::ScNetwork &net_sc,
+                                 const nn::Tensor &image, uint64_t seed,
+                                 const core::PredictOptions &opts,
+                                 core::ForwardInfo *info = nullptr) {
+        std::vector<core::ForwardInfo> infos;
+        const size_t pred =
+            net_sc.forwardBatch({image}, seed, opts, &pool1, &infos)[0];
+        if (info != nullptr)
+            *info = infos[0];
+        return pred;
+    };
+
     // --- single-image latency, both engine modes -------------------
-    // The per-phase breakdown comes from the tracing aggregate (armed
-    // around the timed reps) rather than a private PhaseBreakdown;
-    // cost-wise this is the same as the old profiled run — the phase
-    // clocks were already on — plus one ring write per phase span.
+    // The per-phase breakdown comes from the tracing aggregate, armed
+    // around the timed reps: one ring write per phase span on top of
+    // the phase clocks.
     obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-    sc_net.setEngineMode(core::EngineMode::Fused);
-    sc_net.predict(img, 1); // warm-up
+    single(sc_net, img, 1, fused_opts); // warm-up
     rec.resetProfile();
     rec.arm();
     auto t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < fused_reps; ++r)
-        sc_net.predict(img, 2 + r);
+        single(sc_net, img, 2 + r, fused_opts);
     const double fused_ms = msSince(t0) / static_cast<double>(fused_reps);
     rec.disarm();
     const PhaseMs fused_phases = phaseMs(rec, fused_reps);
 
-    sc_net.setEngineMode(core::EngineMode::Reference);
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < ref_reps; ++r)
-        sc_net.predict(img, 2 + r);
+        single(sc_net, img, 2 + r, ref_opts);
     const double ref_ms = msSince(t0) / static_cast<double>(ref_reps);
 
     // Progressive precision at the configured margin. Untrained random
@@ -191,21 +215,19 @@ main()
     nn::Network decisive = net;
     nn::programDecisiveLogits(decisive);
     core::ScNetwork prog_net(decisive, cfg);
-    prog_net.setEngineMode(core::EngineMode::Progressive);
-    prog_net.predict(img, 1); // warm-up
+    single(prog_net, img, 1, prog_opts); // warm-up
     core::ForwardInfo prog_info;
     uint64_t prog_bits = 0;
     size_t prog_exits = 0;
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < fused_reps; ++r) {
-        prog_net.predict(img, 2 + r, nullptr, &prog_info);
+        single(prog_net, img, 2 + r, prog_opts, &prog_info);
         prog_bits += prog_info.effective_bits;
         prog_exits += prog_info.early_exit ? 1 : 0;
     }
     const double prog_ms = msSince(t0) / static_cast<double>(fused_reps);
     const double prog_avg_bits =
         static_cast<double>(prog_bits) / static_cast<double>(fused_reps);
-    sc_net.setEngineMode(core::EngineMode::Fused);
 
     // Binary XNOR-popcount sibling backend: one deterministic pass at
     // stream length 1, no sampling — far cheaper per image than any
@@ -213,10 +235,10 @@ main()
     core::PredictOptions binary_opts;
     binary_opts.mode = core::EngineMode::Binary;
     const size_t binary_reps = fused_reps * 100;
-    sc_net.predictWith(img, 1, binary_opts, nullptr, nullptr); // warm-up
+    sc_net.predictWith(img, 1, binary_opts); // warm-up
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < binary_reps; ++r)
-        sc_net.predictWith(img, 2 + r, binary_opts, nullptr, nullptr);
+        sc_net.predictWith(img, 2 + r, binary_opts);
     const double binary_ms =
         msSince(t0) / static_cast<double>(binary_reps);
     const double binary_speedup = fused_ms / binary_ms;
@@ -248,10 +270,8 @@ main()
             const nn::Tensor &di = acc_test.samples[i].image;
             const size_t label = acc_test.samples[i].label;
             sc_correct +=
-                acc_sc.predictWith(di, 777 + i * 7919, acc_fused,
-                                   nullptr, nullptr) == label;
-            bnn_correct += acc_sc.predictWith(di, 0, binary_opts,
-                                              nullptr, nullptr) == label;
+                acc_sc.predictWith(di, 777 + i * 7919, acc_fused) == label;
+            bnn_correct += acc_sc.predictWith(di, 0, binary_opts) == label;
         }
     }
     const double sc_acc = static_cast<double>(sc_correct) / kAccImages;
@@ -265,8 +285,8 @@ main()
     std::printf("  %-28s %10.1f ms\n", "fused word-parallel", fused_ms);
     std::printf("  %-28s %10.1fx\n", "speedup", speedup);
     std::printf("  %-28s %10.0f ns\n", "fused ns per FEB", ns_per_feb);
-    std::printf("  fused per-phase breakdown (ms, summed over "
-                "threads):\n");
+    std::printf("  fused per-phase breakdown (ms, %zu thread):\n",
+                kSingleThreads);
     std::printf("    %-26s %10.1f\n", "encode", fused_phases.encode);
     std::printf("    %-26s %10.1f\n", "inner product",
                 fused_phases.inner_product);
@@ -306,11 +326,11 @@ main()
     double pair_ratio_min = 0.0;
     for (size_t r = 0; r < ov_reps; ++r) {
         t0 = std::chrono::steady_clock::now();
-        sc_net.predict(img, 500 + 2 * r);
+        single(sc_net, img, 500 + 2 * r, fused_opts);
         const double off_ms = msSince(t0);
         rec.arm();
         t0 = std::chrono::steady_clock::now();
-        sc_net.predict(img, 501 + 2 * r);
+        single(sc_net, img, 501 + 2 * r, fused_opts);
         const double on_ms = msSince(t0);
         rec.disarm();
         if (r == 0 || off_ms < disarmed_best)
@@ -348,7 +368,8 @@ main()
     std::vector<ThreadPoint> points;
     std::vector<size_t> baseline_preds;
     for (size_t t : thread_counts) {
-        ThreadPool pool(t);
+        ThreadPool pool_t(t);
+        ThreadPool &pool = t == kSingleThreads ? pool1 : pool_t;
         t0 = std::chrono::steady_clock::now();
         const auto preds = sc_net.forwardBatch(images, 42, &pool);
         const double ms = msSince(t0);
@@ -366,11 +387,11 @@ main()
     }
 
     // Batch-vs-single throughput ratio of the weight-stationary batch
-    // path (both sides on one thread, so the ratio isolates the
-    // kernel-level win — weight words streamed once per micro-batch —
-    // from thread scaling). The reuse factor is the number of images
-    // each weight-block load serves: the whole batch under the
-    // whole-stream default, vs 1 on the per-image loop.
+    // driver (both sides on the same 1-thread pool, so the ratio
+    // isolates the kernel-level win — weight words streamed once per
+    // micro-batch — from thread scaling). The reuse factor is the
+    // number of images each weight-block load serves: the whole batch
+    // under the whole-stream default, vs 1 for a single image.
     const double single_ips = 1000.0 / fused_ms;
     const double batch_ratio =
         points.empty() ? 0.0 : points[0].images_per_sec / single_ips;
@@ -408,13 +429,12 @@ main()
         std::printf("\nscenario topologies (fused single image + "
                     "%zu-image batch, 1 thread):\n",
                     batch_images);
-        ThreadPool pool1(1);
         for (Scenario &s : scenarios) {
             core::ScNetwork topo_net(s.net, cfg);
-            topo_net.predict(img, 1); // warm-up
+            single(topo_net, img, 1, fused_opts); // warm-up
             t0 = std::chrono::steady_clock::now();
             for (size_t r = 0; r < fused_reps; ++r)
-                topo_net.predict(img, 2 + r);
+                single(topo_net, img, 2 + r, fused_opts);
             const double ms =
                 msSince(t0) / static_cast<double>(fused_reps);
             t0 = std::chrono::steady_clock::now();
@@ -423,12 +443,10 @@ main()
             const double bips =
                 static_cast<double>(batch_images) / (bms / 1000.0);
             const double ratio = bips / (1000.0 / ms);
-            topo_net.predictWith(img, 1, binary_opts, nullptr,
-                                 nullptr); // warm-up
+            topo_net.predictWith(img, 1, binary_opts); // warm-up
             t0 = std::chrono::steady_clock::now();
             for (size_t r = 0; r < binary_reps; ++r)
-                topo_net.predictWith(img, 2 + r, binary_opts, nullptr,
-                                     nullptr);
+                topo_net.predictWith(img, 2 + r, binary_opts);
             const double bin_ms =
                 msSince(t0) / static_cast<double>(binary_reps);
             const double bin_ratio = ms / bin_ms;
@@ -482,6 +500,7 @@ main()
     std::fprintf(f, "  \"segment_words\": %zu,\n",
                  cfg.stream_segment_words);
     std::fprintf(f, "  \"single_image\": {\n");
+    std::fprintf(f, "    \"threads\": %zu,\n", kSingleThreads);
     std::fprintf(f, "    \"reference_ms\": %.3f,\n", ref_ms);
     std::fprintf(f, "    \"fused_ms\": %.3f,\n", fused_ms);
     std::fprintf(f, "    \"speedup\": %.2f,\n", speedup);
@@ -548,7 +567,8 @@ main()
     for (size_t i = 0; i < topo_points.size(); ++i) {
         const TopoPoint &p = topo_points[i];
         std::fprintf(f,
-                     "    \"%s\": {\"fused_ms\": %.3f, "
+                     "    \"%s\": {\"threads\": %zu, "
+                     "\"fused_ms\": %.3f, "
                      "\"images_per_sec\": %.2f, "
                      "\"batch_ms_total\": %.3f, "
                      "\"batch_images_per_sec\": %.2f, "
@@ -556,7 +576,8 @@ main()
                      "\"binary_ms\": %.4f, "
                      "\"binary_images_per_sec\": %.2f, "
                      "\"binary_ips_per_fused_ips\": %.2f}%s\n",
-                     p.name, p.fused_ms, 1000.0 / p.fused_ms, p.batch_ms,
+                     p.name, kSingleThreads, p.fused_ms,
+                     1000.0 / p.fused_ms, p.batch_ms,
                      p.batch_ips, p.batch_ratio, p.binary_ms,
                      1000.0 / p.binary_ms, p.binary_ratio,
                      i + 1 < topo_points.size() ? "," : "");

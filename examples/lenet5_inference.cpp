@@ -82,7 +82,7 @@ main(int argc, char **argv)
         for (size_t i = 0; i < test.size(); ++i) {
             const nn::Sample &s = test.samples[i];
             prog_correct +=
-                prog_net.predict(s.image, 1000 + i, nullptr, &info) ==
+                prog_net.predict(s.image, 1000 + i, &info) ==
                 s.label;
             bits += info.effective_bits;
         }

@@ -93,7 +93,7 @@ main()
 
     const nn::Tensor img = nn::DigitDataset::render(3, 7);
     core::ForwardInfo info;
-    const size_t pred = engine.predict(img, 42, nullptr, &info);
+    const size_t pred = engine.predict(img, 42, &info);
     std::printf("custom 1-conv topology (%zu hidden stages): "
                 "class %zu, top score %+.3f over %zu bits\n\n",
                 engine.stageCount(), pred, info.scores[pred],
@@ -132,7 +132,7 @@ main()
     core::PredictOptions bin;
     bin.mode = core::EngineMode::Binary;
     const size_t bin_pred =
-        engine.predictWith(img, /*seed=*/0, bin, nullptr, &info);
+        engine.predictWith(img, /*seed=*/0, bin, &info);
     std::printf("\nbinary backend: class %zu, top score %+.0f "
                 "(%zu-bit \"streams\", deterministic)\n",
                 bin_pred, info.scores[bin_pred], info.effective_bits);

@@ -386,72 +386,6 @@ binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
         });
 }
 
-namespace {
-
-/** Inline uint16 sum for the short pooling chunks (segment_len is 16
- *  in the paper's Figure 8): the extern SIMD summer's call overhead
- *  exceeds the work below ~64 elements. */
-inline uint64_t
-chunkSumU16(const uint16_t *p, size_t n)
-{
-    if (n > 64)
-        return sc::simd::avx2SumU16(p, n);
-    uint32_t s = 0;
-    for (size_t i = 0; i < n; ++i)
-        s += p[i];
-    return s;
-}
-
-} // namespace
-
-void
-binaryMaxPoolRangeBatch(const uint16_t *const *counts, size_t n_images,
-                        size_t n_inputs, size_t abs_begin, size_t n_cycles,
-                        size_t segment_len, bool accumulate,
-                        MaxPoolCarryState *const *states,
-                        uint16_t *const *outs)
-{
-    SCDCNN_ASSERT(n_inputs > 0, "max pooling with no inputs");
-    SCDCNN_ASSERT(segment_len > 0, "segment length must be positive");
-    // The walk of rangedSelectorWalk with the chunk boundaries hoisted
-    // out of the image loop (they depend only on the range) and the
-    // segment sums inlined: chunk outer, image inner.
-    size_t pos = abs_begin;
-    const size_t end = abs_begin + n_cycles;
-    while (pos < end) {
-        const size_t seg_end = (pos / segment_len + 1) * segment_len;
-        const size_t chunk_end = std::min(end, seg_end);
-        const size_t lo = pos - abs_begin;
-        const size_t hi = chunk_end - abs_begin;
-        const bool decide = chunk_end == seg_end;
-        for (size_t j = 0; j < n_images; ++j) {
-            MaxPoolCarryState &state = *states[j];
-            SCDCNN_ASSERT(state.counters.size() == n_inputs,
-                          "pool state holds %zu counters for %zu inputs",
-                          state.counters.size(), n_inputs);
-            const uint16_t *const *in = counts + j * n_inputs;
-            std::copy(in[state.selected] + lo, in[state.selected] + hi,
-                      outs[j] + lo);
-            for (size_t k = 0; k < n_inputs; ++k)
-                state.counters[k] += chunkSumU16(in[k] + lo, hi - lo);
-            if (decide) {
-                size_t best = 0;
-                uint64_t best_count = 0;
-                for (size_t k = 0; k < n_inputs; ++k) {
-                    if (state.counters[k] > best_count) {
-                        best_count = state.counters[k];
-                        best = k;
-                    }
-                    if (!accumulate)
-                        state.counters[k] = 0;
-                }
-                state.selected = best;
-            }
-        }
-        pos = chunk_end;
-    }
-}
-
 void
 binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_images,
                          size_t n_inputs, size_t plane_cap, bool parity,

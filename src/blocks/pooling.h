@@ -136,7 +136,7 @@ binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
                            size_t n_inputs);
 
 /** Allocation-free variant writing into @p out (resized to the
- *  sequence length) — the network engine's per-thread-workspace path. */
+ *  sequence length). */
 void
 binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
                            size_t n_inputs, std::vector<int> &out);
@@ -159,27 +159,11 @@ void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         MaxPoolCarryState &state, uint16_t *out);
 
 /**
- * Batch-axis binaryMaxPoolRange: one call pools the same (pixel,
- * window set) for a whole micro-batch. For image j, the pool inputs
- * are counts[j * n_inputs + k] (k < n_inputs), the carried selector
- * state is *states[j], and the pooled counts land at outs[j] — each
- * image bit-exact with a per-image binaryMaxPoolRange call. The
- * pooling-segment boundaries are identical across images, so the
- * chunk walk is computed once and the per-chunk segment sums run
- * inline over all images instead of paying a dispatch round-trip per
- * (image, chunk) — the main cost of the per-image walk at the paper's
- * segment_len of 16.
- */
-void binaryMaxPoolRangeBatch(const uint16_t *const *counts,
-                             size_t n_images, size_t n_inputs,
-                             size_t abs_begin, size_t n_cycles,
-                             size_t segment_len, bool accumulate,
-                             MaxPoolCarryState *const *states,
-                             uint16_t *const *outs);
-
-/**
- * binaryMaxPoolRangeBatch over count *planes* instead of materialized
- * per-cycle counts (the sc::fusedProductPlanesMulti* form, plane_cap
+ * Batch-axis binaryMaxPoolRange over count *planes* instead of
+ * materialized per-cycle counts: one call pools the same (pixel,
+ * window set) for a whole micro-batch, with the pooling-segment chunk
+ * walk computed once for all images. Planes are in the
+ * sc::fusedProductPlanesMulti* form (plane_cap
  * planes plus a parity word per range-local 64-cycle word). The
  * Figure 8 selector only ever emits the input selected by the
  * *previous* segment, so the losing inputs' per-cycle counts are never

@@ -61,28 +61,28 @@ struct ScNetworkConfig
     size_t input_c = 1, input_h = 28, input_w = 28;
 
     /**
-     * Segment-streaming granularity of the fused engine, in 64-bit
-     * words: the whole network (inner product -> pooling -> activation
-     * -> output accumulation) advances this many words of the streams
-     * at a time, carrying FSM/pooling/select state across segments, so
-     * a layer's live slice stays cache-resident. 0 runs whole-stream
-     * (except under EngineMode::Progressive, which needs mid-stream
-     * checkpoints and falls back to the default granularity). Results
-     * are bit-exact for every value (the segment-streaming equivalence
-     * tests pin this down).
+     * Checkpoint grid of the SC driver, in 64-bit words: the segment
+     * size of Progressive calls and of any call carrying a cancel
+     * signal, since early exit and cancellation act only at segment
+     * boundaries. The whole network (inner product -> pooling ->
+     * activation -> output accumulation) advances this many words of
+     * the streams at a time, carrying FSM/pooling/select state across
+     * segments. 0 falls back to a default granularity (a whole-stream
+     * run would leave no checkpoint). Plain Fused calls use
+     * batch_stream_segment_words instead; Reference always runs whole
+     * streams. Results are bit-exact for every value (the
+     * segment-streaming equivalence tests pin this down).
      */
     size_t stream_segment_words = 4;
 
     /**
-     * Segment granularity of forwardBatch's weight-stationary path, in
-     * 64-bit words. 0 (the default) runs full-precision micro-batches
-     * whole-stream — each weight block is streamed exactly once per
-     * micro-batch, which measures faster than the single-image segment
-     * grid because the batch path's cache reuse comes from keeping
-     * weights resident across images, not from short stream slices.
-     * Progressive micro-batches ignore this knob: mid-stream early
-     * exit and active-set compaction need the checkpoint grid of
-     * stream_segment_words. Results are bit-exact for every value.
+     * Segment size of the SC driver for calls without checkpoints —
+     * Fused mode with no cancel signal, single images and batches
+     * alike — in 64-bit words. 0 (the default) runs whole-stream: each
+     * weight block is streamed exactly once per call, which measures
+     * faster than short segments because the driver's cache reuse
+     * comes from keeping weights resident across images, not from
+     * short stream slices. Results are bit-exact for every value.
      */
     size_t batch_stream_segment_words = 0;
 

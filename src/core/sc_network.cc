@@ -23,14 +23,35 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+uint64_t
+nsSince(Clock::time_point t0)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             t0)
+            .count());
+}
+
+/** One engine phase span of @p dur_ns ending now, with the segment's
+ *  first word as the "seg" argument (no-op when disarmed or empty). */
+void
+emitPhase(obs::SpanName name, uint64_t dur_ns, size_t seg_w0)
+{
+    if (dur_ns == 0 || !obs::armed())
+        return;
+    obs::TraceRecorder &rec = obs::TraceRecorder::instance();
+    rec.spanComplete(name, rec.nowNs() - dur_ns, dur_ns, 0, 0, seg_w0);
+}
+
 /**
  * Per-chunk phase stopwatch: laps accumulate locally (no atomics in
- * the pixel loop) and the chunk flushes once into the shared
- * PhaseBreakdown. All no-ops when profiling is off.
+ * the pixel loop) and the chunk flushes once into the trace as
+ * per-segment phase spans, which also feed the recorder's always-on
+ * phase aggregate. All no-ops when tracing is disarmed.
  */
 struct PhaseTimer
 {
-    explicit PhaseTimer(bool enabled) : on(enabled) {}
+    PhaseTimer() : on(obs::armed()) {}
 
     void start()
     {
@@ -50,6 +71,15 @@ struct PhaseTimer
         last = now;
     }
 
+    /** Chunk flush: one span per phase, end-anchored at the
+     *  recorder's clock. */
+    void flush(size_t seg_w0) const
+    {
+        emitPhase(obs::SpanName::InnerProduct, inner_product, seg_w0);
+        emitPhase(obs::SpanName::Pooling, pooling, seg_w0);
+        emitPhase(obs::SpanName::Activation, activation, seg_w0);
+    }
+
     bool on;
     Clock::time_point last;
     uint64_t inner_product = 0;
@@ -57,34 +87,25 @@ struct PhaseTimer
     uint64_t activation = 0;
 };
 
-/**
- * Chunk flush: the same accumulated lap durations feed both the
- * caller's PhaseBreakdown and (when tracing is armed) per-segment
- * engine phase spans — one measurement, two consumers, so
- * bench_throughput's phase table and the trace profile agree by
- * construction. Spans are end-anchored at the recorder's clock with
- * the segment's first word as the "seg" argument.
- */
+/** parallelForChunks on @p pool, or on the global pool when null. */
 void
-flushPhases(PhaseBreakdown *profile, const PhaseTimer &t,
-            size_t seg_w0)
+forChunks(ThreadPool *pool, size_t n,
+          const std::function<void(size_t, size_t)> &chunk)
 {
-    if (profile != nullptr) {
-        profile->inner_product_ns += t.inner_product;
-        profile->pooling_ns += t.pooling;
-        profile->activation_ns += t.activation;
-    }
-    if (obs::armed()) {
-        obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-        const uint64_t end = rec.nowNs();
-        const auto span = [&](obs::SpanName name, uint64_t dur) {
-            if (dur > 0)
-                rec.spanComplete(name, end - dur, dur, 0, 0, seg_w0);
-        };
-        span(obs::SpanName::InnerProduct, t.inner_product);
-        span(obs::SpanName::Pooling, t.pooling);
-        span(obs::SpanName::Activation, t.activation);
-    }
+    if (pool != nullptr)
+        parallelForChunks(*pool, 0, n, chunk);
+    else
+        parallelForChunks(0, n, chunk);
+}
+
+/** parallelFor on @p pool, or on the global pool when null. */
+void
+forEach(ThreadPool *pool, size_t n, const std::function<void(size_t)> &body)
+{
+    if (pool != nullptr)
+        parallelFor(*pool, 0, n, body);
+    else
+        parallelFor(0, n, body);
 }
 
 /**
@@ -109,10 +130,80 @@ constexpr uint64_t kSelectSalt = 0x5E1EC7A5C0DEBEEFULL;
 /** Salt for the MUX average-pooling generators. */
 constexpr uint64_t kPoolSalt = 0xAB00057EDB00157EULL;
 
-/** Segment granularity Progressive mode falls back to when the config
- *  asks for whole-stream execution (which would leave it no mid-stream
- *  checkpoint to exit at). */
-constexpr size_t kProgressiveFallbackSegmentWords = 4;
+/** Checkpoint granularity Progressive mode and cancellable calls fall
+ *  back to when ScNetworkConfig::stream_segment_words asks for
+ *  whole-stream execution (which would leave no mid-stream boundary
+ *  to exit or cancel at). */
+constexpr size_t kCheckpointFallbackSegmentWords = 4;
+
+/**
+ * The bit-serial oracle's pool + activate step for one APC pixel of
+ * one image: the four windows' whole-stream counts through the
+ * reference pooling twin, then a scalar Btanh from its initial state.
+ */
+sc::Bitstream
+referenceApcPixel(const uint16_t *const *cnt, size_t len, bool use_max,
+                  size_t segment_len, unsigned state_count,
+                  unsigned n_inputs, PhaseTimer &timer)
+{
+    std::vector<std::vector<uint16_t>> counts(4);
+    for (size_t w = 0; w < 4; ++w)
+        counts[w].assign(cnt[w], cnt[w] + len);
+    sc::Btanh unit(state_count, n_inputs);
+    sc::Bitstream out;
+    if (use_max) {
+        const std::vector<uint16_t> pooled = blocks::binaryMaxPoolReference(
+            counts, segment_len, 0, /*accumulate=*/true);
+        timer.lap(timer.pooling);
+        out = unit.transform(pooled);
+    } else {
+        const std::vector<int> steps =
+            blocks::binaryAveragePoolingSigned(counts, n_inputs);
+        timer.lap(timer.pooling);
+        out = unit.transformSigned(steps);
+    }
+    timer.lap(timer.activation);
+    return out;
+}
+
+/**
+ * The bit-serial oracle's pool + activate step for one MUX pixel of
+ * one image: the four windows' product streams through the reference
+ * max selector or the MUX average (drawing from @p pool_rng), then a
+ * scalar Stanh from its initial state.
+ */
+sc::Bitstream
+referenceMuxPixel(const uint64_t *const *prod, size_t len, bool use_max,
+                  size_t segment_len, unsigned state_count,
+                  sc::Xoshiro256ss *pool_rng, PhaseTimer &timer)
+{
+    sc::Bitstream pooled;
+    if (use_max) {
+        std::vector<sc::BitstreamView> views;
+        for (size_t w = 0; w < 4; ++w)
+            views.emplace_back(prod[w], len);
+        pooled = blocks::maxPoolStreamsReference(views, segment_len, 0,
+                                                 /*accumulate=*/true);
+    } else {
+        // Unlike the isolated Figure 14(b) study (operands uniform
+        // over [-1,1]), trained-network streams sit near p=0.5 where
+        // the Figure 11 K/5 threshold would swamp the signal with a
+        // constant positive bias; the classic midpoint threshold is
+        // used for network inference.
+        std::vector<sc::Bitstream> streams(4);
+        for (size_t w = 0; w < 4; ++w) {
+            streams[w].reset(len);
+            std::copy(prod[w], prod[w] + (len + 63) / 64,
+                      streams[w].mutableWords().begin());
+        }
+        pooled = blocks::averagePooling(streams, *pool_rng);
+    }
+    timer.lap(timer.pooling);
+    sc::Stanh fsm(state_count);
+    sc::Bitstream out = fsm.transform(pooled);
+    timer.lap(timer.activation);
+    return out;
+}
 
 } // namespace
 
@@ -286,504 +377,9 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
               in_gain, out_);
 }
 
-ScNetwork::StreamGrid
-ScNetwork::encodeImage(const nn::Tensor &image, uint64_t seed,
-                       PhaseBreakdown *profile) const
-{
-    SCDCNN_ASSERT(image.channels() == plan_.in_c &&
-                      image.height() == plan_.in_h &&
-                      image.width() == plan_.in_w,
-                  "expected a %zux%zux%zu image, got %zux%zux%zu",
-                  plan_.in_c, plan_.in_h, plan_.in_w, image.channels(),
-                  image.height(), image.width());
-    const Clock::time_point t0 = Clock::now();
-    StreamGrid grid;
-    grid.c = plan_.in_c;
-    grid.h = plan_.in_h;
-    grid.w = plan_.in_w;
-    grid.arena.reset(image.size(), cfg_.bitstream_len);
-    sc::SngBank bank(seed);
-    for (size_t i = 0; i < image.size(); ++i) {
-        // Pixel values in [0,1] already lie inside the bipolar range;
-        // they are encoded at face value so the SC network computes
-        // the same function the float network was trained on.
-        grid.arena.assign(i, bank.bipolar(image[i], cfg_.bitstream_len));
-    }
-    // One measured duration feeds both the profile and the trace.
-    const auto encode_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - t0)
-            .count());
-    if (profile != nullptr)
-        profile->encode_ns += encode_ns;
-    if (obs::armed()) {
-        obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-        const uint64_t end = rec.nowNs();
-        rec.spanComplete(obs::SpanName::Encode, end - encode_ns,
-                         encode_ns);
-    }
-    return grid;
-}
-
-void
-ScNetwork::initConvRun(ConvRun &run, const StreamGrid &in,
-                       const ConvWeightStreams &weights, size_t layer_idx,
-                       uint64_t seed) const
-{
-    const size_t k = weights.k;
-    const size_t conv_h = in.h - k + 1;
-    const size_t conv_w = in.w - k + 1;
-    SCDCNN_ASSERT(conv_h % 2 == 0 && conv_w % 2 == 0,
-                  "conv output not poolable");
-    run.out.c = weights.c_out;
-    run.out.h = conv_h / 2;
-    run.out.w = conv_w / 2;
-    run.out.arena.reset(run.out.c * run.out.h * run.out.w,
-                        cfg_.bitstream_len);
-
-    const blocks::FebKind kind = stageFebKind(layer_idx);
-    const bool use_apc = blocks::febUsesApc(kind);
-    const bool use_max = blocks::febUsesMaxPool(kind);
-    const size_t n_pixels = run.out.c * run.out.h * run.out.w;
-
-    run.fsm.assign(n_pixels,
-                   use_apc ? btanh_tables_[layer_idx]->initialState()
-                           : stanh_tables_[layer_idx]->initialState());
-    run.pool.clear();
-    if (use_max) {
-        run.pool.resize(n_pixels);
-        for (auto &st : run.pool)
-            st.reset(4, 0);
-    }
-    // Every generator is derived from its position: MUX selects per
-    // (filter block, position, window) — shared by the block's lanes,
-    // the way the blocked MUX kernel samples — and the average-pooling
-    // MUX per pixel. Any thread partition reproduces the same streams.
-    run.sel_rng.clear();
-    run.pool_rng.clear();
-    if (!use_apc) {
-        const size_t positions = run.out.h * run.out.w;
-        const size_t n_sites = weights.blocked.groups() * positions * 4;
-        run.sel_rng.reserve(n_sites);
-        for (size_t s = 0; s < n_sites; ++s)
-            run.sel_rng.emplace_back(
-                siteSeed(seed ^ kSelectSalt, layer_idx, s));
-        if (!use_max) {
-            run.pool_rng.reserve(n_pixels);
-            for (size_t p = 0; p < n_pixels; ++p)
-                run.pool_rng.emplace_back(
-                    siteSeed(seed ^ kPoolSalt, layer_idx, p));
-        }
-    }
-}
-
-void
-ScNetwork::runConvLayerSegment(const StreamGrid &in,
-                               const ConvWeightStreams &weights,
-                               size_t layer_idx, const SegRange &seg,
-                               ConvRun &run, EngineMode mode,
-                               PhaseBreakdown *profile) const
-{
-    const size_t k = weights.k;
-    const size_t out_w = run.out.w;
-    const size_t n_inputs = weights.n_per_filter;
-    const size_t len = cfg_.bitstream_len;
-
-    const blocks::FebKind kind = stageFebKind(layer_idx);
-    const unsigned state_count = layer_k_[layer_idx];
-    const bool use_apc = blocks::febUsesApc(kind);
-    const bool use_max = blocks::febUsesMaxPool(kind);
-    const bool fused = mode != EngineMode::Reference;
-
-    const size_t positions = run.out.h * run.out.w;
-    const size_t n_groups = weights.blocked.groups();
-    const size_t seg_words = seg.w1 - seg.w0;
-    const size_t seg_stride = seg_words * 64;
-
-    // One (filter block, output position) pair per work item: the four
-    // pooling-window inner products of a position are computed once
-    // per block with every input word shared across the block's
-    // filter lanes, then each lane's pixel is pooled and activated.
-    // Contiguous chunks go to the pool workers, each with its own
-    // reusable workspace; everything randomized is position-derived,
-    // so the partition never changes the produced streams.
-    parallelForChunks(0, n_groups * positions, [&](size_t lo, size_t hi) {
-        sc::FusedWorkspace wsp;
-        wsp.xs.resize(n_inputs);
-        wsp.counts.resize(4);
-        wsp.streams.resize(4);
-        wsp.pooled.resize(seg_stride);
-        wsp.steps.resize(seg_stride);
-        std::vector<uint16_t> counts_block(4 * sc::kFilterLanes *
-                                           seg_stride);
-        std::vector<uint64_t> product_block;
-        std::vector<uint64_t> seg_stream;
-        if (!use_apc) {
-            product_block.resize(4 * sc::kFilterLanes * seg_words);
-            seg_stream.resize(seg_words);
-        }
-        sc::Bitstream pooled_stream;
-        PhaseTimer timer(profile != nullptr || obs::armed());
-        for (size_t item = lo; item < hi; ++item) {
-            const size_t g = item / positions;
-            const size_t q = item % positions;
-            const size_t oy = q / out_w;
-            const size_t ox = q % out_w;
-            const sc::WeightBlockView block = weights.blocked.block(g);
-
-            // The four pooling-window inner products of this filter
-            // block, every lane in one pass.
-            timer.start();
-            for (size_t dy = 0; dy < 2; ++dy) {
-                for (size_t dx = 0; dx < 2; ++dx) {
-                    const size_t cy = 2 * oy + dy;
-                    const size_t cx = 2 * ox + dx;
-                    size_t idx = 0;
-                    for (size_t ci = 0; ci < weights.c_in; ++ci)
-                        for (size_t ky = 0; ky < k; ++ky)
-                            for (size_t kx = 0; kx < k; ++kx)
-                                wsp.xs[idx++] =
-                                    in.at(ci, cy + ky, cx + kx);
-                    wsp.xs[idx] = bias_line_;
-
-                    const size_t window = dy * 2 + dx;
-                    if (use_apc) {
-                        uint16_t *dst = counts_block.data() +
-                                        window * sc::kFilterLanes *
-                                            seg_stride;
-                        if (fused)
-                            sc::fusedProductCountsMulti(
-                                wsp.xs, block, /*approximate=*/true,
-                                seg.w0, seg.w1, dst, seg_stride);
-                        else
-                            sc::referenceProductCountsMulti(
-                                wsp.xs, block, /*approximate=*/true,
-                                seg.w0, seg.w1, dst, seg_stride);
-                    } else {
-                        sc::Xoshiro256ss &sel =
-                            run.sel_rng[item * 4 + window];
-                        sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
-                                           wsp.selects);
-                        uint64_t *dst = product_block.data() +
-                                        window * sc::kFilterLanes *
-                                            seg_words;
-                        if (fused)
-                            sc::fusedMuxProductMulti(
-                                wsp.xs, block, wsp.selects, seg.w0,
-                                seg.w1, dst, seg_words);
-                        else
-                            sc::referenceMuxProductMulti(
-                                wsp.xs, block, wsp.selects, seg.w0,
-                                seg.w1, dst, seg_words);
-                    }
-                }
-            }
-            timer.lap(timer.inner_product);
-
-            // Pool + activate each lane's pixel, carrying the selector
-            // counters and the FSM state across segments. Max pooling
-            // uses the accumulative (non-resetting) reading of the
-            // Figure 8 counters: inside a trained network the
-            // candidate inner products are separated by O(1/N) in
-            // stream value, so per-segment counts cannot distinguish
-            // them, but the accumulated counts converge on the true
-            // maximum within a few hundred cycles (see DESIGN.md
-            // reconstruction notes).
-            for (size_t f = 0; f < block.lanes; ++f) {
-                const size_t p =
-                    (g * sc::kFilterLanes + f) * positions + q;
-                uint64_t *result = run.out.arena.wordsAt(p) + seg.w0;
-                if (use_apc) {
-                    const uint16_t *cnt[4];
-                    for (size_t w = 0; w < 4; ++w)
-                        cnt[w] = counts_block.data() +
-                                 (w * sc::kFilterLanes + f) * seg_stride;
-                    if (use_max) {
-                        if (fused) {
-                            blocks::binaryMaxPoolRange(
-                                cnt, 4, seg.c0, seg.n_cycles,
-                                cfg_.segment_len, /*accumulate=*/true,
-                                run.pool[p], wsp.pooled.data());
-                            timer.lap(timer.pooling);
-                            btanh_tables_[layer_idx]->transformWords(
-                                wsp.pooled.data(), seg.n_cycles, result,
-                                &run.fsm[p]);
-                        } else {
-                            for (size_t w = 0; w < 4; ++w)
-                                wsp.counts[w].assign(cnt[w],
-                                                     cnt[w] + len);
-                            wsp.pooled = blocks::binaryMaxPoolReference(
-                                wsp.counts, cfg_.segment_len, 0,
-                                /*accumulate=*/true);
-                            timer.lap(timer.pooling);
-                            sc::Btanh unit(
-                                state_count,
-                                static_cast<unsigned>(n_inputs));
-                            run.out.arena.assign(
-                                p, unit.transform(wsp.pooled));
-                        }
-                    } else {
-                        if (fused) {
-                            blocks::binaryAveragePoolingSignedRange(
-                                cnt, 4, n_inputs, seg.n_cycles,
-                                wsp.steps.data());
-                            timer.lap(timer.pooling);
-                            btanh_tables_[layer_idx]
-                                ->transformSignedWords(
-                                    wsp.steps.data(), seg.n_cycles,
-                                    result, &run.fsm[p]);
-                        } else {
-                            for (size_t w = 0; w < 4; ++w)
-                                wsp.counts[w].assign(cnt[w],
-                                                     cnt[w] + len);
-                            blocks::binaryAveragePoolingSigned(
-                                wsp.counts, n_inputs, wsp.steps);
-                            timer.lap(timer.pooling);
-                            sc::Btanh unit(
-                                state_count,
-                                static_cast<unsigned>(n_inputs));
-                            run.out.arena.assign(
-                                p, unit.transformSigned(wsp.steps));
-                        }
-                    }
-                } else {
-                    const uint64_t *prod[4];
-                    for (size_t w = 0; w < 4; ++w)
-                        prod[w] = product_block.data() +
-                                  (w * sc::kFilterLanes + f) * seg_words;
-                    if (use_max) {
-                        if (fused) {
-                            blocks::maxPoolStreamsRange(
-                                prod, 4, seg.c0, seg.n_cycles,
-                                cfg_.segment_len, /*accumulate=*/true,
-                                run.pool[p], seg_stream.data());
-                            timer.lap(timer.pooling);
-                            stanh_tables_[layer_idx]->transformWords(
-                                seg_stream.data(), seg.n_cycles, result,
-                                &run.fsm[p]);
-                        } else {
-                            std::vector<sc::BitstreamView> pv;
-                            for (size_t w = 0; w < 4; ++w)
-                                pv.emplace_back(prod[w], len);
-                            pooled_stream = blocks::maxPoolStreamsReference(
-                                pv, cfg_.segment_len, 0,
-                                /*accumulate=*/true);
-                            timer.lap(timer.pooling);
-                            sc::Stanh fsm(state_count);
-                            run.out.arena.assign(
-                                p, fsm.transform(pooled_stream));
-                        }
-                    } else {
-                        // Unlike the isolated Figure 14(b) study
-                        // (operands uniform over [-1,1]),
-                        // trained-network streams sit near p=0.5 where
-                        // the Figure 11 K/5 threshold would swamp the
-                        // signal with a constant positive bias; the
-                        // classic midpoint threshold is used for
-                        // network inference.
-                        if (fused) {
-                            blocks::averagePoolingRange(
-                                prod, 4, seg.n_cycles, run.pool_rng[p],
-                                seg_stream.data());
-                            timer.lap(timer.pooling);
-                            stanh_tables_[layer_idx]->transformWords(
-                                seg_stream.data(), seg.n_cycles, result,
-                                &run.fsm[p]);
-                        } else {
-                            for (size_t w = 0; w < 4; ++w) {
-                                wsp.streams[w].reset(len);
-                                std::copy(prod[w],
-                                          prod[w] + seg_words,
-                                          wsp.streams[w]
-                                              .mutableWords()
-                                              .begin());
-                            }
-                            pooled_stream = blocks::averagePooling(
-                                wsp.streams, run.pool_rng[p]);
-                            timer.lap(timer.pooling);
-                            sc::Stanh fsm(state_count);
-                            run.out.arena.assign(
-                                p, fsm.transform(pooled_stream));
-                        }
-                    }
-                }
-                timer.lap(timer.activation);
-            }
-        }
-        flushPhases(profile, timer, seg.w0);
-    });
-}
-
-void
-ScNetwork::initFcRun(FcRun &run, const FcWeightStreams &weights,
-                     size_t layer_idx, uint64_t seed) const
-{
-    run.out.reset(weights.n_out, cfg_.bitstream_len);
-    const bool use_apc = blocks::febUsesApc(stageFebKind(layer_idx));
-    run.fsm.assign(weights.n_out,
-                   use_apc ? btanh_tables_[layer_idx]->initialState()
-                           : stanh_tables_[layer_idx]->initialState());
-    run.sel_rng.clear();
-    if (!use_apc) {
-        // One select generator per neuron block, shared by its lanes
-        // (cf. the conv layers' per-(block, position, window) scheme).
-        const size_t n_groups = weights.blocked.groups();
-        run.sel_rng.reserve(n_groups);
-        for (size_t g = 0; g < n_groups; ++g)
-            run.sel_rng.emplace_back(
-                siteSeed(seed ^ kSelectSalt, layer_idx, g));
-    }
-}
-
-void
-ScNetwork::runFcLayerSegment(const std::vector<sc::BitstreamView> &in,
-                             const FcWeightStreams &weights,
-                             size_t layer_idx, const SegRange &seg,
-                             FcRun &run, EngineMode mode,
-                             PhaseBreakdown *profile) const
-{
-    SCDCNN_ASSERT(in.size() == weights.n_in,
-                  "fc layer expects %zu inputs, got %zu", weights.n_in,
-                  in.size());
-    const size_t n_inputs = weights.n_in + 1;
-    const size_t len = cfg_.bitstream_len;
-    const blocks::FebKind kind = stageFebKind(layer_idx);
-    const unsigned state_count = layer_k_[layer_idx];
-    const bool use_apc = blocks::febUsesApc(kind);
-    const bool fused = mode != EngineMode::Reference;
-
-    const size_t n_groups = weights.blocked.groups();
-    const size_t seg_words = seg.w1 - seg.w0;
-    const size_t seg_stride = seg_words * 64;
-
-    // One neuron block per work item, chunked across the pool with
-    // per-chunk workspaces; the shared input views are gathered once
-    // per chunk and every block's weight slice streams contiguously.
-    parallelForChunks(0, n_groups, [&](size_t lo, size_t hi) {
-        sc::FusedWorkspace wsp;
-        wsp.xs.resize(n_inputs);
-        wsp.counts.resize(1);
-        for (size_t i = 0; i < weights.n_in; ++i)
-            wsp.xs[i] = in[i];
-        wsp.xs[weights.n_in] = bias_line_;
-        std::vector<uint16_t> counts_block(sc::kFilterLanes * seg_stride);
-        std::vector<uint64_t> product_block;
-        if (!use_apc)
-            product_block.resize(sc::kFilterLanes * seg_words);
-        PhaseTimer timer(profile != nullptr || obs::armed());
-        for (size_t g = lo; g < hi; ++g) {
-            const sc::WeightBlockView block = weights.blocked.block(g);
-            timer.start();
-            if (use_apc) {
-                if (fused)
-                    sc::fusedProductCountsMulti(
-                        wsp.xs, block, /*approximate=*/true, seg.w0,
-                        seg.w1, counts_block.data(), seg_stride);
-                else
-                    sc::referenceProductCountsMulti(
-                        wsp.xs, block, /*approximate=*/true, seg.w0,
-                        seg.w1, counts_block.data(), seg_stride);
-            } else {
-                sc::Xoshiro256ss &sel = run.sel_rng[g];
-                sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
-                                   wsp.selects);
-                if (fused)
-                    sc::fusedMuxProductMulti(wsp.xs, block, wsp.selects,
-                                             seg.w0, seg.w1,
-                                             product_block.data(),
-                                             seg_words);
-                else
-                    sc::referenceMuxProductMulti(wsp.xs, block,
-                                                 wsp.selects, seg.w0,
-                                                 seg.w1,
-                                                 product_block.data(),
-                                                 seg_words);
-            }
-            timer.lap(timer.inner_product);
-
-            for (size_t f = 0; f < block.lanes; ++f) {
-                const size_t o = g * sc::kFilterLanes + f;
-                uint64_t *result = run.out.wordsAt(o) + seg.w0;
-                if (use_apc) {
-                    const uint16_t *cnt =
-                        counts_block.data() + f * seg_stride;
-                    if (fused) {
-                        btanh_tables_[layer_idx]->transformWords(
-                            cnt, seg.n_cycles, result, &run.fsm[o]);
-                    } else {
-                        wsp.counts[0].assign(cnt, cnt + len);
-                        sc::Btanh unit(state_count,
-                                       static_cast<unsigned>(n_inputs));
-                        run.out.assign(o, unit.transform(wsp.counts[0]));
-                    }
-                } else {
-                    const uint64_t *prod =
-                        product_block.data() + f * seg_words;
-                    if (fused) {
-                        stanh_tables_[layer_idx]->transformWords(
-                            prod, seg.n_cycles, result, &run.fsm[o]);
-                    } else {
-                        sc::Stanh fsm(state_count);
-                        sc::Bitstream stream(len);
-                        std::copy(prod, prod + seg_words,
-                                  stream.mutableWords().begin());
-                        run.out.assign(o, fsm.transform(stream));
-                    }
-                }
-                timer.lap(timer.activation);
-            }
-        }
-        flushPhases(profile, timer, seg.w0);
-    });
-}
-
-void
-ScNetwork::runOutputSegment(const std::vector<sc::BitstreamView> &in,
-                            const FcWeightStreams &weights,
-                            const SegRange &seg, OutputRun &run,
-                            EngineMode mode,
-                            PhaseBreakdown *profile) const
-{
-    const Clock::time_point t0 = Clock::now();
-    const size_t n_inputs = weights.n_in + 1;
-    std::vector<sc::BitstreamView> xs(n_inputs);
-    std::vector<sc::BitstreamView> ws(n_inputs);
-    for (size_t i = 0; i < weights.n_in; ++i)
-        xs[i] = in[i];
-    xs[weights.n_in] = bias_line_;
-
-    // The accumulator de-randomizes: score = sum of bipolar sums. The
-    // fused path never materializes the per-cycle counts — each
-    // segment's contribution reduces to word popcounts, summed into
-    // the per-class running accumulators.
-    for (size_t o = 0; o < weights.n_out; ++o) {
-        for (size_t i = 0; i < n_inputs; ++i)
-            ws[i] = weights.at(o, i);
-        if (mode != EngineMode::Reference)
-            sc::fusedProductCountTotalRange(xs, ws, seg.w0, seg.w1,
-                                            run.acc[o]);
-        else
-            sc::referenceProductCountTotalRange(xs, ws, seg.w0, seg.w1,
-                                                run.acc[o]);
-    }
-    run.consumed += seg.n_cycles;
-    const auto output_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - t0)
-            .count());
-    if (profile != nullptr)
-        profile->output_ns += output_ns;
-    if (obs::armed()) {
-        obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-        const uint64_t end = rec.nowNs();
-        rec.spanComplete(obs::SpanName::Output, end - output_ns,
-                         output_ns, 0, 0, seg.w0);
-    }
-}
-
 ScNetwork::BatchStreamGrid
-ScNetwork::encodeImagesBatch(const std::vector<nn::Tensor> &images,
-                             const std::vector<uint64_t> &seeds,
+ScNetwork::encodeImagesBatch(std::span<const nn::Tensor> images,
+                             std::span<const uint64_t> seeds,
                              ThreadPool *pool) const
 {
     BatchStreamGrid grid;
@@ -792,7 +388,7 @@ ScNetwork::encodeImagesBatch(const std::vector<nn::Tensor> &images,
     grid.w = plan_.in_w;
     grid.arena.reset(grid.c * grid.h * grid.w, images.size(),
                      cfg_.bitstream_len);
-    const auto body = [&](size_t b) {
+    forEach(pool, images.size(), [&](size_t b) {
         const nn::Tensor &image = images[b];
         SCDCNN_ASSERT(image.channels() == plan_.in_c &&
                           image.height() == plan_.in_h &&
@@ -800,15 +396,16 @@ ScNetwork::encodeImagesBatch(const std::vector<nn::Tensor> &images,
                       "expected a %zux%zux%zu image, got %zux%zux%zu",
                       plan_.in_c, plan_.in_h, plan_.in_w,
                       image.channels(), image.height(), image.width());
+        const Clock::time_point t0 = Clock::now();
         sc::SngBank bank(seeds[b]);
+        // Pixel values in [0,1] already lie inside the bipolar range;
+        // they are encoded at face value so the SC network computes
+        // the same function the float network was trained on.
         for (size_t i = 0; i < image.size(); ++i)
             grid.arena.assign(i, b,
                               bank.bipolar(image[i], cfg_.bitstream_len));
-    };
-    if (pool != nullptr)
-        parallelFor(*pool, 0, images.size(), body);
-    else
-        parallelFor(0, images.size(), body);
+        emitPhase(obs::SpanName::Encode, nsSince(t0), 0);
+    });
     return grid;
 }
 
@@ -835,10 +432,13 @@ ScNetwork::initConvBatchRun(ConvBatchRun &run, const BatchStreamGrid &in,
     const bool use_max = blocks::febUsesMaxPool(kind);
     const size_t n_pixels = run.out.c * run.out.h * run.out.w;
 
-    // Every per-site quantity of the per-image run, replicated per
-    // image at index site * B + b, seeded exactly as image b's own
-    // initConvRun would seed it — the source of the batched/per-image
-    // bit-exactness.
+    // Every per-site quantity, replicated per image at index
+    // site * B + b and seeded from image b's own seed alone — so an
+    // image's streams never depend on its batch-mates or the batch
+    // size. Every generator is derived from its position: MUX selects
+    // per (filter block, position, window) — shared by the block's
+    // lanes, the way the blocked MUX kernel samples — and the
+    // average-pooling MUX per pixel.
     run.fsm.assign(n_pixels * B,
                    use_apc ? btanh_tables_[layer_idx]->initialState()
                            : stanh_tables_[layer_idx]->initialState());
@@ -895,7 +495,7 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                                     const ConvWeightStreams &weights,
                                     size_t layer_idx, const SegRange &seg,
                                     const std::vector<uint32_t> &active,
-                                    ConvBatchRun &run,
+                                    bool reference, ConvBatchRun &run,
                                     ThreadPool *pool) const
 {
     const size_t k = weights.k;
@@ -903,8 +503,10 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
     const size_t n_inputs = weights.n_per_filter;
     const size_t B = run.out.arena.images();
     const size_t n_active = active.size();
+    const size_t len = cfg_.bitstream_len;
 
     const blocks::FebKind kind = stageFebKind(layer_idx);
+    const unsigned state_count = layer_k_[layer_idx];
     const bool use_apc = blocks::febUsesApc(kind);
     const bool use_max = blocks::febUsesMaxPool(kind);
     const size_t positions = run.out.h * run.out.w;
@@ -913,40 +515,53 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
     const size_t seg_stride = seg_words * 64;
     const size_t in_stride = in.arena.strideWords();
 
-    // Work items as in the per-image runner — one (filter block,
-    // output position) pair — but each item now covers the whole
-    // active micro-batch: the block's weight words are loaded once per
-    // segment word and folded against every active image's input
-    // window before advancing (the weight-stationary inversion).
+    // One (filter block, output position) pair per work item, covering
+    // the whole active micro-batch: the block's weight words are loaded
+    // once per segment word and folded against every active image's
+    // input window before advancing (the weight-stationary inversion).
+    // Contiguous chunks go to the pool workers, each with its own
+    // reusable workspace; everything randomized is position-derived,
+    // so the partition never changes the produced streams.
     // Max-pooled APC layers carry the inner products as count planes:
     // the Figure 8 selector needs per-cycle counts only for the input
     // it forwards, so the kernel skips the plane-to-count transpose
     // for the losing windows (binaryMaxPoolPlanesBatch recovers the
-    // winner's counts on demand).
+    // winner's counts on demand). The Reference oracle keeps plain
+    // counts for its bit-serial pooling twin.
+    const bool use_planes = use_apc && use_max && !reference;
     const size_t plane_cap = sc::planeCapForTaps(n_inputs);
     const size_t plane_lane_stride = seg_words * (plane_cap + 1);
     const size_t plane_image_stride = sc::kFilterLanes * plane_lane_stride;
+    const auto product_counts = reference
+                                    ? &sc::referenceProductCountsMultiBatch
+                                    : &sc::fusedProductCountsMultiBatch;
+    const auto mux_product = reference ? &sc::referenceMuxProductMulti
+                                       : &sc::fusedMuxProductMulti;
 
-    const auto body = [&](size_t lo, size_t hi) {
+    forChunks(pool, n_groups * positions, [&](size_t lo, size_t hi) {
         sc::BatchFusedWorkspace wsp;
         wsp.xs0.resize(n_inputs);
         wsp.x_strides.assign(n_inputs, in_stride);
         wsp.x_strides[n_inputs - 1] = 0; // shared bias line
         std::vector<uint64_t> planes_buf;
         std::vector<const uint64_t *> plane_ptrs;
-        if (use_apc && use_max) {
+        std::vector<blocks::MaxPoolCarryState *> pool_state_ptrs;
+        std::vector<uint16_t *> pool_out_ptrs;
+        if (use_planes) {
             // +4 tail words: the pooling quad loads read whole 4-plane
             // groups past the last word's parity slot.
             planes_buf.resize(4 * n_active * plane_image_stride + 4);
             plane_ptrs.resize(4 * n_active);
-        } else if (use_apc)
+            wsp.pooled.resize(n_active * seg_stride);
+            pool_state_ptrs.resize(n_active);
+            pool_out_ptrs.resize(n_active);
+        } else if (use_apc) {
             wsp.counts.resize(4 * n_active * sc::kFilterLanes *
                               seg_stride);
-        else
+        } else {
             wsp.products.resize(4 * n_active * sc::kFilterLanes *
                                 seg_words);
-        if (use_apc && use_max)
-            wsp.pooled.resize(n_active * seg_stride);
+        }
         if (use_apc && !use_max)
             wsp.steps.resize(n_active * seg_stride);
         if (!use_apc)
@@ -956,12 +571,7 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
         wsp.step_ptrs.resize(n_active);
         wsp.out_ptrs.resize(n_active);
         wsp.state_ptrs.resize(n_active);
-        std::vector<blocks::MaxPoolCarryState *> pool_state_ptrs;
-        std::vector<uint16_t *> pool_out_ptrs;
-        if (use_apc && use_max) {
-            pool_state_ptrs.resize(n_active);
-            pool_out_ptrs.resize(n_active);
-        }
+        PhaseTimer timer;
         for (size_t item = lo; item < hi; ++item) {
             const size_t g = item / positions;
             const size_t q = item % positions;
@@ -969,6 +579,9 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
             const size_t ox = q % out_w;
             const sc::WeightBlockView block = weights.blocked.block(g);
 
+            // The four pooling-window inner products of this filter
+            // block, every lane and every active image.
+            timer.start();
             for (size_t dy = 0; dy < 2; ++dy) {
                 for (size_t dx = 0; dx < 2; ++dx) {
                     const size_t cy = 2 * oy + dy;
@@ -982,29 +595,26 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                     wsp.xs0[idx] = bias_line_;
 
                     const size_t window = dy * 2 + dx;
-                    if (use_apc) {
-                        if (use_max) {
-                            uint64_t *dst =
-                                planes_buf.data() +
-                                window * n_active * plane_image_stride;
-                            sc::fusedProductPlanesMultiBatch(
-                                wsp.xs0, wsp.x_strides, active.data(),
-                                n_active, block, /*approximate=*/true,
-                                seg.w0, seg.w1, dst, plane_cap,
-                                plane_lane_stride, plane_image_stride);
-                        } else {
-                            uint16_t *dst =
-                                wsp.counts.data() +
-                                window * n_active * sc::kFilterLanes *
-                                    seg_stride;
-                            sc::fusedProductCountsMultiBatch(
-                                wsp.xs0, wsp.x_strides, active.data(),
-                                n_active, block, /*approximate=*/true,
-                                seg.w0, seg.w1, dst, seg_stride,
-                                sc::kFilterLanes * seg_stride);
-                        }
+                    if (use_planes) {
+                        sc::fusedProductPlanesMultiBatch(
+                            wsp.xs0, wsp.x_strides, active.data(),
+                            n_active, block, /*approximate=*/true,
+                            seg.w0, seg.w1,
+                            planes_buf.data() +
+                                window * n_active * plane_image_stride,
+                            plane_cap, plane_lane_stride,
+                            plane_image_stride);
+                    } else if (use_apc) {
+                        product_counts(
+                            wsp.xs0, wsp.x_strides, active.data(),
+                            n_active, block, /*approximate=*/true,
+                            seg.w0, seg.w1,
+                            wsp.counts.data() + window * n_active *
+                                                    sc::kFilterLanes *
+                                                    seg_stride,
+                            seg_stride, sc::kFilterLanes * seg_stride);
                     } else {
-                        // MUX layers keep the per-image kernel (the
+                        // MUX layers run the per-image kernel (the
                         // selects are per-image RNG sequences anyway);
                         // the image loop still re-reads the block's
                         // weight slice from cache.
@@ -1018,30 +628,78 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                             sc::shiftViewsForImage(wsp.xs0,
                                                    wsp.x_strides, img,
                                                    wsp.xs_img);
-                            uint64_t *dst =
-                                wsp.products.data() +
-                                (window * n_active + j) *
-                                    sc::kFilterLanes * seg_words;
-                            sc::fusedMuxProductMulti(
-                                wsp.xs_img, block, wsp.selects, seg.w0,
-                                seg.w1, dst, seg_words);
+                            mux_product(wsp.xs_img, block, wsp.selects,
+                                        seg.w0, seg.w1,
+                                        wsp.products.data() +
+                                            (window * n_active + j) *
+                                                sc::kFilterLanes *
+                                                seg_words,
+                                        seg_words);
                         }
                     }
                 }
             }
+            timer.lap(timer.inner_product);
 
-            // Pool each lane's pixel per image, then activate all
-            // active images of the lane in one interleaved FSM pass
-            // (independent serial chains overlap in the pipeline).
+            // Pool + activate each lane's pixel per image, carrying the
+            // selector counters and the FSM state across segments. Max
+            // pooling uses the accumulative (non-resetting) reading of
+            // the Figure 8 counters: inside a trained network the
+            // candidate inner products are separated by O(1/N) in
+            // stream value, so per-segment counts cannot distinguish
+            // them, but the accumulated counts converge on the true
+            // maximum within a few hundred cycles (see DESIGN.md
+            // reconstruction notes).
             for (size_t f = 0; f < block.lanes; ++f) {
                 const size_t p =
                     (g * sc::kFilterLanes + f) * positions + q;
+                if (reference) {
+                    for (size_t j = 0; j < n_active; ++j) {
+                        const size_t img = active[j];
+                        if (use_apc) {
+                            const uint16_t *cnt[4];
+                            for (size_t w = 0; w < 4; ++w)
+                                cnt[w] = wsp.counts.data() +
+                                         ((w * n_active + j) *
+                                              sc::kFilterLanes +
+                                          f) *
+                                             seg_stride;
+                            run.out.arena.assign(
+                                p, img,
+                                referenceApcPixel(
+                                    cnt, len, use_max, cfg_.segment_len,
+                                    state_count,
+                                    static_cast<unsigned>(n_inputs),
+                                    timer));
+                        } else {
+                            const uint64_t *prod[4];
+                            for (size_t w = 0; w < 4; ++w)
+                                prod[w] = wsp.products.data() +
+                                          ((w * n_active + j) *
+                                               sc::kFilterLanes +
+                                           f) *
+                                              seg_words;
+                            run.out.arena.assign(
+                                p, img,
+                                referenceMuxPixel(
+                                    prod, len, use_max, cfg_.segment_len,
+                                    state_count,
+                                    use_max ? nullptr
+                                            : &run.pool_rng[p * B + img],
+                                    timer));
+                        }
+                    }
+                    continue;
+                }
                 for (size_t j = 0; j < n_active; ++j) {
                     const size_t img = active[j];
                     wsp.out_ptrs[j] =
                         run.out.arena.wordsAt(p, img) + seg.w0;
                     wsp.state_ptrs[j] = &run.fsm[p * B + img];
                 }
+                // Pool each image's pixel, then activate all active
+                // images of the lane in one interleaved FSM pass
+                // (independent serial chains overlap in the pipeline).
                 if (use_apc) {
                     if (use_max) {
                         // One batched pool call per lane: the chunk
@@ -1070,6 +728,11 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                             cfg_.segment_len, /*accumulate=*/true,
                             pool_state_ptrs.data(),
                             pool_out_ptrs.data());
+                        timer.lap(timer.pooling);
+                        btanh_tables_[layer_idx]->transformWordsBatch(
+                            wsp.count_ptrs.data(), seg.n_cycles,
+                            wsp.out_ptrs.data(), wsp.state_ptrs.data(),
+                            n_active);
                     } else {
                         for (size_t j = 0; j < n_active; ++j) {
                             const uint16_t *cnt[4];
@@ -1085,18 +748,13 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                             wsp.step_ptrs[j] =
                                 wsp.steps.data() + j * seg_stride;
                         }
-                    }
-                    if (use_max)
-                        btanh_tables_[layer_idx]->transformWordsBatch(
-                            wsp.count_ptrs.data(), seg.n_cycles,
-                            wsp.out_ptrs.data(), wsp.state_ptrs.data(),
-                            n_active);
-                    else
+                        timer.lap(timer.pooling);
                         btanh_tables_[layer_idx]
                             ->transformSignedWordsBatch(
                                 wsp.step_ptrs.data(), seg.n_cycles,
                                 wsp.out_ptrs.data(),
                                 wsp.state_ptrs.data(), n_active);
+                    }
                 } else {
                     for (size_t j = 0; j < n_active; ++j) {
                         const size_t img = active[j];
@@ -1123,18 +781,17 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                         wsp.word_ptrs[j] =
                             wsp.pooled_words.data() + j * seg_words;
                     }
+                    timer.lap(timer.pooling);
                     stanh_tables_[layer_idx]->transformWordsBatch(
                         wsp.word_ptrs.data(), seg.n_cycles,
                         wsp.out_ptrs.data(), wsp.state_ptrs.data(),
                         n_active);
                 }
+                timer.lap(timer.activation);
             }
         }
-    };
-    if (pool != nullptr)
-        parallelForChunks(*pool, 0, n_groups * positions, body);
-    else
-        parallelForChunks(0, n_groups * positions, body);
+        timer.flush(seg.w0);
+    });
 }
 
 void
@@ -1143,7 +800,8 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                   const FcWeightStreams &weights,
                                   size_t layer_idx, const SegRange &seg,
                                   const std::vector<uint32_t> &active,
-                                  FcBatchRun &run, ThreadPool *pool) const
+                                  bool reference, FcBatchRun &run,
+                                  ThreadPool *pool) const
 {
     SCDCNN_ASSERT(in0.size() == weights.n_in,
                   "fc layer expects %zu inputs, got %zu", weights.n_in,
@@ -1151,13 +809,23 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
     const size_t n_inputs = weights.n_in + 1;
     const size_t B = run.out.images();
     const size_t n_active = active.size();
+    const size_t len = cfg_.bitstream_len;
+    const unsigned state_count = layer_k_[layer_idx];
     const bool use_apc = blocks::febUsesApc(stageFebKind(layer_idx));
 
     const size_t n_groups = weights.blocked.groups();
     const size_t seg_words = seg.w1 - seg.w0;
     const size_t seg_stride = seg_words * 64;
+    const auto product_counts = reference
+                                    ? &sc::referenceProductCountsMultiBatch
+                                    : &sc::fusedProductCountsMultiBatch;
+    const auto mux_product = reference ? &sc::referenceMuxProductMulti
+                                       : &sc::fusedMuxProductMulti;
 
-    const auto body = [&](size_t lo, size_t hi) {
+    // One neuron block per work item, chunked across the pool with
+    // per-chunk workspaces; the shared input views are gathered once
+    // per chunk and every block's weight slice streams contiguously.
+    forChunks(pool, n_groups, [&](size_t lo, size_t hi) {
         sc::BatchFusedWorkspace wsp;
         wsp.xs0.resize(n_inputs);
         wsp.x_strides.resize(n_inputs);
@@ -1175,15 +843,19 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
         wsp.word_ptrs.resize(n_active);
         wsp.out_ptrs.resize(n_active);
         wsp.state_ptrs.resize(n_active);
+        PhaseTimer timer;
         for (size_t g = lo; g < hi; ++g) {
             const sc::WeightBlockView block = weights.blocked.block(g);
+            timer.start();
             if (use_apc) {
-                sc::fusedProductCountsMultiBatch(
-                    wsp.xs0, wsp.x_strides, active.data(), n_active,
-                    block, /*approximate=*/true, seg.w0, seg.w1,
-                    wsp.counts.data(), seg_stride,
-                    sc::kFilterLanes * seg_stride);
+                product_counts(wsp.xs0, wsp.x_strides, active.data(),
+                               n_active, block, /*approximate=*/true,
+                               seg.w0, seg.w1, wsp.counts.data(),
+                               seg_stride, sc::kFilterLanes * seg_stride);
             } else {
+                // One select generator per (neuron block, image),
+                // shared by the block's lanes (cf. the conv layers'
+                // per-(block, position, window) scheme).
                 for (size_t j = 0; j < n_active; ++j) {
                     const size_t img = active[j];
                     sc::Xoshiro256ss &sel = run.sel_rng[g * B + img];
@@ -1191,16 +863,47 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                        wsp.selects);
                     sc::shiftViewsForImage(wsp.xs0, wsp.x_strides, img,
                                            wsp.xs_img);
-                    sc::fusedMuxProductMulti(
-                        wsp.xs_img, block, wsp.selects, seg.w0, seg.w1,
-                        wsp.products.data() +
-                            j * sc::kFilterLanes * seg_words,
-                        seg_words);
+                    mux_product(wsp.xs_img, block, wsp.selects, seg.w0,
+                                seg.w1,
+                                wsp.products.data() +
+                                    j * sc::kFilterLanes * seg_words,
+                                seg_words);
                 }
             }
+            timer.lap(timer.inner_product);
 
             for (size_t f = 0; f < block.lanes; ++f) {
                 const size_t o = g * sc::kFilterLanes + f;
+                if (reference) {
+                    // Scalar activation units over the whole stream,
+                    // from their initial state.
+                    for (size_t j = 0; j < n_active; ++j) {
+                        const size_t img = active[j];
+                        if (use_apc) {
+                            const uint16_t *cnt =
+                                wsp.counts.data() +
+                                (j * sc::kFilterLanes + f) * seg_stride;
+                            sc::Btanh unit(
+                                state_count,
+                                static_cast<unsigned>(n_inputs));
+                            run.out.assign(
+                                o, img,
+                                unit.transform(std::vector<uint16_t>(
+                                    cnt, cnt + len)));
+                        } else {
+                            const uint64_t *prod =
+                                wsp.products.data() +
+                                (j * sc::kFilterLanes + f) * seg_words;
+                            sc::Bitstream stream(len);
+                            std::copy(prod, prod + seg_words,
+                                      stream.mutableWords().begin());
+                            sc::Stanh fsm(state_count);
+                            run.out.assign(o, img, fsm.transform(stream));
+                        }
+                    }
+                    timer.lap(timer.activation);
+                    continue;
+                }
                 for (size_t j = 0; j < n_active; ++j) {
                     const size_t img = active[j];
                     wsp.out_ptrs[j] = run.out.wordsAt(o, img) + seg.w0;
@@ -1225,13 +928,11 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                         wsp.out_ptrs.data(), wsp.state_ptrs.data(),
                         n_active);
                 }
+                timer.lap(timer.activation);
             }
         }
-    };
-    if (pool != nullptr)
-        parallelForChunks(*pool, 0, n_groups, body);
-    else
-        parallelForChunks(0, n_groups, body);
+        timer.flush(seg.w0);
+    });
 }
 
 void
@@ -1240,8 +941,9 @@ ScNetwork::runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                  const FcWeightStreams &weights,
                                  const SegRange &seg,
                                  const std::vector<uint32_t> &active,
-                                 OutputBatchRun &run) const
+                                 bool reference, OutputBatchRun &run) const
 {
+    const Clock::time_point t0 = Clock::now();
     const size_t n_inputs = weights.n_in + 1;
     const size_t B = run.consumed.size();
     std::vector<sc::BitstreamView> xs0(n_inputs);
@@ -1254,52 +956,69 @@ ScNetwork::runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
     }
     xs0[weights.n_in] = bias_line_;
     strides[weights.n_in] = 0;
+    const auto count_total = reference
+                                 ? &sc::referenceProductCountTotalRange
+                                 : &sc::fusedProductCountTotalRange;
 
-    // Class o's weight streams are gathered once and re-read from
-    // cache across the image loop (the layer is binary and tiny, so no
-    // batch kernel is needed for it).
+    // The accumulator de-randomizes: score = sum of bipolar sums. The
+    // per-cycle counts are never materialized — each segment's
+    // contribution reduces to word popcounts, summed into the
+    // per-(class, image) running accumulators. Class o's weight
+    // streams are gathered once and re-read from cache across the
+    // image loop (the layer is binary and tiny, so no batch kernel is
+    // needed for it).
     for (size_t o = 0; o < weights.n_out; ++o) {
         for (size_t i = 0; i < n_inputs; ++i)
             ws[i] = weights.at(o, i);
         for (const uint32_t img : active) {
             sc::shiftViewsForImage(xs0, strides, img, xs_img);
-            sc::fusedProductCountTotalRange(xs_img, ws, seg.w0, seg.w1,
-                                            run.acc[o * B + img]);
+            count_total(xs_img, ws, seg.w0, seg.w1, run.acc[o * B + img]);
         }
     }
     for (const uint32_t img : active)
         run.consumed[img] += seg.n_cycles;
+    emitPhase(obs::SpanName::Output, nsSince(t0), seg.w0);
 }
 
 std::vector<size_t>
-ScNetwork::forwardBatchFused(const std::vector<nn::Tensor> &images,
-                             const std::vector<uint64_t> &seeds,
-                             const PredictOptions &opts, ThreadPool *pool,
-                             std::vector<ForwardInfo> *infos,
-                             const std::vector<const CancelSignal *>
-                                 *cancels) const
+ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
+                          std::span<const uint64_t> seeds,
+                          const PredictOptions &opts, ThreadPool *pool,
+                          std::span<ForwardInfo> infos,
+                          std::span<const CancelSignal *const> cancels)
+    const
 {
     const EngineMode mode = opts.mode;
+    const bool reference = mode == EngineMode::Reference;
     const size_t B = images.size();
     const size_t len = cfg_.bitstream_len;
     const size_t n_words = (len + 63) / 64;
-    // Segment-size resolution: Progressive batches follow the
-    // per-image checkpoint grid (mid-stream exits and compaction live
-    // on segment boundaries); full-precision batches use the batch
-    // knob, whole-stream by default so each weight block streams once
-    // per micro-batch. (The Reference oracle never reaches this path.)
-    size_t seg_words;
-    if (mode == EngineMode::Progressive) {
-        seg_words = cfg_.stream_segment_words;
-        if (seg_words == 0)
-            seg_words = kProgressiveFallbackSegmentWords;
-    } else {
+    const bool poll_cancel =
+        std::any_of(cancels.begin(), cancels.end(),
+                    [](const CancelSignal *c) { return c != nullptr; });
+
+    // Segment rule, from what the call carries (results are bit-exact
+    // for every segment size, so this only trades speed for
+    // checkpoints):
+    //  - Reference runs whole streams (the bit-serial oracle's form);
+    //  - Progressive, or any cancel signal, needs mid-stream
+    //    checkpoints — early exit and cancellation act only at segment
+    //    boundaries — so it takes the stream_segment_words grid, whose
+    //    whole-stream setting falls back to a default granularity;
+    //  - everything else takes batch_stream_segment_words,
+    //    whole-stream by default, so each weight block streams once
+    //    per call.
+    size_t seg_words = n_words;
+    if (!reference && (mode == EngineMode::Progressive || poll_cancel))
+        seg_words = cfg_.stream_segment_words != 0
+                        ? cfg_.stream_segment_words
+                        : kCheckpointFallbackSegmentWords;
+    else if (!reference && cfg_.batch_stream_segment_words != 0)
         seg_words = cfg_.batch_stream_segment_words;
-        if (seg_words == 0)
-            seg_words = n_words;
-    }
     seg_words = std::min(seg_words, n_words);
 
+    // Per-stage carried state, seeded positionally per stage index
+    // (stage l of image b gets seeds[b] ^ 0x1111*(l+1)).
     const size_t n_convs = convs_.size();
     const size_t n_fcs = fcs_.size();
     BatchStreamGrid x = encodeImagesBatch(images, seeds, pool);
@@ -1321,38 +1040,30 @@ ScNetwork::forwardBatchFused(const std::vector<nn::Tensor> &images,
     out.acc.assign(out_.n_out * B, {});
     out.consumed.assign(B, 0);
 
-    // FC / output inputs: image-0 views plus the per-site image word
-    // stride of the producing arena (the batch-kernel operand form).
-    const auto batch_grid_views = [](const BatchStreamGrid &g) {
-        std::vector<sc::BitstreamView> v;
-        v.reserve(g.arena.count());
-        for (size_t i = 0; i < g.arena.count(); ++i)
-            v.push_back(g.arena.view(i, 0));
-        return v;
-    };
-    const auto batch_arena_views = [](const sc::BatchStreamArena &a) {
+    // Input views of each fc stage and of the output layer — image-0
+    // views plus the per-site image word stride of the producing arena
+    // (the batch-kernel operand form): the flattened last conv grid
+    // (or the image itself for conv-free nets) feeds the first fc;
+    // each later stage reads its predecessor's output arena.
+    const auto arena_views = [](const sc::BatchStreamArena &a) {
         std::vector<sc::BitstreamView> v;
         v.reserve(a.count());
         for (size_t i = 0; i < a.count(); ++i)
             v.push_back(a.view(i, 0));
         return v;
     };
+    const sc::BatchStreamArena &flat =
+        n_convs > 0 ? cruns.back().out.arena : x.arena;
     std::vector<std::vector<sc::BitstreamView>> fc_in(n_fcs);
     std::vector<std::vector<size_t>> fc_strides(n_fcs);
     for (size_t j = 0; j < n_fcs; ++j) {
-        const sc::BatchStreamArena &src =
-            j == 0 ? (n_convs > 0 ? cruns.back().out.arena : x.arena)
-                   : fruns[j - 1].out;
-        fc_in[j] = j == 0 && n_convs > 0
-                       ? batch_grid_views(cruns.back().out)
-                       : batch_arena_views(src);
+        const sc::BatchStreamArena &src = j == 0 ? flat : fruns[j - 1].out;
+        fc_in[j] = arena_views(src);
         fc_strides[j].assign(fc_in[j].size(), src.strideWords());
     }
     const sc::BatchStreamArena &out_src =
-        n_fcs > 0 ? fruns.back().out
-                  : (n_convs > 0 ? cruns.back().out.arena : x.arena);
-    const std::vector<sc::BitstreamView> out_in =
-        batch_arena_views(out_src);
+        n_fcs > 0 ? fruns.back().out : flat;
+    const std::vector<sc::BitstreamView> out_in = arena_views(out_src);
     const std::vector<size_t> out_strides(out_in.size(),
                                           out_src.strideWords());
 
@@ -1361,8 +1072,6 @@ ScNetwork::forwardBatchFused(const std::vector<nn::Tensor> &images,
         active[b] = static_cast<uint32_t>(b);
     std::vector<uint8_t> exited(B, 0);
     std::vector<uint8_t> cancelled(B, 0);
-    const bool poll_cancel =
-        cancels != nullptr && !cancels->empty();
 
     for (size_t w0 = 0; w0 < n_words && !active.empty();
          w0 += seg_words) {
@@ -1375,31 +1084,33 @@ ScNetwork::forwardBatchFused(const std::vector<nn::Tensor> &images,
         for (size_t l = 0; l < n_convs; ++l)
             runConvLayerSegmentBatch(l == 0 ? x : cruns[l - 1].out,
                                      convs_[l], l, seg, active,
-                                     cruns[l], pool);
+                                     reference, cruns[l], pool);
         for (size_t j = 0; j < n_fcs; ++j)
             runFcLayerSegmentBatch(fc_in[j], fc_strides[j], fcs_[j],
-                                   n_convs + j, seg, active, fruns[j],
-                                   pool);
+                                   n_convs + j, seg, active, reference,
+                                   fruns[j], pool);
         runOutputSegmentBatch(out_in, out_strides, out_, seg, active,
-                              out);
+                              reference, out);
 
-        // Per-image Progressive early exit: an image whose class
-        // decision is stable by the margin is removed from the active
-        // set mid-stream (its carried state freezes in place, the
-        // remaining images are undisturbed) — the batch-compaction
-        // rule. Same conditions and margin formula as predictWith.
-        // Cooperative cancellation rides the same compaction: a
-        // cancelled image leaves the active set at the boundary with
-        // its partial result frozen, so its batch-mates' streams are
-        // bit-identical to a run without the cancellation.
+        // Per-image checkpoints, after the segment's work has been
+        // accumulated so a partial result is well-formed over the
+        // consumed prefix. Progressive precision: an image whose class
+        // decision is stable by the margin cannot plausibly flip in
+        // the remaining segments, so it leaves the active set (its
+        // carried state freezes in place, the remaining images are
+        // undisturbed) — the batch-compaction rule. Cooperative
+        // cancellation rides the same compaction: a cancelled image
+        // leaves at the boundary with its partial result frozen, so
+        // its batch-mates' streams are bit-identical to a run without
+        // the cancellation.
         if (seg.w1 < n_words &&
             (mode == EngineMode::Progressive || poll_cancel)) {
             const size_t before = active.size();
             size_t kept = 0;
             for (size_t j = 0; j < active.size(); ++j) {
                 const uint32_t img = active[j];
-                if (poll_cancel && (*cancels)[img] != nullptr &&
-                    (*cancels)[img]->cancelled()) {
+                if (poll_cancel && cancels[img] != nullptr &&
+                    cancels[img]->cancelled()) {
                     cancelled[img] = 1;
                     continue;
                 }
@@ -1457,181 +1168,50 @@ ScNetwork::forwardBatchFused(const std::vector<nn::Tensor> &images,
         preds[b] = static_cast<size_t>(
             std::max_element(scores.begin(), scores.end()) -
             scores.begin());
-        if (infos != nullptr) {
-            (*infos)[b].scores = std::move(scores);
-            (*infos)[b].effective_bits = out.consumed[b];
-            (*infos)[b].early_exit = exited[b] != 0;
-            (*infos)[b].cancelled = cancelled[b] != 0;
+        if (!infos.empty()) {
+            infos[b].scores = std::move(scores);
+            infos[b].effective_bits = out.consumed[b];
+            infos[b].early_exit = exited[b] != 0;
+            infos[b].cancelled = cancelled[b] != 0;
         }
     }
     return preds;
 }
 
 size_t
-ScNetwork::predict(const nn::Tensor &image, uint64_t seed,
-                   PhaseBreakdown *profile, ForwardInfo *info) const
+ScNetwork::predictBinary(const nn::Tensor &image, ForwardInfo *info) const
 {
-    return predictWith(image, seed, defaultOptions(), profile, info);
+    std::vector<double> scores;
+    const size_t pred = binary_.predict(image, &scores);
+    if (info != nullptr) {
+        info->scores = std::move(scores);
+        info->effective_bits = 1;
+        info->early_exit = false;
+        info->cancelled = false;
+    }
+    return pred;
+}
+
+size_t
+ScNetwork::predict(const nn::Tensor &image, uint64_t seed,
+                   ForwardInfo *info) const
+{
+    return predictWith(image, seed, defaultOptions(), info);
 }
 
 size_t
 ScNetwork::predictWith(const nn::Tensor &image, uint64_t seed,
-                       const PredictOptions &opts,
-                       PhaseBreakdown *profile, ForwardInfo *info) const
+                       const PredictOptions &opts, ForwardInfo *info) const
 {
-    const EngineMode mode = opts.mode;
-
-    // The binary backend is deterministic and single-pass: no streams,
-    // no segments, no seeds, nothing to cancel mid-flight. Dispatch
-    // before any stream state is built.
-    if (mode == EngineMode::Binary) {
-        std::vector<double> scores;
-        const size_t pred = binary_.predict(image, &scores);
-        if (info != nullptr) {
-            info->scores = std::move(scores);
-            info->effective_bits = 1;
-            info->early_exit = false;
-            info->cancelled = false;
-        }
-        return pred;
-    }
-
-    const size_t len = cfg_.bitstream_len;
-    const size_t n_words = (len + 63) / 64;
-    // The Reference oracle always runs whole streams; the fused engine
-    // streams the whole network segment by segment (whole-stream when
-    // the knob is 0), carrying all FSM/pooling/select state — results
-    // are bit-exact for every segment size. Progressive needs mid-
-    // stream checkpoints to exist at all, so a whole-stream knob falls
-    // back to the default granularity there instead of silently
-    // degrading to plain Fused.
-    size_t seg_words = cfg_.stream_segment_words;
-    if (mode == EngineMode::Reference)
-        seg_words = n_words;
-    else if (seg_words == 0)
-        seg_words = mode == EngineMode::Progressive
-                        ? kProgressiveFallbackSegmentWords
-                        : n_words;
-    seg_words = std::min(seg_words, n_words);
-
-    // Per-stage carried state, seeded positionally per stage index
-    // (0x1111, 0x2222, ... — stage l gets seed ^ 0x1111*(l+1)).
-    const size_t n_convs = convs_.size();
-    const size_t n_fcs = fcs_.size();
-    StreamGrid x = encodeImage(image, seed, profile);
-    std::vector<ConvRun> cruns(n_convs);
-    std::vector<FcRun> fruns(n_fcs);
-    OutputRun out;
-    for (size_t l = 0; l < n_convs; ++l)
-        initConvRun(cruns[l], l == 0 ? x : cruns[l - 1].out, convs_[l],
-                    l, seed ^ (0x1111ULL * (l + 1)));
-    for (size_t j = 0; j < n_fcs; ++j)
-        initFcRun(fruns[j], fcs_[j], n_convs + j,
-                  seed ^ (0x1111ULL * (n_convs + j + 1)));
-    out.acc.assign(out_.n_out, {});
-
-    // Input views of each fc stage and of the output layer: the
-    // flattened last conv grid (or the image itself for conv-free
-    // nets) feeds the first fc; each later stage reads its
-    // predecessor's output arena.
-    const auto grid_views = [](const StreamGrid &g) {
-        std::vector<sc::BitstreamView> v;
-        v.reserve(g.arena.count());
-        for (size_t i = 0; i < g.arena.count(); ++i)
-            v.push_back(g.arena.view(i));
-        return v;
-    };
-    const auto arena_views = [](const sc::StreamArena &a) {
-        std::vector<sc::BitstreamView> v;
-        v.reserve(a.count());
-        for (size_t i = 0; i < a.count(); ++i)
-            v.push_back(a.view(i));
-        return v;
-    };
-    std::vector<std::vector<sc::BitstreamView>> fc_in(n_fcs);
-    for (size_t j = 0; j < n_fcs; ++j)
-        fc_in[j] = j == 0 ? grid_views(n_convs > 0 ? cruns.back().out
-                                                   : x)
-                          : arena_views(fruns[j - 1].out);
-    const std::vector<sc::BitstreamView> out_in =
-        n_fcs > 0 ? arena_views(fruns.back().out)
-                  : grid_views(n_convs > 0 ? cruns.back().out : x);
-
-    bool early_exit = false;
-    bool cancelled = false;
-    for (size_t w0 = 0; w0 < n_words && !early_exit && !cancelled;
-         w0 += seg_words) {
-        SegRange seg;
-        seg.w0 = w0;
-        seg.w1 = std::min(w0 + seg_words, n_words);
-        seg.c0 = w0 * 64;
-        seg.n_cycles = std::min(seg.w1 * 64, len) - seg.c0;
-
-        for (size_t l = 0; l < n_convs; ++l)
-            runConvLayerSegment(l == 0 ? x : cruns[l - 1].out,
-                                convs_[l], l, seg, cruns[l], mode,
-                                profile);
-        for (size_t j = 0; j < n_fcs; ++j)
-            runFcLayerSegment(fc_in[j], fcs_[j], n_convs + j, seg,
-                              fruns[j], mode, profile);
-        runOutputSegment(out_in, out_, seg, out, mode, profile);
-
-        // Cooperative cancellation: polled only at segment
-        // boundaries (never mid-kernel), after the segment's work has
-        // been accumulated, so the partial result is well-formed over
-        // the consumed prefix. No effect when the stream runs as one
-        // segment (Reference mode, whole-stream knobs).
-        if (opts.cancel != nullptr && seg.w1 < n_words &&
-            opts.cancel->cancelled()) {
-            cancelled = true;
-            continue;
-        }
-
-        // Progressive precision: once the class decision is stable by
-        // a configurable margin, the remaining segments cannot
-        // plausibly flip it — stop and report the bits consumed.
-        if (mode == EngineMode::Progressive && seg.w1 < n_words &&
-            out.consumed >= opts.progressive_min_bits) {
-            uint64_t best = 0, second = 0;
-            for (const auto &acc : out.acc) {
-                const uint64_t v = acc.value(/*approximate=*/true);
-                if (v > best) {
-                    second = best;
-                    best = v;
-                } else if (v > second) {
-                    second = v;
-                }
-            }
-            const double margin =
-                2.0 *
-                (static_cast<double>(best) - static_cast<double>(second)) /
-                static_cast<double>(out.consumed);
-            early_exit = margin >= opts.progressive_margin;
-            if (early_exit && obs::armed())
-                obs::TraceRecorder::instance().instant(
-                    obs::SpanName::EarlyExit, 0, 0, out.consumed,
-                    seg.w1);
-        }
-    }
-
-    const auto consumed = static_cast<double>(out.consumed);
-    const auto fan_in = static_cast<double>(out_.n_in + 1);
-    std::vector<double> scores(out_.n_out);
-    for (size_t o = 0; o < out_.n_out; ++o)
-        scores[o] =
-            (2.0 * static_cast<double>(
-                       out.acc[o].value(/*approximate=*/true)) -
-             fan_in * consumed) /
-            consumed;
-    const auto pred = static_cast<size_t>(
-        std::max_element(scores.begin(), scores.end()) - scores.begin());
-    if (info != nullptr) {
-        info->scores = std::move(scores);
-        info->effective_bits = out.consumed;
-        info->early_exit = early_exit;
-        info->cancelled = cancelled;
-    }
-    return pred;
+    if (opts.mode == EngineMode::Binary)
+        return predictBinary(image, info);
+    const CancelSignal *const cancel = opts.cancel;
+    return forwardStreams(
+        {&image, 1}, {&seed, 1}, opts, nullptr,
+        info != nullptr ? std::span<ForwardInfo>(info, 1)
+                        : std::span<ForwardInfo>(),
+        cancel != nullptr ? std::span<const CancelSignal *const>(&cancel, 1)
+                          : std::span<const CancelSignal *const>())[0];
 }
 
 std::vector<size_t>
@@ -1666,37 +1246,36 @@ ScNetwork::forwardBatch(const std::vector<nn::Tensor> &images,
     SCDCNN_ASSERT(cancels == nullptr ||
                       cancels->size() == images.size(),
                   "forwardBatch: one cancel signal per image");
-    std::vector<size_t> preds(images.size());
     if (infos != nullptr)
         infos->assign(images.size(), ForwardInfo{});
     if (images.empty())
+        return {};
+    if (opts.mode == EngineMode::Binary) {
+        // The binary backend is a separate, deterministic per-image
+        // pass, so its batch is a plain fan-out over the pool.
+        std::vector<size_t> preds(images.size());
+        forEach(pool, images.size(), [&](size_t i) {
+            preds[i] = predictBinary(
+                images[i], infos != nullptr ? &(*infos)[i] : nullptr);
+        });
         return preds;
-    if (batchKernelEligible(opts, images.size()))
-        return forwardBatchFused(images, seeds, opts, pool, infos,
-                                 cancels);
-    const auto body = [&](size_t i) {
-        PredictOptions o = opts;
-        if (cancels != nullptr && (*cancels)[i] != nullptr)
-            o.cancel = (*cancels)[i];
-        preds[i] = predictWith(images[i], seeds[i], o, nullptr,
-                               infos != nullptr ? &(*infos)[i] : nullptr);
-    };
-    if (pool != nullptr)
-        parallelFor(*pool, 0, images.size(), body);
-    else
-        parallelFor(0, images.size(), body);
-    return preds;
+    }
+    return forwardStreams(
+        images, seeds, opts, pool,
+        infos != nullptr ? std::span<ForwardInfo>(*infos)
+                         : std::span<ForwardInfo>(),
+        cancels != nullptr ? std::span<const CancelSignal *const>(*cancels)
+                           : std::span<const CancelSignal *const>());
 }
-
 double
 ScNetwork::errorRate(const nn::Dataset &ds, size_t max_images,
                      uint64_t seed, ThreadPool *pool) const
 {
     const size_t n = std::min(ds.size(), max_images);
     SCDCNN_ASSERT(n > 0, "empty SC evaluation set");
-    // One seed schedule and one parallel loop for all batched
-    // prediction: forwardBatch's. An error rate is therefore
-    // reproducible from the batch predictions at the same seed.
+    // One seed schedule for all batched prediction: forwardBatch's.
+    // An error rate is therefore reproducible from the batch
+    // predictions at the same seed.
     std::vector<nn::Tensor> images;
     images.reserve(n);
     for (size_t i = 0; i < n; ++i)

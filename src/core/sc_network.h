@@ -16,18 +16,20 @@
  * Weight streams are generated once per network instance and shared by
  * all feature extraction blocks of a filter, mirroring the
  * filter-aware SRAM sharing scheme of Section 5.1. Each filter's /
- * neuron's weight streams — and each layer's pixel streams — are
- * packed into one contiguous StreamArena, so the fused kernels stream
+ * neuron's weight streams — and each layer's pixel streams, per image —
+ * are packed into contiguous arenas, so the fused kernels stream
  * through memory via BitstreamViews instead of chasing per-Bitstream
- * heap allocations.
+ * heap allocations. One driver runs every forward pass, single images
+ * included, as a weight-stationary batch.
  */
 
 #ifndef SCDCNN_CORE_SC_NETWORK_H
 #define SCDCNN_CORE_SC_NETWORK_H
 
 #include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "blocks/pooling.h"
@@ -54,12 +56,12 @@ namespace core {
  * over the packed uint64_t words (SIMD-dispatched where available),
  * table-driven activation FSMs, reusable per-thread workspaces,
  * layers fanned out across the thread pool, the whole network
- * advanced in stream segments (ScNetworkConfig::stream_segment_words)
- * with FSM/pooling/select state carried across segments. Reference
- * drives the same network structure through the bit-serial oracle
- * kernels (one bit per cycle, whole streams) and the scalar
- * Stanh/Btanh steppers — the ground truth the fused path is tested
- * against and the baseline bench_throughput measures speedup over.
+ * advanced in stream segments with FSM/pooling/select state carried
+ * across segments. Reference drives the same driver through the
+ * bit-serial oracle kernels (one bit per cycle, whole streams) and the
+ * scalar Stanh/Btanh steppers — the ground truth the fused path is
+ * tested against and the baseline bench_throughput measures speedup
+ * over.
  * Progressive is Fused plus stochastic computing's progressive
  * precision: after each segment the output layer's class-score gap is
  * tested and the remaining segments are skipped once the argmax
@@ -81,24 +83,6 @@ enum class EngineMode
     Reference,
     Progressive,
     Binary,
-};
-
-/**
- * Which execution strategy forwardBatch uses for a micro-batch.
- *
- * Batched is the weight-stationary batch-axis path: each filter
- * block's weight words are loaded once per segment and XNORed against
- * the corresponding input-window words of every image in the batch
- * before advancing, so weights stay cache-resident while activations
- * stream. Loop is the original per-image predictWith fan-out — the
- * differential oracle the batched path is tested against. Both paths
- * consume identical per-image RNG sequences and are bit-exact with
- * each other and with per-image predict() calls at the same seeds.
- */
-enum class BatchPath
-{
-    Batched,
-    Loop,
 };
 
 /**
@@ -148,31 +132,13 @@ struct PredictOptions
     double progressive_margin = kDefaultProgressiveMargin;
     /** Progressive floor on consumed stream cycles. */
     size_t progressive_min_bits = kDefaultProgressiveMinBits;
-    /** forwardBatch execution strategy; ignored by predict(). */
-    BatchPath batch_path = BatchPath::Batched;
     /**
-     * Cooperative cancellation for predict()/predictWith(): polled at
-     * segment boundaries (no effect when the stream runs as one
-     * segment, e.g. Reference mode). Batch calls take a per-image
-     * signal array instead — see forwardBatch. Must outlive the call.
+     * Cooperative cancellation for predictWith(): polled at segment
+     * boundaries of the checkpoint grid (no effect in Reference mode,
+     * which runs whole streams). Batch calls take a per-image signal
+     * array instead — see forwardBatch. Must outlive the call.
      */
     const CancelSignal *cancel = nullptr;
-};
-
-/**
- * Wall-clock nanoseconds spent in each phase of a forward pass,
- * accumulated across all worker threads (so with more than one thread
- * the phases sum to CPU time, not wall time; on one thread they are
- * the same). bench_throughput divides these into the per-phase
- * breakdown written to BENCH_throughput.json.
- */
-struct PhaseBreakdown
-{
-    std::atomic<uint64_t> encode_ns{0};        //!< SNG image encoding
-    std::atomic<uint64_t> inner_product_ns{0}; //!< XNOR + MUX/APC adders
-    std::atomic<uint64_t> pooling_ns{0};       //!< avg / max pooling
-    std::atomic<uint64_t> activation_ns{0};    //!< Stanh / Btanh
-    std::atomic<uint64_t> output_ns{0};        //!< binary output layer
 };
 
 /**
@@ -197,25 +163,38 @@ class ScNetwork
               uint64_t weight_seed = 0xC0FFEE);
 
     /**
-     * SC-domain forward pass + argmax for one image. When @p profile
-     * is non-null, per-phase wall time is accumulated into it; when
-     * @p info is non-null, the class scores and the effective stream
-     * length (== bitstream_len except under Progressive early exit)
-     * are reported there.
+     * SC-domain forward pass + argmax for one image under the
+     * instance-wide engineMode()/config knobs. When @p info is
+     * non-null, the class scores and the effective stream length
+     * (== bitstream_len except under Progressive early exit) are
+     * reported there.
      */
     size_t predict(const nn::Tensor &image, uint64_t seed,
-                   PhaseBreakdown *profile = nullptr,
                    ForwardInfo *info = nullptr) const;
 
     /**
      * predict() with per-call engine/precision selection. Reads no
      * instance-wide mode state, so concurrent callers may use
-     * different options against one shared network.
+     * different options against one shared network. A one-image batch
+     * of the same driver forwardBatch runs, fanned out across the
+     * process-global pool.
      */
     size_t predictWith(const nn::Tensor &image, uint64_t seed,
                        const PredictOptions &opts,
-                       PhaseBreakdown *profile = nullptr,
                        ForwardInfo *info = nullptr) const;
+
+    /**
+     * Source-compatible form of the older five-argument predictWith,
+     * whose fourth argument (a per-phase profile sink, superseded by
+     * the trace aggregate) no longer exists: callers pass nullptr
+     * there. Identical to predictWith(image, seed, opts, info).
+     */
+    size_t predictWith(const nn::Tensor &image, uint64_t seed,
+                       const PredictOptions &opts, std::nullptr_t,
+                       ForwardInfo *info) const
+    {
+        return predictWith(image, seed, opts, info);
+    }
 
     /**
      * Batched forward pass: predictions for every image, fanned out
@@ -248,15 +227,15 @@ class ScNetwork
      * equal images.size()) instead of the seed + i * 7919 schedule —
      * the serving layer's micro-batches carry caller-chosen seeds, so
      * they cannot be expressed as a base-seed schedule. Image i is
-     * bit-exact with predictWith(images[i], seeds[i], opts) on every
-     * path.
+     * bit-exact with predictWith(images[i], seeds[i], opts) at any
+     * batch size.
      *
      * @p cancels, when non-null, carries one CancelSignal per image
      * (null entries = not cancellable): image i's signal is polled at
      * segment boundaries, and a cancelled image freezes in place and
      * leaves the active set exactly like a Progressive early exit —
-     * its batch-mates' streams and results are untouched. Overrides
-     * opts.cancel on the per-image fallback path.
+     * its batch-mates' streams and results are untouched. opts.cancel
+     * is not consulted here.
      */
     std::vector<size_t>
     forwardBatch(const std::vector<nn::Tensor> &images,
@@ -267,26 +246,9 @@ class ScNetwork
                      nullptr) const;
 
     /**
-     * Whether forwardBatch would take the weight-stationary batch
-     * kernels for a micro-batch of @p n_images under @p opts: more
-     * than one image, opts.batch_path == BatchPath::Batched, and a
-     * non-Reference, non-Binary mode (the bit-serial oracle always
-     * runs the per-image loop; the binary backend is deterministic
-     * per image, so the parallel per-image loop already is its batch
-     * path). What the serving layer records per batch.
-     */
-    static bool batchKernelEligible(const PredictOptions &opts,
-                                    size_t n_images)
-    {
-        return n_images > 1 && opts.batch_path == BatchPath::Batched &&
-               opts.mode != EngineMode::Reference &&
-               opts.mode != EngineMode::Binary;
-    }
-
-    /**
      * Classification error rate over (up to @p max_images of) the
      * dataset. Routed through forwardBatch — the one place the
-     * per-image seed schedule and the parallel loop live — so results
+     * per-image seed schedule lives — so results
      * are reproducible from the batch predictions; @p pool as in
      * forwardBatch.
      */
@@ -333,8 +295,8 @@ class ScNetwork
 
   private:
     /** The per-call options the instance-wide knobs (engineMode(),
-     *  config()) translate to — what predict()/legacy forwardBatch
-     *  pass to predictWith. */
+     *  config()) translate to — what predict(), the two-argument
+     *  forwardBatch and errorRate run with. */
     PredictOptions defaultOptions() const
     {
         PredictOptions opts;
@@ -344,23 +306,12 @@ class ScNetwork
         return opts;
     }
 
-    /** A (c, h, w) grid of bit-streams packed into one arena. */
-    struct StreamGrid
-    {
-        size_t c = 0, h = 0, w = 0;
-        sc::StreamArena arena;
-
-        sc::BitstreamView at(size_t ci, size_t y, size_t x) const
-        {
-            return arena.view((ci * h + y) * w + x);
-        }
-    };
-
     /** Conv layer weight streams, one arena slot per (filter, tap):
      *  filter f's streams are slots [f*n, (f+1)*n), n = c_in*k*k + 1
-     *  (bias last). The Reference path reads the plain arena; the
-     *  fused path reads the filter-interleaved copy (same words, the
-     *  layout the filter-blocked kernels stream through). */
+     *  (bias last). The filter-blocked kernels and their reference
+     *  twins read the filter-interleaved copy (same words, the layout
+     *  they stream through); the plain arena stays the layout of
+     *  record. */
     struct ConvWeightStreams
     {
         size_t c_in = 0, c_out = 0, k = 0;
@@ -396,38 +347,9 @@ class ScNetwork
         size_t c0 = 0, n_cycles = 0;
     };
 
-    /** Per-forward carried state of a conv layer: the output grid plus
-     *  per-pixel activation-FSM states, pooling-selector carry, and
-     *  (MUX layers) the per-site generators, all indexed positionally
-     *  so any thread partition reproduces the same streams. */
-    struct ConvRun
-    {
-        StreamGrid out;
-        std::vector<uint16_t> fsm;
-        std::vector<blocks::MaxPoolCarryState> pool;
-        std::vector<sc::Xoshiro256ss> sel_rng;  //!< per (group, position, window)
-        std::vector<sc::Xoshiro256ss> pool_rng; //!< per pixel (MUX avg)
-    };
-
-    /** Per-forward carried state of an FC layer. */
-    struct FcRun
-    {
-        sc::StreamArena out;
-        std::vector<uint16_t> fsm;
-        std::vector<sc::Xoshiro256ss> sel_rng; //!< per neuron group
-    };
-
-    /** Per-forward carried state of the binary output layer. */
-    struct OutputRun
-    {
-        std::vector<sc::ProductCountAccum> acc; //!< per class
-        size_t consumed = 0;                    //!< cycles accumulated
-    };
-
-    /** Batch-axis counterpart of StreamGrid: one (c, h, w) grid of
-     *  streams per image, packed site-major / image-minor so the batch
-     *  kernels address image b of a site as the image-0 view plus
-     *  b * strideWords() words. */
+    /** One (c, h, w) grid of streams per image, packed site-major /
+     *  image-minor so the batch kernels address image b of a site as
+     *  the image-0 view plus b * strideWords() words. */
     struct BatchStreamGrid
     {
         size_t c = 0, h = 0, w = 0;
@@ -440,10 +362,12 @@ class ScNetwork
         }
     };
 
-    /** Per-forward carried state of a conv layer on the batch path:
-     *  every per-site quantity of ConvRun replicated per image,
-     *  indexed site * B + image so an image's state freezes in place
-     *  when Progressive removes it from the active set. */
+    /** Per-forward carried state of a conv layer: the output grids
+     *  plus per-pixel activation-FSM states, pooling-selector carry,
+     *  and (MUX layers) the per-site generators, all indexed
+     *  positionally (site * B + image) so any thread partition
+     *  reproduces the same streams and an image's state freezes in
+     *  place when it leaves the active set. */
     struct ConvBatchRun
     {
         BatchStreamGrid out;
@@ -453,7 +377,7 @@ class ScNetwork
         std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
     };
 
-    /** Per-forward carried state of an FC layer on the batch path. */
+    /** Per-forward carried state of an FC layer. */
     struct FcBatchRun
     {
         sc::BatchStreamArena out;
@@ -461,20 +385,17 @@ class ScNetwork
         std::vector<sc::Xoshiro256ss> sel_rng; //!< [group][image]
     };
 
-    /** Per-forward carried state of the output layer on the batch
-     *  path: accumulators per (class, image) plus per-image consumed
-     *  cycles (frozen at exit time under Progressive). */
+    /** Per-forward carried state of the binary output layer:
+     *  accumulators per (class, image) plus per-image consumed cycles
+     *  (frozen when the image leaves the active set). */
     struct OutputBatchRun
     {
         std::vector<sc::ProductCountAccum> acc; //!< [class][image]
         std::vector<size_t> consumed;           //!< [image]
     };
 
-    StreamGrid encodeImage(const nn::Tensor &image, uint64_t seed,
-                           PhaseBreakdown *profile) const;
-
-    BatchStreamGrid encodeImagesBatch(const std::vector<nn::Tensor> &images,
-                                      const std::vector<uint64_t> &seeds,
+    BatchStreamGrid encodeImagesBatch(std::span<const nn::Tensor> images,
+                                      std::span<const uint64_t> seeds,
                                       ThreadPool *pool) const;
 
     void initConvBatchRun(ConvBatchRun &run, const BatchStreamGrid &in,
@@ -490,7 +411,7 @@ class ScNetwork
                                   const ConvWeightStreams &weights,
                                   size_t layer_idx, const SegRange &seg,
                                   const std::vector<uint32_t> &active,
-                                  ConvBatchRun &run,
+                                  bool reference, ConvBatchRun &run,
                                   ThreadPool *pool) const;
 
     void runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
@@ -498,52 +419,36 @@ class ScNetwork
                                 const FcWeightStreams &weights,
                                 size_t layer_idx, const SegRange &seg,
                                 const std::vector<uint32_t> &active,
-                                FcBatchRun &run, ThreadPool *pool) const;
+                                bool reference, FcBatchRun &run,
+                                ThreadPool *pool) const;
 
     void runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                const std::vector<size_t> &in_strides,
                                const FcWeightStreams &weights,
                                const SegRange &seg,
                                const std::vector<uint32_t> &active,
-                               OutputBatchRun &run) const;
+                               bool reference, OutputBatchRun &run) const;
 
-    /** The weight-stationary batch driver behind forwardBatch: one
-     *  shared segment loop advancing every active image through every
-     *  layer, with per-image Progressive early exit compacting the
-     *  active set mid-stream. Bit-exact with per-image predictWith at
-     *  seeds[i]. */
+    /**
+     * The one SC execution driver behind predict, predictWith and
+     * forwardBatch, at every batch size and in Fused, Progressive and
+     * Reference modes: one shared segment loop advancing every active
+     * image through every layer on the weight-stationary batch
+     * kernels (Reference: their bit-serial twins, per image), with
+     * per-image Progressive early exit and cancellation compacting the
+     * active set at segment boundaries. @p infos and @p cancels are
+     * either empty or one entry per image.
+     */
     std::vector<size_t>
-    forwardBatchFused(const std::vector<nn::Tensor> &images,
-                      const std::vector<uint64_t> &seeds,
-                      const PredictOptions &opts, ThreadPool *pool,
-                      std::vector<ForwardInfo> *infos,
-                      const std::vector<const CancelSignal *> *cancels)
-        const;
+    forwardStreams(std::span<const nn::Tensor> images,
+                   std::span<const uint64_t> seeds,
+                   const PredictOptions &opts, ThreadPool *pool,
+                   std::span<ForwardInfo> infos,
+                   std::span<const CancelSignal *const> cancels) const;
 
-    void initConvRun(ConvRun &run, const StreamGrid &in,
-                     const ConvWeightStreams &weights, size_t layer_idx,
-                     uint64_t seed) const;
-
-    void initFcRun(FcRun &run, const FcWeightStreams &weights,
-                   size_t layer_idx, uint64_t seed) const;
-
-    void runConvLayerSegment(const StreamGrid &in,
-                             const ConvWeightStreams &weights,
-                             size_t layer_idx, const SegRange &seg,
-                             ConvRun &run, EngineMode mode,
-                             PhaseBreakdown *profile) const;
-
-    void runFcLayerSegment(const std::vector<sc::BitstreamView> &in,
-                           const FcWeightStreams &weights,
-                           size_t layer_idx, const SegRange &seg,
-                           FcRun &run, EngineMode mode,
-                           PhaseBreakdown *profile) const;
-
-    void runOutputSegment(const std::vector<sc::BitstreamView> &in,
-                          const FcWeightStreams &weights,
-                          const SegRange &seg, OutputRun &run,
-                          EngineMode mode,
-                          PhaseBreakdown *profile) const;
+    /** EngineMode::Binary for one image: the sibling backend's
+     *  deterministic single pass (no streams, seeds or segments). */
+    size_t predictBinary(const nn::Tensor &image, ForwardInfo *info) const;
 
     /** The FEB kind hidden stage @p layer runs with (derived from its
      *  paper group and whether the stage pools). */

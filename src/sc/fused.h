@@ -50,24 +50,6 @@ namespace sc {
 constexpr int kMaxCarrySavePlanes = 13;
 
 /**
- * Reusable per-thread scratch space for the fused kernels.
- *
- * The network engine keeps one workspace per worker chunk so the inner
- * loops run allocation-free after warm-up: buffers are resized on first
- * use and reused for every subsequent pixel/neuron.
- */
-struct FusedWorkspace
-{
-    std::vector<BitstreamView> xs;     //!< gathered input operands
-    std::vector<BitstreamView> ws;     //!< gathered weight operands
-    std::vector<uint16_t> selects;     //!< per-cycle MUX select indices
-    std::vector<std::vector<uint16_t>> counts; //!< per-window APC counts
-    std::vector<uint16_t> pooled;      //!< max-pooled count sequence
-    std::vector<int> steps;            //!< signed pooled counter steps
-    std::vector<Bitstream> streams;    //!< reusable product streams
-};
-
-/**
  * Draw one uniform select index per cycle into @p selects, resized to
  * @p length. Consumes exactly @p length nextBelow(n_inputs) draws — the
  * same sequence muxAdd() would consume — so a MUX built from these
@@ -352,7 +334,7 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
                         std::vector<BitstreamView> &out);
 
 /**
- * Reusable per-thread scratch for the batch-axis engine path: one
+ * Reusable per-thread scratch for the network engine: one
  * instance per worker chunk holds the shared image-0 operand window,
  * the per-tap strides, the batch-major count/product blocks
  * ([window][image][lane][cycle]), per-image pooling buffers, and the

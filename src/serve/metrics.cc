@@ -118,12 +118,9 @@ ServerMetrics::recordBatch(size_t batch_size, size_t depth_after,
 }
 
 void
-ServerMetrics::recordBatchExecution(bool batch_kernel,
-                                    core::EngineMode mode,
+ServerMetrics::recordBatchExecution(core::EngineMode mode,
                                     uint64_t bits_spread)
 {
-    (batch_kernel ? batch_kernel_batches_ : loop_batches_)
-        .fetch_add(1, std::memory_order_relaxed);
     batches_by_mode_[static_cast<size_t>(mode)].fetch_add(
         1, std::memory_order_relaxed);
     bits_spread_sum_.fetch_add(bits_spread, std::memory_order_relaxed);
@@ -173,15 +170,14 @@ ServerMetrics::snapshot() const
     s.max_queue_depth =
         max_queue_depth_.load(std::memory_order_relaxed);
     s.batches = batches_.load(std::memory_order_relaxed);
-    s.batch_kernel_batches =
-        batch_kernel_batches_.load(std::memory_order_relaxed);
-    s.loop_batches = loop_batches_.load(std::memory_order_relaxed);
     for (size_t m = 0; m < s.batches_by_mode.size(); ++m)
         s.batches_by_mode[m] =
             batches_by_mode_[m].load(std::memory_order_relaxed);
     s.max_effective_bits_spread =
         bits_spread_max_.load(std::memory_order_relaxed);
-    const uint64_t executed = s.batch_kernel_batches + s.loop_batches;
+    uint64_t executed = 0;
+    for (const uint64_t n : s.batches_by_mode)
+        executed += n;
     if (executed > 0)
         s.avg_effective_bits_spread =
             static_cast<double>(
@@ -301,11 +297,8 @@ MetricsSnapshot::toJson() const
             "\"avg_effective_bits\": %.1f, \"avg_batch_size\": %.2f, ",
             avg_effective_bits, avg_batch_size);
     appendf(out,
-            "\"batch_kernel_batches\": %llu, \"loop_batches\": %llu, "
             "\"avg_effective_bits_spread\": %.1f, "
             "\"max_effective_bits_spread\": %llu, ",
-            static_cast<unsigned long long>(batch_kernel_batches),
-            static_cast<unsigned long long>(loop_batches),
             avg_effective_bits_spread,
             static_cast<unsigned long long>(max_effective_bits_spread));
     appendf(out,

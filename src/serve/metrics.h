@@ -67,8 +67,11 @@ struct MetricsSnapshot
      *  change of an existing field (additions don't bump it).
      *  v2: "queue" histogram renamed "queue_wait" (admit -> batch
      *  close, the same duration traces report as queue_wait spans);
-     *  schema_version and phase_profile added. */
-    static constexpr uint32_t kSchemaVersion = 2;
+     *  schema_version and phase_profile added. v3: the two
+     *  batch-kernel vs per-image execution counters removed (every SC
+     *  batch runs one driver; batches_by_mode carries the per-mode
+     *  split). */
+    static constexpr uint32_t kSchemaVersion = 3;
 
     uint64_t submitted = 0;
     uint64_t completed = 0;
@@ -81,10 +84,6 @@ struct MetricsSnapshot
     uint64_t shed = 0;      //!< dropped from queue (deadline doomed)
     uint64_t cancelled = 0; //!< stopped in flight (token/deadline)
     uint64_t batches = 0;
-    /** micro-batches executed by the weight-stationary batch kernels
-     *  vs the per-image loop (size-1, Reference and Binary batches). */
-    uint64_t batch_kernel_batches = 0;
-    uint64_t loop_batches = 0;
     /** executed micro-batches per engine mode, indexed like
      *  core::EngineMode (Fused, Reference, Progressive, Binary) —
      *  which QoS policy actually ran each batch. */
@@ -159,13 +158,11 @@ class ServerMetrics
     void recordBatch(size_t batch_size, size_t depth_after,
                      CloseReason reason);
 
-    /** One executed micro-batch, after the forward pass: whether it
-     *  took the weight-stationary batch kernels or the per-image loop,
-     *  the engine mode its QoS policy selected, and the spread
+    /** One executed micro-batch, after the forward pass: the engine
+     *  mode its QoS policy selected, and the spread
      *  (max - min) of the images' consumed effective bits — the
      *  dispersion Progressive early exit introduces. */
-    void recordBatchExecution(bool batch_kernel, core::EngineMode mode,
-                              uint64_t bits_spread);
+    void recordBatchExecution(core::EngineMode mode, uint64_t bits_spread);
 
     /** One finished request (also feeds the latency histograms). */
     void recordResult(const InferenceResult &result, bool had_deadline);
@@ -185,8 +182,6 @@ class ServerMetrics
     std::atomic<uint64_t> cancelled_{0};
     std::atomic<uint64_t> max_queue_depth_{0};
     std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> batch_kernel_batches_{0};
-    std::atomic<uint64_t> loop_batches_{0};
     std::array<std::atomic<uint64_t>, 4> batches_by_mode_{};
     std::atomic<uint64_t> bits_spread_sum_{0};
     std::atomic<uint64_t> bits_spread_max_{0};

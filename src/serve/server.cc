@@ -244,14 +244,14 @@ InferenceServer::runBatch(ClosedBatch &&batch)
     if (run.empty())
         return; // everything cancelled; nothing to execute or measure
 
-    // One forwardBatch call per closed micro-batch: batches of more
-    // than one image take the weight-stationary batch kernels (each
-    // filter block's weights are streamed once for the whole batch),
-    // singletons and Reference-mode batches fall back to the per-image
-    // loop inside forwardBatch. The per-item seeds are caller-chosen,
-    // hence the explicit-seeds overload. Per-item cancel signals ride
-    // along so an in-flight request can stop at a segment boundary
-    // without disturbing its batch-mates.
+    // One forwardBatch call per closed micro-batch, singletons
+    // included: every SC batch runs the one weight-stationary driver
+    // (each filter block's weights are streamed once for the whole
+    // batch, and the layer work fans out across the compute pool), the
+    // Binary class its per-image fan-out. The per-item seeds are
+    // caller-chosen, hence the explicit-seeds overload. Per-item cancel
+    // signals ride along so an in-flight request can stop at a segment
+    // boundary without disturbing its batch-mates.
     const size_t n_run = run.size();
     std::vector<nn::Tensor> images;
     std::vector<uint64_t> seeds;
@@ -285,9 +285,7 @@ InferenceServer::runBatch(ClosedBatch &&batch)
         bits_lo = std::min<uint64_t>(bits_lo, info.effective_bits);
         bits_hi = std::max<uint64_t>(bits_hi, info.effective_bits);
     }
-    metrics_.recordBatchExecution(
-        core::ScNetwork::batchKernelEligible(popts, n_run), popts.mode,
-        bits_hi - bits_lo);
+    metrics_.recordBatchExecution(popts.mode, bits_hi - bits_lo);
     if (obs::armed()) {
         obs::TraceRecorder &rec = obs::TraceRecorder::instance();
         const uint64_t dur_ns = toTraceNs(t1 - t0);

@@ -5,11 +5,12 @@
  * shifted views (ragged lanes/taps/word ranges, non-contiguous active
  * image sets, SIMD on and off); the interleaved FSM batch transforms
  * must match the single-stream resumable steppers across segment
- * boundaries; and ScNetwork::forwardBatch on the batched path must be
- * bit-exact — predictions, scores, effective bits, early-exit flags —
- * with the per-image loop path for every FEB kind, segment size,
- * ragged batch shape and mixed Progressive early-exit batch, at any
- * thread count.
+ * boundaries; and the one SC driver behind forwardBatch and
+ * predictWith must be bit-exact — predictions, scores, effective bits,
+ * early-exit flags — between a B-image batch and B one-image calls,
+ * and between its fused kernels and their Reference twins, for every
+ * FEB kind, segment size, ragged batch shape and mixed Progressive
+ * early-exit batch, at any thread count.
  */
 
 #include <cstdint>
@@ -414,34 +415,63 @@ TEST(FsmBatchStreams, InterleavedBtanhMatchesPerStreamAcrossSegments)
         EXPECT_EQ(signed_batch[s], signed_whole[s]) << "stream=" << s;
 }
 
-/** Batched vs loop forwardBatch on one network/options pair: the
- *  predictions and every per-image ForwardInfo field must agree. */
+/** Predictions and every per-image ForwardInfo field must agree. */
 void
-expectBatchedMatchesLoop(const core::ScNetwork &sc,
-                         const std::vector<nn::Tensor> &images,
-                         uint64_t seed, core::PredictOptions opts,
-                         const char *what)
+expectSameOutcomes(const std::vector<size_t> &pa,
+                   const std::vector<core::ForwardInfo> &ia,
+                   const std::vector<size_t> &pb,
+                   const std::vector<core::ForwardInfo> &ib,
+                   const char *what)
 {
-    opts.batch_path = core::BatchPath::Batched;
-    std::vector<core::ForwardInfo> bi;
-    const auto bp = sc.forwardBatch(images, seed, opts, nullptr, &bi);
-
-    opts.batch_path = core::BatchPath::Loop;
-    std::vector<core::ForwardInfo> li;
-    const auto lp = sc.forwardBatch(images, seed, opts, nullptr, &li);
-
-    EXPECT_EQ(bp, lp) << what;
-    ASSERT_EQ(bi.size(), li.size()) << what;
-    for (size_t i = 0; i < bi.size(); ++i) {
-        EXPECT_EQ(bi[i].scores, li[i].scores) << what << " image=" << i;
-        EXPECT_EQ(bi[i].effective_bits, li[i].effective_bits)
+    EXPECT_EQ(pa, pb) << what;
+    ASSERT_EQ(ia.size(), ib.size()) << what;
+    for (size_t i = 0; i < ia.size(); ++i) {
+        EXPECT_EQ(ia[i].scores, ib[i].scores) << what << " image=" << i;
+        EXPECT_EQ(ia[i].effective_bits, ib[i].effective_bits)
             << what << " image=" << i;
-        EXPECT_EQ(bi[i].early_exit, li[i].early_exit)
+        EXPECT_EQ(ia[i].early_exit, ib[i].early_exit)
             << what << " image=" << i;
     }
 }
 
-TEST(BatchEngine, BatchedMatchesLoopForEveryFebKindAndSegmentSize)
+/** Oracle half (a): a B-image forwardBatch must equal B one-image
+ *  predictWith calls at the batch seed schedule — every image's
+ *  outcome is independent of its batch-mates, the batch size and the
+ *  active-set compaction around it. */
+void
+expectBatchMatchesSingles(const core::ScNetwork &sc,
+                          const std::vector<nn::Tensor> &images,
+                          uint64_t seed, const core::PredictOptions &opts,
+                          ThreadPool *pool, const char *what)
+{
+    std::vector<core::ForwardInfo> bi;
+    const auto bp = sc.forwardBatch(images, seed, opts, pool, &bi);
+    std::vector<size_t> sp(images.size());
+    std::vector<core::ForwardInfo> si(images.size());
+    for (size_t i = 0; i < images.size(); ++i)
+        sp[i] = sc.predictWith(images[i], seed + i * 7919, opts, &si[i]);
+    expectSameOutcomes(bp, bi, sp, si, what);
+}
+
+/** Oracle half (b): the driver on the fused kernels must equal the
+ *  same driver on their bit-serial Reference twins (whole streams,
+ *  scalar activation units). */
+void
+expectFusedMatchesReference(const core::ScNetwork &sc,
+                            const std::vector<nn::Tensor> &images,
+                            uint64_t seed, const char *what)
+{
+    core::PredictOptions fused;
+    core::PredictOptions reference;
+    reference.mode = core::EngineMode::Reference;
+    std::vector<core::ForwardInfo> fi, ri;
+    const auto fp = sc.forwardBatch(images, seed, fused, nullptr, &fi);
+    const auto rp =
+        sc.forwardBatch(images, seed, reference, nullptr, &ri);
+    expectSameOutcomes(fp, fi, rp, ri, what);
+}
+
+TEST(BatchEngine, BatchMatchesSinglesAndReferenceForEveryFebKind)
 {
     const struct
     {
@@ -465,17 +495,24 @@ TEST(BatchEngine, BatchedMatchesLoopForEveryFebKindAndSegmentSize)
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
         // 1-word, a size that does not divide the stream, and
-        // whole-stream granularity.
+        // whole-stream granularity: the segment-carry logic of the
+        // batch kernels at B = 5 and B = 1.
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
             cfg.stream_segment_words = seg_words;
-            // Run the batched path at the same grid as the loop oracle
-            // (its default is whole-stream): the segment-carry logic
-            // of the batch kernels is what this loop covers.
             cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
             core::PredictOptions opts;
-            expectBatchedMatchesLoop(sc, images, 17, opts, "fused");
+            expectBatchMatchesSingles(sc, images, 17, opts, nullptr,
+                                      "fused");
+            expectFusedMatchesReference(sc, images, 17,
+                                        "fused vs reference");
         }
+        // The Reference driver is batch-size invariant too.
+        core::ScNetwork sc(net, cfg);
+        core::PredictOptions reference;
+        reference.mode = core::EngineMode::Reference;
+        expectBatchMatchesSingles(sc, images, 17, reference, nullptr,
+                                  "reference");
     }
 }
 
@@ -494,13 +531,8 @@ TEST(BatchEngine, RaggedBatchSizesMatchPerImagePredict)
         for (size_t i = 0; i < batch; ++i)
             images.push_back(nn::DigitDataset::render(i % 10, 60 + i));
         core::PredictOptions opts;
-        expectBatchedMatchesLoop(sc, images, 31, opts, "ragged");
-        // And against per-image predict at the batch seed schedule.
-        const auto preds = sc.forwardBatch(images, 31, opts, nullptr,
-                                           nullptr);
-        for (size_t i = 0; i < batch; ++i)
-            EXPECT_EQ(preds[i], sc.predict(images[i], 31 + i * 7919))
-                << "batch=" << batch << " image=" << i;
+        expectBatchMatchesSingles(sc, images, 31, opts, nullptr,
+                                  "ragged");
     }
 }
 
@@ -509,9 +541,9 @@ TEST(BatchEngine, ProgressiveMixedEarlyExitBatchStaysBitExact)
     // A trained network makes rendered digits decisive (they exit at
     // the margin check) while a uniform gray image stays ambiguous
     // (near-equal class scores, no exit) — a mixed batch in which some
-    // images leave mid-stream. The batched path must compact the
-    // active set without disturbing the survivors: every per-image
-    // outcome equals the loop path's.
+    // images leave mid-stream. The driver must compact the active set
+    // without disturbing the survivors: every per-image outcome equals
+    // a one-image run's, on one thread and on three.
     nn::Dataset train = nn::DigitDataset::generate(1200, 5);
     nn::Network net = nn::buildMiniLeNet(nn::PoolingMode::Max, 1);
     nn::TrainConfig tc;
@@ -536,7 +568,10 @@ TEST(BatchEngine, ProgressiveMixedEarlyExitBatchStaysBitExact)
     opts.mode = core::EngineMode::Progressive;
     opts.progressive_margin = 2.0;
     opts.progressive_min_bits = 128;
-    expectBatchedMatchesLoop(sc, images, 7, opts, "progressive");
+    ThreadPool one(1), three(3);
+    expectBatchMatchesSingles(sc, images, 7, opts, &one, "progressive");
+    expectBatchMatchesSingles(sc, images, 7, opts, &three,
+                              "progressive, 3 threads");
 
     std::vector<core::ForwardInfo> infos;
     sc.forwardBatch(images, 7, opts, nullptr, &infos);
@@ -554,6 +589,7 @@ TEST(BatchEngine, BatchedPathIsThreadCountInvariant)
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
     cfg.stream_segment_words = 3;
+    cfg.batch_stream_segment_words = 3;
     core::ScNetwork sc(net, cfg);
 
     std::vector<nn::Tensor> images;

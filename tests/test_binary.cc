@@ -267,8 +267,7 @@ TEST(BinaryNetworkTest, EngineModeBinaryIsSeedInvariant)
 
     const nn::Tensor img = nn::DigitDataset::render(4, 9);
     core::ForwardInfo a, b;
-    EXPECT_EQ(sc.predict(img, 1, nullptr, &a),
-              sc.predict(img, 0xDEAD, nullptr, &b));
+    EXPECT_EQ(sc.predict(img, 1, &a), sc.predict(img, 0xDEAD, &b));
     EXPECT_EQ(a.scores, b.scores);
     EXPECT_EQ(a.effective_bits, 1u);
     EXPECT_FALSE(a.early_exit);
@@ -288,8 +287,6 @@ TEST(BinaryNetworkTest, ForwardBatchIsThreadCountInvariantInBinaryMode)
 
     core::PredictOptions popts;
     popts.mode = core::EngineMode::Binary;
-    ASSERT_FALSE(
-        core::ScNetwork::batchKernelEligible(popts, images.size()));
 
     ThreadPool one(1), four(4);
     std::vector<core::ForwardInfo> ia, ib;

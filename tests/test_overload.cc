@@ -236,44 +236,53 @@ TEST(RequestQueue, PopReturnsShedPayloadsBeforeBatches)
 
 // ------------------------------------- core cancellation bit-exact
 
-TEST(Cancellation, SingleImageStopsAtSegmentBoundary)
+/** Progressive options that never early-exit: a run that stops short
+ *  of the full stream was stopped by cancellation. */
+core::PredictOptions
+progressiveNoExit()
 {
-    OverloadFixture fx(256, 1); // 4 words, boundaries after 1..3
     core::PredictOptions opts;
     opts.mode = core::EngineMode::Progressive;
-    opts.progressive_margin = 1e9; // never early-exit
+    opts.progressive_margin = 1e9;
     opts.progressive_min_bits = 0;
+    return opts;
+}
 
+/** One image, cancelled at the second segment boundary, must stop
+ *  there (128 of 256 bits on the 1-word grid); without the signal it
+ *  runs the whole stream. */
+void
+expectSingleImageStopsAtSegmentBoundary(core::PredictOptions opts)
+{
+    OverloadFixture fx(256, 1); // 4 words, boundaries after 1..3
     const nn::Tensor img = nn::DigitDataset::render(3, 11);
     core::ForwardInfo ref;
-    fx.sc->predictWith(img, 99, opts, nullptr, &ref);
+    fx.sc->predictWith(img, 99, opts, &ref);
     EXPECT_FALSE(ref.cancelled);
     EXPECT_EQ(ref.effective_bits, 256u);
 
     CancelAfterPolls sig(1); // trip at the second boundary
     opts.cancel = &sig;
     core::ForwardInfo info;
-    fx.sc->predictWith(img, 99, opts, nullptr, &info);
+    fx.sc->predictWith(img, 99, opts, &info);
     EXPECT_TRUE(info.cancelled);
     EXPECT_FALSE(info.early_exit);
     EXPECT_EQ(info.effective_bits, 128u); // stopped after 2 segments
 }
 
-TEST(Cancellation, BatchMatesAreBitExactWhenOneImageCancels)
+/** Image 2 of a B=4 batch, cancelled at the second segment boundary,
+ *  must stop there while its batch-mates stay bit-exact with an
+ *  uncancelled run of the same batch. */
+void
+expectBatchMatesBitExactWhenOneImageCancels(const core::PredictOptions &opts)
 {
     OverloadFixture fx(256, 1);
-    core::PredictOptions opts;
-    opts.mode = core::EngineMode::Progressive;
-    opts.progressive_margin = 1e9;
-    opts.progressive_min_bits = 0;
-
     std::vector<nn::Tensor> images;
     std::vector<uint64_t> seeds;
     for (size_t i = 0; i < 4; ++i) {
         images.push_back(nn::DigitDataset::render(i, 5 + i));
         seeds.push_back(1000 + i);
     }
-    ASSERT_TRUE(core::ScNetwork::batchKernelEligible(opts, 4));
 
     std::vector<core::ForwardInfo> ref;
     const std::vector<size_t> ref_preds =
@@ -296,6 +305,30 @@ TEST(Cancellation, BatchMatesAreBitExactWhenOneImageCancels)
         EXPECT_EQ(infos[i].effective_bits, ref[i].effective_bits);
         EXPECT_EQ(infos[i].scores, ref[i].scores);
     }
+}
+
+TEST(Cancellation, SingleImageStopsAtSegmentBoundary)
+{
+    expectSingleImageStopsAtSegmentBoundary(progressiveNoExit());
+}
+
+TEST(Cancellation, BatchMatesAreBitExactWhenOneImageCancels)
+{
+    expectBatchMatesBitExactWhenOneImageCancels(progressiveNoExit());
+}
+
+// Fused calls run whole-stream by default; a cancel signal puts them on
+// the checkpoint grid so an in-flight cancellation still takes effect
+// at the next boundary, for a lone image and inside a batch alike.
+
+TEST(Cancellation, FusedSingleImageStopsAtSegmentBoundary)
+{
+    expectSingleImageStopsAtSegmentBoundary(core::PredictOptions{});
+}
+
+TEST(Cancellation, FusedBatchMatesAreBitExactWhenOneImageCancels)
+{
+    expectBatchMatesBitExactWhenOneImageCancels(core::PredictOptions{});
 }
 
 TEST(Cancellation, TokenTripsExplicitlyAndOnArmedDeadline)

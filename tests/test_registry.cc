@@ -308,9 +308,9 @@ TEST(ModelRegistry, RoutesToTheRightModelBitExactly)
             reg.submit("b", img, opts).get();
         core::ForwardInfo ia, ib;
         const size_t pa =
-            ref_a.predictWith(img, 4000 + i, popts, nullptr, &ia);
+            ref_a.predictWith(img, 4000 + i, popts, &ia);
         const size_t pb =
-            ref_b.predictWith(img, 4000 + i, popts, nullptr, &ib);
+            ref_b.predictWith(img, 4000 + i, popts, &ib);
         EXPECT_EQ(ra.predicted, pa);
         EXPECT_EQ(rb.predicted, pb);
         EXPECT_EQ(ra.scores, ia.scores); // bit-exact
@@ -507,7 +507,7 @@ TEST(ModelRegistry, InFlightRequestsBitExactAcrossSwapOfOtherModel)
             reg.submit("a", img, opts).get();
         core::ForwardInfo info;
         const size_t pred =
-            ref_a.predictWith(img, 9000 + i, popts, nullptr, &info);
+            ref_a.predictWith(img, 9000 + i, popts, &info);
         ASSERT_EQ(r.predicted, pred) << "request " << i;
         ASSERT_EQ(r.scores, info.scores) << "request " << i;
     }

@@ -42,20 +42,23 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
 
-        // Whole-stream fused run (segment streaming off).
+        // Whole-stream fused run (segment streaming off). Fused runs
+        // on the batch_stream_segment_words grid; stream_segment_words
+        // is set alongside so neither grid is left at a default.
         cfg.stream_segment_words = 0;
+        cfg.batch_stream_segment_words = 0;
         core::ForwardInfo whole;
         size_t whole_pred;
         {
             core::ScNetwork sc(net, cfg);
-            whole_pred = sc.predict(img, 5, nullptr, &whole);
+            whole_pred = sc.predict(img, 5, &whole);
             EXPECT_EQ(whole.effective_bits, 200u);
             EXPECT_FALSE(whole.early_exit);
 
             // The bit-serial oracle agrees (mode switch, same instance).
             sc.setEngineMode(core::EngineMode::Reference);
             core::ForwardInfo ref;
-            EXPECT_EQ(sc.predict(img, 5, nullptr, &ref), whole_pred);
+            EXPECT_EQ(sc.predict(img, 5, &ref), whole_pred);
             EXPECT_EQ(ref.scores, whole.scores);
         }
 
@@ -63,9 +66,10 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
         for (size_t seg_words : {size_t{1}, size_t{2}, size_t{3},
                                  size_t{4}, size_t{7}}) {
             cfg.stream_segment_words = seg_words;
+            cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
             core::ForwardInfo info;
-            EXPECT_EQ(sc.predict(img, 5, nullptr, &info), whole_pred)
+            EXPECT_EQ(sc.predict(img, 5, &info), whole_pred)
                 << "seg_words=" << seg_words;
             EXPECT_EQ(info.scores, whole.scores)
                 << "seg_words=" << seg_words;
@@ -86,14 +90,15 @@ TEST(SegmentStreaming, RandomizedSeedsStayBitExact)
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
     cfg.stream_segment_words = 3;
+    cfg.batch_stream_segment_words = 3;
     core::ScNetwork fused_net(net, cfg);
     core::ScNetwork ref_net(net, cfg);
     ref_net.setEngineMode(core::EngineMode::Reference);
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         nn::Tensor img = nn::DigitDataset::render(seed % 10, 30 + seed);
         core::ForwardInfo a, b;
-        const size_t pa = fused_net.predict(img, seed, nullptr, &a);
-        const size_t pb = ref_net.predict(img, seed, nullptr, &b);
+        const size_t pa = fused_net.predict(img, seed, &a);
+        const size_t pb = ref_net.predict(img, seed, &b);
         EXPECT_EQ(pa, pb) << "seed=" << seed;
         EXPECT_EQ(a.scores, b.scores) << "seed=" << seed;
     }
@@ -112,11 +117,11 @@ TEST(Progressive, NoExitDegeneratesToFusedAndIsOffByDefault)
 
     nn::Tensor img = nn::DigitDataset::render(2, 3);
     core::ForwardInfo fused;
-    const size_t fused_pred = sc.predict(img, 7, nullptr, &fused);
+    const size_t fused_pred = sc.predict(img, 7, &fused);
 
     sc.setEngineMode(core::EngineMode::Progressive);
     core::ForwardInfo prog;
-    EXPECT_EQ(sc.predict(img, 7, nullptr, &prog), fused_pred);
+    EXPECT_EQ(sc.predict(img, 7, &prog), fused_pred);
     EXPECT_EQ(prog.scores, fused.scores);
     EXPECT_EQ(prog.effective_bits, 256u);
     EXPECT_FALSE(prog.early_exit);
@@ -134,8 +139,8 @@ TEST(Progressive, ZeroMarginExitsAtTheFloor)
     core::ScNetwork sc(net, cfg);
     sc.setEngineMode(core::EngineMode::Progressive);
     core::ForwardInfo info;
-    const size_t pred = sc.predict(nn::DigitDataset::render(5, 8), 11,
-                                   nullptr, &info);
+    const size_t pred =
+        sc.predict(nn::DigitDataset::render(5, 8), 11, &info);
     EXPECT_LT(pred, 10u);
     EXPECT_TRUE(info.early_exit);
     EXPECT_EQ(info.effective_bits, 128u); // first check at the floor
@@ -157,7 +162,7 @@ TEST(Progressive, WholeStreamConfigFallsBackToSegmentedCheckpoints)
     core::ScNetwork sc(net, cfg);
     sc.setEngineMode(core::EngineMode::Progressive);
     core::ForwardInfo info;
-    sc.predict(nn::DigitDataset::render(1, 2), 13, nullptr, &info);
+    sc.predict(nn::DigitDataset::render(1, 2), 13, &info);
     EXPECT_TRUE(info.early_exit);
     EXPECT_EQ(info.effective_bits, 256u);
 }
@@ -192,7 +197,7 @@ TEST(Progressive, TrainedNetworkTradesFewBitsForLittleAccuracy)
     sc.setEngineMode(core::EngineMode::Progressive);
     for (size_t i = 0; i < test.size(); ++i) {
         const nn::Tensor &img = test.samples[i].image;
-        wrong_prog += sc.predict(img, 777 + i * 7919, nullptr, &info) !=
+        wrong_prog += sc.predict(img, 777 + i * 7919, &info) !=
                       test.samples[i].label;
         bits += info.effective_bits;
     }

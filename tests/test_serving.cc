@@ -238,19 +238,14 @@ TEST(ServerMetrics, SnapshotJsonCarriesTheHeadlineFields)
     r.queue_ms = 1.0;
     m.recordResult(r, /*had_deadline=*/false);
 
-    m.recordBatchExecution(/*batch_kernel=*/true,
-                           core::EngineMode::Progressive,
+    m.recordBatchExecution(core::EngineMode::Progressive,
                            /*bits_spread=*/96);
-    m.recordBatchExecution(/*batch_kernel=*/false,
-                           core::EngineMode::Binary,
-                           /*bits_spread=*/32);
+    m.recordBatchExecution(core::EngineMode::Binary, /*bits_spread=*/32);
 
     const auto snap = m.snapshot();
     EXPECT_EQ(snap.submitted, 1u);
     EXPECT_EQ(snap.completed, 1u);
     EXPECT_EQ(snap.batches, 1u);
-    EXPECT_EQ(snap.batch_kernel_batches, 1u);
-    EXPECT_EQ(snap.loop_batches, 1u);
     EXPECT_DOUBLE_EQ(snap.avg_effective_bits_spread, 64.0);
     EXPECT_EQ(snap.max_effective_bits_spread, 96u);
     EXPECT_DOUBLE_EQ(snap.early_exit_rate, 1.0);
@@ -260,9 +255,6 @@ TEST(ServerMetrics, SnapshotJsonCarriesTheHeadlineFields)
     EXPECT_NE(json.find("\"latency\""), std::string::npos);
     EXPECT_NE(json.find("\"batch_sizes\""), std::string::npos);
     EXPECT_NE(json.find("\"close_reasons\""), std::string::npos);
-    EXPECT_NE(json.find("\"batch_kernel_batches\": 1"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"loop_batches\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"max_effective_bits_spread\": 96"),
               std::string::npos);
     EXPECT_EQ(snap.batches_by_mode[static_cast<size_t>(
@@ -366,8 +358,7 @@ TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
 {
     // With max_batch = 3 and an effectively-infinite queue delay the
     // scheduler only closes full batches, so every executed
-    // micro-batch has 3 images and must route through the
-    // weight-stationary batch kernels — the loop counter stays zero,
+    // micro-batch has 3 images on the weight-stationary batch kernels —
     // answers still match direct predict() at the per-item seeds, and
     // full-precision batches report zero effective-bits spread.
     ServingFixture fx;
@@ -391,14 +382,16 @@ TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
             << "request=" << i;
     }
     const auto snap = server.metricsSnapshot();
-    EXPECT_EQ(snap.batch_kernel_batches, 2u);
-    EXPECT_EQ(snap.loop_batches, 0u);
+    EXPECT_EQ(snap.batches_by_mode[static_cast<size_t>(
+                  core::EngineMode::Fused)],
+              2u);
     EXPECT_DOUBLE_EQ(snap.avg_effective_bits_spread, 0.0);
     EXPECT_EQ(snap.max_effective_bits_spread, 0u);
 
-    // Singleton batches are the counter's other side: max_batch = 1
-    // makes every micro-batch a single image, which takes the
-    // per-image loop.
+    // Singleton batches run the same driver: max_batch = 1 makes every
+    // micro-batch a single image, and each served answer — class,
+    // scores and consumed bits — equals a direct predictWith at its
+    // seed under the served policy.
     serve::ServerConfig single_cfg;
     single_cfg.limits = limits(1, 1h);
     serve::InferenceServer singles(*fx.sc, single_cfg);
@@ -409,11 +402,22 @@ TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
         opts.seed = 6000 + i;
         sf.push_back(singles.submit(images[i], opts));
     }
-    for (auto &f : sf)
-        f.get();
-    const auto ssnap = singles.metricsSnapshot();
-    EXPECT_EQ(ssnap.batch_kernel_batches, 0u);
-    EXPECT_EQ(ssnap.loop_batches, 2u);
+    const core::PredictOptions high =
+        singles.config()
+            .qos[static_cast<size_t>(AccuracyClass::High)]
+            .predictOptions();
+    for (size_t i = 0; i < sf.size(); ++i) {
+        const serve::InferenceResult r = sf[i].get();
+        EXPECT_EQ(r.batch_size, 1u) << "request=" << i;
+        EXPECT_EQ(r.seed, 6000 + i) << "request=" << i;
+        core::ForwardInfo direct;
+        EXPECT_EQ(r.predicted,
+                  fx.sc->predictWith(images[i], 6000 + i, high, &direct))
+            << "request=" << i;
+        EXPECT_EQ(r.scores, direct.scores) << "request=" << i;
+        EXPECT_EQ(r.effective_bits, direct.effective_bits)
+            << "request=" << i;
+    }
 }
 
 TEST(InferenceServer, ServesNonLeNetTopologies)
@@ -594,7 +598,7 @@ TEST(InferenceServer, ProgressiveClassReportsEffectiveBits)
         server.config().qos[static_cast<size_t>(AccuracyClass::Fast)];
     core::ForwardInfo direct;
     const size_t pred =
-        sc.predictWith(img, 99, fast.predictOptions(), nullptr, &direct);
+        sc.predictWith(img, 99, fast.predictOptions(), &direct);
     EXPECT_EQ(r.predicted, pred);
     EXPECT_EQ(r.effective_bits, direct.effective_bits);
     EXPECT_EQ(r.early_exit, direct.early_exit);
@@ -642,10 +646,10 @@ TEST(InferenceServer, FastClassRoutesToTheBinaryBackend)
         size_t>(core::EngineMode::Binary)];
     EXPECT_GT(binary_batches, 0u);
     // Every executed batch of this run was a Fast batch.
-    EXPECT_EQ(binary_batches,
-              snap.batch_kernel_batches + snap.loop_batches);
-    // Binary batches never take the SC weight-stationary batch driver.
-    EXPECT_EQ(snap.batch_kernel_batches, 0u);
+    uint64_t executed = 0;
+    for (const uint64_t n : snap.batches_by_mode)
+        executed += n;
+    EXPECT_EQ(binary_batches, executed);
 }
 
 TEST(InferenceServer, TightDeadlineDegradesToFasterClass)

@@ -127,16 +127,17 @@ TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
         core::ScNetwork ref_net(net, cfg);
         ref_net.setEngineMode(core::EngineMode::Reference);
         core::ForwardInfo ref;
-        const size_t ref_pred = ref_net.predict(img, seed, nullptr, &ref);
+        const size_t ref_pred = ref_net.predict(img, seed, &ref);
         ASSERT_LT(ref_pred, t.spec.n_classes) << "case=" << c;
 
         // 1-word, 3-word (does not divide 128/192-bit streams evenly
         // against the 4-word default) and whole-stream granularity.
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
             cfg.stream_segment_words = seg_words;
+            cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork fused(net, cfg);
             core::ForwardInfo info;
-            EXPECT_EQ(fused.predict(img, seed, nullptr, &info), ref_pred)
+            EXPECT_EQ(fused.predict(img, seed, &info), ref_pred)
                 << "case=" << c << " seg_words=" << seg_words;
             EXPECT_EQ(info.scores, ref.scores)
                 << "case=" << c << " seg_words=" << seg_words;
@@ -170,7 +171,7 @@ TEST(TopologyFuzz, ScScoresTrackTheFloatLogits)
 
         core::ScNetwork sc(net, t.cfg);
         core::ForwardInfo info;
-        sc.predict(img, 9000 + c, nullptr, &info);
+        sc.predict(img, 9000 + c, &info);
         ASSERT_EQ(info.scores.size(), logits.size()) << "case=" << c;
 
         const double noise_scale = std::sqrt(
@@ -191,14 +192,15 @@ TEST(TopologyFuzz, ScScoresTrackTheFloatLogits)
     EXPECT_GT(worst, 0.0);
 }
 
-TEST(TopologyFuzz, BatchedPathMatchesLoopOnEveryRandomTopology)
+TEST(TopologyFuzz, BatchMatchesSinglesOnEveryRandomTopology)
 {
-    // The weight-stationary batch kernels must be bit-exact with the
-    // per-image loop oracle on *every* topology the grammar admits,
-    // not just LeNet shapes — conv-free MLPs, MUX layers, average
-    // pooling and odd stream lengths all route through the same batch
-    // driver. Rotate the batch segment granularity across cases so
-    // whole-stream, single-word and grid-misaligned carries all run.
+    // A multi-image batch through the weight-stationary kernels must
+    // be bit-exact with one-image calls of the same driver on *every*
+    // topology the grammar admits, not just LeNet shapes — conv-free
+    // MLPs, MUX layers, average pooling and odd stream lengths all
+    // route through it. Rotate the segment granularity across cases
+    // so whole-stream, single-word and grid-misaligned carries all
+    // run.
     ThreadPool one(1);
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
@@ -213,20 +215,19 @@ TEST(TopologyFuzz, BatchedPathMatchesLoopOnEveryRandomTopology)
             images.push_back(
                 randomImage(t.spec.in_h, t.spec.in_w, 800 + c * 10 + i));
 
-        core::PredictOptions batched;
-        batched.batch_path = core::BatchPath::Batched;
-        core::PredictOptions loop;
-        loop.batch_path = core::BatchPath::Loop;
-
-        std::vector<core::ForwardInfo> bi, li;
-        const auto b = sc.forwardBatch(images, 9000 + c, batched, &one, &bi);
-        const auto l = sc.forwardBatch(images, 9000 + c, loop, &one, &li);
-        ASSERT_EQ(b, l) << "case=" << c;
-        ASSERT_EQ(bi.size(), li.size()) << "case=" << c;
-        for (size_t i = 0; i < bi.size(); ++i) {
-            EXPECT_EQ(bi[i].scores, li[i].scores)
+        const core::PredictOptions opts;
+        std::vector<core::ForwardInfo> bi;
+        const auto b = sc.forwardBatch(images, 9000 + c, opts, &one, &bi);
+        ASSERT_EQ(bi.size(), images.size()) << "case=" << c;
+        for (size_t i = 0; i < images.size(); ++i) {
+            core::ForwardInfo si;
+            EXPECT_EQ(sc.predictWith(images[i], 9000 + c + i * 7919, opts,
+                                     &si),
+                      b[i])
                 << "case=" << c << " image=" << i;
-            EXPECT_EQ(bi[i].effective_bits, li[i].effective_bits)
+            EXPECT_EQ(bi[i].scores, si.scores)
+                << "case=" << c << " image=" << i;
+            EXPECT_EQ(bi[i].effective_bits, si.effective_bits)
                 << "case=" << c << " image=" << i;
         }
     }
@@ -388,7 +389,7 @@ TEST(TopologyFuzz, BinaryScoresMatchTheFloatSignNetOracle)
         core::PredictOptions popts;
         popts.mode = core::EngineMode::Binary;
         core::ForwardInfo info;
-        EXPECT_EQ(sc.predictWith(img, 123 + c, popts, nullptr, &info),
+        EXPECT_EQ(sc.predictWith(img, 123 + c, popts, &info),
                   pred)
             << "case=" << c;
         EXPECT_EQ(info.scores, oracle) << "case=" << c;
@@ -399,9 +400,9 @@ TEST(TopologyFuzz, BinaryScoresMatchTheFloatSignNetOracle)
 
 TEST(TopologyFuzz, BinaryForwardBatchIsThreadCountInvariant)
 {
-    // Binary batches take the deterministic per-image loop (never the
-    // SC batch driver), so predictions and scores are invariant to the
-    // thread-pool size and to batching at all.
+    // Binary batches take the backend's deterministic per-image
+    // fan-out (never the SC driver), so predictions and scores are
+    // invariant to the thread-pool size and to batching at all.
     FuzzTopology t = randomTopology(5);
     nn::Network net = nn::buildTopology(t.spec, t.pooling);
     core::ScNetwork sc(net, t.cfg);
@@ -413,8 +414,6 @@ TEST(TopologyFuzz, BinaryForwardBatchIsThreadCountInvariant)
 
     core::PredictOptions popts;
     popts.mode = core::EngineMode::Binary;
-    EXPECT_FALSE(
-        core::ScNetwork::batchKernelEligible(popts, images.size()));
 
     ThreadPool one(1), three(3);
     std::vector<core::ForwardInfo> ia, ib;

@@ -4,9 +4,9 @@
  * win), cross-thread snapshot merge in timestamp order (safe while
  * writers are live — the TSan lane runs this), the disarmed hot path
  * allocating nothing and recording nothing, Chrome trace_event export
- * that parses back as JSON, agreement between the tracing aggregate
- * and the engine's own PhaseBreakdown counters (they share one
- * measured lap per phase), serve-layer lifecycle spans, and the
+ * that parses back as JSON, every engine phase reaching the tracing
+ * aggregate from single-image and batched forward passes alike,
+ * serve-layer lifecycle spans, and the
  * flight recorder dumping a model's recent events when an injected
  * execution fault trips its circuit breaker.
  */
@@ -480,44 +480,54 @@ TEST(ChromeTrace, ExportParsesBackAsJson)
 
 // ------------------------------------------- engine phase aggregation
 
-TEST(PhaseProfile, AgreesWithEngineBreakdown)
+TEST(PhaseProfile, PredictAndBatchPopulateEveryPhase)
 {
+    // The one SC driver times its phases per chunk and segment; an
+    // armed single-image predict and an armed B=4 forwardBatch must
+    // each fill all five phase aggregates, and the aggregate must land
+    // in the metrics snapshot wire format.
     TraceRecorder &rec = freshRecorder();
     nn::Network net =
         nn::buildTopology(miniSpec(3), nn::PoolingMode::Max);
     core::ScNetwork scn(net, miniConfig());
     scn.predict(image(1), 1); // warm-up while disarmed
 
-    core::PhaseBreakdown pb;
-    rec.arm();
-    scn.predict(image(1), 2, &pb);
-    rec.disarm();
-
-    // Span aggregate and PhaseBreakdown accumulate the same measured
-    // lap per phase, so they must agree exactly — if they ever
-    // diverge, one of the two timing sources is lying.
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Encode),
-              pb.encode_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::InnerProduct),
-              pb.inner_product_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Pooling),
-              pb.pooling_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Activation),
-              pb.activation_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Output),
-              pb.output_ns.load());
-    EXPECT_GT(rec.profileTotalNs(SpanName::InnerProduct), 0u);
-
-    // The aggregate also lands in the metrics snapshot wire format.
-    bool saw_inner_product = false;
-    for (const obs::PhaseProfileEntry &p : rec.profile())
-        if (p.name == SpanName::InnerProduct) {
-            saw_inner_product = true;
-            EXPECT_GT(p.count, 0u);
-            EXPECT_GE(p.max_ns, p.p99_ns == 0 ? 0 : 1u);
-            EXPECT_GE(p.total_ns, p.max_ns);
+    const auto expectEveryPhase = [&rec](const char *what) {
+        const std::vector<obs::PhaseProfileEntry> profile = rec.profile();
+        const std::string json = serve::ServerMetrics().snapshot().toJson();
+        for (SpanName name :
+             {SpanName::Encode, SpanName::InnerProduct, SpanName::Pooling,
+              SpanName::Activation, SpanName::Output}) {
+            EXPECT_GT(rec.profileTotalNs(name), 0u)
+                << what << " " << obs::spanName(name);
+            bool listed = false;
+            for (const obs::PhaseProfileEntry &p : profile)
+                if (p.name == name) {
+                    listed = true;
+                    EXPECT_GT(p.count, 0u) << what;
+                    EXPECT_GE(p.total_ns, p.max_ns) << what;
+                }
+            EXPECT_TRUE(listed) << what << " " << obs::spanName(name);
+            EXPECT_NE(json.find("\"" + std::string(obs::spanName(name)) +
+                                "\": {\"count\""),
+                      std::string::npos)
+                << what << " " << obs::spanName(name);
         }
-    EXPECT_TRUE(saw_inner_product);
+    };
+
+    rec.arm();
+    scn.predict(image(1), 2);
+    rec.disarm();
+    expectEveryPhase("predict");
+
+    rec.resetProfile();
+    std::vector<nn::Tensor> batch;
+    for (uint64_t i = 0; i < 4; ++i)
+        batch.push_back(image(10 + i));
+    rec.arm();
+    scn.forwardBatch(batch, 3);
+    rec.disarm();
+    expectEveryPhase("forwardBatch");
 }
 
 // --------------------------------------------- serve lifecycle spans
