@@ -163,8 +163,8 @@ void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
  * materialized per-cycle counts: one call pools the same (pixel,
  * window set) for a whole micro-batch, with the pooling-segment chunk
  * walk computed once for all images. Planes are in the
- * sc::fusedProductPlanesMulti* form (plane_cap
- * planes plus a parity word per range-local 64-cycle word). The
+ * sc::fusedProductPlanesMultiBatch form (plane_cap planes plus a
+ * parity word per range-local 64-cycle word). The
  * Figure 8 selector only ever emits the input selected by the
  * *previous* segment, so the losing inputs' per-cycle counts are never
  * needed: segment evidence comes straight from plane popcounts, and

@@ -313,44 +313,29 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
         out.c_out = conv.cOut();
         out.k = conv.kernel();
         out.n_per_filter = out.c_in * out.k * out.k + 1;
-        out.arena.reset(out.c_out * out.n_per_filter, len);
-        size_t slot = 0;
+        out.blocked.reset(out.c_out, out.n_per_filter, len);
         for (size_t co = 0; co < out.c_out; ++co) {
+            size_t tap = 0;
             for (size_t ci = 0; ci < out.c_in; ++ci)
                 for (size_t ky = 0; ky < out.k; ++ky)
                     for (size_t kx = 0; kx < out.k; ++kx)
-                        out.arena.assign(
-                            slot++,
+                        out.blocked.assign(
+                            co, tap++,
                             bank.bipolar(
                                 conv.weightAt(co, ci, ky, kx) / in_gain,
                                 len));
-            out.arena.assign(slot++, bank.bipolar(conv.biasAt(co), len));
+            out.blocked.assign(co, tap, bank.bipolar(conv.biasAt(co), len));
         }
-        // Filter-interleaved copy of the same words for the blocked
-        // kernels; the plain arena stays the Reference path's (and the
-        // round-trip tests') layout of record.
-        out.blocked.reset(out.c_out, out.n_per_filter, len);
-        for (size_t co = 0; co < out.c_out; ++co)
-            for (size_t i = 0; i < out.n_per_filter; ++i)
-                out.blocked.assign(co, i, out.at(co, i));
     };
+    // Draws an fc layer's streams in (neuron, input) order, bias last,
+    // handing each to put(neuron, tap, stream).
     auto encode_fc = [&](const nn::FullyConnected &fc, double in_gain,
-                         FcWeightStreams &out) {
-        out.n_in = fc.nIn();
-        out.n_out = fc.nOut();
-        out.arena.reset(out.n_out * (out.n_in + 1), len);
-        size_t slot = 0;
-        for (size_t o = 0; o < out.n_out; ++o) {
-            for (size_t i = 0; i < out.n_in; ++i)
-                out.arena.assign(
-                    slot++, bank.bipolar(fc.weightAt(o, i) / in_gain,
-                                         len));
-            out.arena.assign(slot++, bank.bipolar(fc.biasAt(o), len));
+                         const auto &put) {
+        for (size_t o = 0; o < fc.nOut(); ++o) {
+            for (size_t i = 0; i < fc.nIn(); ++i)
+                put(o, i, bank.bipolar(fc.weightAt(o, i) / in_gain, len));
+            put(o, fc.nIn(), bank.bipolar(fc.biasAt(o), len));
         }
-        out.blocked.reset(out.n_out, out.n_in + 1, len);
-        for (size_t o = 0; o < out.n_out; ++o)
-            for (size_t i = 0; i < out.n_in + 1; ++i)
-                out.blocked.assign(o, i, out.at(o, i));
     };
 
     // Encode the hidden stages in plan order (convs precede fcs by
@@ -365,16 +350,27 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
                             net.layer(st.layer_index)),
                         in_gain, convs_.back());
         } else {
-            fcs_.emplace_back();
-            encode_fc(dynamic_cast<const nn::FullyConnected &>(
-                          net.layer(st.layer_index)),
-                      in_gain, fcs_.back());
+            const auto &fc = dynamic_cast<const nn::FullyConnected &>(
+                net.layer(st.layer_index));
+            FcWeightStreams &out = fcs_.emplace_back();
+            out.n_in = fc.nIn();
+            out.n_out = fc.nOut();
+            out.blocked.reset(out.n_out, out.n_in + 1, len);
+            encode_fc(fc, in_gain,
+                      [&](size_t o, size_t i, const sc::Bitstream &s) {
+                          out.blocked.assign(o, i, s);
+                      });
         }
         in_gain = layer_gain_[l];
     }
-    encode_fc(dynamic_cast<const nn::FullyConnected &>(
-                  net.layer(plan_.output.layer_index)),
-              in_gain, out_);
+    const auto &fc = dynamic_cast<const nn::FullyConnected &>(
+        net.layer(plan_.output.layer_index));
+    out_.n_in = fc.nIn();
+    out_.n_out = fc.nOut();
+    out_.arena.reset(out_.n_out * (out_.n_in + 1), len);
+    encode_fc(fc, in_gain, [&](size_t o, size_t i, const sc::Bitstream &s) {
+        out_.arena.assign(o * (out_.n_in + 1) + i, s);
+    });
 }
 
 ScNetwork::BatchStreamGrid
@@ -938,7 +934,7 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
 void
 ScNetwork::runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                  const std::vector<size_t> &in_strides,
-                                 const FcWeightStreams &weights,
+                                 const OutputWeightStreams &weights,
                                  const SegRange &seg,
                                  const std::vector<uint32_t> &active,
                                  bool reference, OutputBatchRun &run) const

@@ -306,32 +306,32 @@ class ScNetwork
         return opts;
     }
 
-    /** Conv layer weight streams, one arena slot per (filter, tap):
-     *  filter f's streams are slots [f*n, (f+1)*n), n = c_in*k*k + 1
-     *  (bias last). The filter-blocked kernels and their reference
-     *  twins read the filter-interleaved copy (same words, the layout
-     *  they stream through); the plain arena stays the layout of
-     *  record. */
+    /** Conv layer weight streams, stored once in the filter-interleaved
+     *  layout the blocked kernels (and their reference twins) stream
+     *  through: filter f, tap i < c_in*k*k in (ci, ky, kx) order, the
+     *  bias at tap n_per_filter - 1. */
     struct ConvWeightStreams
     {
         size_t c_in = 0, c_out = 0, k = 0;
         size_t n_per_filter = 0;
-        sc::StreamArena arena;
         sc::InterleavedWeightArena blocked;
-
-        sc::BitstreamView at(size_t filter, size_t i) const
-        {
-            return arena.view(filter * n_per_filter + i);
-        }
     };
 
-    /** FC layer weight streams, neuron o's streams at slots
-     *  [o*(n_in+1), ...] (bias last); interleaved copy as above. */
+    /** Hidden FC layer weight streams, interleaved as above: neuron o,
+     *  tap i < n_in, the bias at tap n_in. */
     struct FcWeightStreams
     {
         size_t n_in = 0, n_out = 0;
-        sc::StreamArena arena;
         sc::InterleavedWeightArena blocked;
+    };
+
+    /** Binary output layer weight streams in the plain layout the
+     *  popcount reductions read: class o's streams at slots
+     *  [o*(n_in+1), ...] (bias last). */
+    struct OutputWeightStreams
+    {
+        size_t n_in = 0, n_out = 0;
+        sc::StreamArena arena;
 
         sc::BitstreamView at(size_t neuron, size_t i) const
         {
@@ -424,7 +424,7 @@ class ScNetwork
 
     void runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                const std::vector<size_t> &in_strides,
-                               const FcWeightStreams &weights,
+                               const OutputWeightStreams &weights,
                                const SegRange &seg,
                                const std::vector<uint32_t> &active,
                                bool reference, OutputBatchRun &run) const;
@@ -468,7 +468,7 @@ class ScNetwork
      *  (fcs_[l - convs_.size()]), then the binary output layer. */
     std::vector<ConvWeightStreams> convs_;
     std::vector<FcWeightStreams> fcs_;
-    FcWeightStreams out_;
+    OutputWeightStreams out_;
 
     std::vector<double> layer_gain_;
     std::vector<unsigned> layer_k_;

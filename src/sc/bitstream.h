@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -352,11 +353,32 @@ class InterleavedWeightArena
     void assign(size_t filter, size_t tap, BitstreamView s);
 
   private:
+    /** Cache-line-aligned storage: every 32-byte (word, tap) lane row
+     *  then lies inside one cache line, whatever the heap layout. */
+    template <class T>
+    struct LineAllocator
+    {
+        using value_type = T;
+        static constexpr std::align_val_t kAlign{64};
+
+        LineAllocator() = default;
+        template <class U> LineAllocator(const LineAllocator<U> &) {}
+        T *allocate(size_t n)
+        {
+            return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+        }
+        void deallocate(T *p, size_t) { ::operator delete(p, kAlign); }
+        template <class U> bool operator==(const LineAllocator<U> &) const
+        {
+            return true;
+        }
+    };
+
     size_t filters_ = 0, taps_ = 0, length_ = 0;
     size_t stream_words_ = 0; //!< words per stream
     size_t group_words_ = 0;  //!< words per filter block
     size_t groups_ = 0;
-    std::vector<uint64_t> words_;
+    std::vector<uint64_t, LineAllocator<uint64_t>> words_;
 };
 
 /** Pointer view of owned streams, for the pointer-based kernel APIs. */

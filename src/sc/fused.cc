@@ -28,6 +28,15 @@ checkOperands(const std::vector<BitstreamView> &xs,
     return len;
 }
 
+/** Leading lines whose parity replaces the approximate count's LSB
+ *  (none for exact counts). */
+size_t
+parityLines(bool approximate, size_t n)
+{
+    return approximate ? std::min(ApproxParallelCounter::kLsbParityLines, n)
+                       : 0;
+}
+
 /**
  * Carry-save vertical count over packed words. Lines are either the
  * raw streams (ws == nullptr) or the XNOR products xs[i] ^ ~ws[i],
@@ -50,10 +59,7 @@ countsImpl(const std::vector<BitstreamView> &xs,
     const size_t tail = len % 64;
     const uint64_t tail_mask =
         tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
+    const size_t parity_lines = parityLines(approximate, n);
 
     size_t w_begin = 0;
     if (simd::enabled() && n >= 2)
@@ -126,6 +132,188 @@ checkMultiOperands(const std::vector<BitstreamView> &xs,
            std::min(begin_word * 64, block.length);
 }
 
+/**
+ * Scalar body of the ProductFold (sc/simd.h) over words
+ * [w_begin, f.end_word), word outer and image inner: serial carry-save
+ * plane insertion per filter lane, the partial tail word masked.
+ * kPlanes selects the emitter (plane words or per-cycle counts);
+ * @p words_of(j) is image position j's x-word accessor.
+ */
+template <bool kPlanes, class WordsOf>
+void
+foldWordsScalar(const simd::ProductFold f, size_t w_begin,
+                WordsOf words_of)
+{
+    const WeightBlockView &block = f.block;
+    const size_t len = block.length;
+    const size_t n_words = block.wordCount();
+    const size_t tail = len % 64;
+    const uint64_t tail_mask =
+        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
+    for (size_t w = w_begin; w < f.end_word; ++w) {
+        const uint64_t word_mask =
+            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
+        const uint64_t *wrow0 = block.at(w, 0);
+        for (size_t j = 0; j < f.n_images; ++j) {
+            const auto x = words_of(j);
+            uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
+            uint64_t lsbs[kFilterLanes] = {};
+            int used = 0; // max over lanes; higher planes stay zero
+            const uint64_t *wrow = wrow0;
+            for (size_t i = 0; i < block.taps; ++i, wrow += kFilterLanes) {
+                const uint64_t xw = x(i, w);
+                for (size_t l = 0; l < block.lanes; ++l) {
+                    uint64_t carry = ~(xw ^ wrow[l]) & word_mask;
+                    if (i < f.parity_lines)
+                        lsbs[l] ^= carry;
+                    int p = 0;
+                    while (carry != 0) {
+                        SCDCNN_ASSERT(p < kMaxCarrySavePlanes,
+                                      "too many input streams");
+                        const uint64_t t = planes[l][p] & carry;
+                        planes[l][p] ^= carry;
+                        carry = t;
+                        ++p;
+                    }
+                    used = std::max(used, p);
+                }
+            }
+            if constexpr (kPlanes) {
+                // The ripple insertion leaves fully propagated
+                // (canonical) digit planes, so used never exceeds the
+                // cap.
+                SCDCNN_ASSERT(static_cast<size_t>(used) <= f.plane_cap,
+                              "fold used %d planes, cap %zu", used,
+                              f.plane_cap);
+                uint64_t *img = f.planes + j * f.image_stride +
+                                (w - f.begin_word) * (f.plane_cap + 1);
+                for (size_t l = 0; l < block.lanes; ++l) {
+                    uint64_t *dst = img + l * f.lane_stride;
+                    size_t p = 0;
+                    for (; p < static_cast<size_t>(used); ++p)
+                        dst[p] = planes[l][p];
+                    for (; p < f.plane_cap; ++p)
+                        dst[p] = 0;
+                    dst[f.plane_cap] = lsbs[l];
+                }
+            } else {
+                const size_t limit = std::min<size_t>(64, len - w * 64);
+                uint16_t *img = f.counts + j * f.image_stride +
+                                (w - f.begin_word) * 64;
+                for (size_t l = 0; l < block.lanes; ++l) {
+                    uint16_t *dst = img + l * f.lane_stride;
+                    for (size_t b = 0; b < limit; ++b) {
+                        uint16_t c = 0;
+                        for (int p = 0; p < used; ++p)
+                            c |= static_cast<uint16_t>(
+                                     (planes[l][p] >> b) & 1)
+                                 << p;
+                        if (f.parity_lines > 0)
+                            c = static_cast<uint16_t>(
+                                (c & ~uint16_t{1}) |
+                                static_cast<uint16_t>((lsbs[l] >> b) & 1));
+                        dst[b] = c;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** One ProductFold: the AVX2 body over the full words when SIMD is on
+ *  (and there are two or more lines), the scalar body over the rest. */
+void
+runFold(const simd::ProductFold &f)
+{
+    size_t w = f.begin_word;
+    if (simd::enabled() && f.block.taps >= 2)
+        w += simd::avx2ProductFold(f);
+    if (w == f.end_word)
+        return;
+    const auto window = [&](size_t) { return simd::WindowWords{f.xs}; };
+    const auto batch = [&](size_t j) {
+        return simd::BatchWords{f.xs, f.x_strides, f.images[j]};
+    };
+    if (f.planes != nullptr) {
+        if (f.x_strides == nullptr)
+            foldWordsScalar<true>(f, w, window);
+        else
+            foldWordsScalar<true>(f, w, batch);
+    } else {
+        if (f.x_strides == nullptr)
+            foldWordsScalar<false>(f, w, window);
+        else
+            foldWordsScalar<false>(f, w, batch);
+    }
+}
+
+/** The operand checks and fold description shared by the batch
+ *  kernels; the caller sets the output form. */
+simd::ProductFold
+batchFold(const std::vector<BitstreamView> &xs0,
+          const std::vector<size_t> &x_strides, const uint32_t *images,
+          size_t n_images, const WeightBlockView &block, bool approximate,
+          size_t begin_word, size_t end_word, size_t lane_stride,
+          size_t image_stride)
+{
+    checkMultiOperands(xs0, block, begin_word, end_word);
+    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
+                  "stride count %zu != operand count %zu",
+                  x_strides.size(), xs0.size());
+    return {.xs = xs0.data(),
+            .x_strides = x_strides.data(),
+            .images = images,
+            .n_images = n_images,
+            .block = block,
+            .parity_lines = parityLines(approximate, xs0.size()),
+            .begin_word = begin_word,
+            .end_word = end_word,
+            .lane_stride = lane_stride,
+            .image_stride = image_stride};
+}
+
+/**
+ * A batch fold in the loop order its weight working set selects. When
+ * the block's weight slice fits in L1, "stationary" is a cache
+ * property, not a loop order: iterating images in the outer loop keeps
+ * the slice resident across the whole micro-batch anyway, and each
+ * image's input-window words stay L1-hot through its word loop (the
+ * word-outer order instead touches every image's window per word —
+ * taps * images words of footprint, which thrashes L1 for small conv
+ * blocks). Large slices (FC arenas, wide conv blocks) stream from
+ * memory, so there the word-outer order of the fold bodies is what
+ * turns one weight read into n_images uses. Both orders produce
+ * bit-identical results.
+ */
+void
+runBatchFold(const simd::ProductFold &f,
+             const std::vector<BitstreamView> &xs0,
+             const std::vector<size_t> &x_strides)
+{
+    const size_t slice_bytes = f.block.taps * kFilterLanes *
+                               (f.end_word - f.begin_word) *
+                               sizeof(uint64_t);
+    if (slice_bytes > kImageOuterSliceBytes) {
+        runFold(f);
+        return;
+    }
+    // Image outer: one unshifted window per image.
+    std::vector<BitstreamView> xs_img;
+    simd::ProductFold one = f;
+    one.x_strides = nullptr;
+    one.images = nullptr;
+    one.n_images = 1;
+    for (size_t j = 0; j < f.n_images; ++j) {
+        shiftViewsForImage(xs0, x_strides, f.images[j], xs_img);
+        one.xs = xs_img.data();
+        if (f.counts != nullptr)
+            one.counts = f.counts + j * f.image_stride;
+        else
+            one.planes = f.planes + j * f.image_stride;
+        runFold(one);
+    }
+}
+
 } // namespace
 
 void
@@ -135,66 +323,13 @@ fusedProductCountsMulti(const std::vector<BitstreamView> &xs,
                         size_t out_stride)
 {
     checkMultiOperands(xs, block, begin_word, end_word);
-    const size_t len = block.length;
-    const size_t n = xs.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductCountsMulti(xs.data(), block, parity_lines,
-                                          begin_word, end_word, out,
-                                          out_stride);
-
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-        uint64_t lsbs[kFilterLanes] = {};
-        int used[kFilterLanes] = {};
-        const uint64_t *wrow = block.at(w, 0);
-        for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-            const uint64_t xw = xs[i].words[w];
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                if (i < parity_lines)
-                    lsbs[f] ^= carry;
-                int j = 0;
-                while (carry != 0) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    uint64_t t = planes[f][j] & carry;
-                    planes[f][j] ^= carry;
-                    carry = t;
-                    ++j;
-                }
-                if (j > used[f])
-                    used[f] = j;
-            }
-        }
-        const size_t base = (w - begin_word) * 64;
-        const size_t limit = std::min<size_t>(64, len - w * 64);
-        for (size_t f = 0; f < block.lanes; ++f) {
-            uint16_t *dst = out + f * out_stride + base;
-            for (size_t b = 0; b < limit; ++b) {
-                uint16_t c = 0;
-                for (int j = 0; j < used[f]; ++j)
-                    c |= static_cast<uint16_t>((planes[f][j] >> b) & 1)
-                         << j;
-                if (approximate)
-                    c = static_cast<uint16_t>(
-                        (c & ~uint16_t{1}) |
-                        static_cast<uint16_t>((lsbs[f] >> b) & 1));
-                dst[b] = c;
-            }
-        }
-    }
+    runFold({.xs = xs.data(),
+             .block = block,
+             .parity_lines = parityLines(approximate, xs.size()),
+             .begin_word = begin_word,
+             .end_word = end_word,
+             .counts = out,
+             .lane_stride = out_stride});
 }
 
 void
@@ -290,183 +425,17 @@ fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                              uint16_t *out, size_t lane_stride,
                              size_t image_stride)
 {
-    checkMultiOperands(xs0, block, begin_word, end_word);
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
-
-    // Loop-order choice by weight working set. When the block's weight
-    // slice fits in L1, "stationary" is a cache property, not a loop
-    // order: iterating images in the outer loop keeps the slice
-    // resident across the whole micro-batch anyway, and each image's
-    // input-window words stay L1-hot through its word loop (the
-    // word-outer order instead touches every image's window per word —
-    // taps * images words of footprint, which thrashes L1 for small
-    // conv blocks). Large slices (FC arenas, wide conv blocks) stream
-    // from memory, so there the word-outer order below is what turns
-    // one weight read into n_images uses. Both orders produce
-    // bit-identical counts.
-    const size_t slice_bytes = block.taps * kFilterLanes *
-                               (end_word - begin_word) * sizeof(uint64_t);
-    if (slice_bytes <= kImageOuterSliceBytes) {
-        std::vector<BitstreamView> xs_img(xs0.size());
-        for (size_t j = 0; j < n_images; ++j) {
-            shiftViewsForImage(xs0, x_strides, images[j], xs_img);
-            fusedProductCountsMulti(xs_img, block, approximate,
-                                    begin_word, end_word,
-                                    out + j * image_stride, lane_stride);
-        }
-        return;
-    }
-
-    const size_t len = block.length;
-    const size_t n = xs0.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductCountsMultiBatch(
-            xs0.data(), x_strides.data(), images, n_images, block,
-            parity_lines, begin_word, end_word, out, lane_stride,
-            image_stride);
-
-    // Weight-stationary loop order: word outer, image inner, taps
-    // innermost — the (word, tap) weight row is re-read from L1 for
-    // every image instead of re-streamed from memory per image.
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        const uint64_t *wrow0 = block.at(w, 0);
-        const size_t base = (w - begin_word) * 64;
-        const size_t limit = std::min<size_t>(64, len - w * 64);
-        for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-            uint64_t lsbs[kFilterLanes] = {};
-            int used[kFilterLanes] = {};
-            const uint64_t *wrow = wrow0;
-            for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-                const uint64_t xw =
-                    xs0[i].words[img * x_strides[i] + w];
-                for (size_t f = 0; f < block.lanes; ++f) {
-                    uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                    if (i < parity_lines)
-                        lsbs[f] ^= carry;
-                    int p = 0;
-                    while (carry != 0) {
-                        SCDCNN_ASSERT(p < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        uint64_t t = planes[f][p] & carry;
-                        planes[f][p] ^= carry;
-                        carry = t;
-                        ++p;
-                    }
-                    if (p > used[f])
-                        used[f] = p;
-                }
-            }
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint16_t *dst =
-                    out + j * image_stride + f * lane_stride + base;
-                for (size_t b = 0; b < limit; ++b) {
-                    uint16_t c = 0;
-                    for (int p = 0; p < used[f]; ++p)
-                        c |= static_cast<uint16_t>(
-                                 (planes[f][p] >> b) & 1)
-                             << p;
-                    if (approximate)
-                        c = static_cast<uint16_t>(
-                            (c & ~uint16_t{1}) |
-                            static_cast<uint16_t>((lsbs[f] >> b) & 1));
-                    dst[b] = c;
-                }
-            }
-        }
-    }
+    simd::ProductFold f =
+        batchFold(xs0, x_strides, images, n_images, block, approximate,
+                  begin_word, end_word, lane_stride, image_stride);
+    f.counts = out;
+    runBatchFold(f, xs0, x_strides);
 }
 
 size_t
 planeCapForTaps(size_t taps)
 {
     return static_cast<size_t>(std::bit_width(taps));
-}
-
-void
-fusedProductPlanesMulti(const std::vector<BitstreamView> &xs,
-                        const WeightBlockView &block, bool approximate,
-                        size_t begin_word, size_t end_word, uint64_t *out,
-                        size_t plane_cap, size_t lane_stride)
-{
-    checkMultiOperands(xs, block, begin_word, end_word);
-    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
-                  "plane cap %zu below width %zu for %zu taps", plane_cap,
-                  planeCapForTaps(block.taps), block.taps);
-    const size_t len = block.length;
-    const size_t n = xs.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductPlanesMulti(xs.data(), block, parity_lines,
-                                          begin_word, end_word, plane_cap,
-                                          out, lane_stride);
-
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-        uint64_t lsbs[kFilterLanes] = {};
-        int used[kFilterLanes] = {};
-        const uint64_t *wrow = block.at(w, 0);
-        for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-            const uint64_t xw = xs[i].words[w];
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                if (i < parity_lines)
-                    lsbs[f] ^= carry;
-                int j = 0;
-                while (carry != 0) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    uint64_t t = planes[f][j] & carry;
-                    planes[f][j] ^= carry;
-                    carry = t;
-                    ++j;
-                }
-                if (j > used[f])
-                    used[f] = j;
-            }
-        }
-        // The ripple insertion leaves fully propagated (canonical)
-        // digit planes, so used never exceeds the cap.
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t f = 0; f < block.lanes; ++f) {
-            SCDCNN_ASSERT(static_cast<size_t>(used[f]) <= plane_cap,
-                          "fold used %d planes, cap %zu", used[f],
-                          plane_cap);
-            uint64_t *dst = out + f * lane_stride + word_base;
-            size_t p = 0;
-            for (; p < static_cast<size_t>(used[f]); ++p)
-                dst[p] = planes[f][p];
-            for (; p < plane_cap; ++p)
-                dst[p] = 0;
-            dst[plane_cap] = lsbs[f];
-        }
-    }
 }
 
 void
@@ -478,93 +447,15 @@ fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                              uint64_t *out, size_t plane_cap,
                              size_t lane_stride, size_t image_stride)
 {
-    checkMultiOperands(xs0, block, begin_word, end_word);
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
+    simd::ProductFold f =
+        batchFold(xs0, x_strides, images, n_images, block, approximate,
+                  begin_word, end_word, lane_stride, image_stride);
     SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
                   "plane cap %zu below width %zu for %zu taps", plane_cap,
                   planeCapForTaps(block.taps), block.taps);
-
-    // Same loop-order rule as fusedProductCountsMultiBatch.
-    const size_t slice_bytes = block.taps * kFilterLanes *
-                               (end_word - begin_word) * sizeof(uint64_t);
-    if (slice_bytes <= kImageOuterSliceBytes) {
-        std::vector<BitstreamView> xs_img(xs0.size());
-        for (size_t j = 0; j < n_images; ++j) {
-            shiftViewsForImage(xs0, x_strides, images[j], xs_img);
-            fusedProductPlanesMulti(xs_img, block, approximate,
-                                    begin_word, end_word,
-                                    out + j * image_stride, plane_cap,
-                                    lane_stride);
-        }
-        return;
-    }
-
-    const size_t len = block.length;
-    const size_t n = xs0.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductPlanesMultiBatch(
-            xs0.data(), x_strides.data(), images, n_images, block,
-            parity_lines, begin_word, end_word, plane_cap, out,
-            lane_stride, image_stride);
-
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        const uint64_t *wrow0 = block.at(w, 0);
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-            uint64_t lsbs[kFilterLanes] = {};
-            int used[kFilterLanes] = {};
-            const uint64_t *wrow = wrow0;
-            for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-                const uint64_t xw =
-                    xs0[i].words[img * x_strides[i] + w];
-                for (size_t f = 0; f < block.lanes; ++f) {
-                    uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                    if (i < parity_lines)
-                        lsbs[f] ^= carry;
-                    int p = 0;
-                    while (carry != 0) {
-                        SCDCNN_ASSERT(p < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        uint64_t t = planes[f][p] & carry;
-                        planes[f][p] ^= carry;
-                        carry = t;
-                        ++p;
-                    }
-                    if (p > used[f])
-                        used[f] = p;
-                }
-            }
-            for (size_t f = 0; f < block.lanes; ++f) {
-                SCDCNN_ASSERT(static_cast<size_t>(used[f]) <= plane_cap,
-                              "fold used %d planes, cap %zu", used[f],
-                              plane_cap);
-                uint64_t *dst =
-                    out + j * image_stride + f * lane_stride + word_base;
-                size_t p = 0;
-                for (; p < static_cast<size_t>(used[f]); ++p)
-                    dst[p] = planes[f][p];
-                for (; p < plane_cap; ++p)
-                    dst[p] = 0;
-                dst[plane_cap] = lsbs[f];
-            }
-        }
-    }
+    f.planes = out;
+    f.plane_cap = plane_cap;
+    runBatchFold(f, xs0, x_strides);
 }
 
 void
@@ -750,19 +641,6 @@ fusedLineCounts(const std::vector<BitstreamView> &streams,
     countsImpl(streams, nullptr, approximate, out);
 }
 
-uint64_t
-fusedProductCountTotal(const std::vector<BitstreamView> &xs,
-                       const std::vector<BitstreamView> &ws,
-                       bool approximate)
-{
-    const size_t len = checkOperands(xs, &ws);
-    ProductCountAccum acc;
-    fusedProductCountTotalRange(xs, ws, 0, (len + 63) / 64, acc);
-    // Replacing each count's LSB changes the sum by (parity_4 - parity_n)
-    // per cycle; both corrections reduce to whole-stream popcounts.
-    return acc.value(approximate);
-}
-
 Bitstream
 referenceMuxProduct(const std::vector<BitstreamView> &xs,
                     const std::vector<BitstreamView> &ws,
@@ -807,17 +685,6 @@ referenceProductCounts(const std::vector<BitstreamView> &xs,
         out[i] = c;
     }
     return out;
-}
-
-uint64_t
-referenceProductCountTotal(const std::vector<BitstreamView> &xs,
-                           const std::vector<BitstreamView> &ws,
-                           bool approximate)
-{
-    uint64_t total = 0;
-    for (uint16_t c : referenceProductCounts(xs, ws, approximate))
-        total += c;
-    return total;
 }
 
 // ------- Binary (L = 1) XNOR-popcount kernels ---------------------

@@ -15,13 +15,17 @@
  *  - fusedMuxProduct: the MUX-based inner product driven by precomputed
  *    per-cycle select indices, gathering one product bit per cycle with
  *    direct word access;
- *  - fusedProductCountTotal: the binary output layer's accumulated
- *    count, reduced to word popcounts without per-cycle count vectors.
+ *  - fusedProductCountsMulti and its batch forms: one filter block's
+ *    XNOR + carry-save fold for every filter lane at once, over one
+ *    operand window or a weight-stationary micro-batch;
+ *  - fusedProductCountTotalRange: the binary output layer's
+ *    accumulated count, reduced to word popcounts without per-cycle
+ *    count vectors.
  *
  * Operands are BitstreamViews (pointer + length), so a layer's streams
  * can be packed into one contiguous StreamArena and streamed through;
  * convenience overloads accept Bitstream pointer vectors. The
- * carry-save plane loop and the popcount reductions dispatch to the
+ * carry-save plane loops and the popcount reductions dispatch to the
  * AVX2 kernels of sc/simd.h at runtime, with the portable scalar path
  * kept as the always-built default.
  *
@@ -86,21 +90,6 @@ void fusedProductCounts(const std::vector<BitstreamView> &xs,
 void fusedLineCounts(const std::vector<BitstreamView> &streams,
                      bool approximate, std::vector<uint16_t> &out);
 
-/**
- * Sum of the per-cycle product counts over the whole stream, i.e. the
- * accumulated binary-domain inner product of the output layer. Equal to
- * the sum over fusedProductCounts but computed with word popcounts
- * only: for approximate counts the identity
- *
- *   sum_t c'_t = sum_t c_t - ones(parity_all) + ones(parity_4)
- *
- * (c' = approximate count, c = exact count) reduces the whole reduction
- * to three popcount passes over the product words.
- */
-uint64_t fusedProductCountTotal(const std::vector<BitstreamView> &xs,
-                                const std::vector<BitstreamView> &ws,
-                                bool approximate);
-
 // ------- Filter-blocked, segment-ranged kernels -------------------
 //
 // The *Multi kernels take one shared window of input views plus a
@@ -116,8 +105,9 @@ uint64_t fusedProductCountTotal(const std::vector<BitstreamView> &xs,
  * Filter-blocked XNOR-multiply + parallel-counter column counts over a
  * word range: counts for lane f, cycle begin_word * 64 + i land at
  * out[f * out_stride + i]. Exactly block.lanes lanes are written;
- * out_stride must cover the ranged cycle count. Dispatches to
- * sc/simd.h's filter-lane AVX2 plane loop at runtime.
+ * out_stride must cover the ranged cycle count. One window of the
+ * shared carry-save fold (sc/simd.h ProductFold): the AVX2 body at
+ * runtime for full words, the scalar body for the rest.
  */
 void fusedProductCountsMulti(const std::vector<BitstreamView> &xs,
                              const WeightBlockView &block,
@@ -140,8 +130,15 @@ void fusedMuxProductMulti(const std::vector<BitstreamView> &xs,
 
 /**
  * Running accumulator for a segment-streamed output-layer total: the
- * three popcount partials of fusedProductCountTotal, summed across
- * word ranges. value() applies the approximate-LSB correction.
+ * sum of the per-cycle product counts, i.e. the accumulated
+ * binary-domain inner product, kept as three popcount partials summed
+ * across word ranges. value() applies the approximate-LSB correction
+ *
+ *   sum_t c'_t = sum_t c_t - ones(parity_all) + ones(parity_4)
+ *
+ * (c' = approximate count, c = exact count): replacing each count's
+ * LSB changes the sum by (parity_4 - parity_n) per cycle, so the whole
+ * reduction is three popcount passes over the product words.
  */
 struct ProductCountAccum
 {
@@ -158,8 +155,8 @@ struct ProductCountAccum
 
 /**
  * Word-ranged accumulation of the output-layer product-count total
- * into @p acc; summing the ranges of a partition of [0, wordCount)
- * yields exactly fusedProductCountTotal's partials.
+ * into @p acc; summing the ranges of any partition of [0, wordCount)
+ * yields exactly the whole-stream partials.
  */
 void fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
                                  const std::vector<BitstreamView> &ws,
@@ -268,9 +265,9 @@ constexpr size_t kImageOuterSliceBytes = 32 * 1024;
  * the operand views {xs0[t].words + images[j] * x_strides[t],
  * block.length}. Counts for lane f, active position j, segment-local
  * cycle i land at out[j * image_stride + f * lane_stride + i].
- * Dispatches to sc/simd.h's batch plane loop at runtime; weight slices
- * under kImageOuterSliceBytes take the image-outer order (bit-identical
- * counts either way).
+ * Runs the same fold as fusedProductCountsMulti; weight slices under
+ * kImageOuterSliceBytes take the image-outer order, larger ones the
+ * word-outer order (bit-identical counts either way).
  */
 void fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
@@ -285,26 +282,18 @@ void fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
 size_t planeCapForTaps(size_t taps);
 
 /**
- * Plane-emitting fusedProductCountsMulti: the same carry-save fold,
- * but each word's column counts are stored as their @p plane_cap
- * canonical bit-planes plus the leading-lines parity word instead of
- * being transposed into per-cycle uint16 counts. Lane f, range-local
- * word q's planes land at out[f * lane_stride + q * (plane_cap + 1)];
- * the parity word at offset plane_cap within the group. plane_cap must
- * be >= planeCapForTaps(block.taps). The max-pool batch path consumes
- * this form: segment sums come from plane popcounts and only the
- * selected input is ever transposed (see
+ * Plane-emitting fusedProductCountsMultiBatch: the same carry-save
+ * fold, operand addressing and adaptive loop order, but each word's
+ * column counts are stored as their @p plane_cap canonical bit-planes
+ * plus the leading-lines parity word instead of being transposed into
+ * per-cycle uint16 counts. Active position j, lane f, range-local word
+ * q's planes land at out[j * image_stride + f * lane_stride +
+ * q * (plane_cap + 1)]; the parity word at offset plane_cap within the
+ * group. plane_cap must be >= planeCapForTaps(block.taps). The
+ * max-pool batch path consumes this form: segment sums come from plane
+ * popcounts and only the selected input is ever transposed (see
  * blocks::binaryMaxPoolPlanesBatch).
  */
-void fusedProductPlanesMulti(const std::vector<BitstreamView> &xs,
-                             const WeightBlockView &block,
-                             bool approximate, size_t begin_word,
-                             size_t end_word, uint64_t *out,
-                             size_t plane_cap, size_t lane_stride);
-
-/** Batch-axis fusedProductPlanesMulti; operand addressing as in
- *  fusedProductCountsMultiBatch, image j's planes at
- *  out[j * image_stride]. Takes the same adaptive loop order. */
 void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
                                   const uint32_t *images, size_t n_images,
@@ -369,12 +358,6 @@ referenceProductCounts(const std::vector<BitstreamView> &xs,
                        const std::vector<BitstreamView> &ws,
                        bool approximate);
 
-/** Bit-serial oracle for fusedProductCountTotal. */
-uint64_t
-referenceProductCountTotal(const std::vector<BitstreamView> &xs,
-                           const std::vector<BitstreamView> &ws,
-                           bool approximate);
-
 // ------- Bitstream-pointer convenience overloads (block APIs, tests)
 
 inline void
@@ -400,14 +383,6 @@ fusedLineCounts(const std::vector<const Bitstream *> &streams,
     fusedLineCounts(toViews(streams), approximate, out);
 }
 
-inline uint64_t
-fusedProductCountTotal(const std::vector<const Bitstream *> &xs,
-                       const std::vector<const Bitstream *> &ws,
-                       bool approximate)
-{
-    return fusedProductCountTotal(toViews(xs), toViews(ws), approximate);
-}
-
 inline Bitstream
 referenceMuxProduct(const std::vector<const Bitstream *> &xs,
                     const std::vector<const Bitstream *> &ws,
@@ -422,15 +397,6 @@ referenceProductCounts(const std::vector<const Bitstream *> &xs,
                        bool approximate)
 {
     return referenceProductCounts(toViews(xs), toViews(ws), approximate);
-}
-
-inline uint64_t
-referenceProductCountTotal(const std::vector<const Bitstream *> &xs,
-                           const std::vector<const Bitstream *> &ws,
-                           bool approximate)
-{
-    return referenceProductCountTotal(toViews(xs), toViews(ws),
-                                      approximate);
 }
 
 } // namespace sc

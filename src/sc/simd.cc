@@ -240,6 +240,262 @@ reduce16Pairs(const __m256i s[8], const __m256i c[8], __m256i out[5])
     out[4] = addPlanesK(out, hi, 4);
 }
 
+/** Ripple @p carry into the plane accumulator from plane @p j up: the
+ *  serial carry-save insertion, growing @p used by at most one. */
+__attribute__((target("avx2"), always_inline)) inline void
+ripplePlanes(__m256i *planes, int &used, __m256i carry, int j)
+{
+    while (!_mm256_testz_si256(carry, carry)) {
+        SCDCNN_ASSERT(j < kMaxCarrySavePlanes, "too many input streams");
+        if (j == used) {
+            planes[used++] = carry;
+            break;
+        }
+        const __m256i t = _mm256_and_si256(planes[j], carry);
+        planes[j] = _mm256_xor_si256(planes[j], carry);
+        carry = t;
+        ++j;
+    }
+}
+
+/**
+ * Transpose cycles [16 * group, 16 * group + 16) of one lane's count
+ * planes into 16 uint16 counts: @p plane(j) is plane j's word for
+ * j < n_planes, plane(n_planes) the parity word, whose bits replace
+ * each count's LSB when @p parity (the approximate-counter
+ * substitution).
+ */
+template <class PlaneAt>
+__attribute__((target("avx2"), always_inline)) inline void
+spreadGroup(const PlaneAt &plane, size_t n_planes, bool parity,
+            size_t group, uint16_t *out)
+{
+    const __m256i lane_bit = _mm256_setr_epi16(
+        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
+        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
+        static_cast<short>(1 << 15));
+    __m256i acc = _mm256_setzero_si256();
+    for (size_t j = 0; j < n_planes; ++j) {
+        const auto bits = static_cast<uint16_t>(plane(j) >> (group * 16));
+        acc = _mm256_or_si256(
+            acc,
+            spreadBits16(bits, lane_bit, static_cast<short>(1 << j)));
+    }
+    if (parity) {
+        const auto bits =
+            static_cast<uint16_t>(plane(n_planes) >> (group * 16));
+        acc = _mm256_or_si256(
+            _mm256_and_si256(acc,
+                             _mm256_set1_epi16(static_cast<short>(~1))),
+            spreadBits16(bits, lane_bit, 1));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), acc);
+}
+
+/** spreadGroup over contiguous planes pw[0 .. n_planes] (the pooling
+ *  readers' layout). */
+__attribute__((target("avx2"))) inline void
+spreadPlanesGroupAvx2(const uint64_t *pw, size_t n_planes, bool parity,
+                      size_t group, uint16_t *out)
+{
+    spreadGroup([pw](size_t j) { return pw[j]; }, n_planes, parity, group,
+                out);
+}
+
+/** spreadPlanesGroupAvx2 over all four groups of the word. */
+__attribute__((target("avx2"))) void
+spreadPlanesWordAvx2(const uint64_t *pw, size_t n_planes, bool parity,
+                     uint16_t *out)
+{
+    for (size_t g = 0; g < 4; ++g)
+        spreadPlanesGroupAvx2(pw, n_planes, parity, g, out + g * 16);
+}
+
+/** A fold's planes as stored by storePlanes: lane l of plane p at
+ *  [p][l], the parity word in row used. */
+using FoldPlaneRows = uint64_t[kMaxCarrySavePlanes + 1][4];
+
+/** All 64 counts of lane @p lane of a fold's plane rows. Indexing the
+ *  fixed-size rows lets the plane loop unroll with constant digit
+ *  weights. */
+__attribute__((target("avx2"), always_inline)) inline void
+spreadFoldLane(const FoldPlaneRows &pw, size_t lane, int used, bool parity,
+               uint16_t *out)
+{
+    for (size_t g = 0; g < 4; ++g)
+        spreadGroup([&pw, lane](size_t j) { return pw[j][lane]; },
+                    static_cast<size_t>(used), parity, g, out + g * 16);
+}
+
+/** Store @p planes[0 .. used) as rows of @p pw, with @p lsb in row
+ *  @p used — the layout spreadFoldLane reads. */
+__attribute__((target("avx2"), always_inline)) inline void
+storePlanes(const __m256i *planes, int used, __m256i lsb, FoldPlaneRows &pw)
+{
+    for (int j = 0; j < used; ++j)
+        _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]), planes[j]);
+    _mm256_store_si256(reinterpret_cast<__m256i *>(pw[used]), lsb);
+}
+
+// --- the product fold ---------------------------------------------------
+
+/** Product line t of word w for all filter lanes: the broadcast input
+ *  word XNOR the lane weights at @p wlanes. */
+template <class XWords>
+__attribute__((target("avx2"), always_inline)) inline __m256i
+productLine(const XWords &x, size_t t, size_t w, const uint64_t *wlanes)
+{
+    const __m256i xv = _mm256_set1_epi64x(static_cast<long long>(x(t, w)));
+    const __m256i wv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(wlanes));
+    return _mm256_xor_si256(_mm256_xor_si256(xv, wv),
+                            _mm256_set1_epi8(-1));
+}
+
+/**
+ * Lines [i, i + 16) of word w through the compressor tree into 5
+ * planes (@p wrow points at line i's weight lanes); lines below
+ * @p parity_lines also fold into @p lsb. With kPadded, lines at or
+ * past @p n are zero, and the caller guarantees parity_lines <= i (so
+ * lsb stays out of the tile's register budget). Product pairs feed the
+ * tree's first half-adder layer as they are generated, so only two
+ * lines are live at a time.
+ */
+template <bool kPadded, class XWords>
+__attribute__((target("avx2"), always_inline)) inline void
+foldTile(const XWords &x, size_t w, const uint64_t *wrow, size_t i,
+         size_t n, size_t parity_lines, __m256i &lsb, __m256i folded[5])
+{
+    __m256i s[8], c[8];
+    for (int r = 0; r < 8; ++r) {
+        const size_t ta = i + 2 * static_cast<size_t>(r);
+        __m256i pa = _mm256_setzero_si256();
+        __m256i pb = _mm256_setzero_si256();
+        if (!kPadded || ta < n)
+            pa = productLine(x, ta, w, wrow + (ta - i) * kFilterLanes);
+        if (!kPadded || ta + 1 < n)
+            pb = productLine(x, ta + 1, w,
+                             wrow + (ta + 1 - i) * kFilterLanes);
+        if (!kPadded && ta < parity_lines)
+            lsb = _mm256_xor_si256(lsb, pa);
+        if (!kPadded && ta + 1 < parity_lines)
+            lsb = _mm256_xor_si256(lsb, pb);
+        s[r] = _mm256_xor_si256(pa, pb);
+        c[r] = _mm256_and_si256(pa, pb);
+    }
+    reduce16Pairs(s, c, folded);
+}
+
+/**
+ * The per-word fold: all @p n product lines of word w into
+ * planes[0 .. used) (64-bit lane f = filter f) plus the leading-lines
+ * parity in @p lsb_out; returns used. Lines fold 16 at a time through
+ * the fixed-schedule tree; the leftovers take the serial insertion.
+ */
+template <class XWords>
+__attribute__((target("avx2"), always_inline)) inline int
+foldWord(const XWords &x, size_t w, const uint64_t *wrow, size_t n,
+         size_t parity_lines, __m256i planes[kMaxCarrySavePlanes],
+         __m256i &lsb_out)
+{
+    __m256i lsb = _mm256_setzero_si256();
+    int used = 0;
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
+        __m256i folded[5];
+        foldTile<false>(x, w, wrow, i, n, parity_lines, lsb, folded);
+        if (used == 0) {
+            for (int j = 0; j < 5; ++j)
+                planes[j] = folded[j];
+            used = 5;
+        } else {
+            ripplePlanes(planes, used, addPlanesK(planes, folded, 5), 5);
+        }
+    }
+    // Zero-padded final tile: once a full tile has folded (used >= 5,
+    // so the accumulator holds 5+ planes and taps >= 16 keeps the
+    // plane cap at 5+), a tail of 6 or more lines runs through the
+    // same tree with zero lines in the missing slots. Zero lines add
+    // nothing to any column count, so the fold is bit-identical to the
+    // serial insertion it replaces — at tree ILP instead of a ripple
+    // walk per line.
+    if (n >= 16 && n - i >= 6 && parity_lines <= i) {
+        __m256i folded[5];
+        foldTile<true>(x, w, wrow, i, n, parity_lines, lsb, folded);
+        ripplePlanes(planes, used, addPlanesK(planes, folded, 5), 5);
+        i = n;
+    }
+    for (; i < n; ++i, wrow += kFilterLanes) {
+        const __m256i carry = productLine(x, i, w, wrow);
+        if (i < parity_lines)
+            lsb = _mm256_xor_si256(lsb, carry);
+        ripplePlanes(planes, used, carry, 0);
+    }
+    lsb_out = lsb;
+    return used;
+}
+
+/**
+ * The fold over the full words [f.begin_word, full_end), word outer and
+ * image inner: word w's weight row is re-read from cache for every
+ * image. kPlanes selects the emitter (plane words or transposed
+ * counts); @p words_of(j) is image position j's x-word accessor.
+ */
+template <bool kPlanes, class WordsOf>
+__attribute__((target("avx2"))) void
+foldWords(const ProductFold f, size_t full_end, WordsOf words_of)
+{
+    const bool parity = f.parity_lines > 0;
+    for (size_t w = f.begin_word; w < full_end; ++w) {
+        const uint64_t *wrow = f.block.at(w, 0);
+        for (size_t j = 0; j < f.n_images; ++j) {
+            __m256i planes[kMaxCarrySavePlanes];
+            __m256i lsb;
+            const int used = foldWord(words_of(j), w, wrow, f.block.taps,
+                                      f.parity_lines, planes, lsb);
+            alignas(32) FoldPlaneRows pw;
+            storePlanes(planes, used, lsb, pw);
+            if constexpr (kPlanes) {
+                SCDCNN_ASSERT(static_cast<size_t>(used) <= f.plane_cap,
+                              "fold used %d planes, cap %zu", used,
+                              f.plane_cap);
+                uint64_t *img = f.planes + j * f.image_stride +
+                                (w - f.begin_word) * (f.plane_cap + 1);
+                for (size_t l = 0; l < f.block.lanes; ++l) {
+                    uint64_t *dst = img + l * f.lane_stride;
+                    size_t p = 0;
+                    for (; p < static_cast<size_t>(used); ++p)
+                        dst[p] = pw[p][l];
+                    for (; p < f.plane_cap; ++p)
+                        dst[p] = 0;
+                    dst[f.plane_cap] = pw[used][l];
+                }
+            } else {
+                uint16_t *img = f.counts + j * f.image_stride +
+                                (w - f.begin_word) * 64;
+                for (size_t l = 0; l < f.block.lanes; ++l)
+                    spreadFoldLane(pw, l, used, parity,
+                                   img + l * f.lane_stride);
+            }
+        }
+    }
+}
+
+/** foldWords with the fold's x-word addressing: one unshifted window,
+ *  or image images[j] of a batch-major window. */
+template <bool kPlanes>
+__attribute__((target("avx2"))) void
+foldWordsAs(const ProductFold &f, size_t full_end)
+{
+    if (f.x_strides == nullptr)
+        foldWords<kPlanes>(f, full_end,
+                           [&](size_t) { return WindowWords{f.xs}; });
+    else
+        foldWords<kPlanes>(f, full_end, [&](size_t j) {
+            return BatchWords{f.xs, f.x_strides, f.images[j]};
+        });
+}
+
 } // namespace
 
 __attribute__((target("avx2"))) size_t
@@ -251,10 +507,6 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
         return 0;
     const size_t n_full_words = (length / 256) * 4;
     const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
 
     for (size_t w = 0; w < n_full_words; w += 4) {
         __m256i planes[kMaxCarrySavePlanes];
@@ -271,834 +523,35 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
             }
             if (i < parity_lines)
                 lsb = _mm256_xor_si256(lsb, carry);
-            int j = 0;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
+            ripplePlanes(planes, used, carry, 0);
         }
-
-        alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-        for (int j = 0; j < used; ++j)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]),
-                               planes[j]);
-        alignas(32) uint64_t lw[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-        // Transpose plane bits into per-cycle counts, 16 lanes at a
-        // time: lane l of a group holds bit (g*16 + l) of each plane.
-        for (int lane = 0; lane < 4; ++lane) {
-            for (int g = 0; g < 4; ++g) {
-                __m256i acc = _mm256_setzero_si256();
-                for (int j = 0; j < used; ++j) {
-                    const auto bits = static_cast<uint16_t>(
-                        pw[j][lane] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        acc, spreadBits16(bits, lane_bit,
-                                          static_cast<short>(1 << j)));
-                }
-                if (parity_lines > 0) {
-                    const auto bits =
-                        static_cast<uint16_t>(lw[lane] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        _mm256_and_si256(
-                            acc, _mm256_set1_epi16(
-                                     static_cast<short>(~1))),
-                        spreadBits16(bits, lane_bit, 1));
-                }
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(
-                        out + (w + static_cast<size_t>(lane)) * 64 +
-                        static_cast<size_t>(g) * 16),
-                    acc);
-            }
-        }
+        // 64-bit lane l of the planes holds word w + l.
+        alignas(32) FoldPlaneRows pw;
+        storePlanes(planes, used, lsb, pw);
+        for (size_t l = 0; l < 4; ++l)
+            spreadFoldLane(pw, l, used, parity_lines > 0,
+                           out + (w + l) * 64);
     }
     return n_full_words;
 }
 
 __attribute__((target("avx2"))) size_t
-avx2ProductCountsMulti(const BitstreamView *xs, const WeightBlockView &block,
-                       size_t parity_lines, size_t begin_word,
-                       size_t end_word, uint16_t *out, size_t out_stride)
+avx2ProductFold(const ProductFold &fold)
 {
     if (!enabled())
         return 0;
     // Full words only: the stream's partial tail word (if the range
-    // reaches it) stays with the scalar path, so no tail masking is
+    // reaches it) stays with the scalar body, so no tail masking is
     // needed here.
     const size_t full_end =
-        std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
+        std::min(fold.end_word, fold.block.length / 64);
+    if (full_end <= fold.begin_word)
         return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-
-    for (size_t w = begin_word; w < full_end; ++w) {
-        // One plane set serves the whole filter block: 64-bit lane f of
-        // each plane vector holds filter f's carry-save plane for this
-        // word. Input words broadcast once; the block's weight words
-        // for (w, tap) are one contiguous vector load. Lines fold
-        // through the fixed-schedule compressor tree 16 at a time; the
-        // leftovers take the serial plane insertion.
-        __m256i planes[kMaxCarrySavePlanes];
-        __m256i lsb = _mm256_setzero_si256();
-        int used = 0;
-        const uint64_t *wrow = block.at(w, 0);
-        __m256i s[8], c[8];
-        size_t i = 0;
-        for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-            // Product pairs feed the tree's first half-adder layer as
-            // they are generated; only two lines are live at a time.
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                const __m256i xa = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta].words[w]));
-                const __m256i wa = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        2 * static_cast<size_t>(r) * kFilterLanes));
-                const __m256i pa = _mm256_xor_si256(
-                    _mm256_xor_si256(xa, wa), all_ones);
-                const __m256i xb = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta + 1].words[w]));
-                const __m256i wb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        (2 * static_cast<size_t>(r) + 1) * kFilterLanes));
-                const __m256i pb = _mm256_xor_si256(
-                    _mm256_xor_si256(xb, wb), all_ones);
-                if (ta < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pa);
-                if (ta + 1 < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pb);
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            if (used == 0) {
-                for (int j = 0; j < 5; ++j)
-                    planes[j] = folded[j];
-                used = 5;
-            } else {
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j], carry);
-                    planes[j] = _mm256_xor_si256(planes[j], carry);
-                    carry = t;
-                    ++j;
-                }
-            }
-        }
-        // Zero-padded final block: once a full block has folded
-        // (used >= 5, so the accumulator holds 5+ planes and taps >= 16
-        // keeps the plane cap at 5+), a tail of 6 or more lines runs
-        // through the same fixed-schedule tree with zero lines in the
-        // missing slots. Zero lines add nothing to any column count,
-        // so the fold is bit-identical to the serial insertion it
-        // replaces — at tree ILP instead of a ripple walk per line.
-        if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                __m256i pa = _mm256_setzero_si256();
-                __m256i pb = _mm256_setzero_si256();
-                if (ta < n) {
-                    const __m256i xa = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta].words[w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta - i) * kFilterLanes));
-                    pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                          all_ones);
-                }
-                if (ta + 1 < n) {
-                    const __m256i xb = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta + 1].words[w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta + 1 - i) * kFilterLanes));
-                    pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                          all_ones);
-                }
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            __m256i carry = addPlanesK(planes, folded, 5);
-            int j = 5;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-            i = n;
-        }
-        for (; i < n; ++i, wrow += kFilterLanes) {
-            const __m256i xv =
-                _mm256_set1_epi64x(static_cast<long long>(xs[i].words[w]));
-            const __m256i wv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(wrow));
-            __m256i carry = _mm256_xor_si256(_mm256_xor_si256(xv, wv),
-                                             all_ones);
-            if (i < parity_lines)
-                lsb = _mm256_xor_si256(lsb, carry);
-            int j = 0;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-        }
-
-        alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-        for (int j = 0; j < used; ++j)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]),
-                               planes[j]);
-        alignas(32) uint64_t lw[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-        // Per real lane (filter), transpose that lane's plane bits into
-        // 64 per-cycle counts, 16 at a time.
-        const size_t out_base = (w - begin_word) * 64;
-        for (size_t f = 0; f < block.lanes; ++f) {
-            for (int g = 0; g < 4; ++g) {
-                __m256i acc = _mm256_setzero_si256();
-                for (int j = 0; j < used; ++j) {
-                    const auto bits =
-                        static_cast<uint16_t>(pw[j][f] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        acc, spreadBits16(bits, lane_bit,
-                                          static_cast<short>(1 << j)));
-                }
-                if (parity_lines > 0) {
-                    const auto bits =
-                        static_cast<uint16_t>(lw[f] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        _mm256_and_si256(
-                            acc, _mm256_set1_epi16(
-                                     static_cast<short>(~1))),
-                        spreadBits16(bits, lane_bit, 1));
-                }
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(
-                        out + f * out_stride + out_base +
-                        static_cast<size_t>(g) * 16),
-                    acc);
-            }
-        }
-    }
-    return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) size_t
-avx2ProductCountsMultiBatch(const BitstreamView *xs0,
-                            const size_t *x_strides, const uint32_t *images,
-                            size_t n_images, const WeightBlockView &block,
-                            size_t parity_lines, size_t begin_word,
-                            size_t end_word, uint16_t *out,
-                            size_t lane_stride, size_t image_stride)
-{
-    if (!enabled())
-        return 0;
-    // Full words only, as in avx2ProductCountsMulti: the partial tail
-    // word stays with the scalar caller.
-    const size_t full_end = std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-
-    // Weight-stationary loop order: word outer, image inner. The
-    // weight row for word w (taps x kFilterLanes contiguous words) is
-    // streamed once and re-read from cache for every image in the
-    // micro-batch instead of re-fetched from memory per image.
-    for (size_t w = begin_word; w < full_end; ++w) {
-        const uint64_t *wrow0 = block.at(w, 0);
-        const size_t out_base = (w - begin_word) * 64;
-        for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            __m256i planes[kMaxCarrySavePlanes];
-            __m256i lsb = _mm256_setzero_si256();
-            int used = 0;
-            const uint64_t *wrow = wrow0;
-            __m256i s[8], c[8];
-            size_t i = 0;
-            for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    const __m256i xa =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta].words[img * x_strides[ta] + w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow +
-                            2 * static_cast<size_t>(r) * kFilterLanes));
-                    const __m256i pa = _mm256_xor_si256(
-                        _mm256_xor_si256(xa, wa), all_ones);
-                    const __m256i xb =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta + 1]
-                                .words[img * x_strides[ta + 1] + w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (2 * static_cast<size_t>(r) + 1) *
-                                       kFilterLanes));
-                    const __m256i pb = _mm256_xor_si256(
-                        _mm256_xor_si256(xb, wb), all_ones);
-                    if (ta < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pa);
-                    if (ta + 1 < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pb);
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                if (used == 0) {
-                    for (int j2 = 0; j2 < 5; ++j2)
-                        planes[j2] = folded[j2];
-                    used = 5;
-                } else {
-                    __m256i carry = addPlanesK(planes, folded, 5);
-                    int j2 = 5;
-                    while (!_mm256_testz_si256(carry, carry)) {
-                        SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        if (j2 == used) {
-                            planes[used++] = carry;
-                            break;
-                        }
-                        const __m256i t =
-                            _mm256_and_si256(planes[j2], carry);
-                        planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                        carry = t;
-                        ++j2;
-                    }
-                }
-            }
-            // Zero-padded final block (see avx2ProductCountsMulti).
-            if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    __m256i pa = _mm256_setzero_si256();
-                    __m256i pb = _mm256_setzero_si256();
-                    if (ta < n) {
-                        const __m256i xa =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta].words[img * x_strides[ta] + w]));
-                        const __m256i wa = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta - i) * kFilterLanes));
-                        pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                              all_ones);
-                    }
-                    if (ta + 1 < n) {
-                        const __m256i xb =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta + 1]
-                                    .words[img * x_strides[ta + 1] + w]));
-                        const __m256i wb = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta + 1 - i) * kFilterLanes));
-                        pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                              all_ones);
-                    }
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j2 = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-                i = n;
-            }
-            for (; i < n; ++i, wrow += kFilterLanes) {
-                const __m256i xv = _mm256_set1_epi64x(
-                    static_cast<long long>(
-                        xs0[i].words[img * x_strides[i] + w]));
-                const __m256i wv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wrow));
-                __m256i carry = _mm256_xor_si256(
-                    _mm256_xor_si256(xv, wv), all_ones);
-                if (i < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, carry);
-                int j2 = 0;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-            }
-
-            alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-            for (int j2 = 0; j2 < used; ++j2)
-                _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j2]),
-                                   planes[j2]);
-            alignas(32) uint64_t lw[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-            uint16_t *img_out = out + j * image_stride;
-            for (size_t f = 0; f < block.lanes; ++f) {
-                for (int g = 0; g < 4; ++g) {
-                    __m256i acc = _mm256_setzero_si256();
-                    for (int j2 = 0; j2 < used; ++j2) {
-                        const auto bits = static_cast<uint16_t>(
-                            pw[j2][f] >> (g * 16));
-                        acc = _mm256_or_si256(
-                            acc,
-                            spreadBits16(bits, lane_bit,
-                                         static_cast<short>(1 << j2)));
-                    }
-                    if (parity_lines > 0) {
-                        const auto bits =
-                            static_cast<uint16_t>(lw[f] >> (g * 16));
-                        acc = _mm256_or_si256(
-                            _mm256_and_si256(
-                                acc, _mm256_set1_epi16(
-                                         static_cast<short>(~1))),
-                            spreadBits16(bits, lane_bit, 1));
-                    }
-                    _mm256_storeu_si256(
-                        reinterpret_cast<__m256i *>(
-                            img_out + f * lane_stride + out_base +
-                            static_cast<size_t>(g) * 16),
-                        acc);
-                }
-            }
-        }
-    }
-    return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) size_t
-avx2ProductPlanesMulti(const BitstreamView *xs, const WeightBlockView &block,
-                       size_t parity_lines, size_t begin_word,
-                       size_t end_word, size_t plane_cap, uint64_t *out,
-                       size_t lane_stride)
-{
-    if (!enabled())
-        return 0;
-    const size_t full_end = std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-
-    for (size_t w = begin_word; w < full_end; ++w) {
-        // The fold of avx2ProductCountsMulti, verbatim; only the tail
-        // differs — planes are stored, not transposed.
-        __m256i planes[kMaxCarrySavePlanes];
-        __m256i lsb = _mm256_setzero_si256();
-        int used = 0;
-        const uint64_t *wrow = block.at(w, 0);
-        __m256i s[8], c[8];
-        size_t i = 0;
-        for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                const __m256i xa = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta].words[w]));
-                const __m256i wa = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        2 * static_cast<size_t>(r) * kFilterLanes));
-                const __m256i pa = _mm256_xor_si256(
-                    _mm256_xor_si256(xa, wa), all_ones);
-                const __m256i xb = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta + 1].words[w]));
-                const __m256i wb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        (2 * static_cast<size_t>(r) + 1) * kFilterLanes));
-                const __m256i pb = _mm256_xor_si256(
-                    _mm256_xor_si256(xb, wb), all_ones);
-                if (ta < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pa);
-                if (ta + 1 < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pb);
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            if (used == 0) {
-                for (int j = 0; j < 5; ++j)
-                    planes[j] = folded[j];
-                used = 5;
-            } else {
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j], carry);
-                    planes[j] = _mm256_xor_si256(planes[j], carry);
-                    carry = t;
-                    ++j;
-                }
-            }
-        }
-        // Zero-padded final block (see avx2ProductCountsMulti).
-        if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                __m256i pa = _mm256_setzero_si256();
-                __m256i pb = _mm256_setzero_si256();
-                if (ta < n) {
-                    const __m256i xa = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta].words[w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta - i) * kFilterLanes));
-                    pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                          all_ones);
-                }
-                if (ta + 1 < n) {
-                    const __m256i xb = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta + 1].words[w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta + 1 - i) * kFilterLanes));
-                    pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                          all_ones);
-                }
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            __m256i carry = addPlanesK(planes, folded, 5);
-            int j = 5;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-            i = n;
-        }
-        for (; i < n; ++i, wrow += kFilterLanes) {
-            const __m256i xv =
-                _mm256_set1_epi64x(static_cast<long long>(xs[i].words[w]));
-            const __m256i wv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(wrow));
-            __m256i carry = _mm256_xor_si256(_mm256_xor_si256(xv, wv),
-                                             all_ones);
-            if (i < parity_lines)
-                lsb = _mm256_xor_si256(lsb, carry);
-            int j = 0;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-        }
-        SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
-                      "fold used %d planes, cap %zu", used, plane_cap);
-
-        alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-        for (int j = 0; j < used; ++j)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]),
-                               planes[j]);
-        alignas(32) uint64_t lw[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t f = 0; f < block.lanes; ++f) {
-            uint64_t *dst = out + f * lane_stride + word_base;
-            size_t p = 0;
-            for (; p < static_cast<size_t>(used); ++p)
-                dst[p] = pw[p][f];
-            for (; p < plane_cap; ++p)
-                dst[p] = 0;
-            dst[plane_cap] = lw[f];
-        }
-    }
-    return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) size_t
-avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
-                            const size_t *x_strides, const uint32_t *images,
-                            size_t n_images, const WeightBlockView &block,
-                            size_t parity_lines, size_t begin_word,
-                            size_t end_word, size_t plane_cap,
-                            uint64_t *out, size_t lane_stride,
-                            size_t image_stride)
-{
-    if (!enabled())
-        return 0;
-    const size_t full_end = std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-
-    // Weight-stationary order as in avx2ProductCountsMultiBatch; the
-    // transpose tail is replaced by plane stores.
-    for (size_t w = begin_word; w < full_end; ++w) {
-        const uint64_t *wrow0 = block.at(w, 0);
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            __m256i planes[kMaxCarrySavePlanes];
-            __m256i lsb = _mm256_setzero_si256();
-            int used = 0;
-            const uint64_t *wrow = wrow0;
-            __m256i s[8], c[8];
-            size_t i = 0;
-            for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    const __m256i xa =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta].words[img * x_strides[ta] + w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow +
-                            2 * static_cast<size_t>(r) * kFilterLanes));
-                    const __m256i pa = _mm256_xor_si256(
-                        _mm256_xor_si256(xa, wa), all_ones);
-                    const __m256i xb =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta + 1]
-                                .words[img * x_strides[ta + 1] + w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (2 * static_cast<size_t>(r) + 1) *
-                                       kFilterLanes));
-                    const __m256i pb = _mm256_xor_si256(
-                        _mm256_xor_si256(xb, wb), all_ones);
-                    if (ta < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pa);
-                    if (ta + 1 < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pb);
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                if (used == 0) {
-                    for (int j2 = 0; j2 < 5; ++j2)
-                        planes[j2] = folded[j2];
-                    used = 5;
-                } else {
-                    __m256i carry = addPlanesK(planes, folded, 5);
-                    int j2 = 5;
-                    while (!_mm256_testz_si256(carry, carry)) {
-                        SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        if (j2 == used) {
-                            planes[used++] = carry;
-                            break;
-                        }
-                        const __m256i t =
-                            _mm256_and_si256(planes[j2], carry);
-                        planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                        carry = t;
-                        ++j2;
-                    }
-                }
-            }
-            // Zero-padded final block (see avx2ProductCountsMulti).
-            if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    __m256i pa = _mm256_setzero_si256();
-                    __m256i pb = _mm256_setzero_si256();
-                    if (ta < n) {
-                        const __m256i xa =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta].words[img * x_strides[ta] + w]));
-                        const __m256i wa = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta - i) * kFilterLanes));
-                        pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                              all_ones);
-                    }
-                    if (ta + 1 < n) {
-                        const __m256i xb =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta + 1]
-                                    .words[img * x_strides[ta + 1] + w]));
-                        const __m256i wb = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta + 1 - i) * kFilterLanes));
-                        pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                              all_ones);
-                    }
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j2 = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-                i = n;
-            }
-            for (; i < n; ++i, wrow += kFilterLanes) {
-                const __m256i xv = _mm256_set1_epi64x(
-                    static_cast<long long>(
-                        xs0[i].words[img * x_strides[i] + w]));
-                const __m256i wv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wrow));
-                __m256i carry = _mm256_xor_si256(
-                    _mm256_xor_si256(xv, wv), all_ones);
-                if (i < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, carry);
-                int j2 = 0;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-            }
-            SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
-                          "fold used %d planes, cap %zu", used, plane_cap);
-
-            alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-            for (int j2 = 0; j2 < used; ++j2)
-                _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j2]),
-                                   planes[j2]);
-            alignas(32) uint64_t lw[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-            uint64_t *img_out = out + j * image_stride;
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t *dst = img_out + f * lane_stride + word_base;
-                size_t p = 0;
-                for (; p < static_cast<size_t>(used); ++p)
-                    dst[p] = pw[p][f];
-                for (; p < plane_cap; ++p)
-                    dst[p] = 0;
-                dst[plane_cap] = lw[f];
-            }
-        }
-    }
-    return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) static void
-avx2SpreadPlanesWordImpl(const uint64_t *pw, size_t n_planes, bool parity,
-                         uint16_t *out)
-{
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-    for (int g = 0; g < 4; ++g) {
-        __m256i acc = _mm256_setzero_si256();
-        for (size_t j = 0; j < n_planes; ++j) {
-            const auto bits = static_cast<uint16_t>(pw[j] >> (g * 16));
-            acc = _mm256_or_si256(
-                acc, spreadBits16(bits, lane_bit,
-                                  static_cast<short>(1 << j)));
-        }
-        if (parity) {
-            const auto bits =
-                static_cast<uint16_t>(pw[n_planes] >> (g * 16));
-            acc = _mm256_or_si256(
-                _mm256_and_si256(
-                    acc, _mm256_set1_epi16(static_cast<short>(~1))),
-                spreadBits16(bits, lane_bit, 1));
-        }
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out + g * 16), acc);
-    }
+    if (fold.planes != nullptr)
+        foldWordsAs<true>(fold, full_end);
+    else
+        foldWordsAs<false>(fold, full_end);
+    return full_end - fold.begin_word;
 }
 
 void
@@ -1107,45 +560,11 @@ avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
 {
     SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
     if (enabled()) {
-        avx2SpreadPlanesWordImpl(pw, n_planes, parity, out);
+        spreadPlanesWordAvx2(pw, n_planes, parity, out);
         return;
     }
-    for (size_t b = 0; b < 64; ++b) {
-        uint16_t c = 0;
-        for (size_t j = 0; j < n_planes; ++j)
-            c |= static_cast<uint16_t>((pw[j] >> b) & 1) << j;
-        if (parity)
-            c = static_cast<uint16_t>(
-                (c & ~uint16_t{1}) |
-                static_cast<uint16_t>((pw[n_planes] >> b) & 1));
-        out[b] = c;
-    }
-}
-
-__attribute__((target("avx2"))) static void
-avx2SpreadPlanesGroupImpl(const uint64_t *pw, size_t n_planes,
-                          bool parity, size_t group, uint16_t *out)
-{
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t j = 0; j < n_planes; ++j) {
-        const auto bits = static_cast<uint16_t>(pw[j] >> (group * 16));
-        acc = _mm256_or_si256(
-            acc,
-            spreadBits16(bits, lane_bit, static_cast<short>(1 << j)));
-    }
-    if (parity) {
-        const auto bits =
-            static_cast<uint16_t>(pw[n_planes] >> (group * 16));
-        acc = _mm256_or_si256(
-            _mm256_and_si256(acc,
-                             _mm256_set1_epi16(static_cast<short>(~1))),
-            spreadBits16(bits, lane_bit, 1));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), acc);
+    for (size_t g = 0; g < 4; ++g)
+        spreadPlanesGroupScalar(pw, n_planes, parity, g, out + g * 16);
 }
 
 void
@@ -1154,7 +573,7 @@ avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes, bool parity,
 {
     SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
     if (enabled()) {
-        avx2SpreadPlanesGroupImpl(pw, n_planes, parity, group, out);
+        spreadPlanesGroupAvx2(pw, n_planes, parity, group, out);
         return;
     }
     spreadPlanesGroupScalar(pw, n_planes, parity, group, out);
@@ -1246,8 +665,7 @@ avx2SpreadPlanesGroupMultiImpl(const uint64_t *const *pws, size_t n,
                                uint16_t *const *outs)
 {
     for (size_t i = 0; i < n; ++i)
-        avx2SpreadPlanesGroupImpl(pws[i], n_planes, parity, group,
-                                  outs[i]);
+        spreadPlanesGroupAvx2(pws[i], n_planes, parity, group, outs[i]);
 }
 
 void
@@ -1514,33 +932,7 @@ avx2ProductCountBlocks(const BitstreamView *, const BitstreamView *,
 }
 
 size_t
-avx2ProductCountsMulti(const BitstreamView *, const WeightBlockView &,
-                       size_t, size_t, size_t, uint16_t *, size_t)
-{
-    return 0;
-}
-
-size_t
-avx2ProductCountsMultiBatch(const BitstreamView *, const size_t *,
-                            const uint32_t *, size_t,
-                            const WeightBlockView &, size_t, size_t,
-                            size_t, uint16_t *, size_t, size_t)
-{
-    return 0;
-}
-
-size_t
-avx2ProductPlanesMulti(const BitstreamView *, const WeightBlockView &,
-                       size_t, size_t, size_t, size_t, uint64_t *, size_t)
-{
-    return 0;
-}
-
-size_t
-avx2ProductPlanesMultiBatch(const BitstreamView *, const size_t *,
-                            const uint32_t *, size_t,
-                            const WeightBlockView &, size_t, size_t,
-                            size_t, size_t, uint64_t *, size_t, size_t)
+avx2ProductFold(const ProductFold &)
 {
     return 0;
 }
@@ -1549,16 +941,8 @@ void
 avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
                      uint16_t *out)
 {
-    for (size_t b = 0; b < 64; ++b) {
-        uint16_t c = 0;
-        for (size_t j = 0; j < n_planes; ++j)
-            c |= static_cast<uint16_t>((pw[j] >> b) & 1) << j;
-        if (parity)
-            c = static_cast<uint16_t>(
-                (c & ~uint16_t{1}) |
-                static_cast<uint16_t>((pw[n_planes] >> b) & 1));
-        out[b] = c;
-    }
+    for (size_t g = 0; g < 4; ++g)
+        spreadPlanesGroupScalar(pw, n_planes, parity, g, out + g * 16);
 }
 
 void

@@ -9,13 +9,21 @@
  * dispatch rule DESIGN.md documents, enforced by tests/test_simd.cc).
  *
  * Kernels:
+ *  - avx2ProductFold: the one filter-blocked XNOR + carry-save fold
+ *    behind fusedProductCountsMulti, fusedProductCountsMultiBatch and
+ *    fusedProductPlanesMultiBatch, for one operand window or a
+ *    weight-stationary micro-batch, emitting counts or bit-planes;
  *  - avx2ProductCountBlocks: the carry-save bit-plane loop of
  *    fusedProductCounts over blocks of four words (256 cycles) at a
  *    time, including the vectorized plane-to-count transpose;
  *  - avx2ProductCountTotal: the popcount reductions of
- *    fusedProductCountTotal (nibble-LUT shuffle + psadbw);
+ *    fusedProductCountTotalRange (nibble-LUT shuffle + psadbw);
+ *  - the plane readers (avx2SpreadPlanes*, avx2PlaneWordSums*) of the
+ *    Figure 8 max-pooling selector;
  *  - avx2SumU16: the segment accumulation of the masked binary
- *    max-pooling kernel.
+ *    max-pooling kernel;
+ *  - avx2XnorPopcountMulti and avx2BtanhWordsBatch: the binary
+ *    backend's inner product and the lane-parallel Btanh step.
  *
  * Dispatch: enabled() is true when the binary carries the AVX2 paths,
  * the CPU reports AVX2, and neither SCDCNN_FORCE_SCALAR nor
@@ -64,84 +72,82 @@ size_t avx2ProductCountBlocks(const BitstreamView *xs,
                               uint16_t *out);
 
 /**
- * Filter-blocked carry-save column counts: for every full word of
- * [@p begin_word, @p end_word) (a word is full when all 64 of its
- * cycles lie inside block.length), XNOR each input word of @p xs
- * against the kFilterLanes weight words of @p block with the filters
- * in the 64-bit vector lanes, so one carry-save plane set serves the
- * whole filter block and each input word is loaded once per block.
- * Counts for lane f, cycle begin_word * 64 + i land at
- * out[f * out_stride + i]; only block.lanes lanes are written. The
- * approximate-counter LSB is fused in when @p parity_lines > 0.
+ * One carry-save product fold over a filter block: for every word of
+ * [begin_word, end_word) and every image, XNOR each operand word with
+ * the kFilterLanes weight words of @c block (filters in the 64-bit
+ * vector lanes) and count the product lines per cycle. The result of
+ * a (word, image) is emitted in one of two forms:
  *
- * @return the number of words processed from begin_word (the scalar
- *         caller continues from there); 0 when AVX2 is not enabled.
+ *  - counts (@c counts set): per-cycle uint16 counts, lane f, image j,
+ *    range-local cycle i at counts[j * image_stride + f * lane_stride
+ *    + i], with the approximate-counter LSB (parity of the first
+ *    @c parity_lines lines) substituted when parity_lines > 0;
+ *  - planes (@c planes set): the @c plane_cap canonical bit-planes of
+ *    the counts (planes above the fold's high plane zeroed) and the
+ *    leading-lines parity word at index plane_cap, lane f, image j,
+ *    range-local word q at planes[j * image_stride + f * lane_stride
+ *    + q * (plane_cap + 1)]. Segment sums follow from plane popcounts
+ *    and per-cycle counts are recovered exactly by
+ *    avx2SpreadPlanesWord, so the Figure 8 selector only transposes
+ *    the input it forwards.
+ *
+ * Operands are one window xs[t] (x_strides == nullptr, n_images == 1)
+ * or a weight-stationary micro-batch: image j's tap t words sit at
+ * xs[t].words + images[j] * x_strides[t] (stride 0 shares a line, e.g.
+ * the bias stream), and each word's weight row is folded against every
+ * image before the loop advances. Exactly block.lanes lanes are
+ * written. sc/fused.cc's scalar body and avx2ProductFold below
+ * implement the same contract bit for bit.
  */
-size_t avx2ProductCountsMulti(const BitstreamView *xs,
-                              const WeightBlockView &block,
-                              size_t parity_lines, size_t begin_word,
-                              size_t end_word, uint16_t *out,
-                              size_t out_stride);
+struct ProductFold
+{
+    const BitstreamView *xs = nullptr; //!< block.taps operand views
+    const size_t *x_strides = nullptr; //!< per-tap image word strides
+    const uint32_t *images = nullptr;  //!< active image indices
+    size_t n_images = 1;
+    WeightBlockView block;
+    size_t parity_lines = 0;
+    size_t begin_word = 0, end_word = 0;
+    uint16_t *counts = nullptr; //!< counts form output
+    uint64_t *planes = nullptr; //!< plane form output
+    size_t plane_cap = 0;
+    size_t lane_stride = 0, image_stride = 0;
+};
+
+/** The fold's x-word addressing, as inlined accessors: word w of tap
+ *  t in one unshifted window... */
+struct WindowWords
+{
+    const BitstreamView *xs;
+
+    uint64_t operator()(size_t t, size_t w) const { return xs[t].words[w]; }
+};
+
+/** ...or in image @c img of a batch-major window. */
+struct BatchWords
+{
+    const BitstreamView *xs0;
+    const size_t *x_strides;
+    size_t img;
+
+    uint64_t operator()(size_t t, size_t w) const
+    {
+        return xs0[t].words[img * x_strides[t] + w];
+    }
+};
 
 /**
- * Batch-axis (weight-stationary) variant of avx2ProductCountsMulti:
- * for every full word of [@p begin_word, @p end_word), the block's
- * weight row (taps x kFilterLanes words) is loaded once and folded
- * against the corresponding input-window words of every active image
- * before advancing, so the weight slice stays cache-resident across
- * the micro-batch. Image j's operand for tap i is the image-0 view
- * shifted by whole words: xs0[i].words + images[j] * x_strides[i]
- * (stride 0 shares a line, e.g. the bias stream). Counts for active
- * position j, lane f, range-local cycle i land at
- * out[j * image_stride + f * lane_stride + i].
+ * AVX2 body of the ProductFold: 16 product lines at a time through a
+ * fixed-schedule compressor tree, a zero-padded final tile, then
+ * serial plane insertion for the leftovers. Covers the full words of
+ * the range only (a word is full when all 64 of its cycles lie inside
+ * block.length); the stream's partial tail word stays with the scalar
+ * body.
  *
  * @return the number of words processed from begin_word (the scalar
  *         caller continues from there); 0 when AVX2 is not enabled.
  */
-size_t avx2ProductCountsMultiBatch(const BitstreamView *xs0,
-                                   const size_t *x_strides,
-                                   const uint32_t *images,
-                                   size_t n_images,
-                                   const WeightBlockView &block,
-                                   size_t parity_lines, size_t begin_word,
-                                   size_t end_word, uint16_t *out,
-                                   size_t lane_stride,
-                                   size_t image_stride);
-
-/**
- * Plane-emitting variant of avx2ProductCountsMulti: identical
- * carry-save fold, but the per-word result is stored as the canonical
- * bit-planes of the column counts instead of being transposed into
- * per-cycle uint16 counts. For lane f, range-local word q, the
- * @p plane_cap planes land at out[f * lane_stride + q * (plane_cap+1)
- * + p] (planes above the fold's high plane are zeroed) and the
- * leading-lines parity word at index plane_cap. Skipping the transpose
- * matters when only segment sums of most lanes' counts are consumed
- * (the Figure 8 selector's losing inputs): sums follow from plane
- * popcounts, and per-cycle counts can be recovered exactly for the one
- * selected input via avx2SpreadPlanesWord.
- *
- * @return the number of words processed from begin_word (the scalar
- *         caller continues from there); 0 when AVX2 is not enabled.
- */
-size_t avx2ProductPlanesMulti(const BitstreamView *xs,
-                              const WeightBlockView &block,
-                              size_t parity_lines, size_t begin_word,
-                              size_t end_word, size_t plane_cap,
-                              uint64_t *out, size_t lane_stride);
-
-/** Batch-axis (weight-stationary) twin of avx2ProductPlanesMulti; see
- *  avx2ProductCountsMultiBatch for the operand/stride contract. Image
- *  j's planes start at out[j * image_stride]. */
-size_t avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
-                                   const size_t *x_strides,
-                                   const uint32_t *images,
-                                   size_t n_images,
-                                   const WeightBlockView &block,
-                                   size_t parity_lines, size_t begin_word,
-                                   size_t end_word, size_t plane_cap,
-                                   uint64_t *out, size_t lane_stride,
-                                   size_t image_stride);
+size_t avx2ProductFold(const ProductFold &fold);
 
 /**
  * Transpose one word's canonical count planes back into 64 per-cycle

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "sc/counter.h"
 #include "sc/fused.h"
 #include "sc/ops.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 
 namespace scdcnn {
@@ -82,10 +84,23 @@ TEST_P(FusedVsReference, ProductCountTotalMatches)
 {
     auto [n, len] = GetParam();
     OperandSet ops(n, len, 3000 + n * 131 + len);
+    const size_t n_words = (len + 63) / 64;
+    sc::ProductCountAccum fused, ref;
+    sc::fusedProductCountTotalRange(sc::toViews(ops.xs),
+                                    sc::toViews(ops.ws), 0, n_words, fused);
+    sc::referenceProductCountTotalRange(sc::toViews(ops.xs),
+                                        sc::toViews(ops.ws), 0, n_words,
+                                        ref);
     for (bool approximate : {false, true}) {
-        EXPECT_EQ(
-            sc::fusedProductCountTotal(ops.xp, ops.wp, approximate),
-            sc::referenceProductCountTotal(ops.xp, ops.wp, approximate))
+        // value()'s popcount identity against the summed per-cycle
+        // counts of the bit-serial oracle.
+        uint64_t per_cycle = 0;
+        for (uint16_t c :
+             sc::referenceProductCounts(ops.xp, ops.wp, approximate))
+            per_cycle += c;
+        EXPECT_EQ(fused.value(approximate), ref.value(approximate))
+            << "n=" << n << " len=" << len << " approx=" << approximate;
+        EXPECT_EQ(fused.value(approximate), per_cycle)
             << "n=" << n << " len=" << len << " approx=" << approximate;
     }
 }
@@ -243,8 +258,7 @@ TEST_P(MultiVsReference, ProductCountTotalRangePartitionsExactly)
     EXPECT_EQ(whole.exact_lsb_ones, ref.exact_lsb_ones);
     EXPECT_EQ(whole.approx_lsb_ones, ref.approx_lsb_ones);
     for (bool approximate : {false, true})
-        EXPECT_EQ(whole.value(approximate),
-                  sc::fusedProductCountTotal(ops.xp, ops.wp, approximate));
+        EXPECT_EQ(whole.value(approximate), ref.value(approximate));
     // A 3-word partition (not dividing most word counts) sums to the
     // whole-stream partials.
     sc::ProductCountAccum parts;
@@ -290,6 +304,147 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(63, 64, 200, 256, 300),
         // Full blocks, ragged last block, single lane.
         ::testing::Values(1, 4, 6)));
+
+/** Restore the processwide SIMD selection after each test. */
+class BatchLoopOrder : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    void TearDown() override { sc::simd::setEnabled(true); }
+};
+
+/** Transpose one word's canonical planes (plus the parity word at
+ *  index plane_cap) into per-cycle counts, substituting the parity LSB
+ *  under the approximate reading. */
+uint16_t
+countFromPlanes(const uint64_t *pw, size_t plane_cap, bool approximate,
+                size_t bit)
+{
+    uint16_t c = 0;
+    for (size_t p = 0; p < plane_cap; ++p)
+        c |= static_cast<uint16_t>(((pw[p] >> bit) & 1) << p);
+    if (approximate)
+        c = static_cast<uint16_t>((c & ~uint16_t{1}) |
+                                  ((pw[plane_cap] >> bit) & 1));
+    return c;
+}
+
+TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
+{
+    // The batch kernels pick image-outer or word-outer order from the
+    // weight slice size; both orders, and the plane form against the
+    // counts form, must agree bit for bit with the bit-serial twin.
+    const size_t taps = GetParam();
+    constexpr size_t kImages = 4;
+    constexpr size_t kFilters = 6; // one full and one ragged lane block
+    const std::vector<uint32_t> active = {0, 2, 3};
+    // Largest word range whose slice still takes the image-outer path.
+    const size_t max_inner_words =
+        sc::kImageOuterSliceBytes /
+        (taps * sc::kFilterLanes * sizeof(uint64_t));
+    ASSERT_GE(max_inner_words, 1u);
+    for (bool word_outer : {false, true}) {
+        const size_t range_words =
+            word_outer ? max_inner_words + 1
+                       : std::min<size_t>(max_inner_words, 3);
+        // The range starts at word 1 and ends on a partial tail word.
+        const size_t w0 = 1;
+        const size_t n_words = range_words + 1;
+        const size_t len = n_words * 64 - 17;
+        const size_t slice_bytes = taps * sc::kFilterLanes * range_words *
+                                   sizeof(uint64_t);
+        ASSERT_EQ(slice_bytes > sc::kImageOuterSliceBytes, word_outer);
+
+        sc::BatchStreamArena xs_arena;
+        xs_arena.reset(taps, kImages, len);
+        sc::SngBank bank(31 * taps + word_outer);
+        sc::SplitMix64 vals(17 * taps + word_outer);
+        for (size_t t = 0; t < taps; ++t)
+            for (size_t b = 0; b < kImages; ++b)
+                xs_arena.assign(t, b,
+                                bank.bipolar(vals.nextInRange(-1, 1), len));
+        std::vector<sc::BitstreamView> xs0;
+        std::vector<size_t> strides;
+        for (size_t t = 0; t < taps; ++t) {
+            xs0.push_back(xs_arena.view(t, 0));
+            strides.push_back(xs_arena.strideWords());
+        }
+        sc::InterleavedWeightArena weights;
+        weights.reset(kFilters, taps, len);
+        for (size_t f = 0; f < kFilters; ++f)
+            for (size_t t = 0; t < taps; ++t)
+                weights.assign(f, t,
+                               bank.bipolar(vals.nextInRange(-1, 1), len));
+
+        const size_t n_cycles = len - w0 * 64;
+        const size_t lane_stride = range_words * 64;
+        const size_t image_stride = sc::kFilterLanes * lane_stride;
+        const size_t plane_cap = sc::planeCapForTaps(taps);
+        const size_t plane_lane_stride = range_words * (plane_cap + 1);
+        const size_t plane_image_stride =
+            sc::kFilterLanes * plane_lane_stride;
+        for (size_t g = 0; g < weights.groups(); ++g) {
+            const sc::WeightBlockView block = weights.block(g);
+            for (bool approximate : {false, true}) {
+                std::vector<uint16_t> reference(
+                    active.size() * image_stride, 0);
+                sc::referenceProductCountsMultiBatch(
+                    xs0, strides, active.data(), active.size(), block,
+                    approximate, w0, n_words, reference.data(),
+                    lane_stride, image_stride);
+                std::vector<uint64_t> scalar_planes;
+                for (bool simd_on : {false, true}) {
+                    sc::simd::setEnabled(simd_on);
+                    std::vector<uint16_t> counts(
+                        active.size() * image_stride, 0);
+                    sc::fusedProductCountsMultiBatch(
+                        xs0, strides, active.data(), active.size(), block,
+                        approximate, w0, n_words, counts.data(),
+                        lane_stride, image_stride);
+                    std::vector<uint64_t> planes(
+                        active.size() * plane_image_stride, 0);
+                    sc::fusedProductPlanesMultiBatch(
+                        xs0, strides, active.data(), active.size(), block,
+                        approximate, w0, n_words, planes.data(), plane_cap,
+                        plane_lane_stride, plane_image_stride);
+                    std::vector<uint16_t> from_planes(
+                        active.size() * image_stride, 0);
+                    for (size_t j = 0; j < active.size(); ++j)
+                        for (size_t f = 0; f < block.lanes; ++f)
+                            for (size_t i = 0; i < n_cycles; ++i)
+                                from_planes[j * image_stride +
+                                            f * lane_stride + i] =
+                                    countFromPlanes(
+                                        planes.data() +
+                                            j * plane_image_stride +
+                                            f * plane_lane_stride +
+                                            (i / 64) * (plane_cap + 1),
+                                        plane_cap, approximate, i % 64);
+                    const std::string where =
+                        "taps=" + std::to_string(taps) +
+                        " word_outer=" + std::to_string(word_outer) +
+                        " g=" + std::to_string(g) +
+                        " approx=" + std::to_string(approximate) +
+                        " simd=" + std::to_string(simd_on);
+                    EXPECT_EQ(counts, reference) << where;
+                    EXPECT_EQ(from_planes, reference) << where;
+                    // The plane words themselves (zero planes above the
+                    // fold's high plane, zero tail bits) match across
+                    // the dispatch too.
+                    if (!simd_on)
+                        scalar_planes = planes;
+                    else
+                        EXPECT_EQ(planes, scalar_planes) << where;
+                }
+            }
+        }
+    }
+}
+
+// Single line, the parity cutoff, the 16-line compressor tile and its
+// zero-padded tail (21 = 16 + 5 leftovers takes serial insertion,
+// 22 = 16 + 6 the padded tree), and wide FC-like fan-ins.
+INSTANTIATE_TEST_SUITE_P(Taps, BatchLoopOrder,
+                         ::testing::Values(1, 5, 16, 21, 22, 201, 257));
 
 TEST(FusedMuxBlock, MatchesMaterializedProductsBitExact)
 {
