@@ -10,6 +10,7 @@
 #include "sc/counter.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 #include "sc/stanh.h"
 
@@ -29,6 +30,38 @@ BM_SngBipolar(benchmark::State &state)
         static_cast<int64_t>(len));
 }
 BENCHMARK(BM_SngBipolar)->Arg(256)->Arg(1024)->Arg(4096);
+
+/**
+ * The engine's SNG path: SngBank::bipolarInto filling four streams in
+ * place per iteration, through the scalar word body (second arg 0) or
+ * the four-generator AVX2 body (1; the scalar body again when the CPU
+ * lacks AVX2). `stream_time` is the per-stream cost.
+ */
+void
+BM_SngBipolarInto(benchmark::State &state)
+{
+    const size_t len = static_cast<size_t>(state.range(0));
+    const bool was_enabled = simd::enabled();
+    simd::setEnabled(state.range(1) != 0);
+    const size_t stride = (len + 63) / 64;
+    std::vector<uint64_t> words(4 * stride);
+    const double xs[4] = {0.3, -0.6, 0.05, 0.9};
+    SngBank bank(1);
+    for (auto _ : state) {
+        bank.bipolarInto(xs, len, words.data(), stride);
+        benchmark::DoNotOptimize(words.data());
+        benchmark::ClobberMemory();
+    }
+    simd::setEnabled(was_enabled);
+    const auto streams = static_cast<double>(state.iterations()) * 4;
+    state.counters["stream_time"] = benchmark::Counter(
+        streams, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.SetItemsProcessed(static_cast<int64_t>(streams) *
+                            static_cast<int64_t>(len));
+}
+BENCHMARK(BM_SngBipolarInto)
+    ->ArgNames({"len", "avx2"})
+    ->ArgsProduct({{256, 1024, 4096}, {0, 1}});
 
 void
 BM_SngBipolarLfsr(benchmark::State &state)

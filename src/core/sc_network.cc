@@ -302,6 +302,19 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
             stanh_tables_[l] = &fsm_tables_.stanh(layer_k_[l]);
     }
 
+    // Every filter's / neuron's streams are drawn in tap order into
+    // one reused word buffer, then copied into their storage layout.
+    std::vector<double> row_values;
+    std::vector<uint64_t> row_words;
+    const size_t row_stride = (len + 63) / 64;
+    auto encode_row = [&]() {
+        row_words.resize(row_values.size() * row_stride);
+        bank.bipolarInto(row_values, len, row_words.data(), row_stride);
+    };
+    auto row_view = [&](size_t tap) {
+        return sc::BitstreamView(row_words.data() + tap * row_stride, len);
+    };
+
     // MUX-based layers attenuate their features by layer_gain_; the
     // consuming layer's weight streams are programmed at w/gain
     // (saturating in the SNG — the pre-scaling of Section 3.2), so the
@@ -315,26 +328,30 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
         out.n_per_filter = out.c_in * out.k * out.k + 1;
         out.blocked.reset(out.c_out, out.n_per_filter, len);
         for (size_t co = 0; co < out.c_out; ++co) {
-            size_t tap = 0;
+            row_values.clear();
             for (size_t ci = 0; ci < out.c_in; ++ci)
                 for (size_t ky = 0; ky < out.k; ++ky)
                     for (size_t kx = 0; kx < out.k; ++kx)
-                        out.blocked.assign(
-                            co, tap++,
-                            bank.bipolar(
-                                conv.weightAt(co, ci, ky, kx) / in_gain,
-                                len));
-            out.blocked.assign(co, tap, bank.bipolar(conv.biasAt(co), len));
+                        row_values.push_back(
+                            conv.weightAt(co, ci, ky, kx) / in_gain);
+            row_values.push_back(conv.biasAt(co));
+            encode_row();
+            for (size_t tap = 0; tap < out.n_per_filter; ++tap)
+                out.blocked.assign(co, tap, row_view(tap));
         }
     };
     // Draws an fc layer's streams in (neuron, input) order, bias last,
-    // handing each to put(neuron, tap, stream).
+    // handing each to put(neuron, tap, stream view).
     auto encode_fc = [&](const nn::FullyConnected &fc, double in_gain,
                          const auto &put) {
         for (size_t o = 0; o < fc.nOut(); ++o) {
+            row_values.clear();
             for (size_t i = 0; i < fc.nIn(); ++i)
-                put(o, i, bank.bipolar(fc.weightAt(o, i) / in_gain, len));
-            put(o, fc.nIn(), bank.bipolar(fc.biasAt(o), len));
+                row_values.push_back(fc.weightAt(o, i) / in_gain);
+            row_values.push_back(fc.biasAt(o));
+            encode_row();
+            for (size_t i = 0; i <= fc.nIn(); ++i)
+                put(o, i, row_view(i));
         }
     };
 
@@ -357,7 +374,7 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
             out.n_out = fc.nOut();
             out.blocked.reset(out.n_out, out.n_in + 1, len);
             encode_fc(fc, in_gain,
-                      [&](size_t o, size_t i, const sc::Bitstream &s) {
+                      [&](size_t o, size_t i, sc::BitstreamView s) {
                           out.blocked.assign(o, i, s);
                       });
         }
@@ -368,8 +385,9 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     out_.n_in = fc.nIn();
     out_.n_out = fc.nOut();
     out_.arena.reset(out_.n_out * (out_.n_in + 1), len);
-    encode_fc(fc, in_gain, [&](size_t o, size_t i, const sc::Bitstream &s) {
-        out_.arena.assign(o * (out_.n_in + 1) + i, s);
+    encode_fc(fc, in_gain, [&](size_t o, size_t i, sc::BitstreamView s) {
+        std::copy(s.words, s.words + row_stride,
+                  out_.arena.wordsAt(o * (out_.n_in + 1) + i));
     });
 }
 
@@ -396,10 +414,14 @@ ScNetwork::encodeImagesBatch(std::span<const nn::Tensor> images,
         sc::SngBank bank(seeds[b]);
         // Pixel values in [0,1] already lie inside the bipolar range;
         // they are encoded at face value so the SC network computes
-        // the same function the float network was trained on.
-        for (size_t i = 0; i < image.size(); ++i)
-            grid.arena.assign(i, b,
-                              bank.bipolar(image[i], cfg_.bitstream_len));
+        // the same function the float network was trained on. Pixel
+        // i's stream lands directly in its arena slot (i, b), the
+        // slots of one image being images.size() strides apart.
+        const std::vector<double> pixels(image.data().begin(),
+                                         image.data().end());
+        bank.bipolarInto(pixels, cfg_.bitstream_len,
+                         grid.arena.wordsAt(0, b),
+                         images.size() * grid.arena.strideWords());
         emitPhase(obs::SpanName::Encode, nsSince(t0), 0);
     });
     return grid;

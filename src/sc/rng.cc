@@ -120,23 +120,6 @@ Xoshiro256ss::Xoshiro256ss(uint64_t seed)
         s = sm.next();
 }
 
-uint64_t
-Xoshiro256ss::next()
-{
-    auto rotl = [](uint64_t x, int k) {
-        return (x << k) | (x >> (64 - k));
-    };
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
 double
 Xoshiro256ss::nextDouble()
 {

@@ -85,8 +85,20 @@ class Xoshiro256ss
   public:
     explicit Xoshiro256ss(uint64_t seed);
 
-    /** Next 64 random bits. */
-    uint64_t next();
+    /** Next 64 random bits. Inline: the SNG bodies draw once per four
+     *  stream bits. */
+    uint64_t next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();
@@ -100,7 +112,16 @@ class Xoshiro256ss
     /** Standard normal via Box-Muller. */
     double nextGaussian();
 
+    /** The four state words, for the lane-parallel SNG body that steps
+     *  four generators in vector lanes and writes their states back. */
+    uint64_t *state() { return s_; }
+
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
     bool have_gauss_ = false;
     double gauss_ = 0.0;

@@ -922,6 +922,110 @@ avx2XnorPopcountMulti(const uint64_t *x_words, const WeightBlockView &block,
     return full;
 }
 
+/** Rotate each 64-bit lane left by @p k (0 < k < 64). */
+__attribute__((target("avx2"), always_inline)) static inline __m256i
+rotl64(__m256i x, int k)
+{
+    return _mm256_or_si256(_mm256_slli_epi64(x, k),
+                           _mm256_srli_epi64(x, 64 - k));
+}
+
+/** One xoshiro256** step of four generators, state word k of lane f
+ *  in s[k]; returns the four draws. Bit-exact with
+ *  Xoshiro256ss::next(). */
+__attribute__((target("avx2"), always_inline)) static inline __m256i
+xoshiroStep4(__m256i s[4])
+{
+    const __m256i x5 = _mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2));
+    const __m256i r = rotl64(x5, 7);
+    const __m256i result = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
+    const __m256i t = _mm256_slli_epi64(s[1], 17);
+    s[2] = _mm256_xor_si256(s[2], s[0]);
+    s[3] = _mm256_xor_si256(s[3], s[1]);
+    s[1] = _mm256_xor_si256(s[1], s[2]);
+    s[0] = _mm256_xor_si256(s[0], s[3]);
+    s[2] = _mm256_xor_si256(s[2], t);
+    s[3] = rotl64(s[3], 45);
+    return result;
+}
+
+/** @p draws draws of the four generators packed as in the scalar
+ *  sngWord: lane f's draw d nibble at bits [4d, 4d + 4). */
+__attribute__((target("avx2"), always_inline)) static inline __m256i
+sngWord4(__m256i s[4], __m256i thr, size_t draws)
+{
+    const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
+    const __m256i one = _mm256_set1_epi32(1);
+    const __m256i two = _mm256_set1_epi32(2);
+    const __m256i nib = _mm256_set1_epi64x(0xF);
+    __m256i acc = _mm256_setzero_si256();
+    for (size_t d = 0; d < draws; ++d) {
+        const __m256i r = xoshiroStep4(s);
+        // 32-bit element 2j (2j + 1) of a 64-bit lane holds 16-bit
+        // lanes 0, 1 (2, 3): bit 0 of each element is its low lane's
+        // compare, bit 1 its high lane's.
+        const __m256i lo = _mm256_cmpgt_epi32(thr, _mm256_and_si256(r, lo16));
+        const __m256i hi = _mm256_cmpgt_epi32(thr, _mm256_srli_epi32(r, 16));
+        const __m256i v = _mm256_or_si256(_mm256_and_si256(lo, one),
+                                          _mm256_and_si256(hi, two));
+        const __m256i bits = _mm256_and_si256(
+            _mm256_or_si256(v, _mm256_srli_epi64(v, 30)), nib);
+        // Shift earlier nibbles down so draw d ends at bits 4d.
+        acc = _mm256_or_si256(_mm256_srli_epi64(acc, 4),
+                              _mm256_slli_epi64(bits, 60));
+    }
+    return _mm256_srl_epi64(acc, _mm_cvtsi64_si128(
+                                     static_cast<long long>(64 - 4 * draws)));
+}
+
+__attribute__((target("avx2"))) static void
+avx2SngUnipolar4Impl(const uint32_t *thresholds, Xoshiro256ss *rngs,
+                     size_t length, uint64_t *const *outs)
+{
+    __m256i s[4];
+    for (int k = 0; k < 4; ++k)
+        s[k] = _mm256_set_epi64x(static_cast<long long>(rngs[3].state()[k]),
+                                 static_cast<long long>(rngs[2].state()[k]),
+                                 static_cast<long long>(rngs[1].state()[k]),
+                                 static_cast<long long>(rngs[0].state()[k]));
+    const __m256i thr = _mm256_set_epi32(
+        static_cast<int>(thresholds[3]), static_cast<int>(thresholds[3]),
+        static_cast<int>(thresholds[2]), static_cast<int>(thresholds[2]),
+        static_cast<int>(thresholds[1]), static_cast<int>(thresholds[1]),
+        static_cast<int>(thresholds[0]), static_cast<int>(thresholds[0]));
+    alignas(32) uint64_t lanes[4];
+    const size_t full = length / 64;
+    for (size_t w = 0; w < full; ++w) {
+        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes),
+                           sngWord4(s, thr, 16));
+        for (size_t f = 0; f < 4; ++f)
+            outs[f][w] = lanes[f];
+    }
+    if (const size_t tail = length % 64) {
+        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes),
+                           sngWord4(s, thr, (tail + 3) / 4));
+        const uint64_t mask = (uint64_t{1} << tail) - 1;
+        for (size_t f = 0; f < 4; ++f)
+            outs[f][full] = lanes[f] & mask;
+    }
+    alignas(32) uint64_t st[4][4];
+    for (int k = 0; k < 4; ++k)
+        _mm256_store_si256(reinterpret_cast<__m256i *>(st[k]), s[k]);
+    for (size_t f = 0; f < 4; ++f)
+        for (int k = 0; k < 4; ++k)
+            rngs[f].state()[k] = st[k][f];
+}
+
+bool
+avx2SngUnipolar4(const uint32_t *thresholds, Xoshiro256ss *rngs,
+                 size_t length, uint64_t *const *outs)
+{
+    if (!enabled())
+        return false;
+    avx2SngUnipolar4Impl(thresholds, rngs, length, outs);
+    return true;
+}
+
 #else // !SCDCNN_SIMD_X86
 
 size_t
@@ -1012,6 +1116,13 @@ avx2XnorPopcountMulti(const uint64_t *, const WeightBlockView &,
                       uint32_t *)
 {
     return 0;
+}
+
+bool
+avx2SngUnipolar4(const uint32_t *, Xoshiro256ss *, size_t,
+                 uint64_t *const *)
+{
+    return false;
 }
 
 #endif // SCDCNN_SIMD_X86

@@ -23,7 +23,9 @@
  *  - avx2SumU16: the segment accumulation of the masked binary
  *    max-pooling kernel;
  *  - avx2XnorPopcountMulti and avx2BtanhWordsBatch: the binary
- *    backend's inner product and the lane-parallel Btanh step.
+ *    backend's inner product and the lane-parallel Btanh step;
+ *  - avx2SngUnipolar4: the word-at-a-time SNG body for four streams,
+ *    four xoshiro256** generators stepped in the 64-bit lanes.
  *
  * Dispatch: enabled() is true when the binary carries the AVX2 paths,
  * the CPU reports AVX2, and neither SCDCNN_FORCE_SCALAR nor
@@ -38,6 +40,7 @@
 #include <cstdint>
 
 #include "sc/bitstream.h"
+#include "sc/rng.h"
 
 namespace scdcnn {
 namespace sc {
@@ -284,6 +287,23 @@ size_t avx2BtanhWordsBatch(const uint16_t *const *counts, size_t length,
                            uint64_t *const *outs,
                            uint16_t *const *states, size_t n_streams,
                            unsigned k, unsigned n_inputs);
+
+/**
+ * Four-stream SNG body: the xoshiro256** generators rngs[0..4) step
+ * together in the four 64-bit lanes of one vector (x5 and x9 as
+ * shift + add), each draw's 16-bit lanes are compared against stream
+ * f's threshold thresholds[f] (sngThreshold; 32-bit compares, so 65536
+ * fits), and the nibbles are packed into stream f's words at outs[f]
+ * — ceil(length/64) words, tail bits zeroed, 16 draws per full word
+ * and ceil(tail/4) for the tail word. Bit-identical with four
+ * sngUnipolarInto calls, and the generators are left in the same
+ * states.
+ *
+ * @return false, writing nothing, when AVX2 is not enabled (the caller
+ *         then runs the scalar body).
+ */
+bool avx2SngUnipolar4(const uint32_t *thresholds, Xoshiro256ss *rngs,
+                      size_t length, uint64_t *const *outs);
 
 } // namespace simd
 } // namespace sc

@@ -18,6 +18,7 @@
 #define SCDCNN_SC_SNG_H
 
 #include <cstdint>
+#include <span>
 
 #include "sc/bitstream.h"
 #include "sc/rng.h"
@@ -33,6 +34,31 @@ Bitstream sngUnipolar(double p, size_t length, Lfsr &lfsr);
 
 /** Bipolar stream for x in [-1,1] (saturated) from an LFSR SNG. */
 Bitstream sngBipolar(double x, size_t length, Lfsr &lfsr);
+
+/**
+ * Comparator threshold of the Xoshiro-driven SNG for unipolar value
+ * @p p: p saturated to [0,1] and quantized to 1/65536, so 0..65536
+ * inclusive. A stream bit is 1 iff its 16-bit random lane is below it
+ * (0 never fires, 65536 always does).
+ */
+uint32_t sngThreshold(double p);
+
+/**
+ * Word-at-a-time Xoshiro SNG body: writes the ceil(length/64) words of
+ * the unipolar stream for @p p to @p words, tail bits past @p length
+ * zeroed. Each 64-bit draw of @p rng yields four stream bits (its
+ * 16-bit lanes, low lane first, compared against sngThreshold(p)), so
+ * a full word takes 16 draws and the tail word ceil(tail/4) — the
+ * draw order and count of referenceSngUnipolar, whose output it
+ * reproduces bit for bit, leaving @p rng in the same state.
+ */
+void sngUnipolarInto(double p, size_t length, Xoshiro256ss &rng,
+                     uint64_t *words);
+
+/** Reference twin of sngUnipolarInto: one stream bit per loop step
+ *  with a data-dependent branch — the oracle the word bodies (scalar
+ *  and AVX2) are tested against. */
+Bitstream referenceSngUnipolar(double p, size_t length, Xoshiro256ss &rng);
 
 /** Unipolar stream from a Xoshiro-driven SNG (Monte-Carlo harnesses). */
 Bitstream sngUnipolar(double p, size_t length, Xoshiro256ss &rng);
@@ -56,6 +82,21 @@ class SngBank
 
     /** Next independent bipolar stream for x in [-1,1]. */
     Bitstream bipolar(double x, size_t length);
+
+    /** bipolar() written straight into the ceil(length/64) words at
+     *  @p words (tail bits zeroed), without a temporary Bitstream. */
+    void bipolarInto(double x, size_t length, uint64_t *words);
+
+    /**
+     * The next xs.size() independent bipolar streams, stream i written
+     * to out + i * out_stride (words as in the single-stream form).
+     * Identical to xs.size() successive bipolar() calls: one generator
+     * per stream, seeded in order. Runs four streams at a time through
+     * simd::avx2SngUnipolar4 when AVX2 is enabled; the scalar word body
+     * covers the rest.
+     */
+    void bipolarInto(std::span<const double> xs, size_t length,
+                     uint64_t *out, size_t out_stride);
 
     /** Next independent unipolar stream for p in [0,1]. */
     Bitstream unipolar(double p, size_t length);

@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for stochastic number generators: expected values, saturation,
- * determinism, and stream independence.
+ * determinism, stream independence, and the word-at-a-time bodies
+ * (scalar, AVX2, SngBank::bipolarInto) against the per-bit reference
+ * twin.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sc/bitstream.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 
 namespace scdcnn {
@@ -152,6 +158,138 @@ TEST(Sng, SharedLfsrProducesMaximallyCorrelatedStreams)
     Bitstream s1 = sngUnipolar(0.5, 1 << 14, a);
     Bitstream s2 = sngUnipolar(0.7, 1 << 14, b);
     EXPECT_GT(scc(s1, s2), 0.9);
+}
+
+// ------------------------------------------------- word bodies vs twin
+
+/** Lengths around the word boundaries and a few whole streams. */
+const size_t kTwinLengths[] = {1, 3, 63, 64, 65, 100, 257, 1024};
+
+/** Values covering threshold 0 (p <= 0), 1, mid-range, the rounding
+ *  edge just below 1, threshold 65536 (p >= 1) and saturation. */
+const double kTwinValues[] = {-0.1, 0.0, 1.0 / 65536, 0.5,
+                              1.0 - 1e-9, 1.0, 1.1};
+
+/** Word pattern the bodies must fully overwrite. */
+constexpr uint64_t kJunk = 0xA5A5A5A5A5A5A5A5ull;
+
+/** The bits of @p words past @p length are zero. */
+void
+expectTailZero(const uint64_t *words, size_t length)
+{
+    if (length % 64) {
+        EXPECT_EQ(words[length / 64] >> (length % 64), 0u)
+            << "length=" << length;
+    }
+}
+
+/** Restores the SIMD dispatch a test toggles. */
+class SngTwin : public ::testing::Test
+{
+  protected:
+    void TearDown() override { simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = simd::enabled();
+};
+
+TEST_F(SngTwin, ScalarWordBodyMatchesReference)
+{
+    for (size_t len : kTwinLengths)
+        for (double p : kTwinValues)
+            for (uint64_t seed = 1; seed <= 12; ++seed) {
+                Xoshiro256ss ref_rng(seed), rng(seed);
+                const Bitstream ref = referenceSngUnipolar(p, len, ref_rng);
+                std::vector<uint64_t> words(ref.wordCount(), kJunk);
+                sngUnipolarInto(p, len, rng, words.data());
+                ASSERT_EQ(words, ref.words())
+                    << "len=" << len << " p=" << p << " seed=" << seed;
+                expectTailZero(words.data(), len);
+                // Same draw count: the generators stay in lockstep.
+                EXPECT_EQ(rng.next(), ref_rng.next());
+                // The Bitstream wrapper is the same body.
+                Xoshiro256ss wrap_rng(seed);
+                EXPECT_EQ(sngUnipolar(p, len, wrap_rng), ref);
+            }
+}
+
+TEST_F(SngTwin, Avx2FourStreamBodyMatchesReference)
+{
+    const size_t n_values = std::size(kTwinValues);
+    for (bool simd_on : {true, false}) {
+        simd::setEnabled(simd_on);
+        for (size_t len : kTwinLengths)
+            for (uint64_t seed = 1; seed <= 3 * n_values; ++seed) {
+                // Four streams with different values and seeds,
+                // rotating through the value list.
+                std::vector<Xoshiro256ss> rngs, ref_rngs;
+                uint32_t thresholds[4];
+                double ps[4];
+                std::vector<std::vector<uint64_t>> words(
+                    4, std::vector<uint64_t>((len + 63) / 64, kJunk));
+                uint64_t *outs[4];
+                for (size_t f = 0; f < 4; ++f) {
+                    rngs.emplace_back(seed * 4 + f);
+                    ref_rngs.emplace_back(seed * 4 + f);
+                    ps[f] = kTwinValues[(seed + f) % n_values];
+                    thresholds[f] = sngThreshold(ps[f]);
+                    outs[f] = words[f].data();
+                }
+                const bool ran = simd::avx2SngUnipolar4(
+                    thresholds, rngs.data(), len, outs);
+                ASSERT_EQ(ran, simd::enabled());
+                if (!ran)
+                    continue;
+                for (size_t f = 0; f < 4; ++f) {
+                    const Bitstream ref =
+                        referenceSngUnipolar(ps[f], len, ref_rngs[f]);
+                    ASSERT_EQ(words[f], ref.words())
+                        << "len=" << len << " p=" << ps[f]
+                        << " seed=" << seed << " lane=" << f;
+                    expectTailZero(words[f].data(), len);
+                    EXPECT_EQ(rngs[f].next(), ref_rngs[f].next());
+                }
+            }
+    }
+}
+
+TEST_F(SngTwin, BankBipolarIntoMatchesBipolarAndReference)
+{
+    // 11 streams: two four-stream groups plus three leftovers.
+    std::vector<double> xs;
+    for (size_t i = 0; i < 11; ++i)
+        xs.push_back(2.0 * kTwinValues[i % std::size(kTwinValues)] - 1.0);
+    for (bool simd_on : {true, false}) {
+        simd::setEnabled(simd_on);
+        for (size_t len : kTwinLengths)
+            for (uint64_t seed = 1; seed <= 6; ++seed) {
+                // One spare word per slot: the body must not touch it.
+                const size_t stride = (len + 63) / 64 + 1;
+                std::vector<uint64_t> arena(xs.size() * stride, kJunk);
+                SngBank bank(seed), plain(seed);
+                bank.bipolarInto(xs, len, arena.data(), stride);
+                SplitMix64 seeder(seed);
+                for (size_t i = 0; i < xs.size(); ++i) {
+                    const uint64_t *slot = arena.data() + i * stride;
+                    const Bitstream via_bank = plain.bipolar(xs[i], len);
+                    Xoshiro256ss ref_rng(seeder.next());
+                    const Bitstream ref = referenceSngUnipolar(
+                        (xs[i] + 1.0) / 2.0, len, ref_rng);
+                    EXPECT_EQ(via_bank, ref);
+                    ASSERT_TRUE(std::equal(ref.words().begin(),
+                                           ref.words().end(), slot))
+                        << "len=" << len << " seed=" << seed
+                        << " stream=" << i << " simd=" << simd_on;
+                    EXPECT_EQ(slot[stride - 1], kJunk);
+                    expectTailZero(slot, len);
+                }
+                // Both banks consumed the same seeds.
+                EXPECT_EQ(bank.bipolar(0.2, len), plain.bipolar(0.2, len));
+                // The single-stream form is the same draw.
+                std::vector<uint64_t> one((len + 63) / 64, kJunk);
+                bank.bipolarInto(0.3, len, one.data());
+                EXPECT_EQ(one, plain.bipolar(0.3, len).words());
+            }
+    }
 }
 
 } // namespace
