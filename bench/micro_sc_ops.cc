@@ -6,8 +6,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "blocks/pooling.h"
 #include "sc/btanh.h"
 #include "sc/counter.h"
+#include "sc/fsm_batch.h"
+#include "sc/fused.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
 #include "sc/simd.h"
@@ -153,6 +156,140 @@ BM_Btanh(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_Btanh);
+
+/**
+ * Per-call cost of the engine's batched pool + activate kernels at
+ * L = 1024 over n streams (pixels): `call_time` is one call over all
+ * n, `stream_time` the per-stream share. One stream costs about as
+ * much as a full sc::kFsmBatchTile, which is why the engine gathers
+ * pixels into tiles before calling these.
+ */
+void
+setPerCallCounters(benchmark::State &state, size_t n)
+{
+    const auto calls = static_cast<double>(state.iterations());
+    state.counters["call_time"] = benchmark::Counter(
+        calls, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["stream_time"] = benchmark::Counter(
+        calls * static_cast<double>(n),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+constexpr size_t kBatchLen = 1024;
+constexpr size_t kBatchWords = kBatchLen / 64;
+
+/** Btanh over APC counts of a 25-input layer (K = 8). */
+void
+BM_BtanhWordsBatch(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    const BtanhBatchTable table(8, 26);
+    SplitMix64 vals(11);
+    std::vector<std::vector<uint16_t>> counts(
+        n, std::vector<uint16_t>(kBatchLen));
+    std::vector<std::vector<uint64_t>> outs(
+        n, std::vector<uint64_t>(kBatchWords));
+    std::vector<uint16_t> fsm(n, table.initialState());
+    std::vector<const uint16_t *> in_p(n);
+    std::vector<uint64_t *> out_p(n);
+    std::vector<uint16_t *> st_p(n);
+    for (size_t s = 0; s < n; ++s) {
+        for (auto &c : counts[s])
+            c = static_cast<uint16_t>(vals.nextBelow(27));
+        in_p[s] = counts[s].data();
+        out_p[s] = outs[s].data();
+        st_p[s] = &fsm[s];
+    }
+    for (auto _ : state) {
+        table.transformWordsBatch(in_p.data(), kBatchLen, out_p.data(),
+                                  st_p.data(), n);
+        benchmark::ClobberMemory();
+    }
+    setPerCallCounters(state, n);
+}
+BENCHMARK(BM_BtanhWordsBatch)
+    ->ArgName("streams")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(32);
+
+/** Stanh over MUX product streams (K = 8). */
+void
+BM_StanhWordsBatch(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    const StanhBatchTable table(8);
+    SplitMix64 vals(12);
+    std::vector<std::vector<uint64_t>> ins(
+        n, std::vector<uint64_t>(kBatchWords));
+    std::vector<std::vector<uint64_t>> outs(
+        n, std::vector<uint64_t>(kBatchWords));
+    std::vector<uint16_t> fsm(n, table.initialState());
+    std::vector<const uint64_t *> in_p(n);
+    std::vector<uint64_t *> out_p(n);
+    std::vector<uint16_t *> st_p(n);
+    for (size_t s = 0; s < n; ++s) {
+        for (auto &w : ins[s])
+            w = vals.next();
+        in_p[s] = ins[s].data();
+        out_p[s] = outs[s].data();
+        st_p[s] = &fsm[s];
+    }
+    for (auto _ : state) {
+        table.transformWordsBatch(in_p.data(), kBatchLen, out_p.data(),
+                                  st_p.data(), n);
+        benchmark::ClobberMemory();
+    }
+    setPerCallCounters(state, n);
+}
+BENCHMARK(BM_StanhWordsBatch)
+    ->ArgName("streams")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(32);
+
+/** Figure 8 selector over the four windows' count planes of a
+ *  25-input layer, c = 16, accumulative counters. */
+void
+BM_MaxPoolPlanesBatch(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    const size_t plane_cap = planeCapForTaps(26);
+    const size_t plane_words = kBatchWords * (plane_cap + 1);
+    SplitMix64 vals(13);
+    // +4 tail words: the quad loads read past the last parity slot.
+    std::vector<uint64_t> planes(n * 4 * plane_words + 4);
+    for (auto &w : planes)
+        w = vals.next();
+    std::vector<const uint64_t *> plane_p(4 * n);
+    for (size_t i = 0; i < 4 * n; ++i)
+        plane_p[i] = planes.data() + i * plane_words;
+    std::vector<scdcnn::blocks::MaxPoolCarryState> pool(n);
+    std::vector<std::vector<uint16_t>> outs(
+        n, std::vector<uint16_t>(kBatchLen));
+    std::vector<scdcnn::blocks::MaxPoolCarryState *> st_p(n);
+    std::vector<uint16_t *> out_p(n);
+    for (size_t s = 0; s < n; ++s) {
+        pool[s].reset(4, 0);
+        st_p[s] = &pool[s];
+        out_p[s] = outs[s].data();
+    }
+    for (auto _ : state) {
+        scdcnn::blocks::binaryMaxPoolPlanesBatch(
+            plane_p.data(), n, 4, plane_cap, /*parity=*/true, 0, kBatchLen,
+            16, /*accumulate=*/true, st_p.data(), out_p.data());
+        benchmark::ClobberMemory();
+    }
+    setPerCallCounters(state, n);
+}
+BENCHMARK(BM_MaxPoolPlanesBatch)
+    ->ArgName("pixels")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(32);
 
 } // namespace
 

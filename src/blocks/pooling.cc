@@ -257,9 +257,9 @@ binaryAveragePooling(const std::vector<std::vector<uint16_t>> &counts)
     return out;
 }
 
-void
+std::vector<int>
 binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
-                           size_t n_inputs, std::vector<int> &out)
+                           size_t n_inputs)
 {
     SCDCNN_ASSERT(!counts.empty(), "binary average pooling of nothing");
     const size_t len = counts[0].size();
@@ -267,21 +267,13 @@ binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
     for (const auto &c : counts)
         SCDCNN_ASSERT(c.size() == len, "count sequence length mismatch");
 
-    out.resize(len);
+    std::vector<int> out(len);
     for (size_t i = 0; i < len; ++i) {
         int sum = 0;
         for (const auto &c : counts)
             sum += 2 * static_cast<int>(c[i]) - static_cast<int>(n_inputs);
         out[i] = sum / pool; // C++ division truncates toward zero
     }
-}
-
-std::vector<int>
-binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
-                           size_t n_inputs)
-{
-    std::vector<int> out;
-    binaryAveragePoolingSigned(counts, n_inputs, out);
     return out;
 }
 

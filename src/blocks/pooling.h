@@ -135,12 +135,6 @@ std::vector<int>
 binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
                            size_t n_inputs);
 
-/** Allocation-free variant writing into @p out (resized to the
- *  sequence length). */
-void
-binaryAveragePoolingSigned(const std::vector<std::vector<uint16_t>> &counts,
-                           size_t n_inputs, std::vector<int> &out);
-
 /** Pointer variant over segment-local count buffers (the per-cycle
  *  mean is stateless, so ranges need no carried state): counts[j][i]
  *  for pool input j, @p n_cycles entries each, steps into @p out. */
@@ -151,7 +145,9 @@ void binaryAveragePoolingSignedRange(const uint16_t *const *counts,
 /**
  * Range-streamed binaryMaxPoolFused over segment-local count buffers:
  * counts[k][i] is input k's count at absolute cycle abs_begin + i.
- * See maxPoolStreamsRange for the carry contract.
+ * See maxPoolStreamsRange for the carry contract. The engine pools
+ * count planes through binaryMaxPoolPlanesBatch; this is its reference
+ * twin, the oracle of the plane form in tests/test_batch_stream.cc.
  */
 void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         size_t abs_begin, size_t n_cycles,

@@ -46,8 +46,10 @@ emitPhase(obs::SpanName name, uint64_t dur_ns, size_t seg_w0)
 /**
  * Per-chunk phase stopwatch: laps accumulate locally (no atomics in
  * the pixel loop) and the chunk flushes once into the trace as
- * per-segment phase spans, which also feed the recorder's always-on
- * phase aggregate. All no-ops when tracing is disarmed.
+ * per-segment phase spans, which the recorder also folds into its
+ * aggregate phase profile. The stopwatch is off while tracing is
+ * disarmed — start(), lap() and flush() are then no-ops, so neither
+ * the trace nor the aggregate profile sees those runs.
  */
 struct PhaseTimer
 {
@@ -204,6 +206,179 @@ referenceMuxPixel(const uint64_t *const *prod, size_t len, bool use_max,
     timer.lap(timer.activation);
     return out;
 }
+
+/** Work items whose (filter lane x active image) pixels fill one
+ *  sc::kFsmBatchTile-stream FSM tile (at least one item). */
+size_t
+tileItems(size_t n_active)
+{
+    const size_t per_item = sc::kFilterLanes * n_active;
+    return (sc::kFsmBatchTile + per_item - 1) / per_item;
+}
+
+/**
+ * Pool + activate over a tile of pixels gathered across consecutive
+ * work items of one chunk (DESIGN.md, "Pixel tiles"). Each entry is
+ * one (item, filter lane, active image) pixel with its own window
+ * inputs, output words and carried FSM / selector / MUX-generator
+ * state, so grouping pixels into tiles never changes an output bit.
+ * flush() pools every entry, then steps all their activation units in
+ * one batched FSM call: a single image's pixels fill the
+ * kFsmBatchTile lanes as well as a full micro-batch's do.
+ */
+class PixelTile
+{
+  public:
+    /** How a pixel's inputs reach its activation unit. */
+    enum class Pool
+    {
+        None,    //!< fc: the inner product feeds the unit directly
+        Max,     //!< Figure 8 selector (APC layers: over count planes)
+        Average, //!< signed APC mean, or the MUX average
+    };
+
+    /** The layer's pooling and activation units over one segment. */
+    struct Spec
+    {
+        Pool pool = Pool::None;
+        const sc::BtanhBatchTable *btanh = nullptr; //!< APC layers
+        const sc::StanhBatchTable *stanh = nullptr; //!< MUX layers
+        size_t n_inputs = 0;    //!< APC fan-in (signed mean)
+        size_t plane_cap = 0;   //!< APC max: count planes per word
+        size_t segment_len = 0; //!< Figure 8 pooling segment c
+        size_t c0 = 0;          //!< segment's first absolute cycle
+        size_t n_cycles = 0;    //!< segment length in cycles
+    };
+
+    PixelTile(const Spec &spec, size_t capacity) : spec_(spec)
+    {
+        // One pooled slice per tile entry, in the form the layer's
+        // activation unit reads: counts, signed steps or packed words.
+        const size_t words = (spec_.n_cycles + 63) / 64;
+        const bool apc = spec_.btanh != nullptr;
+        if (apc && spec_.pool == Pool::Max) {
+            pooled_.resize(capacity * words * 64);
+            for (size_t e = 0; e < capacity; ++e)
+                pooled_ptrs_.push_back(pooled_.data() + e * words * 64);
+        } else if (apc && spec_.pool == Pool::Average) {
+            steps_.resize(capacity * words * 64);
+            for (size_t e = 0; e < capacity; ++e)
+                step_ptrs_.push_back(steps_.data() + e * words * 64);
+        } else if (!apc && spec_.pool != Pool::None) {
+            pooled_words_.resize(capacity * words);
+            for (size_t e = 0; e < capacity; ++e)
+                pooled_word_ptrs_.push_back(pooled_words_.data() +
+                                            e * words);
+        }
+    }
+
+    /** Register a pixel read as count sequences (APC average pooling,
+     *  APC fc): fan() inputs at @p in. */
+    void add(const uint16_t *const *in, uint64_t *out, uint16_t *fsm)
+    {
+        counts_.insert(counts_.end(), in, in + fan());
+        outs_.push_back(out);
+        fsm_.push_back(fsm);
+    }
+
+    /** Register a pixel read as packed words — count planes (APC max
+     *  pooling) or product streams (MUX layers) — with its selector
+     *  state (max pooling) or MUX generator (MUX average pooling). */
+    void add(const uint64_t *const *in, uint64_t *out, uint16_t *fsm,
+             blocks::MaxPoolCarryState *max = nullptr,
+             sc::Xoshiro256ss *rng = nullptr)
+    {
+        words_.insert(words_.end(), in, in + fan());
+        max_.push_back(max);
+        rng_.push_back(rng);
+        outs_.push_back(out);
+        fsm_.push_back(fsm);
+    }
+
+    /** Pool and activate every registered pixel, timing the two
+     *  phases on @p timer, and empty the tile. */
+    void flush(PhaseTimer &timer)
+    {
+        const size_t n = outs_.size();
+        if (n == 0)
+            return;
+        timer.start();
+        const size_t len = spec_.n_cycles;
+        if (spec_.btanh != nullptr) {
+            if (spec_.pool == Pool::Max) {
+                // One call pools the whole tile: the Figure 8 chunk
+                // walk depends only on the segment range, so every
+                // pixel shares it.
+                blocks::binaryMaxPoolPlanesBatch(
+                    words_.data(), n, 4, spec_.plane_cap, /*parity=*/true,
+                    spec_.c0, len, spec_.segment_len, /*accumulate=*/true,
+                    max_.data(), pooled_ptrs_.data());
+                timer.lap(timer.pooling);
+                spec_.btanh->transformWordsBatch(pooled_ptrs_.data(), len,
+                                                 outs_.data(),
+                                                 fsm_.data(), n);
+            } else if (spec_.pool == Pool::Average) {
+                for (size_t e = 0; e < n; ++e)
+                    blocks::binaryAveragePoolingSignedRange(
+                        counts_.data() + 4 * e, 4, spec_.n_inputs, len,
+                        step_ptrs_[e]);
+                timer.lap(timer.pooling);
+                spec_.btanh->transformSignedWordsBatch(
+                    step_ptrs_.data(), len, outs_.data(), fsm_.data(), n);
+            } else {
+                spec_.btanh->transformWordsBatch(counts_.data(), len,
+                                                 outs_.data(),
+                                                 fsm_.data(), n);
+            }
+        } else if (spec_.pool != Pool::None) {
+            for (size_t e = 0; e < n; ++e) {
+                if (spec_.pool == Pool::Max)
+                    blocks::maxPoolStreamsRange(
+                        words_.data() + 4 * e, 4, spec_.c0, len,
+                        spec_.segment_len, /*accumulate=*/true, *max_[e],
+                        pooled_word_ptrs_[e]);
+                else
+                    blocks::averagePoolingRange(words_.data() + 4 * e, 4,
+                                                len, *rng_[e],
+                                                pooled_word_ptrs_[e]);
+            }
+            timer.lap(timer.pooling);
+            spec_.stanh->transformWordsBatch(pooled_word_ptrs_.data(), len,
+                                             outs_.data(), fsm_.data(), n);
+        } else {
+            spec_.stanh->transformWordsBatch(words_.data(), len,
+                                             outs_.data(), fsm_.data(), n);
+        }
+        timer.lap(timer.activation);
+        counts_.clear();
+        words_.clear();
+        max_.clear();
+        rng_.clear();
+        outs_.clear();
+        fsm_.clear();
+    }
+
+  private:
+    /** Window inputs per pixel. */
+    size_t fan() const { return spec_.pool == Pool::None ? 1 : 4; }
+
+    Spec spec_;
+    // The registered pixels: fan() inputs each (counts or words, by
+    // the layer kind), then one state / output pointer each.
+    std::vector<const uint16_t *> counts_;
+    std::vector<const uint64_t *> words_;
+    std::vector<blocks::MaxPoolCarryState *> max_;
+    std::vector<sc::Xoshiro256ss *> rng_;
+    std::vector<uint64_t *> outs_;
+    std::vector<uint16_t *> fsm_;
+    // Pooled slices, one per entry of a full tile.
+    std::vector<uint16_t> pooled_;
+    std::vector<int> steps_;
+    std::vector<uint64_t> pooled_words_;
+    std::vector<uint16_t *> pooled_ptrs_;
+    std::vector<int *> step_ptrs_;
+    std::vector<uint64_t *> pooled_word_ptrs_;
+};
 
 } // namespace
 
@@ -556,46 +731,54 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
     const auto mux_product = reference ? &sc::referenceMuxProductMulti
                                        : &sc::fusedMuxProductMulti;
 
+    // Every item's inner products land in its own workspace slot until
+    // the tile holding its pixels flushes; the Reference oracle pools
+    // each item on the spot, so it needs one slot.
+    const size_t slots = reference ? 1 : tileItems(n_active);
+    const size_t planes_per_slot =
+        use_planes ? 4 * n_active * plane_image_stride : 0;
+    const size_t counts_per_slot =
+        use_apc && !use_planes
+            ? 4 * n_active * sc::kFilterLanes * seg_stride
+            : 0;
+    const size_t products_per_slot =
+        use_apc ? 0 : 4 * n_active * sc::kFilterLanes * seg_words;
+    const PixelTile::Spec tile_spec{
+        .pool = use_max ? PixelTile::Pool::Max : PixelTile::Pool::Average,
+        .btanh = btanh_tables_[layer_idx],
+        .stanh = stanh_tables_[layer_idx],
+        .n_inputs = n_inputs,
+        .plane_cap = plane_cap,
+        .segment_len = cfg_.segment_len,
+        .c0 = seg.c0,
+        .n_cycles = seg.n_cycles,
+    };
+
     forChunks(pool, n_groups * positions, [&](size_t lo, size_t hi) {
         sc::BatchFusedWorkspace wsp;
         wsp.xs0.resize(n_inputs);
         wsp.x_strides.assign(n_inputs, in_stride);
         wsp.x_strides[n_inputs - 1] = 0; // shared bias line
-        std::vector<uint64_t> planes_buf;
-        std::vector<const uint64_t *> plane_ptrs;
-        std::vector<blocks::MaxPoolCarryState *> pool_state_ptrs;
-        std::vector<uint16_t *> pool_out_ptrs;
-        if (use_planes) {
-            // +4 tail words: the pooling quad loads read whole 4-plane
-            // groups past the last word's parity slot.
-            planes_buf.resize(4 * n_active * plane_image_stride + 4);
-            plane_ptrs.resize(4 * n_active);
-            wsp.pooled.resize(n_active * seg_stride);
-            pool_state_ptrs.resize(n_active);
-            pool_out_ptrs.resize(n_active);
-        } else if (use_apc) {
-            wsp.counts.resize(4 * n_active * sc::kFilterLanes *
-                              seg_stride);
-        } else {
-            wsp.products.resize(4 * n_active * sc::kFilterLanes *
-                                seg_words);
-        }
-        if (use_apc && !use_max)
-            wsp.steps.resize(n_active * seg_stride);
-        if (!use_apc)
-            wsp.pooled_words.resize(n_active * seg_words);
-        wsp.count_ptrs.resize(n_active);
-        wsp.word_ptrs.resize(n_active);
-        wsp.step_ptrs.resize(n_active);
-        wsp.out_ptrs.resize(n_active);
-        wsp.state_ptrs.resize(n_active);
+        // +4 tail words: the pooling quad loads read whole 4-plane
+        // groups past the last word's parity slot.
+        std::vector<uint64_t> planes_buf(
+            use_planes ? slots * planes_per_slot + 4 : 0);
+        wsp.counts.resize(slots * counts_per_slot);
+        wsp.products.resize(slots * products_per_slot);
+        PixelTile tile(tile_spec, slots * sc::kFilterLanes * n_active);
         PhaseTimer timer;
+        size_t slot = 0;
         for (size_t item = lo; item < hi; ++item) {
             const size_t g = item / positions;
             const size_t q = item % positions;
             const size_t oy = q / out_w;
             const size_t ox = q % out_w;
             const sc::WeightBlockView block = weights.blocked.block(g);
+            uint64_t *const planes =
+                planes_buf.data() + slot * planes_per_slot;
+            uint16_t *const counts = wsp.counts.data() + slot * counts_per_slot;
+            uint64_t *const products =
+                wsp.products.data() + slot * products_per_slot;
 
             // The four pooling-window inner products of this filter
             // block, every lane and every active image.
@@ -618,8 +801,7 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                             wsp.xs0, wsp.x_strides, active.data(),
                             n_active, block, /*approximate=*/true,
                             seg.w0, seg.w1,
-                            planes_buf.data() +
-                                window * n_active * plane_image_stride,
+                            planes + window * n_active * plane_image_stride,
                             plane_cap, plane_lane_stride,
                             plane_image_stride);
                     } else if (use_apc) {
@@ -627,9 +809,8 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                             wsp.xs0, wsp.x_strides, active.data(),
                             n_active, block, /*approximate=*/true,
                             seg.w0, seg.w1,
-                            wsp.counts.data() + window * n_active *
-                                                    sc::kFilterLanes *
-                                                    seg_stride,
+                            counts + window * n_active * sc::kFilterLanes *
+                                         seg_stride,
                             seg_stride, sc::kFilterLanes * seg_stride);
                     } else {
                         // MUX layers run the per-image kernel (the
@@ -648,10 +829,9 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                                                    wsp.xs_img);
                             mux_product(wsp.xs_img, block, wsp.selects,
                                         seg.w0, seg.w1,
-                                        wsp.products.data() +
-                                            (window * n_active + j) *
-                                                sc::kFilterLanes *
-                                                seg_words,
+                                        products + (window * n_active + j) *
+                                                       sc::kFilterLanes *
+                                                       seg_words,
                                         seg_words);
                         }
                     }
@@ -659,29 +839,22 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
             }
             timer.lap(timer.inner_product);
 
-            // Pool + activate each lane's pixel per image, carrying the
-            // selector counters and the FSM state across segments. Max
-            // pooling uses the accumulative (non-resetting) reading of
-            // the Figure 8 counters: inside a trained network the
-            // candidate inner products are separated by O(1/N) in
-            // stream value, so per-segment counts cannot distinguish
-            // them, but the accumulated counts converge on the true
-            // maximum within a few hundred cycles (see DESIGN.md
-            // reconstruction notes).
-            for (size_t f = 0; f < block.lanes; ++f) {
-                const size_t p =
-                    (g * sc::kFilterLanes + f) * positions + q;
-                if (reference) {
+            // The window inputs of lane f, image j: (w * n_active + j)
+            // * kFilterLanes + f is the workspace's [window][image][lane]
+            // row.
+            const auto row = [&](size_t w, size_t j, size_t f) {
+                return (w * n_active + j) * sc::kFilterLanes + f;
+            };
+            if (reference) {
+                for (size_t f = 0; f < block.lanes; ++f) {
+                    const size_t p =
+                        (g * sc::kFilterLanes + f) * positions + q;
                     for (size_t j = 0; j < n_active; ++j) {
                         const size_t img = active[j];
                         if (use_apc) {
                             const uint16_t *cnt[4];
                             for (size_t w = 0; w < 4; ++w)
-                                cnt[w] = wsp.counts.data() +
-                                         ((w * n_active + j) *
-                                              sc::kFilterLanes +
-                                          f) *
-                                             seg_stride;
+                                cnt[w] = counts + row(w, j, f) * seg_stride;
                             run.out.arena.assign(
                                 p, img,
                                 referenceApcPixel(
@@ -692,11 +865,7 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                         } else {
                             const uint64_t *prod[4];
                             for (size_t w = 0; w < 4; ++w)
-                                prod[w] = wsp.products.data() +
-                                          ((w * n_active + j) *
-                                               sc::kFilterLanes +
-                                           f) *
-                                              seg_words;
+                                prod[w] = products + row(w, j, f) * seg_words;
                             run.out.arena.assign(
                                 p, img,
                                 referenceMuxPixel(
@@ -707,107 +876,56 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
                                     timer));
                         }
                     }
-                    continue;
                 }
+                continue;
+            }
+
+            // Register every (lane, image) pixel of the item with the
+            // tile, which pools and activates them with the pixels of
+            // the neighbouring items, carrying each pixel's selector
+            // counters, MUX generator and FSM state across segments.
+            // Max pooling uses the accumulative (non-resetting) reading
+            // of the Figure 8 counters: inside a trained network the
+            // candidate inner products are separated by O(1/N) in
+            // stream value, so per-segment counts cannot distinguish
+            // them, but the accumulated counts converge on the true
+            // maximum within a few hundred cycles (see DESIGN.md
+            // reconstruction notes).
+            for (size_t f = 0; f < block.lanes; ++f) {
+                const size_t p = (g * sc::kFilterLanes + f) * positions + q;
                 for (size_t j = 0; j < n_active; ++j) {
-                    const size_t img = active[j];
-                    wsp.out_ptrs[j] =
-                        run.out.arena.wordsAt(p, img) + seg.w0;
-                    wsp.state_ptrs[j] = &run.fsm[p * B + img];
-                }
-                // Pool each image's pixel, then activate all active
-                // images of the lane in one interleaved FSM pass
-                // (independent serial chains overlap in the pipeline).
-                if (use_apc) {
-                    if (use_max) {
-                        // One batched pool call per lane: the chunk
-                        // walk of the Figure 8 selector depends only
-                        // on the segment range, so it is shared across
-                        // the micro-batch, and the plane form means
-                        // only each image's selected window is ever
-                        // transposed back to per-cycle counts.
-                        for (size_t j = 0; j < n_active; ++j) {
-                            const size_t img = active[j];
-                            for (size_t w = 0; w < 4; ++w)
-                                plane_ptrs[j * 4 + w] =
-                                    planes_buf.data() +
-                                    (w * n_active + j) *
-                                        plane_image_stride +
-                                    f * plane_lane_stride;
-                            pool_state_ptrs[j] =
-                                &run.pool[p * B + img];
-                            pool_out_ptrs[j] =
-                                wsp.pooled.data() + j * seg_stride;
-                            wsp.count_ptrs[j] = pool_out_ptrs[j];
-                        }
-                        blocks::binaryMaxPoolPlanesBatch(
-                            plane_ptrs.data(), n_active, 4, plane_cap,
-                            /*parity=*/true, seg.c0, seg.n_cycles,
-                            cfg_.segment_len, /*accumulate=*/true,
-                            pool_state_ptrs.data(),
-                            pool_out_ptrs.data());
-                        timer.lap(timer.pooling);
-                        btanh_tables_[layer_idx]->transformWordsBatch(
-                            wsp.count_ptrs.data(), seg.n_cycles,
-                            wsp.out_ptrs.data(), wsp.state_ptrs.data(),
-                            n_active);
+                    const size_t s = p * B + active[j];
+                    uint64_t *const out =
+                        run.out.arena.wordsAt(p, active[j]) + seg.w0;
+                    if (use_planes) {
+                        const uint64_t *in_planes[4];
+                        for (size_t w = 0; w < 4; ++w)
+                            in_planes[w] = planes +
+                                           (w * n_active + j) *
+                                               plane_image_stride +
+                                           f * plane_lane_stride;
+                        tile.add(in_planes, out, &run.fsm[s], &run.pool[s]);
+                    } else if (use_apc) {
+                        const uint16_t *cnt[4];
+                        for (size_t w = 0; w < 4; ++w)
+                            cnt[w] = counts + row(w, j, f) * seg_stride;
+                        tile.add(cnt, out, &run.fsm[s]);
                     } else {
-                        for (size_t j = 0; j < n_active; ++j) {
-                            const uint16_t *cnt[4];
-                            for (size_t w = 0; w < 4; ++w)
-                                cnt[w] = wsp.counts.data() +
-                                         ((w * n_active + j) *
-                                              sc::kFilterLanes +
-                                          f) *
-                                             seg_stride;
-                            blocks::binaryAveragePoolingSignedRange(
-                                cnt, 4, n_inputs, seg.n_cycles,
-                                wsp.steps.data() + j * seg_stride);
-                            wsp.step_ptrs[j] =
-                                wsp.steps.data() + j * seg_stride;
-                        }
-                        timer.lap(timer.pooling);
-                        btanh_tables_[layer_idx]
-                            ->transformSignedWordsBatch(
-                                wsp.step_ptrs.data(), seg.n_cycles,
-                                wsp.out_ptrs.data(),
-                                wsp.state_ptrs.data(), n_active);
-                    }
-                } else {
-                    for (size_t j = 0; j < n_active; ++j) {
-                        const size_t img = active[j];
                         const uint64_t *prod[4];
                         for (size_t w = 0; w < 4; ++w)
-                            prod[w] = wsp.products.data() +
-                                      ((w * n_active + j) *
-                                           sc::kFilterLanes +
-                                       f) *
-                                          seg_words;
-                        if (use_max)
-                            blocks::maxPoolStreamsRange(
-                                prod, 4, seg.c0, seg.n_cycles,
-                                cfg_.segment_len, /*accumulate=*/true,
-                                run.pool[p * B + img],
-                                wsp.pooled_words.data() +
-                                    j * seg_words);
-                        else
-                            blocks::averagePoolingRange(
-                                prod, 4, seg.n_cycles,
-                                run.pool_rng[p * B + img],
-                                wsp.pooled_words.data() +
-                                    j * seg_words);
-                        wsp.word_ptrs[j] =
-                            wsp.pooled_words.data() + j * seg_words;
+                            prod[w] = products + row(w, j, f) * seg_words;
+                        tile.add(prod, out, &run.fsm[s],
+                                 use_max ? &run.pool[s] : nullptr,
+                                 use_max ? nullptr : &run.pool_rng[s]);
                     }
-                    timer.lap(timer.pooling);
-                    stanh_tables_[layer_idx]->transformWordsBatch(
-                        wsp.word_ptrs.data(), seg.n_cycles,
-                        wsp.out_ptrs.data(), wsp.state_ptrs.data(),
-                        n_active);
                 }
-                timer.lap(timer.activation);
+            }
+            if (++slot == slots) {
+                tile.flush(timer);
+                slot = 0;
             }
         }
+        tile.flush(timer);
         timer.flush(seg.w0);
     });
 }
@@ -840,6 +958,21 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
     const auto mux_product = reference ? &sc::referenceMuxProductMulti
                                        : &sc::fusedMuxProductMulti;
 
+    // Per-item workspace slots and pixel tiles as in the conv runner;
+    // an fc neuron feeds its activation unit directly.
+    const size_t slots = reference ? 1 : tileItems(n_active);
+    const size_t counts_per_slot =
+        use_apc ? n_active * sc::kFilterLanes * seg_stride : 0;
+    const size_t products_per_slot =
+        use_apc ? 0 : n_active * sc::kFilterLanes * seg_words;
+    const PixelTile::Spec tile_spec{
+        .pool = PixelTile::Pool::None,
+        .btanh = btanh_tables_[layer_idx],
+        .stanh = stanh_tables_[layer_idx],
+        .c0 = seg.c0,
+        .n_cycles = seg.n_cycles,
+    };
+
     // One neuron block per work item, chunked across the pool with
     // per-chunk workspaces; the shared input views are gathered once
     // per chunk and every block's weight slice streams contiguously.
@@ -853,23 +986,22 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
         }
         wsp.xs0[weights.n_in] = bias_line_;
         wsp.x_strides[weights.n_in] = 0;
-        if (use_apc)
-            wsp.counts.resize(n_active * sc::kFilterLanes * seg_stride);
-        else
-            wsp.products.resize(n_active * sc::kFilterLanes * seg_words);
-        wsp.count_ptrs.resize(n_active);
-        wsp.word_ptrs.resize(n_active);
-        wsp.out_ptrs.resize(n_active);
-        wsp.state_ptrs.resize(n_active);
+        wsp.counts.resize(slots * counts_per_slot);
+        wsp.products.resize(slots * products_per_slot);
+        PixelTile tile(tile_spec, slots * sc::kFilterLanes * n_active);
         PhaseTimer timer;
+        size_t slot = 0;
         for (size_t g = lo; g < hi; ++g) {
             const sc::WeightBlockView block = weights.blocked.block(g);
+            uint16_t *const counts = wsp.counts.data() + slot * counts_per_slot;
+            uint64_t *const products =
+                wsp.products.data() + slot * products_per_slot;
             timer.start();
             if (use_apc) {
                 product_counts(wsp.xs0, wsp.x_strides, active.data(),
                                n_active, block, /*approximate=*/true,
-                               seg.w0, seg.w1, wsp.counts.data(),
-                               seg_stride, sc::kFilterLanes * seg_stride);
+                               seg.w0, seg.w1, counts, seg_stride,
+                               sc::kFilterLanes * seg_stride);
             } else {
                 // One select generator per (neuron block, image),
                 // shared by the block's lanes (cf. the conv layers'
@@ -883,24 +1015,23 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                            wsp.xs_img);
                     mux_product(wsp.xs_img, block, wsp.selects, seg.w0,
                                 seg.w1,
-                                wsp.products.data() +
-                                    j * sc::kFilterLanes * seg_words,
+                                products + j * sc::kFilterLanes * seg_words,
                                 seg_words);
                 }
             }
             timer.lap(timer.inner_product);
 
-            for (size_t f = 0; f < block.lanes; ++f) {
-                const size_t o = g * sc::kFilterLanes + f;
-                if (reference) {
-                    // Scalar activation units over the whole stream,
-                    // from their initial state.
+            if (reference) {
+                // Scalar activation units over the whole stream, from
+                // their initial state.
+                for (size_t f = 0; f < block.lanes; ++f) {
+                    const size_t o = g * sc::kFilterLanes + f;
                     for (size_t j = 0; j < n_active; ++j) {
                         const size_t img = active[j];
                         if (use_apc) {
                             const uint16_t *cnt =
-                                wsp.counts.data() +
-                                (j * sc::kFilterLanes + f) * seg_stride;
+                                counts + (j * sc::kFilterLanes + f) *
+                                             seg_stride;
                             sc::Btanh unit(
                                 state_count,
                                 static_cast<unsigned>(n_inputs));
@@ -910,7 +1041,7 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                     cnt, cnt + len)));
                         } else {
                             const uint64_t *prod =
-                                wsp.products.data() +
+                                products +
                                 (j * sc::kFilterLanes + f) * seg_words;
                             sc::Bitstream stream(len);
                             std::copy(prod, prod + seg_words,
@@ -920,35 +1051,31 @@ ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                         }
                     }
                     timer.lap(timer.activation);
-                    continue;
                 }
+                continue;
+            }
+
+            for (size_t f = 0; f < block.lanes; ++f) {
+                const size_t o = g * sc::kFilterLanes + f;
                 for (size_t j = 0; j < n_active; ++j) {
                     const size_t img = active[j];
-                    wsp.out_ptrs[j] = run.out.wordsAt(o, img) + seg.w0;
-                    wsp.state_ptrs[j] = &run.fsm[o * B + img];
+                    uint64_t *const out = run.out.wordsAt(o, img) + seg.w0;
+                    const size_t row = j * sc::kFilterLanes + f;
+                    if (use_apc) {
+                        const uint16_t *cnt = counts + row * seg_stride;
+                        tile.add(&cnt, out, &run.fsm[o * B + img]);
+                    } else {
+                        const uint64_t *prod = products + row * seg_words;
+                        tile.add(&prod, out, &run.fsm[o * B + img]);
+                    }
                 }
-                if (use_apc) {
-                    for (size_t j = 0; j < n_active; ++j)
-                        wsp.count_ptrs[j] =
-                            wsp.counts.data() +
-                            (j * sc::kFilterLanes + f) * seg_stride;
-                    btanh_tables_[layer_idx]->transformWordsBatch(
-                        wsp.count_ptrs.data(), seg.n_cycles,
-                        wsp.out_ptrs.data(), wsp.state_ptrs.data(),
-                        n_active);
-                } else {
-                    for (size_t j = 0; j < n_active; ++j)
-                        wsp.word_ptrs[j] =
-                            wsp.products.data() +
-                            (j * sc::kFilterLanes + f) * seg_words;
-                    stanh_tables_[layer_idx]->transformWordsBatch(
-                        wsp.word_ptrs.data(), seg.n_cycles,
-                        wsp.out_ptrs.data(), wsp.state_ptrs.data(),
-                        n_active);
-                }
-                timer.lap(timer.activation);
+            }
+            if (++slot == slots) {
+                tile.flush(timer);
+                slot = 0;
             }
         }
+        tile.flush(timer);
         timer.flush(seg.w0);
     });
 }

@@ -75,16 +75,6 @@ StanhBatchTable::transformWords(const uint64_t *in, size_t length,
     *state_io = static_cast<uint16_t>(state);
 }
 
-namespace {
-
-/** Streams interleaved per tile in the batch transforms: big enough to
- *  cover the serial table-walk latency with independent chains, small
- *  enough that the tile's local state and word buffers stay in
- *  registers / L1. */
-constexpr size_t kFsmBatchTile = 16;
-
-} // namespace
-
 void
 StanhBatchTable::transformWordsBatch(const uint64_t *const *ins,
                                      size_t length, uint64_t *const *outs,

@@ -26,6 +26,7 @@
 #ifndef SCDCNN_SC_FSM_BATCH_H
 #define SCDCNN_SC_FSM_BATCH_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -36,6 +37,14 @@
 
 namespace scdcnn {
 namespace sc {
+
+/** Streams interleaved per tile in the batch transforms — the int16
+ *  lane count of the vector Btanh step: big enough to cover the serial
+ *  table-walk latency with independent chains, small enough that the
+ *  tile's local state and word buffers stay in registers / L1. The
+ *  vector step costs about as much for one stream as for a full tile,
+ *  so the engine gathers pixels into tiles of at least this many. */
+constexpr size_t kFsmBatchTile = 16;
 
 /**
  * Batched K-state FSM tanh: (state, input byte) transition table.
@@ -71,7 +80,10 @@ class StanhBatchTable
      *  leaves the post-segment state there, so successive calls over a
      *  word-aligned partition of a stream (only the final segment may
      *  end off a word boundary) are bit-exact with one whole-stream
-     *  transform. Initialize *state with initialState(). */
+     *  transform. Initialize *state with initialState(). The engine
+     *  steps streams through transformWordsBatch; this single-stream
+     *  form is its reference twin, the per-stream, per-segment oracle
+     *  of the batch form in tests/test_fsm_batch.cc. */
     void transformWords(const uint64_t *in, size_t length, uint64_t *out,
                         uint16_t *state) const;
 
@@ -148,7 +160,11 @@ class BtanhBatchTable
                               uint64_t *out) const;
 
     /** Resumable variants for segment streaming (see the Stanh
-     *  counterpart): *state carries the counter across calls. */
+     *  counterpart): *state carries the counter across calls. Like
+     *  the Stanh one, both are reference twins: the engine runs
+     *  transformWordsBatch / transformSignedWordsBatch, and these are
+     *  their per-stream, per-segment oracles in
+     *  tests/test_fsm_batch.cc. */
     void transformWords(const uint16_t *counts, size_t length,
                         uint64_t *out, uint16_t *state) const;
     void transformSignedWords(const int *steps, size_t length,

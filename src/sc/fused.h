@@ -325,9 +325,9 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
 /**
  * Reusable per-thread scratch for the network engine: one
  * instance per worker chunk holds the shared image-0 operand window,
- * the per-tap strides, the batch-major count/product blocks
- * ([window][image][lane][cycle]), per-image pooling buffers, and the
- * pointer tables the interleaved FSM transforms consume.
+ * the per-tap strides and the batch-major count/product blocks
+ * ([window][image][lane][cycle]) of each work item awaiting its pixel
+ * tile (the pooling buffers and FSM pointer tables live in the tile).
  */
 struct BatchFusedWorkspace
 {
@@ -335,16 +335,8 @@ struct BatchFusedWorkspace
     std::vector<size_t> x_strides;     //!< per-tap image word strides
     std::vector<BitstreamView> xs_img; //!< shifted views (MUX/output)
     std::vector<uint16_t> selects;     //!< one image's MUX selects
-    std::vector<uint16_t> counts;      //!< [window][image][lane][cycle]
-    std::vector<uint64_t> products;    //!< [window][image][lane][word]
-    std::vector<uint16_t> pooled;      //!< [image][cycle] pooled counts
-    std::vector<int> steps;            //!< [image][cycle] signed steps
-    std::vector<uint64_t> pooled_words; //!< [image][word] pooled streams
-    std::vector<const uint16_t *> count_ptrs; //!< FSM batch inputs
-    std::vector<const uint64_t *> word_ptrs;  //!< FSM batch inputs
-    std::vector<const int *> step_ptrs;       //!< FSM batch inputs
-    std::vector<uint64_t *> out_ptrs;         //!< FSM batch outputs
-    std::vector<uint16_t *> state_ptrs;       //!< FSM batch states
+    std::vector<uint16_t> counts;      //!< [item][window][image][lane][cycle]
+    std::vector<uint64_t> products;    //!< [item][window][image][lane][word]
 };
 
 /** Bit-serial oracle for fusedMuxProduct (cycle-at-a-time get()). */

@@ -181,6 +181,81 @@ TEST(ResumableTransforms, WordAlignedChunksMatchWholeStream)
     }
 }
 
+TEST(ResumableTransforms, AreTheBatchFormsReferenceTwins)
+{
+    // The engine steps tiles of streams through the batch transforms;
+    // per stream and per chunk they must match the resumable
+    // single-stream forms. 20 streams span a partial second tile.
+    sc::SplitMix64 vals(57);
+    const size_t len = 300;
+    const size_t n_words = (len + 63) / 64;
+    const size_t n = sc::kFsmBatchTile + 4;
+    const sc::StanhBatchTable stanh(8);
+    const sc::BtanhBatchTable btanh(12, 25);
+
+    std::vector<std::vector<uint64_t>> in(n, std::vector<uint64_t>(n_words));
+    std::vector<std::vector<uint16_t>> counts(n, std::vector<uint16_t>(len));
+    std::vector<std::vector<int>> steps(n, std::vector<int>(len));
+    for (size_t s = 0; s < n; ++s) {
+        for (auto &w : in[s])
+            w = vals.next();
+        in[s].back() &= (uint64_t{1} << (len % 64)) - 1;
+        for (size_t i = 0; i < len; ++i) {
+            counts[s][i] = static_cast<uint16_t>(vals.nextBelow(26));
+            steps[s][i] = static_cast<int>(vals.nextBelow(51)) - 25;
+        }
+    }
+
+    using Words = std::vector<std::vector<uint64_t>>;
+    Words twin[3], batch[3];
+    for (auto *set : {twin, batch})
+        for (size_t k = 0; k < 3; ++k)
+            set[k].assign(n, std::vector<uint64_t>(n_words));
+    std::vector<uint16_t> twin_st[3], batch_st[3];
+    for (size_t k = 0; k < 3; ++k) {
+        const uint16_t init =
+            k == 0 ? stanh.initialState() : btanh.initialState();
+        twin_st[k].assign(n, init);
+        batch_st[k].assign(n, init);
+    }
+    const size_t seg_words = 2;
+    for (size_t w0 = 0; w0 < n_words; w0 += seg_words) {
+        const size_t w1 = std::min(w0 + seg_words, n_words);
+        const size_t n_cycles = std::min(w1 * 64, len) - w0 * 64;
+        std::vector<const uint64_t *> in_p(n);
+        std::vector<const uint16_t *> cnt_p(n);
+        std::vector<const int *> step_p(n);
+        std::vector<uint64_t *> out_p[3];
+        std::vector<uint16_t *> st_p[3];
+        for (size_t s = 0; s < n; ++s) {
+            in_p[s] = in[s].data() + w0;
+            cnt_p[s] = counts[s].data() + w0 * 64;
+            step_p[s] = steps[s].data() + w0 * 64;
+            stanh.transformWords(in_p[s], n_cycles, twin[0][s].data() + w0,
+                                 &twin_st[0][s]);
+            btanh.transformWords(cnt_p[s], n_cycles,
+                                 twin[1][s].data() + w0, &twin_st[1][s]);
+            btanh.transformSignedWords(step_p[s], n_cycles,
+                                       twin[2][s].data() + w0,
+                                       &twin_st[2][s]);
+            for (size_t k = 0; k < 3; ++k) {
+                out_p[k].push_back(batch[k][s].data() + w0);
+                st_p[k].push_back(&batch_st[k][s]);
+            }
+        }
+        stanh.transformWordsBatch(in_p.data(), n_cycles, out_p[0].data(),
+                                  st_p[0].data(), n);
+        btanh.transformWordsBatch(cnt_p.data(), n_cycles, out_p[1].data(),
+                                  st_p[1].data(), n);
+        btanh.transformSignedWordsBatch(step_p.data(), n_cycles,
+                                        out_p[2].data(), st_p[2].data(), n);
+    }
+    for (size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(batch[k], twin[k]) << "transform " << k;
+        EXPECT_EQ(batch_st[k], twin_st[k]) << "transform " << k;
+    }
+}
+
 TEST(FsmTableCache, SharesTablesByParameters)
 {
     sc::FsmTableCache cache;
