@@ -1,28 +1,40 @@
 /**
  * @file
- * Serving-layer load benchmark: open-loop (Poisson arrivals) and
- * closed-loop load against the InferenceServer, comparing per-request
- * serving (max_batch=1, full-precision High class, no deadlines — the
- * baseline a caller-assembled forwardBatch world gives you) with the
- * dynamic micro-batching scheduler plus deadline-aware progressive
- * precision. Both sides see the same offered load; throughput,
- * p50/p95/p99 latency, batch-size distribution, early-exit rate and
- * effective bits go to BENCH_serving.json (override with
- * SCDCNN_SERVE_JSON) for tools/bench_check.py to gate.
+ * Serving gate bench: the serving scenarios CI checks, and nothing
+ * else. Steady-state serving throughput and latency are measured by
+ * servebench/; this bench produces the three gate blocks that
+ * tools/bench_check.py enforces on BENCH_serving.json (override the
+ * path with SCDCNN_SERVE_JSON).
  *
- * A third section measures overload robustness: the hardened config
- * (bounded per-class admission, doomed-request shedding, deadline-
- * armed cancellation) at 1.0x and 2.5x the calibrated per-request
- * capacity. Goodput — answers that met their deadline per second —
- * plus the rejected/shed/expedited counters land in an
- * "overload_gate" block that bench_check.py enforces.
+ * Four open-loop rows (Poisson arrivals against one InferenceServer)
+ * run from one table and differ only in their data: server config,
+ * request options, offered load, warm-up shots, High-class mix and
+ * burst size. Offered loads are multiples of the per-request capacity
+ * calibrated from the median fused-predict latency, so "1.5x" means
+ * the same thing on every box.
+ *
+ *   per_request@1.5x  max_batch=1, full-precision High, no deadline
+ *   microbatch@1.5x   dynamic micro-batching + Balanced progressive
+ *                     precision; "gate": must beat per_request
+ *   overload@1.0x     the hardened config (bounded per-class
+ *   overload@2.5x     admission, doomed-request shedding, deadline-
+ *                     armed cancellation); "overload_gate": goodput at
+ *                     2.5x must hold up, and admission control,
+ *                     shedding and expediting must all engage
+ *
+ * The 2.5x row ends with a queue-full burst sent while the only batch
+ * worker is held at a FaultPoint::WorkerPop stall, so the class cap
+ * rejects the overflow on any core count and the admitted rest is
+ * shed once the worker resumes. With SCDCNN_SERVE_TRACE=<path> that
+ * row runs with tracing armed and exports a Chrome trace for
+ * tools/trace_check.py.
  *
  * The network is the decisive-logit LeNet-5 variant (output layer
  * programmed to +1/-1/0 rows — the confident regime a trained network
  * produces) so Progressive early exit behaves as it does on trained
  * weights; see bench_throughput.cc for the rationale.
  *
- * A fourth section measures model-fleet isolation: three models
+ * The fleet section measures model-fleet isolation: three models
  * (lenet5, lenet-l, mlp) behind one ModelRegistry sharing the global
  * compute pool, each first measured solo, then all three under mixed
  * load while the lenet5 model is poisoned mid-run with injected
@@ -30,21 +42,21 @@
  * rejects, no compute) and later recover it through half-open probes,
  * while the healthy models hold their solo goodput — the "fleet_gate"
  * block records the healthy-goodput ratio, the poisoned model's
- * quarantine/recovery trajectory and a bit-exactness sentinel that
- * bench_check.py --fleet enforces.
+ * quarantine/recovery trajectory, a bit-exactness sentinel and the
+ * flight-recorder dump count.
  *
  * Knobs: SCDCNN_SERVE_LEN (bit-stream length, default 256),
  * SCDCNN_SERVE_IMAGES (requests per scenario, default 48),
- * SCDCNN_SERVE_MAX_BATCH (default 8),
- * SCDCNN_SERVE_CLIENTS (closed-loop clients, default 4),
  * SCDCNN_SERVE_FLEET_IMAGES (fleet requests per model, default
- * max(8, images/4)).
+ * max(8, images/4)), SCDCNN_SERVE_JSON, SCDCNN_SERVE_TRACE.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <latch>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -69,6 +81,9 @@ using SteadyClock = std::chrono::steady_clock;
 
 namespace {
 
+/** Micro-batch bound of the batching scenarios. */
+constexpr size_t kMaxBatch = 8;
+
 /** Scenario walls are measured with obs::ScopedSpan (which reads its
  *  clock whether or not tracing is armed), so when a traced run is
  *  requested the same interval that produces the printed numbers
@@ -77,6 +92,14 @@ double
 spanWallMs(obs::ScopedSpan &span)
 {
     return static_cast<double>(span.finish()) * 1e-6;
+}
+
+/** Events per second over a wall in milliseconds (0 for no wall). */
+double
+perSecond(uint64_t count, double wall_ms)
+{
+    return wall_ms > 0 ? static_cast<double>(count) / (wall_ms / 1000.0)
+                       : 0.0;
 }
 
 /** LeNet-5 with the output layer programmed to decisive +1/-1/0
@@ -89,12 +112,32 @@ decisiveLenet5()
     return net;
 }
 
+/** Full-precision single-image latency: the median of 9 fused
+ *  predicts after one warm-up. The median keeps one slow predict
+ *  (a descheduled thread, a cold cache) out of every offered load. */
+double
+calibrateMs(const core::ScNetwork &net)
+{
+    const nn::Tensor img = nn::DigitDataset::render(3, 7);
+    net.predict(img, 1); // warm-up
+    std::vector<double> ms(9);
+    for (size_t r = 0; r < ms.size(); ++r) {
+        const SteadyClock::time_point t0 = SteadyClock::now();
+        net.predict(img, 2 + r);
+        ms[r] = std::chrono::duration<double, std::milli>(
+                    SteadyClock::now() - t0)
+                    .count();
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    return ms[ms.size() / 2];
+}
+
 /**
  * Every scenario's server config and request options, derived from one
  * measured fused-predict latency so "1.5x capacity" and "a deadline of
  * six service times" mean the same thing on every box. Shared by the
- * open/closed-loop sections, the overload section and the fleet
- * registry (which uses @p hardened as its per-model server template).
+ * scenario table and the fleet registry (which uses @p hardened as its
+ * per-model server template).
  */
 struct ServingSetup
 {
@@ -108,7 +151,7 @@ struct ServingSetup
 };
 
 ServingSetup
-buildServingSetup(double fused_ms, size_t len, size_t max_batch)
+buildServingSetup(double fused_ms, size_t len)
 {
     ServingSetup s;
 
@@ -118,9 +161,9 @@ buildServingSetup(double fused_ms, size_t len, size_t max_batch)
     s.per_request.limits.max_batch = 1;
     s.per_request.limits.max_queue_delay =
         std::chrono::microseconds(100);
-    // The legacy throughput scenarios keep every admitted request:
-    // shedding is benchmarked separately, and turning it off here
-    // keeps these series comparable with earlier runs.
+    // The throughput scenarios keep every admitted request: shedding
+    // is what the overload rows measure, and turning it off here
+    // keeps the gate series comparable with earlier runs.
     s.per_request.limits.shed_doomed = false;
     s.high.accuracy = serve::AccuracyClass::High;
 
@@ -128,7 +171,7 @@ buildServingSetup(double fused_ms, size_t len, size_t max_batch)
     // max_queue_delay), Balanced progressive precision, a deadline
     // generous at light load but binding under overload — queue
     // pressure degrades precision instead of blowing up latency.
-    s.micro.limits.max_batch = max_batch;
+    s.micro.limits.max_batch = kMaxBatch;
     s.micro.limits.max_queue_delay =
         std::chrono::microseconds(static_cast<long>(fused_ms * 250.0));
     s.micro.limits.shed_doomed = false; // see per_request comment
@@ -146,7 +189,7 @@ buildServingSetup(double fused_ms, size_t len, size_t max_batch)
     // admission, doomed-request shedding, deadline-armed cancellation.
     s.hardened = s.micro;
     s.hardened.limits.shed_doomed = true;
-    s.hardened.limits.max_queue_per_class = 2 * max_batch;
+    s.hardened.limits.max_queue_per_class = 2 * kMaxBatch;
     s.hardened.cancel_on_deadline = true;
     s.deadlined = s.balanced;
     s.deadlined.deadline = std::chrono::microseconds(
@@ -155,53 +198,64 @@ buildServingSetup(double fused_ms, size_t len, size_t max_batch)
     return s;
 }
 
-struct ScenarioResult
+/** A pending request together with its scheduled arrival offset, so
+ *  a phase wall can be reconstructed from the requests themselves. */
+struct TimedFuture
 {
-    std::string name;
-    size_t max_batch = 1;
-    size_t n_images = 0;
-    double offered_ips = 0;  //!< 0 for closed-loop
-    double achieved_ips = 0;
-    double goodput_ips = 0;  //!< completed-within-deadline per second
-    double wall_ms = 0;
-    uint64_t client_ok = 0;     //!< futures that held a result
-    uint64_t client_failed = 0; //!< futures that held a ServeError
-    serve::MetricsSnapshot metrics;
+    std::future<serve::InferenceResult> fut;
+    double at_ms; //!< scheduled arrival, relative to the phase start
 };
 
-/** Resolve a batch of futures, counting results, deadline-met
- *  results, and typed failures (rejected/shed/cancelled). */
-void
-settle(std::vector<std::future<serve::InferenceResult>> &futs,
-       uint64_t &ok, uint64_t &ok_met, uint64_t &failed)
+/** Answers of a settled phase. */
+struct Tally
 {
-    for (auto &f : futs) {
+    uint64_t ok = 0;     //!< futures that held a result
+    uint64_t ok_met = 0; //!< ...that also met their deadline
+    uint64_t failed = 0; //!< futures that held a ServeError
+    /** Latest completion instant (arrival offset + measured total
+     *  latency) across the answered requests. Measuring a model's wall
+     *  from its own requests keeps the fleet's solo and mixed phases
+     *  comparable — in the mixed phase, wall-clock "after the merged
+     *  loop" would charge every model for the longest co-tenant
+     *  schedule. */
+    double wall_ms = 0;
+};
+
+/** Resolve @p futs into @p t. When @p answers is given, it receives
+ *  each future's result in order, or nullopt for a ServeError
+ *  (rejected, shed, cancelled, faulted). */
+void
+settleTimed(std::vector<TimedFuture> &futs, Tally &t,
+            std::vector<std::optional<serve::InferenceResult>> *answers =
+                nullptr)
+{
+    for (TimedFuture &tf : futs) {
+        std::optional<serve::InferenceResult> r;
         try {
-            const serve::InferenceResult r = f.get();
-            ++ok;
-            if (r.deadline_met)
-                ++ok_met;
+            r = tf.fut.get();
         } catch (const serve::ServeError &) {
-            ++failed;
+            ++t.failed;
         }
+        if (r.has_value()) {
+            ++t.ok;
+            if (r->deadline_met)
+                ++t.ok_met;
+            t.wall_ms = std::max(t.wall_ms, tf.at_ms + r->total_ms);
+        }
+        if (answers != nullptr)
+            answers->push_back(std::move(r));
     }
     futs.clear();
 }
 
-/** Poisson-arrival open-loop run: submit n images at @p offered_ips,
- *  then wait for every answer. */
-ScenarioResult
-runOpenLoop(const core::ScNetwork &net, const char *name,
-            serve::ServerConfig scfg, serve::RequestOptions ropts,
-            size_t n, double offered_ips)
+/** Open-loop driver: @p n arrivals of a seeded Poisson process at
+ *  @p ips, calling submit(i, arrival_ms) at each one. */
+template <typename Submit>
+void
+poissonArrivals(size_t n, double ips, uint64_t seed, Submit &&submit)
 {
-    serve::InferenceServer server(net, scfg);
-    std::mt19937_64 rng(0xA221'7E57);
-    std::exponential_distribution<double> gap(offered_ips);
-
-    std::vector<std::future<serve::InferenceResult>> futs;
-    futs.reserve(n);
-    obs::ScopedSpan wall_span(obs::SpanName::Scenario, 0, 0, n);
+    std::mt19937_64 rng(seed);
+    std::exponential_distribution<double> gap(ips);
     const SteadyClock::time_point t0 = SteadyClock::now();
     double arrival_s = 0.0;
     for (size_t i = 0; i < n; ++i) {
@@ -209,151 +263,144 @@ runOpenLoop(const core::ScNetwork &net, const char *name,
         std::this_thread::sleep_until(
             t0 + std::chrono::duration_cast<SteadyClock::duration>(
                      std::chrono::duration<double>(arrival_s)));
-        futs.push_back(
-            server.submit(nn::DigitDataset::render(i % 10, 100 + i),
-                          ropts));
+        submit(i, arrival_s * 1000.0);
     }
-    uint64_t ok = 0, ok_met = 0, failed = 0;
-    settle(futs, ok, ok_met, failed);
-    const double wall = spanWallMs(wall_span);
-    server.drain();
-
-    ScenarioResult r;
-    r.name = name;
-    r.max_batch = scfg.limits.max_batch;
-    r.n_images = n;
-    r.offered_ips = offered_ips;
-    r.achieved_ips = static_cast<double>(n) / (wall / 1000.0);
-    r.goodput_ips = static_cast<double>(ok_met) / (wall / 1000.0);
-    r.wall_ms = wall;
-    r.client_ok = ok;
-    r.client_failed = failed;
-    r.metrics = server.metricsSnapshot();
-    return r;
 }
+
+/** One row of the scenario table; the rows differ only in these
+ *  fields. */
+struct Scenario
+{
+    const char *name;
+    serve::ServerConfig server;
+    serve::RequestOptions opts;
+    double load;       //!< offered load, x the per-request capacity
+    size_t warmup;     //!< urgent requests before the timed phase
+    size_t high_every; //!< every k-th timed request is High (0: none)
+    size_t burst;      //!< queue-full burst after the timed phase
+};
+
+struct ScenarioResult
+{
+    double offered_ips = 0;
+    double achieved_ips = 0; //!< answered requests per second
+    double goodput_ips = 0;  //!< deadline-met answers per second
+    serve::MetricsSnapshot metrics; //!< every phase of the row
+};
 
 /**
- * Overload scenario on one overload-hardened server, three phases:
+ * Run one table row on a fresh server, in three phases:
  *
- *   expedite — a few requests whose deadline equals max_queue_delay
- *              are urgent on arrival, forcing Expedited closes on a
- *              cold estimate (exercises the close path every time);
- *   poisson  — open loop at @p offered_ips; goodput (results that
- *              met their deadline per second of this phase's wall) is
- *              the scenario's headline number;
- *   burst    — @p burst back-to-back tight-deadline submits with no
- *              pacing: the class queue cap rejects the overflow
- *              deterministically and the admitted remainder becomes
- *              doomed behind the backlog and is shed (or cancelled
- *              in flight once its armed deadline trips).
- *
- * The returned metrics snapshot covers all phases; goodput covers
- * the poisson phase only.
+ *   warm-up — @p row.warmup requests whose deadline equals
+ *             max_queue_delay are urgent on arrival, forcing
+ *             Expedited closes on a cold estimate;
+ *   timed   — @p n Poisson arrivals at row.load x capacity. Every
+ *             row.high_every-th request keeps the High class: mixed
+ *             QoS is the normal serving regime, and the full-precision
+ *             sliver walks every stream segment, so traced runs show
+ *             the engine's per-segment phase spans at every depth.
+ *             The row's ips and goodput cover this phase only;
+ *   burst   — a High request with no deadline occupies the only batch
+ *             worker, which a WorkerPop stall then holds until
+ *             row.burst back-to-back 2 ms-deadline requests have been
+ *             submitted. The class queue cap rejects the overflow in
+ *             RequestQueue::push, and the admitted rest is doomed by
+ *             the time the worker resumes and is shed.
  */
 ScenarioResult
-runOverload(const core::ScNetwork &net, const char *name,
-            serve::ServerConfig scfg, serve::RequestOptions ropts,
-            size_t n, double offered_ips, size_t burst)
+runScenario(const core::ScNetwork &net, const Scenario &row,
+            double capacity_ips, size_t n)
 {
+    std::latch stalled(1);
+    std::latch release(1);
+    serve::FaultInjector faults;
+    faults.setStallFn([&](std::chrono::microseconds) {
+        stalled.count_down();
+        release.wait();
+    });
+    serve::ServerConfig scfg = row.server;
+    if (row.burst > 0)
+        scfg.faults = &faults;
     serve::InferenceServer server(net, scfg);
-    uint64_t ok = 0, ok_met = 0, failed = 0;
-    std::vector<std::future<serve::InferenceResult>> futs;
+    std::vector<TimedFuture> futs;
+    Tally untimed; // warm-up and burst answers
 
-    // Phase 1: expedited warm-up (see function comment).
-    serve::RequestOptions urgent = ropts;
+    serve::RequestOptions urgent = row.opts;
     urgent.deadline = scfg.limits.max_queue_delay;
-    for (size_t i = 0; i < 3; ++i)
+    for (size_t i = 0; i < row.warmup; ++i)
         futs.push_back(
-            server.submit(nn::DigitDataset::render(i, 40 + i), urgent));
-    settle(futs, ok, ok_met, failed);
-
-    // Phase 2: Poisson arrivals at the offered rate. Every 8th
-    // request keeps the High class: mixed QoS is the normal serving
-    // regime, and the full-precision sliver walks every stream
-    // segment — so traced runs show the engine's per-segment phase
-    // spans at every depth, not only the first Progressive
-    // checkpoint.
-    std::mt19937_64 rng(0xA221'7E57);
-    std::exponential_distribution<double> gap(offered_ips);
-    obs::ScopedSpan wall_span(obs::SpanName::Scenario, 0, 0, n);
-    const SteadyClock::time_point t0 = SteadyClock::now();
-    double arrival_s = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        arrival_s += gap(rng);
-        std::this_thread::sleep_until(
-            t0 + std::chrono::duration_cast<SteadyClock::duration>(
-                     std::chrono::duration<double>(arrival_s)));
-        serve::RequestOptions opts = ropts;
-        if (i % 8 == 0)
-            opts.accuracy = serve::AccuracyClass::High;
-        futs.push_back(
-            server.submit(nn::DigitDataset::render(i % 10, 100 + i),
-                          opts));
-    }
-    uint64_t p_ok = 0, p_ok_met = 0, p_failed = 0;
-    settle(futs, p_ok, p_ok_met, p_failed);
-    const double wall = spanWallMs(wall_span);
-
-    // Phase 3: queue-full burst.
-    serve::RequestOptions tight = ropts;
-    tight.deadline = std::chrono::milliseconds(2);
-    for (size_t i = 0; i < burst; ++i)
-        futs.push_back(
-            server.submit(nn::DigitDataset::render(i % 10, 200 + i),
-                          tight));
-    settle(futs, ok, ok_met, failed);
-    server.drain();
+            {server.submit(nn::DigitDataset::render(i, 40 + i), urgent),
+             0.0});
+    settleTimed(futs, untimed);
 
     ScenarioResult r;
-    r.name = name;
-    r.max_batch = scfg.limits.max_batch;
-    r.n_images = n;
-    r.offered_ips = offered_ips;
-    r.achieved_ips = static_cast<double>(p_ok) / (wall / 1000.0);
-    r.goodput_ips = static_cast<double>(p_ok_met) / (wall / 1000.0);
-    r.wall_ms = wall;
-    r.client_ok = ok + p_ok;
-    r.client_failed = failed + p_failed;
+    r.offered_ips = row.load * capacity_ips;
+    obs::ScopedSpan wall_span(obs::SpanName::Scenario, 0, 0, n);
+    poissonArrivals(n, r.offered_ips, 0xA221'7E57,
+                    [&](size_t i, double at_ms) {
+                        serve::RequestOptions opts = row.opts;
+                        if (row.high_every > 0 && i % row.high_every == 0)
+                            opts.accuracy = serve::AccuracyClass::High;
+                        futs.push_back(
+                            {server.submit(nn::DigitDataset::render(
+                                               i % 10, 100 + i),
+                                           opts),
+                             at_ms});
+                    });
+    Tally timed;
+    settleTimed(futs, timed);
+    const double wall_ms = spanWallMs(wall_span);
+    r.achieved_ips = perSecond(timed.ok, wall_ms);
+    r.goodput_ips = perSecond(timed.ok_met, wall_ms);
+
+    if (row.burst > 0) {
+        // A stall fires only with a non-zero duration; the stall
+        // function ignores it and waits on the latch instead.
+        faults.arm(serve::FaultPoint::WorkerPop, 1,
+                   std::chrono::microseconds(1));
+        serve::RequestOptions occupy;
+        occupy.accuracy = serve::AccuracyClass::High;
+        futs.push_back(
+            {server.submit(nn::DigitDataset::render(0, 199), occupy),
+             0.0});
+        stalled.wait();
+        serve::RequestOptions tight = row.opts;
+        tight.deadline = std::chrono::milliseconds(2);
+        for (size_t i = 0; i < row.burst; ++i)
+            futs.push_back({server.submit(nn::DigitDataset::render(
+                                              i % 10, 200 + i),
+                                          tight),
+                            0.0});
+        release.count_down();
+        settleTimed(futs, untimed);
+    }
+    server.drain();
     r.metrics = server.metricsSnapshot();
     return r;
 }
 
-/** Closed-loop run: @p clients submit-wait-repeat until n answers. */
-ScenarioResult
-runClosedLoop(const core::ScNetwork &net, const char *name,
-              serve::ServerConfig scfg, serve::RequestOptions ropts,
-              size_t n, size_t clients)
+void
+printScenario(const char *name, const ScenarioResult &r)
 {
-    serve::InferenceServer server(net, scfg);
-    std::atomic<size_t> next{0};
-    obs::ScopedSpan wall_span(obs::SpanName::Scenario, 0, 0, n);
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&] {
-            for (;;) {
-                const size_t i = next.fetch_add(1);
-                if (i >= n)
-                    return;
-                server
-                    .submit(nn::DigitDataset::render(i % 10, 100 + i),
-                            ropts)
-                    .get();
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    const double wall = spanWallMs(wall_span);
-
-    ScenarioResult r;
-    r.name = name;
-    r.max_batch = scfg.limits.max_batch;
-    r.n_images = n;
-    r.achieved_ips = static_cast<double>(n) / (wall / 1000.0);
-    r.wall_ms = wall;
-    r.metrics = server.metricsSnapshot();
-    return r;
+    const auto &m = r.metrics;
+    std::printf("  %-18s %7.1f ips (offered %6.1f)", name, r.achieved_ips,
+                r.offered_ips);
+    std::printf("  p50 %7.1f  p95 %7.1f  p99 %7.1f ms",
+                m.total_latency.p50_ms, m.total_latency.p95_ms,
+                m.total_latency.p99_ms);
+    std::printf("  batch %4.1f  bits %6.1f  exits %4.0f%%\n",
+                m.avg_batch_size, m.avg_effective_bits,
+                100.0 * m.early_exit_rate);
+    std::printf("  %-18s %7.1f goodput ips  rejected %llu  shed %llu  "
+                "cancelled %llu  expedited %llu  depth %llu\n",
+                "", r.goodput_ips,
+                static_cast<unsigned long long>(m.rejected),
+                static_cast<unsigned long long>(m.shed),
+                static_cast<unsigned long long>(m.cancelled),
+                static_cast<unsigned long long>(
+                    m.close_reasons[static_cast<size_t>(
+                        serve::CloseReason::Expedited)]),
+                static_cast<unsigned long long>(m.max_queue_depth));
 }
 
 // --------------------------------------------------------- model fleet
@@ -374,46 +421,8 @@ struct FleetModel
     size_t n_events = 0;      //!< requests per phase (rate * horizon)
     double solo_goodput = 0;  //!< goodput ips, model alone
     double mixed_goodput = 0; //!< goodput ips, all models + poisoning
-    uint64_t mixed_ok = 0;
-    uint64_t mixed_failed = 0;
     serve::ModelSnapshot snap; //!< registry state after the run
 };
-
-/** A pending fleet request together with its scheduled arrival
- *  offset, so the phase wall can be reconstructed per model. */
-struct TimedFuture
-{
-    std::future<serve::InferenceResult> fut;
-    double at_ms; //!< scheduled arrival, relative to the phase start
-};
-
-/**
- * Resolve a batch of timed futures. Returns the model's effective
- * wall: the latest completion instant (arrival offset + measured
- * total latency) across its answered requests. Measuring the wall
- * from the requests themselves keeps solo and mixed phases
- * comparable — in the mixed phase, wall-clock "after the merged loop"
- * would charge every model for the longest co-tenant schedule.
- */
-double
-settleTimed(std::vector<TimedFuture> &futs, uint64_t &ok,
-            uint64_t &ok_met, uint64_t &failed)
-{
-    double wall_ms = 0.0;
-    for (TimedFuture &tf : futs) {
-        try {
-            const serve::InferenceResult r = tf.fut.get();
-            ++ok;
-            if (r.deadline_met)
-                ++ok_met;
-            wall_ms = std::max(wall_ms, tf.at_ms + r.total_ms);
-        } catch (const serve::ServeError &) {
-            ++failed;
-        }
-    }
-    futs.clear();
-    return wall_ms;
-}
 
 struct FleetOutcome
 {
@@ -505,7 +514,6 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
     rc.flight_recorder = &flight;
     serve::ModelRegistry reg(rc);
 
-    const nn::Tensor calib_img = nn::DigitDataset::render(3, 7);
     for (FleetModel &m : out.models) {
         const serve::InstallResult r = reg.install(
             m.id, serve::makeArtifact(m.id, 1, m.spec,
@@ -517,11 +525,7 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
         }
         // Calibrate this model's own per-request capacity and set its
         // deadline in its own service times.
-        m.ref->predict(calib_img, 1); // warm-up
-        obs::ScopedSpan calib(obs::SpanName::Scenario);
-        for (int i = 0; i < 2; ++i)
-            m.ref->predict(calib_img, 2 + i);
-        m.fused_ms = spanWallMs(calib) / 2.0;
+        m.fused_ms = calibrateMs(*m.ref);
         m.offered_ips = out.offered_frac * 1000.0 / m.fused_ms;
         m.opts = setup.deadlined;
     }
@@ -553,29 +557,19 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
 
     // Solo phases: each model alone at its offered rate.
     for (FleetModel &m : out.models) {
-        std::mt19937_64 rng(0xF1EE7);
-        std::exponential_distribution<double> gap(m.offered_ips);
         std::vector<TimedFuture> futs;
-        futs.reserve(m.n_events);
-        const SteadyClock::time_point t0 = SteadyClock::now();
-        double arrival_s = 0.0;
-        for (size_t i = 0; i < m.n_events; ++i) {
-            arrival_s += gap(rng);
-            std::this_thread::sleep_until(
-                t0 +
-                std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(arrival_s)));
-            futs.push_back(
-                {reg.submit(m.id,
-                            nn::DigitDataset::render(i % 10, 300 + i),
-                            m.opts),
-                 arrival_s * 1000.0});
-        }
-        uint64_t ok = 0, ok_met = 0, failed = 0;
-        const double wall = settleTimed(futs, ok, ok_met, failed);
-        m.solo_goodput = wall > 0 ? static_cast<double>(ok_met) /
-                                        (wall / 1000.0)
-                                  : 0.0;
+        poissonArrivals(m.n_events, m.offered_ips, 0xF1EE7,
+                        [&](size_t i, double at_ms) {
+                            futs.push_back(
+                                {reg.submit(m.id,
+                                            nn::DigitDataset::render(
+                                                i % 10, 300 + i),
+                                            m.opts),
+                                 at_ms});
+                        });
+        Tally solo;
+        settleTimed(futs, solo);
+        m.solo_goodput = perSecond(solo.ok_met, solo.wall_ms);
         reg.drain();
     }
 
@@ -602,15 +596,16 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
                   return a.at_s < b.at_s;
               });
 
-    struct Sentinel
+    /** What a sentinel's reference predict needs to replay it. */
+    struct SentinelKey
     {
-        TimedFuture tf;
         uint64_t seed;
         size_t digit;
         size_t render_seed;
     };
     std::vector<std::vector<TimedFuture>> futs(out.models.size());
-    std::vector<Sentinel> sentinels;
+    std::vector<TimedFuture> sentinel_futs;
+    std::vector<SentinelKey> sentinels;
     size_t poisoned_seen = 0;
     obs::ScopedSpan mixed_span(obs::SpanName::Scenario);
     const SteadyClock::time_point t0 = SteadyClock::now();
@@ -642,64 +637,49 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
             ++poisoned_seen;
         if (poison)
             faults.arm(serve::FaultPoint::ModelExecute, 1);
-        std::future<serve::InferenceResult> fut = reg.submit(
-            out.models[e.model].id,
-            nn::DigitDataset::render(digit, 300 + e.idx), opts);
+        TimedFuture tf{reg.submit(out.models[e.model].id,
+                                  nn::DigitDataset::render(digit,
+                                                           300 + e.idx),
+                                  opts),
+                       e.at_s * 1000.0};
         if (poison) {
             faults.disarm(serve::FaultPoint::ModelExecute);
             if (reg.state(out.models[kPoisoned].id) ==
                 serve::ModelState::Quarantined)
                 out.poisoned_quarantined = true;
         }
-        if (is_sentinel)
-            sentinels.push_back({{std::move(fut), e.at_s * 1000.0},
-                                 7000 + e.idx,
-                                 digit,
-                                 300 + e.idx});
-        else
-            futs[e.model].push_back(
-                {std::move(fut), e.at_s * 1000.0});
-    }
-
-    // Per-model settle with per-model walls (see settleTimed).
-    std::vector<uint64_t> ok(out.models.size()),
-        ok_met(out.models.size()), failed(out.models.size());
-    std::vector<double> wall(out.models.size());
-    for (size_t mi = 0; mi < out.models.size(); ++mi)
-        wall[mi] = settleTimed(futs[mi], ok[mi], ok_met[mi],
-                               failed[mi]);
-    std::vector<serve::InferenceResult> sentinel_results;
-    std::vector<size_t> sentinel_idx;
-    for (size_t si = 0; si < sentinels.size(); ++si) {
-        try {
-            serve::InferenceResult r = sentinels[si].tf.fut.get();
-            ++ok[kSentinel];
-            if (r.deadline_met)
-                ++ok_met[kSentinel];
-            wall[kSentinel] =
-                std::max(wall[kSentinel],
-                         sentinels[si].tf.at_ms + r.total_ms);
-            sentinel_results.push_back(std::move(r));
-            sentinel_idx.push_back(si);
-        } catch (const serve::ServeError &) {
-            ++failed[kSentinel];
+        if (is_sentinel) {
+            sentinel_futs.push_back(std::move(tf));
+            sentinels.push_back({7000 + e.idx, digit, 300 + e.idx});
+        } else {
+            futs[e.model].push_back(std::move(tf));
         }
     }
+
+    // Per-model settle with per-model walls (see Tally::wall_ms); the
+    // sentinels count toward the mlp model's tally.
+    std::vector<Tally> mixed(out.models.size());
+    for (size_t mi = 0; mi < out.models.size(); ++mi)
+        settleTimed(futs[mi], mixed[mi]);
+    std::vector<std::optional<serve::InferenceResult>> sentinel_answers;
+    settleTimed(sentinel_futs, mixed[kSentinel], &sentinel_answers);
     out.mixed_wall_ms = spanWallMs(mixed_span);
 
     // Bit-exactness check against the reference engine, off the clock.
     const core::PredictOptions sentinel_popts =
         serve::QosPolicy{core::EngineMode::Fused, 0.0, 0}
             .predictOptions();
-    for (size_t k = 0; k < sentinel_results.size(); ++k) {
-        const Sentinel &s = sentinels[sentinel_idx[k]];
+    for (size_t k = 0; k < sentinels.size(); ++k) {
+        if (!sentinel_answers[k].has_value())
+            continue;
+        const SentinelKey &s = sentinels[k];
         ++out.sentinel_checked;
         core::ForwardInfo info;
         const size_t pred = out.models[kSentinel].ref->predictWith(
             nn::DigitDataset::render(s.digit, s.render_seed), s.seed,
             sentinel_popts, &info);
-        if (sentinel_results[k].predicted != pred ||
-            sentinel_results[k].scores != info.scores)
+        if (sentinel_answers[k]->predicted != pred ||
+            sentinel_answers[k]->scores != info.scores)
             ++out.sentinel_mismatches;
     }
 
@@ -723,12 +703,7 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
 
     for (size_t mi = 0; mi < out.models.size(); ++mi) {
         FleetModel &m = out.models[mi];
-        m.mixed_ok = ok[mi];
-        m.mixed_failed = failed[mi];
-        m.mixed_goodput =
-            wall[mi] > 0 ? static_cast<double>(ok_met[mi]) /
-                               (wall[mi] / 1000.0)
-                         : 0.0;
+        m.mixed_goodput = perSecond(mixed[mi].ok_met, mixed[mi].wall_ms);
         m.snap = reg.modelSnapshot(m.id);
     }
     const FleetModel &poisoned = out.models[kPoisoned];
@@ -754,6 +729,9 @@ runFleet(const ServingSetup &setup, size_t len, size_t n_fleet)
 void
 printFleet(const FleetOutcome &fleet)
 {
+    std::printf("\nmodel fleet (3 models @ %.2fx own capacity each, %zu "
+                "images/model, lenet5 poisoned mid-run):\n",
+                fleet.offered_frac, fleet.n_per_model);
     for (const FleetModel &m : fleet.models) {
         std::printf("  %-8s solo %6.1f -> mixed %6.1f goodput ips  "
                     "state %-11s trips %llu recov %llu rejected %llu "
@@ -777,31 +755,8 @@ printFleet(const FleetOutcome &fleet)
 }
 
 void
-writeFleetJson(std::FILE *f, const FleetOutcome &fleet)
+writeFleetGate(std::FILE *f, const FleetOutcome &fleet)
 {
-    std::fprintf(f, "  \"fleet\": [\n");
-    for (size_t i = 0; i < fleet.models.size(); ++i) {
-        const FleetModel &m = fleet.models[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"id\": \"%s\",\n", m.id.c_str());
-        std::fprintf(f, "      \"fused_ms\": %.3f,\n", m.fused_ms);
-        std::fprintf(f, "      \"offered_ips\": %.2f,\n",
-                     m.offered_ips);
-        std::fprintf(f, "      \"events\": %zu,\n", m.n_events);
-        std::fprintf(f, "      \"solo_goodput_ips\": %.2f,\n",
-                     m.solo_goodput);
-        std::fprintf(f, "      \"mixed_goodput_ips\": %.2f,\n",
-                     m.mixed_goodput);
-        std::fprintf(f, "      \"mixed_ok\": %llu,\n",
-                     static_cast<unsigned long long>(m.mixed_ok));
-        std::fprintf(f, "      \"mixed_failed\": %llu,\n",
-                     static_cast<unsigned long long>(m.mixed_failed));
-        std::fprintf(f, "      \"registry\": %s\n",
-                     m.snap.toJson().c_str());
-        std::fprintf(f, "    }%s\n",
-                     i + 1 == fleet.models.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"fleet_gate\": {\n");
     std::fprintf(f, "    \"n_per_model\": %zu,\n", fleet.n_per_model);
     std::fprintf(f, "    \"offered_frac\": %.2f,\n",
@@ -829,77 +784,18 @@ writeFleetJson(std::FILE *f, const FleetOutcome &fleet)
     std::fprintf(f, "  },\n");
 }
 
-void
-printScenario(const ScenarioResult &r)
-{
-    const auto &m = r.metrics;
-    std::printf("  %-22s %7.1f ips", r.name.c_str(), r.achieved_ips);
-    if (r.offered_ips > 0)
-        std::printf(" (offered %6.1f)", r.offered_ips);
-    else
-        std::printf("                 ");
-    std::printf("  p50 %7.1f  p95 %7.1f  p99 %7.1f ms",
-                m.total_latency.p50_ms, m.total_latency.p95_ms,
-                m.total_latency.p99_ms);
-    std::printf("  batch %4.1f  bits %6.1f  exits %4.0f%%\n",
-                m.avg_batch_size, m.avg_effective_bits,
-                100.0 * m.early_exit_rate);
-    if (r.goodput_ips > 0 || r.client_failed > 0)
-        std::printf("  %-22s %7.1f goodput ips  rejected %llu  shed "
-                    "%llu  cancelled %llu  expedited %llu  depth %llu\n",
-                    "", r.goodput_ips,
-                    static_cast<unsigned long long>(m.rejected),
-                    static_cast<unsigned long long>(m.shed),
-                    static_cast<unsigned long long>(m.cancelled),
-                    static_cast<unsigned long long>(
-                        m.close_reasons[static_cast<size_t>(
-                            serve::CloseReason::Expedited)]),
-                    static_cast<unsigned long long>(m.max_queue_depth));
-}
-
-void
-writeScenarioJson(std::FILE *f, const ScenarioResult &r, bool last)
-{
-    const auto &m = r.metrics;
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"max_batch\": %zu,\n", r.max_batch);
-    std::fprintf(f, "      \"images\": %zu,\n", r.n_images);
-    if (r.offered_ips > 0)
-        std::fprintf(f, "      \"offered_ips\": %.2f,\n", r.offered_ips);
-    std::fprintf(f, "      \"achieved_ips\": %.2f,\n", r.achieved_ips);
-    if (r.goodput_ips > 0 || r.client_failed > 0) {
-        std::fprintf(f, "      \"goodput_ips\": %.2f,\n", r.goodput_ips);
-        std::fprintf(f, "      \"client_ok\": %llu,\n",
-                     static_cast<unsigned long long>(r.client_ok));
-        std::fprintf(f, "      \"client_failed\": %llu,\n",
-                     static_cast<unsigned long long>(r.client_failed));
-    }
-    std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-    std::fprintf(f, "      \"p50_ms\": %.2f,\n", m.total_latency.p50_ms);
-    std::fprintf(f, "      \"p95_ms\": %.2f,\n", m.total_latency.p95_ms);
-    std::fprintf(f, "      \"p99_ms\": %.2f,\n", m.total_latency.p99_ms);
-    std::fprintf(f, "      \"metrics\": %s\n", m.toJson().c_str());
-    std::fprintf(f, "    }%s\n", last ? "" : ",");
-}
-
 } // namespace
 
 int
 main()
 {
     bench::banner("serving",
-                  "Async inference serving: dynamic micro-batching + "
-                  "deadline-aware progressive precision vs per-request "
-                  "serving");
+                  "Serving gates: micro-batching vs per-request, "
+                  "overload hardening, model-fleet isolation");
 
     const size_t len = bench::envSize("SCDCNN_SERVE_LEN", 256);
     const size_t n = std::max<size_t>(
         4, bench::envSize("SCDCNN_SERVE_IMAGES", 48));
-    const size_t max_batch =
-        std::max<size_t>(2, bench::envSize("SCDCNN_SERVE_MAX_BATCH", 8));
-    const size_t clients =
-        std::max<size_t>(1, bench::envSize("SCDCNN_SERVE_CLIENTS", 4));
 
     nn::Network net = decisiveLenet5();
     core::ScNetworkConfig cfg;
@@ -909,120 +805,77 @@ main()
     // would cover the whole stream and never early-exit.
     cfg.stream_segment_words = 1;
     core::ScNetwork sc(net, cfg);
-    const nn::Tensor calib_img = nn::DigitDataset::render(3, 7);
 
     // Calibrate: full-precision single-image latency sets the offered
     // loads, so "1.5x the per-request capacity" means the same thing
     // on every box.
-    sc.predict(calib_img, 1); // warm-up
-    obs::ScopedSpan calib_span(obs::SpanName::Scenario);
-    for (int r = 0; r < 3; ++r)
-        sc.predict(calib_img, 2 + r);
-    const double fused_ms = spanWallMs(calib_span) / 3.0;
+    const double fused_ms = calibrateMs(sc);
     const double capacity_ips = 1000.0 / fused_ms;
     std::printf("calibration: fused predict %.1f ms  (~%.1f ips "
                 "per-request capacity)\n\n",
                 fused_ms, capacity_ips);
 
-    // One derived config set feeds every section (see ServingSetup).
-    const ServingSetup setup = buildServingSetup(fused_ms, len, max_batch);
-    const serve::ServerConfig &per_request = setup.per_request;
-    const serve::ServerConfig &micro = setup.micro;
-    const serve::RequestOptions &high = setup.high;
-    const serve::RequestOptions &balanced = setup.balanced;
+    // One derived config set feeds every row (see ServingSetup).
+    const ServingSetup setup = buildServingSetup(fused_ms, len);
+    const size_t cap = setup.hardened.limits.max_queue_per_class;
+    const Scenario rows[] = {
+        {"per_request@1.5x", setup.per_request, setup.high, 1.5, 0, 0, 0},
+        {"microbatch@1.5x", setup.micro, setup.balanced, 1.5, 0, 0, 0},
+        {"overload@1.0x", setup.hardened, setup.deadlined, 1.0, 3, 8, 0},
+        {"overload@2.5x", setup.hardened, setup.deadlined, 2.5, 3, 8,
+         6 * cap},
+    };
 
-    const double offered = 1.5 * capacity_ips;
-    const double light = 0.6 * capacity_ips;
-
-    std::printf("open loop (Poisson arrivals, %zu images):\n", n);
-    std::vector<ScenarioResult> open;
-    open.push_back(runOpenLoop(sc, "per_request@1.5x", per_request,
-                               high, n, offered));
-    printScenario(open.back());
-    open.push_back(
-        runOpenLoop(sc, "microbatch@1.5x", micro, balanced, n, offered));
-    printScenario(open.back());
-    open.push_back(runOpenLoop(sc, "per_request@0.6x", per_request,
-                               high, n, light));
-    printScenario(open.back());
-    open.push_back(
-        runOpenLoop(sc, "microbatch@0.6x", micro, balanced, n, light));
-    printScenario(open.back());
-
-    std::printf("\nclosed loop (%zu clients, %zu images):\n", clients,
-                n);
-    std::vector<ScenarioResult> closed;
-    closed.push_back(runClosedLoop(sc, "per_request", per_request, high,
-                                   n, clients));
-    printScenario(closed.back());
-    closed.push_back(
-        runClosedLoop(sc, "microbatch", micro, balanced, n, clients));
-    printScenario(closed.back());
-
-    // Overload hardening: the same micro-batching server with the
-    // full robustness config — bounded per-class admission, doomed-
-    // request shedding, and deadline-armed cancellation — measured at
-    // nominal load and at 2.5x capacity. The headline is goodput
-    // (answers that met their deadline per second): admission control
-    // and shedding spend the scarce compute on requests that can
-    // still make it, so goodput should hold up under overload instead
-    // of collapsing with the queue.
-    const serve::ServerConfig &hardened = setup.hardened;
-    const serve::RequestOptions &deadlined = setup.deadlined;
-    const double overload_deadline_ms = setup.overload_deadline_ms;
-
-    std::printf("\noverload (hardened: admission cap %zu/class, "
-                "shedding + deadline cancellation on):\n",
-                hardened.limits.max_queue_per_class);
-    std::vector<ScenarioResult> over;
-    over.push_back(runOverload(sc, "overload@1.0x", hardened, deadlined,
-                               n, 1.0 * capacity_ips, /*burst=*/0));
-    printScenario(over.back());
-    // SCDCNN_SERVE_TRACE=<path>: run the 2.5x overload scenario with
-    // tracing armed and export everything it recorded as a Chrome
-    // trace — the CI traced-burst step validates the file with
-    // tools/trace_check.py.
+    // SCDCNN_SERVE_TRACE=<path>: run the burst row with tracing armed
+    // and export everything it recorded as a Chrome trace — the CI
+    // traced-burst step validates the file with tools/trace_check.py.
     const char *trace_env = std::getenv("SCDCNN_SERVE_TRACE");
     const bool tracing = trace_env != nullptr && *trace_env != '\0';
     obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-    if (tracing) {
-        rec.clear(); // no writers yet: the previous server is gone
-        rec.arm();
+
+    std::printf("scenarios (Poisson arrivals, %zu images; overload rows "
+                "hardened: admission cap %zu/class, shedding + deadline "
+                "cancellation on):\n",
+                n, cap);
+    std::vector<ScenarioResult> res;
+    for (const Scenario &row : rows) {
+        const bool traced = tracing && row.burst > 0;
+        if (traced) {
+            rec.clear(); // no writers yet: the previous server is gone
+            rec.arm();
+        }
+        res.push_back(runScenario(sc, row, capacity_ips, n));
+        if (traced) {
+            rec.disarm();
+            if (obs::writeChromeTrace(trace_env))
+                std::printf("  wrote Chrome trace %s\n", trace_env);
+            else
+                std::fprintf(stderr, "cannot write trace %s\n",
+                             trace_env);
+        }
+        printScenario(row.name, res.back());
     }
-    over.push_back(runOverload(sc, "overload@2.5x", hardened, deadlined,
-                               n, 2.5 * capacity_ips,
-                               /*burst=*/6 * hardened.limits
-                                                 .max_queue_per_class));
-    if (tracing) {
-        rec.disarm();
-        if (obs::writeChromeTrace(trace_env))
-            std::printf("  wrote Chrome trace %s\n", trace_env);
-        else
-            std::fprintf(stderr, "cannot write trace %s\n", trace_env);
-    }
-    printScenario(over.back());
-    const double goodput_1x = over[0].goodput_ips;
-    const double goodput_over = over[1].goodput_ips;
+    const ScenarioResult &per_request = res[0];
+    const ScenarioResult &micro = res[1];
+    const ScenarioResult &over_1x = res[2];
+    const ScenarioResult &over = res[3];
     std::printf("  goodput at 2.5x offered load: %.1f ips (%.0f%% of "
                 "the 1.0x goodput)\n",
-                goodput_over, 100.0 * goodput_over / goodput_1x);
+                over.goodput_ips,
+                100.0 * over.goodput_ips / over_1x.goodput_ips);
 
     // Model-fleet isolation: three registered models, one poisoned
     // mid-run; the healthy models must hold their solo goodput.
     const size_t n_fleet = std::max<size_t>(
         8, bench::envSize("SCDCNN_SERVE_FLEET_IMAGES", n / 4));
-    std::printf("\nmodel fleet (3 models @ 0.25x own capacity each, "
-                "%zu images/model, lenet5 poisoned mid-run):\n",
-                n_fleet);
     const FleetOutcome fleet = runFleet(setup, len, n_fleet);
     printFleet(fleet);
 
-    const double gate_per_request = open[0].achieved_ips;
-    const double gate_micro = open[1].achieved_ips;
     std::printf("\nsame offered load (%.1f ips): per-request %.1f ips "
                 "-> micro-batching %.1f ips (%.2fx)\n",
-                offered, gate_per_request, gate_micro,
-                gate_micro / gate_per_request);
+                per_request.offered_ips, per_request.achieved_ips,
+                micro.achieved_ips,
+                micro.achieved_ips / per_request.achieved_ips);
 
     const char *json_env = std::getenv("SCDCNN_SERVE_JSON");
     const std::string json_path =
@@ -1041,27 +894,17 @@ main()
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
     std::fprintf(f, "  \"calib_fused_ms\": %.3f,\n", fused_ms);
-    std::fprintf(f, "  \"open_loop\": [\n");
-    for (size_t i = 0; i < open.size(); ++i)
-        writeScenarioJson(f, open[i], i + 1 == open.size());
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"closed_loop\": [\n");
-    for (size_t i = 0; i < closed.size(); ++i)
-        writeScenarioJson(f, closed[i], i + 1 == closed.size());
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"overload\": [\n");
-    for (size_t i = 0; i < over.size(); ++i)
-        writeScenarioJson(f, over[i], i + 1 == over.size());
-    std::fprintf(f, "  ],\n");
-    const auto &om = over[1].metrics;
+    const auto &om = over.metrics;
     std::fprintf(f, "  \"overload_gate\": {\n");
-    std::fprintf(f, "    \"deadline_ms\": %.2f,\n", overload_deadline_ms);
-    std::fprintf(f, "    \"queue_cap_per_class\": %zu,\n",
-                 hardened.limits.max_queue_per_class);
-    std::fprintf(f, "    \"goodput_1x_ips\": %.2f,\n", goodput_1x);
-    std::fprintf(f, "    \"goodput_2p5x_ips\": %.2f,\n", goodput_over);
+    std::fprintf(f, "    \"deadline_ms\": %.2f,\n",
+                 setup.overload_deadline_ms);
+    std::fprintf(f, "    \"queue_cap_per_class\": %zu,\n", cap);
+    std::fprintf(f, "    \"goodput_1x_ips\": %.2f,\n", over_1x.goodput_ips);
+    std::fprintf(f, "    \"goodput_2p5x_ips\": %.2f,\n", over.goodput_ips);
     std::fprintf(f, "    \"goodput_ratio\": %.3f,\n",
-                 goodput_1x > 0 ? goodput_over / goodput_1x : 0.0);
+                 over_1x.goodput_ips > 0
+                     ? over.goodput_ips / over_1x.goodput_ips
+                     : 0.0);
     std::fprintf(f, "    \"rejected\": %llu,\n",
                  static_cast<unsigned long long>(om.rejected));
     std::fprintf(f, "    \"shed\": %llu,\n",
@@ -1077,14 +920,14 @@ main()
     std::fprintf(f, "    \"overload_p99_ms\": %.2f\n",
                  om.total_latency.p99_ms);
     std::fprintf(f, "  },\n");
-    writeFleetJson(f, fleet);
+    writeFleetGate(f, fleet);
     std::fprintf(f, "  \"gate\": {\n");
-    std::fprintf(f, "    \"offered_ips\": %.2f,\n", offered);
+    std::fprintf(f, "    \"offered_ips\": %.2f,\n", per_request.offered_ips);
     std::fprintf(f, "    \"per_request_ips\": %.2f,\n",
-                 gate_per_request);
-    std::fprintf(f, "    \"microbatch_ips\": %.2f,\n", gate_micro);
+                 per_request.achieved_ips);
+    std::fprintf(f, "    \"microbatch_ips\": %.2f,\n", micro.achieved_ips);
     std::fprintf(f, "    \"microbatch_p99_ms\": %.2f\n",
-                 open[1].metrics.total_latency.p99_ms);
+                 micro.metrics.total_latency.p99_ms);
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);

@@ -37,54 +37,6 @@ checkMaxPoolStreams(const std::vector<sc::BitstreamView> &inputs,
 
 } // namespace
 
-void
-maxPoolStreamsFused(const std::vector<sc::BitstreamView> &inputs,
-                    size_t segment_len, size_t first_choice,
-                    bool accumulate, sc::Bitstream &out)
-{
-    checkMaxPoolStreams(inputs, segment_len, first_choice);
-    const size_t len = inputs[0].length;
-    out.reset(len);
-    auto &words = out.mutableWords();
-    std::vector<size_t> counters(inputs.size(), 0);
-    size_t selected = first_choice;
-    for (size_t seg_begin = 0; seg_begin < len; seg_begin += segment_len) {
-        const size_t seg_end = std::min(len, seg_begin + segment_len);
-        // Forward the selected input's segment by word copy with
-        // boundary masks (the segment rarely starts or ends on a word
-        // boundary).
-        const uint64_t *src = inputs[selected].words;
-        const size_t w0 = seg_begin / 64;
-        const size_t w1 = (seg_end - 1) / 64;
-        for (size_t w = w0; w <= w1; ++w) {
-            uint64_t mask = ~uint64_t{0};
-            if (w == w0)
-                mask &= ~uint64_t{0} << (seg_begin % 64);
-            if (w == w1) {
-                const size_t t = ((seg_end - 1) % 64) + 1;
-                if (t < 64)
-                    mask &= (uint64_t{1} << t) - 1;
-            }
-            words[w] |= src[w] & mask;
-        }
-        // Masked word popcounts replace the per-bit counters; the
-        // winner drives the next segment (ties keep the earliest
-        // index, as a priority comparator would).
-        size_t best = 0;
-        size_t best_count = 0;
-        for (size_t k = 0; k < inputs.size(); ++k) {
-            counters[k] += sc::countOnes(inputs[k], seg_begin, seg_end);
-            if (counters[k] > best_count) {
-                best_count = counters[k];
-                best = k;
-            }
-            if (!accumulate)
-                counters[k] = 0;
-        }
-        selected = best;
-    }
-}
-
 sc::Bitstream
 maxPoolStreamsReference(const std::vector<sc::BitstreamView> &inputs,
                         size_t segment_len, size_t first_choice,
@@ -215,9 +167,17 @@ HardwareMaxPooling::compute(const std::vector<sc::Bitstream> &inputs,
                             size_t segment_len, size_t first_choice,
                             bool accumulate)
 {
-    sc::Bitstream out;
-    maxPoolStreamsFused(sc::toViews(inputs), segment_len, first_choice,
-                        accumulate, out);
+    const std::vector<sc::BitstreamView> views = sc::toViews(inputs);
+    checkMaxPoolStreams(views, segment_len, first_choice);
+    std::vector<const uint64_t *> words(views.size());
+    for (size_t k = 0; k < views.size(); ++k)
+        words[k] = views[k].words;
+    MaxPoolCarryState state;
+    state.reset(views.size(), first_choice);
+    sc::Bitstream out(views[0].length);
+    maxPoolStreamsRange(words.data(), words.size(), 0, views[0].length,
+                        segment_len, accumulate, state,
+                        out.mutableWords().data());
     return out;
 }
 
@@ -323,41 +283,6 @@ checkBinaryMaxPool(const std::vector<std::vector<uint16_t>> &counts,
 }
 
 } // namespace
-
-void
-binaryMaxPoolFused(const std::vector<std::vector<uint16_t>> &counts,
-                   size_t segment_len, size_t first_choice,
-                   bool accumulate, std::vector<uint16_t> &out)
-{
-    checkBinaryMaxPool(counts, segment_len, first_choice);
-    const size_t len = counts[0].size();
-    out.resize(len);
-    std::vector<uint64_t> accumulators(counts.size(), 0);
-    size_t selected = first_choice;
-    for (size_t seg_begin = 0; seg_begin < len; seg_begin += segment_len) {
-        const size_t seg_end = std::min(len, seg_begin + segment_len);
-        std::copy(counts[selected].begin() +
-                      static_cast<ptrdiff_t>(seg_begin),
-                  counts[selected].begin() +
-                      static_cast<ptrdiff_t>(seg_end),
-                  out.begin() + static_cast<ptrdiff_t>(seg_begin));
-        // Accumulators replace the bit counters of Figure 8; the
-        // segment sums go through the SIMD-dispatched uint16 summer.
-        size_t best = 0;
-        uint64_t best_sum = 0;
-        for (size_t k = 0; k < counts.size(); ++k) {
-            accumulators[k] += sc::simd::avx2SumU16(
-                counts[k].data() + seg_begin, seg_end - seg_begin);
-            if (accumulators[k] > best_sum) {
-                best_sum = accumulators[k];
-                best = k;
-            }
-            if (!accumulate)
-                accumulators[k] = 0;
-        }
-        selected = best;
-    }
-}
 
 void
 binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
@@ -619,21 +544,20 @@ binaryMaxPoolReference(const std::vector<std::vector<uint16_t>> &counts,
     return out;
 }
 
-void
-BinaryMaxPooling::compute(const std::vector<std::vector<uint16_t>> &counts,
-                          size_t segment_len, size_t first_choice,
-                          bool accumulate, std::vector<uint16_t> &out)
-{
-    binaryMaxPoolFused(counts, segment_len, first_choice, accumulate, out);
-}
-
 std::vector<uint16_t>
 BinaryMaxPooling::compute(const std::vector<std::vector<uint16_t>> &counts,
                           size_t segment_len, size_t first_choice,
                           bool accumulate)
 {
-    std::vector<uint16_t> out;
-    compute(counts, segment_len, first_choice, accumulate, out);
+    checkBinaryMaxPool(counts, segment_len, first_choice);
+    std::vector<const uint16_t *> ptrs(counts.size());
+    for (size_t k = 0; k < counts.size(); ++k)
+        ptrs[k] = counts[k].data();
+    MaxPoolCarryState state;
+    state.reset(counts.size(), first_choice);
+    std::vector<uint16_t> out(counts[0].size());
+    binaryMaxPoolRange(ptrs.data(), ptrs.size(), 0, out.size(), segment_len,
+                       accumulate, state, out.data());
     return out;
 }
 

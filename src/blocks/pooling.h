@@ -28,19 +28,9 @@ namespace blocks {
 sc::Bitstream averagePooling(const std::vector<sc::Bitstream> &inputs,
                              sc::Xoshiro256ss &sel);
 
-/**
- * Word-parallel Figure 8 selector over packed stream views: segment
- * counts via masked word popcounts, forwarding via word copies with
- * boundary masks. Supports both counter readings (see
- * HardwareMaxPooling::compute for @p accumulate). Bit-exact with
- * maxPoolStreamsReference — the twin contract of DESIGN.md.
- */
-void maxPoolStreamsFused(const std::vector<sc::BitstreamView> &inputs,
-                         size_t segment_len, size_t first_choice,
-                         bool accumulate, sc::Bitstream &out);
-
-/** Bit-serial oracle for maxPoolStreamsFused: per-bit counters,
- *  get()-driven forwarding. */
+/** Bit-serial oracle for the Figure 8 stream selector
+ *  (HardwareMaxPooling::compute, maxPoolStreamsRange): per-bit
+ *  counters, get()-driven forwarding. */
 sc::Bitstream
 maxPoolStreamsReference(const std::vector<sc::BitstreamView> &inputs,
                         size_t segment_len, size_t first_choice,
@@ -71,11 +61,14 @@ struct MaxPoolCarryState
 };
 
 /**
- * Range-streamed maxPoolStreamsFused: processes absolute cycles
- * [@p abs_begin, @p abs_begin + @p n_cycles) of the pooled stream.
- * @p inputs are segment-local packed words (bit i of inputs[k] is
- * input k's bit at absolute cycle abs_begin + i; abs_begin must be
+ * Word-parallel Figure 8 selector over absolute cycles [@p abs_begin,
+ * @p abs_begin + @p n_cycles) of the pooled stream: segment counts via
+ * masked word popcounts, forwarding via word copies with boundary
+ * masks. @p inputs are segment-local packed words (bit i of inputs[k]
+ * is input k's bit at absolute cycle abs_begin + i; abs_begin must be
  * word-aligned), @p out likewise. Output words are fully rewritten.
+ * Run once over a whole stream from a state reset to first_choice, it
+ * is bit-exact with maxPoolStreamsReference.
  */
 void maxPoolStreamsRange(const uint64_t *const *inputs, size_t n_inputs,
                          size_t abs_begin, size_t n_cycles,
@@ -100,6 +93,8 @@ class HardwareMaxPooling
      *        is what makes the selection reliable when the candidate
      *        streams are separated by O(1/N), as inside a trained
      *        network (see DESIGN.md reconstruction notes).
+     *
+     * Runs maxPoolStreamsRange once over the whole stream.
      */
     static sc::Bitstream compute(const std::vector<sc::Bitstream> &inputs,
                                  size_t segment_len,
@@ -143,11 +138,14 @@ void binaryAveragePoolingSignedRange(const uint16_t *const *counts,
                                      size_t n_cycles, int *out);
 
 /**
- * Range-streamed binaryMaxPoolFused over segment-local count buffers:
+ * Binary-domain Figure 8 selector over segment-local count buffers:
  * counts[k][i] is input k's count at absolute cycle abs_begin + i.
- * See maxPoolStreamsRange for the carry contract. The engine pools
- * count planes through binaryMaxPoolPlanesBatch; this is its reference
- * twin, the oracle of the plane form in tests/test_batch_stream.cc.
+ * Segment accumulation goes through the SIMD-dispatched uint16 summer,
+ * forwarding by segment copy. See maxPoolStreamsRange for the carry
+ * contract; run once over a whole sequence it is bit-exact with
+ * binaryMaxPoolReference. The engine pools count planes through
+ * binaryMaxPoolPlanesBatch; this is its reference twin, the oracle of
+ * the plane form in tests/test_batch_stream.cc.
  */
 void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         size_t abs_begin, size_t n_cycles,
@@ -192,16 +190,8 @@ void averagePoolingRange(const uint64_t *const *inputs, size_t n_inputs,
                          size_t n_cycles, sc::Xoshiro256ss &rng,
                          uint64_t *out);
 
-/**
- * Word-parallel binary-domain max pooling: segment accumulation through
- * the SIMD-dispatched uint16 summer, forwarding by segment copy.
- * Bit-exact with binaryMaxPoolReference.
- */
-void binaryMaxPoolFused(const std::vector<std::vector<uint16_t>> &counts,
-                        size_t segment_len, size_t first_choice,
-                        bool accumulate, std::vector<uint16_t> &out);
-
-/** Element-serial oracle for binaryMaxPoolFused. */
+/** Element-serial oracle for the binary-domain selector
+ *  (BinaryMaxPooling::compute, binaryMaxPoolRange). */
 std::vector<uint16_t>
 binaryMaxPoolReference(const std::vector<std::vector<uint16_t>> &counts,
                        size_t segment_len, size_t first_choice,
@@ -210,22 +200,16 @@ binaryMaxPoolReference(const std::vector<std::vector<uint16_t>> &counts,
 /**
  * Binary-domain max pooling: the Figure 8 selector with the bit
  * counters replaced by accumulators over the APC count sequences.
- * compute() runs the word-parallel kernel (binaryMaxPoolFused).
  */
 class BinaryMaxPooling
 {
   public:
-    /** See HardwareMaxPooling::compute for @p accumulate. */
+    /** See HardwareMaxPooling::compute for @p accumulate. Runs
+     *  binaryMaxPoolRange once over the whole sequence. */
     static std::vector<uint16_t>
     compute(const std::vector<std::vector<uint16_t>> &counts,
             size_t segment_len, size_t first_choice = 0,
             bool accumulate = false);
-
-    /** Allocation-free variant writing into @p out. */
-    static void
-    compute(const std::vector<std::vector<uint16_t>> &counts,
-            size_t segment_len, size_t first_choice, bool accumulate,
-            std::vector<uint16_t> &out);
 };
 
 } // namespace blocks

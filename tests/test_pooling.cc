@@ -228,9 +228,10 @@ TEST(BinaryMaxPooling, ApproximatesTrueMaxOnStochasticCounts)
 }
 
 /**
- * Twin-contract equivalence: the word-parallel max pooling kernels
- * must be bit-exact with their bit-serial/element-serial references
- * for both counter readings and segment lengths not dividing L.
+ * Twin-contract equivalence: the word-parallel max pooling blocks
+ * (the Range kernels run once over the whole stream) must be
+ * bit-exact with their bit-serial/element-serial references for both
+ * counter readings and segment lengths not dividing L.
  */
 class MaxPoolFusedVsReference
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
@@ -249,10 +250,9 @@ TEST_P(MaxPoolFusedVsReference, StreamsBitExact)
             bipolarStreams(v, len, 900 + len + seg * 13 + rep);
         const auto views = sc::toViews(ins);
         for (bool accumulate : {false, true}) {
-            sc::Bitstream fused;
-            maxPoolStreamsFused(views, seg, rep % ins.size(),
-                                accumulate, fused);
-            EXPECT_EQ(fused,
+            EXPECT_EQ(HardwareMaxPooling::compute(ins, seg,
+                                                  rep % ins.size(),
+                                                  accumulate),
                       maxPoolStreamsReference(views, seg,
                                               rep % ins.size(),
                                               accumulate))
@@ -273,9 +273,7 @@ TEST_P(MaxPoolFusedVsReference, BinaryCountsBitExact)
             x = static_cast<uint16_t>(vals.nextBelow(152));
     }
     for (bool accumulate : {false, true}) {
-        std::vector<uint16_t> fused;
-        binaryMaxPoolFused(counts, seg, 1, accumulate, fused);
-        EXPECT_EQ(fused,
+        EXPECT_EQ(BinaryMaxPooling::compute(counts, seg, 1, accumulate),
                   binaryMaxPoolReference(counts, seg, 1, accumulate))
             << "len=" << len << " seg=" << seg
             << " accumulate=" << accumulate;
@@ -291,16 +289,6 @@ INSTANTIATE_TEST_SUITE_P(
         // one spanning multiple words and one longer than L.
         ::testing::Values(1, 3, 16, 17, 100, 2048)));
 
-TEST(MaxPoolFused, HardwareMaxPoolingRunsTheFusedKernel)
-{
-    // The block API must agree with the oracle too (it delegates to
-    // the fused kernel).
-    auto ins = bipolarStreams({0.4, -0.1, 0.7}, 300, 42);
-    sc::Bitstream block = HardwareMaxPooling::compute(ins, 16, 2, true);
-    EXPECT_EQ(block, maxPoolStreamsReference(sc::toViews(ins), 16, 2,
-                                             true));
-}
-
 /** Word-range partitions (in words) used by the range-kernel tests:
  *  one that divides a 5-word stream, one that does not, whole-stream. */
 const size_t kRangePartitions[] = {1, 2, 3, 100};
@@ -308,8 +296,8 @@ const size_t kRangePartitions[] = {1, 2, 3, 100};
 TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
 {
     // Streaming the Figure 8 selector range by range with a carried
-    // MaxPoolCarryState must be bit-exact with the whole-stream fused
-    // kernel — including pooling segments straddling range boundaries
+    // MaxPoolCarryState must be bit-exact with the whole-stream
+    // reference — including pooling segments straddling range boundaries
     // (segment_len 24 never aligns with 64-cycle words).
     const size_t len = 300;
     const size_t n_words = (len + 63) / 64;
@@ -317,8 +305,8 @@ TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
     const auto views = sc::toViews(ins);
     for (size_t segment_len : {size_t{16}, size_t{24}, size_t{7}}) {
         for (bool accumulate : {false, true}) {
-            sc::Bitstream whole;
-            maxPoolStreamsFused(views, segment_len, 0, accumulate, whole);
+            const sc::Bitstream whole = maxPoolStreamsReference(
+                views, segment_len, 0, accumulate);
             for (size_t seg_words : kRangePartitions) {
                 std::vector<uint64_t> stitched(n_words, 0);
                 MaxPoolCarryState state;
@@ -355,8 +343,8 @@ TEST(BinaryMaxPoolRange, CarriedStateMatchesWholeSequenceKernel)
             c = static_cast<uint16_t>(vals.nextBelow(27));
     for (size_t segment_len : {size_t{16}, size_t{24}, size_t{7}}) {
         for (bool accumulate : {false, true}) {
-            std::vector<uint16_t> whole;
-            binaryMaxPoolFused(counts, segment_len, 0, accumulate, whole);
+            const std::vector<uint16_t> whole = binaryMaxPoolReference(
+                counts, segment_len, 0, accumulate);
             for (size_t seg_words : kRangePartitions) {
                 std::vector<uint16_t> stitched(len, 0xFFFF);
                 MaxPoolCarryState state;
