@@ -497,8 +497,6 @@ main()
     std::fprintf(f, "  \"simd\": \"%s\",\n",
                  sc::simd::enabled() ? "avx2" : "scalar");
     std::fprintf(f, "  \"filter_block\": %zu,\n", sc::kFilterLanes);
-    std::fprintf(f, "  \"segment_words\": %zu,\n",
-                 cfg.stream_segment_words);
     std::fprintf(f, "  \"single_image\": {\n");
     std::fprintf(f, "    \"threads\": %zu,\n", kSingleThreads);
     std::fprintf(f, "    \"reference_ms\": %.3f,\n", ref_ms);
@@ -518,6 +516,8 @@ main()
     std::fprintf(f, "      \"margin\": %.3f,\n", cfg.progressive_margin);
     std::fprintf(f, "      \"min_bits\": %zu,\n",
                  cfg.progressive_min_bits);
+    std::fprintf(f, "      \"checkpoint_words\": %zu,\n",
+                 cfg.stream_segment_words);
     std::fprintf(f, "      \"ms\": %.3f,\n", prog_ms);
     std::fprintf(f, "      \"speedup_vs_fused\": %.2f,\n",
                  fused_ms / prog_ms);

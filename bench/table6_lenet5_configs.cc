@@ -88,6 +88,6 @@ main()
         "Layer1 (No.1/3/5) degrade far more here than in the paper — "
         "a flat 500-input MUX drops 499/500 of the products per cycle, "
         "consistent with the paper's own Table 2 error data (see "
-        "EXPERIMENTS.md).\n");
+        "DESIGN.md, \"Reconstruction notes\").\n");
     return 0;
 }

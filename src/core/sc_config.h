@@ -68,23 +68,12 @@ struct ScNetworkConfig
      * activation -> output accumulation) advances this many words of
      * the streams at a time, carrying FSM/pooling/select state across
      * segments. 0 falls back to a default granularity (a whole-stream
-     * run would leave no checkpoint). Plain Fused calls use
-     * batch_stream_segment_words instead; Reference always runs whole
-     * streams. Results are bit-exact for every value (the
-     * segment-streaming equivalence tests pin this down).
+     * run would leave no checkpoint). Every other call runs whole
+     * streams: plain Fused calls (each weight block is streamed once
+     * per call) and Reference. Results are bit-exact for every value
+     * (the segment-streaming equivalence tests pin this down).
      */
     size_t stream_segment_words = 4;
-
-    /**
-     * Segment size of the SC driver for calls without checkpoints —
-     * Fused mode with no cancel signal, single images and batches
-     * alike — in 64-bit words. 0 (the default) runs whole-stream: each
-     * weight block is streamed exactly once per call, which measures
-     * faster than short segments because the driver's cache reuse
-     * comes from keeping weights resident across images, not from
-     * short stream slices. Results are bit-exact for every value.
-     */
-    size_t batch_stream_segment_words = 0;
 
     /**
      * EngineMode::Progressive early-exit threshold: stop consuming
@@ -134,8 +123,6 @@ struct ScNetworkConfig
                a.k_policy == b.k_policy && a.input_c == b.input_c &&
                a.input_h == b.input_h && a.input_w == b.input_w &&
                a.stream_segment_words == b.stream_segment_words &&
-               a.batch_stream_segment_words ==
-                   b.batch_stream_segment_words &&
                a.progressive_margin == b.progressive_margin &&
                a.progressive_min_bits == b.progressive_min_bits;
     }

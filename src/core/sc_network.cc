@@ -89,27 +89,6 @@ struct PhaseTimer
     uint64_t activation = 0;
 };
 
-/** parallelForChunks on @p pool, or on the global pool when null. */
-void
-forChunks(ThreadPool *pool, size_t n,
-          const std::function<void(size_t, size_t)> &chunk)
-{
-    if (pool != nullptr)
-        parallelForChunks(*pool, 0, n, chunk);
-    else
-        parallelForChunks(0, n, chunk);
-}
-
-/** parallelFor on @p pool, or on the global pool when null. */
-void
-forEach(ThreadPool *pool, size_t n, const std::function<void(size_t)> &body)
-{
-    if (pool != nullptr)
-        parallelFor(*pool, 0, n, body);
-    else
-        parallelFor(0, n, body);
-}
-
 /**
  * Stateless per-site generator seed: mixes (base seed, layer, site)
  * through SplitMix64 so every pixel/neuron derives its randomness from
@@ -137,75 +116,6 @@ constexpr uint64_t kPoolSalt = 0xAB00057EDB00157EULL;
  *  whole-stream execution (which would leave no mid-stream boundary
  *  to exit or cancel at). */
 constexpr size_t kCheckpointFallbackSegmentWords = 4;
-
-/**
- * The bit-serial oracle's pool + activate step for one APC pixel of
- * one image: the four windows' whole-stream counts through the
- * reference pooling twin, then a scalar Btanh from its initial state.
- */
-sc::Bitstream
-referenceApcPixel(const uint16_t *const *cnt, size_t len, bool use_max,
-                  size_t segment_len, unsigned state_count,
-                  unsigned n_inputs, PhaseTimer &timer)
-{
-    std::vector<std::vector<uint16_t>> counts(4);
-    for (size_t w = 0; w < 4; ++w)
-        counts[w].assign(cnt[w], cnt[w] + len);
-    sc::Btanh unit(state_count, n_inputs);
-    sc::Bitstream out;
-    if (use_max) {
-        const std::vector<uint16_t> pooled = blocks::binaryMaxPoolReference(
-            counts, segment_len, 0, /*accumulate=*/true);
-        timer.lap(timer.pooling);
-        out = unit.transform(pooled);
-    } else {
-        const std::vector<int> steps =
-            blocks::binaryAveragePoolingSigned(counts, n_inputs);
-        timer.lap(timer.pooling);
-        out = unit.transformSigned(steps);
-    }
-    timer.lap(timer.activation);
-    return out;
-}
-
-/**
- * The bit-serial oracle's pool + activate step for one MUX pixel of
- * one image: the four windows' product streams through the reference
- * max selector or the MUX average (drawing from @p pool_rng), then a
- * scalar Stanh from its initial state.
- */
-sc::Bitstream
-referenceMuxPixel(const uint64_t *const *prod, size_t len, bool use_max,
-                  size_t segment_len, unsigned state_count,
-                  sc::Xoshiro256ss *pool_rng, PhaseTimer &timer)
-{
-    sc::Bitstream pooled;
-    if (use_max) {
-        std::vector<sc::BitstreamView> views;
-        for (size_t w = 0; w < 4; ++w)
-            views.emplace_back(prod[w], len);
-        pooled = blocks::maxPoolStreamsReference(views, segment_len, 0,
-                                                 /*accumulate=*/true);
-    } else {
-        // Unlike the isolated Figure 14(b) study (operands uniform
-        // over [-1,1]), trained-network streams sit near p=0.5 where
-        // the Figure 11 K/5 threshold would swamp the signal with a
-        // constant positive bias; the classic midpoint threshold is
-        // used for network inference.
-        std::vector<sc::Bitstream> streams(4);
-        for (size_t w = 0; w < 4; ++w) {
-            streams[w].reset(len);
-            std::copy(prod[w], prod[w] + (len + 63) / 64,
-                      streams[w].mutableWords().begin());
-        }
-        pooled = blocks::averagePooling(streams, *pool_rng);
-    }
-    timer.lap(timer.pooling);
-    sc::Stanh fsm(state_count);
-    sc::Bitstream out = fsm.transform(pooled);
-    timer.lap(timer.activation);
-    return out;
-}
 
 /** Work items whose (filter lane x active image) pixels fill one
  *  sc::kFsmBatchTile-stream FSM tile (at least one item). */
@@ -380,9 +290,70 @@ class PixelTile
     std::vector<uint64_t *> pooled_word_ptrs_;
 };
 
-} // namespace
-
-namespace {
+/**
+ * The bit-serial oracle's pool + activate step for one pixel of one
+ * image over the whole stream: the windows' counts (APC stages) or
+ * product streams (MUX stages) through the reference pooling twin of
+ * @p spec — the Figure 8 selector, the signed APC mean, or the MUX
+ * average drawing from @p pool_rng — then a scalar Btanh / Stanh from
+ * its initial state. An fc pixel (Pool::None) feeds its one input to
+ * the unit directly.
+ */
+sc::Bitstream
+referencePixel(const PixelTile::Spec &spec, unsigned state_count,
+               const uint16_t *const *cnt, const uint64_t *const *prod,
+               sc::Xoshiro256ss *pool_rng, PhaseTimer &timer)
+{
+    using Pool = PixelTile::Pool;
+    const size_t len = spec.n_cycles;
+    const size_t fan = spec.pool == Pool::None ? 1 : 4;
+    sc::Bitstream out;
+    if (spec.btanh != nullptr) {
+        std::vector<std::vector<uint16_t>> counts(fan);
+        for (size_t w = 0; w < fan; ++w)
+            counts[w].assign(cnt[w], cnt[w] + len);
+        sc::Btanh unit(state_count, static_cast<unsigned>(spec.n_inputs));
+        if (spec.pool == Pool::Average) {
+            const std::vector<int> steps =
+                blocks::binaryAveragePoolingSigned(counts, spec.n_inputs);
+            timer.lap(timer.pooling);
+            out = unit.transformSigned(steps);
+        } else {
+            if (spec.pool == Pool::Max) {
+                counts[0] = blocks::binaryMaxPoolReference(
+                    counts, spec.segment_len, 0, /*accumulate=*/true);
+                timer.lap(timer.pooling);
+            }
+            out = unit.transform(counts[0]);
+        }
+    } else {
+        std::vector<sc::Bitstream> streams(fan);
+        for (size_t w = 0; w < fan; ++w) {
+            streams[w].reset(len);
+            std::copy(prod[w], prod[w] + (len + 63) / 64,
+                      streams[w].mutableWords().begin());
+        }
+        if (spec.pool == Pool::Max) {
+            const std::vector<sc::BitstreamView> views(streams.begin(),
+                                                       streams.end());
+            streams[0] = blocks::maxPoolStreamsReference(
+                views, spec.segment_len, 0, /*accumulate=*/true);
+        } else if (spec.pool == Pool::Average) {
+            // Unlike the isolated Figure 14(b) study (operands uniform
+            // over [-1,1]), trained-network streams sit near p=0.5
+            // where the Figure 11 K/5 threshold would swamp the signal
+            // with a constant positive bias; the classic midpoint
+            // threshold is used for network inference.
+            streams[0] = blocks::averagePooling(streams, *pool_rng);
+        }
+        if (spec.pool != Pool::None)
+            timer.lap(timer.pooling);
+        sc::Stanh fsm(state_count);
+        out = fsm.transform(streams[0]);
+    }
+    timer.lap(timer.activation);
+    return out;
+}
 
 /** Activation-unit sizing for one network layer. */
 struct ActSizing
@@ -477,99 +448,65 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
             stanh_tables_[l] = &fsm_tables_.stanh(layer_k_[l]);
     }
 
-    // Every filter's / neuron's streams are drawn in tap order into
-    // one reused word buffer, then copied into their storage layout.
+    // Every filter's / neuron's streams are drawn in tap order — its
+    // weight row in the layer's storage order ((channel, row, column)
+    // for a conv filter, input order for a neuron), then the bias —
+    // into one reused word buffer, then handed to put(filter, tap,
+    // stream view). MUX-based layers attenuate their features by
+    // layer_gain_; the consuming layer's weight streams are programmed
+    // at w/gain (saturating in the SNG — the pre-scaling of Section
+    // 3.2), so the drift seen by its adder matches the float network
+    // again. Biases are not attenuated and stay unscaled.
     std::vector<double> row_values;
     std::vector<uint64_t> row_words;
     const size_t row_stride = (len + 63) / 64;
-    auto encode_row = [&]() {
-        row_words.resize(row_values.size() * row_stride);
-        bank.bipolarInto(row_values, len, row_words.data(), row_stride);
-    };
-    auto row_view = [&](size_t tap) {
-        return sc::BitstreamView(row_words.data() + tap * row_stride, len);
-    };
-
-    // MUX-based layers attenuate their features by layer_gain_; the
-    // consuming layer's weight streams are programmed at w/gain
-    // (saturating in the SNG — the pre-scaling of Section 3.2), so the
-    // drift seen by its adder matches the float network again. Biases
-    // are not attenuated and stay unscaled.
-    auto encode_conv = [&](const nn::ConvLayer &conv, double in_gain,
-                           ConvWeightStreams &out) {
-        out.c_in = conv.cIn();
-        out.c_out = conv.cOut();
-        out.k = conv.kernel();
-        out.n_per_filter = out.c_in * out.k * out.k + 1;
-        out.blocked.reset(out.c_out, out.n_per_filter, len);
-        for (size_t co = 0; co < out.c_out; ++co) {
+    auto encode_rows = [&](const nn::PlanStage &st, double in_gain,
+                           const auto &put) {
+        nn::Layer &layer = net.layer(st.layer_index);
+        const std::vector<float> &w = *layer.weights();
+        const std::vector<float> &bias = *layer.biases();
+        for (size_t o = 0; o < st.out_c; ++o) {
             row_values.clear();
-            for (size_t ci = 0; ci < out.c_in; ++ci)
-                for (size_t ky = 0; ky < out.k; ++ky)
-                    for (size_t kx = 0; kx < out.k; ++kx)
-                        row_values.push_back(
-                            conv.weightAt(co, ci, ky, kx) / in_gain);
-            row_values.push_back(conv.biasAt(co));
-            encode_row();
-            for (size_t tap = 0; tap < out.n_per_filter; ++tap)
-                out.blocked.assign(co, tap, row_view(tap));
-        }
-    };
-    // Draws an fc layer's streams in (neuron, input) order, bias last,
-    // handing each to put(neuron, tap, stream view).
-    auto encode_fc = [&](const nn::FullyConnected &fc, double in_gain,
-                         const auto &put) {
-        for (size_t o = 0; o < fc.nOut(); ++o) {
-            row_values.clear();
-            for (size_t i = 0; i < fc.nIn(); ++i)
-                row_values.push_back(fc.weightAt(o, i) / in_gain);
-            row_values.push_back(fc.biasAt(o));
-            encode_row();
-            for (size_t i = 0; i <= fc.nIn(); ++i)
-                put(o, i, row_view(i));
+            for (size_t i = 0; i < st.fan_in; ++i)
+                row_values.push_back(w[o * st.fan_in + i] / in_gain);
+            row_values.push_back(bias[o]);
+            row_words.resize(row_values.size() * row_stride);
+            bank.bipolarInto(row_values, len, row_words.data(), row_stride);
+            for (size_t tap = 0; tap <= st.fan_in; ++tap)
+                put(o, tap,
+                    sc::BitstreamView(row_words.data() + tap * row_stride,
+                                      len));
         }
     };
 
-    // Encode the hidden stages in plan order (convs precede fcs by
-    // the grammar), each consuming the previous stage's realized
-    // gain, then the binary output layer.
+    // Encode the hidden stages in plan order, each consuming the
+    // previous stage's realized gain, then the binary output layer.
     double in_gain = 1.0;
+    stages_.resize(n_stages);
     for (size_t l = 0; l < n_stages; ++l) {
         const nn::PlanStage &st = plan_.stages[l];
-        if (st.kind == nn::StageOutline::Kind::Conv) {
-            convs_.emplace_back();
-            encode_conv(dynamic_cast<const nn::ConvLayer &>(
-                            net.layer(st.layer_index)),
-                        in_gain, convs_.back());
-        } else {
-            const auto &fc = dynamic_cast<const nn::FullyConnected &>(
-                net.layer(st.layer_index));
-            FcWeightStreams &out = fcs_.emplace_back();
-            out.n_in = fc.nIn();
-            out.n_out = fc.nOut();
-            out.blocked.reset(out.n_out, out.n_in + 1, len);
-            encode_fc(fc, in_gain,
-                      [&](size_t o, size_t i, sc::BitstreamView s) {
-                          out.blocked.assign(o, i, s);
-                      });
-        }
+        sc::InterleavedWeightArena &arena = stages_[l];
+        arena.reset(st.out_c, st.fan_in + 1, len);
+        encode_rows(st, in_gain,
+                    [&](size_t o, size_t tap, sc::BitstreamView v) {
+                        arena.assign(o, tap, v);
+                    });
         in_gain = layer_gain_[l];
     }
-    const auto &fc = dynamic_cast<const nn::FullyConnected &>(
-        net.layer(plan_.output.layer_index));
-    out_.n_in = fc.nIn();
-    out_.n_out = fc.nOut();
+    out_.n_in = plan_.output.fan_in;
+    out_.n_out = plan_.output.out_c;
     out_.arena.reset(out_.n_out * (out_.n_in + 1), len);
-    encode_fc(fc, in_gain, [&](size_t o, size_t i, sc::BitstreamView s) {
-        std::copy(s.words, s.words + row_stride,
-                  out_.arena.wordsAt(o * (out_.n_in + 1) + i));
-    });
+    encode_rows(plan_.output, in_gain,
+                [&](size_t o, size_t tap, sc::BitstreamView v) {
+                    std::copy(v.words, v.words + row_stride,
+                              out_.arena.wordsAt(o * (out_.n_in + 1) + tap));
+                });
 }
 
 ScNetwork::BatchStreamGrid
 ScNetwork::encodeImagesBatch(std::span<const nn::Tensor> images,
                              std::span<const uint64_t> seeds,
-                             ThreadPool *pool) const
+                             ThreadPool &pool) const
 {
     BatchStreamGrid grid;
     grid.c = plan_.in_c;
@@ -577,7 +514,7 @@ ScNetwork::encodeImagesBatch(std::span<const nn::Tensor> images,
     grid.w = plan_.in_w;
     grid.arena.reset(grid.c * grid.h * grid.w, images.size(),
                      cfg_.bitstream_len);
-    forEach(pool, images.size(), [&](size_t b) {
+    parallelFor(pool, 0, images.size(), [&](size_t b) {
         const nn::Tensor &image = images[b];
         SCDCNN_ASSERT(image.channels() == plan_.in_c &&
                           image.height() == plan_.in_h &&
@@ -603,27 +540,20 @@ ScNetwork::encodeImagesBatch(std::span<const nn::Tensor> images,
 }
 
 void
-ScNetwork::initConvBatchRun(ConvBatchRun &run, const BatchStreamGrid &in,
-                            const ConvWeightStreams &weights,
-                            size_t layer_idx,
-                            const std::vector<uint64_t> &seeds) const
+ScNetwork::initStageRun(StageRun &run, size_t stage,
+                        const std::vector<uint64_t> &seeds) const
 {
+    const nn::PlanStage &st = plan_.stages[stage];
     const size_t B = seeds.size();
-    const size_t k = weights.k;
-    const size_t conv_h = in.h - k + 1;
-    const size_t conv_w = in.w - k + 1;
-    SCDCNN_ASSERT(conv_h % 2 == 0 && conv_w % 2 == 0,
-                  "conv output not poolable");
-    run.out.c = weights.c_out;
-    run.out.h = conv_h / 2;
-    run.out.w = conv_w / 2;
-    run.out.arena.reset(run.out.c * run.out.h * run.out.w, B,
-                        cfg_.bitstream_len);
+    const size_t n_pixels = st.flatOut();
+    run.out.c = st.out_c;
+    run.out.h = st.out_h;
+    run.out.w = st.out_w;
+    run.out.arena.reset(n_pixels, B, cfg_.bitstream_len);
 
-    const blocks::FebKind kind = stageFebKind(layer_idx);
+    const blocks::FebKind kind = stageFebKind(stage);
     const bool use_apc = blocks::febUsesApc(kind);
     const bool use_max = blocks::febUsesMaxPool(kind);
-    const size_t n_pixels = run.out.c * run.out.h * run.out.w;
 
     // Every per-site quantity, replicated per image at index
     // site * B + b and seeded from image b's own seed alone — so an
@@ -633,77 +563,60 @@ ScNetwork::initConvBatchRun(ConvBatchRun &run, const BatchStreamGrid &in,
     // lanes, the way the blocked MUX kernel samples — and the
     // average-pooling MUX per pixel.
     run.fsm.assign(n_pixels * B,
-                   use_apc ? btanh_tables_[layer_idx]->initialState()
-                           : stanh_tables_[layer_idx]->initialState());
+                   use_apc ? btanh_tables_[stage]->initialState()
+                           : stanh_tables_[stage]->initialState());
     run.pool.clear();
     if (use_max) {
         run.pool.resize(n_pixels * B);
-        for (auto &st : run.pool)
-            st.reset(4, 0);
+        for (auto &carry : run.pool)
+            carry.reset(4, 0);
     }
     run.sel_rng.clear();
     run.pool_rng.clear();
     if (!use_apc) {
-        const size_t positions = run.out.h * run.out.w;
-        const size_t n_sites = weights.blocked.groups() * positions * 4;
+        const size_t windows = st.pooled ? 4 : 1;
+        const size_t n_sites =
+            stages_[stage].groups() * st.out_h * st.out_w * windows;
         run.sel_rng.reserve(n_sites * B);
         for (size_t s = 0; s < n_sites; ++s)
             for (size_t b = 0; b < B; ++b)
                 run.sel_rng.emplace_back(
-                    siteSeed(seeds[b] ^ kSelectSalt, layer_idx, s));
-        if (!use_max) {
+                    siteSeed(seeds[b] ^ kSelectSalt, stage, s));
+        if (st.pooled && !use_max) {
             run.pool_rng.reserve(n_pixels * B);
             for (size_t p = 0; p < n_pixels; ++p)
                 for (size_t b = 0; b < B; ++b)
                     run.pool_rng.emplace_back(
-                        siteSeed(seeds[b] ^ kPoolSalt, layer_idx, p));
+                        siteSeed(seeds[b] ^ kPoolSalt, stage, p));
         }
     }
 }
 
 void
-ScNetwork::initFcBatchRun(FcBatchRun &run, const FcWeightStreams &weights,
-                          size_t layer_idx,
-                          const std::vector<uint64_t> &seeds) const
+ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
+                           const SegRange &seg,
+                           const std::vector<uint32_t> &active,
+                           bool reference, StageRun &run,
+                           ThreadPool &pool) const
 {
-    const size_t B = seeds.size();
-    run.out.reset(weights.n_out, B, cfg_.bitstream_len);
-    const bool use_apc = blocks::febUsesApc(stageFebKind(layer_idx));
-    run.fsm.assign(weights.n_out * B,
-                   use_apc ? btanh_tables_[layer_idx]->initialState()
-                           : stanh_tables_[layer_idx]->initialState());
-    run.sel_rng.clear();
-    if (!use_apc) {
-        const size_t n_groups = weights.blocked.groups();
-        run.sel_rng.reserve(n_groups * B);
-        for (size_t g = 0; g < n_groups; ++g)
-            for (size_t b = 0; b < B; ++b)
-                run.sel_rng.emplace_back(
-                    siteSeed(seeds[b] ^ kSelectSalt, layer_idx, g));
-    }
-}
-
-void
-ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
-                                    const ConvWeightStreams &weights,
-                                    size_t layer_idx, const SegRange &seg,
-                                    const std::vector<uint32_t> &active,
-                                    bool reference, ConvBatchRun &run,
-                                    ThreadPool *pool) const
-{
-    const size_t k = weights.k;
-    const size_t out_w = run.out.w;
-    const size_t n_inputs = weights.n_per_filter;
+    // An fc stage is a conv stage whose kernel covers its whole input
+    // grid: one output position and one window (side 1), no pooling.
+    const nn::PlanStage &st = plan_.stages[stage];
+    const size_t side = st.pooled ? 2 : 1; // pooling window side
+    const size_t windows = side * side;
+    const size_t kh = st.in_h - side * st.out_h + 1;
+    const size_t kw = st.in_w - side * st.out_w + 1;
+    const size_t positions = st.out_h * st.out_w;
+    const size_t n_inputs = st.fan_in + 1;
+    const sc::InterleavedWeightArena &weights = stages_[stage];
     const size_t B = run.out.arena.images();
     const size_t n_active = active.size();
-    const size_t len = cfg_.bitstream_len;
 
-    const blocks::FebKind kind = stageFebKind(layer_idx);
-    const unsigned state_count = layer_k_[layer_idx];
+    const blocks::FebKind kind = stageFebKind(stage);
+    const unsigned state_count = layer_k_[stage];
     const bool use_apc = blocks::febUsesApc(kind);
     const bool use_max = blocks::febUsesMaxPool(kind);
-    const size_t positions = run.out.h * run.out.w;
-    const size_t n_groups = weights.blocked.groups();
+    const size_t n_groups = weights.groups();
     const size_t seg_words = seg.w1 - seg.w0;
     const size_t seg_stride = seg_words * 64;
     const size_t in_stride = in.arena.strideWords();
@@ -721,7 +634,7 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
     // for the losing windows (binaryMaxPoolPlanesBatch recovers the
     // winner's counts on demand). The Reference oracle keeps plain
     // counts for its bit-serial pooling twin.
-    const bool use_planes = use_apc && use_max && !reference;
+    const bool use_planes = use_max && use_apc && !reference;
     const size_t plane_cap = sc::planeCapForTaps(n_inputs);
     const size_t plane_lane_stride = seg_words * (plane_cap + 1);
     const size_t plane_image_stride = sc::kFilterLanes * plane_lane_stride;
@@ -736,17 +649,19 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
     // each item on the spot, so it needs one slot.
     const size_t slots = reference ? 1 : tileItems(n_active);
     const size_t planes_per_slot =
-        use_planes ? 4 * n_active * plane_image_stride : 0;
+        use_planes ? windows * n_active * plane_image_stride : 0;
     const size_t counts_per_slot =
         use_apc && !use_planes
-            ? 4 * n_active * sc::kFilterLanes * seg_stride
+            ? windows * n_active * sc::kFilterLanes * seg_stride
             : 0;
     const size_t products_per_slot =
-        use_apc ? 0 : 4 * n_active * sc::kFilterLanes * seg_words;
+        use_apc ? 0 : windows * n_active * sc::kFilterLanes * seg_words;
     const PixelTile::Spec tile_spec{
-        .pool = use_max ? PixelTile::Pool::Max : PixelTile::Pool::Average,
-        .btanh = btanh_tables_[layer_idx],
-        .stanh = stanh_tables_[layer_idx],
+        .pool = !st.pooled ? PixelTile::Pool::None
+                : use_max  ? PixelTile::Pool::Max
+                           : PixelTile::Pool::Average,
+        .btanh = btanh_tables_[stage],
+        .stanh = stanh_tables_[stage],
         .n_inputs = n_inputs,
         .plane_cap = plane_cap,
         .segment_len = cfg_.segment_len,
@@ -754,9 +669,11 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
         .n_cycles = seg.n_cycles,
     };
 
-    forChunks(pool, n_groups * positions, [&](size_t lo, size_t hi) {
+    const size_t n_items = n_groups * positions;
+    parallelForChunks(pool, 0, n_items, [&](size_t lo, size_t hi) {
         sc::BatchFusedWorkspace wsp;
         wsp.xs0.resize(n_inputs);
+        wsp.xs0[n_inputs - 1] = bias_line_;
         wsp.x_strides.assign(n_inputs, in_stride);
         wsp.x_strides[n_inputs - 1] = 0; // shared bias line
         // +4 tail words: the pooling quad loads read whole 4-plane
@@ -768,121 +685,79 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
         PixelTile tile(tile_spec, slots * sc::kFilterLanes * n_active);
         PhaseTimer timer;
         size_t slot = 0;
+        size_t gathered = SIZE_MAX; // the (position, window) in wsp.xs0
         for (size_t item = lo; item < hi; ++item) {
             const size_t g = item / positions;
             const size_t q = item % positions;
-            const size_t oy = q / out_w;
-            const size_t ox = q % out_w;
-            const sc::WeightBlockView block = weights.blocked.block(g);
+            const size_t oy = q / st.out_w;
+            const size_t ox = q % st.out_w;
+            const sc::WeightBlockView block = weights.block(g);
             uint64_t *const planes =
                 planes_buf.data() + slot * planes_per_slot;
             uint16_t *const counts = wsp.counts.data() + slot * counts_per_slot;
             uint64_t *const products =
                 wsp.products.data() + slot * products_per_slot;
 
-            // The four pooling-window inner products of this filter
+            // The pooling windows' inner products of this filter
             // block, every lane and every active image.
             timer.start();
-            for (size_t dy = 0; dy < 2; ++dy) {
-                for (size_t dx = 0; dx < 2; ++dx) {
-                    const size_t cy = 2 * oy + dy;
-                    const size_t cx = 2 * ox + dx;
+            for (size_t window = 0; window < windows; ++window) {
+                // The window's kh x kw input patch, in the weights'
+                // (channel, row, column) tap order. An fc stage's one
+                // window is its whole input, gathered once per chunk.
+                if (q * windows + window != gathered) {
+                    const size_t cy = side * oy + window / side;
+                    const size_t cx = side * ox + window % side;
                     size_t idx = 0;
-                    for (size_t ci = 0; ci < weights.c_in; ++ci)
-                        for (size_t ky = 0; ky < k; ++ky)
-                            for (size_t kx = 0; kx < k; ++kx)
+                    for (size_t ci = 0; ci < st.in_c; ++ci)
+                        for (size_t ky = 0; ky < kh; ++ky)
+                            for (size_t kx = 0; kx < kw; ++kx)
                                 wsp.xs0[idx++] =
                                     in.at(ci, cy + ky, cx + kx, 0);
-                    wsp.xs0[idx] = bias_line_;
+                    gathered = q * windows + window;
+                }
 
-                    const size_t window = dy * 2 + dx;
-                    if (use_planes) {
-                        sc::fusedProductPlanesMultiBatch(
-                            wsp.xs0, wsp.x_strides, active.data(),
-                            n_active, block, /*approximate=*/true,
-                            seg.w0, seg.w1,
-                            planes + window * n_active * plane_image_stride,
-                            plane_cap, plane_lane_stride,
-                            plane_image_stride);
-                    } else if (use_apc) {
-                        product_counts(
-                            wsp.xs0, wsp.x_strides, active.data(),
-                            n_active, block, /*approximate=*/true,
-                            seg.w0, seg.w1,
-                            counts + window * n_active * sc::kFilterLanes *
-                                         seg_stride,
-                            seg_stride, sc::kFilterLanes * seg_stride);
-                    } else {
-                        // MUX layers run the per-image kernel (the
-                        // selects are per-image RNG sequences anyway);
-                        // the image loop still re-reads the block's
-                        // weight slice from cache.
-                        for (size_t j = 0; j < n_active; ++j) {
-                            const size_t img = active[j];
-                            sc::Xoshiro256ss &sel =
-                                run.sel_rng[(item * 4 + window) * B +
-                                            img];
-                            sc::fillMuxSelects(n_inputs, seg.n_cycles,
-                                               sel, wsp.selects);
-                            sc::shiftViewsForImage(wsp.xs0,
-                                                   wsp.x_strides, img,
-                                                   wsp.xs_img);
-                            mux_product(wsp.xs_img, block, wsp.selects,
-                                        seg.w0, seg.w1,
-                                        products + (window * n_active + j) *
-                                                       sc::kFilterLanes *
-                                                       seg_words,
-                                        seg_words);
-                        }
+                if (use_planes) {
+                    sc::fusedProductPlanesMultiBatch(
+                        wsp.xs0, wsp.x_strides, active.data(), n_active,
+                        block, /*approximate=*/true, seg.w0, seg.w1,
+                        planes + window * n_active * plane_image_stride,
+                        plane_cap, plane_lane_stride, plane_image_stride);
+                } else if (use_apc) {
+                    product_counts(
+                        wsp.xs0, wsp.x_strides, active.data(), n_active,
+                        block, /*approximate=*/true, seg.w0, seg.w1,
+                        counts +
+                            window * n_active * sc::kFilterLanes * seg_stride,
+                        seg_stride, sc::kFilterLanes * seg_stride);
+                } else {
+                    // MUX layers run the per-image kernel (the selects
+                    // are per-image RNG sequences anyway); the image
+                    // loop still re-reads the block's weight slice from
+                    // cache.
+                    for (size_t j = 0; j < n_active; ++j) {
+                        const size_t img = active[j];
+                        sc::Xoshiro256ss &sel =
+                            run.sel_rng[(item * windows + window) * B + img];
+                        sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
+                                           wsp.selects);
+                        sc::shiftViewsForImage(wsp.xs0, wsp.x_strides, img,
+                                               wsp.xs_img);
+                        mux_product(wsp.xs_img, block, wsp.selects, seg.w0,
+                                    seg.w1,
+                                    products + (window * n_active + j) *
+                                                   sc::kFilterLanes *
+                                                   seg_words,
+                                    seg_words);
                     }
                 }
             }
             timer.lap(timer.inner_product);
 
-            // The window inputs of lane f, image j: (w * n_active + j)
-            // * kFilterLanes + f is the workspace's [window][image][lane]
-            // row.
-            const auto row = [&](size_t w, size_t j, size_t f) {
-                return (w * n_active + j) * sc::kFilterLanes + f;
-            };
-            if (reference) {
-                for (size_t f = 0; f < block.lanes; ++f) {
-                    const size_t p =
-                        (g * sc::kFilterLanes + f) * positions + q;
-                    for (size_t j = 0; j < n_active; ++j) {
-                        const size_t img = active[j];
-                        if (use_apc) {
-                            const uint16_t *cnt[4];
-                            for (size_t w = 0; w < 4; ++w)
-                                cnt[w] = counts + row(w, j, f) * seg_stride;
-                            run.out.arena.assign(
-                                p, img,
-                                referenceApcPixel(
-                                    cnt, len, use_max, cfg_.segment_len,
-                                    state_count,
-                                    static_cast<unsigned>(n_inputs),
-                                    timer));
-                        } else {
-                            const uint64_t *prod[4];
-                            for (size_t w = 0; w < 4; ++w)
-                                prod[w] = products + row(w, j, f) * seg_words;
-                            run.out.arena.assign(
-                                p, img,
-                                referenceMuxPixel(
-                                    prod, len, use_max, cfg_.segment_len,
-                                    state_count,
-                                    use_max ? nullptr
-                                            : &run.pool_rng[p * B + img],
-                                    timer));
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // Register every (lane, image) pixel of the item with the
-            // tile, which pools and activates them with the pixels of
-            // the neighbouring items, carrying each pixel's selector
+            // Pool and activate every (lane, image) pixel of the item:
+            // the Reference oracle on the spot, the fused path through
+            // the tile, which runs them with the pixels of the
+            // neighbouring items, carrying each pixel's selector
             // counters, MUX generator and FSM state across segments.
             // Max pooling uses the accumulative (non-resetting) reading
             // of the Figure 8 counters: inside a trained network the
@@ -894,180 +769,41 @@ ScNetwork::runConvLayerSegmentBatch(const BatchStreamGrid &in,
             for (size_t f = 0; f < block.lanes; ++f) {
                 const size_t p = (g * sc::kFilterLanes + f) * positions + q;
                 for (size_t j = 0; j < n_active; ++j) {
-                    const size_t s = p * B + active[j];
+                    const size_t img = active[j];
+                    const size_t s = p * B + img;
+                    // Window w of lane f, image j: the workspace's
+                    // [window][image][lane] row.
+                    const uint16_t *cnt[4];
+                    const uint64_t *words[4];
+                    for (size_t w = 0; w < windows; ++w) {
+                        const size_t row =
+                            (w * n_active + j) * sc::kFilterLanes + f;
+                        if (use_planes)
+                            words[w] = planes +
+                                       (w * n_active + j) *
+                                           plane_image_stride +
+                                       f * plane_lane_stride;
+                        else if (use_apc)
+                            cnt[w] = counts + row * seg_stride;
+                        else
+                            words[w] = products + row * seg_words;
+                    }
+                    sc::Xoshiro256ss *const mux_avg =
+                        run.pool_rng.empty() ? nullptr : &run.pool_rng[s];
+                    if (reference) {
+                        run.out.arena.assign(
+                            p, img,
+                            referencePixel(tile_spec, state_count, cnt,
+                                           words, mux_avg, timer));
+                        continue;
+                    }
                     uint64_t *const out =
-                        run.out.arena.wordsAt(p, active[j]) + seg.w0;
-                    if (use_planes) {
-                        const uint64_t *in_planes[4];
-                        for (size_t w = 0; w < 4; ++w)
-                            in_planes[w] = planes +
-                                           (w * n_active + j) *
-                                               plane_image_stride +
-                                           f * plane_lane_stride;
-                        tile.add(in_planes, out, &run.fsm[s], &run.pool[s]);
-                    } else if (use_apc) {
-                        const uint16_t *cnt[4];
-                        for (size_t w = 0; w < 4; ++w)
-                            cnt[w] = counts + row(w, j, f) * seg_stride;
+                        run.out.arena.wordsAt(p, img) + seg.w0;
+                    if (use_apc && !use_planes)
                         tile.add(cnt, out, &run.fsm[s]);
-                    } else {
-                        const uint64_t *prod[4];
-                        for (size_t w = 0; w < 4; ++w)
-                            prod[w] = products + row(w, j, f) * seg_words;
-                        tile.add(prod, out, &run.fsm[s],
-                                 use_max ? &run.pool[s] : nullptr,
-                                 use_max ? nullptr : &run.pool_rng[s]);
-                    }
-                }
-            }
-            if (++slot == slots) {
-                tile.flush(timer);
-                slot = 0;
-            }
-        }
-        tile.flush(timer);
-        timer.flush(seg.w0);
-    });
-}
-
-void
-ScNetwork::runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
-                                  const std::vector<size_t> &in_strides,
-                                  const FcWeightStreams &weights,
-                                  size_t layer_idx, const SegRange &seg,
-                                  const std::vector<uint32_t> &active,
-                                  bool reference, FcBatchRun &run,
-                                  ThreadPool *pool) const
-{
-    SCDCNN_ASSERT(in0.size() == weights.n_in,
-                  "fc layer expects %zu inputs, got %zu", weights.n_in,
-                  in0.size());
-    const size_t n_inputs = weights.n_in + 1;
-    const size_t B = run.out.images();
-    const size_t n_active = active.size();
-    const size_t len = cfg_.bitstream_len;
-    const unsigned state_count = layer_k_[layer_idx];
-    const bool use_apc = blocks::febUsesApc(stageFebKind(layer_idx));
-
-    const size_t n_groups = weights.blocked.groups();
-    const size_t seg_words = seg.w1 - seg.w0;
-    const size_t seg_stride = seg_words * 64;
-    const auto product_counts = reference
-                                    ? &sc::referenceProductCountsMultiBatch
-                                    : &sc::fusedProductCountsMultiBatch;
-    const auto mux_product = reference ? &sc::referenceMuxProductMulti
-                                       : &sc::fusedMuxProductMulti;
-
-    // Per-item workspace slots and pixel tiles as in the conv runner;
-    // an fc neuron feeds its activation unit directly.
-    const size_t slots = reference ? 1 : tileItems(n_active);
-    const size_t counts_per_slot =
-        use_apc ? n_active * sc::kFilterLanes * seg_stride : 0;
-    const size_t products_per_slot =
-        use_apc ? 0 : n_active * sc::kFilterLanes * seg_words;
-    const PixelTile::Spec tile_spec{
-        .pool = PixelTile::Pool::None,
-        .btanh = btanh_tables_[layer_idx],
-        .stanh = stanh_tables_[layer_idx],
-        .c0 = seg.c0,
-        .n_cycles = seg.n_cycles,
-    };
-
-    // One neuron block per work item, chunked across the pool with
-    // per-chunk workspaces; the shared input views are gathered once
-    // per chunk and every block's weight slice streams contiguously.
-    forChunks(pool, n_groups, [&](size_t lo, size_t hi) {
-        sc::BatchFusedWorkspace wsp;
-        wsp.xs0.resize(n_inputs);
-        wsp.x_strides.resize(n_inputs);
-        for (size_t i = 0; i < weights.n_in; ++i) {
-            wsp.xs0[i] = in0[i];
-            wsp.x_strides[i] = in_strides[i];
-        }
-        wsp.xs0[weights.n_in] = bias_line_;
-        wsp.x_strides[weights.n_in] = 0;
-        wsp.counts.resize(slots * counts_per_slot);
-        wsp.products.resize(slots * products_per_slot);
-        PixelTile tile(tile_spec, slots * sc::kFilterLanes * n_active);
-        PhaseTimer timer;
-        size_t slot = 0;
-        for (size_t g = lo; g < hi; ++g) {
-            const sc::WeightBlockView block = weights.blocked.block(g);
-            uint16_t *const counts = wsp.counts.data() + slot * counts_per_slot;
-            uint64_t *const products =
-                wsp.products.data() + slot * products_per_slot;
-            timer.start();
-            if (use_apc) {
-                product_counts(wsp.xs0, wsp.x_strides, active.data(),
-                               n_active, block, /*approximate=*/true,
-                               seg.w0, seg.w1, counts, seg_stride,
-                               sc::kFilterLanes * seg_stride);
-            } else {
-                // One select generator per (neuron block, image),
-                // shared by the block's lanes (cf. the conv layers'
-                // per-(block, position, window) scheme).
-                for (size_t j = 0; j < n_active; ++j) {
-                    const size_t img = active[j];
-                    sc::Xoshiro256ss &sel = run.sel_rng[g * B + img];
-                    sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
-                                       wsp.selects);
-                    sc::shiftViewsForImage(wsp.xs0, wsp.x_strides, img,
-                                           wsp.xs_img);
-                    mux_product(wsp.xs_img, block, wsp.selects, seg.w0,
-                                seg.w1,
-                                products + j * sc::kFilterLanes * seg_words,
-                                seg_words);
-                }
-            }
-            timer.lap(timer.inner_product);
-
-            if (reference) {
-                // Scalar activation units over the whole stream, from
-                // their initial state.
-                for (size_t f = 0; f < block.lanes; ++f) {
-                    const size_t o = g * sc::kFilterLanes + f;
-                    for (size_t j = 0; j < n_active; ++j) {
-                        const size_t img = active[j];
-                        if (use_apc) {
-                            const uint16_t *cnt =
-                                counts + (j * sc::kFilterLanes + f) *
-                                             seg_stride;
-                            sc::Btanh unit(
-                                state_count,
-                                static_cast<unsigned>(n_inputs));
-                            run.out.assign(
-                                o, img,
-                                unit.transform(std::vector<uint16_t>(
-                                    cnt, cnt + len)));
-                        } else {
-                            const uint64_t *prod =
-                                products +
-                                (j * sc::kFilterLanes + f) * seg_words;
-                            sc::Bitstream stream(len);
-                            std::copy(prod, prod + seg_words,
-                                      stream.mutableWords().begin());
-                            sc::Stanh fsm(state_count);
-                            run.out.assign(o, img, fsm.transform(stream));
-                        }
-                    }
-                    timer.lap(timer.activation);
-                }
-                continue;
-            }
-
-            for (size_t f = 0; f < block.lanes; ++f) {
-                const size_t o = g * sc::kFilterLanes + f;
-                for (size_t j = 0; j < n_active; ++j) {
-                    const size_t img = active[j];
-                    uint64_t *const out = run.out.wordsAt(o, img) + seg.w0;
-                    const size_t row = j * sc::kFilterLanes + f;
-                    if (use_apc) {
-                        const uint16_t *cnt = counts + row * seg_stride;
-                        tile.add(&cnt, out, &run.fsm[o * B + img]);
-                    } else {
-                        const uint64_t *prod = products + row * seg_words;
-                        tile.add(&prod, out, &run.fsm[o * B + img]);
-                    }
+                    else
+                        tile.add(words, out, &run.fsm[s],
+                                 use_max ? &run.pool[s] : nullptr, mux_avg);
                 }
             }
             if (++slot == slots) {
@@ -1128,7 +864,7 @@ ScNetwork::runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
 std::vector<size_t>
 ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
                           std::span<const uint64_t> seeds,
-                          const PredictOptions &opts, ThreadPool *pool,
+                          const PredictOptions &opts, ThreadPool &pool,
                           std::span<ForwardInfo> infos,
                           std::span<const CancelSignal *const> cancels)
     const
@@ -1150,67 +886,40 @@ ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
     //    checkpoints — early exit and cancellation act only at segment
     //    boundaries — so it takes the stream_segment_words grid, whose
     //    whole-stream setting falls back to a default granularity;
-    //  - everything else takes batch_stream_segment_words,
-    //    whole-stream by default, so each weight block streams once
-    //    per call.
+    //  - everything else runs whole streams, so each weight block
+    //    streams once per call.
     size_t seg_words = n_words;
     if (!reference && (mode == EngineMode::Progressive || poll_cancel))
-        seg_words = cfg_.stream_segment_words != 0
-                        ? cfg_.stream_segment_words
-                        : kCheckpointFallbackSegmentWords;
-    else if (!reference && cfg_.batch_stream_segment_words != 0)
-        seg_words = cfg_.batch_stream_segment_words;
-    seg_words = std::min(seg_words, n_words);
+        seg_words = std::min(n_words, cfg_.stream_segment_words != 0
+                                          ? cfg_.stream_segment_words
+                                          : kCheckpointFallbackSegmentWords);
 
     // Per-stage carried state, seeded positionally per stage index
     // (stage l of image b gets seeds[b] ^ 0x1111*(l+1)).
-    const size_t n_convs = convs_.size();
-    const size_t n_fcs = fcs_.size();
+    const size_t n_stages = stages_.size();
     BatchStreamGrid x = encodeImagesBatch(images, seeds, pool);
-    std::vector<ConvBatchRun> cruns(n_convs);
-    std::vector<FcBatchRun> fruns(n_fcs);
+    std::vector<StageRun> runs(n_stages);
     OutputBatchRun out;
     std::vector<uint64_t> stage_seeds(B);
-    for (size_t l = 0; l < n_convs; ++l) {
+    for (size_t l = 0; l < n_stages; ++l) {
         for (size_t b = 0; b < B; ++b)
             stage_seeds[b] = seeds[b] ^ (0x1111ULL * (l + 1));
-        initConvBatchRun(cruns[l], l == 0 ? x : cruns[l - 1].out,
-                         convs_[l], l, stage_seeds);
-    }
-    for (size_t j = 0; j < n_fcs; ++j) {
-        for (size_t b = 0; b < B; ++b)
-            stage_seeds[b] = seeds[b] ^ (0x1111ULL * (n_convs + j + 1));
-        initFcBatchRun(fruns[j], fcs_[j], n_convs + j, stage_seeds);
+        initStageRun(runs[l], l, stage_seeds);
     }
     out.acc.assign(out_.n_out * B, {});
     out.consumed.assign(B, 0);
 
-    // Input views of each fc stage and of the output layer — image-0
-    // views plus the per-site image word stride of the producing arena
-    // (the batch-kernel operand form): the flattened last conv grid
-    // (or the image itself for conv-free nets) feeds the first fc;
-    // each later stage reads its predecessor's output arena.
-    const auto arena_views = [](const sc::BatchStreamArena &a) {
-        std::vector<sc::BitstreamView> v;
-        v.reserve(a.count());
-        for (size_t i = 0; i < a.count(); ++i)
-            v.push_back(a.view(i, 0));
-        return v;
-    };
-    const sc::BatchStreamArena &flat =
-        n_convs > 0 ? cruns.back().out.arena : x.arena;
-    std::vector<std::vector<sc::BitstreamView>> fc_in(n_fcs);
-    std::vector<std::vector<size_t>> fc_strides(n_fcs);
-    for (size_t j = 0; j < n_fcs; ++j) {
-        const sc::BatchStreamArena &src = j == 0 ? flat : fruns[j - 1].out;
-        fc_in[j] = arena_views(src);
-        fc_strides[j].assign(fc_in[j].size(), src.strideWords());
-    }
-    const sc::BatchStreamArena &out_src =
-        n_fcs > 0 ? fruns.back().out : flat;
-    const std::vector<sc::BitstreamView> out_in = arena_views(out_src);
+    // The output layer reads the last stage's grid (the image itself
+    // for a net without hidden stages) flattened, as image-0 views plus
+    // the arena's per-site image word stride (the batch-kernel operand
+    // form).
+    const sc::BatchStreamArena &last =
+        n_stages > 0 ? runs.back().out.arena : x.arena;
+    std::vector<sc::BitstreamView> out_in;
+    for (size_t i = 0; i < last.count(); ++i)
+        out_in.push_back(last.view(i, 0));
     const std::vector<size_t> out_strides(out_in.size(),
-                                          out_src.strideWords());
+                                          last.strideWords());
 
     std::vector<uint32_t> active(B);
     for (size_t b = 0; b < B; ++b)
@@ -1226,14 +935,9 @@ ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
         seg.c0 = w0 * 64;
         seg.n_cycles = std::min(seg.w1 * 64, len) - seg.c0;
 
-        for (size_t l = 0; l < n_convs; ++l)
-            runConvLayerSegmentBatch(l == 0 ? x : cruns[l - 1].out,
-                                     convs_[l], l, seg, active,
-                                     reference, cruns[l], pool);
-        for (size_t j = 0; j < n_fcs; ++j)
-            runFcLayerSegmentBatch(fc_in[j], fc_strides[j], fcs_[j],
-                                   n_convs + j, seg, active, reference,
-                                   fruns[j], pool);
+        for (size_t l = 0; l < n_stages; ++l)
+            runStageSegment(l == 0 ? x : runs[l - 1].out, l, seg, active,
+                            reference, runs[l], pool);
         runOutputSegmentBatch(out_in, out_strides, out_, seg, active,
                               reference, out);
 
@@ -1352,7 +1056,7 @@ ScNetwork::predictWith(const nn::Tensor &image, uint64_t seed,
         return predictBinary(image, info);
     const CancelSignal *const cancel = opts.cancel;
     return forwardStreams(
-        {&image, 1}, {&seed, 1}, opts, nullptr,
+        {&image, 1}, {&seed, 1}, opts, ThreadPool::global(),
         info != nullptr ? std::span<ForwardInfo>(info, 1)
                         : std::span<ForwardInfo>(),
         cancel != nullptr ? std::span<const CancelSignal *const>(&cancel, 1)
@@ -1395,18 +1099,19 @@ ScNetwork::forwardBatch(const std::vector<nn::Tensor> &images,
         infos->assign(images.size(), ForwardInfo{});
     if (images.empty())
         return {};
+    ThreadPool &workers = pool != nullptr ? *pool : ThreadPool::global();
     if (opts.mode == EngineMode::Binary) {
         // The binary backend is a separate, deterministic per-image
         // pass, so its batch is a plain fan-out over the pool.
         std::vector<size_t> preds(images.size());
-        forEach(pool, images.size(), [&](size_t i) {
+        parallelFor(workers, 0, images.size(), [&](size_t i) {
             preds[i] = predictBinary(
                 images[i], infos != nullptr ? &(*infos)[i] : nullptr);
         });
         return preds;
     }
     return forwardStreams(
-        images, seeds, opts, pool,
+        images, seeds, opts, workers,
         infos != nullptr ? std::span<ForwardInfo>(*infos)
                          : std::span<ForwardInfo>(),
         cancels != nullptr ? std::span<const CancelSignal *const>(*cancels)

@@ -55,13 +55,14 @@ namespace core {
  * Fused is the production path: filter-blocked word-parallel kernels
  * over the packed uint64_t words (SIMD-dispatched where available),
  * table-driven activation FSMs, reusable per-thread workspaces,
- * layers fanned out across the thread pool, the whole network
- * advanced in stream segments with FSM/pooling/select state carried
- * across segments. Reference drives the same driver through the
- * bit-serial oracle kernels (one bit per cycle, whole streams) and the
- * scalar Stanh/Btanh steppers — the ground truth the fused path is
- * tested against and the baseline bench_throughput measures speedup
- * over.
+ * layers fanned out across the thread pool, whole streams per call —
+ * or, for a call that needs checkpoints (Progressive, cancellation),
+ * the whole network advanced in stream segments with FSM/pooling/
+ * select state carried across segments. Reference drives the same
+ * driver and stage runner through the bit-serial oracle kernels (one
+ * bit per cycle, whole streams) and the scalar Stanh/Btanh steppers —
+ * the ground truth the fused path is tested against and the baseline
+ * bench_throughput measures speedup over.
  * Progressive is Fused plus stochastic computing's progressive
  * precision: after each segment the output layer's class-score gap is
  * tested and the remaining segments are skipped once the argmax
@@ -306,25 +307,6 @@ class ScNetwork
         return opts;
     }
 
-    /** Conv layer weight streams, stored once in the filter-interleaved
-     *  layout the blocked kernels (and their reference twins) stream
-     *  through: filter f, tap i < c_in*k*k in (ci, ky, kx) order, the
-     *  bias at tap n_per_filter - 1. */
-    struct ConvWeightStreams
-    {
-        size_t c_in = 0, c_out = 0, k = 0;
-        size_t n_per_filter = 0;
-        sc::InterleavedWeightArena blocked;
-    };
-
-    /** Hidden FC layer weight streams, interleaved as above: neuron o,
-     *  tap i < n_in, the bias at tap n_in. */
-    struct FcWeightStreams
-    {
-        size_t n_in = 0, n_out = 0;
-        sc::InterleavedWeightArena blocked;
-    };
-
     /** Binary output layer weight streams in the plain layout the
      *  popcount reductions read: class o's streams at slots
      *  [o*(n_in+1), ...] (bias last). */
@@ -362,27 +344,19 @@ class ScNetwork
         }
     };
 
-    /** Per-forward carried state of a conv layer: the output grids
-     *  plus per-pixel activation-FSM states, pooling-selector carry,
-     *  and (MUX layers) the per-site generators, all indexed
-     *  positionally (site * B + image) so any thread partition
-     *  reproduces the same streams and an image's state freezes in
-     *  place when it leaves the active set. */
-    struct ConvBatchRun
+    /** Per-forward carried state of a hidden stage: its output grid
+     *  (an fc stage's is n_out x 1 x 1) plus per-pixel activation-FSM
+     *  states, pooling-selector carry, and (MUX stages) the per-site
+     *  generators, all indexed positionally (site * B + image) so any
+     *  thread partition reproduces the same streams and an image's
+     *  state freezes in place when it leaves the active set. */
+    struct StageRun
     {
         BatchStreamGrid out;
         std::vector<uint16_t> fsm;                   //!< [pixel][image]
         std::vector<blocks::MaxPoolCarryState> pool; //!< [pixel][image]
         std::vector<sc::Xoshiro256ss> sel_rng;       //!< [site][image]
         std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
-    };
-
-    /** Per-forward carried state of an FC layer. */
-    struct FcBatchRun
-    {
-        sc::BatchStreamArena out;
-        std::vector<uint16_t> fsm;             //!< [neuron][image]
-        std::vector<sc::Xoshiro256ss> sel_rng; //!< [group][image]
     };
 
     /** Per-forward carried state of the binary output layer:
@@ -396,31 +370,23 @@ class ScNetwork
 
     BatchStreamGrid encodeImagesBatch(std::span<const nn::Tensor> images,
                                       std::span<const uint64_t> seeds,
-                                      ThreadPool *pool) const;
+                                      ThreadPool &pool) const;
 
-    void initConvBatchRun(ConvBatchRun &run, const BatchStreamGrid &in,
-                          const ConvWeightStreams &weights,
-                          size_t layer_idx,
-                          const std::vector<uint64_t> &seeds) const;
+    void initStageRun(StageRun &run, size_t stage,
+                      const std::vector<uint64_t> &seeds) const;
 
-    void initFcBatchRun(FcBatchRun &run, const FcWeightStreams &weights,
-                        size_t layer_idx,
-                        const std::vector<uint64_t> &seeds) const;
-
-    void runConvLayerSegmentBatch(const BatchStreamGrid &in,
-                                  const ConvWeightStreams &weights,
-                                  size_t layer_idx, const SegRange &seg,
-                                  const std::vector<uint32_t> &active,
-                                  bool reference, ConvBatchRun &run,
-                                  ThreadPool *pool) const;
-
-    void runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
-                                const std::vector<size_t> &in_strides,
-                                const FcWeightStreams &weights,
-                                size_t layer_idx, const SegRange &seg,
-                                const std::vector<uint32_t> &active,
-                                bool reference, FcBatchRun &run,
-                                ThreadPool *pool) const;
+    /**
+     * Advance hidden stage @p stage over one segment for the active
+     * images: inner products, pooling and activation of every output
+     * pixel. Conv and fc stages share this runner: an fc stage is a
+     * conv stage whose kernel covers its whole input grid, with one
+     * output position, one window and no pooling.
+     */
+    void runStageSegment(const BatchStreamGrid &in, size_t stage,
+                         const SegRange &seg,
+                         const std::vector<uint32_t> &active,
+                         bool reference, StageRun &run,
+                         ThreadPool &pool) const;
 
     void runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                const std::vector<size_t> &in_strides,
@@ -442,7 +408,7 @@ class ScNetwork
     std::vector<size_t>
     forwardStreams(std::span<const nn::Tensor> images,
                    std::span<const uint64_t> seeds,
-                   const PredictOptions &opts, ThreadPool *pool,
+                   const PredictOptions &opts, ThreadPool &pool,
                    std::span<ForwardInfo> infos,
                    std::span<const CancelSignal *const> cancels) const;
 
@@ -463,11 +429,12 @@ class ScNetwork
     EngineMode engine_ = EngineMode::Fused;
     sc::Bitstream bias_line_; //!< the constant +1 stream
 
-    /** Weight streams of the hidden stages, in plan order: conv
-     *  stages first (convs_[l] is stage l), then the hidden fc stages
-     *  (fcs_[l - convs_.size()]), then the binary output layer. */
-    std::vector<ConvWeightStreams> convs_;
-    std::vector<FcWeightStreams> fcs_;
+    /** Weight streams of hidden stage l, stored once in the
+     *  filter-interleaved layout the blocked kernels (and their
+     *  reference twins) stream through: filter f, tap i < fan_in in the
+     *  stage's (channel, row, column) input order, the bias at tap
+     *  fan_in. The geometry is plan_.stages[l]'s. */
+    std::vector<sc::InterleavedWeightArena> stages_;
     OutputWeightStreams out_;
 
     std::vector<double> layer_gain_;

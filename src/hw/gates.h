@@ -8,7 +8,7 @@
  * switching energies / leakage / delays are 45nm-class estimates. The
  * experiments consume *relative* area/power/delay across block designs,
  * which these constants preserve; absolute calibration notes live in
- * EXPERIMENTS.md.
+ * DESIGN.md, "Reconstruction notes".
  */
 
 #ifndef SCDCNN_HW_GATES_H

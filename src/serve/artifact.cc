@@ -13,7 +13,7 @@ namespace serve {
 namespace {
 
 constexpr uint32_t kArtifactMagic = 0x53C4A27F;
-constexpr uint32_t kArtifactFormatVersion = 1;
+constexpr uint32_t kArtifactFormatVersion = 2;
 
 using Code = nn::LoadResult::Code;
 
@@ -133,7 +133,6 @@ encodeHeader(ByteWriter &w, const ModelArtifact &a)
     w.u64(c.input_h);
     w.u64(c.input_w);
     w.u64(c.stream_segment_words);
-    w.u64(c.batch_stream_segment_words);
     w.f64(c.progressive_margin);
     w.u64(c.progressive_min_bits);
 
@@ -270,11 +269,9 @@ decodeHeader(ByteReader &r, ModelArtifact &a, uint32_t *n_tensors)
         c.input_w != s.in_w)
         return badField(r, "config/spec geometry disagree", s.in_h,
                         c.input_h);
-    if (!r.u64(&c.stream_segment_words) ||
-        !r.u64(&c.batch_stream_segment_words))
+    if (!r.u64(&c.stream_segment_words))
         return truncated("segment words");
-    if (c.stream_segment_words > kMaxStreamLen ||
-        c.batch_stream_segment_words > kMaxStreamLen)
+    if (c.stream_segment_words > kMaxStreamLen)
         return badField(r, "segment words", kMaxStreamLen,
                         c.stream_segment_words);
     if (!r.f64(&c.progressive_margin))

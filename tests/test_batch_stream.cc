@@ -453,15 +453,28 @@ expectBatchMatchesSingles(const core::ScNetwork &sc,
     expectSameOutcomes(bp, bi, sp, si, what);
 }
 
-/** Oracle half (b): the driver on the fused kernels must equal the
- *  same driver on their bit-serial Reference twins (whole streams,
- *  scalar activation units). */
+/** Options that run Fused outputs on the stream_segment_words grid:
+ *  Progressive at a margin no image reaches equals Fused
+ *  (Progressive.NoExitDegeneratesToFusedAndIsOffByDefault), while
+ *  plain Fused calls run whole streams. */
+core::PredictOptions
+segmentedFused()
+{
+    core::PredictOptions opts;
+    opts.mode = core::EngineMode::Progressive;
+    opts.progressive_margin = 1e9;
+    return opts;
+}
+
+/** Oracle half (b): the driver on the fused kernels (run with
+ *  @p fused) must equal the same driver on their bit-serial Reference
+ *  twins (whole streams, scalar activation units). */
 void
 expectFusedMatchesReference(const core::ScNetwork &sc,
                             const std::vector<nn::Tensor> &images,
-                            uint64_t seed, const char *what)
+                            uint64_t seed, const core::PredictOptions &fused,
+                            const char *what)
 {
-    core::PredictOptions fused;
     core::PredictOptions reference;
     reference.mode = core::EngineMode::Reference;
     std::vector<core::ForwardInfo> fi, ri;
@@ -495,16 +508,16 @@ TEST(BatchEngine, BatchMatchesSinglesAndReferenceForEveryFebKind)
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
         // 1-word, a size that does not divide the stream, and
-        // whole-stream granularity: the segment-carry logic of the
-        // batch kernels at B = 5 and B = 1.
+        // whole-stream granularity (plain Fused): the segment-carry
+        // logic of the batch kernels at B = 5 and B = 1.
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
             cfg.stream_segment_words = seg_words;
-            cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
-            core::PredictOptions opts;
+            const core::PredictOptions opts =
+                seg_words != 0 ? segmentedFused() : core::PredictOptions{};
             expectBatchMatchesSingles(sc, images, 17, opts, nullptr,
                                       "fused");
-            expectFusedMatchesReference(sc, images, 17,
+            expectFusedMatchesReference(sc, images, 17, opts,
                                         "fused vs reference");
         }
         // The Reference driver is batch-size invariant too.
@@ -523,16 +536,14 @@ TEST(BatchEngine, RaggedBatchSizesMatchPerImagePredict)
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
     cfg.stream_segment_words = 3;
-    cfg.batch_stream_segment_words = 3;
     core::ScNetwork sc(net, cfg);
 
     for (size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
         std::vector<nn::Tensor> images;
         for (size_t i = 0; i < batch; ++i)
             images.push_back(nn::DigitDataset::render(i % 10, 60 + i));
-        core::PredictOptions opts;
-        expectBatchMatchesSingles(sc, images, 31, opts, nullptr,
-                                  "ragged");
+        expectBatchMatchesSingles(sc, images, 31, segmentedFused(),
+                                  nullptr, "ragged");
     }
 }
 
@@ -589,14 +600,13 @@ TEST(BatchEngine, BatchedPathIsThreadCountInvariant)
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
     cfg.stream_segment_words = 3;
-    cfg.batch_stream_segment_words = 3;
     core::ScNetwork sc(net, cfg);
 
     std::vector<nn::Tensor> images;
     for (size_t i = 0; i < 6; ++i)
         images.push_back(nn::DigitDataset::render(i % 10, 90 + i));
 
-    core::PredictOptions opts;
+    const core::PredictOptions opts = segmentedFused();
     ThreadPool one(1), three(3);
     std::vector<core::ForwardInfo> a, b;
     const auto pa = sc.forwardBatch(images, 55, opts, &one, &a);

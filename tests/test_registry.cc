@@ -172,7 +172,11 @@ TEST(Artifact, EveryBitFlipIsRejectedWithADiagnostic)
     const auto writeBytes = [&](const std::vector<unsigned char> &b) {
         std::FILE *w = std::fopen(path.c_str(), "wb");
         ASSERT_NE(w, nullptr);
-        ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), w), b.size());
+        // fwrite needs a non-null buffer even for zero bytes, and an
+        // empty vector's data() may be null (the truncation to 0 bytes).
+        if (!b.empty()) {
+            ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), w), b.size());
+        }
         std::fclose(w);
     };
 

@@ -42,11 +42,7 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
 
-        // Whole-stream fused run (segment streaming off). Fused runs
-        // on the batch_stream_segment_words grid; stream_segment_words
-        // is set alongside so neither grid is left at a default.
-        cfg.stream_segment_words = 0;
-        cfg.batch_stream_segment_words = 0;
+        // Whole-stream fused run (plain Fused calls never segment).
         core::ForwardInfo whole;
         size_t whole_pred;
         {
@@ -62,18 +58,22 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
             EXPECT_EQ(ref.scores, whole.scores);
         }
 
-        // Segment sizes dividing and not dividing the 4-word stream.
+        // Segment sizes dividing and not dividing the 4-word stream,
+        // run through Progressive at a margin no image reaches (equal
+        // to Fused, see Progressive.NoExitDegeneratesToFused...).
+        cfg.progressive_margin = 1e9;
         for (size_t seg_words : {size_t{1}, size_t{2}, size_t{3},
                                  size_t{4}, size_t{7}}) {
             cfg.stream_segment_words = seg_words;
-            cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
+            sc.setEngineMode(core::EngineMode::Progressive);
             core::ForwardInfo info;
             EXPECT_EQ(sc.predict(img, 5, &info), whole_pred)
                 << "seg_words=" << seg_words;
             EXPECT_EQ(info.scores, whole.scores)
                 << "seg_words=" << seg_words;
             EXPECT_EQ(info.effective_bits, 200u);
+            EXPECT_FALSE(info.early_exit);
         }
     }
 }
@@ -90,8 +90,9 @@ TEST(SegmentStreaming, RandomizedSeedsStayBitExact)
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
     cfg.stream_segment_words = 3;
-    cfg.batch_stream_segment_words = 3;
+    cfg.progressive_margin = 1e9; // segmented, never exits: Fused
     core::ScNetwork fused_net(net, cfg);
+    fused_net.setEngineMode(core::EngineMode::Progressive);
     core::ScNetwork ref_net(net, cfg);
     ref_net.setEngineMode(core::EngineMode::Reference);
     for (uint64_t seed = 1; seed <= 6; ++seed) {

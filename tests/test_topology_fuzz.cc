@@ -132,10 +132,14 @@ TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
 
         // 1-word, 3-word (does not divide 128/192-bit streams evenly
         // against the 4-word default) and whole-stream granularity.
+        // Segmented runs go through Progressive at a margin no image
+        // reaches, which equals Fused; plain Fused runs whole streams.
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
             cfg.stream_segment_words = seg_words;
-            cfg.batch_stream_segment_words = seg_words;
+            cfg.progressive_margin = 1e9;
             core::ScNetwork fused(net, cfg);
+            if (seg_words != 0)
+                fused.setEngineMode(core::EngineMode::Progressive);
             core::ForwardInfo info;
             EXPECT_EQ(fused.predict(img, seed, &info), ref_pred)
                 << "case=" << c << " seg_words=" << seg_words;
@@ -199,15 +203,15 @@ TEST(TopologyFuzz, BatchMatchesSinglesOnEveryRandomTopology)
     // topology the grammar admits, not just LeNet shapes — conv-free
     // MLPs, MUX layers, average pooling and odd stream lengths all
     // route through it. Rotate the segment granularity across cases
-    // so whole-stream, single-word and grid-misaligned carries all
-    // run.
+    // so whole-stream (plain Fused), single-word and grid-misaligned
+    // carries (Progressive at a margin no image reaches) all run.
     ThreadPool one(1);
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
         core::ScNetworkConfig cfg = t.cfg;
         const size_t seg_rotation[] = {0, 1, 3};
-        cfg.batch_stream_segment_words = seg_rotation[c % 3];
+        cfg.stream_segment_words = seg_rotation[c % 3];
         core::ScNetwork sc(net, cfg);
 
         std::vector<nn::Tensor> images;
@@ -215,7 +219,11 @@ TEST(TopologyFuzz, BatchMatchesSinglesOnEveryRandomTopology)
             images.push_back(
                 randomImage(t.spec.in_h, t.spec.in_w, 800 + c * 10 + i));
 
-        const core::PredictOptions opts;
+        core::PredictOptions opts;
+        if (cfg.stream_segment_words != 0) {
+            opts.mode = core::EngineMode::Progressive;
+            opts.progressive_margin = 1e9;
+        }
         std::vector<core::ForwardInfo> bi;
         const auto b = sc.forwardBatch(images, 9000 + c, opts, &one, &bi);
         ASSERT_EQ(bi.size(), images.size()) << "case=" << c;
