@@ -2,9 +2,15 @@
  * @file
  * Table 3: relative errors of the APC-based inner product block
  * compared with the conventional (exact) parallel counter.
+ *
+ * Exits non-zero when the printed shape claim fails: every cell must
+ * stay at or below 1 %, and at every stream length the 64-input error
+ * must be below the 16-input one. Registered as a ctest (label
+ * `paper`).
  */
 
 #include <cmath>
+#include <cstdio>
 #include <iostream>
 #include <numeric>
 #include <vector>
@@ -62,15 +68,15 @@ main()
     TextTable t("Relative error %, APC vs conventional PC "
                 "(paper values in parentheses)");
     t.header({"Input size", "L=128", "L=256", "L=384", "L=512"});
+    double err_pct[3][4];
     for (int i = 0; i < 3; ++i) {
         std::vector<std::string> row = {
             TextTable::num(static_cast<long long>(sizes[i]))};
         for (int j = 0; j < 4; ++j) {
-            row.push_back(
-                TextTable::num(
-                    100.0 *
-                    meanRelativeError(sizes[i], lengths[j], trials)) +
-                " (" + TextTable::num(paper[i][j]) + ")");
+            err_pct[i][j] =
+                100.0 * meanRelativeError(sizes[i], lengths[j], trials);
+            row.push_back(TextTable::num(err_pct[i][j]) + " (" +
+                          TextTable::num(paper[i][j]) + ")");
         }
         t.row(row);
     }
@@ -80,5 +86,22 @@ main()
                 "1%% and shrinks with input size, at ~40%% fewer gates "
                 "(see the cost model), matching Kim et al. and the "
                 "paper.\n");
-    return 0;
+    bool ok = true;
+    for (int j = 0; j < 4; ++j) {
+        for (int i = 0; i < 3; ++i) {
+            if (err_pct[i][j] > 1.0) {
+                std::printf("FAIL: n=%zu L=%zu error %.3f%% > 1%%\n",
+                            sizes[i], lengths[j], err_pct[i][j]);
+                ok = false;
+            }
+        }
+        if (err_pct[2][j] >= err_pct[0][j]) {
+            std::printf("FAIL: L=%zu n=64 error %.3f%% is not below "
+                        "n=16 error %.3f%%\n",
+                        lengths[j], err_pct[2][j], err_pct[0][j]);
+            ok = false;
+        }
+    }
+    std::printf("Shape check %s.\n", ok ? "passed" : "FAILED");
+    return ok ? 0 : 1;
 }

@@ -34,12 +34,6 @@ ScNetworkConfig::febKindFor(size_t paper_group, bool pooled) const
                     : blocks::FebKind::ApcAvgBtanh;
 }
 
-blocks::FebKind
-ScNetworkConfig::febKind(size_t layer) const
-{
-    return febKindFor(layer, layer < 2);
-}
-
 std::string
 ScNetworkConfig::describe() const
 {
@@ -110,7 +104,10 @@ hw::Lenet5HwConfig
 toHwConfig(const ScNetworkConfig &cfg)
 {
     hw::Lenet5HwConfig hw_cfg;
-    hw_cfg.layer_kinds = {cfg.febKind(0), cfg.febKind(1), cfg.febKind(2)};
+    // The fixed Table 6 shape: layers 0/1 are pooled conv blocks,
+    // layer 2 the fc group.
+    hw_cfg.layer_kinds = {cfg.febKindFor(0, true), cfg.febKindFor(1, true),
+                          cfg.febKindFor(2, false)};
     hw_cfg.weight_bits = cfg.weight_bits;
     hw_cfg.bitstream_len = cfg.bitstream_len;
     hw_cfg.segment_len = cfg.segment_len;

@@ -103,10 +103,6 @@ struct ScNetworkConfig
      */
     blocks::FebKind febKindFor(size_t paper_group, bool pooled) const;
 
-    /** LeNet5 shorthand: febKindFor() with the fixed Table 6 shape
-     *  (layers 0/1 pooled conv blocks, layer 2 the FC group). */
-    blocks::FebKind febKind(size_t layer) const;
-
     /** Human-readable summary ("max L=1024 MUX-MUX-APC"). */
     std::string describe() const;
 

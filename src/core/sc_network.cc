@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "sc/btanh.h"
 #include "sc/fused.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 #include "sc/stanh.h"
 
@@ -402,6 +403,22 @@ gainMatchedSizing(blocks::FebKind kind, size_t n_inputs,
     return s;
 }
 
+/**
+ * Reject, at construction, an APC stage (or the output layer, which
+ * runs the same fold) with more product lines than the carry-save fold
+ * can count: on any cycle where all of them are 1 the fold would run
+ * out of planes mid-forward, inside a pool worker.
+ */
+void
+checkFoldCapacity(const nn::PlanStage &st, const char *kind)
+{
+    SCDCNN_ASSERT(st.fan_in + 1 <= sc::kMaxCarrySaveLines,
+                  "layer %zu (%s): %zu APC inputs (fan-in + bias) exceed "
+                  "the carry-save fold's %zu lines",
+                  st.layer_index, kind, st.fan_in + 1,
+                  sc::kMaxCarrySaveLines);
+}
+
 } // namespace
 
 ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
@@ -436,6 +453,9 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     for (size_t l = 0; l < n_stages; ++l) {
         const nn::PlanStage &st = plan_.stages[l];
         const size_t n_inputs = st.fan_in + 1;
+        if (blocks::febUsesApc(stageFebKind(l)))
+            checkFoldCapacity(
+                st, st.kind == nn::StageOutline::Kind::Conv ? "conv" : "fc");
         ActSizing sizing =
             gainMatchedSizing(stageFebKind(l), n_inputs,
                               st.pooled ? 4 : 1, len, st.g_float);
@@ -447,12 +467,13 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
         else
             stanh_tables_[l] = &fsm_tables_.stanh(layer_k_[l]);
     }
+    checkFoldCapacity(plan_.output, "output fc");
 
     // Every filter's / neuron's streams are drawn in tap order — its
     // weight row in the layer's storage order ((channel, row, column)
     // for a conv filter, input order for a neuron), then the bias —
-    // into one reused word buffer, then handed to put(filter, tap,
-    // stream view). MUX-based layers attenuate their features by
+    // into one reused word buffer, then copied into the stage's
+    // interleaved arena. MUX-based layers attenuate their features by
     // layer_gain_; the consuming layer's weight streams are programmed
     // at w/gain (saturating in the SNG — the pre-scaling of Section
     // 3.2), so the drift seen by its adder matches the float network
@@ -461,10 +482,11 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     std::vector<uint64_t> row_words;
     const size_t row_stride = (len + 63) / 64;
     auto encode_rows = [&](const nn::PlanStage &st, double in_gain,
-                           const auto &put) {
+                           sc::InterleavedWeightArena &arena) {
         nn::Layer &layer = net.layer(st.layer_index);
         const std::vector<float> &w = *layer.weights();
         const std::vector<float> &bias = *layer.biases();
+        arena.reset(st.out_c, st.fan_in + 1, len);
         for (size_t o = 0; o < st.out_c; ++o) {
             row_values.clear();
             for (size_t i = 0; i < st.fan_in; ++i)
@@ -473,9 +495,9 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
             row_words.resize(row_values.size() * row_stride);
             bank.bipolarInto(row_values, len, row_words.data(), row_stride);
             for (size_t tap = 0; tap <= st.fan_in; ++tap)
-                put(o, tap,
-                    sc::BitstreamView(row_words.data() + tap * row_stride,
-                                      len));
+                arena.assign(o, tap,
+                             sc::BitstreamView(
+                                 row_words.data() + tap * row_stride, len));
         }
     };
 
@@ -484,23 +506,10 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     double in_gain = 1.0;
     stages_.resize(n_stages);
     for (size_t l = 0; l < n_stages; ++l) {
-        const nn::PlanStage &st = plan_.stages[l];
-        sc::InterleavedWeightArena &arena = stages_[l];
-        arena.reset(st.out_c, st.fan_in + 1, len);
-        encode_rows(st, in_gain,
-                    [&](size_t o, size_t tap, sc::BitstreamView v) {
-                        arena.assign(o, tap, v);
-                    });
+        encode_rows(plan_.stages[l], in_gain, stages_[l]);
         in_gain = layer_gain_[l];
     }
-    out_.n_in = plan_.output.fan_in;
-    out_.n_out = plan_.output.out_c;
-    out_.arena.reset(out_.n_out * (out_.n_in + 1), len);
-    encode_rows(plan_.output, in_gain,
-                [&](size_t o, size_t tap, sc::BitstreamView v) {
-                    std::copy(v.words, v.words + row_stride,
-                              out_.arena.wordsAt(o * (out_.n_in + 1) + tap));
-                });
+    encode_rows(plan_.output, in_gain, out_);
 }
 
 ScNetwork::BatchStreamGrid
@@ -819,42 +828,36 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
 void
 ScNetwork::runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                  const std::vector<size_t> &in_strides,
-                                 const OutputWeightStreams &weights,
                                  const SegRange &seg,
                                  const std::vector<uint32_t> &active,
                                  bool reference, OutputBatchRun &run) const
 {
     const Clock::time_point t0 = Clock::now();
-    const size_t n_inputs = weights.n_in + 1;
     const size_t B = run.consumed.size();
-    std::vector<sc::BitstreamView> xs0(n_inputs);
-    std::vector<size_t> strides(n_inputs);
-    std::vector<sc::BitstreamView> xs_img;
-    std::vector<sc::BitstreamView> ws(n_inputs);
-    for (size_t i = 0; i < weights.n_in; ++i) {
-        xs0[i] = in0[i];
-        strides[i] = in_strides[i];
-    }
-    xs0[weights.n_in] = bias_line_;
-    strides[weights.n_in] = 0;
-    const auto count_total = reference
-                                 ? &sc::referenceProductCountTotalRange
-                                 : &sc::fusedProductCountTotalRange;
+    const size_t n_active = active.size();
+    const size_t seg_stride = (seg.w1 - seg.w0) * 64;
+    const auto product_counts = reference
+                                    ? &sc::referenceProductCountsMultiBatch
+                                    : &sc::fusedProductCountsMultiBatch;
 
-    // The accumulator de-randomizes: score = sum of bipolar sums. The
-    // per-cycle counts are never materialized — each segment's
-    // contribution reduces to word popcounts, summed into the
-    // per-(class, image) running accumulators. Class o's weight
-    // streams are gathered once and re-read from cache across the
-    // image loop (the layer is binary and tiny, so no batch kernel is
-    // needed for it).
-    for (size_t o = 0; o < weights.n_out; ++o) {
-        for (size_t i = 0; i < n_inputs; ++i)
-            ws[i] = weights.at(o, i);
-        for (const uint32_t img : active) {
-            sc::shiftViewsForImage(xs0, strides, img, xs_img);
-            count_total(xs_img, ws, seg.w0, seg.w1, run.acc[o * B + img]);
-        }
+    // The output layer is an APC inner product whose counts feed an
+    // accumulator instead of a Btanh: each class block's approximate
+    // counts for every active image come from one weight-stationary
+    // batch call, and the accumulator de-randomizes them into the
+    // per-(class, image) running sums (score = sum of bipolar sums).
+    std::vector<uint16_t> counts(n_active * sc::kFilterLanes * seg_stride);
+    for (size_t g = 0; g < out_.groups(); ++g) {
+        const sc::WeightBlockView block = out_.block(g);
+        product_counts(in0, in_strides, active.data(), n_active, block,
+                       /*approximate=*/true, seg.w0, seg.w1, counts.data(),
+                       seg_stride, sc::kFilterLanes * seg_stride);
+        for (size_t j = 0; j < n_active; ++j)
+            for (size_t f = 0; f < block.lanes; ++f)
+                run.acc[(g * sc::kFilterLanes + f) * B + active[j]] +=
+                    sc::simd::avx2SumU16(
+                        counts.data() +
+                            (j * sc::kFilterLanes + f) * seg_stride,
+                        seg.n_cycles);
     }
     for (const uint32_t img : active)
         run.consumed[img] += seg.n_cycles;
@@ -906,20 +909,22 @@ ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
             stage_seeds[b] = seeds[b] ^ (0x1111ULL * (l + 1));
         initStageRun(runs[l], l, stage_seeds);
     }
-    out.acc.assign(out_.n_out * B, {});
+    const size_t n_classes = out_.filters();
+    out.acc.assign(n_classes * B, 0);
     out.consumed.assign(B, 0);
 
     // The output layer reads the last stage's grid (the image itself
-    // for a net without hidden stages) flattened, as image-0 views plus
-    // the arena's per-site image word stride (the batch-kernel operand
-    // form).
+    // for a net without hidden stages) flattened, then the shared bias
+    // line, as image-0 views plus per-tap image word strides (the
+    // batch-kernel operand form).
     const sc::BatchStreamArena &last =
         n_stages > 0 ? runs.back().out.arena : x.arena;
     std::vector<sc::BitstreamView> out_in;
     for (size_t i = 0; i < last.count(); ++i)
         out_in.push_back(last.view(i, 0));
-    const std::vector<size_t> out_strides(out_in.size(),
-                                          last.strideWords());
+    std::vector<size_t> out_strides(out_in.size(), last.strideWords());
+    out_in.push_back(bias_line_);
+    out_strides.push_back(0);
 
     std::vector<uint32_t> active(B);
     for (size_t b = 0; b < B; ++b)
@@ -938,8 +943,8 @@ ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
         for (size_t l = 0; l < n_stages; ++l)
             runStageSegment(l == 0 ? x : runs[l - 1].out, l, seg, active,
                             reference, runs[l], pool);
-        runOutputSegmentBatch(out_in, out_strides, out_, seg, active,
-                              reference, out);
+        runOutputSegmentBatch(out_in, out_strides, seg, active, reference,
+                              out);
 
         // Per-image checkpoints, after the segment's work has been
         // accumulated so a partial result is well-formed over the
@@ -967,10 +972,8 @@ ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
                 if (mode == EngineMode::Progressive &&
                     out.consumed[img] >= opts.progressive_min_bits) {
                     uint64_t best = 0, second = 0;
-                    for (size_t o = 0; o < out_.n_out; ++o) {
-                        const uint64_t v =
-                            out.acc[o * B + img].value(
-                                /*approximate=*/true);
+                    for (size_t o = 0; o < n_classes; ++o) {
+                        const uint64_t v = out.acc[o * B + img];
                         if (v > best) {
                             second = best;
                             best = v;
@@ -1003,16 +1006,13 @@ ScNetwork::forwardStreams(std::span<const nn::Tensor> images,
     }
 
     std::vector<size_t> preds(B);
-    const auto fan_in = static_cast<double>(out_.n_in + 1);
+    const auto n_inputs = static_cast<double>(out_.taps());
     for (size_t b = 0; b < B; ++b) {
         const auto consumed = static_cast<double>(out.consumed[b]);
-        std::vector<double> scores(out_.n_out);
-        for (size_t o = 0; o < out_.n_out; ++o)
-            scores[o] = (2.0 * static_cast<double>(out.acc[o * B + b]
-                                                       .value(
-                                                           /*approximate=*/
-                                                           true)) -
-                         fan_in * consumed) /
+        std::vector<double> scores(n_classes);
+        for (size_t o = 0; o < n_classes; ++o)
+            scores[o] = (2.0 * static_cast<double>(out.acc[o * B + b]) -
+                         n_inputs * consumed) /
                         consumed;
         preds[b] = static_cast<size_t>(
             std::max_element(scores.begin(), scores.end()) -

@@ -307,20 +307,6 @@ class ScNetwork
         return opts;
     }
 
-    /** Binary output layer weight streams in the plain layout the
-     *  popcount reductions read: class o's streams at slots
-     *  [o*(n_in+1), ...] (bias last). */
-    struct OutputWeightStreams
-    {
-        size_t n_in = 0, n_out = 0;
-        sc::StreamArena arena;
-
-        sc::BitstreamView at(size_t neuron, size_t i) const
-        {
-            return arena.view(neuron * (n_in + 1) + i);
-        }
-    };
-
     /** One segment of the stream axis: words [w0, w1) covering cycles
      *  [c0, c0 + n_cycles). */
     struct SegRange
@@ -359,13 +345,14 @@ class ScNetwork
         std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
     };
 
-    /** Per-forward carried state of the binary output layer:
-     *  accumulators per (class, image) plus per-image consumed cycles
-     *  (frozen when the image leaves the active set). */
+    /** Per-forward carried state of the binary output layer: the
+     *  accumulated approximate APC counts per (class, image) plus
+     *  per-image consumed cycles (both frozen when the image leaves
+     *  the active set). */
     struct OutputBatchRun
     {
-        std::vector<sc::ProductCountAccum> acc; //!< [class][image]
-        std::vector<size_t> consumed;           //!< [image]
+        std::vector<uint64_t> acc;    //!< [class][image]
+        std::vector<size_t> consumed; //!< [image]
     };
 
     BatchStreamGrid encodeImagesBatch(std::span<const nn::Tensor> images,
@@ -388,9 +375,16 @@ class ScNetwork
                          bool reference, StageRun &run,
                          ThreadPool &pool) const;
 
+    /**
+     * Advance the binary output layer over one segment for the active
+     * images: one weight-stationary batch inner product per class
+     * block (Reference: its bit-serial twin) over the flattened last
+     * grid plus the bias line — @p in0 image-0 views, @p in_strides
+     * their image word strides — whose approximate APC counts are
+     * summed into each (class, image) accumulator.
+     */
     void runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
                                const std::vector<size_t> &in_strides,
-                               const OutputWeightStreams &weights,
                                const SegRange &seg,
                                const std::vector<uint32_t> &active,
                                bool reference, OutputBatchRun &run) const;
@@ -435,7 +429,9 @@ class ScNetwork
      *  stage's (channel, row, column) input order, the bias at tap
      *  fan_in. The geometry is plan_.stages[l]'s. */
     std::vector<sc::InterleavedWeightArena> stages_;
-    OutputWeightStreams out_;
+    /** The binary output layer's weight streams in the same layout
+     *  (class o is filter o); the geometry is plan_.output's. */
+    sc::InterleavedWeightArena out_;
 
     std::vector<double> layer_gain_;
     std::vector<unsigned> layer_k_;

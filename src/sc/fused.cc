@@ -364,59 +364,6 @@ fusedMuxProductMulti(const std::vector<BitstreamView> &xs,
 }
 
 void
-fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
-                            const std::vector<BitstreamView> &ws,
-                            size_t begin_word, size_t end_word,
-                            ProductCountAccum &acc)
-{
-    const size_t len = checkOperands(xs, &ws);
-    const size_t n = xs.size();
-    const size_t n_words = (len + 63) / 64;
-    SCDCNN_ASSERT(begin_word <= end_word && end_word <= n_words,
-                  "bad word range [%zu, %zu) for %zu words", begin_word,
-                  end_word, n_words);
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        std::min(ApproxParallelCounter::kLsbParityLines, n);
-
-    uint64_t total = 0;
-    uint64_t exact_lsb_ones = 0;
-    uint64_t approx_lsb_ones = 0;
-    size_t w = begin_word;
-    // The AVX2 reduction covers full words only; the stream's partial
-    // tail word (when the range reaches it) stays scalar.
-    const size_t full_end = std::min(end_word, len / 64);
-    if (simd::enabled() && full_end > w)
-        w += simd::avx2ProductCountTotal(xs.data(), ws.data(), n, w,
-                                         full_end, parity_lines, &total,
-                                         &exact_lsb_ones,
-                                         &approx_lsb_ones);
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t parity_all = 0;
-        uint64_t parity_leading = 0;
-        for (size_t i = 0; i < n; ++i) {
-            const uint64_t product =
-                ~(xs[i].words[w] ^ ws[i].words[w]) & word_mask;
-            total += static_cast<uint64_t>(std::popcount(product));
-            parity_all ^= product;
-            if (i < parity_lines)
-                parity_leading ^= product;
-        }
-        exact_lsb_ones +=
-            static_cast<uint64_t>(std::popcount(parity_all));
-        approx_lsb_ones +=
-            static_cast<uint64_t>(std::popcount(parity_leading));
-    }
-    acc.total += total;
-    acc.exact_lsb_ones += exact_lsb_ones;
-    acc.approx_lsb_ones += approx_lsb_ones;
-}
-
-void
 fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                              const std::vector<size_t> &x_strides,
                              const uint32_t *images, size_t n_images,
@@ -550,39 +497,6 @@ referenceMuxProductMulti(const std::vector<BitstreamView> &xs,
             if (xb == block.get(f, k, c0 + i))
                 out[f * out_word_stride + i / 64] |= uint64_t{1}
                                                     << (i % 64);
-    }
-}
-
-void
-referenceProductCountTotalRange(const std::vector<BitstreamView> &xs,
-                                const std::vector<BitstreamView> &ws,
-                                size_t begin_word, size_t end_word,
-                                ProductCountAccum &acc)
-{
-    const size_t len = checkOperands(xs, &ws);
-    const size_t n = xs.size();
-    const size_t n_words = (len + 63) / 64;
-    SCDCNN_ASSERT(begin_word <= end_word && end_word <= n_words,
-                  "bad word range [%zu, %zu) for %zu words", begin_word,
-                  end_word, n_words);
-    const size_t parity_lines =
-        std::min(ApproxParallelCounter::kLsbParityLines, n);
-    const size_t c0 = begin_word * 64;
-    const size_t c1 = std::min(end_word * 64, len);
-    for (size_t i = c0; i < c1; ++i) {
-        uint64_t c = 0;
-        uint64_t parity_all = 0;
-        uint64_t parity_leading = 0;
-        for (size_t t = 0; t < n; ++t) {
-            const uint64_t bit = xs[t].get(i) == ws[t].get(i) ? 1 : 0;
-            c += bit;
-            parity_all ^= bit;
-            if (t < parity_lines)
-                parity_leading ^= bit;
-        }
-        acc.total += c;
-        acc.exact_lsb_ones += parity_all;
-        acc.approx_lsb_ones += parity_leading;
     }
 }
 

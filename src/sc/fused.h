@@ -17,17 +17,16 @@
  *    direct word access;
  *  - fusedProductCountsMulti and its batch forms: one filter block's
  *    XNOR + carry-save fold for every filter lane at once, over one
- *    operand window or a weight-stationary micro-batch;
- *  - fusedProductCountTotalRange: the binary output layer's
- *    accumulated count, reduced to word popcounts without per-cycle
- *    count vectors.
+ *    operand window or a weight-stationary micro-batch — the inner
+ *    product of every APC stage, the binary output layer included
+ *    (its class scores are the segment sums of these counts).
  *
  * Operands are BitstreamViews (pointer + length), so a layer's streams
  * can be packed into one contiguous StreamArena and streamed through;
  * convenience overloads accept Bitstream pointer vectors. The
- * carry-save plane loops and the popcount reductions dispatch to the
- * AVX2 kernels of sc/simd.h at runtime, with the portable scalar path
- * kept as the always-built default.
+ * carry-save plane loops dispatch to the AVX2 kernels of sc/simd.h at
+ * runtime, with the portable scalar path kept as the always-built
+ * default.
  *
  * Every fused kernel has a bit-serial reference twin (reference*) that
  * computes the same result one cycle at a time through the per-bit
@@ -49,9 +48,14 @@
 namespace scdcnn {
 namespace sc {
 
-/** Max supported log2(inputs) of the carry-save counters: 4096 lines
- *  (shared by the scalar and AVX2 plane loops). */
+/** Bit-planes of the carry-save counters (shared by the scalar and
+ *  AVX2 plane loops): a column count of at most 2^13 - 1 = 8191. */
 constexpr int kMaxCarrySavePlanes = 13;
+
+/** Most product lines (taps, the bias included) one carry-save fold
+ *  can count: the network rejects APC stages with more at
+ *  construction, since an all-ones cycle would overflow the planes. */
+constexpr size_t kMaxCarrySaveLines = (size_t{1} << kMaxCarrySavePlanes) - 1;
 
 /**
  * Draw one uniform select index per cycle into @p selects, resized to
@@ -128,41 +132,6 @@ void fusedMuxProductMulti(const std::vector<BitstreamView> &xs,
                           size_t begin_word, size_t end_word,
                           uint64_t *out, size_t out_word_stride);
 
-/**
- * Running accumulator for a segment-streamed output-layer total: the
- * sum of the per-cycle product counts, i.e. the accumulated
- * binary-domain inner product, kept as three popcount partials summed
- * across word ranges. value() applies the approximate-LSB correction
- *
- *   sum_t c'_t = sum_t c_t - ones(parity_all) + ones(parity_4)
- *
- * (c' = approximate count, c = exact count): replacing each count's
- * LSB changes the sum by (parity_4 - parity_n) per cycle, so the whole
- * reduction is three popcount passes over the product words.
- */
-struct ProductCountAccum
-{
-    uint64_t total = 0;
-    uint64_t exact_lsb_ones = 0;
-    uint64_t approx_lsb_ones = 0;
-
-    uint64_t value(bool approximate) const
-    {
-        return approximate ? total - exact_lsb_ones + approx_lsb_ones
-                           : total;
-    }
-};
-
-/**
- * Word-ranged accumulation of the output-layer product-count total
- * into @p acc; summing the ranges of any partition of [0, wordCount)
- * yields exactly the whole-stream partials.
- */
-void fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
-                                 const std::vector<BitstreamView> &ws,
-                                 size_t begin_word, size_t end_word,
-                                 ProductCountAccum &acc);
-
 /** Bit-serial oracle for fusedProductCountsMulti (per-bit view /
  *  block get()). */
 void referenceProductCountsMulti(const std::vector<BitstreamView> &xs,
@@ -177,12 +146,6 @@ void referenceMuxProductMulti(const std::vector<BitstreamView> &xs,
                               const std::vector<uint16_t> &selects,
                               size_t begin_word, size_t end_word,
                               uint64_t *out, size_t out_word_stride);
-
-/** Bit-serial oracle for fusedProductCountTotalRange. */
-void referenceProductCountTotalRange(const std::vector<BitstreamView> &xs,
-                                     const std::vector<BitstreamView> &ws,
-                                     size_t begin_word, size_t end_word,
-                                     ProductCountAccum &acc);
 
 // ------- Binary (L = 1) XNOR-popcount kernels ---------------------
 //
@@ -314,9 +277,9 @@ void referenceProductCountsMultiBatch(
 
 /**
  * Shift an image-0 operand window to image @p image: view t of @p out
- * is {xs0[t].words + image * x_strides[t], xs0[t].length}. The MUX and
- * output-layer batch paths use this to drive the per-image kernels
- * from one gathered window.
+ * is {xs0[t].words + image * x_strides[t], xs0[t].length}. The MUX
+ * batch path and the image-outer batch folds use this to drive the
+ * per-image kernels from one gathered window.
  */
 void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
                         const std::vector<size_t> &x_strides, size_t image,
@@ -333,7 +296,7 @@ struct BatchFusedWorkspace
 {
     std::vector<BitstreamView> xs0;    //!< image-0 operand views
     std::vector<size_t> x_strides;     //!< per-tap image word strides
-    std::vector<BitstreamView> xs_img; //!< shifted views (MUX/output)
+    std::vector<BitstreamView> xs_img; //!< shifted views (MUX)
     std::vector<uint16_t> selects;     //!< one image's MUX selects
     std::vector<uint16_t> counts;      //!< [item][window][image][lane][cycle]
     std::vector<uint64_t> products;    //!< [item][window][image][lane][word]

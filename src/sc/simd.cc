@@ -152,15 +152,6 @@ popcountBytes(__m256i v)
                            _mm256_shuffle_epi8(lut, hi));
 }
 
-/** Sum of the four 64-bit lanes. */
-__attribute__((target("avx2"))) inline uint64_t
-horizontalSum64(__m256i v)
-{
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
 /** Expand 16 bits into 16 uint16 lanes of 0/1 scaled by @p weight. */
 __attribute__((target("avx2"))) inline __m256i
 spreadBits16(uint16_t bits, __m256i lane_bit, short weight)
@@ -683,50 +674,6 @@ avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
         spreadPlanesGroupScalar(pws[i], n_planes, parity, group, outs[i]);
 }
 
-__attribute__((target("avx2"))) size_t
-avx2ProductCountTotal(const BitstreamView *xs, const BitstreamView *ws,
-                      size_t n, size_t begin_word, size_t end_word,
-                      size_t parity_lines, uint64_t *total,
-                      uint64_t *exact_lsb_ones, uint64_t *approx_lsb_ones)
-{
-    if (!enabled())
-        return 0;
-    const size_t n_full_words =
-        end_word > begin_word ? ((end_word - begin_word) / 4) * 4 : 0;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i zero = _mm256_setzero_si256();
-
-    __m256i total_acc = zero;
-    __m256i exact_acc = zero;
-    __m256i approx_acc = zero;
-    for (size_t w = begin_word; w < begin_word + n_full_words; w += 4) {
-        __m256i parity_all = zero;
-        __m256i parity_leading = zero;
-        for (size_t i = 0; i < n; ++i) {
-            const __m256i xv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(xs[i].words + w));
-            const __m256i wv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(ws[i].words + w));
-            const __m256i product = _mm256_xor_si256(
-                _mm256_xor_si256(xv, wv), all_ones);
-            total_acc = _mm256_add_epi64(
-                total_acc, _mm256_sad_epu8(popcountBytes(product), zero));
-            parity_all = _mm256_xor_si256(parity_all, product);
-            if (i < parity_lines)
-                parity_leading = _mm256_xor_si256(parity_leading, product);
-        }
-        exact_acc = _mm256_add_epi64(
-            exact_acc, _mm256_sad_epu8(popcountBytes(parity_all), zero));
-        approx_acc = _mm256_add_epi64(
-            approx_acc,
-            _mm256_sad_epu8(popcountBytes(parity_leading), zero));
-    }
-    *total += horizontalSum64(total_acc);
-    *exact_lsb_ones += horizontalSum64(exact_acc);
-    *approx_lsb_ones += horizontalSum64(approx_acc);
-    return n_full_words;
-}
-
 __attribute__((target("avx2"))) static uint64_t
 avx2SumU16Impl(const uint16_t *values, size_t n)
 {
@@ -1085,14 +1032,6 @@ avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
 {
     for (size_t i = 0; i < n; ++i)
         spreadPlanesGroupScalar(pws[i], n_planes, parity, group, outs[i]);
-}
-
-size_t
-avx2ProductCountTotal(const BitstreamView *, const BitstreamView *, size_t,
-                      size_t, size_t, size_t, uint64_t *, uint64_t *,
-                      uint64_t *)
-{
-    return 0;
 }
 
 uint64_t

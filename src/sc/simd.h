@@ -16,12 +16,10 @@
  *  - avx2ProductCountBlocks: the carry-save bit-plane loop of
  *    fusedProductCounts over blocks of four words (256 cycles) at a
  *    time, including the vectorized plane-to-count transpose;
- *  - avx2ProductCountTotal: the popcount reductions of
- *    fusedProductCountTotalRange (nibble-LUT shuffle + psadbw);
  *  - the plane readers (avx2SpreadPlanes*, avx2PlaneWordSums*) of the
  *    Figure 8 max-pooling selector;
  *  - avx2SumU16: the segment accumulation of the masked binary
- *    max-pooling kernel;
+ *    max-pooling kernel and of the output layer's class scores;
  *  - avx2XnorPopcountMulti and avx2BtanhWordsBatch: the binary
  *    backend's inner product and the lane-parallel Btanh step;
  *  - avx2SngUnipolar4: the word-at-a-time SNG body for four streams,
@@ -229,24 +227,8 @@ void avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
                                 size_t group, uint16_t *const *outs);
 
 /**
- * Popcount reduction over full 4-word groups of the word range
- * [@p begin_word, @p end_word): accumulates the total product popcount
- * plus the all-lines and leading-lines parity popcounts for the
- * covered cycles. The range must contain only full words (the caller
- * keeps the stream's partial tail word for the scalar path).
- *
- * @return the number of words processed from begin_word; 0 when AVX2
- *         is not enabled.
- */
-size_t avx2ProductCountTotal(const BitstreamView *xs,
-                             const BitstreamView *ws, size_t n,
-                             size_t begin_word, size_t end_word,
-                             size_t parity_lines, uint64_t *total,
-                             uint64_t *exact_lsb_ones,
-                             uint64_t *approx_lsb_ones);
-
-/**
- * Sum of @p n uint16 values (the masked pooling segment accumulator),
+ * Sum of @p n uint16 values (the masked pooling segment accumulator
+ * and the output layer's per-segment class score),
  * exact for the full uint16 range and any length (lane accumulators
  * are flushed to 64 bits before they can overflow). Falls back to a
  * scalar loop when AVX2 is not enabled.

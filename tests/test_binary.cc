@@ -112,9 +112,10 @@ TEST(BinaryKernels, SignPackMatchesReferenceTwinAndZeroesTails)
         sc::referenceSignPack(s.data(), n, ref.data());
         EXPECT_EQ(fused, ref) << "n=" << n;
         EXPECT_EQ(fused[0] & 1, 1u) << "n=" << n; // tie -> +1
-        if (n % 64 != 0)
+        if (n % 64 != 0) {
             EXPECT_EQ(fused.back() >> (n % 64), 0u)
                 << "n=" << n << " (tail bits must be zero)";
+        }
     }
 }
 

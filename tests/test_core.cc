@@ -41,14 +41,14 @@ TEST(ScConfig, FebKindCombinesAdderAndPooling)
     ScNetworkConfig cfg;
     cfg.pooling = nn::PoolingMode::Max;
     cfg.layer_adders = {AdderKind::Mux, AdderKind::Apc, AdderKind::Apc};
-    EXPECT_EQ(cfg.febKind(0), blocks::FebKind::MuxMaxStanh);
-    EXPECT_EQ(cfg.febKind(1), blocks::FebKind::ApcMaxBtanh);
+    EXPECT_EQ(cfg.febKindFor(0, true), blocks::FebKind::MuxMaxStanh);
+    EXPECT_EQ(cfg.febKindFor(1, true), blocks::FebKind::ApcMaxBtanh);
     // Layer2 is fully connected: no pooling stage.
-    EXPECT_EQ(cfg.febKind(2), blocks::FebKind::ApcAvgBtanh);
+    EXPECT_EQ(cfg.febKindFor(2, false), blocks::FebKind::ApcAvgBtanh);
 
     cfg.pooling = nn::PoolingMode::Average;
-    EXPECT_EQ(cfg.febKind(0), blocks::FebKind::MuxAvgStanh);
-    EXPECT_EQ(cfg.febKind(1), blocks::FebKind::ApcAvgBtanh);
+    EXPECT_EQ(cfg.febKindFor(0, true), blocks::FebKind::MuxAvgStanh);
+    EXPECT_EQ(cfg.febKindFor(1, true), blocks::FebKind::ApcAvgBtanh);
 }
 
 TEST(ScConfig, DescribeIsReadable)

@@ -452,5 +452,31 @@ TEST(TopologyValidation, EngineRejectsWrongImageGeometry)
     EXPECT_DEATH(sc.predict(wrong, 1), "expected a 1x12x12 image");
 }
 
+TEST(TopologyValidation, ApcFanInOverFoldCapacityRejected)
+{
+    // A 4x48x48 input flattens to 9216 taps: with the bias, more
+    // product lines than the carry-save fold's 13 planes can count
+    // (8191). An APC stage that wide, hidden or the output layer, is
+    // rejected when the network is built, not inside a pool worker on
+    // the first cycle whose products are mostly 1.
+    nn::TopologySpec spec;
+    spec.in_c = 4;
+    spec.in_h = spec.in_w = 48;
+    spec.fc_hidden = {4};
+    spec.n_classes = 2;
+    core::ScNetworkConfig cfg;
+    cfg.bitstream_len = 64;
+    cfg.input_c = 4;
+    cfg.input_h = cfg.input_w = 48;
+    const nn::Network hidden_fc = nn::buildTopology(spec);
+    EXPECT_DEATH(core::ScNetwork(hidden_fc, cfg),
+                 "layer 0 .fc.: 9217 APC inputs.*8191 lines");
+
+    spec.fc_hidden.clear();
+    const nn::Network output_only = nn::buildTopology(spec);
+    EXPECT_DEATH(core::ScNetwork(output_only, cfg),
+                 "layer 0 .output fc.: 9217 APC inputs.*8191 lines");
+}
+
 } // namespace
 } // namespace scdcnn

@@ -80,31 +80,6 @@ TEST_P(FusedVsReference, MuxProductBitExact)
         << "n=" << n << " len=" << len;
 }
 
-TEST_P(FusedVsReference, ProductCountTotalMatches)
-{
-    auto [n, len] = GetParam();
-    OperandSet ops(n, len, 3000 + n * 131 + len);
-    const size_t n_words = (len + 63) / 64;
-    sc::ProductCountAccum fused, ref;
-    sc::fusedProductCountTotalRange(sc::toViews(ops.xs),
-                                    sc::toViews(ops.ws), 0, n_words, fused);
-    sc::referenceProductCountTotalRange(sc::toViews(ops.xs),
-                                        sc::toViews(ops.ws), 0, n_words,
-                                        ref);
-    for (bool approximate : {false, true}) {
-        // value()'s popcount identity against the summed per-cycle
-        // counts of the bit-serial oracle.
-        uint64_t per_cycle = 0;
-        for (uint16_t c :
-             sc::referenceProductCounts(ops.xp, ops.wp, approximate))
-            per_cycle += c;
-        EXPECT_EQ(fused.value(approximate), ref.value(approximate))
-            << "n=" << n << " len=" << len << " approx=" << approximate;
-        EXPECT_EQ(fused.value(approximate), per_cycle)
-            << "n=" << n << " len=" << len << " approx=" << approximate;
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Grid, FusedVsReference,
     ::testing::Combine(
@@ -239,36 +214,6 @@ TEST_P(MultiVsReference, MuxProductMultiBitExact)
             EXPECT_EQ(fused[f * n_words + w], single.words()[w])
                 << "lane " << f << " word " << w;
     }
-}
-
-TEST_P(MultiVsReference, ProductCountTotalRangePartitionsExactly)
-{
-    auto [taps, len, filters] = GetParam();
-    OperandSet ops(taps, len, 7000 + taps * 131 + len + filters);
-    const size_t n_words = (len + 63) / 64;
-    sc::ProductCountAccum whole;
-    sc::fusedProductCountTotalRange(sc::toViews(ops.xs),
-                                    sc::toViews(ops.ws), 0, n_words,
-                                    whole);
-    sc::ProductCountAccum ref;
-    sc::referenceProductCountTotalRange(sc::toViews(ops.xs),
-                                        sc::toViews(ops.ws), 0, n_words,
-                                        ref);
-    EXPECT_EQ(whole.total, ref.total);
-    EXPECT_EQ(whole.exact_lsb_ones, ref.exact_lsb_ones);
-    EXPECT_EQ(whole.approx_lsb_ones, ref.approx_lsb_ones);
-    for (bool approximate : {false, true})
-        EXPECT_EQ(whole.value(approximate), ref.value(approximate));
-    // A 3-word partition (not dividing most word counts) sums to the
-    // whole-stream partials.
-    sc::ProductCountAccum parts;
-    for (size_t w0 = 0; w0 < n_words; w0 += 3)
-        sc::fusedProductCountTotalRange(sc::toViews(ops.xs),
-                                        sc::toViews(ops.ws), w0,
-                                        std::min(w0 + 3, n_words), parts);
-    EXPECT_EQ(parts.total, whole.total);
-    EXPECT_EQ(parts.exact_lsb_ones, whole.exact_lsb_ones);
-    EXPECT_EQ(parts.approx_lsb_ones, whole.approx_lsb_ones);
 }
 
 TEST(MultiKernels, EmptyRangeAtTheRaggedTailIsANoOp)

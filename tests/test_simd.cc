@@ -85,25 +85,6 @@ TEST_P(SimdVsScalar, LineCountsMatch)
     }
 }
 
-TEST_P(SimdVsScalar, ProductCountTotalMatches)
-{
-    auto [n, len] = GetParam();
-    OperandSet ops(n, len, 7000 + n * 131 + len);
-    const size_t n_words = (len + 63) / 64;
-    sc::ProductCountAccum with_simd, without, ref;
-    sc::simd::setEnabled(true);
-    sc::fusedProductCountTotalRange(ops.xv, ops.wv, 0, n_words, with_simd);
-    sc::simd::setEnabled(false);
-    sc::fusedProductCountTotalRange(ops.xv, ops.wv, 0, n_words, without);
-    sc::referenceProductCountTotalRange(ops.xv, ops.wv, 0, n_words, ref);
-    for (bool approximate : {false, true}) {
-        EXPECT_EQ(with_simd.value(approximate), without.value(approximate))
-            << "n=" << n << " len=" << len << " approx=" << approximate;
-        EXPECT_EQ(with_simd.value(approximate), ref.value(approximate))
-            << "n=" << n << " len=" << len << " approx=" << approximate;
-    }
-}
-
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
 {
     // The AVX2 filter-lane compressor tree against the scalar
