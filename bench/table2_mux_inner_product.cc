@@ -1,10 +1,13 @@
 /**
  * @file
  * Table 2: absolute errors of the MUX-based inner product block across
- * input sizes and bit-stream lengths.
+ * input sizes and bit-stream lengths. Exits non-zero when the printed
+ * shape claim fails: error must grow with input size at every L and
+ * shrink with L at every input size.
  */
 
 #include <cmath>
+#include <cstdio>
 #include <iostream>
 #include <vector>
 
@@ -55,14 +58,14 @@ main()
     TextTable t("Absolute error of MUX inner product "
                 "(paper values in parentheses)");
     t.header({"Input size", "L=512", "L=1024", "L=2048", "L=4096"});
+    double err[3][4];
     for (int i = 0; i < 3; ++i) {
         std::vector<std::string> row = {
             TextTable::num(static_cast<long long>(sizes[i]))};
         for (int j = 0; j < 4; ++j) {
-            row.push_back(
-                TextTable::num(meanAbsError(sizes[i], lengths[j],
-                                            trials)) +
-                " (" + TextTable::num(paper[i][j]) + ")");
+            err[i][j] = meanAbsError(sizes[i], lengths[j], trials);
+            row.push_back(TextTable::num(err[i][j]) + " (" +
+                          TextTable::num(paper[i][j]) + ")");
         }
         t.row(row);
     }
@@ -71,5 +74,30 @@ main()
     std::printf("\nShape check: error grows with input size (more "
                 "dropped bits) and shrinks roughly as 1/sqrt(L), as in "
                 "the paper.\n");
-    return 0;
+    // A failed claim goes to stderr, so a passing run prints the table
+    // alone.
+    bool ok = true;
+    for (int i = 0; i < 3; ++i) {
+        for (int j = 0; j < 4; ++j) {
+            if (i + 1 < 3 && err[i + 1][j] <= err[i][j]) {
+                std::fprintf(stderr,
+                             "FAIL: L=%zu n=%zu error %.3f does not "
+                             "exceed n=%zu error %.3f\n",
+                             lengths[j], sizes[i + 1], err[i + 1][j],
+                             sizes[i], err[i][j]);
+                ok = false;
+            }
+            if (j + 1 < 4 && err[i][j + 1] >= err[i][j]) {
+                std::fprintf(stderr,
+                             "FAIL: n=%zu L=%zu error %.3f is not below "
+                             "L=%zu error %.3f\n",
+                             sizes[i], lengths[j + 1], err[i][j + 1],
+                             lengths[j], err[i][j]);
+                ok = false;
+            }
+        }
+    }
+    if (!ok)
+        std::fprintf(stderr, "Shape check FAILED.\n");
+    return ok ? 0 : 1;
 }

@@ -12,6 +12,25 @@
 namespace scdcnn {
 namespace blocks {
 
+namespace {
+
+/** One filter's weight streams @p ws, copied into @p arena as the
+ *  one-lane block the filter-blocked kernels of sc/fused.h take. */
+sc::WeightBlockView
+oneFilterBlock(const std::vector<const sc::Bitstream *> &xs,
+               const std::vector<const sc::Bitstream *> &ws,
+               sc::InterleavedWeightArena &arena)
+{
+    SCDCNN_ASSERT(xs.size() == ws.size() && !xs.empty(),
+                  "fused block needs matching nonzero operand counts");
+    arena.reset(1, ws.size(), ws[0]->length());
+    for (size_t t = 0; t < ws.size(); ++t)
+        arena.assign(0, t, *ws[t]);
+    return arena.block(0);
+}
+
+} // namespace
+
 std::vector<sc::Bitstream>
 productStreams(const std::vector<sc::Bitstream> &xs,
                const std::vector<sc::Bitstream> &ws)
@@ -59,12 +78,14 @@ MuxInnerProduct::sumProductsFused(
     const std::vector<const sc::Bitstream *> &xs,
     const std::vector<const sc::Bitstream *> &ws, sc::Xoshiro256ss &sel)
 {
-    SCDCNN_ASSERT(xs.size() == ws.size() && !xs.empty(),
-                  "fused MUX needs matching nonzero operand counts");
+    sc::InterleavedWeightArena arena;
+    const sc::WeightBlockView block = oneFilterBlock(xs, ws, arena);
     std::vector<uint16_t> selects;
-    sc::fillMuxSelects(xs.size(), xs[0]->length(), sel, selects);
-    sc::Bitstream out;
-    sc::fusedMuxProduct(xs, ws, selects, out);
+    sc::fillMuxSelects(xs.size(), block.length, sel, selects);
+    sc::Bitstream out(block.length);
+    sc::fusedMuxProductMulti(sc::toViews(xs), block, selects, 0,
+                             block.wordCount(), out.mutableWords().data(),
+                             block.wordCount());
     return out;
 }
 
@@ -104,8 +125,12 @@ ApcInnerProduct::countsFused(const std::vector<const sc::Bitstream *> &xs,
                              const std::vector<const sc::Bitstream *> &ws,
                              bool approximate)
 {
-    std::vector<uint16_t> out;
-    sc::fusedProductCounts(xs, ws, approximate, out);
+    sc::InterleavedWeightArena arena;
+    const sc::WeightBlockView block = oneFilterBlock(xs, ws, arena);
+    std::vector<uint16_t> out(block.length);
+    sc::fusedProductCountsMulti(sc::toViews(xs), block, approximate, 0,
+                                block.wordCount(), out.data(),
+                                block.length);
     return out;
 }
 

@@ -54,7 +54,8 @@ class MuxInnerProduct
 
     /**
      * Word-parallel fused path: XNOR-multiply + MUX without
-     * materializing product streams. Consumes one select draw per
+     * materializing product streams, as one fusedMuxProductMulti call
+     * on a one-filter weight block. Consumes one select draw per
      * cycle from @p sel — bit-exact with sumProducts(productStreams())
      * for the same generator state.
      */
@@ -96,8 +97,9 @@ class ApcInnerProduct
 
     /**
      * Word-parallel fused path: per-cycle counts of the XNOR products
-     * without materializing product streams (bit-exact with
-     * counts(productStreams())).
+     * without materializing product streams, as one
+     * fusedProductCountsMulti call on a one-filter weight block
+     * (bit-exact with counts(productStreams())).
      */
     static std::vector<uint16_t>
     countsFused(const std::vector<const sc::Bitstream *> &xs,

@@ -419,6 +419,20 @@ checkFoldCapacity(const nn::PlanStage &st, const char *kind)
                   sc::kMaxCarrySaveLines);
 }
 
+/**
+ * Reject, at construction, a MUX stage with more inputs than its
+ * uint16_t select indices can address: the first forward pass would
+ * otherwise abort drawing the selects, inside a pool worker.
+ */
+void
+checkMuxFanIn(const nn::PlanStage &st, const char *kind)
+{
+    SCDCNN_ASSERT(st.fan_in + 1 <= sc::kMaxMuxInputs,
+                  "layer %zu (%s): %zu MUX inputs (fan-in + bias) exceed "
+                  "the %zu-entry select range",
+                  st.layer_index, kind, st.fan_in + 1, sc::kMaxMuxInputs);
+}
+
 } // namespace
 
 ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
@@ -453,9 +467,12 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     for (size_t l = 0; l < n_stages; ++l) {
         const nn::PlanStage &st = plan_.stages[l];
         const size_t n_inputs = st.fan_in + 1;
+        const char *kind =
+            st.kind == nn::StageOutline::Kind::Conv ? "conv" : "fc";
         if (blocks::febUsesApc(stageFebKind(l)))
-            checkFoldCapacity(
-                st, st.kind == nn::StageOutline::Kind::Conv ? "conv" : "fc");
+            checkFoldCapacity(st, kind);
+        else
+            checkMuxFanIn(st, kind);
         ActSizing sizing =
             gainMatchedSizing(stageFebKind(l), n_inputs,
                               st.pooled ? 4 : 1, len, st.g_float);

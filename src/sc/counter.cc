@@ -1,16 +1,39 @@
 #include "sc/counter.h"
 
+#include "common/logging.h"
 #include "sc/fused.h"
+#include "sc/sng.h"
 
 namespace scdcnn {
 namespace sc {
 
+namespace {
+
+/** Column counts of raw lines: one fold over a one-filter block whose
+ *  weight row is all ones (x XNOR 1 = x). */
+std::vector<uint16_t>
+lineCounts(const std::vector<const Bitstream *> &streams, bool approximate)
+{
+    SCDCNN_ASSERT(!streams.empty(), "counter called with zero streams");
+    const size_t len = streams[0]->length();
+    const Bitstream ones = constantStream(true, len);
+    InterleavedWeightArena arena;
+    arena.reset(1, streams.size(), len);
+    for (size_t t = 0; t < streams.size(); ++t)
+        arena.assign(0, t, ones);
+    const WeightBlockView block = arena.block(0);
+    std::vector<uint16_t> out(len);
+    fusedProductCountsMulti(toViews(streams), block, approximate, 0,
+                            block.wordCount(), out.data(), len);
+    return out;
+}
+
+} // namespace
+
 std::vector<uint16_t>
 ParallelCounter::counts(const std::vector<const Bitstream *> &streams)
 {
-    std::vector<uint16_t> out;
-    fusedLineCounts(streams, /*approximate=*/false, out);
-    return out;
+    return lineCounts(streams, /*approximate=*/false);
 }
 
 std::vector<uint16_t>
@@ -29,36 +52,15 @@ ParallelCounter::totalOnes(const std::vector<Bitstream> &streams)
 }
 
 std::vector<uint16_t>
-ParallelCounter::productCounts(const std::vector<const Bitstream *> &xs,
-                               const std::vector<const Bitstream *> &ws)
-{
-    std::vector<uint16_t> out;
-    fusedProductCounts(xs, ws, /*approximate=*/false, out);
-    return out;
-}
-
-std::vector<uint16_t>
 ApproxParallelCounter::counts(const std::vector<const Bitstream *> &streams)
 {
-    std::vector<uint16_t> out;
-    fusedLineCounts(streams, /*approximate=*/true, out);
-    return out;
+    return lineCounts(streams, /*approximate=*/true);
 }
 
 std::vector<uint16_t>
 ApproxParallelCounter::counts(const std::vector<Bitstream> &streams)
 {
     return counts(toPointers(streams));
-}
-
-std::vector<uint16_t>
-ApproxParallelCounter::productCounts(
-    const std::vector<const Bitstream *> &xs,
-    const std::vector<const Bitstream *> &ws)
-{
-    std::vector<uint16_t> out;
-    fusedProductCounts(xs, ws, /*approximate=*/true, out);
-    return out;
 }
 
 unsigned

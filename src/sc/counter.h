@@ -13,9 +13,12 @@
  * XORs) instead of all n. Each per-cycle count therefore deviates by at
  * most 1 with near-zero bias — the behaviour Table 3 quantifies.
  *
- * Counting is implemented with carry-save "vertical counters" (bit-plane
- * addition across the packed words), so cost is O(n log n / 64) word ops
- * per cycle batch rather than O(n) per bit.
+ * Counting runs on the network engine's carry-save fold
+ * (sc/fused.h fusedProductCountsMulti): the lines are folded against a
+ * one-filter weight block whose row is all ones, since x XNOR 1 = x, so
+ * cost is O(n log n / 64) word ops per cycle batch rather than O(n) per
+ * bit. The XNOR-multiply + count of a product matrix is
+ * blocks::ApcInnerProduct::countsFused.
  */
 
 #ifndef SCDCNN_SC_COUNTER_H
@@ -45,15 +48,6 @@ class ParallelCounter
 
     /** Total ones across all streams (sum of all per-cycle counts). */
     static uint64_t totalOnes(const std::vector<Bitstream> &streams);
-
-    /**
-     * Fused XNOR-multiply + count: per-cycle counts of the bipolar
-     * products xs[i] XNOR ws[i], without materializing the product
-     * streams (the network-scale fast path).
-     */
-    static std::vector<uint16_t>
-    productCounts(const std::vector<const Bitstream *> &xs,
-                  const std::vector<const Bitstream *> &ws);
 };
 
 /**
@@ -68,11 +62,6 @@ class ApproxParallelCounter
      */
     static std::vector<uint16_t>
     counts(const std::vector<const Bitstream *> &streams);
-
-    /** Fused XNOR-multiply + approximate count (cf. ParallelCounter). */
-    static std::vector<uint16_t>
-    productCounts(const std::vector<const Bitstream *> &xs,
-                  const std::vector<const Bitstream *> &ws);
 
     /** Number of leading lines whose parity forms the approximate LSB. */
     static constexpr size_t kLsbParityLines = 4;

@@ -12,22 +12,6 @@ namespace sc {
 
 namespace {
 
-size_t
-checkOperands(const std::vector<BitstreamView> &xs,
-              const std::vector<BitstreamView> *ws)
-{
-    SCDCNN_ASSERT(!xs.empty(), "fused kernel called with zero streams");
-    const size_t len = xs[0].length;
-    for (const auto &s : xs)
-        SCDCNN_ASSERT(s.length == len, "stream length mismatch");
-    if (ws != nullptr) {
-        SCDCNN_ASSERT(ws->size() == xs.size(), "operand count mismatch");
-        for (const auto &s : *ws)
-            SCDCNN_ASSERT(s.length == len, "weight length mismatch");
-    }
-    return len;
-}
-
 /** Leading lines whose parity replaces the approximate count's LSB
  *  (none for exact counts). */
 size_t
@@ -35,75 +19,6 @@ parityLines(bool approximate, size_t n)
 {
     return approximate ? std::min(ApproxParallelCounter::kLsbParityLines, n)
                        : 0;
-}
-
-/**
- * Carry-save vertical count over packed words. Lines are either the
- * raw streams (ws == nullptr) or the XNOR products xs[i] ^ ~ws[i],
- * formed word-by-word without materializing product streams. The
- * approximate-counter LSB (truncated parity of the leading lines) is
- * fused into the same word pass. Full 4-word blocks go through the
- * AVX2 plane loop when available; the scalar loop handles the rest
- * (and everything, when SIMD is off).
- */
-void
-countsImpl(const std::vector<BitstreamView> &xs,
-           const std::vector<BitstreamView> *ws, bool approximate,
-           std::vector<uint16_t> &out)
-{
-    const size_t len = checkOperands(xs, ws);
-    out.resize(len);
-
-    const size_t n = xs.size();
-    const size_t n_words = (len + 63) / 64;
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines = parityLines(approximate, n);
-
-    size_t w_begin = 0;
-    if (simd::enabled() && n >= 2)
-        w_begin = simd::avx2ProductCountBlocks(
-            xs.data(), ws != nullptr ? ws->data() : nullptr, n, len,
-            parity_lines, out.data());
-
-    for (size_t w = w_begin; w < n_words; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t planes[kMaxCarrySavePlanes] = {0};
-        uint64_t lsb = 0;
-        int used = 0;
-        for (size_t i = 0; i < n; ++i) {
-            uint64_t carry = xs[i].words[w];
-            if (ws != nullptr)
-                carry = ~(carry ^ (*ws)[i].words[w]) & word_mask;
-            if (i < parity_lines)
-                lsb ^= carry;
-            int j = 0;
-            while (carry != 0) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                uint64_t t = planes[j] & carry;
-                planes[j] ^= carry;
-                carry = t;
-                ++j;
-            }
-            if (j > used)
-                used = j;
-        }
-        const size_t base = w * 64;
-        const size_t limit = std::min<size_t>(64, len - base);
-        for (size_t b = 0; b < limit; ++b) {
-            uint16_t c = 0;
-            for (int j = 0; j < used; ++j)
-                c |= static_cast<uint16_t>((planes[j] >> b) & 1) << j;
-            if (approximate)
-                c = static_cast<uint16_t>(
-                    (c & ~uint16_t{1}) |
-                    static_cast<uint16_t>((lsb >> b) & 1));
-            out[base + b] = c;
-        }
-    }
 }
 
 /** Shared operand checks of the filter-blocked ranged kernels;
@@ -505,100 +420,12 @@ fillMuxSelects(size_t n_inputs, size_t length, Xoshiro256ss &rng,
                std::vector<uint16_t> &selects)
 {
     SCDCNN_ASSERT(n_inputs > 0, "MUX needs at least one input");
-    SCDCNN_ASSERT(n_inputs <= 65536,
+    SCDCNN_ASSERT(n_inputs <= kMaxMuxInputs,
                   "MUX fan-in %zu exceeds the uint16_t select range",
                   n_inputs);
     selects.resize(length);
     for (size_t i = 0; i < length; ++i)
         selects[i] = static_cast<uint16_t>(rng.nextBelow(n_inputs));
-}
-
-void
-fusedMuxProduct(const std::vector<BitstreamView> &xs,
-                const std::vector<BitstreamView> &ws,
-                const std::vector<uint16_t> &selects, Bitstream &out)
-{
-    const size_t len = checkOperands(xs, &ws);
-    SCDCNN_ASSERT(selects.size() == len,
-                  "select count %zu != stream length %zu", selects.size(),
-                  len);
-    out.reset(len);
-    auto &words = out.mutableWords();
-    const size_t n_words = words.size();
-    for (size_t w = 0; w < n_words; ++w) {
-        const size_t base = w * 64;
-        const size_t limit = std::min<size_t>(64, len - base);
-        uint64_t acc = 0;
-        for (size_t b = 0; b < limit; ++b) {
-            const uint16_t k = selects[base + b];
-            SCDCNN_ASSERT(k < xs.size(), "select %u out of range",
-                          unsigned{k});
-            const uint64_t product = ~(xs[k].words[w] ^ ws[k].words[w]);
-            acc |= ((product >> b) & uint64_t{1}) << b;
-        }
-        words[w] = acc;
-    }
-}
-
-void
-fusedProductCounts(const std::vector<BitstreamView> &xs,
-                   const std::vector<BitstreamView> &ws, bool approximate,
-                   std::vector<uint16_t> &out)
-{
-    countsImpl(xs, &ws, approximate, out);
-}
-
-void
-fusedLineCounts(const std::vector<BitstreamView> &streams,
-                bool approximate, std::vector<uint16_t> &out)
-{
-    countsImpl(streams, nullptr, approximate, out);
-}
-
-Bitstream
-referenceMuxProduct(const std::vector<BitstreamView> &xs,
-                    const std::vector<BitstreamView> &ws,
-                    const std::vector<uint16_t> &selects)
-{
-    const size_t len = checkOperands(xs, &ws);
-    SCDCNN_ASSERT(selects.size() == len,
-                  "select count %zu != stream length %zu", selects.size(),
-                  len);
-    Bitstream out(len);
-    for (size_t i = 0; i < len; ++i) {
-        const uint16_t k = selects[i];
-        SCDCNN_ASSERT(k < xs.size(), "select %u out of range",
-                      unsigned{k});
-        if (xs[k].get(i) == ws[k].get(i))
-            out.set(i, true);
-    }
-    return out;
-}
-
-std::vector<uint16_t>
-referenceProductCounts(const std::vector<BitstreamView> &xs,
-                       const std::vector<BitstreamView> &ws,
-                       bool approximate)
-{
-    const size_t len = checkOperands(xs, &ws);
-    const size_t n = xs.size();
-    const size_t parity_lines =
-        std::min(ApproxParallelCounter::kLsbParityLines, n);
-    std::vector<uint16_t> out(len);
-    for (size_t i = 0; i < len; ++i) {
-        uint16_t c = 0;
-        uint16_t lsb = 0;
-        for (size_t k = 0; k < n; ++k) {
-            const uint16_t bit = xs[k].get(i) == ws[k].get(i) ? 1 : 0;
-            c = static_cast<uint16_t>(c + bit);
-            if (k < parity_lines)
-                lsb ^= bit;
-        }
-        if (approximate)
-            c = static_cast<uint16_t>((c & ~uint16_t{1}) | lsb);
-        out[i] = c;
-    }
-    return out;
 }
 
 // ------- Binary (L = 1) XNOR-popcount kernels ---------------------

@@ -4,29 +4,28 @@
  *
  * The inference hot path evaluates millions of XNOR-multiply + adder
  * operations per image. Materializing one intermediate Bitstream per
- * product (as the block-level API of blocks/inner_product.h does) costs
- * an allocation and a full stream traversal per operand pair; walking
- * streams one cycle at a time through Bitstream::get() costs a bounds
- * check and a word extraction per bit. The kernels here avoid both:
+ * product costs an allocation and a full stream traversal per operand
+ * pair; walking streams one cycle at a time through Bitstream::get()
+ * costs a bounds check and a word extraction per bit. The kernels here
+ * avoid both:
  *
- *  - fusedProductCounts: XNOR-product + (approximate) parallel-counter
- *    column counts computed directly on the packed uint64_t words with
- *    carry-save bit-plane addition — no product streams are ever built;
- *  - fusedMuxProduct: the MUX-based inner product driven by precomputed
- *    per-cycle select indices, gathering one product bit per cycle with
- *    direct word access;
  *  - fusedProductCountsMulti and its batch forms: one filter block's
  *    XNOR + carry-save fold for every filter lane at once, over one
  *    operand window or a weight-stationary micro-batch — the inner
  *    product of every APC stage, the binary output layer included
- *    (its class scores are the segment sums of these counts).
+ *    (its class scores are the segment sums of these counts);
+ *  - fusedMuxProductMulti: the MUX-based inner product of a filter
+ *    block, driven by one shared per-cycle select sequence.
  *
- * Operands are BitstreamViews (pointer + length), so a layer's streams
- * can be packed into one contiguous StreamArena and streamed through;
- * convenience overloads accept Bitstream pointer vectors. The
- * carry-save plane loops dispatch to the AVX2 kernels of sc/simd.h at
- * runtime, with the portable scalar path kept as the always-built
- * default.
+ * The block-level API (sc/counter.h, blocks/inner_product.h) runs on
+ * the same two kernels as a one-filter caller: it copies its weight
+ * streams (or, for plain line counts, an all-ones row, since
+ * x XNOR 1 = x) into a one-lane weight block and makes one call over
+ * the whole stream. Operands are BitstreamViews (pointer + length), so
+ * a layer's streams can be packed into one contiguous StreamArena and
+ * streamed through. The carry-save fold dispatches to the AVX2 body of
+ * sc/simd.h at runtime, with the portable scalar body kept as the
+ * always-built default.
  *
  * Every fused kernel has a bit-serial reference twin (reference*) that
  * computes the same result one cycle at a time through the per-bit
@@ -57,42 +56,20 @@ constexpr int kMaxCarrySavePlanes = 13;
  *  construction, since an all-ones cycle would overflow the planes. */
 constexpr size_t kMaxCarrySaveLines = (size_t{1} << kMaxCarrySavePlanes) - 1;
 
+/** Most MUX inputs (taps, the bias included): select indices are
+ *  stored as uint16_t to halve the per-pixel select-buffer traffic, so
+ *  the network rejects wider MUX stages at construction. */
+constexpr size_t kMaxMuxInputs = 65536;
+
 /**
  * Draw one uniform select index per cycle into @p selects, resized to
  * @p length. Consumes exactly @p length nextBelow(n_inputs) draws — the
  * same sequence muxAdd() would consume — so a MUX built from these
  * selects is bit-exact with the rng-driven one. Fan-in is limited to
- * 65536 (select indices are stored as uint16_t to halve the per-pixel
- * select-buffer traffic).
+ * kMaxMuxInputs.
  */
 void fillMuxSelects(size_t n_inputs, size_t length, Xoshiro256ss &rng,
                     std::vector<uint16_t> &selects);
-
-/**
- * Word-parallel MUX inner product: bit i of @p out is the XNOR product
- * of operand pair selects[i] at cycle i. @p out is reshaped to the
- * operand length in place (reusing its word storage when possible).
- */
-void fusedMuxProduct(const std::vector<BitstreamView> &xs,
-                     const std::vector<BitstreamView> &ws,
-                     const std::vector<uint16_t> &selects, Bitstream &out);
-
-/**
- * Fused XNOR-multiply + parallel-counter column counts into @p out
- * (resized to the stream length). With @p approximate the output LSB is
- * the truncated parity of the first four product lines, matching
- * ApproxParallelCounter; otherwise counts are exact.
- */
-void fusedProductCounts(const std::vector<BitstreamView> &xs,
-                        const std::vector<BitstreamView> &ws,
-                        bool approximate, std::vector<uint16_t> &out);
-
-/**
- * Column counts of raw lines (no multiply), exact or approximate —
- * the word-parallel core behind ParallelCounter/ApproxParallelCounter.
- */
-void fusedLineCounts(const std::vector<BitstreamView> &streams,
-                     bool approximate, std::vector<uint16_t> &out);
 
 // ------- Filter-blocked, segment-ranged kernels -------------------
 //
@@ -301,58 +278,6 @@ struct BatchFusedWorkspace
     std::vector<uint16_t> counts;      //!< [item][window][image][lane][cycle]
     std::vector<uint64_t> products;    //!< [item][window][image][lane][word]
 };
-
-/** Bit-serial oracle for fusedMuxProduct (cycle-at-a-time get()). */
-Bitstream referenceMuxProduct(const std::vector<BitstreamView> &xs,
-                              const std::vector<BitstreamView> &ws,
-                              const std::vector<uint16_t> &selects);
-
-/** Bit-serial oracle for fusedProductCounts. */
-std::vector<uint16_t>
-referenceProductCounts(const std::vector<BitstreamView> &xs,
-                       const std::vector<BitstreamView> &ws,
-                       bool approximate);
-
-// ------- Bitstream-pointer convenience overloads (block APIs, tests)
-
-inline void
-fusedMuxProduct(const std::vector<const Bitstream *> &xs,
-                const std::vector<const Bitstream *> &ws,
-                const std::vector<uint16_t> &selects, Bitstream &out)
-{
-    fusedMuxProduct(toViews(xs), toViews(ws), selects, out);
-}
-
-inline void
-fusedProductCounts(const std::vector<const Bitstream *> &xs,
-                   const std::vector<const Bitstream *> &ws,
-                   bool approximate, std::vector<uint16_t> &out)
-{
-    fusedProductCounts(toViews(xs), toViews(ws), approximate, out);
-}
-
-inline void
-fusedLineCounts(const std::vector<const Bitstream *> &streams,
-                bool approximate, std::vector<uint16_t> &out)
-{
-    fusedLineCounts(toViews(streams), approximate, out);
-}
-
-inline Bitstream
-referenceMuxProduct(const std::vector<const Bitstream *> &xs,
-                    const std::vector<const Bitstream *> &ws,
-                    const std::vector<uint16_t> &selects)
-{
-    return referenceMuxProduct(toViews(xs), toViews(ws), selects);
-}
-
-inline std::vector<uint16_t>
-referenceProductCounts(const std::vector<const Bitstream *> &xs,
-                       const std::vector<const Bitstream *> &ws,
-                       bool approximate)
-{
-    return referenceProductCounts(toViews(xs), toViews(ws), approximate);
-}
 
 } // namespace sc
 } // namespace scdcnn

@@ -164,14 +164,14 @@ spreadBits16(uint16_t bits, __m256i lane_bit, short weight)
 
 // --- branch-free carry-save adder tree --------------------------------
 //
-// The serial plane insertion of avx2ProductCountBlocks costs one
-// carry-propagation walk per line whose vectorized trip count is the
-// MAXIMUM trailing-carry length over all 256 bit columns (measured ~6
-// data-dependent iterations per line on network streams, each with a
-// testz + branch). The filter-blocked kernel instead reduces lines
-// through a balanced compressor tree with a fixed operation schedule:
-// 16 lines fold into 5 bit-planes in 87 bitwise ops (~5.4 per line),
-// and each folded block ripple-adds into the running plane accumulator.
+// A serial plane insertion costs one carry-propagation walk per line
+// whose vectorized trip count is the MAXIMUM trailing-carry length over
+// all 256 bit columns (measured ~6 data-dependent iterations per line
+// on network streams, each with a testz + branch). The fold instead
+// reduces lines through a balanced compressor tree with a fixed
+// operation schedule: 16 lines fold into 5 bit-planes in 87 bitwise
+// ops (~5.4 per line), and each folded block ripple-adds into the
+// running plane accumulator.
 // No data-dependent branches survive in the hot loop.
 
 /** a + b over @p k bit-planes with carry-in 0; planes a[0..k) are
@@ -488,43 +488,6 @@ foldWordsAs(const ProductFold &f, size_t full_end)
 }
 
 } // namespace
-
-__attribute__((target("avx2"))) size_t
-avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
-                       size_t n, size_t length, size_t parity_lines,
-                       uint16_t *out)
-{
-    if (!enabled())
-        return 0;
-    const size_t n_full_words = (length / 256) * 4;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-
-    for (size_t w = 0; w < n_full_words; w += 4) {
-        __m256i planes[kMaxCarrySavePlanes];
-        __m256i lsb = _mm256_setzero_si256();
-        int used = 0;
-        for (size_t i = 0; i < n; ++i) {
-            __m256i carry = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(xs[i].words + w));
-            if (ws != nullptr) {
-                const __m256i wv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(ws[i].words + w));
-                carry = _mm256_xor_si256(_mm256_xor_si256(carry, wv),
-                                         all_ones);
-            }
-            if (i < parity_lines)
-                lsb = _mm256_xor_si256(lsb, carry);
-            ripplePlanes(planes, used, carry, 0);
-        }
-        // 64-bit lane l of the planes holds word w + l.
-        alignas(32) FoldPlaneRows pw;
-        storePlanes(planes, used, lsb, pw);
-        for (size_t l = 0; l < 4; ++l)
-            spreadFoldLane(pw, l, used, parity_lines > 0,
-                           out + (w + l) * 64);
-    }
-    return n_full_words;
-}
 
 __attribute__((target("avx2"))) size_t
 avx2ProductFold(const ProductFold &fold)
@@ -974,13 +937,6 @@ avx2SngUnipolar4(const uint32_t *thresholds, Xoshiro256ss *rngs,
 }
 
 #else // !SCDCNN_SIMD_X86
-
-size_t
-avx2ProductCountBlocks(const BitstreamView *, const BitstreamView *,
-                       size_t, size_t, size_t, uint16_t *)
-{
-    return 0;
-}
 
 size_t
 avx2ProductFold(const ProductFold &)

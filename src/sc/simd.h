@@ -12,10 +12,9 @@
  *  - avx2ProductFold: the one filter-blocked XNOR + carry-save fold
  *    behind fusedProductCountsMulti, fusedProductCountsMultiBatch and
  *    fusedProductPlanesMultiBatch, for one operand window or a
- *    weight-stationary micro-batch, emitting counts or bit-planes;
- *  - avx2ProductCountBlocks: the carry-save bit-plane loop of
- *    fusedProductCounts over blocks of four words (256 cycles) at a
- *    time, including the vectorized plane-to-count transpose;
+ *    weight-stationary micro-batch, emitting counts or bit-planes (the
+ *    block-level counters and inner products reach it as one-filter
+ *    callers of fusedProductCountsMulti);
  *  - the plane readers (avx2SpreadPlanes*, avx2PlaneWordSums*) of the
  *    Figure 8 max-pooling selector;
  *  - avx2SumU16: the segment accumulation of the masked binary
@@ -55,22 +54,6 @@ bool enabled();
 /** Test hook: select (true) or bypass (false) the AVX2 paths at
  *  runtime. Enabling when !available() is a no-op. */
 void setEnabled(bool on);
-
-/**
- * Carry-save column counts over full 4-word blocks of the operand
- * views: processes words [0, W) where W is the largest multiple of 4
- * with W * 64 <= length, writing counts for cycles [0, W * 64) into
- * @p out. Lines are xs[i] when ws == nullptr, else the XNOR products
- * xs[i] ^~ ws[i]. The approximate-counter LSB (parity of the first
- * @p parity_lines lines) is fused in when parity_lines > 0.
- *
- * @return the number of words processed (the scalar caller continues
- *         from there); 0 when AVX2 is not enabled.
- */
-size_t avx2ProductCountBlocks(const BitstreamView *xs,
-                              const BitstreamView *ws, size_t n,
-                              size_t length, size_t parity_lines,
-                              uint16_t *out);
 
 /**
  * One carry-save product fold over a filter block: for every word of

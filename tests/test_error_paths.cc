@@ -478,5 +478,27 @@ TEST(TopologyValidation, ApcFanInOverFoldCapacityRejected)
                  "layer 0 .output fc.: 9217 APC inputs.*8191 lines");
 }
 
+TEST(TopologyValidation, MuxFanInOverSelectRangeRejected)
+{
+    // A 1x1100x60 input flattens to 66000 taps: with the bias, more MUX
+    // inputs than the uint16_t select indices can address (65536). The
+    // stage is rejected when the network is built, not inside a pool
+    // worker drawing the first forward pass's selects.
+    nn::TopologySpec spec;
+    spec.in_h = 1100;
+    spec.in_w = 60;
+    spec.fc_hidden = {2};
+    spec.n_classes = 2;
+    core::ScNetworkConfig cfg;
+    cfg.bitstream_len = 64;
+    cfg.input_h = 1100;
+    cfg.input_w = 60;
+    cfg.layer_adders = {core::AdderKind::Mux, core::AdderKind::Mux,
+                        core::AdderKind::Mux};
+    const nn::Network net = nn::buildTopology(spec);
+    EXPECT_DEATH(core::ScNetwork(net, cfg),
+                 "layer 0 .fc.: 66001 MUX inputs.*65536-entry select range");
+}
+
 } // namespace
 } // namespace scdcnn

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the fused word-parallel kernels (sc/fused.h) against their
- * bit-serial reference oracles, and for the determinism contract of
+ * Tests for the fused word-parallel kernels (sc/fused.h) and the
+ * block-level API built on them against their bit-serial and
+ * materialized-product oracles, and for the determinism contract of
  * the batched network engine: same seed => same predictions, for any
  * engine mode and any thread count.
  */
@@ -47,47 +48,104 @@ struct OperandSet
     }
 };
 
-/** Sweep odd/even word counts, partial tails, and fan-ins around the
- *  APC parity-line cutoff. */
-class FusedVsReference
+/** Naive per-bit column counts of @p lines: exact, or with the APC's
+ *  LSB replaced by the parity of the leading lines. */
+std::vector<uint16_t>
+naiveCounts(const std::vector<sc::Bitstream> &lines, bool approximate)
+{
+    const size_t parity_lines = std::min(
+        sc::ApproxParallelCounter::kLsbParityLines, lines.size());
+    std::vector<uint16_t> out(lines[0].length());
+    for (size_t i = 0; i < out.size(); ++i) {
+        uint16_t c = 0;
+        uint16_t lsb = 0;
+        for (size_t k = 0; k < lines.size(); ++k) {
+            const uint16_t bit = lines[k].get(i) ? 1 : 0;
+            c = static_cast<uint16_t>(c + bit);
+            if (k < parity_lines)
+                lsb ^= bit;
+        }
+        if (approximate)
+            c = static_cast<uint16_t>((c & ~uint16_t{1}) | lsb);
+        out[i] = c;
+    }
+    return out;
+}
+
+/** The block-level API (one-filter callers of the filter-blocked
+ *  kernels) against naive oracles, with SIMD on and off. Sweeps odd/even
+ *  word counts, partial tails, and fan-ins around the APC parity-line
+ *  cutoff. */
+class BlockApiVsOracle
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
 {
+  protected:
+    void TearDown() override { sc::simd::setEnabled(true); }
 };
 
-TEST_P(FusedVsReference, ProductCountsBitExact)
+TEST_P(BlockApiVsOracle, CountsMatchNaiveCounts)
 {
     auto [n, len] = GetParam();
     OperandSet ops(n, len, 1000 + n * 131 + len);
-    for (bool approximate : {false, true}) {
-        std::vector<uint16_t> fused;
-        sc::fusedProductCounts(ops.xp, ops.wp, approximate, fused);
-        EXPECT_EQ(fused,
-                  sc::referenceProductCounts(ops.xp, ops.wp, approximate))
-            << "n=" << n << " len=" << len << " approx=" << approximate;
+    const auto products = blocks::productStreams(ops.xs, ops.ws);
+    for (bool simd_on : {false, true}) {
+        sc::simd::setEnabled(simd_on);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " len=" + std::to_string(len) +
+                                  " simd=" + std::to_string(simd_on);
+        EXPECT_EQ(sc::ParallelCounter::counts(ops.xs),
+                  naiveCounts(ops.xs, false))
+            << where;
+        EXPECT_EQ(sc::ApproxParallelCounter::counts(ops.xs),
+                  naiveCounts(ops.xs, true))
+            << where;
+        for (bool approximate : {false, true})
+            EXPECT_EQ(blocks::ApcInnerProduct::countsFused(ops.xp, ops.wp,
+                                                           approximate),
+                      naiveCounts(products, approximate))
+                << where << " approx=" << approximate;
     }
 }
 
-TEST_P(FusedVsReference, MuxProductBitExact)
+TEST_P(BlockApiVsOracle, MuxMatchesMaterializedProducts)
 {
+    // The fused block-level MUX path must consume the RNG exactly like
+    // the materialize-then-muxAdd path and produce the same stream.
     auto [n, len] = GetParam();
     OperandSet ops(n, len, 2000 + n * 131 + len);
-    sc::Xoshiro256ss rng(99 + n);
-    std::vector<uint16_t> selects;
-    sc::fillMuxSelects(n, len, rng, selects);
-    sc::Bitstream fused;
-    sc::fusedMuxProduct(ops.xp, ops.wp, selects, fused);
-    EXPECT_EQ(fused, sc::referenceMuxProduct(ops.xp, ops.wp, selects))
-        << "n=" << n << " len=" << len;
+    const auto products = blocks::productStreams(ops.xs, ops.ws);
+    for (bool simd_on : {false, true}) {
+        sc::simd::setEnabled(simd_on);
+        sc::Xoshiro256ss sel_a(99 + n), sel_b(99 + n);
+        EXPECT_EQ(blocks::MuxInnerProduct::sumProducts(products, sel_a),
+                  blocks::MuxInnerProduct::sumProductsFused(ops.xp, ops.wp,
+                                                            sel_b))
+            << "n=" << n << " len=" << len << " simd=" << simd_on;
+        // Generator states must coincide afterwards too.
+        EXPECT_EQ(sel_a.next(), sel_b.next());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, FusedVsReference,
+    Grid, BlockApiVsOracle,
     ::testing::Combine(
         // Fan-ins below/at/above the 4-line parity cutoff and past one
         // carry-save plane's worth of lines.
         ::testing::Values(1, 3, 4, 5, 26, 151),
         // Lengths around the 64-bit word boundary and realistic L.
         ::testing::Values(1, 63, 64, 65, 300, 1024)));
+
+/** One filter's plain streams as a one-filter arena: the per-filter
+ *  oracle's operand for the layout round-trip checks. */
+sc::InterleavedWeightArena
+oneFilterArena(const std::vector<sc::Bitstream> &ws)
+{
+    sc::InterleavedWeightArena arena;
+    arena.reset(1, ws.size(), ws[0].length());
+    for (size_t t = 0; t < ws.size(); ++t)
+        arena.assign(0, t, ws[t]);
+    return arena;
+}
 
 /** A filter block plus the matching plain per-filter views. */
 struct BlockSet
@@ -135,15 +193,15 @@ TEST_P(MultiVsReference, ProductCountsMultiBitExact)
         sc::referenceProductCountsMulti(xs, block, /*approximate=*/true,
                                         0, n_words, ref.data(), len);
         EXPECT_EQ(fused, ref) << "group " << g;
-        // Layout round-trip: each lane equals the per-filter kernel on
-        // the plain (non-interleaved) streams.
+        // Layout round-trip: each lane equals the per-filter oracle on
+        // the plain streams, interleaved on their own.
         for (size_t f = 0; f < block.lanes; ++f) {
-            std::vector<uint16_t> plain;
-            sc::fusedProductCounts(sc::toViews(set.ops.xs),
-                                   sc::toViews(
-                                       set.filter_ws[g * sc::kFilterLanes +
-                                                     f]),
-                                   /*approximate=*/true, plain);
+            const sc::InterleavedWeightArena one =
+                oneFilterArena(set.filter_ws[g * sc::kFilterLanes + f]);
+            std::vector<uint16_t> plain(len);
+            sc::referenceProductCountsMulti(xs, one.block(0),
+                                            /*approximate=*/true, 0,
+                                            n_words, plain.data(), len);
             const std::vector<uint16_t> lane(
                 fused.begin() + static_cast<ptrdiff_t>(f * len),
                 fused.begin() + static_cast<ptrdiff_t>((f + 1) * len));
@@ -203,15 +261,16 @@ TEST_P(MultiVsReference, MuxProductMultiBitExact)
     sc::referenceMuxProductMulti(xs, block, selects, 0, n_words,
                                  ref.data(), n_words);
     EXPECT_EQ(fused, ref);
-    // Shared selects across lanes: lane f equals the single-filter MUX
-    // product against filter f's plain streams.
+    // Shared selects across lanes: lane f equals the per-filter oracle
+    // against filter f's plain streams.
     for (size_t f = 0; f < block.lanes; ++f) {
-        sc::Bitstream single;
-        sc::fusedMuxProduct(sc::toViews(set.ops.xs),
-                            sc::toViews(set.filter_ws[f]), selects,
-                            single);
+        const sc::InterleavedWeightArena one =
+            oneFilterArena(set.filter_ws[f]);
+        std::vector<uint64_t> single(n_words);
+        sc::referenceMuxProductMulti(xs, one.block(0), selects, 0, n_words,
+                                     single.data(), n_words);
         for (size_t w = 0; w < n_words; ++w)
-            EXPECT_EQ(fused[f * n_words + w], single.words()[w])
+            EXPECT_EQ(fused[f * n_words + w], single[w])
                 << "lane " << f << " word " << w;
     }
 }
@@ -390,32 +449,6 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
 // 22 = 16 + 6 the padded tree), and wide FC-like fan-ins.
 INSTANTIATE_TEST_SUITE_P(Taps, BatchLoopOrder,
                          ::testing::Values(1, 5, 16, 21, 22, 201, 257));
-
-TEST(FusedMuxBlock, MatchesMaterializedProductsBitExact)
-{
-    // The fused block-level MUX path must consume the RNG exactly like
-    // the materialize-then-muxAdd path and produce the same stream.
-    OperandSet ops(25, 512, 77);
-    auto products = blocks::productStreams(ops.xs, ops.ws);
-    sc::Xoshiro256ss sel_a(1234), sel_b(1234);
-    sc::Bitstream classic =
-        blocks::MuxInnerProduct::sumProducts(products, sel_a);
-    sc::Bitstream fused =
-        blocks::MuxInnerProduct::sumProductsFused(ops.xp, ops.wp, sel_b);
-    EXPECT_EQ(classic, fused);
-    // Generator states must coincide afterwards too.
-    EXPECT_EQ(sel_a.next(), sel_b.next());
-}
-
-TEST(FusedCounterBlock, MatchesMaterializedProductsBitExact)
-{
-    OperandSet ops(26, 300, 78);
-    auto products = blocks::productStreams(ops.xs, ops.ws);
-    EXPECT_EQ(blocks::ApcInnerProduct::countsFused(ops.xp, ops.wp, true),
-              sc::ApproxParallelCounter::counts(products));
-    EXPECT_EQ(blocks::ApcInnerProduct::countsFused(ops.xp, ops.wp, false),
-              sc::ParallelCounter::counts(products));
-}
 
 /** An untrained mini network is enough for engine equivalence: the
  *  kernels see arbitrary weight streams either way. */

@@ -38,9 +38,9 @@ TEST(FusedProductCounts, MatchExplicitXnorThenCount)
         wp.push_back(&ws[i]);
         products.push_back(sc::xnorMultiply(xs[i], ws[i]));
     }
-    EXPECT_EQ(sc::ParallelCounter::productCounts(xp, wp),
+    EXPECT_EQ(blocks::ApcInnerProduct::countsFused(xp, wp, false),
               sc::ParallelCounter::counts(products));
-    EXPECT_EQ(sc::ApproxParallelCounter::productCounts(xp, wp),
+    EXPECT_EQ(blocks::ApcInnerProduct::countsFused(xp, wp, true),
               sc::ApproxParallelCounter::counts(products));
 }
 
@@ -49,7 +49,7 @@ TEST(FusedProductCounts, TailBitsDoNotLeak)
     // Length not a multiple of 64: XNOR(0,0)=1 must not count past L.
     sc::Bitstream a(70), b(70);
     std::vector<const sc::Bitstream *> xp = {&a}, wp = {&b};
-    auto counts = sc::ParallelCounter::productCounts(xp, wp);
+    auto counts = blocks::ApcInnerProduct::countsFused(xp, wp, false);
     ASSERT_EQ(counts.size(), 70u);
     uint64_t total = std::accumulate(counts.begin(), counts.end(),
                                      uint64_t{0});

@@ -30,21 +30,19 @@ class SimdTest : public ::testing::Test
     void TearDown() override { sc::simd::setEnabled(true); }
 };
 
+/** n random bipolar operand streams of length len. */
 struct OperandSet
 {
-    std::vector<sc::Bitstream> xs, ws;
-    std::vector<sc::BitstreamView> xv, wv;
+    std::vector<sc::Bitstream> xs;
+    std::vector<sc::BitstreamView> xv;
 
     OperandSet(size_t n, size_t len, uint64_t seed)
     {
         sc::SngBank bank(seed);
         sc::SplitMix64 vals(seed ^ 0xABCD);
-        for (size_t i = 0; i < n; ++i) {
+        for (size_t i = 0; i < n; ++i)
             xs.push_back(bank.bipolar(vals.nextInRange(-1, 1), len));
-            ws.push_back(bank.bipolar(vals.nextInRange(-1, 1), len));
-        }
         xv = sc::toViews(xs);
-        wv = sc::toViews(ws);
     }
 };
 
@@ -54,36 +52,6 @@ class SimdVsScalar
   protected:
     void TearDown() { sc::simd::setEnabled(true); }
 };
-
-TEST_P(SimdVsScalar, ProductCountsMatch)
-{
-    auto [n, len] = GetParam();
-    OperandSet ops(n, len, 5000 + n * 131 + len);
-    for (bool approximate : {false, true}) {
-        std::vector<uint16_t> with_simd, without;
-        sc::simd::setEnabled(true);
-        sc::fusedProductCounts(ops.xv, ops.wv, approximate, with_simd);
-        sc::simd::setEnabled(false);
-        sc::fusedProductCounts(ops.xv, ops.wv, approximate, without);
-        EXPECT_EQ(with_simd, without)
-            << "n=" << n << " len=" << len << " approx=" << approximate;
-    }
-}
-
-TEST_P(SimdVsScalar, LineCountsMatch)
-{
-    auto [n, len] = GetParam();
-    OperandSet ops(n, len, 6000 + n * 131 + len);
-    for (bool approximate : {false, true}) {
-        std::vector<uint16_t> with_simd, without;
-        sc::simd::setEnabled(true);
-        sc::fusedLineCounts(ops.xv, approximate, with_simd);
-        sc::simd::setEnabled(false);
-        sc::fusedLineCounts(ops.xv, approximate, without);
-        EXPECT_EQ(with_simd, without)
-            << "n=" << n << " len=" << len << " approx=" << approximate;
-    }
-}
 
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
 {
