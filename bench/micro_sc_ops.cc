@@ -250,13 +250,15 @@ BENCHMARK(BM_StanhWordsBatch)
     ->Arg(16)
     ->Arg(32);
 
-/** Figure 8 selector over the four windows' count planes of a
- *  25-input layer, c = 16, accumulative counters. */
+/** Figure 8 selector over the four windows' count planes of a layer
+ *  with 26 taps (plane_cap 5) or the served mini-LeNet conv1's 201
+ *  (plane_cap 8), c = 16, accumulative counters. */
 void
 BM_MaxPoolPlanesBatch(benchmark::State &state)
 {
     const size_t n = static_cast<size_t>(state.range(0));
-    const size_t plane_cap = planeCapForTaps(26);
+    const size_t plane_cap =
+        planeCapForTaps(static_cast<size_t>(state.range(1)));
     const size_t plane_words = kBatchWords * (plane_cap + 1);
     SplitMix64 vals(13);
     // +4 tail words: the quad loads read past the last parity slot.
@@ -266,30 +268,27 @@ BM_MaxPoolPlanesBatch(benchmark::State &state)
     std::vector<const uint64_t *> plane_p(4 * n);
     for (size_t i = 0; i < 4 * n; ++i)
         plane_p[i] = planes.data() + i * plane_words;
-    std::vector<scdcnn::blocks::MaxPoolCarryState> pool(n);
+    std::vector<uint64_t> counters(4 * n, 0);
+    std::vector<uint32_t> selected(n, 0);
+    std::vector<scdcnn::blocks::MaxPoolCarry> carry(n);
     std::vector<std::vector<uint16_t>> outs(
         n, std::vector<uint16_t>(kBatchLen));
-    std::vector<scdcnn::blocks::MaxPoolCarryState *> st_p(n);
     std::vector<uint16_t *> out_p(n);
     for (size_t s = 0; s < n; ++s) {
-        pool[s].reset(4, 0);
-        st_p[s] = &pool[s];
+        carry[s] = {counters.data() + 4 * s, selected.data() + s};
         out_p[s] = outs[s].data();
     }
     for (auto _ : state) {
         scdcnn::blocks::binaryMaxPoolPlanesBatch(
             plane_p.data(), n, 4, plane_cap, /*parity=*/true, 0, kBatchLen,
-            16, /*accumulate=*/true, st_p.data(), out_p.data());
+            16, /*accumulate=*/true, carry.data(), out_p.data());
         benchmark::ClobberMemory();
     }
     setPerCallCounters(state, n);
 }
 BENCHMARK(BM_MaxPoolPlanesBatch)
-    ->ArgName("pixels")
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(32);
+    ->ArgNames({"pixels", "taps"})
+    ->ArgsProduct({{1, 4, 16, 32}, {26, 201}});
 
 } // namespace
 

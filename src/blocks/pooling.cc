@@ -87,15 +87,11 @@ namespace {
 template <typename Forward, typename Evidence>
 void
 rangedSelectorWalk(size_t n_inputs, size_t abs_begin, size_t n_cycles,
-                   size_t segment_len, bool accumulate,
-                   MaxPoolCarryState &state, Forward &&forward,
-                   Evidence &&evidence)
+                   size_t segment_len, bool accumulate, MaxPoolCarry state,
+                   Forward &&forward, Evidence &&evidence)
 {
     SCDCNN_ASSERT(n_inputs > 0, "max pooling with no inputs");
     SCDCNN_ASSERT(segment_len > 0, "segment length must be positive");
-    SCDCNN_ASSERT(state.counters.size() == n_inputs,
-                  "pool state holds %zu counters for %zu inputs",
-                  state.counters.size(), n_inputs);
     size_t pos = abs_begin;
     const size_t end = abs_begin + n_cycles;
     while (pos < end) {
@@ -103,33 +99,42 @@ rangedSelectorWalk(size_t n_inputs, size_t abs_begin, size_t n_cycles,
         const size_t chunk_end = std::min(end, seg_end);
         const size_t lo = pos - abs_begin;
         const size_t hi = chunk_end - abs_begin;
-        forward(state.selected, lo, hi);
+        forward(*state.selected, lo, hi);
         for (size_t k = 0; k < n_inputs; ++k)
             state.counters[k] += evidence(k, lo, hi);
         if (chunk_end == seg_end) {
-            size_t best = 0;
+            uint32_t best = 0;
             uint64_t best_count = 0;
             for (size_t k = 0; k < n_inputs; ++k) {
                 if (state.counters[k] > best_count) {
                     best_count = state.counters[k];
-                    best = k;
+                    best = static_cast<uint32_t>(k);
                 }
                 if (!accumulate)
                     state.counters[k] = 0;
             }
-            state.selected = best;
+            *state.selected = best;
         }
         pos = chunk_end;
     }
 }
+
+/** One 16-cycle group of the plane selector's decision schedule, as
+ *  masks: @c take is all ones when the group closes a pooling segment
+ *  (its first maximum becomes the selection), @c keep is zero when
+ *  that decision also resets the counters. */
+struct GroupStep
+{
+    uint64_t keep;
+    uint32_t take;
+};
 
 } // namespace
 
 void
 maxPoolStreamsRange(const uint64_t *const *inputs, size_t n_inputs,
                     size_t abs_begin, size_t n_cycles, size_t segment_len,
-                    bool accumulate, MaxPoolCarryState &state,
-                    uint64_t *out)
+                    bool accumulate, MaxPoolCarry state, uint64_t *out)
 {
     SCDCNN_ASSERT(abs_begin % 64 == 0,
                   "range begin %zu not word-aligned", abs_begin);
@@ -176,7 +181,7 @@ HardwareMaxPooling::compute(const std::vector<sc::Bitstream> &inputs,
     state.reset(views.size(), first_choice);
     sc::Bitstream out(views[0].length);
     maxPoolStreamsRange(words.data(), words.size(), 0, views[0].length,
-                        segment_len, accumulate, state,
+                        segment_len, accumulate, state.view(),
                         out.mutableWords().data());
     return out;
 }
@@ -287,7 +292,7 @@ checkBinaryMaxPool(const std::vector<std::vector<uint16_t>> &counts,
 void
 binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                    size_t abs_begin, size_t n_cycles, size_t segment_len,
-                   bool accumulate, MaxPoolCarryState &state, uint16_t *out)
+                   bool accumulate, MaxPoolCarry state, uint16_t *out)
 {
     // The shared walk with the bit counters replaced by count
     // accumulators (SIMD-dispatched segment sums) and forwarding by
@@ -304,212 +309,144 @@ binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
 }
 
 void
-binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_images,
+binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_pixels,
                          size_t n_inputs, size_t plane_cap, bool parity,
                          size_t abs_begin, size_t n_cycles,
                          size_t segment_len, bool accumulate,
-                         MaxPoolCarryState *const *states,
-                         uint16_t *const *outs)
+                         const MaxPoolCarry *states, uint16_t *const *outs)
 {
-    SCDCNN_ASSERT(n_inputs > 0, "max pooling with no inputs");
+    SCDCNN_ASSERT(n_inputs > 0 && n_inputs <= 4,
+                  "plane pooling takes 1-4 inputs, got %zu", n_inputs);
     SCDCNN_ASSERT(segment_len > 0, "segment length must be positive");
     SCDCNN_ASSERT(abs_begin % 64 == 0,
                   "plane pooling needs a word-aligned range start, got %zu",
                   abs_begin);
     const size_t pstride = plane_cap + 1;
-    const size_t end = abs_begin + n_cycles;
 
     if (segment_len % 16 == 0 && plane_cap <= 12) {
-        // Group-granular fast path (covers the paper's c = 16): with
-        // abs_begin word-aligned, every chunk boundary except a final
-        // mid-stream-less tail lands on a 16-cycle group, so segment
-        // evidence reduces to precomputed per-word group sums (one
-        // vectorized byte-popcount pass per plane quad) and forwarding
-        // spreads exactly the groups it emits. A partial tail group
-        // (the stream's last word) is exact because the producer
-        // zero-masks cycles past the stream length; its spread writes
-        // the full 16-entry group, which stays inside the caller's
-        // word-granular output buffer.
+        // The 16-cycle grid: with abs_begin word-aligned, every pooling
+        // decision falls on a group boundary. A partial tail group (the
+        // stream's last word) never decides, and its sum is exact
+        // because the producer zero-masks cycles past the stream
+        // length.
         const size_t range_words = (n_cycles + 63) / 64;
-        sc::simd::PlaneSumWeights wts;
-        sc::simd::planeSumWeightsInit(wts, plane_cap, parity);
-        thread_local std::vector<uint32_t> gsums;
-        thread_local std::vector<const uint64_t *> selp;
-        thread_local std::vector<uint16_t *> outp;
-        thread_local std::vector<uint64_t> cnt;
-        thread_local std::vector<uint32_t> sel;
-        gsums.resize(n_images * n_inputs * range_words * 4);
-        selp.resize(n_images);
-        outp.resize(n_images);
-        cnt.resize(n_images * n_inputs);
-        sel.resize(n_images);
-        // One dispatch builds the whole (image, input, group) sum
-        // table: planes' (j, k) buffer order matches the Multi
-        // contract, and entry g of a buffer is contiguous
-        // (base + (g/4)*4 + g%4 == base + g).
-        sc::simd::avx2PlaneWordSumsMulti(planes, n_images * n_inputs,
-                                         pstride, range_words, wts,
-                                         gsums.data());
-        // The walk runs on flat local copies of the carried selector
-        // state — the per-(image, chunk) loads of the carried-state
-        // objects are a measurable share of the walk at c = 16.
-        for (size_t j = 0; j < n_images; ++j) {
-            const MaxPoolCarryState &state = *states[j];
-            SCDCNN_ASSERT(state.counters.size() == n_inputs,
-                          "pool state holds %zu counters for %zu inputs",
-                          state.counters.size(), n_inputs);
-            sel[j] = static_cast<uint32_t>(state.selected);
-            std::copy(state.counters.begin(), state.counters.end(),
-                      cnt.begin() + j * n_inputs);
+        const size_t n_groups = (n_cycles + 15) / 16;
+        thread_local std::vector<uint16_t> sums;
+        thread_local std::vector<GroupStep> schedule;
+        thread_local std::vector<uint8_t> winners;
+        sums.resize(n_pixels * range_words * 16);
+        schedule.resize(n_groups);
+        winners.resize(n_pixels * range_words * 4);
+        sc::simd::avx2PlaneGroupSums(planes, n_pixels, n_inputs, pstride,
+                                     range_words, plane_cap, parity,
+                                     sums.data());
+        // The decision schedule, shared by every pixel: group g decides
+        // when it closes a pooling segment inside the range, and then
+        // resets the counters unless they accumulate.
+        for (size_t g = 0; g < n_groups; ++g) {
+            const size_t g_end = 16 * (g + 1);
+            const bool decide = g_end <= n_cycles &&
+                                (abs_begin + g_end) % segment_len == 0;
+            schedule[g] = {decide && !accumulate ? 0 : ~uint64_t{0},
+                           decide ? ~uint32_t{0} : 0};
         }
-        size_t pos = abs_begin;
-        while (pos < end) {
-            const size_t seg_end = (pos / segment_len + 1) * segment_len;
-            const size_t chunk_end = std::min(end, seg_end);
-            const size_t g0 = (pos - abs_begin) / 16;
-            const size_t g1 = (chunk_end - abs_begin + 15) / 16;
-            const bool decide = chunk_end == seg_end;
-            // Selections are stable within a chunk (decisions happen
-            // only at its end), so forward the whole micro-batch per
-            // group in one dispatch.
-            for (size_t g = g0; g < g1; ++g) {
-                const size_t woff = (g / 4) * pstride;
-                for (size_t j = 0; j < n_images; ++j) {
-                    selp[j] = planes[j * n_inputs + sel[j]] + woff;
-                    outp[j] = outs[j] + g * 16;
-                }
-                sc::simd::avx2SpreadPlanesGroupMulti(
-                    selp.data(), n_images, plane_cap, parity, g % 4,
-                    outp.data());
+        const GroupStep *step = schedule.data();
+        for (size_t j = 0; j < n_pixels; ++j) {
+            const MaxPoolCarry state = states[j];
+            // Inputs past n_inputs stay 0 and so never win a strict >.
+            uint64_t c0 = state.counters[0];
+            uint64_t c1 = n_inputs > 1 ? state.counters[1] : 0;
+            uint64_t c2 = n_inputs > 2 ? state.counters[2] : 0;
+            uint64_t c3 = n_inputs > 3 ? state.counters[3] : 0;
+            uint32_t sel = *state.selected;
+            const uint16_t *s = sums.data() + j * range_words * 16;
+            uint8_t *win = winners.data() + j * range_words * 4;
+            for (size_t g = 0; g < n_groups; ++g, s += 4) {
+                win[g] = static_cast<uint8_t>(sel);
+                c0 += s[0];
+                c1 += s[1];
+                c2 += s[2];
+                c3 += s[3];
+                // First maximum under strict >: ties go to the lower
+                // input, and all-zero counters select input 0. The
+                // pair winners combine by masks, not branches.
+                const uint32_t gt01 = c1 > c0;
+                const uint32_t gt23 = c3 > c2;
+                const uint32_t hi = std::max(c2, c3) > std::max(c0, c1);
+                const uint32_t best = (hi << 1) | (gt01 ^ ((gt01 ^ gt23) & -hi));
+                sel ^= (sel ^ best) & step[g].take;
+                c0 &= step[g].keep;
+                c1 &= step[g].keep;
+                c2 &= step[g].keep;
+                c3 &= step[g].keep;
             }
-            for (size_t j = 0; j < n_images; ++j) {
-                uint64_t *cj = cnt.data() + j * n_inputs;
-                const uint32_t *js =
-                    gsums.data() + j * n_inputs * range_words * 4;
-                for (size_t k = 0; k < n_inputs; ++k) {
-                    const uint32_t *ks = js + k * range_words * 4;
-                    uint64_t sum = 0;
-                    for (size_t g = g0; g < g1; ++g)
-                        sum += ks[g];
-                    cj[k] += sum;
-                }
-                if (decide) {
-                    size_t best = 0;
-                    uint64_t best_count = 0;
-                    for (size_t k = 0; k < n_inputs; ++k) {
-                        if (cj[k] > best_count) {
-                            best_count = cj[k];
-                            best = k;
-                        }
-                    }
-                    if (!accumulate)
-                        std::fill(cj, cj + n_inputs, uint64_t{0});
-                    sel[j] = static_cast<uint32_t>(best);
-                }
-            }
-            pos = chunk_end;
+            // Groups past the range in its last word: any valid input.
+            std::fill(win + n_groups, win + range_words * 4,
+                      static_cast<uint8_t>(sel));
+            const uint64_t c[4] = {c0, c1, c2, c3};
+            std::copy(c, c + n_inputs, state.counters);
+            *state.selected = sel;
         }
-        for (size_t j = 0; j < n_images; ++j) {
-            MaxPoolCarryState &state = *states[j];
-            state.selected = sel[j];
-            std::copy(cnt.begin() + j * n_inputs,
-                      cnt.begin() + (j + 1) * n_inputs,
-                      state.counters.begin());
-        }
+        sc::simd::avx2SpreadWinnerPlanes(planes, n_pixels, n_inputs,
+                                         pstride, range_words, plane_cap,
+                                         parity, winners.data(), outs);
         return;
     }
 
-    // General path for segment lengths off the 16-cycle grid: masked
-    // plane popcounts per chunk, whole-word transposes memoized per
-    // image so consecutive chunks of one word with a stable selection
-    // pay one transpose.
-    thread_local std::vector<uint16_t> scratch;
-    thread_local std::vector<std::pair<size_t, size_t>> keys;
-    scratch.resize(n_images * 64);
-    keys.assign(n_images, {SIZE_MAX, SIZE_MAX});
-
-    size_t pos = abs_begin;
-    while (pos < end) {
-        const size_t seg_end = (pos / segment_len + 1) * segment_len;
-        const size_t chunk_end = std::min(end, seg_end);
-        const size_t lo = pos - abs_begin;
-        const size_t hi = chunk_end - abs_begin;
-        const bool decide = chunk_end == seg_end;
-        for (size_t j = 0; j < n_images; ++j) {
-            MaxPoolCarryState &state = *states[j];
-            SCDCNN_ASSERT(state.counters.size() == n_inputs,
-                          "pool state holds %zu counters for %zu inputs",
-                          state.counters.size(), n_inputs);
-            const uint64_t *const *in = planes + j * n_inputs;
-            // Forward the selected input's cycles [lo, hi).
-            const uint64_t *sel = in[state.selected];
-            size_t l = lo;
-            while (l < hi) {
-                const size_t q = l / 64;
-                const size_t qend = std::min(hi, (q + 1) * 64);
-                if (l == q * 64 && qend == (q + 1) * 64) {
-                    sc::simd::avx2SpreadPlanesWord(sel + q * pstride,
-                                                   plane_cap, parity,
-                                                   outs[j] + q * 64);
-                } else {
-                    uint16_t *buf = scratch.data() + j * 64;
-                    if (keys[j].first != state.selected ||
-                        keys[j].second != q) {
-                        sc::simd::avx2SpreadPlanesWord(sel + q * pstride,
-                                                       plane_cap, parity,
-                                                       buf);
-                        keys[j] = {state.selected, q};
-                    }
-                    std::copy(buf + (l - q * 64), buf + (qend - q * 64),
-                              outs[j] + l);
-                }
-                l = qend;
-            }
-            // Segment evidence from plane popcounts: with canonical
-            // digit planes, sum(count & ~1) over a bit range is
-            // sum_{p>=1} 2^p popcount(plane_p), and the substituted
-            // LSBs add popcount(parity word).
-            for (size_t k = 0; k < n_inputs; ++k) {
-                const uint64_t *pk = in[k];
-                uint64_t sum = 0;
-                size_t l2 = lo;
-                while (l2 < hi) {
-                    const size_t q = l2 / 64;
+    // General path for segment lengths off the 16-cycle grid: the
+    // shared walk per pixel, with evidence from masked plane popcounts
+    // and forwarding by word transposes, memoized so consecutive chunks
+    // of one word with a stable selection pay one transpose.
+    for (size_t j = 0; j < n_pixels; ++j) {
+        const uint64_t *const *in = planes + j * n_inputs;
+        uint16_t buf[64];
+        std::pair<size_t, size_t> key{SIZE_MAX, SIZE_MAX};
+        rangedSelectorWalk(
+            n_inputs, abs_begin, n_cycles, segment_len, accumulate,
+            states[j],
+            [&](size_t selected, size_t lo, size_t hi) {
+                for (size_t l = lo; l < hi;) {
+                    const size_t q = l / 64;
                     const size_t qend = std::min(hi, (q + 1) * 64);
-                    const size_t b0 = l2 - q * 64;
-                    const size_t nb = qend - l2;
-                    const uint64_t mask =
-                        (nb == 64 ? ~uint64_t{0}
-                                  : ((uint64_t{1} << nb) - 1))
-                        << b0;
-                    const uint64_t *wq = pk + q * pstride;
-                    size_t p = parity ? 1 : 0;
-                    for (; p < plane_cap; ++p)
-                        sum += static_cast<uint64_t>(
-                                   std::popcount(wq[p] & mask))
-                               << p;
-                    if (parity)
-                        sum += static_cast<uint64_t>(
-                            std::popcount(wq[plane_cap] & mask));
-                    l2 = qend;
-                }
-                state.counters[k] += sum;
-            }
-            if (decide) {
-                size_t best = 0;
-                uint64_t best_count = 0;
-                for (size_t k = 0; k < n_inputs; ++k) {
-                    if (state.counters[k] > best_count) {
-                        best_count = state.counters[k];
-                        best = k;
+                    const uint64_t *pw = in[selected] + q * pstride;
+                    if (l == q * 64 && qend == (q + 1) * 64) {
+                        sc::simd::avx2SpreadPlanesWord(pw, plane_cap, parity,
+                                                       outs[j] + l);
+                    } else {
+                        if (key != std::pair{selected, q}) {
+                            sc::simd::avx2SpreadPlanesWord(pw, plane_cap,
+                                                           parity, buf);
+                            key = {selected, q};
+                        }
+                        std::copy(buf + (l - q * 64), buf + (qend - q * 64),
+                                  outs[j] + l);
                     }
-                    if (!accumulate)
-                        state.counters[k] = 0;
+                    l = qend;
                 }
-                state.selected = best;
-            }
-        }
-        pos = chunk_end;
+            },
+            // With canonical digit planes, a range's count sum is
+            // sum_p 2^p popcount(plane_p) over it, plane 0 swapped for
+            // the parity word under the LSB substitution.
+            [&](size_t k, size_t lo, size_t hi) {
+                uint64_t sum = 0;
+                for (size_t l = lo; l < hi;) {
+                    const size_t q = l / 64;
+                    const size_t qend = std::min(hi, (q + 1) * 64);
+                    const size_t nb = qend - l;
+                    const uint64_t mask =
+                        (nb == 64 ? ~uint64_t{0} : ((uint64_t{1} << nb) - 1))
+                        << (l - q * 64);
+                    const uint64_t *pw = in[k] + q * pstride;
+                    for (size_t p = 0; p < plane_cap; ++p) {
+                        const uint64_t v =
+                            p == 0 && parity ? pw[plane_cap] : pw[p];
+                        sum += static_cast<uint64_t>(std::popcount(v & mask))
+                               << p;
+                    }
+                    l = qend;
+                }
+                return sum;
+            });
     }
 }
 
@@ -557,7 +494,7 @@ BinaryMaxPooling::compute(const std::vector<std::vector<uint16_t>> &counts,
     state.reset(counts.size(), first_choice);
     std::vector<uint16_t> out(counts[0].size());
     binaryMaxPoolRange(ptrs.data(), ptrs.size(), 0, out.size(), segment_len,
-                       accumulate, state, out.data());
+                       accumulate, state.view(), out.data());
     return out;
 }
 

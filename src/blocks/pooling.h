@@ -37,27 +37,38 @@ maxPoolStreamsReference(const std::vector<sc::BitstreamView> &inputs,
                         bool accumulate);
 
 /**
- * Carried state of a segment-streamed Figure 8 selector: the
- * per-input counters (bit counters for streams, accumulators for
- * binary counts) and the currently selected input. A stream processed
+ * Carried state of a segment-streamed Figure 8 selector, as a view of
+ * caller-owned storage: the per-input counters (bit counters for
+ * streams, accumulators for binary counts) and the currently selected
+ * input. The engine keeps every pixel's state in two flat arrays per
+ * stage; MaxPoolCarryState owns one selector's. A stream processed
  * range by range through the *Range functions below is bit-exact with
  * the corresponding whole-stream kernel — selection decisions happen
  * at the same absolute pooling-segment boundaries with the same
  * accumulated evidence, partial pooling segments straddling a range
  * boundary included.
  */
+struct MaxPoolCarry
+{
+    uint64_t *counters = nullptr; //!< one counter per input
+    uint32_t *selected = nullptr; //!< the input the next segment forwards
+};
+
+/** One selector's carried state, owned (the block API and tests). */
 struct MaxPoolCarryState
 {
     std::vector<uint64_t> counters;
-    size_t selected = 0;
+    uint32_t selected = 0;
 
     /** Zero the counters and select @p first_choice for the first
      *  pooling segment (the whole-stream kernels' first_choice). */
     void reset(size_t n_inputs, size_t first_choice = 0)
     {
         counters.assign(n_inputs, 0);
-        selected = first_choice;
+        selected = static_cast<uint32_t>(first_choice);
     }
+
+    MaxPoolCarry view() { return {counters.data(), &selected}; }
 };
 
 /**
@@ -73,7 +84,7 @@ struct MaxPoolCarryState
 void maxPoolStreamsRange(const uint64_t *const *inputs, size_t n_inputs,
                          size_t abs_begin, size_t n_cycles,
                          size_t segment_len, bool accumulate,
-                         MaxPoolCarryState &state, uint64_t *out);
+                         MaxPoolCarry state, uint64_t *out);
 
 /**
  * Hardware-oriented max pooling (Figure 8).
@@ -150,33 +161,43 @@ void binaryAveragePoolingSignedRange(const uint16_t *const *counts,
 void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         size_t abs_begin, size_t n_cycles,
                         size_t segment_len, bool accumulate,
-                        MaxPoolCarryState &state, uint16_t *out);
+                        MaxPoolCarry state, uint16_t *out);
 
 /**
  * Batch-axis binaryMaxPoolRange over count *planes* instead of
- * materialized per-cycle counts: one call pools the same (pixel,
- * window set) for a whole micro-batch, with the pooling-segment chunk
- * walk computed once for all images. Planes are in the
- * sc::fusedProductPlanesMultiBatch form (plane_cap planes plus a
- * parity word per range-local 64-cycle word). The
- * Figure 8 selector only ever emits the input selected by the
+ * materialized per-cycle counts: one call pools the same window set
+ * of many pixels (a tile's images, lanes and positions), each with its
+ * own carried state. Planes are in the sc::fusedProductPlanesMultiBatch
+ * form (plane_cap planes plus a parity word per range-local 64-cycle
+ * word); planes[j * n_inputs + k] points at (pixel j, input k)'s plane
+ * words, and every buffer's tail must stay readable for four words
+ * past its last parity slot. @p parity selects the approximate-counter
+ * LSB substitution, matching the producer's `approximate`. At most
+ * four inputs (the engine's 2x2 window). @p abs_begin must be
+ * word-aligned (the producer's range starts on a word). Pooled counts
+ * for pixel j land at outs[j], whole words written, bit-exact with
+ * binaryMaxPoolRange over the transposed counts.
+ *
+ * The Figure 8 selector only ever emits the input selected by the
  * *previous* segment, so the losing inputs' per-cycle counts are never
- * needed: segment evidence comes straight from plane popcounts, and
- * only the selected input's words are transposed back to counts — the
- * bulk of the transpose work the counts form pays for every input.
- * planes[j * n_inputs + k] points at (image j, input k)'s plane words;
- * @p parity selects the approximate-counter LSB substitution, matching
- * the producer's `approximate`. @p abs_begin must be word-aligned (the
- * producer's range starts on a word). Pooled counts for image j land
- * at outs[j], bit-exact with binaryMaxPoolRange over the transposed
- * counts.
+ * needed. On the 16-cycle grid (segment_len a multiple of 16, which
+ * covers the paper's c = 16, and plane_cap <= 12) a call costs about
+ * what it emits, in three passes:
+ *  - group sums: each 16-cycle group's four input sums from plane
+ *    popcounts (sc::simd::avx2PlaneGroupSums), one record per group;
+ *  - walk: per pixel, the counters in locals, one branch-free
+ *    first-max per group under a decision schedule computed once per
+ *    call, and the winner of every group recorded in a byte array;
+ *  - spread: per word, the winners' groups muxed into one set of plane
+ *    words and transposed once (sc::simd::avx2SpreadWinnerPlanes).
+ * Segment lengths off the grid take a masked general path.
  */
 void binaryMaxPoolPlanesBatch(const uint64_t *const *planes,
-                              size_t n_images, size_t n_inputs,
+                              size_t n_pixels, size_t n_inputs,
                               size_t plane_cap, bool parity,
                               size_t abs_begin, size_t n_cycles,
                               size_t segment_len, bool accumulate,
-                              MaxPoolCarryState *const *states,
+                              const MaxPoolCarry *states,
                               uint16_t *const *outs);
 
 /**

@@ -196,8 +196,7 @@ class PixelTile
      *  pooling) or product streams (MUX layers) — with its selector
      *  state (max pooling) or MUX generator (MUX average pooling). */
     void add(const uint64_t *const *in, uint64_t *out, uint16_t *fsm,
-             blocks::MaxPoolCarryState *max = nullptr,
-             sc::Xoshiro256ss *rng = nullptr)
+             blocks::MaxPoolCarry max = {}, sc::Xoshiro256ss *rng = nullptr)
     {
         words_.insert(words_.end(), in, in + fan());
         max_.push_back(max);
@@ -246,7 +245,7 @@ class PixelTile
                 if (spec_.pool == Pool::Max)
                     blocks::maxPoolStreamsRange(
                         words_.data() + 4 * e, 4, spec_.c0, len,
-                        spec_.segment_len, /*accumulate=*/true, *max_[e],
+                        spec_.segment_len, /*accumulate=*/true, max_[e],
                         pooled_word_ptrs_[e]);
                 else
                     blocks::averagePoolingRange(words_.data() + 4 * e, 4,
@@ -278,7 +277,7 @@ class PixelTile
     // the layer kind), then one state / output pointer each.
     std::vector<const uint16_t *> counts_;
     std::vector<const uint64_t *> words_;
-    std::vector<blocks::MaxPoolCarryState *> max_;
+    std::vector<blocks::MaxPoolCarry> max_;
     std::vector<sc::Xoshiro256ss *> rng_;
     std::vector<uint64_t *> outs_;
     std::vector<uint16_t *> fsm_;
@@ -591,12 +590,10 @@ ScNetwork::initStageRun(StageRun &run, size_t stage,
     run.fsm.assign(n_pixels * B,
                    use_apc ? btanh_tables_[stage]->initialState()
                            : stanh_tables_[stage]->initialState());
-    run.pool.clear();
-    if (use_max) {
-        run.pool.resize(n_pixels * B);
-        for (auto &carry : run.pool)
-            carry.reset(4, 0);
-    }
+    // Figure 8 selectors: four window counters per (pixel, image),
+    // zeroed, and the first segment forwarding window 0.
+    run.pool_counters.assign(use_max ? n_pixels * B * 4 : 0, 0);
+    run.pool_selected.assign(use_max ? n_pixels * B : 0, 0);
     run.sel_rng.clear();
     run.pool_rng.clear();
     if (!use_apc) {
@@ -829,7 +826,11 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                         tile.add(cnt, out, &run.fsm[s]);
                     else
                         tile.add(words, out, &run.fsm[s],
-                                 use_max ? &run.pool[s] : nullptr, mux_avg);
+                                 use_max ? blocks::MaxPoolCarry{
+                                               &run.pool_counters[s * 4],
+                                               &run.pool_selected[s]}
+                                         : blocks::MaxPoolCarry{},
+                                 mux_avg);
                 }
             }
             if (++slot == slots) {

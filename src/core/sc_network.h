@@ -32,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "blocks/pooling.h"
 #include "core/binary_net.h"
 #include "core/sc_config.h"
 #include "nn/dataset.h"
@@ -339,10 +338,11 @@ class ScNetwork
     struct StageRun
     {
         BatchStreamGrid out;
-        std::vector<uint16_t> fsm;                   //!< [pixel][image]
-        std::vector<blocks::MaxPoolCarryState> pool; //!< [pixel][image]
-        std::vector<sc::Xoshiro256ss> sel_rng;       //!< [site][image]
-        std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
+        std::vector<uint16_t> fsm;              //!< [pixel][image]
+        std::vector<uint64_t> pool_counters;    //!< [pixel][image][window]
+        std::vector<uint32_t> pool_selected;    //!< [pixel][image]
+        std::vector<sc::Xoshiro256ss> sel_rng;  //!< [site][image]
+        std::vector<sc::Xoshiro256ss> pool_rng; //!< [pixel][image]
     };
 
     /** Per-forward carried state of the binary output layer: the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "sc/fused.h"
@@ -67,59 +68,14 @@ setEnabled(bool on)
     g_enabled.store(on && available() ? 1 : 0, std::memory_order_relaxed);
 }
 
-void
-planeSumWeightsInit(PlaneSumWeights &wts, size_t n_planes, bool parity)
-{
-    SCDCNN_ASSERT(n_planes <= 12, "plane count %zu exceeds the 3-quad "
-                                  "weight table",
-                  n_planes);
-    wts.n_planes = n_planes;
-    wts.parity = parity;
-    wts.base = parity ? 1 : 0;
-    wts.quads =
-        n_planes > wts.base ? (n_planes - wts.base + 3) / 4 : 0;
-    for (size_t q = 0; q < 3; ++q) {
-        wts.shift[q] = static_cast<unsigned>(wts.base + 4 * q);
-        for (size_t b = 0; b < 32; ++b)
-            wts.w[q][b] = 0;
-    }
-    for (size_t p = wts.base; p < n_planes; ++p) {
-        const size_t i = p - wts.base;
-        for (size_t b = 0; b < 8; ++b)
-            wts.w[i / 4][(i % 4) * 8 + b] =
-                static_cast<uint8_t>(1u << (i % 4));
-    }
-}
-
 namespace {
 
-/** Scalar twin of the avx2PlaneWordSums reduction. */
+/** Scalar twin of the spreadWord transpose. */
 void
-planeWordSumsScalar(const uint64_t *pw, const PlaneSumWeights &wts,
-                    uint32_t *sums)
+spreadWordScalar(const uint64_t *pw, size_t n_planes, bool parity,
+                 uint16_t *out)
 {
-    for (size_t p = wts.parity ? 1 : 0; p < wts.n_planes; ++p) {
-        const uint64_t v = pw[p];
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>(__builtin_popcountll(
-                           (v >> (16 * g)) & 0xFFFF))
-                       << p;
-    }
-    if (wts.parity) {
-        const uint64_t lsb = pw[wts.n_planes];
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>(
-                __builtin_popcountll((lsb >> (16 * g)) & 0xFFFF));
-    }
-}
-
-/** Scalar twin of the avx2SpreadPlanesGroup transpose. */
-void
-spreadPlanesGroupScalar(const uint64_t *pw, size_t n_planes, bool parity,
-                        size_t group, uint16_t *out)
-{
-    for (size_t i = 0; i < 16; ++i) {
-        const size_t b = group * 16 + i;
+    for (size_t b = 0; b < 64; ++b) {
         uint16_t c = 0;
         for (size_t j = 0; j < n_planes; ++j)
             c |= static_cast<uint16_t>((pw[j] >> b) & 1) << j;
@@ -127,8 +83,57 @@ spreadPlanesGroupScalar(const uint64_t *pw, size_t n_planes, bool parity,
             c = static_cast<uint16_t>(
                 (c & ~uint16_t{1}) |
                 static_cast<uint16_t>((pw[n_planes] >> b) & 1));
-        out[i] = c;
+        out[b] = c;
     }
+}
+
+/** Scalar twin of the avx2PlaneGroupSums reduction. */
+void
+planeGroupSumsScalar(const uint64_t *const *bufs, size_t n_pixels,
+                     size_t n_inputs, size_t pstride, size_t n_words,
+                     size_t n_planes, bool parity, uint16_t *sums)
+{
+    for (size_t j = 0; j < n_pixels; ++j)
+        for (size_t q = 0; q < n_words; ++q) {
+            uint16_t *rec = sums + (j * n_words + q) * 16;
+            std::fill(rec, rec + 16, uint16_t{0});
+            for (size_t k = 0; k < n_inputs; ++k) {
+                const uint64_t *pw = bufs[j * n_inputs + k] + q * pstride;
+                for (size_t p = 0; p < n_planes; ++p) {
+                    const uint64_t v =
+                        p == 0 && parity ? pw[n_planes] : pw[p];
+                    for (size_t g = 0; g < 4; ++g)
+                        rec[g * 4 + k] = static_cast<uint16_t>(
+                            rec[g * 4 + k] +
+                            (__builtin_popcountll((v >> (16 * g)) &
+                                                  0xFFFF)
+                             << p));
+                }
+            }
+        }
+}
+
+/** Scalar twin of avx2SpreadWinnerPlanes. */
+void
+spreadWinnerPlanesScalar(const uint64_t *const *bufs, size_t n_pixels,
+                         size_t n_inputs, size_t pstride, size_t n_words,
+                         size_t n_planes, bool parity,
+                         const uint8_t *winners, uint16_t *const *outs)
+{
+    uint64_t fwd[16];
+    for (size_t j = 0; j < n_pixels; ++j)
+        for (size_t q = 0; q < n_words; ++q) {
+            const uint8_t *win = winners + (j * n_words + q) * 4;
+            std::fill(fwd, fwd + n_planes + 1, uint64_t{0});
+            for (size_t g = 0; g < 4; ++g) {
+                const uint64_t *pw =
+                    bufs[j * n_inputs + win[g]] + q * pstride;
+                const uint64_t mask = uint64_t{0xFFFF} << (16 * g);
+                for (size_t p = 0; p <= n_planes; ++p)
+                    fwd[p] |= pw[p] & mask;
+            }
+            spreadWordScalar(fwd, n_planes, parity, outs[j] + q * 64);
+        }
 }
 
 } // namespace
@@ -150,16 +155,6 @@ popcountBytes(__m256i v)
         _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
     return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
                            _mm256_shuffle_epi8(lut, hi));
-}
-
-/** Expand 16 bits into 16 uint16 lanes of 0/1 scaled by @p weight. */
-__attribute__((target("avx2"))) inline __m256i
-spreadBits16(uint16_t bits, __m256i lane_bit, short weight)
-{
-    const __m256i v = _mm256_set1_epi16(static_cast<short>(bits));
-    const __m256i m =
-        _mm256_cmpeq_epi16(_mm256_and_si256(v, lane_bit), lane_bit);
-    return _mm256_and_si256(m, _mm256_set1_epi16(weight));
 }
 
 // --- branch-free carry-save adder tree --------------------------------
@@ -250,56 +245,73 @@ ripplePlanes(__m256i *planes, int &used, __m256i carry, int j)
 }
 
 /**
- * Transpose cycles [16 * group, 16 * group + 16) of one lane's count
- * planes into 16 uint16 counts: @p plane(j) is plane j's word for
- * j < n_planes, plane(n_planes) the parity word, whose bits replace
- * each count's LSB when @p parity (the approximate-counter
- * substitution).
+ * One Horner step of a word transpose: shift the cycle-byte
+ * accumulators of cycles 0-31 (@p h0) and 32-63 (@p h1) up one digit
+ * and bring in the 64 bits at @p word, one per cycle. A byte shuffle
+ * copies byte b of the broadcast word to bytes 8b .. 8b + 7 (shuffles
+ * stay inside a 128-bit lane, which holds the whole word) and a bit
+ * test turns bit i of the copy into an all-ones byte 8b + i, which
+ * the subtraction adds as 1.
+ */
+__attribute__((target("avx2"), always_inline)) inline void
+shiftInPlane(const uint64_t *word, __m256i &h0, __m256i &h1)
+{
+    const __m256i src0 =
+        _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2,
+                         2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+    const __m256i src1 =
+        _mm256_setr_epi8(4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 6,
+                         6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7);
+    const __m256i bit = _mm256_set1_epi64x(0x8040201008040201LL);
+    const __m256i v = _mm256_broadcastq_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(word)));
+    const __m256i b0 = _mm256_and_si256(_mm256_shuffle_epi8(v, src0), bit);
+    const __m256i b1 = _mm256_and_si256(_mm256_shuffle_epi8(v, src1), bit);
+    h0 = _mm256_sub_epi8(_mm256_add_epi8(h0, h0), _mm256_cmpeq_epi8(b0, bit));
+    h1 = _mm256_sub_epi8(_mm256_add_epi8(h1, h1), _mm256_cmpeq_epi8(b1, bit));
+}
+
+/**
+ * Transpose one word of count planes into its 64 uint16 counts:
+ * @p plane(j) points at plane j's word for j < n_planes (n_planes <
+ * 16), plane(n_planes) at the parity word, whose bits replace plane 0
+ * — each count's LSB — when @p parity (the approximate-counter
+ * substitution). Planes 8+ build the counts' high bytes and planes 0-7
+ * the low bytes, highest plane first (shiftInPlane, 32 cycles per
+ * register), and one byte interleave widens the two into counts.
  */
 template <class PlaneAt>
 __attribute__((target("avx2"), always_inline)) inline void
-spreadGroup(const PlaneAt &plane, size_t n_planes, bool parity,
-            size_t group, uint16_t *out)
+spreadWord(const PlaneAt &plane, size_t n_planes, bool parity,
+           uint16_t *out)
 {
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t j = 0; j < n_planes; ++j) {
-        const auto bits = static_cast<uint16_t>(plane(j) >> (group * 16));
-        acc = _mm256_or_si256(
-            acc,
-            spreadBits16(bits, lane_bit, static_cast<short>(1 << j)));
+    __m256i lo[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    __m256i hi[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (size_t j = n_planes; j-- > 8;)
+        shiftInPlane(plane(j), hi[0], hi[1]);
+    for (size_t j = std::min<size_t>(n_planes, 8); j-- > 1;)
+        shiftInPlane(plane(j), lo[0], lo[1]);
+    if (n_planes > 0 || parity)
+        shiftInPlane(plane(parity ? n_planes : 0), lo[0], lo[1]);
+    for (size_t h = 0; h < 2; ++h) {
+        // Interleaving low and high bytes gives cycles 0-7 | 16-23 and
+        // 8-15 | 24-31 of the half; the lane permutes put them in order.
+        const __m256i a = _mm256_unpacklo_epi8(lo[h], hi[h]);
+        const __m256i b = _mm256_unpackhi_epi8(lo[h], hi[h]);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 32 * h),
+                            _mm256_permute2x128_si256(a, b, 0x20));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 32 * h + 16),
+                            _mm256_permute2x128_si256(a, b, 0x31));
     }
-    if (parity) {
-        const auto bits =
-            static_cast<uint16_t>(plane(n_planes) >> (group * 16));
-        acc = _mm256_or_si256(
-            _mm256_and_si256(acc,
-                             _mm256_set1_epi16(static_cast<short>(~1))),
-            spreadBits16(bits, lane_bit, 1));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), acc);
 }
 
-/** spreadGroup over contiguous planes pw[0 .. n_planes] (the pooling
+/** spreadWord over contiguous planes pw[0 .. n_planes] (the pooling
  *  readers' layout). */
-__attribute__((target("avx2"))) inline void
-spreadPlanesGroupAvx2(const uint64_t *pw, size_t n_planes, bool parity,
-                      size_t group, uint16_t *out)
-{
-    spreadGroup([pw](size_t j) { return pw[j]; }, n_planes, parity, group,
-                out);
-}
-
-/** spreadPlanesGroupAvx2 over all four groups of the word. */
 __attribute__((target("avx2"))) void
 spreadPlanesWordAvx2(const uint64_t *pw, size_t n_planes, bool parity,
                      uint16_t *out)
 {
-    for (size_t g = 0; g < 4; ++g)
-        spreadPlanesGroupAvx2(pw, n_planes, parity, g, out + g * 16);
+    spreadWord([pw](size_t j) { return pw + j; }, n_planes, parity, out);
 }
 
 /** A fold's planes as stored by storePlanes: lane l of plane p at
@@ -313,9 +325,8 @@ __attribute__((target("avx2"), always_inline)) inline void
 spreadFoldLane(const FoldPlaneRows &pw, size_t lane, int used, bool parity,
                uint16_t *out)
 {
-    for (size_t g = 0; g < 4; ++g)
-        spreadGroup([&pw, lane](size_t j) { return pw[j][lane]; },
-                    static_cast<size_t>(used), parity, g, out + g * 16);
+    spreadWord([&pw, lane](size_t j) { return &pw[j][lane]; },
+               static_cast<size_t>(used), parity, out);
 }
 
 /** Store @p planes[0 .. used) as rows of @p pw, with @p lsb in row
@@ -517,124 +528,153 @@ avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
         spreadPlanesWordAvx2(pw, n_planes, parity, out);
         return;
     }
-    for (size_t g = 0; g < 4; ++g)
-        spreadPlanesGroupScalar(pw, n_planes, parity, g, out + g * 16);
-}
-
-void
-avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes, bool parity,
-                      size_t group, uint16_t *out)
-{
-    SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
-    if (enabled()) {
-        spreadPlanesGroupAvx2(pw, n_planes, parity, group, out);
-        return;
-    }
-    spreadPlanesGroupScalar(pw, n_planes, parity, group, out);
+    spreadWordScalar(pw, n_planes, parity, out);
 }
 
 __attribute__((target("avx2"))) static void
-avx2PlaneWordSumsImpl(const uint64_t *pw, const PlaneSumWeights &wts,
-                      uint32_t *sums)
+planeGroupSumsAvx2(const uint64_t *const *bufs, size_t n_pixels,
+                   size_t n_inputs, size_t pstride, size_t n_words,
+                   size_t n_planes, bool parity, uint16_t *sums)
 {
-    // One quad = planes [base + 4q, base + 4q + 4) in the four 64-bit
-    // ymm lanes. maddubs pairs byte popcounts with the per-byte
-    // relative digit weights 2^i: a 16-bit product lane covers bytes
-    // 2i, 2i+1 — one 16-cycle group of one plane — so summing the four
-    // 64-bit lanes' matching sublanes yields the quad's four group
-    // sums (<= 4 planes * 16 * 8 = 512, no maddubs saturation since
-    // each pair is <= 128).
-    for (size_t q = 0; q < wts.quads; ++q) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pw + wts.base + q * 4));
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(wts.w[q]));
-        const __m256i prod = _mm256_maddubs_epi16(popcountBytes(v), w);
-        __m128i t = _mm_add_epi16(_mm256_castsi256_si128(prod),
-                                  _mm256_extracti128_si256(prod, 1));
-        t = _mm_add_epi16(t, _mm_srli_si128(t, 8));
-        const auto packed = static_cast<uint64_t>(_mm_cvtsi128_si64(t));
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>((packed >> (16 * g)) &
-                                             0xFFFF)
-                       << wts.shift[q];
+    // Quad u holds planes [4u, 4u + 4), plane 4u + i in 64-bit lane i
+    // (plane 0 swapped for the parity word under the substitution).
+    // The byte weights are the planes' digit values 2^i within the
+    // quad (zero past the plane count), so maddubs turns the byte
+    // popcounts into lane i, 16-bit field g = plane 4u + i's weighted
+    // one-count over group g (<= 16 * 8 per byte pair, no
+    // saturation). Horner steps of 4 bits stack the quads in the same
+    // lanes; every partial sum is part of a final group sum, so none
+    // overflows 16 bits.
+    const size_t quads = (n_planes + 3) / 4;
+    __m256i wts[3];
+    for (size_t u = 0; u < quads; ++u) {
+        alignas(32) uint8_t w[32];
+        for (size_t b = 0; b < 32; ++b)
+            w[b] = 4 * u + b / 8 < n_planes
+                       ? static_cast<uint8_t>(1u << (b / 8))
+                       : 0;
+        wts[u] = _mm256_load_si256(reinterpret_cast<const __m256i *>(w));
     }
-    if (wts.parity) {
-        const uint64_t lsb = pw[wts.n_planes];
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>(
-                __builtin_popcountll((lsb >> (16 * g)) & 0xFFFF));
-    }
-}
-
-void
-avx2PlaneWordSums(const uint64_t *pw, const PlaneSumWeights &wts,
-                  uint32_t *sums)
-{
-    if (enabled()) {
-        avx2PlaneWordSumsImpl(pw, wts, sums);
-        return;
-    }
-    planeWordSumsScalar(pw, wts, sums);
-}
-
-__attribute__((target("avx2"))) static void
-avx2PlaneWordSumsMultiImpl(const uint64_t *const *bufs, size_t n_bufs,
-                           size_t pstride, size_t n_words,
-                           const PlaneSumWeights &wts, uint32_t *sums)
-{
-    for (size_t b = 0; b < n_bufs; ++b) {
-        const uint64_t *pw = bufs[b];
-        uint32_t *dst = sums + b * n_words * 4;
-        for (size_t q = 0; q < n_words; ++q, pw += pstride, dst += 4) {
-            dst[0] = dst[1] = dst[2] = dst[3] = 0;
-            avx2PlaneWordSumsImpl(pw, wts, dst);
+    for (size_t j = 0; j < n_pixels; ++j) {
+        for (size_t q = 0; q < n_words; ++q) {
+            __m128i x[4];
+            for (size_t k = 0; k < 4; ++k) {
+                x[k] = _mm_setzero_si128();
+                if (k >= n_inputs)
+                    continue;
+                const uint64_t *pw = bufs[j * n_inputs + k] + q * pstride;
+                __m256i acc = _mm256_setzero_si256();
+                for (size_t u = quads; u-- > 0;) {
+                    __m256i v = _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i *>(pw + 4 * u));
+                    if (u == 0 && parity)
+                        v = _mm256_blend_epi32(
+                            v,
+                            _mm256_set1_epi64x(
+                                static_cast<long long>(pw[n_planes])),
+                            0x03);
+                    acc = _mm256_add_epi16(
+                        _mm256_slli_epi16(acc, 4),
+                        _mm256_maddubs_epi16(popcountBytes(v), wts[u]));
+                }
+                x[k] = _mm_add_epi16(_mm256_castsi256_si128(acc),
+                                     _mm256_extracti128_si256(acc, 1));
+            }
+            // x[k]'s two qwords are lanes {0, 2} and {1, 3}: fold them,
+            // then transpose the (input, group) fields into one
+            // 4-input record per group.
+            const __m128i s01 =
+                _mm_add_epi16(_mm_unpacklo_epi64(x[0], x[1]),
+                              _mm_unpackhi_epi64(x[0], x[1]));
+            const __m128i s23 =
+                _mm_add_epi16(_mm_unpacklo_epi64(x[2], x[3]),
+                              _mm_unpackhi_epi64(x[2], x[3]));
+            const __m128i t0 = _mm_unpacklo_epi16(s01, s23);
+            const __m128i t1 = _mm_unpackhi_epi16(s01, s23);
+            uint16_t *rec = sums + (j * n_words + q) * 16;
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(rec),
+                             _mm_unpacklo_epi16(t0, t1));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(rec + 8),
+                             _mm_unpackhi_epi16(t0, t1));
         }
     }
 }
 
 void
-avx2PlaneWordSumsMulti(const uint64_t *const *bufs, size_t n_bufs,
-                       size_t pstride, size_t n_words,
-                       const PlaneSumWeights &wts, uint32_t *sums)
+avx2PlaneGroupSums(const uint64_t *const *bufs, size_t n_pixels,
+                   size_t n_inputs, size_t pstride, size_t n_words,
+                   size_t n_planes, bool parity, uint16_t *sums)
 {
+    SCDCNN_ASSERT(n_inputs <= 4, "%zu selector inputs, at most 4",
+                  n_inputs);
+    SCDCNN_ASSERT(n_planes >= 1 && n_planes <= 12,
+                  "plane count %zu outside the uint16 group-sum range",
+                  n_planes);
     if (enabled()) {
-        avx2PlaneWordSumsMultiImpl(bufs, n_bufs, pstride, n_words, wts,
-                                   sums);
+        planeGroupSumsAvx2(bufs, n_pixels, n_inputs, pstride, n_words,
+                           n_planes, parity, sums);
         return;
     }
-    for (size_t b = 0; b < n_bufs; ++b) {
-        const uint64_t *pw = bufs[b];
-        uint32_t *dst = sums + b * n_words * 4;
-        for (size_t q = 0; q < n_words; ++q, pw += pstride, dst += 4) {
-            dst[0] = dst[1] = dst[2] = dst[3] = 0;
-            planeWordSumsScalar(pw, wts, dst);
+    planeGroupSumsScalar(bufs, n_pixels, n_inputs, pstride, n_words,
+                         n_planes, parity, sums);
+}
+
+__attribute__((target("avx2"))) static void
+spreadWinnerPlanesAvx2(const uint64_t *const *bufs, size_t n_pixels,
+                       size_t n_inputs, size_t pstride, size_t n_words,
+                       size_t n_planes, bool parity, const uint8_t *winners,
+                       uint16_t *const *outs)
+{
+    const size_t chunks = (n_planes + 4) / 4; // the planes + parity word
+    alignas(32) uint64_t fwd[16];
+    for (size_t j = 0; j < n_pixels; ++j) {
+        for (size_t q = 0; q < n_words; ++q) {
+            // The winner bytes widened to 16-bit fields (winner *
+            // 0x0101): comparing them with k * 0x0101 yields input k's
+            // mask of won groups in the low 64 bits.
+            uint32_t win;
+            std::memcpy(&win, winners + (j * n_words + q) * 4, 4);
+            const __m128i wv = _mm_cvtsi32_si128(static_cast<int>(win));
+            const __m128i wide = _mm_unpacklo_epi8(wv, wv);
+            __m256i mask[4];
+            for (size_t k = 0; k < n_inputs; ++k)
+                mask[k] = _mm256_broadcastq_epi64(_mm_cmpeq_epi16(
+                    wide, _mm_set1_epi16(static_cast<short>(k * 0x0101))));
+            for (size_t c = 0; c < chunks; ++c) {
+                __m256i acc = _mm256_setzero_si256();
+                for (size_t k = 0; k < n_inputs; ++k)
+                    acc = _mm256_or_si256(
+                        acc, _mm256_and_si256(
+                                 _mm256_loadu_si256(
+                                     reinterpret_cast<const __m256i *>(
+                                         bufs[j * n_inputs + k] +
+                                         q * pstride + 4 * c)),
+                                 mask[k]));
+                _mm256_store_si256(reinterpret_cast<__m256i *>(fwd + 4 * c),
+                                   acc);
+            }
+            spreadWord([&fwd](size_t p) { return fwd + p; }, n_planes,
+                       parity, outs[j] + q * 64);
         }
     }
 }
 
-__attribute__((target("avx2"))) static void
-avx2SpreadPlanesGroupMultiImpl(const uint64_t *const *pws, size_t n,
-                               size_t n_planes, bool parity, size_t group,
-                               uint16_t *const *outs)
-{
-    for (size_t i = 0; i < n; ++i)
-        spreadPlanesGroupAvx2(pws[i], n_planes, parity, group, outs[i]);
-}
-
 void
-avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
-                           size_t n_planes, bool parity, size_t group,
-                           uint16_t *const *outs)
+avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
+                       size_t n_inputs, size_t pstride, size_t n_words,
+                       size_t n_planes, bool parity, const uint8_t *winners,
+                       uint16_t *const *outs)
 {
+    SCDCNN_ASSERT(n_inputs <= 4, "%zu selector inputs, at most 4",
+                  n_inputs);
     SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
     if (enabled()) {
-        avx2SpreadPlanesGroupMultiImpl(pws, n, n_planes, parity, group,
-                                       outs);
+        spreadWinnerPlanesAvx2(bufs, n_pixels, n_inputs, pstride, n_words,
+                               n_planes, parity, winners, outs);
         return;
     }
-    for (size_t i = 0; i < n; ++i)
-        spreadPlanesGroupScalar(pws[i], n_planes, parity, group, outs[i]);
+    spreadWinnerPlanesScalar(bufs, n_pixels, n_inputs, pstride, n_words,
+                             n_planes, parity, winners, outs);
 }
 
 __attribute__((target("avx2"))) static uint64_t
@@ -948,46 +988,26 @@ void
 avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
                      uint16_t *out)
 {
-    for (size_t g = 0; g < 4; ++g)
-        spreadPlanesGroupScalar(pw, n_planes, parity, g, out + g * 16);
+    spreadWordScalar(pw, n_planes, parity, out);
 }
 
 void
-avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes, bool parity,
-                      size_t group, uint16_t *out)
+avx2PlaneGroupSums(const uint64_t *const *bufs, size_t n_pixels,
+                   size_t n_inputs, size_t pstride, size_t n_words,
+                   size_t n_planes, bool parity, uint16_t *sums)
 {
-    spreadPlanesGroupScalar(pw, n_planes, parity, group, out);
+    planeGroupSumsScalar(bufs, n_pixels, n_inputs, pstride, n_words,
+                         n_planes, parity, sums);
 }
 
 void
-avx2PlaneWordSums(const uint64_t *pw, const PlaneSumWeights &wts,
-                  uint32_t *sums)
+avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
+                       size_t n_inputs, size_t pstride, size_t n_words,
+                       size_t n_planes, bool parity, const uint8_t *winners,
+                       uint16_t *const *outs)
 {
-    planeWordSumsScalar(pw, wts, sums);
-}
-
-void
-avx2PlaneWordSumsMulti(const uint64_t *const *bufs, size_t n_bufs,
-                       size_t pstride, size_t n_words,
-                       const PlaneSumWeights &wts, uint32_t *sums)
-{
-    for (size_t b = 0; b < n_bufs; ++b) {
-        const uint64_t *pw = bufs[b];
-        uint32_t *dst = sums + b * n_words * 4;
-        for (size_t q = 0; q < n_words; ++q, pw += pstride, dst += 4) {
-            dst[0] = dst[1] = dst[2] = dst[3] = 0;
-            planeWordSumsScalar(pw, wts, dst);
-        }
-    }
-}
-
-void
-avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
-                           size_t n_planes, bool parity, size_t group,
-                           uint16_t *const *outs)
-{
-    for (size_t i = 0; i < n; ++i)
-        spreadPlanesGroupScalar(pws[i], n_planes, parity, group, outs[i]);
+    spreadWinnerPlanesScalar(bufs, n_pixels, n_inputs, pstride, n_words,
+                             n_planes, parity, winners, outs);
 }
 
 uint64_t

@@ -15,8 +15,8 @@
  *    weight-stationary micro-batch, emitting counts or bit-planes (the
  *    block-level counters and inner products reach it as one-filter
  *    callers of fusedProductCountsMulti);
- *  - the plane readers (avx2SpreadPlanes*, avx2PlaneWordSums*) of the
- *    Figure 8 max-pooling selector;
+ *  - the plane readers (avx2SpreadPlanesWord, avx2PlaneGroupSums,
+ *    avx2SpreadWinnerPlanes) of the Figure 8 max-pooling selector;
  *  - avx2SumU16: the segment accumulation of the masked binary
  *    max-pooling kernel and of the output layer's class scores;
  *  - avx2XnorPopcountMulti and avx2BtanhWordsBatch: the binary
@@ -135,79 +135,52 @@ size_t avx2ProductFold(const ProductFold &fold);
 
 /**
  * Transpose one word's canonical count planes back into 64 per-cycle
- * uint16 counts: pw[0 .. n_planes) are the planes, pw[n_planes] the
- * parity word; when @p parity is true each count's LSB is replaced by
- * the parity bit (the approximate-counter substitution). Bit-exact
- * with the transposes of the counts kernels. Falls back to a scalar
- * loop when AVX2 is not enabled.
+ * uint16 counts: pw[0 .. n_planes) are the planes (n_planes < 16),
+ * pw[n_planes] the parity word; when @p parity is true each count's
+ * LSB is replaced by the parity bit (the approximate-counter
+ * substitution). Bit-exact with the transposes of the counts kernels.
+ * Falls back to a scalar loop when AVX2 is not enabled.
  */
 void avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes,
                           bool parity, uint16_t *out);
 
-/** avx2SpreadPlanesWord for one 16-cycle group of the word (cycles
- *  [group * 16, group * 16 + 16), group < 4), writing 16 counts — the
- *  pooling-segment granularity, so the Figure 8 forwarding never
- *  transposes cycles it does not emit. */
-void avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes,
-                           bool parity, size_t group, uint16_t *out);
+/**
+ * Segment evidence of the Figure 8 selector on its 16-cycle grid: the
+ * per-group count sums of a pooling call's window planes, without
+ * materializing any per-cycle counts. bufs[j * n_inputs + k] is pixel
+ * j, input k's plane buffer (word q's @p n_planes planes and parity
+ * word at + q * pstride, the fusedProductPlanesMultiBatch form).
+ * Writes sums[((j * n_words + q) * 4 + g) * 4 + k], the sum of input
+ * k's counts over cycles [64q + 16g, 64q + 16g + 16) with the parity
+ * substitution when @p parity: one 4-input record per group, inputs
+ * k >= n_inputs zero. n_inputs <= 4 and 1 <= n_planes <= 12, so every
+ * sum is below 16 * 2^12 and exact in uint16.
+ *
+ * The AVX2 body sums a word's 4-plane quads vertically in 16-bit lanes
+ * (byte popcounts weighted by maddubs, Horner-shifted by 4 per quad)
+ * and does one horizontal reduction per word. Its whole-quad loads
+ * read up to three words past each word's parity slot: pad every
+ * buffer's tail by four words.
+ */
+void avx2PlaneGroupSums(const uint64_t *const *bufs, size_t n_pixels,
+                        size_t n_inputs, size_t pstride, size_t n_words,
+                        size_t n_planes, bool parity, uint16_t *sums);
 
 /**
- * Precomputed byte weights for avx2PlaneWordSums. Quads start at the
- * first live plane (base = 1 under parity, else 0, so no quad is spent
- * on the substituted plane 0): quad q's 32 weight bytes hold the
- * relative digit values 2^i for planes base + 4q + i (zero for slots
- * past the plane count), and shift[q] = base + 4q rescales the quad's
- * partial sums. Built once per pooling call via planeSumWeightsInit.
+ * The Figure 8 selector's forwarding over the same buffers: group g of
+ * word q of pixel j emits input winners[(j * n_words + q) * 4 + g]'s
+ * counts into outs[j][64q + 16g, 64q + 16g + 16). Each word's winning
+ * groups are muxed into one set of plane words (16-bit fields picked
+ * by per-input group masks, no branches), which are then transposed
+ * once, as avx2SpreadPlanesWord does — a word whose groups have
+ * different winners costs the same as one with a single winner. Every
+ * winner byte must be < n_inputs (<= 4); whole words are written. The
+ * tail-padding requirement of avx2PlaneGroupSums applies.
  */
-struct PlaneSumWeights
-{
-    uint8_t w[3][32];
-    unsigned shift[3];
-    size_t base;
-    size_t quads;
-    size_t n_planes;
-    bool parity;
-};
-
-/** Fill @p wts for @p n_planes count planes (must be <= 12) with the
- *  parity-word LSB substitution applied when @p parity. */
-void planeSumWeightsInit(PlaneSumWeights &wts, size_t n_planes,
-                         bool parity);
-
-/**
- * Per-16-cycle-group count sums of one word's planes: accumulates into
- * sums[g] (g < 4) the sum of the word's per-cycle counts over cycles
- * [16g, 16g + 16), i.e. popcount-weighted plane digits (with the
- * parity substitution when wts.parity). One byte-popcount + maddubs
- * pass per 4-plane quad — the Figure 8 selector's segment evidence
- * without materializing any per-cycle counts. The quad loads read
- * whole 4-plane groups, so pw must stay readable for wts.quads * 4
- * words (pad the plane buffer's tail by two words). Falls back to a
- * scalar loop when AVX2 is not enabled.
- */
-void avx2PlaneWordSums(const uint64_t *pw, const PlaneSumWeights &wts,
-                       uint32_t *sums);
-
-/**
- * avx2PlaneWordSums over @p n_words consecutive plane words of
- * @p n_bufs plane buffers (word q of buffer b at bufs[b] + q * pstride,
- * pstride = planes + parity word): writes — does not accumulate — the
- * four group sums of (b, q) to sums[(b * n_words + q) * 4 + g]. One
- * runtime dispatch for a whole pooling call's sum table instead of one
- * per word. The tail-padding requirement of avx2PlaneWordSums applies
- * to every buffer.
- */
-void avx2PlaneWordSumsMulti(const uint64_t *const *bufs, size_t n_bufs,
-                            size_t pstride, size_t n_words,
-                            const PlaneSumWeights &wts, uint32_t *sums);
-
-/** avx2SpreadPlanesGroup for the same 16-cycle group of @p n plane
- *  words (pws[i] points at one word's planes, the group's counts land
- *  at outs[i][0..16)) — one dispatch per pooling chunk across the
- *  micro-batch. */
-void avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
-                                size_t n_planes, bool parity,
-                                size_t group, uint16_t *const *outs);
+void avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
+                            size_t n_inputs, size_t pstride,
+                            size_t n_words, size_t n_planes, bool parity,
+                            const uint8_t *winners, uint16_t *const *outs);
 
 /**
  * Sum of @p n uint16 values (the masked pooling segment accumulator

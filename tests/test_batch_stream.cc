@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "blocks/pooling.h"
 #include "common/thread_pool.h"
 #include "core/sc_network.h"
 #include "nn/trainer.h"
@@ -143,154 +142,6 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
                                 << " w0=" << w0
                                 << " approx=" << approximate
                                 << " simd=" << simd_on;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
-{
-    // binaryMaxPoolPlanesBatch over canonical count planes must be
-    // bit-exact — outputs and carried selector state — with
-    // binaryMaxPoolRange over the (parity-substituted) transposed
-    // counts: the 16-cycle-grid fast path and the masked general path,
-    // across plane depths, pool widths, batch sizes, segment lengths
-    // on and off the group grid, both counter readings, SIMD on and
-    // off, carried over a word-aligned range split with a partial
-    // zero-masked tail word.
-    constexpr size_t kLen = 200; // 4 words, 8-cycle tail
-    const size_t n_words = (kLen + 63) / 64;
-    sc::SplitMix64 vals(0xB007);
-    for (size_t plane_cap : {size_t{3}, size_t{5}, size_t{9}}) {
-        for (size_t n_inputs : {size_t{2}, size_t{4}}) {
-            for (size_t n_images : {size_t{1}, size_t{3}}) {
-                for (size_t segment_len :
-                     {size_t{16}, size_t{48}, size_t{10}}) {
-                    for (bool parity : {true, false}) {
-                        for (bool accumulate : {true, false}) {
-                            for (bool simd_on : {true, false}) {
-                                sc::simd::setEnabled(simd_on);
-                                const size_t pstride = plane_cap + 1;
-                                const size_t n_bufs =
-                                    n_images * n_inputs;
-                                // Random canonical planes + parity
-                                // word, and the per-cycle counts a
-                                // consumer with the same parity flag
-                                // would see.
-                                std::vector<std::vector<uint64_t>> bufs(
-                                    n_bufs);
-                                std::vector<std::vector<uint16_t>> eff(
-                                    n_bufs);
-                                for (size_t b = 0; b < n_bufs; ++b) {
-                                    // +4 tail words for the pooling
-                                    // quad-load overread.
-                                    bufs[b].assign(n_words * pstride + 4,
-                                                   0);
-                                    eff[b].assign(n_words * 64, 0);
-                                    for (size_t i = 0; i < kLen; ++i) {
-                                        const auto c =
-                                            static_cast<uint16_t>(
-                                                vals.next() &
-                                                ((1u << plane_cap) -
-                                                 1));
-                                        const uint64_t lsb =
-                                            vals.next() & 1;
-                                        const size_t w = i / 64;
-                                        const uint64_t bit =
-                                            uint64_t{1} << (i % 64);
-                                        for (size_t p = 0;
-                                             p < plane_cap; ++p)
-                                            if ((c >> p) & 1)
-                                                bufs[b][w * pstride +
-                                                        p] |= bit;
-                                        if (lsb != 0)
-                                            bufs[b][w * pstride +
-                                                    plane_cap] |= bit;
-                                        eff[b][i] =
-                                            parity ? static_cast<
-                                                         uint16_t>(
-                                                         (c & ~1u) |
-                                                         lsb)
-                                                   : c;
-                                    }
-                                }
-                                std::vector<blocks::MaxPoolCarryState>
-                                    st_p(n_images), st_c(n_images);
-                                std::vector<
-                                    blocks::MaxPoolCarryState *>
-                                    st_ptrs(n_images);
-                                std::vector<std::vector<uint16_t>>
-                                    out_p(n_images), out_c(n_images);
-                                for (size_t j = 0; j < n_images; ++j) {
-                                    st_p[j].reset(n_inputs);
-                                    st_c[j].reset(n_inputs);
-                                    st_ptrs[j] = &st_p[j];
-                                    out_p[j].assign(n_words * 64, 0);
-                                    out_c[j].assign(n_words * 64, 0);
-                                }
-                                // Two ranges: [0, 128) and [128, 200).
-                                for (size_t r0 : {size_t{0},
-                                                  size_t{128}}) {
-                                    const size_t nc =
-                                        std::min(kLen, r0 + 128) - r0;
-                                    std::vector<const uint64_t *> pp(
-                                        n_bufs);
-                                    std::vector<uint16_t *> op(
-                                        n_images);
-                                    for (size_t b = 0; b < n_bufs; ++b)
-                                        pp[b] = bufs[b].data() +
-                                                (r0 / 64) * pstride;
-                                    for (size_t j = 0; j < n_images;
-                                         ++j)
-                                        op[j] = out_p[j].data() + r0;
-                                    blocks::binaryMaxPoolPlanesBatch(
-                                        pp.data(), n_images, n_inputs,
-                                        plane_cap, parity, r0, nc,
-                                        segment_len, accumulate,
-                                        st_ptrs.data(), op.data());
-                                    for (size_t j = 0; j < n_images;
-                                         ++j) {
-                                        std::vector<const uint16_t *>
-                                            cp(n_inputs);
-                                        for (size_t k = 0;
-                                             k < n_inputs; ++k)
-                                            cp[k] = eff[j * n_inputs +
-                                                        k]
-                                                        .data() +
-                                                    r0;
-                                        blocks::binaryMaxPoolRange(
-                                            cp.data(), n_inputs, r0,
-                                            nc, segment_len,
-                                            accumulate, st_c[j],
-                                            out_c[j].data() + r0);
-                                    }
-                                }
-                                for (size_t j = 0; j < n_images; ++j) {
-                                    EXPECT_EQ(
-                                        std::vector<uint16_t>(
-                                            out_p[j].begin(),
-                                            out_p[j].begin() + kLen),
-                                        std::vector<uint16_t>(
-                                            out_c[j].begin(),
-                                            out_c[j].begin() + kLen))
-                                        << "cap=" << plane_cap
-                                        << " inputs=" << n_inputs
-                                        << " seg=" << segment_len
-                                        << " parity=" << parity
-                                        << " acc=" << accumulate
-                                        << " simd=" << simd_on
-                                        << " image=" << j;
-                                    EXPECT_EQ(st_p[j].selected,
-                                              st_c[j].selected)
-                                        << "image=" << j;
-                                    EXPECT_EQ(st_p[j].counters,
-                                              st_c[j].counters)
-                                        << "image=" << j;
-                                }
-                            }
                         }
                     }
                 }

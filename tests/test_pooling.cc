@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +14,7 @@
 
 #include "blocks/pooling.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 
 namespace scdcnn {
@@ -320,7 +323,7 @@ TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
                         ptrs[k] = ins[k].words().data() + w0;
                     maxPoolStreamsRange(ptrs, ins.size(), w0 * 64,
                                         n_cycles, segment_len, accumulate,
-                                        state, stitched.data() + w0);
+                                        state.view(), stitched.data() + w0);
                 }
                 EXPECT_EQ(stitched, whole.words())
                     << "segment_len=" << segment_len
@@ -358,7 +361,8 @@ TEST(BinaryMaxPoolRange, CarriedStateMatchesWholeSequenceKernel)
                         ptrs[k] = counts[k].data() + w0 * 64;
                     binaryMaxPoolRange(ptrs, counts.size(), w0 * 64,
                                        n_cycles, segment_len, accumulate,
-                                       state, stitched.data() + w0 * 64);
+                                       state.view(),
+                                       stitched.data() + w0 * 64);
                 }
                 EXPECT_EQ(stitched, whole)
                     << "segment_len=" << segment_len
@@ -416,6 +420,173 @@ TEST(SignedAveragePoolingRange, PointerVariantMatchesVectorVariant)
         ptrs[k] = counts[k].data();
     binaryAveragePoolingSignedRange(ptrs, 4, 16, 64, ranged.data());
     EXPECT_EQ(ranged, whole);
+}
+
+/** Restore the processwide SIMD selection after each test. */
+class BatchKernel : public ::testing::Test
+{
+  protected:
+    void TearDown() override { sc::simd::setEnabled(true); }
+};
+
+/** Window contents of the plane-pooling oracle test. */
+enum class Windows
+{
+    Random,    //!< independent random counts per window
+    Identical, //!< every window the same: window 0 wins every tie
+    ZeroTied,  //!< window 0 all zero, the rest identical: window 1 wins
+    Zero,      //!< all-zero windows: the selection goes to window 0
+};
+
+/**
+ * One pixel-batch of random canonical count planes (plane_cap planes
+ * plus a parity word per word, kLen cycles, zero past the stream end,
+ * four tail words for the kernel's overread), and the per-cycle counts
+ * a consumer with the same parity flag would see.
+ */
+struct PlaneWindows
+{
+    static constexpr size_t kLen = 200; // 4 words, 8-cycle tail
+    static constexpr size_t kWords = (kLen + 63) / 64;
+
+    std::vector<std::vector<uint64_t>> planes; //!< [pixel * inputs + k]
+    std::vector<std::vector<uint16_t>> counts; //!< same indexing
+
+    PlaneWindows(size_t n_bufs, size_t plane_cap, bool parity,
+                 sc::SplitMix64 &vals)
+        : planes(n_bufs), counts(n_bufs)
+    {
+        const size_t pstride = plane_cap + 1;
+        for (size_t b = 0; b < n_bufs; ++b) {
+            planes[b].assign(kWords * pstride + 4, 0);
+            counts[b].assign(kWords * 64, 0);
+            for (size_t i = 0; i < kLen; ++i) {
+                const auto c = static_cast<uint16_t>(
+                    vals.next() & ((1u << plane_cap) - 1));
+                const uint64_t lsb = vals.next() & 1;
+                uint64_t *pw = planes[b].data() + (i / 64) * pstride;
+                const uint64_t bit = uint64_t{1} << (i % 64);
+                for (size_t p = 0; p < plane_cap; ++p)
+                    if ((c >> p) & 1)
+                        pw[p] |= bit;
+                if (lsb != 0)
+                    pw[plane_cap] |= bit;
+                counts[b][i] = parity ? static_cast<uint16_t>((c & ~1u) | lsb)
+                                      : c;
+            }
+        }
+    }
+
+    /** Overwrite window @p k of every pixel with window @p from's
+     *  contents, or with zeros when @p from is SIZE_MAX. */
+    void copyWindow(size_t n_inputs, size_t k, size_t from)
+    {
+        for (size_t b = k; b < planes.size(); b += n_inputs) {
+            if (from == SIZE_MAX) {
+                std::fill(planes[b].begin(), planes[b].end(), 0);
+                std::fill(counts[b].begin(), counts[b].end(), 0);
+            } else {
+                planes[b] = planes[b - k + from];
+                counts[b] = counts[b - k + from];
+            }
+        }
+    }
+};
+
+TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
+{
+    // binaryMaxPoolPlanesBatch over canonical count planes must be
+    // bit-exact — outputs and carried selector state — with
+    // binaryMaxPoolRange over the (parity-substituted) transposed
+    // counts: the 16-cycle-grid fast path and the masked general path,
+    // across plane depths up to the fast path's bound, pool widths,
+    // pixel counts (17: a 16-pixel tile plus a tail), segment lengths
+    // on and off the group grid, both counter readings, SIMD on and
+    // off, tied and all-zero windows, from a non-zero first selection,
+    // carried over a word-aligned range split with a partial
+    // zero-masked tail word.
+    constexpr size_t kLen = PlaneWindows::kLen;
+    sc::SplitMix64 vals(0xB007);
+    for (size_t plane_cap : {3, 5, 9, 12})
+    for (size_t n_inputs : {2, 4})
+    for (size_t n_pixels : {1, 3, 17})
+    for (Windows windows : {Windows::Random, Windows::Identical,
+                            Windows::ZeroTied, Windows::Zero})
+    for (size_t segment_len : {16, 48, 10})
+    for (bool parity : {true, false})
+    for (bool accumulate : {true, false})
+    for (bool simd_on : {true, false}) {
+        sc::simd::setEnabled(simd_on);
+        const size_t pstride = plane_cap + 1;
+        PlaneWindows in(n_pixels * n_inputs, plane_cap, parity, vals);
+        if (windows == Windows::Identical)
+            for (size_t k = 1; k < n_inputs; ++k)
+                in.copyWindow(n_inputs, k, 0);
+        if (windows == Windows::ZeroTied) {
+            in.copyWindow(n_inputs, 0, SIZE_MAX);
+            for (size_t k = 2; k < n_inputs; ++k)
+                in.copyWindow(n_inputs, k, 1);
+        }
+        if (windows == Windows::Zero)
+            for (size_t k = 0; k < n_inputs; ++k)
+                in.copyWindow(n_inputs, k, SIZE_MAX);
+
+        std::vector<MaxPoolCarryState> st_p(n_pixels), st_c(n_pixels);
+        std::vector<MaxPoolCarry> views(n_pixels);
+        std::vector<std::vector<uint16_t>> out_p(n_pixels), out_c(n_pixels);
+        for (size_t j = 0; j < n_pixels; ++j) {
+            // The first segment forwards the last window.
+            st_p[j].reset(n_inputs, n_inputs - 1);
+            st_c[j].reset(n_inputs, n_inputs - 1);
+            views[j] = st_p[j].view();
+            out_p[j].assign(PlaneWindows::kWords * 64, 0);
+            out_c[j].assign(PlaneWindows::kWords * 64, 0);
+        }
+        // Two ranges: [0, 128) and [128, 200).
+        for (size_t r0 : {0, 128}) {
+            const size_t nc = std::min(kLen, r0 + 128) - r0;
+            std::vector<const uint64_t *> pp;
+            std::vector<uint16_t *> op;
+            for (const auto &buf : in.planes)
+                pp.push_back(buf.data() + (r0 / 64) * pstride);
+            for (auto &out : out_p)
+                op.push_back(out.data() + r0);
+            binaryMaxPoolPlanesBatch(pp.data(), n_pixels, n_inputs,
+                                     plane_cap, parity, r0, nc, segment_len,
+                                     accumulate, views.data(), op.data());
+            for (size_t j = 0; j < n_pixels; ++j) {
+                std::vector<const uint16_t *> cp;
+                for (size_t k = 0; k < n_inputs; ++k)
+                    cp.push_back(in.counts[j * n_inputs + k].data() + r0);
+                binaryMaxPoolRange(cp.data(), n_inputs, r0, nc, segment_len,
+                                   accumulate, st_c[j].view(),
+                                   out_c[j].data() + r0);
+            }
+        }
+        for (size_t j = 0; j < n_pixels; ++j) {
+            const std::string where =
+                "cap=" + std::to_string(plane_cap) +
+                " inputs=" + std::to_string(n_inputs) +
+                " pixels=" + std::to_string(n_pixels) +
+                " windows=" + std::to_string(static_cast<int>(windows)) +
+                " seg=" + std::to_string(segment_len) +
+                " parity=" + std::to_string(parity) +
+                " acc=" + std::to_string(accumulate) +
+                " simd=" + std::to_string(simd_on) +
+                " pixel=" + std::to_string(j);
+            EXPECT_TRUE(std::equal(out_p[j].begin(), out_p[j].begin() + kLen,
+                                   out_c[j].begin()))
+                << where;
+            EXPECT_EQ(st_p[j].selected, st_c[j].selected) << where;
+            EXPECT_EQ(st_p[j].counters, st_c[j].counters) << where;
+            // The tie rule itself, not just agreement with the twin.
+            if (windows == Windows::Identical || windows == Windows::Zero) {
+                EXPECT_EQ(st_p[j].selected, 0u) << where;
+            } else if (windows == Windows::ZeroTied) {
+                EXPECT_EQ(st_p[j].selected, 1u) << where;
+            }
+        }
+    }
 }
 
 } // namespace
