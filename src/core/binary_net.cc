@@ -1,10 +1,13 @@
 #include "core/binary_net.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/logging.h"
 #include "nn/layers.h"
 #include "nn/quantize.h"
+#include "obs/trace.h"
 #include "sc/fused.h"
 
 namespace scdcnn {
@@ -12,51 +15,49 @@ namespace core {
 
 namespace {
 
-/** Incremental bit packer: appends chunks of up to 64 bits LSB-first
- *  into a word buffer (the operand/flatten gather of the binary
- *  forward pass). Tail bits of the last word stay zero. */
-struct BitPacker
+/** A run of @c nb window taps contiguous in the flat input, starting
+ *  @c at past the window's origin. nb <= kMaxRun, so the 8 bytes from
+ *  the run's first byte hold it at any bit offset; the gather reads
+ *  them in memory order, hence little-endian words. */
+struct TapRun
 {
-    uint64_t *out;
-    uint64_t acc = 0;
-    size_t fill = 0;   //!< bits buffered in acc
-    size_t word_i = 0; //!< words already flushed
-
-    explicit BitPacker(uint64_t *dst) : out(dst) {}
-
-    void push(uint64_t bits, size_t nb)
-    {
-        acc |= bits << fill;
-        if (fill + nb >= 64) {
-            out[word_i++] = acc;
-            const size_t used = 64 - fill;
-            acc = used < nb ? bits >> used : 0;
-            fill = fill + nb - 64;
-        } else {
-            fill += nb;
-        }
-    }
-
-    void pushBit(bool b) { push(b ? 1 : 0, 1); }
-
-    void finish()
-    {
-        if (fill > 0) {
-            out[word_i++] = acc;
-            acc = 0;
-            fill = 0;
-        }
-    }
+    size_t at;
+    size_t nb;
 };
+constexpr size_t kMaxRun = 57;
+static_assert(std::endian::native == std::endian::little,
+              "the window gather reads packed words bytewise");
 
-size_t
-argmaxFirst(const std::vector<double> &scores)
+/**
+ * Packs one window's operand bits LSB-first into @p dst: every run of
+ * the packed vector @p src, then the constant +1 bias bit. @p src
+ * carries one readable word past its last bit, so the 8-byte load of
+ * a run near the end stays inside it (the bits read past the run are
+ * masked off).
+ */
+void
+gatherWindow(const uint64_t *src, size_t origin,
+             const std::vector<TapRun> &runs, uint64_t *dst)
 {
-    size_t best = 0;
-    for (size_t i = 1; i < scores.size(); ++i)
-        if (scores[i] > scores[best])
-            best = i;
-    return best;
+    const auto *bytes = reinterpret_cast<const unsigned char *>(src);
+    uint64_t acc = 0;
+    size_t fill = 0; // bits buffered in acc
+    for (const TapRun &r : runs) {
+        const size_t off = origin + r.at;
+        uint64_t v;
+        std::memcpy(&v, bytes + off / 8, sizeof v);
+        const uint64_t bits =
+            (v >> (off % 8)) & ((uint64_t{1} << r.nb) - 1);
+        acc |= bits << fill;
+        if (fill + r.nb >= 64) {
+            *dst++ = acc;
+            acc = bits >> (64 - fill); // fill > 0: nb < 64
+            fill = fill + r.nb - 64;
+        } else {
+            fill += r.nb;
+        }
+    }
+    *dst = acc | uint64_t{1} << fill; // bias input
 }
 
 } // namespace
@@ -65,253 +66,196 @@ BinaryNetwork::BinaryNetwork(const nn::Network &trained,
                              const nn::NetworkPlan &plan, Options opts)
     : plan_(plan), opts_(opts)
 {
-    SCDCNN_ASSERT(plan_.in_w <= 64,
-                  "binary row packing needs width <= 64, got %zu",
-                  plan_.in_w);
     // The plan carries geometry but not the pooling flavour; recover
     // it from the trained net's pool layers so the binary pass matches
     // the float oracle exactly.
     const std::vector<nn::StageOutline> outline =
         nn::outlineNetworkStages(trained);
-    stages_.resize(plan_.stages.size());
-    for (size_t l = 0; l < plan_.stages.size(); ++l) {
-        SCDCNN_ASSERT(plan_.stages[l].out_w <= 64,
-                      "binary row packing needs width <= 64, got %zu",
-                      plan_.stages[l].out_w);
-        packStage(trained, plan_.stages[l],
-                  opts_.full_precision_edges && l == 0, stages_[l]);
-        if (plan_.stages[l].kind == nn::StageOutline::Kind::Conv) {
+    const size_t n_hidden = plan_.stages.size();
+    stages_.resize(n_hidden + 1);
+    for (size_t l = 0; l <= n_hidden; ++l) {
+        const nn::PlanStage &st =
+            l < n_hidden ? plan_.stages[l] : plan_.output;
+        // The full-precision edges: the network's first stage and the
+        // output layer.
+        packStage(trained, st,
+                  opts_.full_precision_edges && (l == 0 || l == n_hidden),
+                  stages_[l]);
+        if (st.pooled) {
             const auto &pool = dynamic_cast<const nn::PoolLayer &>(
                 trained.layer(outline[l].pool_index));
             stages_[l].max_pool = pool.mode() == nn::PoolLayer::Mode::Max;
         }
     }
-    packStage(trained, plan_.output, opts_.full_precision_edges, out_);
 }
 
 void
 BinaryNetwork::packStage(const nn::Network &net, const nn::PlanStage &st,
                          bool fp_edge, Stage &out) const
 {
+    // Filter o's weight row in the layer's storage order ((channel,
+    // row, column) for a conv filter, input order for a neuron) is
+    // w[o * fan_in ..]: the tap order of runStage's window gather. The
+    // layer's parameter accessors are non-const; they are only read.
+    nn::Layer &layer = const_cast<nn::Layer &>(net.layer(st.layer_index));
+    const std::vector<float> &w = *layer.weights();
+    const std::vector<float> &bias = *layer.biases();
     out.st = st;
     out.n = st.fan_in + 1;
-    const bool conv = st.kind == nn::StageOutline::Kind::Conv;
-    const size_t filters = conv ? st.out_c : st.flatOut();
 
     if (fp_edge) {
-        // Full-precision stage: keep the trained float parameters in
-        // the oracle's (ci, ky, kx) tap order; no packed weights.
-        out.fw.resize(filters * st.fan_in);
-        out.fb.resize(filters);
-        if (conv) {
-            const auto &layer = dynamic_cast<const nn::ConvLayer &>(
-                net.layer(st.layer_index));
-            size_t i = 0;
-            for (size_t co = 0; co < filters; ++co) {
-                for (size_t ci = 0; ci < layer.cIn(); ++ci)
-                    for (size_t ky = 0; ky < layer.kernel(); ++ky)
-                        for (size_t kx = 0; kx < layer.kernel(); ++kx)
-                            out.fw[i++] = layer.weightAt(co, ci, ky, kx);
-                out.fb[co] = layer.biasAt(co);
-            }
-        } else {
-            const auto &layer = dynamic_cast<const nn::FullyConnected &>(
-                net.layer(st.layer_index));
-            size_t i = 0;
-            for (size_t o = 0; o < filters; ++o) {
-                for (size_t in = 0; in < layer.nIn(); ++in)
-                    out.fw[i++] = layer.weightAt(o, in);
-                out.fb[o] = layer.biasAt(o);
-            }
-        }
+        // Full-precision edge: the trained floats, no packed weights.
+        out.fw.assign(w.begin(), w.end());
+        out.fb.assign(bias.begin(), bias.end());
         return;
     }
 
-    // Sign-quantized stage: one packed stream per filter, fan_in taps
-    // in (ci, ky, kx) / input order plus the bias sign as the last
-    // tap (its operand bit is the constant +1).
-    out.weights.reset(filters, 1, out.n);
+    // Sign-quantized: one packed stream per filter, its fan_in taps
+    // plus the bias sign as the last tap (its operand bit is the
+    // constant +1).
+    out.weights.reset(st.out_c, 1, out.n);
     sc::Bitstream bits(out.n);
-    if (conv) {
-        const auto &layer = dynamic_cast<const nn::ConvLayer &>(
-            net.layer(st.layer_index));
-        for (size_t co = 0; co < filters; ++co) {
-            bits.reset(out.n);
-            size_t i = 0;
-            for (size_t ci = 0; ci < layer.cIn(); ++ci)
-                for (size_t ky = 0; ky < layer.kernel(); ++ky)
-                    for (size_t kx = 0; kx < layer.kernel(); ++kx)
-                        bits.set(i++, nn::signQuantizeBit(
-                                          layer.weightAt(co, ci, ky, kx)));
-            bits.set(i, nn::signQuantizeBit(layer.biasAt(co)));
-            out.weights.assign(co, 0, sc::BitstreamView(bits));
-        }
-    } else {
-        const auto &layer = dynamic_cast<const nn::FullyConnected &>(
-            net.layer(st.layer_index));
-        for (size_t o = 0; o < filters; ++o) {
-            bits.reset(out.n);
-            size_t i = 0;
-            for (size_t in = 0; in < layer.nIn(); ++in)
-                bits.set(i++,
-                         nn::signQuantizeBit(layer.weightAt(o, in)));
-            bits.set(i, nn::signQuantizeBit(layer.biasAt(o)));
-            out.weights.assign(o, 0, sc::BitstreamView(bits));
-        }
+    for (size_t o = 0; o < st.out_c; ++o) {
+        bits.reset(out.n);
+        for (size_t i = 0; i < st.fan_in; ++i)
+            bits.set(i, nn::signQuantizeBit(w[o * st.fan_in + i]));
+        bits.set(st.fan_in, nn::signQuantizeBit(bias[o]));
+        out.weights.assign(o, 0, sc::BitstreamView(bits));
     }
 }
 
 void
-BinaryNetwork::runConvStage(const Stage &stage, const BitGrid &in,
-                            Kernel kernel, BitGrid &out) const
+BinaryNetwork::runStage(const Stage &sg, const std::vector<uint64_t> &x,
+                        const nn::Tensor *pixels, Kernel kernel,
+                        std::vector<uint64_t> &y,
+                        std::vector<double> *scores) const
 {
-    const nn::PlanStage &st = stage.st;
-    SCDCNN_ASSERT(in.c == st.in_c && in.h == st.in_h && in.w == st.in_w,
-                  "conv stage input grid mismatch");
-    const size_t k = st.in_h - (st.pooled ? 2 * st.out_h : st.out_h) + 1;
-    const size_t n_win = st.pooled ? 4 : 1;
-    const uint64_t kmask = (uint64_t{1} << k) - 1;
-    const size_t n_words = (stage.n + 63) / 64;
+    // An fc stage is a conv stage whose kernel covers its whole input
+    // grid: one output position and one window (side 1), no pooling.
+    const nn::PlanStage &st = sg.st;
+    const size_t side = st.pooled ? 2 : 1; // pooling window side
+    const size_t windows = side * side;
+    const size_t kh = st.in_h - side * st.out_h + 1;
+    const size_t kw = st.in_w - side * st.out_w + 1;
+    const size_t positions = st.out_h * st.out_w;
+    const size_t n_out = st.out_c * positions;
+    const size_t n_words = (sg.n + 63) / 64;
+    const bool fp = !sg.fw.empty();
+    const bool fused = kernel == Kernel::Fused;
+    // The window's taps in runs contiguous in the flat input: rows of
+    // kw taps, merged into whole channels on a whole-width window and
+    // into one run on a whole-grid window, then cut to kMaxRun bits.
+    const size_t run = kw < st.in_w   ? kw
+                       : kh < st.in_h ? kh * kw
+                                      : st.fan_in;
+    std::vector<TapRun> runs;
+    for (size_t i = 0; i < st.fan_in; i += run)
+        for (size_t j = 0; j < run; j += kMaxRun)
+            runs.push_back(
+                {(i / (kh * kw) * st.in_h + i / kw % kh) * st.in_w + j,
+                 std::min(run - j, kMaxRun)});
+    // A full-precision edge multiplies the raw pixels on the network's
+    // first stage and the +-1 activations after it.
+    const auto value = [&](size_t t) {
+        return pixels != nullptr ? static_cast<double>((*pixels)[t])
+               : (x[t / 64] >> (t % 64)) & 1 ? 1.0
+                                              : -1.0;
+    };
 
-    out.c = st.out_c;
-    out.h = st.out_h;
-    out.w = st.out_w;
-    out.rows.assign(out.c * out.h, 0);
-
-    // Per-window packed operands (gathered once, shared by every
-    // filter block), per-channel window sums of one output row, and
-    // the row's pooled pre-activations.
-    std::vector<uint64_t> xwin(n_win * n_words);
-    std::vector<uint32_t> matches(sc::kFilterLanes);
-    std::vector<int32_t> win_buf(st.out_c * st.out_w * n_win);
-    std::vector<int32_t> row_s(st.out_w);
-
-    for (size_t oy = 0; oy < st.out_h; ++oy) {
-        for (size_t ox = 0; ox < st.out_w; ++ox) {
-            for (size_t widx = 0; widx < n_win; ++widx) {
-                const size_t cy =
-                    (st.pooled ? 2 * oy + widx / 2 : oy);
-                const size_t cx =
-                    (st.pooled ? 2 * ox + widx % 2 : ox);
-                BitPacker pk(xwin.data() + widx * n_words);
-                for (size_t ci = 0; ci < in.c; ++ci)
-                    for (size_t ky = 0; ky < k; ++ky)
-                        pk.push((in.rows[ci * in.h + cy + ky] >> cx) &
-                                    kmask,
-                                k);
-                pk.pushBit(true); // bias input
-                pk.finish();
-            }
-            for (size_t g = 0; g < stage.weights.groups(); ++g) {
-                const sc::WeightBlockView block = stage.weights.block(g);
-                for (size_t widx = 0; widx < n_win; ++widx) {
-                    const sc::BitstreamView x(
-                        xwin.data() + widx * n_words, stage.n);
-                    if (kernel == Kernel::Fused)
-                        sc::fusedXnorPopcountMulti(x, block,
-                                                   matches.data());
-                    else
-                        sc::referenceXnorPopcountMulti(x, block,
-                                                       matches.data());
-                    for (size_t f = 0; f < block.lanes; ++f) {
-                        const size_t co = g * sc::kFilterLanes + f;
-                        win_buf[(co * st.out_w + ox) * n_win + widx] =
-                            2 * static_cast<int32_t>(matches[f]) -
-                            static_cast<int32_t>(stage.n);
-                    }
-                }
-            }
-        }
-        const bool max_pool = stage.max_pool;
-        for (size_t co = 0; co < st.out_c; ++co) {
-            const int32_t *wins =
-                win_buf.data() + co * st.out_w * n_win;
-            if (n_win == 4) {
-                if (kernel == Kernel::Fused)
-                    sc::fusedBinaryPool4(wins, st.out_w, max_pool,
-                                         row_s.data());
-                else
-                    sc::referenceBinaryPool4(wins, st.out_w, max_pool,
-                                             row_s.data());
-            } else {
-                std::copy(wins, wins + st.out_w, row_s.begin());
-            }
-            uint64_t *row = &out.rows[co * out.h + oy];
-            if (kernel == Kernel::Fused)
-                sc::fusedSignPack(row_s.data(), st.out_w, row);
-            else
-                sc::referenceSignPack(row_s.data(), st.out_w, row);
-        }
-    }
-}
-
-void
-BinaryNetwork::runConvStageFp(const Stage &stage, const nn::Tensor &image,
-                              BitGrid &out) const
-{
-    const nn::PlanStage &st = stage.st;
-    const size_t k = st.in_h - (st.pooled ? 2 * st.out_h : st.out_h) + 1;
-    const size_t n_win = st.pooled ? 4 : 1;
-
-    out.c = st.out_c;
-    out.h = st.out_h;
-    out.w = st.out_w;
-    out.rows.assign(out.c * out.h, 0);
-
-    for (size_t co = 0; co < st.out_c; ++co) {
-        const double *fw = stage.fw.data() + co * st.fan_in;
-        for (size_t oy = 0; oy < st.out_h; ++oy) {
-            uint64_t row = 0;
-            for (size_t ox = 0; ox < st.out_w; ++ox) {
-                double pooled = 0.0;
-                for (size_t widx = 0; widx < n_win; ++widx) {
-                    const size_t cy =
-                        (st.pooled ? 2 * oy + widx / 2 : oy);
-                    const size_t cx =
-                        (st.pooled ? 2 * ox + widx % 2 : ox);
-                    double s = 0.0;
-                    size_t i = 0;
-                    for (size_t ci = 0; ci < st.in_c; ++ci)
-                        for (size_t ky = 0; ky < k; ++ky)
-                            for (size_t kx = 0; kx < k; ++kx)
-                                s += fw[i++] *
-                                     static_cast<double>(image.at(
-                                         ci, cy + ky, cx + kx));
-                    s += stage.fb[co];
-                    if (widx == 0)
-                        pooled = s;
-                    else if (stage.max_pool)
-                        pooled = std::max(pooled, s);
-                    else
-                        pooled += s;
-                }
-                if (pooled >= 0.0)
-                    row |= uint64_t{1} << ox;
-            }
-            out.rows[co * out.h + oy] = row;
-        }
-    }
-}
-
-void
-BinaryNetwork::runFcStage(const Stage &stage, const std::vector<uint64_t> &x,
-                          Kernel kernel, std::vector<int32_t> &s_out) const
-{
-    const size_t filters = stage.weights.filters();
-    s_out.resize(filters);
-    const sc::BitstreamView xv(x.data(), stage.n);
+    // Window pre-activations at (filter, position, window), the order
+    // pooling reads: the integers 2m - n, or float dot products on a
+    // full-precision edge.
+    std::vector<int32_t> win(fp ? 0 : n_out * windows);
+    std::vector<double> win_fp(fp ? n_out * windows : 0);
+    std::vector<uint64_t> xwin(windows * n_words);
     uint32_t matches[sc::kFilterLanes];
-    for (size_t g = 0; g < stage.weights.groups(); ++g) {
-        const sc::WeightBlockView block = stage.weights.block(g);
-        if (kernel == Kernel::Fused)
-            sc::fusedXnorPopcountMulti(xv, block, matches);
-        else
-            sc::referenceXnorPopcountMulti(xv, block, matches);
-        for (size_t f = 0; f < block.lanes; ++f)
-            s_out[g * sc::kFilterLanes + f] =
-                2 * static_cast<int32_t>(matches[f]) -
-                static_cast<int32_t>(stage.n);
+    // Window widx of a pooling window starts corner[widx] taps past
+    // the window's top-left (windows in row-major order).
+    const size_t corner[4] = {0, 1, st.in_w, st.in_w + 1};
+    for (size_t q = 0; q < positions; ++q) {
+        // Gather each window's operand bits once per position; run r
+        // of window widx starts at flat index origin + r.at.
+        const size_t top_left =
+            side * ((q / st.out_w) * st.in_w + q % st.out_w);
+        for (size_t widx = 0; widx < windows; ++widx) {
+            const size_t origin = top_left + corner[widx];
+            if (fp) {
+                // The float dot product over the same runs, in tap
+                // order, then the bias.
+                for (size_t co = 0; co < st.out_c; ++co) {
+                    const double *fw = sg.fw.data() + co * st.fan_in;
+                    double s = 0.0;
+                    for (const TapRun &r : runs)
+                        for (size_t t = 0; t < r.nb; ++t)
+                            s += *fw++ * value(origin + r.at + t);
+                    win_fp[(co * positions + q) * windows + widx] =
+                        s + sg.fb[co];
+                }
+                continue;
+            }
+            gatherWindow(x.data(), origin, runs,
+                         xwin.data() + widx * n_words);
+        }
+        // Every filter block against every window (no blocks on a
+        // full-precision edge).
+        for (size_t g = 0; g < sg.weights.groups(); ++g) {
+            const sc::WeightBlockView block = sg.weights.block(g);
+            for (size_t widx = 0; widx < windows; ++widx) {
+                const sc::BitstreamView xv(xwin.data() + widx * n_words,
+                                           sg.n);
+                if (fused)
+                    sc::fusedXnorPopcountMulti(xv, block, matches);
+                else
+                    sc::referenceXnorPopcountMulti(xv, block, matches);
+                for (size_t f = 0; f < block.lanes; ++f) {
+                    const size_t co = g * sc::kFilterLanes + f;
+                    win[(co * positions + q) * windows + widx] =
+                        2 * static_cast<int32_t>(matches[f]) -
+                        static_cast<int32_t>(sg.n);
+                }
+            }
+        }
     }
+
+    // Pool, then report (the output layer) or activate (hidden).
+    std::vector<int32_t> pre;
+    if (fp) {
+        // The binary pooling rules on the double values; the sign the
+        // activation reads survives the cast to {0, -1}.
+        std::vector<double> pre_fp(n_out);
+        pre.resize(n_out);
+        for (size_t p = 0; p < n_out; ++p) {
+            const double *w = win_fp.data() + p * windows;
+            double acc = w[0];
+            for (size_t i = 1; i < windows; ++i)
+                acc = sg.max_pool ? std::max(acc, w[i]) : acc + w[i];
+            pre_fp[p] = acc;
+            pre[p] = acc >= 0.0 ? 0 : -1;
+        }
+        if (scores != nullptr) {
+            *scores = std::move(pre_fp);
+            return;
+        }
+    } else if (windows == 1) {
+        pre = std::move(win);
+    } else {
+        pre.resize(n_out);
+        if (fused)
+            sc::fusedBinaryPool4(win.data(), n_out, sg.max_pool,
+                                 pre.data());
+        else
+            sc::referenceBinaryPool4(win.data(), n_out, sg.max_pool,
+                                     pre.data());
+    }
+    if (scores != nullptr) {
+        scores->assign(pre.begin(), pre.end());
+        return;
+    }
+    y.resize((n_out + 63) / 64 + 1); // + gatherWindow's pad word
+    if (fused)
+        sc::fusedSignPack(pre.data(), n_out, y.data());
+    else
+        sc::referenceSignPack(pre.data(), n_out, y.data());
 }
 
 size_t
@@ -322,131 +266,35 @@ BinaryNetwork::predict(const nn::Tensor &image, std::vector<double> *scores,
                       image.height() == plan_.in_h &&
                       image.width() == plan_.in_w,
                   "image geometry does not match the plan");
-    const bool fp = opts_.full_precision_edges;
-    const size_t n_conv = plan_.convCount();
+    const bool traced = obs::armed();
+    const uint64_t t0 =
+        traced ? obs::TraceRecorder::instance().nowNs() : 0;
 
-    // Conv stages: packed (channel, row) grids.
-    BitGrid grid;
-    size_t l = 0;
-    if (n_conv > 0) {
-        if (fp) {
-            runConvStageFp(stages_[0], image, grid);
-        } else {
-            BitGrid in;
-            in.c = plan_.in_c;
-            in.h = plan_.in_h;
-            in.w = plan_.in_w;
-            in.rows.assign(in.c * in.h, 0);
-            for (size_t ci = 0; ci < in.c; ++ci)
-                for (size_t y = 0; y < in.h; ++y) {
-                    uint64_t row = 0;
-                    for (size_t x = 0; x < in.w; ++x)
-                        if (binarizePixel(image.at(ci, y, x)))
-                            row |= uint64_t{1} << x;
-                    in.rows[ci * in.h + y] = row;
-                }
-            runConvStage(stages_[0], in, kernel, grid);
-        }
-        for (l = 1; l < n_conv; ++l) {
-            BitGrid next;
-            runConvStage(stages_[l], grid, kernel, next);
-            grid = std::move(next);
-        }
-    }
-
-    // Flatten into the packed fc activation vector, (ci, y, x) order.
-    std::vector<uint64_t> flat;
-    size_t flat_bits = 0;
-    std::vector<int32_t> s;
-    std::vector<double> fc_fp; // first-fc-stage double sums (fp mode)
-    if (n_conv > 0) {
-        flat_bits = grid.c * grid.h * grid.w;
-        flat.assign((flat_bits + 63) / 64, 0);
-        BitPacker pk(flat.data());
-        for (size_t ci = 0; ci < grid.c; ++ci)
-            for (size_t y = 0; y < grid.h; ++y)
-                pk.push(grid.rows[ci * grid.h + y], grid.w);
-        pk.finish();
-    } else if (!fp) {
-        flat_bits = plan_.in_c * plan_.in_h * plan_.in_w;
-        flat.assign((flat_bits + 63) / 64, 0);
-        BitPacker pk(flat.data());
-        for (size_t i = 0; i < image.size(); ++i)
-            pk.pushBit(binarizePixel(image[i]));
-        pk.finish();
-    }
-
-    // Hidden fc stages.
-    for (; l < stages_.size(); ++l) {
-        const Stage &sg = stages_[l];
-        if (fp && l == 0) {
-            // First hidden stage is fully-connected: double path over
-            // the raw pixels (flat (ci, y, x) == tensor order).
-            fc_fp.resize(sg.fw.size() / sg.st.fan_in);
-            for (size_t o = 0; o < fc_fp.size(); ++o) {
-                const double *fw = sg.fw.data() + o * sg.st.fan_in;
-                double acc = 0.0;
-                for (size_t i = 0; i < sg.st.fan_in; ++i)
-                    acc += fw[i] * static_cast<double>(image[i]);
-                fc_fp[o] = acc + sg.fb[o];
-            }
-            s.resize(fc_fp.size());
-            for (size_t o = 0; o < fc_fp.size(); ++o)
-                s[o] = fc_fp[o] >= 0.0 ? 1 : -1;
-        } else {
-            SCDCNN_ASSERT(flat_bits == sg.st.fan_in,
-                          "fc fan-in mismatch: %zu != %zu", flat_bits,
-                          sg.st.fan_in);
-            std::vector<uint64_t> x((sg.n + 63) / 64, 0);
-            std::copy(flat.begin(), flat.end(), x.begin());
-            x[sg.st.fan_in / 64] |= uint64_t{1} << (sg.st.fan_in % 64);
-            runFcStage(sg, x, kernel, s);
-        }
-        // Popcount-sign activation into the next packed vector.
-        flat_bits = s.size();
-        flat.assign((flat_bits + 63) / 64, 0);
-        if (kernel == Kernel::Fused)
-            sc::fusedSignPack(s.data(), flat_bits, flat.data());
-        else
-            sc::referenceSignPack(s.data(), flat_bits, flat.data());
-    }
-
-    // Output layer.
+    // The first stage's operand bits: the pixels binarized at the
+    // midpoint, in the tensor's flat (c, y, x) order.
+    std::vector<uint64_t> x((image.size() + 63) / 64 + 1), y; // + pad word
+    for (size_t w = 0; w + 1 < x.size(); ++w)
+        for (size_t b = 0; b < 64 && 64 * w + b < image.size(); ++b)
+            x[w] |= uint64_t{binarizePixel(image[64 * w + b])} << b;
     std::vector<double> out_scores;
-    const size_t n_out = plan_.output.flatOut();
-    if (fp) {
-        out_scores.resize(n_out);
-        for (size_t o = 0; o < n_out; ++o) {
-            const double *fw = out_.fw.data() + o * out_.st.fan_in;
-            double acc = 0.0;
-            if (stages_.empty()) {
-                // Degenerate single-layer net: the output edge is also
-                // the input edge, so it consumes the raw pixels.
-                for (size_t i = 0; i < out_.st.fan_in; ++i)
-                    acc += fw[i] * static_cast<double>(image[i]);
-            } else {
-                for (size_t i = 0; i < out_.st.fan_in; ++i) {
-                    const bool bit =
-                        (flat[i / 64] >> (i % 64)) & 1;
-                    acc += bit ? fw[i] : -fw[i];
-                }
-            }
-            out_scores[o] = acc + out_.fb[o];
-        }
-    } else {
-        SCDCNN_ASSERT(flat_bits == out_.st.fan_in,
-                      "output fan-in mismatch: %zu != %zu", flat_bits,
-                      out_.st.fan_in);
-        std::vector<uint64_t> x((out_.n + 63) / 64, 0);
-        std::copy(flat.begin(), flat.end(), x.begin());
-        x[out_.st.fan_in / 64] |= uint64_t{1} << (out_.st.fan_in % 64);
-        runFcStage(out_, x, kernel, s);
-        out_scores.assign(s.begin(), s.end());
+    for (size_t l = 0; l < stages_.size(); ++l) {
+        const bool output = l + 1 == stages_.size();
+        runStage(stages_[l], x, l == 0 ? &image : nullptr, kernel, y,
+                 output ? &out_scores : nullptr);
+        x.swap(y);
     }
 
-    const size_t pred = argmaxFirst(out_scores);
+    // First maximum wins, as in the SC engine.
+    const size_t pred = static_cast<size_t>(
+        std::max_element(out_scores.begin(), out_scores.end()) -
+        out_scores.begin());
     if (scores != nullptr)
         *scores = std::move(out_scores);
+    if (traced) {
+        obs::TraceRecorder &rec = obs::TraceRecorder::instance();
+        rec.spanComplete(obs::SpanName::BinaryForward, t0,
+                         rec.nowNs() - t0);
+    }
     return pred;
 }
 

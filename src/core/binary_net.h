@@ -30,6 +30,11 @@
  *    into the next layer's operand bits;
  *  - the output layer reports the integer scores s_o per class.
  *
+ * Every stage (hidden conv, hidden fc, output) runs through one
+ * stage function; an fc stage is a conv whose kernel covers its whole
+ * input grid. Activations are one packed bit vector in flat (c, y, x)
+ * order, so grid widths are not limited.
+ *
  * The forward pass is fully deterministic (no stream sampling), so
  * the backend is differentially tested for *exact* equality against a
  * float sign-network oracle across the randomized topology corpus,
@@ -37,11 +42,13 @@
  * swaps all of them in at once, the engine-level twin the fuzz tests
  * assert bit-exact).
  *
- * The optional full-precision-edges mode keeps the first hidden stage
- * (float weights on raw pixels) and the output layer (float weights
- * on +-1 activations) in double arithmetic — the standard BNN
- * accuracy recovery — with the fixed (ci, ky, kx)-then-bias
- * accumulation order shared by the oracle.
+ * The optional full-precision-edges mode keeps the network's first
+ * stage (float weights on raw pixels) and the output layer (float
+ * weights on +-1 activations; on raw pixels when there is no hidden
+ * stage) in double arithmetic — the standard BNN accuracy recovery —
+ * with the fixed (ci, ky, kx)-then-bias accumulation order shared by
+ * the oracle. Only the window's dot product differs; pooling and the
+ * sign follow the binary rules on the double values.
  */
 
 #ifndef SCDCNN_CORE_BINARY_NET_H
@@ -72,9 +79,9 @@ class BinaryNetwork
 
     struct Options
     {
-        /** Keep the first hidden stage and the output layer in double
-         *  precision (float weights, raw input pixels, +-1 hidden
-         *  activations) instead of sign-quantizing them — the
+        /** Keep the network's first stage and the output layer in
+         *  double precision (float weights, raw input pixels, +-1
+         *  hidden activations) instead of sign-quantizing them — the
          *  first/last-layer accuracy option. Hidden activations stay
          *  binary either way. */
         bool full_precision_edges = false;
@@ -83,9 +90,7 @@ class BinaryNetwork
     /**
      * Build from the trained float network (sign quantization reads
      * the *unquantized* weights) and its derived plan. The plan must
-     * have been derived from @p trained; conv rows are packed one
-     * 64-bit word per (channel, row), so every grid width along the
-     * plan must be <= 64.
+     * have been derived from @p trained.
      */
     BinaryNetwork(const nn::Network &trained, const nn::NetworkPlan &plan,
                   Options opts);
@@ -114,51 +119,44 @@ class BinaryNetwork
     static bool binarizePixel(float x) { return x >= 0.5f; }
 
   private:
-    /** Packed sign weights of one stage: filter f's fan_in + 1 sign
-     *  bits (taps in (ci, ky, kx) order for conv, input order for fc,
-     *  bias last) as one single-tap interleaved stream. */
+    /** One stage: a hidden conv or fc stage, or the output layer. */
     struct Stage
     {
         nn::PlanStage st;
         size_t n = 0; //!< operand bits, fan_in + 1 (bias included)
-        /** Pooling flavour of the trained net's pool layer (conv
+        /** Pooling flavour of the trained net's pool layer (pooled
          *  stages only): max keeps the max window pre-activation,
          *  average keeps the window sum (sign-equivalent to mean). */
         bool max_pool = false;
+        /** Sign weights: filter f's fan_in + 1 bits (its weight row in
+         *  the layer's storage order, bias last) as one single-tap
+         *  interleaved stream. Empty on a full-precision edge. */
         sc::InterleavedWeightArena weights;
-        /** Float parameters, kept only for the full-precision-edges
-         *  stages (first hidden stage / output layer). */
-        std::vector<double> fw; //!< [filter][fan_in], row-major
+        /** The trained float parameters, kept only on a
+         *  full-precision edge (the first stage / the output layer). */
+        std::vector<double> fw; //!< [filter][fan_in], storage order
         std::vector<double> fb; //!< [filter]
-    };
-
-    /** Packed activation grid: one 64-bit word per (channel, row),
-     *  column x at bit x (tail bits zero). */
-    struct BitGrid
-    {
-        size_t c = 0, h = 0, w = 0;
-        std::vector<uint64_t> rows;
     };
 
     void packStage(const nn::Network &net, const nn::PlanStage &st,
                    bool fp_edge, Stage &out) const;
 
-    void runConvStage(const Stage &stage, const BitGrid &in, Kernel kernel,
-                      BitGrid &out) const;
-
-    void runConvStageFp(const Stage &stage, const nn::Tensor &image,
-                        BitGrid &out) const;
-
-    /** One fc / output stage over a packed operand (activations +
-     *  trailing +1 bit): writes the pre-activation integers s = 2m - n
-     *  for every filter into @p s_out. */
-    void runFcStage(const Stage &stage, const std::vector<uint64_t> &x,
-                    Kernel kernel, std::vector<int32_t> &s_out) const;
+    /**
+     * Run one stage over @p x, its packed input bits in flat (c, y, x)
+     * order (@p pixels: the image on the first stage, else null; a
+     * full-precision first stage reads it instead). A hidden stage
+     * sign-packs its pooled pre-activations into @p y; the output
+     * layer writes its scores into non-null @p scores instead.
+     */
+    void runStage(const Stage &sg, const std::vector<uint64_t> &x,
+                  const nn::Tensor *pixels, Kernel kernel,
+                  std::vector<uint64_t> &y,
+                  std::vector<double> *scores) const;
 
     nn::NetworkPlan plan_;
     Options opts_;
-    std::vector<Stage> stages_; //!< hidden stages, plan order
-    Stage out_;                 //!< output layer
+    /** The hidden stages in plan order, then the output layer. */
+    std::vector<Stage> stages_;
 };
 
 } // namespace core

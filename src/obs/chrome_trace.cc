@@ -80,7 +80,8 @@ argLabels(SpanName name)
     case SpanName::Rejected: return {"code", "req", nullptr};
     case SpanName::Fault: return {nullptr, "point", nullptr};
     case SpanName::QueueDepth: return {nullptr, "depth", nullptr};
-    case SpanName::Scenario: return {nullptr, nullptr, nullptr};
+    case SpanName::Scenario:
+    case SpanName::BinaryForward: return {nullptr, nullptr, nullptr};
     case SpanName::kCount: break;
     }
     return {};

@@ -33,6 +33,7 @@ spanName(SpanName name)
     case SpanName::Fault: return "fault";
     case SpanName::QueueDepth: return "queue_depth";
     case SpanName::Scenario: return "scenario";
+    case SpanName::BinaryForward: return "binary_forward";
     case SpanName::kCount: break;
     }
     return "unknown";

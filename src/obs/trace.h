@@ -51,6 +51,7 @@ enum class SpanName : uint8_t {
     Fault,        // serve: injected/registry fault instant
     QueueDepth,   // serve: queue depth counter at admit
     Scenario,     // bench: one scenario phase wall-clock span
+    BinaryForward, // engine: one Binary-backend prediction
     kCount,
 };
 

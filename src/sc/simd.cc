@@ -65,7 +65,8 @@ enabled()
 void
 setEnabled(bool on)
 {
-    g_enabled.store(on && available() ? 1 : 0, std::memory_order_relaxed);
+    g_enabled.store(on && available() && !forcedScalar() ? 1 : 0,
+                    std::memory_order_relaxed);
 }
 
 namespace {
@@ -865,11 +866,24 @@ avx2XnorPopcountMulti(const uint64_t *x_words, const WeightBlockView &block,
         acc = _mm256_add_epi64(
             acc, _mm256_sad_epu8(popcountBytes(match), zero));
     }
+    if (block.length % 64 != 0) {
+        // The partial tail word, its pad bits masked off.
+        const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(
+            (uint64_t{1} << (block.length % 64)) - 1));
+        const __m256i xv =
+            _mm256_set1_epi64x(static_cast<long long>(x_words[full]));
+        const __m256i wv = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(block.at(full, 0)));
+        const __m256i match =
+            _mm256_andnot_si256(_mm256_xor_si256(xv, wv), mask);
+        acc = _mm256_add_epi64(
+            acc, _mm256_sad_epu8(popcountBytes(match), zero));
+    }
     alignas(32) uint64_t lanes[4];
     _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
     for (size_t f = 0; f < block.lanes; ++f)
         matches[f] += static_cast<uint32_t>(lanes[f]);
-    return full;
+    return block.wordCount();
 }
 
 /** Rotate each 64-bit lane left by @p k (0 < k < 64). */

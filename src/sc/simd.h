@@ -52,7 +52,8 @@ bool available();
 bool enabled();
 
 /** Test hook: select (true) or bypass (false) the AVX2 paths at
- *  runtime. Enabling when !available() is a no-op. */
+ *  runtime. Enabling when !available() or under SCDCNN_FORCE_SCALAR
+ *  is a no-op, so a forced-scalar run stays scalar. */
 void setEnabled(bool on);
 
 /**
@@ -192,12 +193,11 @@ void avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
 uint64_t avx2SumU16(const uint16_t *values, size_t n);
 
 /**
- * Binary XNOR-popcount accumulation over the full words of a binary
- * weight block (taps == 1, one packed sign stream per lane): for every
- * full word w (all 64 bits inside block.length) and lane f,
- * popcount(~(x_words[w] ^ lane word)) is added into matches[f]. The
- * partial tail word (its pad bits need masking) stays with the scalar
- * caller, as does initializing matches.
+ * Binary XNOR-popcount accumulation over the words of a binary weight
+ * block (taps == 1, one packed sign stream per lane): for every word w
+ * and lane f, popcount(~(x_words[w] ^ lane word)) is added into
+ * matches[f], the partial tail word's pad bits masked off. Initializing
+ * matches stays with the scalar caller.
  *
  * @return the number of words processed; 0 when AVX2 is not enabled.
  */

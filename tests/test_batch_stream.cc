@@ -35,7 +35,9 @@ namespace {
 class BatchKernel : public ::testing::Test
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(true); }
+    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = sc::simd::enabled();
 };
 
 /** Batched operands: n_taps arena sites x B images plus a shared

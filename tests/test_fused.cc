@@ -80,7 +80,9 @@ class BlockApiVsOracle
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(true); }
+    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = sc::simd::enabled();
 };
 
 TEST_P(BlockApiVsOracle, CountsMatchNaiveCounts)
@@ -313,7 +315,9 @@ INSTANTIATE_TEST_SUITE_P(
 class BatchLoopOrder : public ::testing::TestWithParam<size_t>
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(true); }
+    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = sc::simd::enabled();
 };
 
 /** Transpose one word's canonical planes (plus the parity word at

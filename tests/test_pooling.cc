@@ -426,7 +426,9 @@ TEST(SignedAveragePoolingRange, PointerVariantMatchesVectorVariant)
 class BatchKernel : public ::testing::Test
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(true); }
+    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = sc::simd::enabled();
 };
 
 /** Window contents of the plane-pooling oracle test. */

@@ -75,9 +75,9 @@ miniArtifact(const std::string &name, uint32_t version, uint64_t seed)
 }
 
 nn::Tensor
-image(uint64_t seed)
+image(uint64_t seed, size_t h = 12, size_t w = 12)
 {
-    nn::Tensor t(1, 12, 12);
+    nn::Tensor t(1, h, w);
     uint64_t x = seed * 6364136223846793005ull + 1442695040888963407ull;
     for (size_t i = 0; i < t.size(); ++i) {
         x ^= x >> 33;
@@ -320,6 +320,59 @@ TEST(ModelRegistry, RoutesToTheRightModelBitExactly)
         EXPECT_EQ(ra.scores, ia.scores); // bit-exact
         EXPECT_EQ(rb.scores, ib.scores);
     }
+}
+
+TEST(ModelRegistry, InstallsAndServesAnInputWiderThanOneWord)
+{
+    // A 1x4x80 MLP artifact is inside the artifact bounds, so a file
+    // that loadArtifact validated must install and serve every class,
+    // the Binary-backed Fast class included, bit-exactly.
+    nn::TopologySpec spec;
+    spec.in_h = 4;
+    spec.in_w = 80;
+    spec.fc_hidden = {12};
+    spec.n_classes = 5;
+    spec.seed = 8;
+    core::ScNetworkConfig cfg = miniConfig();
+    cfg.input_h = spec.in_h;
+    cfg.input_w = spec.in_w;
+    nn::Network net = nn::buildTopology(spec, nn::PoolingMode::Max);
+    const std::string path = tempPath("wide");
+    ASSERT_TRUE(serve::saveArtifact(
+        serve::makeArtifact("wide", 1, spec, nn::PoolingMode::Max, cfg,
+                            net),
+        path));
+
+    RegistryConfig rc;
+    rc.server_template = fastTemplate();
+    ModelRegistry reg(rc);
+    const serve::InstallResult res = reg.install("wide", path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(res.ok) << res.diagnostic;
+    EXPECT_EQ(reg.state("wide"), ModelState::Serving);
+
+    const core::ScNetwork ref(net, cfg);
+    const nn::Tensor img = image(7, spec.in_h, spec.in_w);
+    serve::RequestOptions high;
+    high.accuracy = serve::AccuracyClass::High;
+    high.seed = 77;
+    const serve::InferenceResult rh = reg.submit("wide", img, high).get();
+    core::ForwardInfo ih;
+    EXPECT_EQ(rh.predicted,
+              ref.predictWith(img, 77,
+                              serve::QosPolicy{core::EngineMode::Fused,
+                                               0.0, 0}
+                                  .predictOptions(),
+                              &ih));
+    EXPECT_EQ(rh.scores, ih.scores);
+
+    serve::RequestOptions fast;
+    fast.accuracy = serve::AccuracyClass::Fast;
+    const serve::InferenceResult rf = reg.submit("wide", img, fast).get();
+    std::vector<double> binary_scores;
+    EXPECT_EQ(rf.predicted, ref.binaryNet().predict(img, &binary_scores));
+    EXPECT_EQ(rf.scores, binary_scores);
+    EXPECT_EQ(rf.effective_bits, 1u);
 }
 
 TEST(ModelRegistry, UnknownAndRetiredModelsFailFastWithTypedCodes)

@@ -9,6 +9,8 @@
  */
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -27,7 +29,9 @@ namespace {
 class SimdTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(true); }
+    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = sc::simd::enabled();
 };
 
 /** n random bipolar operand streams of length len. */
@@ -50,7 +54,9 @@ class SimdVsScalar
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
 {
   protected:
-    void TearDown() { sc::simd::setEnabled(true); }
+    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+
+    const bool was_enabled_ = sc::simd::enabled();
 };
 
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
@@ -128,13 +134,41 @@ TEST_F(SimdTest, SumU16MatchesScalar)
     }
 }
 
+/** Whether SCDCNN_FORCE_SCALAR forces the scalar paths: set to
+ *  anything but empty or "0". */
+bool
+forcedScalarEnv()
+{
+    const char *v = std::getenv("SCDCNN_FORCE_SCALAR");
+    return v != nullptr && *v != '\0' && std::string(v) != "0";
+}
+
 TEST_F(SimdTest, DisableIsObserved)
 {
     sc::simd::setEnabled(false);
     EXPECT_FALSE(sc::simd::enabled());
     sc::simd::setEnabled(true);
-    // Re-enabling only sticks where the CPU actually has AVX2.
-    EXPECT_EQ(sc::simd::enabled(), sc::simd::available());
+    // Re-enabling only sticks where the CPU actually has AVX2 and the
+    // scalar paths are not forced.
+    EXPECT_EQ(sc::simd::enabled(),
+              sc::simd::available() && !forcedScalarEnv());
+}
+
+TEST_F(SimdTest, ForcedScalarSurvivesReenabling)
+{
+    // A forced-scalar run stays scalar: setEnabled(true), which the
+    // kernel fixtures call to compare against AVX2, honours
+    // SCDCNN_FORCE_SCALAR as the first dispatch decision does.
+    const char *prev = std::getenv("SCDCNN_FORCE_SCALAR");
+    const std::string saved = prev != nullptr ? prev : "";
+    ASSERT_EQ(::setenv("SCDCNN_FORCE_SCALAR", "1", 1), 0);
+    sc::simd::setEnabled(false);
+    sc::simd::setEnabled(true);
+    EXPECT_FALSE(sc::simd::enabled());
+    if (prev != nullptr)
+        ::setenv("SCDCNN_FORCE_SCALAR", saved.c_str(), 1);
+    else
+        ::unsetenv("SCDCNN_FORCE_SCALAR");
 }
 
 } // namespace

@@ -257,16 +257,36 @@ signOf(double v)
  * intermediate value is a small integer, so double arithmetic is
  * exact and the comparison against the backend is equality, not
  * tolerance.
+ *
+ * With @p full_precision_edges the network's first stage (a hidden
+ * stage, or the output layer when there is none) multiplies the
+ * trained float weights by the raw pixels, and the output layer
+ * multiplies its trained float weights by the +-1 activations. Each
+ * sum accumulates in (ci, ky, kx) / input order in double, then adds
+ * the float bias; pooling and the sign keep their binary rules. That
+ * arithmetic is the option's contract, so the comparison stays exact.
  */
 std::vector<double>
 floatSignOracle(const nn::Network &net, const nn::NetworkPlan &plan,
-                nn::PoolingMode pooling, const nn::Tensor &img)
+                nn::PoolingMode pooling, const nn::Tensor &img,
+                bool full_precision_edges = false)
 {
-    // Input binarization: pixel bit = (x >= 0.5), bipolar value +-1.
+    // Input binarization: pixel bit = (x >= 0.5), bipolar value +-1;
+    // a full-precision first stage reads the raw pixels instead.
     size_t h = plan.in_h, w = plan.in_w;
     std::vector<double> act(img.size());
     for (size_t i = 0; i < img.size(); ++i)
-        act[i] = img[i] >= 0.5f ? 1.0 : -1.0;
+        act[i] = full_precision_edges ? static_cast<double>(img[i])
+                 : img[i] >= 0.5f     ? 1.0
+                                      : -1.0;
+    // Stage l's parameters: trained floats on a full-precision edge
+    // (the first stage, and the output layer at l == stages.size()),
+    // their signs everywhere else.
+    const auto param = [&](float v, size_t l) {
+        const bool fp = full_precision_edges &&
+                        (l == 0 || l == plan.stages.size());
+        return fp ? static_cast<double>(v) : signOf(v);
+    };
 
     size_t l = 0;
     for (; l < plan.convCount(); ++l) {
@@ -286,11 +306,12 @@ floatSignOracle(const nn::Network &net, const nn::NetworkPlan &plan,
                         for (size_t ci = 0; ci < st.in_c; ++ci)
                             for (size_t ky = 0; ky < k; ++ky)
                                 for (size_t kx = 0; kx < k; ++kx)
-                                    s += signOf(conv.weightAt(co, ci, ky,
-                                                              kx)) *
+                                    s += param(conv.weightAt(co, ci, ky,
+                                                             kx),
+                                               l) *
                                          act[(ci * h + cy + ky) * w +
                                              cx + kx];
-                        s += signOf(conv.biasAt(co));
+                        s += param(conv.biasAt(co), l);
                         if (widx == 0)
                             pooled = s;
                         else if (pooling == nn::PoolingMode::Max)
@@ -314,8 +335,8 @@ floatSignOracle(const nn::Network &net, const nn::NetworkPlan &plan,
         for (size_t o = 0; o < fc.nOut(); ++o) {
             double s = 0.0;
             for (size_t i = 0; i < fc.nIn(); ++i)
-                s += signOf(fc.weightAt(o, i)) * act[i];
-            s += signOf(fc.biasAt(o));
+                s += param(fc.weightAt(o, i), l) * act[i];
+            s += param(fc.biasAt(o), l);
             next[o] = s >= 0.0 ? 1.0 : -1.0;
         }
         act = std::move(next);
@@ -327,8 +348,8 @@ floatSignOracle(const nn::Network &net, const nn::NetworkPlan &plan,
     for (size_t o = 0; o < out.nOut(); ++o) {
         double s = 0.0;
         for (size_t i = 0; i < out.nIn(); ++i)
-            s += signOf(out.weightAt(o, i)) * act[i];
-        scores[o] = s + signOf(out.biasAt(o));
+            s += param(out.weightAt(o, i), l) * act[i];
+        scores[o] = s + param(out.biasAt(o), l);
     }
     return scores;
 }
@@ -403,6 +424,113 @@ TEST(TopologyFuzz, BinaryScoresMatchTheFloatSignNetOracle)
         EXPECT_EQ(info.scores, oracle) << "case=" << c;
         EXPECT_EQ(info.effective_bits, 1u) << "case=" << c;
         EXPECT_FALSE(info.early_exit) << "case=" << c;
+    }
+}
+
+/** Seeded biases in [-0.5, 0.5): built layers start with zero biases,
+ *  which would leave an oracle's bias terms unchecked. */
+void
+randomizeBiases(nn::Network &net, uint64_t seed)
+{
+    sc::Xoshiro256ss rng(seed + fuzzSeedOffset() * 131);
+    for (const nn::StageOutline &o : nn::outlineNetworkStages(net))
+        for (float &b : *net.layer(o.layer_index).biases())
+            b = static_cast<float>(rng.nextDouble() - 0.5);
+}
+
+TEST(TopologyFuzz, BinaryFullPrecisionEdgesMatchTheFloatOracle)
+{
+    // The full-precision-edges option against the oracle's statement
+    // of its arithmetic, on every topology and for both kernel
+    // families. The float dot products have no kernel twin, so
+    // Fused == Reference alone would not pin them.
+    core::BinaryNetwork::Options opts;
+    opts.full_precision_edges = true;
+    for (uint64_t c = 0; c < kCases; ++c) {
+        FuzzTopology t = randomTopology(c);
+        nn::Network net = nn::buildTopology(t.spec, t.pooling);
+        randomizeBiases(net, 70 + c);
+        const nn::NetworkPlan plan = nn::deriveNetworkPlan(
+            net, 1, t.spec.in_h, t.spec.in_w);
+        const core::BinaryNetwork bin(net, plan, opts);
+
+        for (size_t i = 0; i < 3; ++i) {
+            const nn::Tensor img = randomImage(
+                t.spec.in_h, t.spec.in_w, 800 + c * 10 + i);
+            const std::vector<double> oracle =
+                floatSignOracle(net, plan, t.pooling, img, true);
+            const size_t best = static_cast<size_t>(std::distance(
+                oracle.begin(),
+                std::max_element(oracle.begin(), oracle.end())));
+            for (auto kernel : {core::BinaryNetwork::Kernel::Fused,
+                                core::BinaryNetwork::Kernel::Reference}) {
+                std::vector<double> scores;
+                EXPECT_EQ(bin.predict(img, &scores, kernel), best)
+                    << "case=" << c << " image=" << i;
+                EXPECT_EQ(scores, oracle)
+                    << "case=" << c << " image=" << i;
+            }
+        }
+    }
+}
+
+TEST(TopologyFuzz, BinaryWideInputsMatchTheFloatSignNetOracle)
+{
+    // Grids wider than one 64-bit word: an MLP over 4x80 pixels, a
+    // conv net over 12x66, and a conv stage whose pooled rows are 66
+    // wide. The SC engine constructs over each (its binary sibling is
+    // built with it), and the binary scores, pure and with
+    // full-precision edges, equal the oracle's.
+    nn::TopologySpec mlp;
+    mlp.in_h = 4;
+    mlp.in_w = 80;
+    mlp.fc_hidden = {16};
+    mlp.n_classes = 5;
+    nn::TopologySpec conv;
+    conv.in_h = 12;
+    conv.in_w = 66;
+    conv.convs = {{3, 3}};
+    conv.fc_hidden = {8};
+    conv.n_classes = 4;
+    nn::TopologySpec wide_rows;
+    wide_rows.in_h = 6;
+    wide_rows.in_w = 134;
+    wide_rows.convs = {{4, 3}};
+    wide_rows.n_classes = 6;
+    core::BinaryNetwork::Options fp_opts;
+    fp_opts.full_precision_edges = true;
+
+    size_t n = 0;
+    for (nn::TopologySpec spec : {mlp, conv, wide_rows}) {
+        spec.seed = 40 + n;
+        nn::Network net = nn::buildTopology(spec, nn::PoolingMode::Max);
+        randomizeBiases(net, 90 + n);
+        core::ScNetworkConfig cfg;
+        cfg.bitstream_len = 64;
+        cfg.input_c = spec.in_c;
+        cfg.input_h = spec.in_h;
+        cfg.input_w = spec.in_w;
+        const core::ScNetwork sc(net, cfg);
+        const core::BinaryNetwork fp(net, sc.plan(), fp_opts);
+
+        for (size_t i = 0; i < 3; ++i) {
+            const nn::Tensor img =
+                randomImage(spec.in_h, spec.in_w, 900 + n * 10 + i);
+            std::vector<double> scores;
+            sc.binaryNet().predict(img, &scores);
+            EXPECT_EQ(scores, floatSignOracle(net, sc.plan(),
+                                              nn::PoolingMode::Max, img))
+                << "shape=" << n << " image=" << i;
+            for (auto kernel : {core::BinaryNetwork::Kernel::Fused,
+                                core::BinaryNetwork::Kernel::Reference}) {
+                fp.predict(img, &scores, kernel);
+                EXPECT_EQ(scores,
+                          floatSignOracle(net, sc.plan(),
+                                          nn::PoolingMode::Max, img, true))
+                    << "shape=" << n << " image=" << i << " (fp edges)";
+            }
+        }
+        ++n;
     }
 }
 

@@ -530,6 +530,40 @@ TEST(PhaseProfile, PredictAndBatchPopulateEveryPhase)
     expectEveryPhase("forwardBatch");
 }
 
+TEST(PhaseProfile, BinaryPredictionEmitsOneSpanWhileArmed)
+{
+    // The Binary backend shows up in traces: an armed EngineMode::Binary
+    // predictWith records exactly one BinaryForward span and one
+    // aggregate sample; a disarmed one records neither.
+    TraceRecorder &rec = freshRecorder();
+    nn::Network net =
+        nn::buildTopology(miniSpec(3), nn::PoolingMode::Max);
+    core::ScNetwork scn(net, miniConfig());
+    core::PredictOptions popts;
+    popts.mode = core::EngineMode::Binary;
+    const auto binarySpans = [&rec] {
+        size_t n = 0;
+        for (const Event &e : rec.snapshot())
+            n += e.kind() == EventKind::SpanComplete &&
+                 e.name() == SpanName::BinaryForward;
+        return n;
+    };
+
+    scn.predictWith(image(1), 1, popts);
+    EXPECT_EQ(binarySpans(), 0u);
+    EXPECT_EQ(rec.profileTotalNs(SpanName::BinaryForward), 0u);
+
+    rec.arm();
+    scn.predictWith(image(1), 2, popts);
+    rec.disarm();
+    EXPECT_EQ(binarySpans(), 1u);
+    size_t samples = 0;
+    for (const obs::PhaseProfileEntry &p : rec.profile())
+        if (p.name == SpanName::BinaryForward)
+            samples += p.count;
+    EXPECT_EQ(samples, 1u);
+}
+
 // --------------------------------------------- serve lifecycle spans
 
 TEST(ServeSpans, LifecycleEventsRecorded)
