@@ -495,7 +495,7 @@ main()
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
     std::fprintf(f, "  \"simd\": \"%s\",\n",
-                 sc::simd::enabled() ? "avx2" : "scalar");
+                 sc::simd::levelName(sc::simd::level()));
     std::fprintf(f, "  \"filter_block\": %zu,\n", sc::kFilterLanes);
     std::fprintf(f, "  \"single_image\": {\n");
     std::fprintf(f, "    \"threads\": %zu,\n", kSingleThreads);

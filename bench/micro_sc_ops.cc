@@ -44,8 +44,9 @@ void
 BM_SngBipolarInto(benchmark::State &state)
 {
     const size_t len = static_cast<size_t>(state.range(0));
-    const bool was_enabled = simd::enabled();
-    simd::setEnabled(state.range(1) != 0);
+    const simd::Level was_level = simd::level();
+    simd::setLevel(state.range(1) != 0 ? simd::Level::Avx2
+                                       : simd::Level::Scalar);
     const size_t stride = (len + 63) / 64;
     std::vector<uint64_t> words(4 * stride);
     const double xs[4] = {0.3, -0.6, 0.05, 0.9};
@@ -55,7 +56,7 @@ BM_SngBipolarInto(benchmark::State &state)
         benchmark::DoNotOptimize(words.data());
         benchmark::ClobberMemory();
     }
-    simd::setEnabled(was_enabled);
+    simd::setLevel(was_level);
     const auto streams = static_cast<double>(state.iterations()) * 4;
     state.counters["stream_time"] = benchmark::Counter(
         streams, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
@@ -289,6 +290,113 @@ BM_MaxPoolPlanesBatch(benchmark::State &state)
 BENCHMARK(BM_MaxPoolPlanesBatch)
     ->ArgNames({"pixels", "taps"})
     ->ArgsProduct({{1, 4, 16, 32}, {26, 201}});
+
+/**
+ * The product fold at the served mini-LeNet's shapes, L = 1024, a
+ * micro-batch of 8 images in the batch-major layout the engine gathers
+ * (the last tap is the shared stride-0 bias line), one four-lane
+ * filter block, at dispatch level `level` (0 scalar, 1 AVX2, 2
+ * AVX-512; capped at what the host runs). `line_word_time` is the cost
+ * of one product line of one 64-bit word of one image, all four lanes:
+ * the call time over taps x words x images.
+ */
+struct FoldShape
+{
+    BatchStreamArena xs_arena;
+    Bitstream bias;
+    std::vector<BitstreamView> xs0;
+    std::vector<size_t> strides;
+    InterleavedWeightArena weights;
+    std::vector<uint32_t> images;
+
+    FoldShape(size_t taps, size_t n_images)
+    {
+        SngBank bank(14 + taps);
+        SplitMix64 vals(15 + taps);
+        xs_arena.reset(taps - 1, n_images, kBatchLen);
+        for (size_t t = 0; t + 1 < taps; ++t)
+            for (size_t b = 0; b < n_images; ++b)
+                xs_arena.assign(t, b,
+                                bank.bipolar(vals.nextInRange(-1, 1),
+                                             kBatchLen));
+        bias = bank.bipolar(1.0, kBatchLen);
+        for (size_t t = 0; t + 1 < taps; ++t) {
+            xs0.push_back(xs_arena.view(t, 0));
+            strides.push_back(xs_arena.strideWords());
+        }
+        xs0.push_back(BitstreamView(bias));
+        strides.push_back(0);
+        weights.reset(kFilterLanes, taps, kBatchLen);
+        for (size_t f = 0; f < kFilterLanes; ++f)
+            for (size_t t = 0; t < taps; ++t)
+                weights.assign(f, t,
+                               bank.bipolar(vals.nextInRange(-1, 1),
+                                            kBatchLen));
+        for (size_t b = 0; b < n_images; ++b)
+            images.push_back(static_cast<uint32_t>(b));
+    }
+};
+
+void
+setFoldCounters(benchmark::State &state, size_t taps, size_t n_images)
+{
+    state.counters["line_word_time"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(taps * kBatchWords * n_images),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/** The plane form (max-pooled conv stages): conv1's 26 taps run
+ *  image-outer, conv2's 201 word-outer. */
+void
+BM_ProductPlanesBatch(benchmark::State &state)
+{
+    const size_t taps = static_cast<size_t>(state.range(0));
+    constexpr size_t kImages = 8;
+    const simd::Level was_level = simd::level();
+    simd::setLevel(static_cast<simd::Level>(state.range(1)));
+    FoldShape shape(taps, kImages);
+    const size_t cap = planeCapForTaps(taps);
+    const size_t lane_stride = kBatchWords * (cap + 1);
+    std::vector<uint64_t> planes(kImages * kFilterLanes * lane_stride);
+    for (auto _ : state) {
+        fusedProductPlanesMultiBatch(
+            shape.xs0, shape.strides, shape.images.data(), kImages,
+            shape.weights.block(0), /*approximate=*/true, 0, kBatchWords,
+            planes.data(), cap, lane_stride, kFilterLanes * lane_stride);
+        benchmark::ClobberMemory();
+    }
+    simd::setLevel(was_level);
+    setFoldCounters(state, taps, kImages);
+}
+BENCHMARK(BM_ProductPlanesBatch)
+    ->ArgNames({"taps", "level"})
+    ->ArgsProduct({{26, 201}, {0, 1, 2}});
+
+/** The counts form (fc stages and the output layer): the served fc
+ *  stage's 257 taps. */
+void
+BM_ProductCountsBatch(benchmark::State &state)
+{
+    const size_t taps = static_cast<size_t>(state.range(0));
+    constexpr size_t kImages = 8;
+    const simd::Level was_level = simd::level();
+    simd::setLevel(static_cast<simd::Level>(state.range(1)));
+    FoldShape shape(taps, kImages);
+    std::vector<uint16_t> counts(kImages * kFilterLanes * kBatchLen);
+    for (auto _ : state) {
+        fusedProductCountsMultiBatch(
+            shape.xs0, shape.strides, shape.images.data(), kImages,
+            shape.weights.block(0), /*approximate=*/true, 0, kBatchWords,
+            counts.data(), kBatchLen, kFilterLanes * kBatchLen);
+        benchmark::ClobberMemory();
+    }
+    simd::setLevel(was_level);
+    setFoldCounters(state, taps, kImages);
+}
+BENCHMARK(BM_ProductCountsBatch)
+    ->ArgNames({"taps", "level"})
+    ->ArgsProduct({{257}, {0, 1, 2}});
 
 } // namespace
 

@@ -21,6 +21,16 @@ parityLines(bool approximate, size_t n)
                        : 0;
 }
 
+/** Population count of @p v by SWAR bit arithmetic. */
+uint32_t
+popcountSwar(uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<uint32_t>((v * 0x0101010101010101ull) >> 56);
+}
+
 /** Shared operand checks of the filter-blocked ranged kernels;
  *  returns the cycle count covered by [begin_word, end_word). */
 size_t
@@ -51,13 +61,11 @@ checkMultiOperands(const std::vector<BitstreamView> &xs,
  * Scalar body of the ProductFold (sc/simd.h) over words
  * [w_begin, f.end_word), word outer and image inner: serial carry-save
  * plane insertion per filter lane, the partial tail word masked.
- * kPlanes selects the emitter (plane words or per-cycle counts);
- * @p words_of(j) is image position j's x-word accessor.
+ * kPlanes selects the emitter (plane words or per-cycle counts).
  */
-template <bool kPlanes, class WordsOf>
+template <bool kPlanes>
 void
-foldWordsScalar(const simd::ProductFold f, size_t w_begin,
-                WordsOf words_of)
+foldWordsScalar(const simd::ProductFold &f, size_t w_begin)
 {
     const WeightBlockView &block = f.block;
     const size_t len = block.length;
@@ -70,13 +78,13 @@ foldWordsScalar(const simd::ProductFold f, size_t w_begin,
             (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
         const uint64_t *wrow0 = block.at(w, 0);
         for (size_t j = 0; j < f.n_images; ++j) {
-            const auto x = words_of(j);
+            const uint64_t *const *x = f.x + j * block.taps;
             uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
             uint64_t lsbs[kFilterLanes] = {};
             int used = 0; // max over lanes; higher planes stay zero
             const uint64_t *wrow = wrow0;
             for (size_t i = 0; i < block.taps; ++i, wrow += kFilterLanes) {
-                const uint64_t xw = x(i, w);
+                const uint64_t xw = x[i][w];
                 for (size_t l = 0; l < block.lanes; ++l) {
                     uint64_t carry = ~(xw ^ wrow[l]) & word_mask;
                     if (i < f.parity_lines)
@@ -135,31 +143,37 @@ foldWordsScalar(const simd::ProductFold f, size_t w_begin,
     }
 }
 
-/** One ProductFold: the AVX2 body over the full words when SIMD is on
- *  (and there are two or more lines), the scalar body over the rest. */
+/** One ProductFold: the SIMD body over the full words, the scalar body
+ *  over the rest. */
 void
 runFold(const simd::ProductFold &f)
 {
-    size_t w = f.begin_word;
-    if (simd::enabled() && f.block.taps >= 2)
-        w += simd::avx2ProductFold(f);
+    const size_t w = f.begin_word + simd::vectorProductFold(f);
     if (w == f.end_word)
         return;
-    const auto window = [&](size_t) { return simd::WindowWords{f.xs}; };
-    const auto batch = [&](size_t j) {
-        return simd::BatchWords{f.xs, f.x_strides, f.images[j]};
-    };
-    if (f.planes != nullptr) {
-        if (f.x_strides == nullptr)
-            foldWordsScalar<true>(f, w, window);
-        else
-            foldWordsScalar<true>(f, w, batch);
-    } else {
-        if (f.x_strides == nullptr)
-            foldWordsScalar<false>(f, w, window);
-        else
-            foldWordsScalar<false>(f, w, batch);
-    }
+    if (f.planes != nullptr)
+        foldWordsScalar<true>(f, w);
+    else
+        foldWordsScalar<false>(f, w);
+}
+
+/** A fold's tap word table (simd::ProductFold::x): image position j's
+ *  tap t words at xs0[t].words + images[j] * x_strides[t], or the one
+ *  window xs0 when @p x_strides is null. The buffer is per thread and
+ *  reused, so it is valid until the thread's next call. */
+const uint64_t *const *
+tapWords(const std::vector<BitstreamView> &xs0, const size_t *x_strides,
+         const uint32_t *images, size_t n_images)
+{
+    thread_local std::vector<const uint64_t *> table;
+    const size_t taps = xs0.size();
+    table.resize(n_images * taps);
+    for (size_t j = 0; j < n_images; ++j)
+        for (size_t t = 0; t < taps; ++t)
+            table[j * taps + t] =
+                xs0[t].words +
+                (x_strides != nullptr ? images[j] * x_strides[t] : 0);
+    return table.data();
 }
 
 /** The operand checks and fold description shared by the batch
@@ -175,9 +189,7 @@ batchFold(const std::vector<BitstreamView> &xs0,
     SCDCNN_ASSERT(x_strides.size() == xs0.size(),
                   "stride count %zu != operand count %zu",
                   x_strides.size(), xs0.size());
-    return {.xs = xs0.data(),
-            .x_strides = x_strides.data(),
-            .images = images,
+    return {.x = tapWords(xs0, x_strides.data(), images, n_images),
             .n_images = n_images,
             .block = block,
             .parity_lines = parityLines(approximate, xs0.size()),
@@ -201,9 +213,7 @@ batchFold(const std::vector<BitstreamView> &xs0,
  * bit-identical results.
  */
 void
-runBatchFold(const simd::ProductFold &f,
-             const std::vector<BitstreamView> &xs0,
-             const std::vector<size_t> &x_strides)
+runBatchFold(const simd::ProductFold &f)
 {
     const size_t slice_bytes = f.block.taps * kFilterLanes *
                                (f.end_word - f.begin_word) *
@@ -212,15 +222,11 @@ runBatchFold(const simd::ProductFold &f,
         runFold(f);
         return;
     }
-    // Image outer: one unshifted window per image.
-    std::vector<BitstreamView> xs_img;
+    // Image outer: one single-image fold per image.
     simd::ProductFold one = f;
-    one.x_strides = nullptr;
-    one.images = nullptr;
     one.n_images = 1;
     for (size_t j = 0; j < f.n_images; ++j) {
-        shiftViewsForImage(xs0, x_strides, f.images[j], xs_img);
-        one.xs = xs_img.data();
+        one.x = f.x + j * f.block.taps;
         if (f.counts != nullptr)
             one.counts = f.counts + j * f.image_stride;
         else
@@ -238,7 +244,7 @@ fusedProductCountsMulti(const std::vector<BitstreamView> &xs,
                         size_t out_stride)
 {
     checkMultiOperands(xs, block, begin_word, end_word);
-    runFold({.xs = xs.data(),
+    runFold({.x = tapWords(xs, nullptr, nullptr, 1),
              .block = block,
              .parity_lines = parityLines(approximate, xs.size()),
              .begin_word = begin_word,
@@ -291,7 +297,7 @@ fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
         batchFold(xs0, x_strides, images, n_images, block, approximate,
                   begin_word, end_word, lane_stride, image_stride);
     f.counts = out;
-    runBatchFold(f, xs0, x_strides);
+    runBatchFold(f);
 }
 
 size_t
@@ -312,12 +318,14 @@ fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
     simd::ProductFold f =
         batchFold(xs0, x_strides, images, n_images, block, approximate,
                   begin_word, end_word, lane_stride, image_stride);
-    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
-                  "plane cap %zu below width %zu for %zu taps", plane_cap,
-                  planeCapForTaps(block.taps), block.taps);
+    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps) &&
+                      plane_cap <= kMaxCarrySavePlanes,
+                  "plane cap %zu outside [%zu, %d] for %zu taps", plane_cap,
+                  planeCapForTaps(block.taps), kMaxCarrySavePlanes,
+                  block.taps);
     f.planes = out;
     f.plane_cap = plane_cap;
-    runBatchFold(f, xs0, x_strides);
+    runBatchFold(f);
 }
 
 void
@@ -440,20 +448,25 @@ fusedXnorPopcountMulti(const BitstreamView &x, const WeightBlockView &block,
     SCDCNN_ASSERT(x.length == block.length,
                   "operand length %zu != block length %zu", x.length,
                   block.length);
-    for (size_t f = 0; f < block.lanes; ++f)
-        matches[f] = 0;
+    // Fixed-size lane loops: they unroll instead of becoming memset /
+    // memcpy calls, and the SWAR count stays inline where a base x86-64
+    // build would call libgcc's __popcountdi2 for std::popcount.
+    uint32_t acc[kFilterLanes] = {};
     const size_t n_words = block.wordCount();
-    size_t w = simd::avx2XnorPopcountMulti(x.words, block, matches);
+    size_t w = simd::avx2XnorPopcountMulti(x.words, block, acc);
     for (; w < n_words; ++w) {
         const size_t hi = std::min<size_t>(64, block.length - w * 64);
         const uint64_t mask =
             hi == 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
         const uint64_t xw = x.words[w];
         const uint64_t *wrow = block.at(w, 0);
-        for (size_t f = 0; f < block.lanes; ++f)
-            matches[f] += static_cast<uint32_t>(
-                std::popcount(~(xw ^ wrow[f]) & mask));
+        for (size_t f = 0; f < kFilterLanes; ++f)
+            if (f < block.lanes)
+                acc[f] += popcountSwar(~(xw ^ wrow[f]) & mask);
     }
+    for (size_t f = 0; f < kFilterLanes; ++f)
+        if (f < block.lanes)
+            matches[f] = acc[f];
 }
 
 void

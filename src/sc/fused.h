@@ -23,9 +23,9 @@
  * x XNOR 1 = x) into a one-lane weight block and makes one call over
  * the whole stream. Operands are BitstreamViews (pointer + length), so
  * a layer's streams can be packed into one contiguous StreamArena and
- * streamed through. The carry-save fold dispatches to the AVX2 body of
- * sc/simd.h at runtime, with the portable scalar body kept as the
- * always-built default.
+ * streamed through. The carry-save fold dispatches to the AVX-512 or
+ * AVX2 body of sc/simd.h at runtime, with the portable scalar body kept
+ * as the always-built default.
  *
  * Every fused kernel has a bit-serial reference twin (reference*) that
  * computes the same result one cycle at a time through the per-bit
@@ -48,7 +48,7 @@ namespace scdcnn {
 namespace sc {
 
 /** Bit-planes of the carry-save counters (shared by the scalar and
- *  AVX2 plane loops): a column count of at most 2^13 - 1 = 8191. */
+ *  SIMD folds): a column count of at most 2^13 - 1 = 8191. */
 constexpr int kMaxCarrySavePlanes = 13;
 
 /** Most product lines (taps, the bias included) one carry-save fold
@@ -87,7 +87,7 @@ void fillMuxSelects(size_t n_inputs, size_t length, Xoshiro256ss &rng,
  * word range: counts for lane f, cycle begin_word * 64 + i land at
  * out[f * out_stride + i]. Exactly block.lanes lanes are written;
  * out_stride must cover the ranged cycle count. One window of the
- * shared carry-save fold (sc/simd.h ProductFold): the AVX2 body at
+ * shared carry-save fold (sc/simd.h ProductFold): the SIMD body at
  * runtime for full words, the scalar body for the rest.
  */
 void fusedProductCountsMulti(const std::vector<BitstreamView> &xs,
@@ -229,7 +229,8 @@ size_t planeCapForTaps(size_t taps);
  * per-cycle uint16 counts. Active position j, lane f, range-local word
  * q's planes land at out[j * image_stride + f * lane_stride +
  * q * (plane_cap + 1)]; the parity word at offset plane_cap within the
- * group. plane_cap must be >= planeCapForTaps(block.taps). The
+ * group. plane_cap must be >= planeCapForTaps(block.taps) and
+ * <= kMaxCarrySavePlanes. The
  * max-pool batch path consumes this form: segment sums come from plane
  * popcounts and only the selected input is ever transposed (see
  * blocks::binaryMaxPoolPlanesBatch).
@@ -255,7 +256,7 @@ void referenceProductCountsMultiBatch(
 /**
  * Shift an image-0 operand window to image @p image: view t of @p out
  * is {xs0[t].words + image * x_strides[t], xs0[t].length}. The MUX
- * batch path and the image-outer batch folds use this to drive the
+ * batch path and the batch reference twin use this to drive the
  * per-image kernels from one gathered window.
  */
 void shiftViewsForImage(const std::vector<BitstreamView> &xs0,

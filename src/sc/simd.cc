@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
 #include "common/logging.h"
+#include "sc/counter.h"
 #include "sc/fused.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -21,11 +23,11 @@ namespace simd {
 
 namespace {
 
-/** -1 = not yet decided, 0 = scalar, 1 = AVX2. */
-std::atomic<int> g_enabled{-1};
+/** -1 = not yet decided, else the selected Level. */
+std::atomic<int> g_level{-1};
 
 /** SCDCNN_FORCE_SCALAR forces the scalar path when set to anything
- *  but empty or "0" (so FORCE_SCALAR=0 keeps AVX2 selected). */
+ *  but empty or "0" (so FORCE_SCALAR=0 keeps SIMD selected). */
 bool
 forcedScalar()
 {
@@ -33,40 +35,77 @@ forcedScalar()
     return v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
-int
-decide()
+/** The best level the CPU runs: AVX-512 needs the F and VL subsets
+ *  (and AVX2, which every AVX-512 part has, for the shared bodies). */
+Level
+hostLevel()
 {
-    const int on = available() && !forcedScalar() ? 1 : 0;
-    g_enabled.store(on, std::memory_order_relaxed);
-    return on;
+#if SCDCNN_SIMD_X86
+    if (!__builtin_cpu_supports("avx2"))
+        return Level::Scalar;
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl"))
+        return Level::Avx512;
+    return Level::Avx2;
+#else
+    return Level::Scalar;
+#endif
 }
 
 } // namespace
 
-bool
-available()
+Level
+supportedLevel()
 {
-#if SCDCNN_SIMD_X86
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
+    return forcedScalar() ? Level::Scalar : hostLevel();
+}
+
+Level
+level()
+{
+    int state = g_level.load(std::memory_order_relaxed);
+    if (state < 0) {
+        state = static_cast<int>(supportedLevel());
+        g_level.store(state, std::memory_order_relaxed);
+    }
+    return static_cast<Level>(state);
+}
+
+void
+setLevel(Level lv)
+{
+    g_level.store(std::min(static_cast<int>(lv),
+                           static_cast<int>(supportedLevel())),
+                  std::memory_order_relaxed);
 }
 
 bool
 enabled()
 {
-    int state = g_enabled.load(std::memory_order_relaxed);
-    if (state < 0)
-        state = decide();
-    return state == 1;
+    return level() != Level::Scalar;
 }
 
-void
-setEnabled(bool on)
+std::vector<Level>
+supportedLevels()
 {
-    g_enabled.store(on && available() && !forcedScalar() ? 1 : 0,
-                    std::memory_order_relaxed);
+    std::vector<Level> levels;
+    for (int l = 0; l <= static_cast<int>(supportedLevel()); ++l)
+        levels.push_back(static_cast<Level>(l));
+    return levels;
+}
+
+const char *
+levelName(Level lv)
+{
+    switch (lv) {
+    case Level::Avx512:
+        return "avx512";
+    case Level::Avx2:
+        return "avx2";
+    case Level::Scalar:
+        break;
+    }
+    return "scalar";
 }
 
 namespace {
@@ -158,93 +197,6 @@ popcountBytes(__m256i v)
                            _mm256_shuffle_epi8(lut, hi));
 }
 
-// --- branch-free carry-save adder tree --------------------------------
-//
-// A serial plane insertion costs one carry-propagation walk per line
-// whose vectorized trip count is the MAXIMUM trailing-carry length over
-// all 256 bit columns (measured ~6 data-dependent iterations per line
-// on network streams, each with a testz + branch). The fold instead
-// reduces lines through a balanced compressor tree with a fixed
-// operation schedule: 16 lines fold into 5 bit-planes in 87 bitwise
-// ops (~5.4 per line), and each folded block ripple-adds into the
-// running plane accumulator.
-// No data-dependent branches survive in the hot loop.
-
-/** a + b over @p k bit-planes with carry-in 0; planes a[0..k) are
- *  replaced by the sum, the carry out of plane k-1 is returned. */
-__attribute__((target("avx2"))) inline __m256i
-addPlanesK(__m256i *a, const __m256i *b, int k)
-{
-    // First full adder has no carry-in: 2 ops instead of 5.
-    __m256i carry = _mm256_and_si256(a[0], b[0]);
-    a[0] = _mm256_xor_si256(a[0], b[0]);
-    for (int j = 1; j < k; ++j) {
-        const __m256i t = _mm256_xor_si256(a[j], b[j]);
-        const __m256i g = _mm256_and_si256(a[j], b[j]);
-        a[j] = _mm256_xor_si256(t, carry);
-        carry = _mm256_or_si256(g, _mm256_and_si256(t, carry));
-    }
-    return carry;
-}
-
-/**
- * Layers 2+ of the 16-line fold: eight (sum, carry) pairs — the first
- * half-adder layer over consecutive product-line pairs — reduce into
- * the 5 bit-planes of the 16 lines' column sums. The first layer is
- * split out so the fold loops can compute it as the products are
- * generated: two product lines at a time stay in registers, instead of
- * 16 live ymm values that the compiler must spill around the tree.
- */
-__attribute__((target("avx2"))) inline void
-reduce16Pairs(const __m256i s[8], const __m256i c[8], __m256i out[5])
-{
-    // Two 2-bit sums -> one 3-bit sum, four times (planes s,c -> a0..a2).
-    __m256i a0[4], a1[4], a2[4];
-    for (int i = 0; i < 4; ++i) {
-        const __m256i g0 = _mm256_and_si256(s[2 * i], s[2 * i + 1]);
-        a0[i] = _mm256_xor_si256(s[2 * i], s[2 * i + 1]);
-        const __m256i t1 = _mm256_xor_si256(c[2 * i], c[2 * i + 1]);
-        a1[i] = _mm256_xor_si256(t1, g0);
-        a2[i] = _mm256_or_si256(_mm256_and_si256(c[2 * i], c[2 * i + 1]),
-                                _mm256_and_si256(t1, g0));
-    }
-    // Two 3-bit sums -> one 4-bit sum, twice.
-    __m256i lo[4], hi[4];
-    for (int i = 0; i < 2; ++i) {
-        __m256i *dst = i == 0 ? lo : hi;
-        dst[0] = a0[2 * i];
-        dst[1] = a1[2 * i];
-        dst[2] = a2[2 * i];
-        const __m256i rhs[3] = {a0[2 * i + 1], a1[2 * i + 1],
-                                a2[2 * i + 1]};
-        dst[3] = addPlanesK(dst, rhs, 3);
-    }
-    // The final pair: 4-bit + 4-bit -> 5 planes.
-    out[0] = lo[0];
-    out[1] = lo[1];
-    out[2] = lo[2];
-    out[3] = lo[3];
-    out[4] = addPlanesK(out, hi, 4);
-}
-
-/** Ripple @p carry into the plane accumulator from plane @p j up: the
- *  serial carry-save insertion, growing @p used by at most one. */
-__attribute__((target("avx2"), always_inline)) inline void
-ripplePlanes(__m256i *planes, int &used, __m256i carry, int j)
-{
-    while (!_mm256_testz_si256(carry, carry)) {
-        SCDCNN_ASSERT(j < kMaxCarrySavePlanes, "too many input streams");
-        if (j == used) {
-            planes[used++] = carry;
-            break;
-        }
-        const __m256i t = _mm256_and_si256(planes[j], carry);
-        planes[j] = _mm256_xor_si256(planes[j], carry);
-        carry = t;
-        ++j;
-    }
-}
-
 /**
  * One Horner step of a word transpose: shift the cycle-byte
  * accumulators of cycles 0-31 (@p h0) and 32-63 (@p h1) up one digit
@@ -315,197 +267,206 @@ spreadPlanesWordAvx2(const uint64_t *pw, size_t n_planes, bool parity,
     spreadWord([pw](size_t j) { return pw + j; }, n_planes, parity, out);
 }
 
-/** A fold's planes as stored by storePlanes: lane l of plane p at
- *  [p][l], the parity word in row used. */
-using FoldPlaneRows = uint64_t[kMaxCarrySavePlanes + 1][4];
-
-/** All 64 counts of lane @p lane of a fold's plane rows. Indexing the
- *  fixed-size rows lets the plane loop unroll with constant digit
- *  weights. */
-__attribute__((target("avx2"), always_inline)) inline void
-spreadFoldLane(const FoldPlaneRows &pw, size_t lane, int used, bool parity,
-               uint16_t *out)
-{
-    spreadWord([&pw, lane](size_t j) { return &pw[j][lane]; },
-               static_cast<size_t>(used), parity, out);
-}
-
-/** Store @p planes[0 .. used) as rows of @p pw, with @p lsb in row
- *  @p used — the layout spreadFoldLane reads. */
-__attribute__((target("avx2"), always_inline)) inline void
-storePlanes(const __m256i *planes, int used, __m256i lsb, FoldPlaneRows &pw)
-{
-    for (int j = 0; j < used; ++j)
-        _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]), planes[j]);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(pw[used]), lsb);
-}
-
-// --- the product fold ---------------------------------------------------
-
-/** Product line t of word w for all filter lanes: the broadcast input
- *  word XNOR the lane weights at @p wlanes. */
-template <class XWords>
-__attribute__((target("avx2"), always_inline)) inline __m256i
-productLine(const XWords &x, size_t t, size_t w, const uint64_t *wlanes)
-{
-    const __m256i xv = _mm256_set1_epi64x(static_cast<long long>(x(t, w)));
-    const __m256i wv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(wlanes));
-    return _mm256_xor_si256(_mm256_xor_si256(xv, wv),
-                            _mm256_set1_epi8(-1));
-}
-
-/**
- * Lines [i, i + 16) of word w through the compressor tree into 5
- * planes (@p wrow points at line i's weight lanes); lines below
- * @p parity_lines also fold into @p lsb. With kPadded, lines at or
- * past @p n are zero, and the caller guarantees parity_lines <= i (so
- * lsb stays out of the tile's register budget). Product pairs feed the
- * tree's first half-adder layer as they are generated, so only two
- * lines are live at a time.
- */
-template <bool kPadded, class XWords>
-__attribute__((target("avx2"), always_inline)) inline void
-foldTile(const XWords &x, size_t w, const uint64_t *wrow, size_t i,
-         size_t n, size_t parity_lines, __m256i &lsb, __m256i folded[5])
-{
-    __m256i s[8], c[8];
-    for (int r = 0; r < 8; ++r) {
-        const size_t ta = i + 2 * static_cast<size_t>(r);
-        __m256i pa = _mm256_setzero_si256();
-        __m256i pb = _mm256_setzero_si256();
-        if (!kPadded || ta < n)
-            pa = productLine(x, ta, w, wrow + (ta - i) * kFilterLanes);
-        if (!kPadded || ta + 1 < n)
-            pb = productLine(x, ta + 1, w,
-                             wrow + (ta + 1 - i) * kFilterLanes);
-        if (!kPadded && ta < parity_lines)
-            lsb = _mm256_xor_si256(lsb, pa);
-        if (!kPadded && ta + 1 < parity_lines)
-            lsb = _mm256_xor_si256(lsb, pb);
-        s[r] = _mm256_xor_si256(pa, pb);
-        c[r] = _mm256_and_si256(pa, pb);
-    }
-    reduce16Pairs(s, c, folded);
-}
-
-/**
- * The per-word fold: all @p n product lines of word w into
- * planes[0 .. used) (64-bit lane f = filter f) plus the leading-lines
- * parity in @p lsb_out; returns used. Lines fold 16 at a time through
- * the fixed-schedule tree; the leftovers take the serial insertion.
- */
-template <class XWords>
-__attribute__((target("avx2"), always_inline)) inline int
-foldWord(const XWords &x, size_t w, const uint64_t *wrow, size_t n,
-         size_t parity_lines, __m256i planes[kMaxCarrySavePlanes],
-         __m256i &lsb_out)
-{
-    __m256i lsb = _mm256_setzero_si256();
-    int used = 0;
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-        __m256i folded[5];
-        foldTile<false>(x, w, wrow, i, n, parity_lines, lsb, folded);
-        if (used == 0) {
-            for (int j = 0; j < 5; ++j)
-                planes[j] = folded[j];
-            used = 5;
-        } else {
-            ripplePlanes(planes, used, addPlanesK(planes, folded, 5), 5);
-        }
-    }
-    // Zero-padded final tile: once a full tile has folded (used >= 5,
-    // so the accumulator holds 5+ planes and taps >= 16 keeps the
-    // plane cap at 5+), a tail of 6 or more lines runs through the
-    // same tree with zero lines in the missing slots. Zero lines add
-    // nothing to any column count, so the fold is bit-identical to the
-    // serial insertion it replaces — at tree ILP instead of a ripple
-    // walk per line.
-    if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-        __m256i folded[5];
-        foldTile<true>(x, w, wrow, i, n, parity_lines, lsb, folded);
-        ripplePlanes(planes, used, addPlanesK(planes, folded, 5), 5);
-        i = n;
-    }
-    for (; i < n; ++i, wrow += kFilterLanes) {
-        const __m256i carry = productLine(x, i, w, wrow);
-        if (i < parity_lines)
-            lsb = _mm256_xor_si256(lsb, carry);
-        ripplePlanes(planes, used, carry, 0);
-    }
-    lsb_out = lsb;
-    return used;
-}
-
-/**
- * The fold over the full words [f.begin_word, full_end), word outer and
- * image inner: word w's weight row is re-read from cache for every
- * image. kPlanes selects the emitter (plane words or transposed
- * counts); @p words_of(j) is image position j's x-word accessor.
- */
-template <bool kPlanes, class WordsOf>
-__attribute__((target("avx2"))) void
-foldWords(const ProductFold f, size_t full_end, WordsOf words_of)
-{
-    const bool parity = f.parity_lines > 0;
-    for (size_t w = f.begin_word; w < full_end; ++w) {
-        const uint64_t *wrow = f.block.at(w, 0);
-        for (size_t j = 0; j < f.n_images; ++j) {
-            __m256i planes[kMaxCarrySavePlanes];
-            __m256i lsb;
-            const int used = foldWord(words_of(j), w, wrow, f.block.taps,
-                                      f.parity_lines, planes, lsb);
-            alignas(32) FoldPlaneRows pw;
-            storePlanes(planes, used, lsb, pw);
-            if constexpr (kPlanes) {
-                SCDCNN_ASSERT(static_cast<size_t>(used) <= f.plane_cap,
-                              "fold used %d planes, cap %zu", used,
-                              f.plane_cap);
-                uint64_t *img = f.planes + j * f.image_stride +
-                                (w - f.begin_word) * (f.plane_cap + 1);
-                for (size_t l = 0; l < f.block.lanes; ++l) {
-                    uint64_t *dst = img + l * f.lane_stride;
-                    size_t p = 0;
-                    for (; p < static_cast<size_t>(used); ++p)
-                        dst[p] = pw[p][l];
-                    for (; p < f.plane_cap; ++p)
-                        dst[p] = 0;
-                    dst[f.plane_cap] = pw[used][l];
-                }
-            } else {
-                uint16_t *img = f.counts + j * f.image_stride +
-                                (w - f.begin_word) * 64;
-                for (size_t l = 0; l < f.block.lanes; ++l)
-                    spreadFoldLane(pw, l, used, parity,
-                                   img + l * f.lane_stride);
-            }
-        }
-    }
-}
-
-/** foldWords with the fold's x-word addressing: one unshifted window,
- *  or image images[j] of a batch-major window. */
-template <bool kPlanes>
-__attribute__((target("avx2"))) void
-foldWordsAs(const ProductFold &f, size_t full_end)
-{
-    if (f.x_strides == nullptr)
-        foldWords<kPlanes>(f, full_end,
-                           [&](size_t) { return WindowWords{f.xs}; });
-    else
-        foldWords<kPlanes>(f, full_end, [&](size_t j) {
-            return BatchWords{f.xs, f.x_strides, f.images[j]};
-        });
-}
-
 } // namespace
 
-__attribute__((target("avx2"))) size_t
-avx2ProductFold(const ProductFold &fold)
+// --- the product fold -----------------------------------------------------
+//
+// One Harley-Seal schedule (sc/simd_fold.inc) compiled at two widths,
+// each in its own target region so the AVX2 body never carries an
+// AVX-512 instruction.
+
+static_assert(ApproxParallelCounter::kLsbParityLines == 4,
+              "the fold reads the parity after its first four lines");
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+
+namespace {
+namespace fold256 {
+
+/** One stream word per register: lane l = filter l. */
+struct V
 {
-    if (!enabled())
+    using R = __m256i;
+    static constexpr size_t kWords = 1;
+
+    [[gnu::always_inline]] static inline R zero()
+    {
+        return _mm256_setzero_si256();
+    }
+
+    [[gnu::always_inline]] static inline R
+    line(const uint64_t *xp, const uint64_t *wp, size_t)
+    {
+        const R xv = _mm256_set1_epi64x(static_cast<long long>(*xp));
+        const R wv = _mm256_loadu_si256(reinterpret_cast<const R *>(wp));
+        return _mm256_xor_si256(_mm256_xor_si256(xv, wv),
+                                _mm256_set1_epi8(-1));
+    }
+
+    /** Five-op full adder. */
+    [[gnu::always_inline]] static inline void csa(R &h, R &l, R a, R b)
+    {
+        const R u = _mm256_xor_si256(a, b);
+        h = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, l));
+        l = _mm256_xor_si256(u, l);
+    }
+
+    [[gnu::always_inline]] static inline void halfAdd(R &acc, R &c)
+    {
+        const R t = _mm256_and_si256(acc, c);
+        acc = _mm256_xor_si256(acc, c);
+        c = t;
+    }
+
+    [[gnu::always_inline]] static inline R load(const uint64_t *p)
+    {
+        return _mm256_load_si256(reinterpret_cast<const R *>(p));
+    }
+
+    [[gnu::always_inline]] static inline void store(uint64_t *p, R v)
+    {
+        _mm256_store_si256(reinterpret_cast<R *>(p), v);
+    }
+
+    [[gnu::always_inline]] static inline void transpose4(const R in[4],
+                                                         R out[4])
+    {
+        const R t0 = _mm256_unpacklo_epi64(in[0], in[1]);
+        const R t1 = _mm256_unpackhi_epi64(in[0], in[1]);
+        const R t2 = _mm256_unpacklo_epi64(in[2], in[3]);
+        const R t3 = _mm256_unpackhi_epi64(in[2], in[3]);
+        out[0] = _mm256_permute2x128_si256(t0, t2, 0x20);
+        out[1] = _mm256_permute2x128_si256(t1, t3, 0x20);
+        out[2] = _mm256_permute2x128_si256(t0, t2, 0x31);
+        out[3] = _mm256_permute2x128_si256(t1, t3, 0x31);
+    }
+
+    [[gnu::always_inline]] static inline void storeColumn(R c, uint64_t *p,
+                                                          size_t)
+    {
+        _mm256_storeu_si256(reinterpret_cast<R *>(p), c);
+    }
+};
+
+#include "sc/simd_fold.inc"
+
+} // namespace fold256
+} // namespace
+
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2,avx512f,avx512vl")
+
+namespace {
+namespace fold512 {
+
+/** Two stream words per register: lanes 0-3 hold word w of the four
+ *  filters, lanes 4-7 word w + 1; ternary-logic full adders. Shuffles
+ *  use their all-lanes maskz forms: GCC 12's unmasked ones read an
+ *  "undefined" register that -Wmaybe-uninitialized flags. */
+struct V
+{
+    using R = __m512i;
+    static constexpr size_t kWords = 2;
+
+    [[gnu::always_inline]] static inline R zero()
+    {
+        return _mm512_setzero_si512();
+    }
+
+    [[gnu::always_inline]] static inline R
+    line(const uint64_t *xp, const uint64_t *wp, size_t wstep)
+    {
+        const R xv = _mm512_maskz_permutexvar_epi64(
+            0xFF, _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0),
+            _mm512_castsi128_si512(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(xp))));
+        const R wv = _mm512_maskz_inserti64x4(
+            0xFF,
+            _mm512_castsi256_si512(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(wp))),
+            _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(wp + wstep)),
+            1);
+        return _mm512_ternarylogic_epi64(xv, wv, wv, 0xC3); // ~(x ^ w)
+    }
+
+    /** Two-op full adder: majority and three-way XOR. */
+    [[gnu::always_inline]] static inline void csa(R &h, R &l, R a, R b)
+    {
+        h = _mm512_ternarylogic_epi64(a, b, l, 0xE8);
+        l = _mm512_ternarylogic_epi64(a, b, l, 0x96);
+    }
+
+    [[gnu::always_inline]] static inline void halfAdd(R &acc, R &c)
+    {
+        const R t = _mm512_and_si512(acc, c);
+        acc = _mm512_xor_si512(acc, c);
+        c = t;
+    }
+
+    [[gnu::always_inline]] static inline R load(const uint64_t *p)
+    {
+        return _mm512_load_si512(p);
+    }
+
+    [[gnu::always_inline]] static inline void store(uint64_t *p, R v)
+    {
+        _mm512_store_si512(p, v);
+    }
+
+    /** The 4 x 4 transpose of each word's half, one two-source
+     *  permute per column. */
+    [[gnu::always_inline]] static inline void transpose4(const R in[4],
+                                                         R out[4])
+    {
+        const R t0 = _mm512_maskz_unpacklo_epi64(0xFF, in[0], in[1]);
+        const R t1 = _mm512_maskz_unpackhi_epi64(0xFF, in[0], in[1]);
+        const R t2 = _mm512_maskz_unpacklo_epi64(0xFF, in[2], in[3]);
+        const R t3 = _mm512_maskz_unpackhi_epi64(0xFF, in[2], in[3]);
+        const R even = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+        const R odd = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+        out[0] = _mm512_permutex2var_epi64(t0, even, t2);
+        out[1] = _mm512_permutex2var_epi64(t1, even, t3);
+        out[2] = _mm512_permutex2var_epi64(t0, odd, t2);
+        out[3] = _mm512_permutex2var_epi64(t1, odd, t3);
+    }
+
+    /** Word w's half at p, word w + 1's at p + next_word (>= 4), as
+     *  two lane-masked stores. */
+    [[gnu::always_inline]] static inline void
+    storeColumn(R c, uint64_t *p, size_t next_word)
+    {
+        _mm512_mask_storeu_epi64(p, 0x0F, c);
+        _mm512_mask_storeu_epi64(p + next_word - 4, 0xF0, c);
+    }
+};
+
+#include "sc/simd_fold.inc"
+
+} // namespace fold512
+} // namespace
+
+#pragma GCC pop_options
+
+size_t
+vectorProductFold(const ProductFold &fold)
+{
+    const Level lv = level();
+    if (lv == Level::Scalar)
         return 0;
+    SCDCNN_ASSERT(fold.parity_lines == 0 ||
+                      fold.parity_lines ==
+                          std::min(ApproxParallelCounter::kLsbParityLines,
+                                   fold.block.taps),
+                  "vector fold parity over %zu of %zu lines",
+                  fold.parity_lines, fold.block.taps);
+    SCDCNN_ASSERT(fold.planes == nullptr ||
+                      fold.plane_cap <= kMaxCarrySavePlanes,
+                  "plane cap %zu above %d", fold.plane_cap,
+                  kMaxCarrySavePlanes);
     // Full words only: the stream's partial tail word (if the range
     // reaches it) stays with the scalar body, so no tail masking is
     // needed here.
@@ -513,11 +474,12 @@ avx2ProductFold(const ProductFold &fold)
         std::min(fold.end_word, fold.block.length / 64);
     if (full_end <= fold.begin_word)
         return 0;
-    if (fold.planes != nullptr)
-        foldWordsAs<true>(fold, full_end);
-    else
-        foldWordsAs<false>(fold, full_end);
-    return full_end - fold.begin_word;
+    size_t w = fold.begin_word;
+    if (lv == Level::Avx512)
+        w = fold512::foldRange(fold, w, full_end);
+    if (w < full_end)
+        w = fold256::foldRange(fold, w, full_end);
+    return w - fold.begin_word;
 }
 
 void
@@ -993,7 +955,7 @@ avx2SngUnipolar4(const uint32_t *thresholds, Xoshiro256ss *rngs,
 #else // !SCDCNN_SIMD_X86
 
 size_t
-avx2ProductFold(const ProductFold &)
+vectorProductFold(const ProductFold &)
 {
     return 0;
 }

@@ -4,17 +4,22 @@
  *
  * The portable scalar implementations in sc/fused.cc and
  * blocks/pooling.cc are the always-built default and the correctness
- * oracle; the AVX2 variants here are selected at runtime when the host
- * CPU supports them and must be bit-exact with the scalar paths (the
- * dispatch rule DESIGN.md documents, enforced by tests/test_simd.cc).
+ * oracle; the AVX2 and AVX-512 variants here are selected at runtime
+ * when the host CPU supports them and must be bit-exact with the scalar
+ * paths (the dispatch rule DESIGN.md documents, enforced by
+ * tests/test_simd.cc).
  *
  * Kernels:
- *  - avx2ProductFold: the one filter-blocked XNOR + carry-save fold
- *    behind fusedProductCountsMulti, fusedProductCountsMultiBatch and
- *    fusedProductPlanesMultiBatch, for one operand window or a
- *    weight-stationary micro-batch, emitting counts or bit-planes (the
- *    block-level counters and inner products reach it as one-filter
- *    callers of fusedProductCountsMulti);
+ *  - vectorProductFold: the one filter-blocked XNOR + Harley-Seal
+ *    carry-save fold behind fusedProductCountsMulti,
+ *    fusedProductCountsMultiBatch and fusedProductPlanesMultiBatch, for
+ *    one operand window or a weight-stationary micro-batch, emitting
+ *    counts or bit-planes (the block-level counters and inner products
+ *    reach it as one-filter callers of fusedProductCountsMulti). Its
+ *    schedule is written once over a vector-ops trait and compiled at
+ *    two widths: 256-bit AVX2 (one stream word per register) and
+ *    512-bit AVX-512 (words w and w + 1 of the four filter lanes in one
+ *    register);
  *  - the plane readers (avx2SpreadPlanesWord, avx2PlaneGroupSums,
  *    avx2SpreadWinnerPlanes) of the Figure 8 max-pooling selector;
  *  - avx2SumU16: the segment accumulation of the masked binary
@@ -24,10 +29,12 @@
  *  - avx2SngUnipolar4: the word-at-a-time SNG body for four streams,
  *    four xoshiro256** generators stepped in the 64-bit lanes.
  *
- * Dispatch: enabled() is true when the binary carries the AVX2 paths,
- * the CPU reports AVX2, and neither SCDCNN_FORCE_SCALAR nor
- * setEnabled(false) turned them off. Callers branch on enabled() and
- * fall back to the scalar path for tails and small sizes.
+ * Dispatch: level() is the best of Scalar < Avx2 < Avx512 that the
+ * binary carries, the CPU reports, and neither SCDCNN_FORCE_SCALAR nor
+ * setLevel() capped. The fold runs its 512-bit body at Avx512 and its
+ * 256-bit body at Avx2; every other kernel has one AVX2 body, taken at
+ * either SIMD level (enabled()). Callers fall back to the scalar path
+ * for tails and small sizes.
  */
 
 #ifndef SCDCNN_SC_SIMD_H
@@ -35,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sc/bitstream.h"
 #include "sc/rng.h"
@@ -43,18 +51,38 @@ namespace scdcnn {
 namespace sc {
 namespace simd {
 
-/** Whether AVX2 paths were compiled in and the CPU supports them. */
-bool available();
+/** The SIMD dispatch levels, in increasing order of capability. */
+enum class Level : int
+{
+    Scalar = 0, //!< the portable scalar bodies only
+    Avx2 = 1,   //!< AVX2 bodies, the fold one stream word per register
+    Avx512 = 2, //!< AVX2 bodies, the fold on AVX-512F/VL word pairs
+};
 
-/** Whether the AVX2 paths are currently selected: available(), not
- *  disabled via the SCDCNN_FORCE_SCALAR environment variable, and not
- *  turned off with setEnabled(false). */
+/** The best level this binary and CPU run, Scalar when the
+ *  SCDCNN_FORCE_SCALAR environment variable is set (to anything but
+ *  empty or "0"). */
+Level supportedLevel();
+
+/** The level currently selected: supportedLevel() unless setLevel()
+ *  capped it lower. */
+Level level();
+
+/** Test hook: select @p lv, capped at supportedLevel() (so a
+ *  forced-scalar run stays scalar and a host without AVX-512 runs its
+ *  best level instead). */
+void setLevel(Level lv);
+
+/** Whether any SIMD level is selected (level() != Scalar): the AVX2
+ *  bodies of every kernel but the fold key on this. */
 bool enabled();
 
-/** Test hook: select (true) or bypass (false) the AVX2 paths at
- *  runtime. Enabling when !available() or under SCDCNN_FORCE_SCALAR
- *  is a no-op, so a forced-scalar run stays scalar. */
-void setEnabled(bool on);
+/** Scalar up to supportedLevel(), in order: the levels a kernel twin
+ *  test runs, so a host with AVX-512 still checks the AVX2 bodies. */
+std::vector<Level> supportedLevels();
+
+/** "scalar", "avx2" or "avx512": the name benches record. */
+const char *levelName(Level lv);
 
 /**
  * One carry-save product fold over a filter block: for every word of
@@ -76,19 +104,21 @@ void setEnabled(bool on);
  *    avx2SpreadPlanesWord, so the Figure 8 selector only transposes
  *    the input it forwards.
  *
- * Operands are one window xs[t] (x_strides == nullptr, n_images == 1)
- * or a weight-stationary micro-batch: image j's tap t words sit at
- * xs[t].words + images[j] * x_strides[t] (stride 0 shares a line, e.g.
- * the bias stream), and each word's weight row is folded against every
- * image before the loop advances. Exactly block.lanes lanes are
- * written. sc/fused.cc's scalar body and avx2ProductFold below
- * implement the same contract bit for bit.
+ * Operands are addressed through one table of tap word pointers:
+ * image position j's tap t words start at x[j * block.taps + t]. The
+ * caller builds it once per call, from one window (n_images == 1) or
+ * from a weight-stationary micro-batch's image-0 views and per-tap
+ * image strides (stride 0 shares a line, e.g. the bias stream), so the
+ * fold's inner loop loads one pointer per line. Each word's weight row
+ * is folded against every image before the loop advances. Exactly
+ * block.lanes lanes are written. sc/fused.cc's scalar body and
+ * vectorProductFold below implement the same contract bit for bit. The
+ * vector body requires parity_lines to be 0 or the approximate
+ * counter's min(4, block.taps), and plane_cap <= kMaxCarrySavePlanes.
  */
 struct ProductFold
 {
-    const BitstreamView *xs = nullptr; //!< block.taps operand views
-    const size_t *x_strides = nullptr; //!< per-tap image word strides
-    const uint32_t *images = nullptr;  //!< active image indices
+    const uint64_t *const *x = nullptr; //!< n_images * block.taps tap words
     size_t n_images = 1;
     WeightBlockView block;
     size_t parity_lines = 0;
@@ -99,40 +129,21 @@ struct ProductFold
     size_t lane_stride = 0, image_stride = 0;
 };
 
-/** The fold's x-word addressing, as inlined accessors: word w of tap
- *  t in one unshifted window... */
-struct WindowWords
-{
-    const BitstreamView *xs;
-
-    uint64_t operator()(size_t t, size_t w) const { return xs[t].words[w]; }
-};
-
-/** ...or in image @c img of a batch-major window. */
-struct BatchWords
-{
-    const BitstreamView *xs0;
-    const size_t *x_strides;
-    size_t img;
-
-    uint64_t operator()(size_t t, size_t w) const
-    {
-        return xs0[t].words[img * x_strides[t] + w];
-    }
-};
-
 /**
- * AVX2 body of the ProductFold: 16 product lines at a time through a
- * fixed-schedule compressor tree, a zero-padded final tile, then
- * serial plane insertion for the leftovers. Covers the full words of
- * the range only (a word is full when all 64 of its cycles lie inside
- * block.length); the stream's partial tail word stays with the scalar
- * body.
+ * SIMD body of the ProductFold: a Harley-Seal carry-save schedule
+ * (ones/twos/fours/eights accumulators fed by full adders, a binary
+ * counter of the sixteens) that leaves the canonical binary digits of
+ * every column count. At Level::Avx512 it runs on word pairs, words w
+ * and w + 1 of the four filter lanes in one 512-bit register, and an
+ * odd full word takes the 256-bit body; at Level::Avx2 the 256-bit
+ * body takes every word. Covers the full words of the range only (a
+ * word is full when all 64 of its cycles lie inside block.length); the
+ * stream's partial tail word stays with the scalar body.
  *
  * @return the number of words processed from begin_word (the scalar
- *         caller continues from there); 0 when AVX2 is not enabled.
+ *         caller continues from there); 0 at Level::Scalar.
  */
-size_t avx2ProductFold(const ProductFold &fold);
+size_t vectorProductFold(const ProductFold &fold);
 
 /**
  * Transpose one word's canonical count planes back into 64 per-cycle

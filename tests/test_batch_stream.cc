@@ -35,9 +35,9 @@ namespace {
 class BatchKernel : public ::testing::Test
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+    void TearDown() override { sc::simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = sc::simd::enabled();
+    const sc::simd::Level was_level_ = sc::simd::level();
 };
 
 /** Batched operands: n_taps arena sites x B images plus a shared
@@ -73,7 +73,7 @@ struct BatchOperands
 TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
 {
     constexpr size_t kImages = 4;
-    // Tap counts straddling the 16-line compressor tile (plus the
+    // Tap counts straddling the 16-line Harley-Seal block (plus the
     // bias line), filter counts producing full and ragged lane blocks,
     // and a stream length with a partial tail word.
     for (size_t n_taps : {size_t{4}, size_t{17}, size_t{36}}) {
@@ -102,8 +102,8 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
                     const size_t image_stride =
                         sc::kFilterLanes * lane_stride;
                     for (bool approximate : {false, true}) {
-                        for (bool simd_on : {true, false}) {
-                            sc::simd::setEnabled(simd_on);
+                        for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+                            sc::simd::setLevel(lv);
                             std::vector<uint16_t> batched(
                                 active.size() * image_stride, 0);
                             sc::fusedProductCountsMultiBatch(
@@ -137,13 +137,13 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
                                 << " filters=" << filters << " g=" << g
                                 << " w0=" << w0
                                 << " approx=" << approximate
-                                << " simd=" << simd_on;
+                                << " level=" << sc::simd::levelName(lv);
                             EXPECT_EQ(batched, reference)
                                 << "taps=" << n_taps
                                 << " filters=" << filters << " g=" << g
                                 << " w0=" << w0
                                 << " approx=" << approximate
-                                << " simd=" << simd_on;
+                                << " level=" << sc::simd::levelName(lv);
                         }
                     }
                 }

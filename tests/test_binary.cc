@@ -155,19 +155,19 @@ TEST(BinaryKernels, ForcedScalarIsBitExactWithSimdDispatch)
     // host has it) and with SIMD forced off: identical counts. On a
     // non-AVX2 host both runs take the scalar path and the test
     // degenerates to determinism, which is still worth pinning.
-    const bool was_enabled = sc::simd::enabled();
+    const sc::simd::Level was_level = sc::simd::level();
     for (size_t n : {64u, 65u, 256u, 1000u}) {
         RandomBlock rb(sc::kFilterLanes, n, 0xD15 + n);
         const sc::WeightBlockView block = rb.weights.block(0);
         uint32_t with_simd[sc::kFilterLanes];
         uint32_t scalar[sc::kFilterLanes];
-        sc::simd::setEnabled(true);
+        sc::simd::setLevel(sc::simd::supportedLevel());
         sc::fusedXnorPopcountMulti(sc::BitstreamView(rb.x), block,
                                    with_simd);
-        sc::simd::setEnabled(false);
+        sc::simd::setLevel(sc::simd::Level::Scalar);
         sc::fusedXnorPopcountMulti(sc::BitstreamView(rb.x), block,
                                    scalar);
-        sc::simd::setEnabled(was_enabled);
+        sc::simd::setLevel(was_level);
         for (size_t f = 0; f < block.lanes; ++f)
             EXPECT_EQ(with_simd[f], scalar[f])
                 << "n=" << n << " lane=" << f;
@@ -180,15 +180,15 @@ TEST(BinaryNetworkTest, ForcedScalarPredictionsAreBitExact)
     const nn::NetworkPlan plan = nn::deriveNetworkPlan(net, 1, 28, 28);
     const core::BinaryNetwork bin(net, plan);
 
-    const bool was_enabled = sc::simd::enabled();
+    const sc::simd::Level was_level = sc::simd::level();
     for (size_t d = 0; d < 10; ++d) {
         const nn::Tensor img = nn::DigitDataset::render(d, 7 + d);
         std::vector<double> simd_scores, scalar_scores;
-        sc::simd::setEnabled(true);
+        sc::simd::setLevel(sc::simd::supportedLevel());
         const size_t a = bin.predict(img, &simd_scores);
-        sc::simd::setEnabled(false);
+        sc::simd::setLevel(sc::simd::Level::Scalar);
         const size_t b = bin.predict(img, &scalar_scores);
-        sc::simd::setEnabled(was_enabled);
+        sc::simd::setLevel(was_level);
         EXPECT_EQ(a, b) << "digit=" << d;
         EXPECT_EQ(simd_scores, scalar_scores) << "digit=" << d;
     }

@@ -80,9 +80,9 @@ class BlockApiVsOracle
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+    void TearDown() override { sc::simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = sc::simd::enabled();
+    const sc::simd::Level was_level_ = sc::simd::level();
 };
 
 TEST_P(BlockApiVsOracle, CountsMatchNaiveCounts)
@@ -90,11 +90,11 @@ TEST_P(BlockApiVsOracle, CountsMatchNaiveCounts)
     auto [n, len] = GetParam();
     OperandSet ops(n, len, 1000 + n * 131 + len);
     const auto products = blocks::productStreams(ops.xs, ops.ws);
-    for (bool simd_on : {false, true}) {
-        sc::simd::setEnabled(simd_on);
+    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+        sc::simd::setLevel(lv);
         const std::string where = "n=" + std::to_string(n) +
                                   " len=" + std::to_string(len) +
-                                  " simd=" + std::to_string(simd_on);
+                                  " level=" + sc::simd::levelName(lv);
         EXPECT_EQ(sc::ParallelCounter::counts(ops.xs),
                   naiveCounts(ops.xs, false))
             << where;
@@ -116,13 +116,14 @@ TEST_P(BlockApiVsOracle, MuxMatchesMaterializedProducts)
     auto [n, len] = GetParam();
     OperandSet ops(n, len, 2000 + n * 131 + len);
     const auto products = blocks::productStreams(ops.xs, ops.ws);
-    for (bool simd_on : {false, true}) {
-        sc::simd::setEnabled(simd_on);
+    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+        sc::simd::setLevel(lv);
         sc::Xoshiro256ss sel_a(99 + n), sel_b(99 + n);
         EXPECT_EQ(blocks::MuxInnerProduct::sumProducts(products, sel_a),
                   blocks::MuxInnerProduct::sumProductsFused(ops.xp, ops.wp,
                                                             sel_b))
-            << "n=" << n << " len=" << len << " simd=" << simd_on;
+            << "n=" << n << " len=" << len
+            << " level=" << sc::simd::levelName(lv);
         // Generator states must coincide afterwards too.
         EXPECT_EQ(sel_a.next(), sel_b.next());
     }
@@ -173,7 +174,7 @@ struct BlockSet
     }
 };
 
-/** (taps, len, filters): fan-ins across the compressor-tree chunk
+/** (taps, len, filters): fan-ins across the 16-line Harley-Seal block
  *  size, lengths across word/segment boundaries, ragged lane counts. */
 class MultiVsReference
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>>
@@ -303,7 +304,7 @@ TEST(MultiKernels, EmptyRangeAtTheRaggedTailIsANoOp)
 INSTANTIATE_TEST_SUITE_P(
     Grid, MultiVsReference,
     ::testing::Combine(
-        // Fan-ins below/at/above the 16-line compressor chunk and the
+        // Fan-ins below/at/above the 16-line Harley-Seal block and the
         // parity cutoff, plus large blocked-layer shapes.
         ::testing::Values(1, 3, 15, 16, 17, 40, 151),
         // Lengths around word and 4-word-segment boundaries.
@@ -315,9 +316,9 @@ INSTANTIATE_TEST_SUITE_P(
 class BatchLoopOrder : public ::testing::TestWithParam<size_t>
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+    void TearDown() override { sc::simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = sc::simd::enabled();
+    const sc::simd::Level was_level_ = sc::simd::level();
 };
 
 /** Transpose one word's canonical planes (plus the parity word at
@@ -400,8 +401,8 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
                     approximate, w0, n_words, reference.data(),
                     lane_stride, image_stride);
                 std::vector<uint64_t> scalar_planes;
-                for (bool simd_on : {false, true}) {
-                    sc::simd::setEnabled(simd_on);
+                for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+                    sc::simd::setLevel(lv);
                     std::vector<uint16_t> counts(
                         active.size() * image_stride, 0);
                     sc::fusedProductCountsMultiBatch(
@@ -432,13 +433,13 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
                         " word_outer=" + std::to_string(word_outer) +
                         " g=" + std::to_string(g) +
                         " approx=" + std::to_string(approximate) +
-                        " simd=" + std::to_string(simd_on);
+                        " level=" + sc::simd::levelName(lv);
                     EXPECT_EQ(counts, reference) << where;
                     EXPECT_EQ(from_planes, reference) << where;
                     // The plane words themselves (zero planes above the
                     // fold's high plane, zero tail bits) match across
                     // the dispatch too.
-                    if (!simd_on)
+                    if (lv == sc::simd::Level::Scalar)
                         scalar_planes = planes;
                     else
                         EXPECT_EQ(planes, scalar_planes) << where;
@@ -448,9 +449,9 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
     }
 }
 
-// Single line, the parity cutoff, the 16-line compressor tile and its
-// zero-padded tail (21 = 16 + 5 leftovers takes serial insertion,
-// 22 = 16 + 6 the padded tree), and wide FC-like fan-ins.
+// Single line, the parity cutoff, the 16-line Harley-Seal block and
+// its tails (21 = 16 + 4 + 1 lines, 22 = 16 + 4 + 2), and wide FC-like
+// fan-ins.
 INSTANTIATE_TEST_SUITE_P(Taps, BatchLoopOrder,
                          ::testing::Values(1, 5, 16, 21, 22, 201, 257));
 

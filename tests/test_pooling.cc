@@ -426,9 +426,9 @@ TEST(SignedAveragePoolingRange, PointerVariantMatchesVectorVariant)
 class BatchKernel : public ::testing::Test
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+    void TearDown() override { sc::simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = sc::simd::enabled();
+    const sc::simd::Level was_level_ = sc::simd::level();
 };
 
 /** Window contents of the plane-pooling oracle test. */
@@ -517,8 +517,8 @@ TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
     for (size_t segment_len : {16, 48, 10})
     for (bool parity : {true, false})
     for (bool accumulate : {true, false})
-    for (bool simd_on : {true, false}) {
-        sc::simd::setEnabled(simd_on);
+    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+        sc::simd::setLevel(lv);
         const size_t pstride = plane_cap + 1;
         PlaneWindows in(n_pixels * n_inputs, plane_cap, parity, vals);
         if (windows == Windows::Identical)
@@ -574,7 +574,7 @@ TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
                 " seg=" + std::to_string(segment_len) +
                 " parity=" + std::to_string(parity) +
                 " acc=" + std::to_string(accumulate) +
-                " simd=" + std::to_string(simd_on) +
+                " level=" + sc::simd::levelName(lv) +
                 " pixel=" + std::to_string(j);
             EXPECT_TRUE(std::equal(out_p[j].begin(), out_p[j].begin() + kLen,
                                    out_c[j].begin()))

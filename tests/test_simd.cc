@@ -1,11 +1,13 @@
 /**
  * @file
- * Bit-exactness of the runtime-dispatched AVX2 kernels against the
+ * Bit-exactness of the runtime-dispatched SIMD kernels against the
  * always-built scalar paths (the dispatch rule of DESIGN.md: the
- * scalar path is the oracle, AVX2 must agree exactly). Each test runs
- * the same fused kernel with SIMD enabled and disabled and compares;
- * on hosts without AVX2 both runs take the scalar path and the tests
- * degenerate to self-comparison.
+ * scalar path is the oracle, every SIMD level must agree exactly).
+ * Each test runs the same fused kernel at every level the host
+ * supports (sc::simd::supportedLevels(): an AVX-512 host checks its
+ * AVX2 bodies too) and compares against the scalar level; on hosts
+ * without AVX2 only the scalar level runs and the tests degenerate to
+ * self-comparison.
  */
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "sc/bitstream.h"
+#include "sc/counter.h"
 #include "sc/fused.h"
 #include "sc/rng.h"
 #include "sc/simd.h"
@@ -29,9 +32,9 @@ namespace {
 class SimdTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+    void TearDown() override { sc::simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = sc::simd::enabled();
+    const sc::simd::Level was_level_ = sc::simd::level();
 };
 
 /** n random bipolar operand streams of length len. */
@@ -54,17 +57,17 @@ class SimdVsScalar
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
 {
   protected:
-    void TearDown() override { sc::simd::setEnabled(was_enabled_); }
+    void TearDown() override { sc::simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = sc::simd::enabled();
+    const sc::simd::Level was_level_ = sc::simd::level();
 };
 
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
 {
-    // The AVX2 filter-lane compressor tree against the scalar
-    // plane-insertion path of the same kernel, over ragged lane counts
-    // and word sub-ranges (the scalar path also covers the stream's
-    // partial tail word when SIMD is on).
+    // The vector folds against the scalar plane-insertion path of the
+    // same kernel in its one-window form, over ragged lane counts and
+    // word sub-ranges (the scalar path also covers the stream's partial
+    // tail word at every level).
     auto [n, len] = GetParam();
     OperandSet ops(n, len, 8000 + n * 131 + len);
     for (size_t filters : {size_t{1}, size_t{4}, size_t{6}}) {
@@ -81,20 +84,22 @@ TEST_P(SimdVsScalar, ProductCountsMultiMatch)
             const sc::WeightBlockView block = arena.block(g);
             for (size_t w0 : {size_t{0}, std::min(n_words, size_t{3})}) {
                 for (bool approximate : {false, true}) {
-                    std::vector<uint16_t> with_simd(block.lanes * len);
-                    std::vector<uint16_t> without(block.lanes * len);
-                    sc::simd::setEnabled(true);
-                    sc::fusedProductCountsMulti(ops.xv, block,
-                                                approximate, w0, n_words,
-                                                with_simd.data(), len);
-                    sc::simd::setEnabled(false);
-                    sc::fusedProductCountsMulti(ops.xv, block,
-                                                approximate, w0, n_words,
-                                                without.data(), len);
-                    EXPECT_EQ(with_simd, without)
-                        << "n=" << n << " len=" << len
-                        << " filters=" << filters << " w0=" << w0
-                        << " approx=" << approximate;
+                    std::vector<uint16_t> scalar(block.lanes * len);
+                    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+                        sc::simd::setLevel(lv);
+                        std::vector<uint16_t> out(block.lanes * len);
+                        sc::fusedProductCountsMulti(ops.xv, block,
+                                                    approximate, w0, n_words,
+                                                    out.data(), len);
+                        if (lv == sc::simd::Level::Scalar)
+                            scalar = out;
+                        else
+                            EXPECT_EQ(out, scalar)
+                                << "n=" << n << " len=" << len
+                                << " filters=" << filters << " w0=" << w0
+                                << " approx=" << approximate << " level="
+                                << sc::simd::levelName(lv);
+                    }
                 }
             }
         }
@@ -104,13 +109,121 @@ TEST_P(SimdVsScalar, ProductCountsMultiMatch)
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimdVsScalar,
     ::testing::Combine(
-        // Fan-ins around the parity cutoff, the 16-line compressor
-        // chunk, and across plane counts.
+        // Fan-ins around the parity cutoff, the 16-line Harley-Seal
+        // block, and across plane counts.
         ::testing::Values(1, 3, 4, 5, 16, 17, 26, 151, 257),
         // Lengths around the 256-bit SIMD block and 64-bit word
         // boundaries: pure-scalar, pure-SIMD, and mixed tails.
         ::testing::Values(1, 63, 64, 255, 256, 257, 300, 511, 512,
                           1024)));
+
+/** (taps, lanes): the batch fold in both emitter forms at every
+ *  supported level against the scalar level. */
+class FoldTwins
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
+{
+  protected:
+    void TearDown() override { sc::simd::setLevel(was_level_); }
+
+    const sc::simd::Level was_level_ = sc::simd::level();
+};
+
+TEST_P(FoldTwins, EveryLevelMatchesScalarInBothForms)
+{
+    // Taps around the Harley-Seal blocks (2-line pairs, the 16-line
+    // block and its 8/4/2/1-line tails, the sixteens counter's carries)
+    // and the served shapes (26, 201, 257); 1-4 real lanes; 1-8 images
+    // of a batch-major window whose last tap is a shared stride-0
+    // line; word ranges with an odd begin word, odd word counts (the
+    // AVX-512 body's odd word takes the AVX2 body) and the partial
+    // tail word. A 201- or 257-tap slice over 4+ words runs word-outer,
+    // the smaller ones image-outer.
+    auto [taps, lanes] = GetParam();
+    constexpr size_t kImages = 8;
+    const size_t n_words = 7;
+    const size_t len = n_words * 64 - 9;
+    sc::BatchStreamArena xs_arena;
+    xs_arena.reset(taps - 1, kImages, len);
+    sc::SngBank bank(77 * taps + lanes);
+    sc::SplitMix64 vals(31 * taps + lanes);
+    for (size_t t = 0; t + 1 < taps; ++t)
+        for (size_t b = 0; b < kImages; ++b)
+            xs_arena.assign(t, b, bank.bipolar(vals.nextInRange(-1, 1), len));
+    const sc::Bitstream shared = bank.bipolar(0.5, len);
+    std::vector<sc::BitstreamView> xs0;
+    std::vector<size_t> strides;
+    for (size_t t = 0; t + 1 < taps; ++t) {
+        xs0.push_back(xs_arena.view(t, 0));
+        strides.push_back(xs_arena.strideWords());
+    }
+    xs0.push_back(sc::BitstreamView(shared));
+    strides.push_back(0);
+    sc::InterleavedWeightArena weights;
+    weights.reset(lanes, taps, len);
+    for (size_t f = 0; f < lanes; ++f)
+        for (size_t t = 0; t < taps; ++t)
+            weights.assign(f, t, bank.bipolar(vals.nextInRange(-1, 1), len));
+    const sc::WeightBlockView block = weights.block(0);
+    ASSERT_EQ(block.lanes, lanes);
+
+    const std::vector<std::vector<uint32_t>> image_sets = {
+        {5}, {0, 2, 3}, {0, 1, 2, 3, 4, 5, 6, 7}};
+    const std::pair<size_t, size_t> ranges[] = {
+        {0, n_words}, {1, n_words}, {1, 4}, {2, 5}, {3, 4}};
+    const size_t min_cap = sc::planeCapForTaps(taps);
+    for (const auto &images : image_sets)
+        for (const auto &[w0, w1] : ranges)
+            for (size_t cap : {min_cap, std::min<size_t>(min_cap + 2, 13)})
+                for (bool approximate : {false, true}) {
+                    const size_t n_cycles = std::min(w1 * 64, len) - w0 * 64;
+                    const size_t lane_stride = (w1 - w0) * 64;
+                    const size_t image_stride =
+                        sc::kFilterLanes * lane_stride;
+                    const size_t plane_lane_stride = (w1 - w0) * (cap + 1);
+                    const size_t plane_image_stride =
+                        sc::kFilterLanes * plane_lane_stride;
+                    std::vector<uint16_t> scalar_counts;
+                    std::vector<uint64_t> scalar_planes;
+                    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+                        sc::simd::setLevel(lv);
+                        std::vector<uint16_t> counts(
+                            images.size() * image_stride, 0x5A5A);
+                        sc::fusedProductCountsMultiBatch(
+                            xs0, strides, images.data(), images.size(),
+                            block, approximate, w0, w1, counts.data(),
+                            lane_stride, image_stride);
+                        std::vector<uint64_t> planes(
+                            images.size() * plane_image_stride, 0xA5A5);
+                        sc::fusedProductPlanesMultiBatch(
+                            xs0, strides, images.data(), images.size(),
+                            block, approximate, w0, w1, planes.data(), cap,
+                            plane_lane_stride, plane_image_stride);
+                        const std::string where =
+                            "taps=" + std::to_string(taps) +
+                            " lanes=" + std::to_string(lanes) +
+                            " images=" + std::to_string(images.size()) +
+                            " words=[" + std::to_string(w0) + "," +
+                            std::to_string(w1) + ") cycles=" +
+                            std::to_string(n_cycles) +
+                            " cap=" + std::to_string(cap) +
+                            " approx=" + std::to_string(approximate) +
+                            " level=" + sc::simd::levelName(lv);
+                        if (lv == sc::simd::Level::Scalar) {
+                            scalar_counts = counts;
+                            scalar_planes = planes;
+                            continue;
+                        }
+                        EXPECT_EQ(counts, scalar_counts) << where;
+                        EXPECT_EQ(planes, scalar_planes) << where;
+                    }
+                }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, FoldTwins,
+    ::testing::Combine(::testing::Values(2, 15, 16, 17, 26, 31, 33, 201,
+                                         257),
+                       ::testing::Values(1, 2, 3, 4)));
 
 TEST_F(SimdTest, SumU16MatchesScalar)
 {
@@ -125,12 +238,11 @@ TEST_F(SimdTest, SumU16MatchesScalar)
         uint64_t expect = 0;
         for (uint16_t v : values)
             expect += v;
-        sc::simd::setEnabled(true);
-        EXPECT_EQ(sc::simd::avx2SumU16(values.data(), n), expect)
-            << "n=" << n;
-        sc::simd::setEnabled(false);
-        EXPECT_EQ(sc::simd::avx2SumU16(values.data(), n), expect)
-            << "n=" << n;
+        for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+            sc::simd::setLevel(lv);
+            EXPECT_EQ(sc::simd::avx2SumU16(values.data(), n), expect)
+                << "n=" << n << " level=" << sc::simd::levelName(lv);
+        }
     }
 }
 
@@ -143,27 +255,37 @@ forcedScalarEnv()
     return v != nullptr && *v != '\0' && std::string(v) != "0";
 }
 
-TEST_F(SimdTest, DisableIsObserved)
+TEST_F(SimdTest, SetLevelIsObservedAndCapped)
 {
-    sc::simd::setEnabled(false);
+    sc::simd::setLevel(sc::simd::Level::Scalar);
+    EXPECT_EQ(sc::simd::level(), sc::simd::Level::Scalar);
     EXPECT_FALSE(sc::simd::enabled());
-    sc::simd::setEnabled(true);
-    // Re-enabling only sticks where the CPU actually has AVX2 and the
-    // scalar paths are not forced.
-    EXPECT_EQ(sc::simd::enabled(),
-              sc::simd::available() && !forcedScalarEnv());
+    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+        sc::simd::setLevel(lv);
+        EXPECT_EQ(sc::simd::level(), lv);
+        EXPECT_EQ(sc::simd::enabled(), lv != sc::simd::Level::Scalar);
+    }
+    // A level above what the host supports runs the host's best one.
+    sc::simd::setLevel(sc::simd::Level::Avx512);
+    EXPECT_EQ(sc::simd::level(), sc::simd::supportedLevel());
+    EXPECT_EQ(sc::simd::supportedLevels().back(),
+              sc::simd::supportedLevel());
+    if (forcedScalarEnv()) {
+        EXPECT_EQ(sc::simd::supportedLevel(), sc::simd::Level::Scalar);
+    }
 }
 
-TEST_F(SimdTest, ForcedScalarSurvivesReenabling)
+TEST_F(SimdTest, ForcedScalarSurvivesRaisingTheLevel)
 {
-    // A forced-scalar run stays scalar: setEnabled(true), which the
-    // kernel fixtures call to compare against AVX2, honours
-    // SCDCNN_FORCE_SCALAR as the first dispatch decision does.
+    // A forced-scalar run stays scalar: setLevel(Avx512), which the
+    // kernel fixtures call to compare against the vector bodies,
+    // honours SCDCNN_FORCE_SCALAR as the first dispatch decision does.
     const char *prev = std::getenv("SCDCNN_FORCE_SCALAR");
     const std::string saved = prev != nullptr ? prev : "";
     ASSERT_EQ(::setenv("SCDCNN_FORCE_SCALAR", "1", 1), 0);
-    sc::simd::setEnabled(false);
-    sc::simd::setEnabled(true);
+    sc::simd::setLevel(sc::simd::Level::Scalar);
+    sc::simd::setLevel(sc::simd::Level::Avx512);
+    EXPECT_EQ(sc::simd::level(), sc::simd::Level::Scalar);
     EXPECT_FALSE(sc::simd::enabled());
     if (prev != nullptr)
         ::setenv("SCDCNN_FORCE_SCALAR", saved.c_str(), 1);

@@ -187,9 +187,9 @@ expectTailZero(const uint64_t *words, size_t length)
 class SngTwin : public ::testing::Test
 {
   protected:
-    void TearDown() override { simd::setEnabled(was_enabled_); }
+    void TearDown() override { simd::setLevel(was_level_); }
 
-    const bool was_enabled_ = simd::enabled();
+    const simd::Level was_level_ = simd::level();
 };
 
 TEST_F(SngTwin, ScalarWordBodyMatchesReference)
@@ -215,8 +215,8 @@ TEST_F(SngTwin, ScalarWordBodyMatchesReference)
 TEST_F(SngTwin, Avx2FourStreamBodyMatchesReference)
 {
     const size_t n_values = std::size(kTwinValues);
-    for (bool simd_on : {true, false}) {
-        simd::setEnabled(simd_on);
+    for (simd::Level lv : simd::supportedLevels()) {
+        simd::setLevel(lv);
         for (size_t len : kTwinLengths)
             for (uint64_t seed = 1; seed <= 3 * n_values; ++seed) {
                 // Four streams with different values and seeds,
@@ -258,8 +258,8 @@ TEST_F(SngTwin, BankBipolarIntoMatchesBipolarAndReference)
     std::vector<double> xs;
     for (size_t i = 0; i < 11; ++i)
         xs.push_back(2.0 * kTwinValues[i % std::size(kTwinValues)] - 1.0);
-    for (bool simd_on : {true, false}) {
-        simd::setEnabled(simd_on);
+    for (simd::Level lv : simd::supportedLevels()) {
+        simd::setLevel(lv);
         for (size_t len : kTwinLengths)
             for (uint64_t seed = 1; seed <= 6; ++seed) {
                 // One spare word per slot: the body must not touch it.
@@ -278,7 +278,7 @@ TEST_F(SngTwin, BankBipolarIntoMatchesBipolarAndReference)
                     ASSERT_TRUE(std::equal(ref.words().begin(),
                                            ref.words().end(), slot))
                         << "len=" << len << " seed=" << seed
-                        << " stream=" << i << " simd=" << simd_on;
+                        << " stream=" << i << " level=" << simd::levelName(lv);
                     EXPECT_EQ(slot[stride - 1], kJunk);
                     expectTailZero(slot, len);
                 }

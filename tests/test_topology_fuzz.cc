@@ -112,6 +112,18 @@ randomImage(size_t h, size_t w, uint64_t seed)
     return img;
 }
 
+/** Seeded biases in [-0.5, 0.5): built layers start with zero biases,
+ *  which would leave an oracle's bias terms (and the SC engines'
+ *  bias lines) unchecked. */
+void
+randomizeBiases(nn::Network &net, uint64_t seed)
+{
+    sc::Xoshiro256ss rng(seed + fuzzSeedOffset() * 131);
+    for (const nn::StageOutline &o : nn::outlineNetworkStages(net))
+        for (float &b : *net.layer(o.layer_index).biases())
+            b = static_cast<float>(rng.nextDouble() - 0.5);
+}
+
 constexpr size_t kCases = 20;
 
 TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
@@ -119,6 +131,7 @@ TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
+        randomizeBiases(net, 30 + c);
         const nn::Tensor img =
             randomImage(t.spec.in_h, t.spec.in_w, 500 + c);
         const uint64_t seed = 9000 + c;
@@ -209,6 +222,7 @@ TEST(TopologyFuzz, BatchMatchesSinglesOnEveryRandomTopology)
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
+        randomizeBiases(net, 50 + c);
         core::ScNetworkConfig cfg = t.cfg;
         const size_t seg_rotation[] = {0, 1, 3};
         cfg.stream_segment_words = seg_rotation[c % 3];
@@ -425,17 +439,6 @@ TEST(TopologyFuzz, BinaryScoresMatchTheFloatSignNetOracle)
         EXPECT_EQ(info.effective_bits, 1u) << "case=" << c;
         EXPECT_FALSE(info.early_exit) << "case=" << c;
     }
-}
-
-/** Seeded biases in [-0.5, 0.5): built layers start with zero biases,
- *  which would leave an oracle's bias terms unchecked. */
-void
-randomizeBiases(nn::Network &net, uint64_t seed)
-{
-    sc::Xoshiro256ss rng(seed + fuzzSeedOffset() * 131);
-    for (const nn::StageOutline &o : nn::outlineNetworkStages(net))
-        for (float &b : *net.layer(o.layer_index).biases())
-            b = static_cast<float>(rng.nextDouble() - 0.5);
 }
 
 TEST(TopologyFuzz, BinaryFullPrecisionEdgesMatchTheFloatOracle)
