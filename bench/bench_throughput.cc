@@ -130,6 +130,98 @@ extractNumber(const std::string &json, const std::string &key,
                        value) == 1;
 }
 
+/**
+ * Per-phase CPU of one served batch: the servebench model's shape (the
+ * mini-LeNet, Max pooling, APC x 3, stream length @p len) at B = 8 on
+ * the pinned 1-thread @p pool, untrained (timing does not depend on the
+ * weights), once per SIMD level this host runs. The reps alternate
+ * between the levels so drift hits every column alike, and each cell is
+ * the median over the reps. Printed only: no JSON key, no gate.
+ */
+void
+servedPhaseTable(size_t len, ThreadPool &pool)
+{
+    constexpr size_t kBatch = 8;
+    constexpr size_t kReps = 15;
+    core::ScNetworkConfig cfg;
+    cfg.pooling = nn::PoolingMode::Max;
+    cfg.layer_adders = {core::AdderKind::Apc, core::AdderKind::Apc,
+                        core::AdderKind::Apc};
+    cfg.bitstream_len = len;
+    const core::ScNetwork net(nn::buildMiniLeNet(nn::PoolingMode::Max, 1),
+                              cfg);
+    std::vector<nn::Tensor> images;
+    for (size_t i = 0; i < kBatch; ++i)
+        images.push_back(nn::DigitDataset::render(i % 10, 300 + i));
+
+    const sc::simd::Level was_level = sc::simd::level();
+    std::vector<sc::simd::Level> levels;
+    for (sc::simd::Level lv : sc::simd::supportedLevels())
+        if (lv != sc::simd::Level::Scalar ||
+            sc::simd::supportedLevel() == sc::simd::Level::Scalar)
+            levels.push_back(lv);
+    // [level][rep] wall and phase milliseconds.
+    std::vector<std::vector<double>> wall(levels.size());
+    std::vector<std::vector<PhaseMs>> phases(levels.size());
+    obs::TraceRecorder &rec = obs::TraceRecorder::instance();
+    for (size_t r = 0; r < kReps + 1; ++r) {
+        for (size_t l = 0; l < levels.size(); ++l) {
+            sc::simd::setLevel(levels[l]);
+            rec.resetProfile();
+            rec.arm();
+            const auto t0 = std::chrono::steady_clock::now();
+            net.forwardBatch(images, 900 + r, &pool);
+            const double ms = msSince(t0);
+            rec.disarm();
+            if (r == 0)
+                continue; // warm-up
+            wall[l].push_back(ms);
+            phases[l].push_back(phaseMs(rec, 1));
+        }
+    }
+    sc::simd::setLevel(was_level);
+
+    const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const auto column = [&](size_t l, double PhaseMs::*field) {
+        std::vector<double> v;
+        for (const PhaseMs &p : phases[l])
+            v.push_back(p.*field);
+        return median(v);
+    };
+    std::printf("served mini-LeNet phases (%s, B=%zu, 1-thread pool, "
+                "tracing armed; ms per batch, median of %zu alternating "
+                "reps):\n",
+                cfg.describe().c_str(), kBatch, kReps);
+    std::printf("  fingerprint: %u hardware threads, %s, levels",
+                std::thread::hardware_concurrency(), __VERSION__);
+    for (sc::simd::Level lv : levels)
+        std::printf(" %s", sc::simd::levelName(lv));
+    std::printf("\n    %-24s", "phase");
+    for (sc::simd::Level lv : levels)
+        std::printf(" %10s", sc::simd::levelName(lv));
+    const struct
+    {
+        const char *name;
+        double PhaseMs::*field;
+    } rows[] = {{"encode", &PhaseMs::encode},
+                {"inner product", &PhaseMs::inner_product},
+                {"pooling", &PhaseMs::pooling},
+                {"activation", &PhaseMs::activation},
+                {"output layer", &PhaseMs::output}};
+    for (const auto &row : rows) {
+        std::printf("\n    %-24s", row.name);
+        for (size_t l = 0; l < levels.size(); ++l)
+            std::printf(" %10.2f", column(l, row.field));
+    }
+    std::printf("\n    %-24s", "wall");
+    for (size_t l = 0; l < levels.size(); ++l)
+        std::printf(" %10.2f", median(wall[l]));
+    std::printf("\n\n");
+}
+
 } // namespace
 
 int
@@ -349,6 +441,8 @@ main()
     std::printf("    %-26s %10.1f ms\n", "armed (best)", armed_best);
     std::printf("    %-26s %+9.2f%%\n\n", "overhead",
                 100.0 * trace_overhead);
+
+    servedPhaseTable(len, pool1);
 
     // --- batched throughput across thread counts -------------------
     std::vector<nn::Tensor> images;

@@ -159,11 +159,12 @@ BM_Btanh(benchmark::State &state)
 BENCHMARK(BM_Btanh);
 
 /**
- * Per-call cost of the engine's batched pool + activate kernels at
- * L = 1024 over n streams (pixels): `call_time` is one call over all
- * n, `stream_time` the per-stream share. One stream costs about as
- * much as a full sc::kFsmBatchTile, which is why the engine gathers
- * pixels into tiles before calling these.
+ * Per-call cost of the engine's batched activation kernels over count
+ * or word streams (the fc and average-pooled stages' Btanh, the MUX
+ * stages' Stanh) at L = 1024 over n streams (pixels): `call_time` is
+ * one call over all n, `stream_time` the per-stream share. One stream
+ * costs about as much as a full sc::kFsmBatchTile, which is why the
+ * engine gathers pixels into tiles before calling these.
  */
 void
 setPerCallCounters(benchmark::State &state, size_t n)
@@ -251,45 +252,60 @@ BENCHMARK(BM_StanhWordsBatch)
     ->Arg(16)
     ->Arg(32);
 
-/** Figure 8 selector over the four windows' count planes of a layer
- *  with 26 taps (plane_cap 5) or the served mini-LeNet conv1's 201
- *  (plane_cap 8), c = 16, accumulative counters. */
+/**
+ * One flush of a max-pooled APC pixel tile at L = 1024: the Figure 8
+ * selector over the four windows' count planes (c = 16, accumulative
+ * counters) and the Btanh over the winners' planes, for a layer with
+ * 26 taps (plane_cap 5, the served mini-LeNet's conv1) or 201 (plane_cap
+ * 8, its conv2), at dispatch level `level` (0 scalar, 1 AVX2, 2 AVX-512;
+ * capped at what the host runs). `pixel_time` is the flush time per
+ * pixel: a B = 1 tile holds 16 pixels, a B = 8 one 32.
+ */
 void
-BM_MaxPoolPlanesBatch(benchmark::State &state)
+BM_PoolActivateTile(benchmark::State &state)
 {
     const size_t n = static_cast<size_t>(state.range(0));
-    const size_t plane_cap =
-        planeCapForTaps(static_cast<size_t>(state.range(1)));
-    const size_t plane_words = kBatchWords * (plane_cap + 1);
+    const size_t taps = static_cast<size_t>(state.range(1));
+    const simd::Level was_level = simd::level();
+    simd::setLevel(static_cast<simd::Level>(state.range(2)));
+    const size_t cap = planeCapForTaps(taps);
+    const size_t stride = (n + 15) / 16 * 16;
     SplitMix64 vals(13);
-    // +4 tail words: the quad loads read past the last parity slot.
-    std::vector<uint64_t> planes(n * 4 * plane_words + 4);
+    std::vector<uint64_t> planes(4 * kBatchWords * (cap + 1) * stride);
     for (auto &w : planes)
         w = vals.next();
-    std::vector<const uint64_t *> plane_p(4 * n);
-    for (size_t i = 0; i < 4 * n; ++i)
-        plane_p[i] = planes.data() + i * plane_words;
-    std::vector<uint64_t> counters(4 * n, 0);
-    std::vector<uint32_t> selected(n, 0);
-    std::vector<scdcnn::blocks::MaxPoolCarry> carry(n);
-    std::vector<std::vector<uint16_t>> outs(
-        n, std::vector<uint16_t>(kBatchLen));
-    std::vector<uint16_t *> out_p(n);
-    for (size_t s = 0; s < n; ++s) {
-        carry[s] = {counters.data() + 4 * s, selected.data() + s};
-        out_p[s] = outs[s].data();
-    }
+    const simd::PlaneTile tile{.planes = planes.data(),
+                               .n_inputs = 4,
+                               .n_words = kBatchWords,
+                               .plane_cap = cap,
+                               .pixel_stride = stride,
+                               .parity = true};
+    const BtanhBatchTable table(8, static_cast<unsigned>(taps));
+    std::vector<uint64_t> counters(4 * stride);
+    std::vector<uint32_t> selected(stride, 0);
+    std::vector<uint16_t> fsm(stride, table.initialState());
+    std::vector<uint8_t> winners(kBatchWords * stride * 4);
+    std::vector<uint64_t> outs(kBatchWords * stride), forwarded;
     for (auto _ : state) {
-        scdcnn::blocks::binaryMaxPoolPlanesBatch(
-            plane_p.data(), n, 4, plane_cap, /*parity=*/true, 0, kBatchLen,
-            16, /*accumulate=*/true, carry.data(), out_p.data());
+        // Fresh counters per flush, as a stream's first segment has.
+        std::fill(counters.begin(), counters.end(), 0);
+        const simd::PlaneTile pooled =
+            scdcnn::blocks::binaryMaxPoolPlanesBatch(
+                tile, n, 0, kBatchLen, 16, /*accumulate=*/true,
+                {counters.data(), selected.data()}, winners.data(),
+                forwarded);
+        table.transformTile(pooled, winners.data(), n, kBatchLen,
+                            fsm.data(), outs.data());
         benchmark::ClobberMemory();
     }
-    setPerCallCounters(state, n);
+    simd::setLevel(was_level);
+    state.counters["pixel_time"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * static_cast<double>(n),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_MaxPoolPlanesBatch)
-    ->ArgNames({"pixels", "taps"})
-    ->ArgsProduct({{1, 4, 16, 32}, {26, 201}});
+BENCHMARK(BM_PoolActivateTile)
+    ->ArgNames({"pixels", "taps", "level"})
+    ->ArgsProduct({{16, 32}, {26, 201}, {0, 1, 2}});
 
 /**
  * The product fold at the served mini-LeNet's shapes, L = 1024, a
@@ -356,14 +372,15 @@ BM_ProductPlanesBatch(benchmark::State &state)
     const simd::Level was_level = simd::level();
     simd::setLevel(static_cast<simd::Level>(state.range(1)));
     FoldShape shape(taps, kImages);
+    // The pixel tile's layout: the images' lanes side by side per row.
     const size_t cap = planeCapForTaps(taps);
-    const size_t lane_stride = kBatchWords * (cap + 1);
-    std::vector<uint64_t> planes(kImages * kFilterLanes * lane_stride);
+    const size_t row_stride = kImages * kFilterLanes;
+    std::vector<uint64_t> planes(kBatchWords * (cap + 1) * row_stride);
     for (auto _ : state) {
         fusedProductPlanesMultiBatch(
             shape.xs0, shape.strides, shape.images.data(), kImages,
             shape.weights.block(0), /*approximate=*/true, 0, kBatchWords,
-            planes.data(), cap, lane_stride, kFilterLanes * lane_stride);
+            planes.data(), cap, row_stride, kFilterLanes);
         benchmark::ClobberMemory();
     }
     simd::setLevel(was_level);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <utility>
 
 #include "common/logging.h"
 #include "sc/ops.h"
@@ -118,16 +117,6 @@ rangedSelectorWalk(size_t n_inputs, size_t abs_begin, size_t n_cycles,
         pos = chunk_end;
     }
 }
-
-/** One 16-cycle group of the plane selector's decision schedule, as
- *  masks: @c take is all ones when the group closes a pooling segment
- *  (its first maximum becomes the selection), @c keep is zero when
- *  that decision also resets the counters. */
-struct GroupStep
-{
-    uint64_t keep;
-    uint32_t take;
-};
 
 } // namespace
 
@@ -308,120 +297,77 @@ binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
         });
 }
 
-void
-binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_pixels,
-                         size_t n_inputs, size_t plane_cap, bool parity,
+sc::simd::PlaneTile
+binaryMaxPoolPlanesBatch(const sc::simd::PlaneTile &tile, size_t n_pixels,
                          size_t abs_begin, size_t n_cycles,
                          size_t segment_len, bool accumulate,
-                         const MaxPoolCarry *states, uint16_t *const *outs)
+                         MaxPoolTileCarry carry, uint8_t *winners,
+                         std::vector<uint64_t> &forwarded)
 {
-    SCDCNN_ASSERT(n_inputs > 0 && n_inputs <= 4,
-                  "plane pooling takes 1-4 inputs, got %zu", n_inputs);
     SCDCNN_ASSERT(segment_len > 0, "segment length must be positive");
     SCDCNN_ASSERT(abs_begin % 64 == 0,
                   "plane pooling needs a word-aligned range start, got %zu",
                   abs_begin);
-    const size_t pstride = plane_cap + 1;
+    SCDCNN_ASSERT(tile.n_words == (n_cycles + 63) / 64,
+                  "%zu tile words for %zu cycles", tile.n_words, n_cycles);
+    const size_t S = tile.pixel_stride;
 
-    if (segment_len % 16 == 0 && plane_cap <= 12) {
+    if (segment_len % 16 == 0 && tile.plane_cap <= 12) {
         // The 16-cycle grid: with abs_begin word-aligned, every pooling
         // decision falls on a group boundary. A partial tail group (the
         // stream's last word) never decides, and its sum is exact
         // because the producer zero-masks cycles past the stream
-        // length.
-        const size_t range_words = (n_cycles + 63) / 64;
+        // length. The decision schedule is shared by every pixel: group
+        // g decides when it closes a pooling segment inside the range,
+        // and then resets the counters unless they accumulate.
         const size_t n_groups = (n_cycles + 15) / 16;
         thread_local std::vector<uint16_t> sums;
-        thread_local std::vector<GroupStep> schedule;
-        thread_local std::vector<uint8_t> winners;
-        sums.resize(n_pixels * range_words * 16);
-        schedule.resize(n_groups);
-        winners.resize(n_pixels * range_words * 4);
-        sc::simd::avx2PlaneGroupSums(planes, n_pixels, n_inputs, pstride,
-                                     range_words, plane_cap, parity,
-                                     sums.data());
-        // The decision schedule, shared by every pixel: group g decides
-        // when it closes a pooling segment inside the range, and then
-        // resets the counters unless they accumulate.
+        thread_local std::vector<uint8_t> steps;
+        sums.resize(tile.n_words * 16 * S);
+        steps.resize(n_groups);
+        sc::simd::tileGroupSums(tile, n_pixels, sums.data());
         for (size_t g = 0; g < n_groups; ++g) {
             const size_t g_end = 16 * (g + 1);
             const bool decide = g_end <= n_cycles &&
                                 (abs_begin + g_end) % segment_len == 0;
-            schedule[g] = {decide && !accumulate ? 0 : ~uint64_t{0},
-                           decide ? ~uint32_t{0} : 0};
+            steps[g] = static_cast<uint8_t>(decide | (decide && !accumulate)
+                                                         << 1);
         }
-        const GroupStep *step = schedule.data();
-        for (size_t j = 0; j < n_pixels; ++j) {
-            const MaxPoolCarry state = states[j];
-            // Inputs past n_inputs stay 0 and so never win a strict >.
-            uint64_t c0 = state.counters[0];
-            uint64_t c1 = n_inputs > 1 ? state.counters[1] : 0;
-            uint64_t c2 = n_inputs > 2 ? state.counters[2] : 0;
-            uint64_t c3 = n_inputs > 3 ? state.counters[3] : 0;
-            uint32_t sel = *state.selected;
-            const uint16_t *s = sums.data() + j * range_words * 16;
-            uint8_t *win = winners.data() + j * range_words * 4;
-            for (size_t g = 0; g < n_groups; ++g, s += 4) {
-                win[g] = static_cast<uint8_t>(sel);
-                c0 += s[0];
-                c1 += s[1];
-                c2 += s[2];
-                c3 += s[3];
-                // First maximum under strict >: ties go to the lower
-                // input, and all-zero counters select input 0. The
-                // pair winners combine by masks, not branches.
-                const uint32_t gt01 = c1 > c0;
-                const uint32_t gt23 = c3 > c2;
-                const uint32_t hi = std::max(c2, c3) > std::max(c0, c1);
-                const uint32_t best = (hi << 1) | (gt01 ^ ((gt01 ^ gt23) & -hi));
-                sel ^= (sel ^ best) & step[g].take;
-                c0 &= step[g].keep;
-                c1 &= step[g].keep;
-                c2 &= step[g].keep;
-                c3 &= step[g].keep;
-            }
-            // Groups past the range in its last word: any valid input.
-            std::fill(win + n_groups, win + range_words * 4,
-                      static_cast<uint8_t>(sel));
-            const uint64_t c[4] = {c0, c1, c2, c3};
-            std::copy(c, c + n_inputs, state.counters);
-            *state.selected = sel;
-        }
-        sc::simd::avx2SpreadWinnerPlanes(planes, n_pixels, n_inputs,
-                                         pstride, range_words, plane_cap,
-                                         parity, winners.data(), outs);
-        return;
+        sc::simd::tileSelectorWalk(sums.data(), steps.data(), n_groups,
+                                   tile.plane_cap, S, n_pixels,
+                                   carry.counters, carry.selected, winners);
+        return tile;
     }
 
     // General path for segment lengths off the 16-cycle grid: the
     // shared walk per pixel, with evidence from masked plane popcounts
-    // and forwarding by word transposes, memoized so consecutive chunks
-    // of one word with a stable selection pay one transpose.
-    for (size_t j = 0; j < n_pixels; ++j) {
-        const uint64_t *const *in = planes + j * n_inputs;
-        uint16_t buf[64];
-        std::pair<size_t, size_t> key{SIZE_MAX, SIZE_MAX};
+    // and forwarding by masked copies of the selected input's plane
+    // words into a one-input tile.
+    const size_t n_rows = tile.plane_cap + 1;
+    sc::simd::PlaneTile out = tile;
+    out.n_inputs = 1;
+    forwarded.assign(tile.n_words * n_rows * S, 0);
+    out.planes = forwarded.data();
+    std::fill(winners, winners + tile.n_words * S * 4, uint8_t{0});
+    const auto maskOf = [](size_t l, size_t q, size_t hi) {
+        const size_t nb = std::min(hi, (q + 1) * 64) - l;
+        return (nb == 64 ? ~uint64_t{0} : ((uint64_t{1} << nb) - 1))
+               << (l - q * 64);
+    };
+    for (size_t px = 0; px < n_pixels; ++px) {
+        uint64_t counters[4];
+        for (size_t k = 0; k < tile.n_inputs; ++k)
+            counters[k] = carry.counters[k * S + px];
         rangedSelectorWalk(
-            n_inputs, abs_begin, n_cycles, segment_len, accumulate,
-            states[j],
+            tile.n_inputs, abs_begin, n_cycles, segment_len, accumulate,
+            {counters, &carry.selected[px]},
             [&](size_t selected, size_t lo, size_t hi) {
-                for (size_t l = lo; l < hi;) {
+                for (size_t l = lo; l < hi; l = (l / 64 + 1) * 64) {
                     const size_t q = l / 64;
-                    const size_t qend = std::min(hi, (q + 1) * 64);
-                    const uint64_t *pw = in[selected] + q * pstride;
-                    if (l == q * 64 && qend == (q + 1) * 64) {
-                        sc::simd::avx2SpreadPlanesWord(pw, plane_cap, parity,
-                                                       outs[j] + l);
-                    } else {
-                        if (key != std::pair{selected, q}) {
-                            sc::simd::avx2SpreadPlanesWord(pw, plane_cap,
-                                                           parity, buf);
-                            key = {selected, q};
-                        }
-                        std::copy(buf + (l - q * 64), buf + (qend - q * 64),
-                                  outs[j] + l);
-                    }
-                    l = qend;
+                    const uint64_t mask = maskOf(l, q, hi);
+                    for (size_t r = 0; r < n_rows; ++r)
+                        forwarded[(q * n_rows + r) * S + px] |=
+                            tile.row(selected, q, r)[px] & mask;
                 }
             },
             // With canonical digit planes, a range's count sum is
@@ -429,25 +375,21 @@ binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_pixels,
             // the parity word under the LSB substitution.
             [&](size_t k, size_t lo, size_t hi) {
                 uint64_t sum = 0;
-                for (size_t l = lo; l < hi;) {
+                for (size_t l = lo; l < hi; l = (l / 64 + 1) * 64) {
                     const size_t q = l / 64;
-                    const size_t qend = std::min(hi, (q + 1) * 64);
-                    const size_t nb = qend - l;
-                    const uint64_t mask =
-                        (nb == 64 ? ~uint64_t{0} : ((uint64_t{1} << nb) - 1))
-                        << (l - q * 64);
-                    const uint64_t *pw = in[k] + q * pstride;
-                    for (size_t p = 0; p < plane_cap; ++p) {
-                        const uint64_t v =
-                            p == 0 && parity ? pw[plane_cap] : pw[p];
-                        sum += static_cast<uint64_t>(std::popcount(v & mask))
+                    const uint64_t mask = maskOf(l, q, hi);
+                    for (size_t p = 0; p < tile.plane_cap; ++p)
+                        sum += static_cast<uint64_t>(std::popcount(
+                                   tile.row(k, q, tile.digitRow(p))[px] &
+                                   mask))
                                << p;
-                    }
-                    l = qend;
                 }
                 return sum;
             });
+        for (size_t k = 0; k < tile.n_inputs; ++k)
+            carry.counters[k * S + px] = counters[k];
     }
+    return out;
 }
 
 std::vector<uint16_t>

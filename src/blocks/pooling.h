@@ -20,6 +20,7 @@
 
 #include "sc/bitstream.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 
 namespace scdcnn {
 namespace blocks {
@@ -156,7 +157,7 @@ void binaryAveragePoolingSignedRange(const uint16_t *const *counts,
  * contract; run once over a whole sequence it is bit-exact with
  * binaryMaxPoolReference. The engine pools count planes through
  * binaryMaxPoolPlanesBatch; this is its reference twin, the oracle of
- * the plane form in tests/test_batch_stream.cc.
+ * the plane form in tests/test_pooling.cc.
  */
 void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         size_t abs_begin, size_t n_cycles,
@@ -164,41 +165,48 @@ void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         MaxPoolCarry state, uint16_t *out);
 
 /**
- * Batch-axis binaryMaxPoolRange over count *planes* instead of
- * materialized per-cycle counts: one call pools the same window set
- * of many pixels (a tile's images, lanes and positions), each with its
- * own carried state. Planes are in the sc::fusedProductPlanesMultiBatch
- * form (plane_cap planes plus a parity word per range-local 64-cycle
- * word); planes[j * n_inputs + k] points at (pixel j, input k)'s plane
- * words, and every buffer's tail must stay readable for four words
- * past its last parity slot. @p parity selects the approximate-counter
- * LSB substitution, matching the producer's `approximate`. At most
- * four inputs (the engine's 2x2 window). @p abs_begin must be
- * word-aligned (the producer's range starts on a word). Pooled counts
- * for pixel j land at outs[j], whole words written, bit-exact with
- * binaryMaxPoolRange over the transposed counts.
+ * Carried selector state of a pixel tile, pixel-minor: input k's
+ * counter of pixel px at counters[k * pixel_stride + px] for k < 4 (the
+ * rows past the tile's inputs stay zero), the selection at
+ * selected[px]. Both hold pixel_stride entries per row.
+ */
+struct MaxPoolTileCarry
+{
+    uint64_t *counters = nullptr;
+    uint32_t *selected = nullptr;
+};
+
+/**
+ * Batch-axis binaryMaxPoolRange over a tile's count planes instead of
+ * materialized per-cycle counts: one call pools the same window set of
+ * every pixel of a tile (its images, lanes and positions), each with
+ * its own carried state, and decides what every 16-cycle group forwards
+ * rather than forwarding it. @p tile holds the windows' planes in the
+ * sc::simd::PlaneTile form over the word-aligned range [@p abs_begin,
+ * @p abs_begin + @p n_cycles) (tile.n_words = ceil(n_cycles / 64)).
+ * Writes winners[(q * pixel_stride + px) * 4 + g], the input group g of
+ * word q of pixel px forwards, and returns the tile the winners index,
+ * which sc::BtanhBatchTable::transformTile reads. Forwarding those
+ * groups' counts is bit-exact with binaryMaxPoolRange over the
+ * transposed counts, and so is the carried state.
  *
  * The Figure 8 selector only ever emits the input selected by the
  * *previous* segment, so the losing inputs' per-cycle counts are never
  * needed. On the 16-cycle grid (segment_len a multiple of 16, which
- * covers the paper's c = 16, and plane_cap <= 12) a call costs about
- * what it emits, in three passes:
- *  - group sums: each 16-cycle group's four input sums from plane
- *    popcounts (sc::simd::avx2PlaneGroupSums), one record per group;
- *  - walk: per pixel, the counters in locals, one branch-free
- *    first-max per group under a decision schedule computed once per
- *    call, and the winner of every group recorded in a byte array;
- *  - spread: per word, the winners' groups muxed into one set of plane
- *    words and transposed once (sc::simd::avx2SpreadWinnerPlanes).
- * Segment lengths off the grid take a masked general path.
+ * covers the paper's c = 16, and plane_cap <= 12) every decision falls
+ * on a group boundary and a call runs two passes, one pixel per vector
+ * lane: the group sums of every (group, window) across pixels
+ * (sc::simd::tileGroupSums), then the walk (sc::simd::tileSelectorWalk)
+ * under a decision schedule computed once per call; @p tile itself is
+ * returned. Segment lengths off the grid take a scalar general path
+ * that writes the forwarded planes to @p forwarded and returns them as
+ * a one-input tile, every winner 0.
  */
-void binaryMaxPoolPlanesBatch(const uint64_t *const *planes,
-                              size_t n_pixels, size_t n_inputs,
-                              size_t plane_cap, bool parity,
-                              size_t abs_begin, size_t n_cycles,
-                              size_t segment_len, bool accumulate,
-                              const MaxPoolCarry *states,
-                              uint16_t *const *outs);
+sc::simd::PlaneTile binaryMaxPoolPlanesBatch(
+    const sc::simd::PlaneTile &tile, size_t n_pixels, size_t abs_begin,
+    size_t n_cycles, size_t segment_len, bool accumulate,
+    MaxPoolTileCarry carry, uint8_t *winners,
+    std::vector<uint64_t> &forwarded);
 
 /**
  * Range-streamed MUX average pooling: one select draw per cycle from

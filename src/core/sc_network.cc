@@ -136,6 +136,12 @@ tileItems(size_t n_active)
  * flush() pools every entry, then steps all their activation units in
  * one batched FSM call: a single image's pixels fill the
  * kFsmBatchTile lanes as well as a full micro-batch's do.
+ *
+ * A max-pooled APC stage's tile owns its windows' count planes in the
+ * pixel-minor sc::simd::PlaneTile layout, which the product fold
+ * writes directly (planes()): tile pixel (slot, image, lane) sits at
+ * (slot * n_active + image) * kFilterLanes + lane, its carried state
+ * in pixel lanes gathered at flush.
  */
 class PixelTile
 {
@@ -164,13 +170,24 @@ class PixelTile
     PixelTile(const Spec &spec, size_t capacity) : spec_(spec)
     {
         // One pooled slice per tile entry, in the form the layer's
-        // activation unit reads: counts, signed steps or packed words.
+        // activation unit reads: counts, signed steps or packed words;
+        // a max-pooled APC tile pools its plane tile in place.
         const size_t words = (spec_.n_cycles + 63) / 64;
         const bool apc = spec_.btanh != nullptr;
         if (apc && spec_.pool == Pool::Max) {
-            pooled_.resize(capacity * words * 64);
-            for (size_t e = 0; e < capacity; ++e)
-                pooled_ptrs_.push_back(pooled_.data() + e * words * 64);
+            const size_t stride = (capacity + 15) / 16 * 16;
+            planes_.assign(4 * words * (spec_.plane_cap + 1) * stride, 0);
+            tile_ = {.planes = planes_.data(),
+                     .n_inputs = 4,
+                     .n_words = words,
+                     .plane_cap = spec_.plane_cap,
+                     .pixel_stride = stride,
+                     .parity = true};
+            lane_counters_.resize(4 * stride);
+            lane_selected_.resize(stride);
+            lane_fsm_.resize(stride);
+            winners_.resize(words * stride * 4);
+            lane_outs_.resize(words * stride);
         } else if (apc && spec_.pool == Pool::Average) {
             steps_.resize(capacity * words * 64);
             for (size_t e = 0; e < capacity; ++e)
@@ -183,6 +200,18 @@ class PixelTile
         }
     }
 
+    /** Max-pooled APC stages: where the fold writes window @p window's
+     *  rows from tile pixel @p pixel on, row stride pixelStride(). */
+    uint64_t *planes(size_t window, size_t pixel)
+    {
+        return planes_.data() +
+               window * tile_.n_words * (tile_.plane_cap + 1) *
+                   tile_.pixel_stride +
+               pixel;
+    }
+
+    size_t pixelStride() const { return tile_.pixel_stride; }
+
     /** Register a pixel read as count sequences (APC average pooling,
      *  APC fc): fan() inputs at @p in. */
     void add(const uint16_t *const *in, uint64_t *out, uint16_t *fsm)
@@ -192,15 +221,26 @@ class PixelTile
         fsm_.push_back(fsm);
     }
 
-    /** Register a pixel read as packed words — count planes (APC max
-     *  pooling) or product streams (MUX layers) — with its selector
-     *  state (max pooling) or MUX generator (MUX average pooling). */
+    /** Register a MUX stage's pixel, read as product streams, with its
+     *  selector state (max pooling) or MUX generator (average). */
     void add(const uint64_t *const *in, uint64_t *out, uint16_t *fsm,
              blocks::MaxPoolCarry max = {}, sc::Xoshiro256ss *rng = nullptr)
     {
         words_.insert(words_.end(), in, in + fan());
         max_.push_back(max);
         rng_.push_back(rng);
+        outs_.push_back(out);
+        fsm_.push_back(fsm);
+    }
+
+    /** Register tile pixel @p pixel of a max-pooled APC stage, whose
+     *  planes the fold wrote through planes(), with its selector
+     *  state. */
+    void add(size_t pixel, uint64_t *out, uint16_t *fsm,
+             blocks::MaxPoolCarry max)
+    {
+        pixels_.push_back(pixel);
+        max_.push_back(max);
         outs_.push_back(out);
         fsm_.push_back(fsm);
     }
@@ -216,17 +256,7 @@ class PixelTile
         const size_t len = spec_.n_cycles;
         if (spec_.btanh != nullptr) {
             if (spec_.pool == Pool::Max) {
-                // One call pools the whole tile: the Figure 8 chunk
-                // walk depends only on the segment range, so every
-                // pixel shares it.
-                blocks::binaryMaxPoolPlanesBatch(
-                    words_.data(), n, 4, spec_.plane_cap, /*parity=*/true,
-                    spec_.c0, len, spec_.segment_len, /*accumulate=*/true,
-                    max_.data(), pooled_ptrs_.data());
-                timer.lap(timer.pooling);
-                spec_.btanh->transformWordsBatch(pooled_ptrs_.data(), len,
-                                                 outs_.data(),
-                                                 fsm_.data(), n);
+                flushMaxPlanes(timer);
             } else if (spec_.pool == Pool::Average) {
                 for (size_t e = 0; e < n; ++e)
                     blocks::binaryAveragePoolingSignedRange(
@@ -262,6 +292,7 @@ class PixelTile
         timer.lap(timer.activation);
         counts_.clear();
         words_.clear();
+        pixels_.clear();
         max_.clear();
         rng_.clear();
         outs_.clear();
@@ -272,22 +303,72 @@ class PixelTile
     /** Window inputs per pixel. */
     size_t fan() const { return spec_.pool == Pool::None ? 1 : 4; }
 
+    /** The max-pooled APC flush: the pixels' carried state gathered
+     *  into lanes (unregistered lanes zero), the Figure 8 selector over
+     *  the plane tile, then the Btanh over the winners' planes. */
+    void flushMaxPlanes(PhaseTimer &timer)
+    {
+        const size_t S = tile_.pixel_stride;
+        std::fill(lane_counters_.begin(), lane_counters_.end(), 0);
+        std::fill(lane_selected_.begin(), lane_selected_.end(), 0);
+        std::fill(lane_fsm_.begin(), lane_fsm_.end(), 0);
+        size_t n_pixels = 0;
+        for (size_t e = 0; e < pixels_.size(); ++e) {
+            const size_t px = pixels_[e];
+            for (size_t k = 0; k < 4; ++k)
+                lane_counters_[k * S + px] = max_[e].counters[k];
+            lane_selected_[px] = *max_[e].selected;
+            lane_fsm_[px] = *fsm_[e];
+            n_pixels = std::max(n_pixels, px + 1);
+        }
+        const sc::simd::PlaneTile pooled = blocks::binaryMaxPoolPlanesBatch(
+            tile_, n_pixels, spec_.c0, spec_.n_cycles, spec_.segment_len,
+            /*accumulate=*/true,
+            {lane_counters_.data(), lane_selected_.data()}, winners_.data(),
+            forwarded_);
+        for (size_t e = 0; e < pixels_.size(); ++e) {
+            const size_t px = pixels_[e];
+            for (size_t k = 0; k < 4; ++k)
+                max_[e].counters[k] = lane_counters_[k * S + px];
+            *max_[e].selected = lane_selected_[px];
+        }
+        timer.lap(timer.pooling);
+        spec_.btanh->transformTile(pooled, winners_.data(), n_pixels,
+                                   spec_.n_cycles, lane_fsm_.data(),
+                                   lane_outs_.data());
+        for (size_t e = 0; e < pixels_.size(); ++e) {
+            const size_t px = pixels_[e];
+            for (size_t q = 0; q < tile_.n_words; ++q)
+                outs_[e][q] = lane_outs_[q * S + px];
+            *fsm_[e] = lane_fsm_[px];
+        }
+    }
+
     Spec spec_;
     // The registered pixels: fan() inputs each (counts or words, by
-    // the layer kind), then one state / output pointer each.
+    // the layer kind) or a plane-tile pixel, then one state / output
+    // pointer each.
     std::vector<const uint16_t *> counts_;
     std::vector<const uint64_t *> words_;
+    std::vector<size_t> pixels_;
     std::vector<blocks::MaxPoolCarry> max_;
     std::vector<sc::Xoshiro256ss *> rng_;
     std::vector<uint64_t *> outs_;
     std::vector<uint16_t *> fsm_;
     // Pooled slices, one per entry of a full tile.
-    std::vector<uint16_t> pooled_;
     std::vector<int> steps_;
     std::vector<uint64_t> pooled_words_;
-    std::vector<uint16_t *> pooled_ptrs_;
     std::vector<int *> step_ptrs_;
     std::vector<uint64_t *> pooled_word_ptrs_;
+    // The max-pooled APC plane tile and its pixel lanes.
+    sc::simd::PlaneTile tile_;
+    std::vector<uint64_t> planes_;
+    std::vector<uint64_t> lane_counters_;
+    std::vector<uint32_t> lane_selected_;
+    std::vector<uint16_t> lane_fsm_;
+    std::vector<uint8_t> winners_;
+    std::vector<uint64_t> lane_outs_;
+    std::vector<uint64_t> forwarded_;
 };
 
 /**
@@ -651,16 +732,14 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
     // Contiguous chunks go to the pool workers, each with its own
     // reusable workspace; everything randomized is position-derived,
     // so the partition never changes the produced streams.
-    // Max-pooled APC layers carry the inner products as count planes:
-    // the Figure 8 selector needs per-cycle counts only for the input
-    // it forwards, so the kernel skips the plane-to-count transpose
-    // for the losing windows (binaryMaxPoolPlanesBatch recovers the
-    // winner's counts on demand). The Reference oracle keeps plain
-    // counts for its bit-serial pooling twin.
+    // Max-pooled APC layers carry the inner products as count planes,
+    // written by the fold straight into the pixel tile's pixel-minor
+    // layout: the Figure 8 selector needs per-cycle counts only for the
+    // input it forwards, and the tile's Btanh builds those from the
+    // winners' plane bits. The Reference oracle keeps plain counts for
+    // its bit-serial pooling twin.
     const bool use_planes = use_max && use_apc && !reference;
     const size_t plane_cap = sc::planeCapForTaps(n_inputs);
-    const size_t plane_lane_stride = seg_words * (plane_cap + 1);
-    const size_t plane_image_stride = sc::kFilterLanes * plane_lane_stride;
     const auto product_counts = reference
                                     ? &sc::referenceProductCountsMultiBatch
                                     : &sc::fusedProductCountsMultiBatch;
@@ -671,8 +750,6 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
     // the tile holding its pixels flushes; the Reference oracle pools
     // each item on the spot, so it needs one slot.
     const size_t slots = reference ? 1 : tileItems(n_active);
-    const size_t planes_per_slot =
-        use_planes ? windows * n_active * plane_image_stride : 0;
     const size_t counts_per_slot =
         use_apc && !use_planes
             ? windows * n_active * sc::kFilterLanes * seg_stride
@@ -699,10 +776,6 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
         wsp.xs0[n_inputs - 1] = bias_line_;
         wsp.x_strides.assign(n_inputs, in_stride);
         wsp.x_strides[n_inputs - 1] = 0; // shared bias line
-        // +4 tail words: the pooling quad loads read whole 4-plane
-        // groups past the last word's parity slot.
-        std::vector<uint64_t> planes_buf(
-            use_planes ? slots * planes_per_slot + 4 : 0);
         wsp.counts.resize(slots * counts_per_slot);
         wsp.products.resize(slots * products_per_slot);
         PixelTile tile(tile_spec, slots * sc::kFilterLanes * n_active);
@@ -715,8 +788,8 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
             const size_t oy = q / st.out_w;
             const size_t ox = q % st.out_w;
             const sc::WeightBlockView block = weights.block(g);
-            uint64_t *const planes =
-                planes_buf.data() + slot * planes_per_slot;
+            // The item's first tile pixel (plane-tile stages).
+            const size_t pixel0 = slot * n_active * sc::kFilterLanes;
             uint16_t *const counts = wsp.counts.data() + slot * counts_per_slot;
             uint64_t *const products =
                 wsp.products.data() + slot * products_per_slot;
@@ -744,8 +817,8 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                     sc::fusedProductPlanesMultiBatch(
                         wsp.xs0, wsp.x_strides, active.data(), n_active,
                         block, /*approximate=*/true, seg.w0, seg.w1,
-                        planes + window * n_active * plane_image_stride,
-                        plane_cap, plane_lane_stride, plane_image_stride);
+                        tile.planes(window, pixel0), plane_cap,
+                        tile.pixelStride(), sc::kFilterLanes);
                 } else if (use_apc) {
                     product_counts(
                         wsp.xs0, wsp.x_strides, active.data(), n_active,
@@ -794,6 +867,16 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                 for (size_t j = 0; j < n_active; ++j) {
                     const size_t img = active[j];
                     const size_t s = p * B + img;
+                    uint64_t *const out =
+                        reference ? nullptr
+                                  : run.out.arena.wordsAt(p, img) + seg.w0;
+                    if (use_planes) {
+                        tile.add(pixel0 + j * sc::kFilterLanes + f, out,
+                                 &run.fsm[s],
+                                 {&run.pool_counters[s * 4],
+                                  &run.pool_selected[s]});
+                        continue;
+                    }
                     // Window w of lane f, image j: the workspace's
                     // [window][image][lane] row.
                     const uint16_t *cnt[4];
@@ -801,12 +884,7 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                     for (size_t w = 0; w < windows; ++w) {
                         const size_t row =
                             (w * n_active + j) * sc::kFilterLanes + f;
-                        if (use_planes)
-                            words[w] = planes +
-                                       (w * n_active + j) *
-                                           plane_image_stride +
-                                       f * plane_lane_stride;
-                        else if (use_apc)
+                        if (use_apc)
                             cnt[w] = counts + row * seg_stride;
                         else
                             words[w] = products + row * seg_words;
@@ -820,9 +898,7 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                                            words, mux_avg, timer));
                         continue;
                     }
-                    uint64_t *const out =
-                        run.out.arena.wordsAt(p, img) + seg.w0;
-                    if (use_apc && !use_planes)
+                    if (use_apc)
                         tile.add(cnt, out, &run.fsm[s]);
                     else
                         tile.add(words, out, &run.fsm[s],

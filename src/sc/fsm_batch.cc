@@ -302,6 +302,16 @@ BtanhBatchTable::transformSignedWordsBatch(const int *const *steps,
 }
 
 void
+BtanhBatchTable::transformTile(const simd::PlaneTile &tile,
+                               const uint8_t *winners, size_t n_pixels,
+                               size_t length, uint16_t *states,
+                               uint64_t *outs) const
+{
+    simd::tileBtanh(tile, winners, n_pixels, length, k_, n_inputs_, states,
+                    outs);
+}
+
+void
 BtanhBatchTable::transform(const std::vector<uint16_t> &counts,
                            Bitstream &out) const
 {

@@ -38,6 +38,10 @@
 namespace scdcnn {
 namespace sc {
 
+namespace simd {
+struct PlaneTile;
+} // namespace simd
+
 /** Streams interleaved per tile in the batch transforms — the int16
  *  lane count of the vector Btanh step: big enough to cover the serial
  *  table-walk latency with independent chains, small enough that the
@@ -182,6 +186,24 @@ class BtanhBatchTable
                                    uint64_t *const *outs,
                                    uint16_t *const *states,
                                    size_t n_streams) const;
+
+    /**
+     * Pixel-tile variant for the max-pooled APC stages: the counts of
+     * pixel px come straight from the plane words of the winners that
+     * blocks::binaryMaxPoolPlanesBatch picked for each 16-cycle group,
+     * with one pixel per vector lane (simd::tileBtanh). states[px]
+     * carries the counter; output word q lands at outs[q *
+     * tile.pixel_stride + px], tail bits masked. Both arrays hold
+     * tile.pixel_stride entries per word. Bit-exact per pixel with
+     * transformWords over the forwarded counts.
+     *
+     * The fc and average-pooled APC stages keep the count forms above:
+     * their counts are not a tile's winner planes (an fc unit reads its
+     * one inner product, an average-pooled one a signed mean).
+     */
+    void transformTile(const simd::PlaneTile &tile, const uint8_t *winners,
+                       size_t n_pixels, size_t length, uint16_t *states,
+                       uint64_t *outs) const;
 
     /** The midpoint start state of a fresh transform. */
     uint16_t initialState() const

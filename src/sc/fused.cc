@@ -77,6 +77,8 @@ foldWordsScalar(const simd::ProductFold &f, size_t w_begin)
         const uint64_t word_mask =
             (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
         const uint64_t *wrow0 = block.at(w, 0);
+        // The plane form writes whole rows: the padding lanes too.
+        const size_t lanes = kPlanes ? kFilterLanes : block.lanes;
         for (size_t j = 0; j < f.n_images; ++j) {
             const uint64_t *const *x = f.x + j * block.taps;
             uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
@@ -85,7 +87,7 @@ foldWordsScalar(const simd::ProductFold &f, size_t w_begin)
             const uint64_t *wrow = wrow0;
             for (size_t i = 0; i < block.taps; ++i, wrow += kFilterLanes) {
                 const uint64_t xw = x[i][w];
-                for (size_t l = 0; l < block.lanes; ++l) {
+                for (size_t l = 0; l < lanes; ++l) {
                     uint64_t carry = ~(xw ^ wrow[l]) & word_mask;
                     if (i < f.parity_lines)
                         lsbs[l] ^= carry;
@@ -104,21 +106,17 @@ foldWordsScalar(const simd::ProductFold &f, size_t w_begin)
             if constexpr (kPlanes) {
                 // The ripple insertion leaves fully propagated
                 // (canonical) digit planes, so used never exceeds the
-                // cap.
+                // cap and the planes above it stay zero.
                 SCDCNN_ASSERT(static_cast<size_t>(used) <= f.plane_cap,
                               "fold used %d planes, cap %zu", used,
                               f.plane_cap);
                 uint64_t *img = f.planes + j * f.image_stride +
-                                (w - f.begin_word) * (f.plane_cap + 1);
-                for (size_t l = 0; l < block.lanes; ++l) {
-                    uint64_t *dst = img + l * f.lane_stride;
-                    size_t p = 0;
-                    for (; p < static_cast<size_t>(used); ++p)
-                        dst[p] = planes[l][p];
-                    for (; p < f.plane_cap; ++p)
-                        dst[p] = 0;
-                    dst[f.plane_cap] = lsbs[l];
-                }
+                                (w - f.begin_word) * (f.plane_cap + 1) *
+                                    f.row_stride;
+                for (size_t p = 0; p <= f.plane_cap; ++p)
+                    for (size_t l = 0; l < kFilterLanes; ++l)
+                        img[p * f.row_stride + l] =
+                            p == f.plane_cap ? lsbs[l] : planes[l][p];
             } else {
                 const size_t limit = std::min<size_t>(64, len - w * 64);
                 uint16_t *img = f.counts + j * f.image_stride +
@@ -313,18 +311,22 @@ fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                              const WeightBlockView &block, bool approximate,
                              size_t begin_word, size_t end_word,
                              uint64_t *out, size_t plane_cap,
-                             size_t lane_stride, size_t image_stride)
+                             size_t row_stride, size_t image_stride)
 {
     simd::ProductFold f =
         batchFold(xs0, x_strides, images, n_images, block, approximate,
-                  begin_word, end_word, lane_stride, image_stride);
+                  begin_word, end_word, 0, image_stride);
     SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps) &&
                       plane_cap <= kMaxCarrySavePlanes,
                   "plane cap %zu outside [%zu, %d] for %zu taps", plane_cap,
                   planeCapForTaps(block.taps), kMaxCarrySavePlanes,
                   block.taps);
+    SCDCNN_ASSERT(row_stride >= kFilterLanes,
+                  "plane row stride %zu below the %zu lanes", row_stride,
+                  kFilterLanes);
     f.planes = out;
     f.plane_cap = plane_cap;
+    f.row_stride = row_stride;
     runBatchFold(f);
 }
 

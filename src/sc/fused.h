@@ -226,14 +226,18 @@ size_t planeCapForTaps(size_t taps);
  * fold, operand addressing and adaptive loop order, but each word's
  * column counts are stored as their @p plane_cap canonical bit-planes
  * plus the leading-lines parity word instead of being transposed into
- * per-cycle uint16 counts. Active position j, lane f, range-local word
- * q's planes land at out[j * image_stride + f * lane_stride +
- * q * (plane_cap + 1)]; the parity word at offset plane_cap within the
- * group. plane_cap must be >= planeCapForTaps(block.taps) and
- * <= kMaxCarrySavePlanes. The
- * max-pool batch path consumes this form: segment sums come from plane
- * popcounts and only the selected input is ever transposed (see
- * blocks::binaryMaxPoolPlanesBatch).
+ * per-cycle uint16 counts, in the pixel-minor sc::simd::PlaneTile
+ * layout: row r of active position j, range-local word q holds the
+ * kFilterLanes lanes side by side at out[j * image_stride +
+ * (q * (plane_cap + 1) + r) * row_stride], rows 0 .. plane_cap - 1 the
+ * planes and row plane_cap the parity word. Whole rows are written, the
+ * lanes past block.lanes with the counts of the block's zero padding.
+ * plane_cap must be >= planeCapForTaps(block.taps) and
+ * <= kMaxCarrySavePlanes, row_stride >= kFilterLanes. The max-pool
+ * tile path consumes this form: segment sums come from plane popcounts
+ * and the forwarded counts straight from the winners' plane bits (see
+ * blocks::binaryMaxPoolPlanesBatch and
+ * BtanhBatchTable::transformTile).
  */
 void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
@@ -241,7 +245,7 @@ void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const WeightBlockView &block,
                                   bool approximate, size_t begin_word,
                                   size_t end_word, uint64_t *out,
-                                  size_t plane_cap, size_t lane_stride,
+                                  size_t plane_cap, size_t row_stride,
                                   size_t image_stride);
 
 /** Bit-serial oracle for fusedProductCountsMultiBatch (per-image
@@ -268,7 +272,8 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
  * instance per worker chunk holds the shared image-0 operand window,
  * the per-tap strides and the batch-major count/product blocks
  * ([window][image][lane][cycle]) of each work item awaiting its pixel
- * tile (the pooling buffers and FSM pointer tables live in the tile).
+ * tile (the max-pooled APC stages' plane tile, the pooling buffers
+ * and the FSM pointer tables live in the tile).
  */
 struct BatchFusedWorkspace
 {

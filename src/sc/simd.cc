@@ -1,10 +1,12 @@
 #include "sc/simd.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "sc/counter.h"
@@ -35,8 +37,10 @@ forcedScalar()
     return v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
-/** The best level the CPU runs: AVX-512 needs the F and VL subsets
- *  (and AVX2, which every AVX-512 part has, for the shared bodies). */
+
+/** The best level the CPU runs: AVX-512 needs the F, VL and BW subsets
+ *  (BW for the tile kernels' 16-bit lanes), and AVX2, which every
+ *  AVX-512 part has, for the shared bodies. */
 Level
 hostLevel()
 {
@@ -44,7 +48,8 @@ hostLevel()
     if (!__builtin_cpu_supports("avx2"))
         return Level::Scalar;
     if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512vl"))
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512bw"))
         return Level::Avx512;
     return Level::Avx2;
 #else
@@ -110,70 +115,124 @@ levelName(Level lv)
 
 namespace {
 
-/** Scalar twin of the spreadWord transpose. */
 void
-spreadWordScalar(const uint64_t *pw, size_t n_planes, bool parity,
-                 uint16_t *out)
+checkTile(const PlaneTile &t, size_t n_pixels)
 {
-    for (size_t b = 0; b < 64; ++b) {
-        uint16_t c = 0;
-        for (size_t j = 0; j < n_planes; ++j)
-            c |= static_cast<uint16_t>((pw[j] >> b) & 1) << j;
-        if (parity)
-            c = static_cast<uint16_t>(
-                (c & ~uint16_t{1}) |
-                static_cast<uint16_t>((pw[n_planes] >> b) & 1));
-        out[b] = c;
+    SCDCNN_ASSERT(t.n_inputs >= 1 && t.n_inputs <= 4,
+                  "%zu tile inputs, 1 to 4", t.n_inputs);
+    SCDCNN_ASSERT(t.pixel_stride % 16 == 0 && n_pixels <= t.pixel_stride,
+                  "%zu pixels in a tile of stride %zu", n_pixels,
+                  t.pixel_stride);
+    SCDCNN_ASSERT(t.plane_cap >= 1 && t.plane_cap <= 15,
+                  "%zu count planes, 1 to 15", t.plane_cap);
+}
+
+/** The chunks the tile kernels' vector bodies cover: 32-pixel chunks
+ *  over [0, wide_end) at Avx512, 16-pixel chunks over [wide_end, end). */
+struct TileChunks
+{
+    size_t wide_end, end;
+};
+
+TileChunks
+tileChunks(Level lv, size_t n_pixels)
+{
+    const size_t end = (n_pixels + 15) / 16 * 16;
+    return {lv == Level::Avx512 ? end / 32 * 32 : 0, end};
+}
+
+/** Scalar twin of the tileGroupSums bodies. */
+void
+tileGroupSumsScalar(const PlaneTile &t, size_t n_pixels, uint16_t *sums)
+{
+    const size_t S = t.pixel_stride;
+    for (size_t q = 0; q < t.n_words; ++q)
+        for (size_t g = 0; g < 4; ++g)
+            for (size_t k = 0; k < 4; ++k)
+                for (size_t px = 0; px < n_pixels; ++px) {
+                    uint32_t sum = 0;
+                    for (size_t p = 0; k < t.n_inputs && p < t.plane_cap;
+                         ++p)
+                        sum += static_cast<uint32_t>(std::popcount(
+                                   (t.row(k, q, t.digitRow(p))[px] >>
+                                    (16 * g)) &
+                                   0xFFFF))
+                               << p;
+                    sums[((q * 4 + g) * 4 + k) * S + px] =
+                        static_cast<uint16_t>(sum);
+                }
+}
+
+/** Scalar twin of the tileSelectorWalk bodies, exact for any carried
+ *  counter value. */
+void
+tileSelectorWalkScalar(const uint16_t *sums, const uint8_t *steps,
+                       size_t n_groups, size_t S, size_t n_pixels,
+                       uint64_t *counters, uint32_t *selected,
+                       uint8_t *winners)
+{
+    const size_t n_words = (n_groups + 3) / 4;
+    for (size_t px = 0; px < n_pixels; ++px) {
+        uint64_t c[4];
+        for (size_t k = 0; k < 4; ++k)
+            c[k] = counters[k * S + px];
+        uint32_t sel = selected[px];
+        for (size_t ga = 0; ga < n_words * 4; ++ga) {
+            winners[((ga / 4) * S + px) * 4 + ga % 4] =
+                static_cast<uint8_t>(sel);
+            if (ga >= n_groups)
+                continue;
+            for (size_t k = 0; k < 4; ++k)
+                c[k] += sums[(ga * 4 + k) * S + px];
+            if (steps[ga] & 1) {
+                uint32_t best = 0;
+                for (uint32_t k = 1; k < 4; ++k)
+                    if (c[k] > c[best])
+                        best = k;
+                sel = best;
+            }
+            if (steps[ga] & 2)
+                std::fill(c, c + 4, uint64_t{0});
+        }
+        for (size_t k = 0; k < 4; ++k)
+            counters[k * S + px] = c[k];
+        selected[px] = sel;
     }
 }
 
-/** Scalar twin of the avx2PlaneGroupSums reduction. */
+/** Scalar twin of the tileBtanh bodies, for any (k, n_inputs). */
 void
-planeGroupSumsScalar(const uint64_t *const *bufs, size_t n_pixels,
-                     size_t n_inputs, size_t pstride, size_t n_words,
-                     size_t n_planes, bool parity, uint16_t *sums)
+tileBtanhScalar(const PlaneTile &t, const uint8_t *winners,
+                size_t n_pixels, size_t n_cycles, unsigned k,
+                unsigned n_inputs, uint16_t *states, uint64_t *outs)
 {
-    for (size_t j = 0; j < n_pixels; ++j)
-        for (size_t q = 0; q < n_words; ++q) {
-            uint16_t *rec = sums + (j * n_words + q) * 16;
-            std::fill(rec, rec + 16, uint16_t{0});
-            for (size_t k = 0; k < n_inputs; ++k) {
-                const uint64_t *pw = bufs[j * n_inputs + k] + q * pstride;
-                for (size_t p = 0; p < n_planes; ++p) {
-                    const uint64_t v =
-                        p == 0 && parity ? pw[n_planes] : pw[p];
-                    for (size_t g = 0; g < 4; ++g)
-                        rec[g * 4 + k] = static_cast<uint16_t>(
-                            rec[g * 4 + k] +
-                            (__builtin_popcountll((v >> (16 * g)) &
-                                                  0xFFFF)
-                             << p));
-                }
-            }
-        }
-}
-
-/** Scalar twin of avx2SpreadWinnerPlanes. */
-void
-spreadWinnerPlanesScalar(const uint64_t *const *bufs, size_t n_pixels,
-                         size_t n_inputs, size_t pstride, size_t n_words,
-                         size_t n_planes, bool parity,
-                         const uint8_t *winners, uint16_t *const *outs)
-{
-    uint64_t fwd[16];
-    for (size_t j = 0; j < n_pixels; ++j)
-        for (size_t q = 0; q < n_words; ++q) {
-            const uint8_t *win = winners + (j * n_words + q) * 4;
-            std::fill(fwd, fwd + n_planes + 1, uint64_t{0});
+    const size_t S = t.pixel_stride;
+    const int top = static_cast<int>(k) - 1;
+    const int half = static_cast<int>(k / 2);
+    const int n = static_cast<int>(n_inputs);
+    for (size_t px = 0; px < n_pixels; ++px) {
+        int st = states[px];
+        for (size_t q = 0; q * 64 < n_cycles; ++q) {
+            // The winners' group fields muxed into one word per digit.
+            uint64_t fwd[16] = {};
             for (size_t g = 0; g < 4; ++g) {
-                const uint64_t *pw =
-                    bufs[j * n_inputs + win[g]] + q * pstride;
-                const uint64_t mask = uint64_t{0xFFFF} << (16 * g);
-                for (size_t p = 0; p <= n_planes; ++p)
-                    fwd[p] |= pw[p] & mask;
+                const size_t in = winners[(q * S + px) * 4 + g];
+                for (size_t p = 0; p < t.plane_cap; ++p)
+                    fwd[p] |= t.row(in, q, t.digitRow(p))[px] &
+                              (uint64_t{0xFFFF} << (16 * g));
             }
-            spreadWordScalar(fwd, n_planes, parity, outs[j] + q * 64);
+            uint64_t word = 0;
+            for (size_t b = 0; b < 64 && q * 64 + b < n_cycles; ++b) {
+                int c = 0;
+                for (size_t p = 0; p < t.plane_cap; ++p)
+                    c |= static_cast<int>((fwd[p] >> b) & 1) << p;
+                st = std::clamp(st + 2 * c - n, 0, top);
+                word |= static_cast<uint64_t>(st >= half) << b;
+            }
+            outs[q * S + px] = word;
         }
+        states[px] = static_cast<uint16_t>(st);
+    }
 }
 
 } // namespace
@@ -258,22 +317,13 @@ spreadWord(const PlaneAt &plane, size_t n_planes, bool parity,
     }
 }
 
-/** spreadWord over contiguous planes pw[0 .. n_planes] (the pooling
- *  readers' layout). */
-__attribute__((target("avx2"))) void
-spreadPlanesWordAvx2(const uint64_t *pw, size_t n_planes, bool parity,
-                     uint16_t *out)
-{
-    spreadWord([pw](size_t j) { return pw + j; }, n_planes, parity, out);
-}
-
 } // namespace
 
-// --- the product fold -----------------------------------------------------
+// --- the product fold and the tile kernels --------------------------------
 //
-// One Harley-Seal schedule (sc/simd_fold.inc) compiled at two widths,
-// each in its own target region so the AVX2 body never carries an
-// AVX-512 instruction.
+// One Harley-Seal schedule (sc/simd_fold.inc) and one set of tile kernels
+// (sc/simd_tile.inc) compiled at two widths, each in its own target
+// region so the AVX2 bodies never carry an AVX-512 instruction.
 
 static_assert(ApproxParallelCounter::kLsbParityLines == 4,
               "the fold reads the parity after its first four lines");
@@ -282,7 +332,7 @@ static_assert(ApproxParallelCounter::kLsbParityLines == 4,
 #pragma GCC target("avx2")
 
 namespace {
-namespace fold256 {
+namespace w256 {
 
 /** One stream word per register: lane l = filter l. */
 struct V
@@ -319,18 +369,151 @@ struct V
         c = t;
     }
 
-    [[gnu::always_inline]] static inline R load(const uint64_t *p)
-    {
-        return _mm256_load_si256(reinterpret_cast<const R *>(p));
-    }
-
     [[gnu::always_inline]] static inline void store(uint64_t *p, R v)
     {
         _mm256_store_si256(reinterpret_cast<R *>(p), v);
     }
 
-    [[gnu::always_inline]] static inline void transpose4(const R in[4],
-                                                         R out[4])
+    [[gnu::always_inline]] static inline void storeRow(R v, uint64_t *p0,
+                                                       uint64_t *)
+    {
+        _mm256_storeu_si256(reinterpret_cast<R *>(p0), v);
+    }
+};
+
+#include "sc/simd_fold.inc"
+
+/** Tile ops on 16-pixel chunks: 16-bit lanes, vector masks. */
+struct T
+{
+    using R = __m256i;
+    using M = __m256i;
+    using M32 = __m256i;
+    static constexpr size_t kChunk = 16;
+
+    [[gnu::always_inline]] static inline R load(const void *p)
+    {
+        return _mm256_loadu_si256(static_cast<const R *>(p));
+    }
+    [[gnu::always_inline]] static inline void store(void *p, R v)
+    {
+        _mm256_storeu_si256(static_cast<R *>(p), v);
+    }
+    [[gnu::always_inline]] static inline R zero()
+    {
+        return _mm256_setzero_si256();
+    }
+    [[gnu::always_inline]] static inline R set16(int v)
+    {
+        return _mm256_set1_epi16(static_cast<short>(v));
+    }
+    [[gnu::always_inline]] static inline R set32(int v)
+    {
+        return _mm256_set1_epi32(v);
+    }
+    [[gnu::always_inline]] static inline R andR(R a, R b)
+    {
+        return _mm256_and_si256(a, b);
+    }
+    [[gnu::always_inline]] static inline R orR(R a, R b)
+    {
+        return _mm256_or_si256(a, b);
+    }
+    [[gnu::always_inline]] static inline R xorR(R a, R b)
+    {
+        return _mm256_xor_si256(a, b);
+    }
+    [[gnu::always_inline]] static inline R add8(R a, R b)
+    {
+        return _mm256_add_epi8(a, b);
+    }
+    [[gnu::always_inline]] static inline R add16(R a, R b)
+    {
+        return _mm256_add_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R add32(R a, R b)
+    {
+        return _mm256_add_epi32(a, b);
+    }
+    template <int N> [[gnu::always_inline]] static inline R slli16(R a)
+    {
+        return _mm256_slli_epi16(a, N);
+    }
+    template <int N> [[gnu::always_inline]] static inline R srli16(R a)
+    {
+        return _mm256_srli_epi16(a, N);
+    }
+    template <int N> [[gnu::always_inline]] static inline R slli32(R a)
+    {
+        return _mm256_slli_epi32(a, N);
+    }
+    [[gnu::always_inline]] static inline R shl16(R a, size_t n)
+    {
+        return _mm256_sll_epi16(a,
+                                _mm_cvtsi64_si128(static_cast<long long>(n)));
+    }
+    [[gnu::always_inline]] static inline R sub16(R a, R b)
+    {
+        return _mm256_sub_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R adds16s(R a, R b)
+    {
+        return _mm256_adds_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R min16s(R a, R b)
+    {
+        return _mm256_min_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R popcount8(R v)
+    {
+        return popcountBytes(v);
+    }
+    [[gnu::always_inline]] static inline R sumPairs8(R v)
+    {
+        return _mm256_maddubs_epi16(v, _mm256_set1_epi8(1));
+    }
+    [[gnu::always_inline]] static inline R widen32(R a, size_t h)
+    {
+        return _mm256_cvtepu16_epi32(h == 0 ? _mm256_castsi256_si128(a)
+                                            : _mm256_extracti128_si256(a, 1));
+    }
+    [[gnu::always_inline]] static inline R loadWinners(const uint8_t *p)
+    {
+        return _mm256_cvtepu8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
+    [[gnu::always_inline]] static inline M eq16(R a, R b)
+    {
+        return _mm256_cmpeq_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline M gt16(R a, R b)
+    {
+        return _mm256_cmpgt_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline M32 gt32(R a, R b)
+    {
+        return _mm256_cmpgt_epi32(a, b);
+    }
+    [[gnu::always_inline]] static inline R max32(R a, R b)
+    {
+        return _mm256_max_epi32(a, b);
+    }
+    [[gnu::always_inline]] static inline R select(M m, R a, R b)
+    {
+        return _mm256_blendv_epi8(a, b, m);
+    }
+    [[gnu::always_inline]] static inline R select32(M32 m, R a, R b)
+    {
+        return _mm256_blendv_epi8(a, b, m);
+    }
+    [[gnu::always_inline]] static inline R orWhere(R acc, M m, R bit)
+    {
+        return _mm256_or_si256(acc, _mm256_and_si256(m, bit));
+    }
+
+    /** 4 x 4 transpose of 64-bit units: out[u] unit i = in[i] unit u. */
+    [[gnu::always_inline]] static inline void transpose64(const R in[4],
+                                                          R out[4])
     {
         const R t0 = _mm256_unpacklo_epi64(in[0], in[1]);
         const R t1 = _mm256_unpackhi_epi64(in[0], in[1]);
@@ -342,30 +525,56 @@ struct V
         out[3] = _mm256_permute2x128_si256(t1, t3, 0x31);
     }
 
-    [[gnu::always_inline]] static inline void storeColumn(R c, uint64_t *p,
-                                                          size_t)
+    /** Per register, fields paired by group within each 128-bit lane
+     *  (one byte shuffle) and the lanes' pairs joined into one 64-bit
+     *  unit per group (one dword permute); then a 64-bit transpose. */
+    [[gnu::always_inline]] static inline void toGroups(const R in[4],
+                                                       R out[4])
     {
-        _mm256_storeu_si256(reinterpret_cast<R *>(p), c);
+        const R pair = _mm256_setr_epi8(
+            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15, 0, 1, 8,
+            9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15);
+        const R join = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        R t[4];
+        for (size_t i = 0; i < 4; ++i)
+            t[i] = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(in[i], pair),
+                                               join);
+        transpose64(t, out);
+    }
+
+    [[gnu::always_inline]] static inline void fromGroups(const R in[4],
+                                                         R out[4])
+    {
+        const R unpair = _mm256_setr_epi8(
+            0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15, 0, 1, 4, 5,
+            8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15);
+        const R split = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+        R t[4];
+        transpose64(in, t);
+        for (size_t i = 0; i < 4; ++i)
+            out[i] = _mm256_shuffle_epi8(
+                _mm256_permutevar8x32_epi32(t[i], split), unpair);
     }
 };
 
-#include "sc/simd_fold.inc"
+#include "sc/simd_tile.inc"
 
-} // namespace fold256
+} // namespace w256
 } // namespace
 
 #pragma GCC pop_options
 
 #pragma GCC push_options
-#pragma GCC target("avx2,avx512f,avx512vl")
+#pragma GCC target("avx2,avx512f,avx512vl,avx512bw")
 
 namespace {
-namespace fold512 {
+namespace w512 {
 
 /** Two stream words per register: lanes 0-3 hold word w of the four
- *  filters, lanes 4-7 word w + 1; ternary-logic full adders. Shuffles
- *  use their all-lanes maskz forms: GCC 12's unmasked ones read an
- *  "undefined" register that -Wmaybe-uninitialized flags. */
+ *  filters, lanes 4-7 word w + 1; ternary-logic full adders. Shuffles,
+ *  extracts and the other ops whose GCC 12 header bodies read an
+ *  "undefined" register (which -Wmaybe-uninitialized flags) use their
+ *  all-lanes maskz forms. */
 struct V
 {
     using R = __m512i;
@@ -407,46 +616,217 @@ struct V
         c = t;
     }
 
-    [[gnu::always_inline]] static inline R load(const uint64_t *p)
-    {
-        return _mm512_load_si512(p);
-    }
-
     [[gnu::always_inline]] static inline void store(uint64_t *p, R v)
     {
         _mm512_store_si512(p, v);
     }
 
-    /** The 4 x 4 transpose of each word's half, one two-source
-     *  permute per column. */
-    [[gnu::always_inline]] static inline void transpose4(const R in[4],
-                                                         R out[4])
+    /** Two lane-masked stores, word w + 1's half addressed from p1 - 4
+     *  so that its lanes 4-7 land at p1. */
+    [[gnu::always_inline]] static inline void storeRow(R v, uint64_t *p0,
+                                                       uint64_t *p1)
     {
-        const R t0 = _mm512_maskz_unpacklo_epi64(0xFF, in[0], in[1]);
-        const R t1 = _mm512_maskz_unpackhi_epi64(0xFF, in[0], in[1]);
-        const R t2 = _mm512_maskz_unpacklo_epi64(0xFF, in[2], in[3]);
-        const R t3 = _mm512_maskz_unpackhi_epi64(0xFF, in[2], in[3]);
-        const R even = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
-        const R odd = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
-        out[0] = _mm512_permutex2var_epi64(t0, even, t2);
-        out[1] = _mm512_permutex2var_epi64(t1, even, t3);
-        out[2] = _mm512_permutex2var_epi64(t0, odd, t2);
-        out[3] = _mm512_permutex2var_epi64(t1, odd, t3);
-    }
-
-    /** Word w's half at p, word w + 1's at p + next_word (>= 4), as
-     *  two lane-masked stores. */
-    [[gnu::always_inline]] static inline void
-    storeColumn(R c, uint64_t *p, size_t next_word)
-    {
-        _mm512_mask_storeu_epi64(p, 0x0F, c);
-        _mm512_mask_storeu_epi64(p + next_word - 4, 0xF0, c);
+        _mm512_mask_storeu_epi64(p0, 0x0F, v);
+        _mm512_mask_storeu_epi64(p1 - 4, 0xF0, v);
     }
 };
 
 #include "sc/simd_fold.inc"
 
-} // namespace fold512
+/** Tile ops on 32-pixel chunks: 16-bit lanes, AVX512BW lane masks. */
+struct T
+{
+    using R = __m512i;
+    using M = __mmask32;
+    using M32 = __mmask16;
+    static constexpr size_t kChunk = 32;
+
+    [[gnu::always_inline]] static inline R load(const void *p)
+    {
+        return _mm512_loadu_si512(p);
+    }
+    [[gnu::always_inline]] static inline void store(void *p, R v)
+    {
+        _mm512_storeu_si512(p, v);
+    }
+    [[gnu::always_inline]] static inline R zero()
+    {
+        return _mm512_setzero_si512();
+    }
+    [[gnu::always_inline]] static inline R set16(int v)
+    {
+        return _mm512_set1_epi16(static_cast<short>(v));
+    }
+    [[gnu::always_inline]] static inline R set32(int v)
+    {
+        return _mm512_set1_epi32(v);
+    }
+    [[gnu::always_inline]] static inline R andR(R a, R b)
+    {
+        return _mm512_and_si512(a, b);
+    }
+    [[gnu::always_inline]] static inline R orR(R a, R b)
+    {
+        return _mm512_or_si512(a, b);
+    }
+    [[gnu::always_inline]] static inline R xorR(R a, R b)
+    {
+        return _mm512_xor_si512(a, b);
+    }
+    [[gnu::always_inline]] static inline R add8(R a, R b)
+    {
+        return _mm512_add_epi8(a, b);
+    }
+    [[gnu::always_inline]] static inline R add16(R a, R b)
+    {
+        return _mm512_add_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R add32(R a, R b)
+    {
+        return _mm512_add_epi32(a, b);
+    }
+    template <int N> [[gnu::always_inline]] static inline R slli16(R a)
+    {
+        return _mm512_slli_epi16(a, N);
+    }
+    template <int N> [[gnu::always_inline]] static inline R srli16(R a)
+    {
+        return _mm512_srli_epi16(a, N);
+    }
+    template <int N> [[gnu::always_inline]] static inline R slli32(R a)
+    {
+        return _mm512_maskz_slli_epi32(0xFFFF, a, N);
+    }
+    [[gnu::always_inline]] static inline R shl16(R a, size_t n)
+    {
+        return _mm512_sll_epi16(a,
+                                _mm_cvtsi64_si128(static_cast<long long>(n)));
+    }
+    [[gnu::always_inline]] static inline R sub16(R a, R b)
+    {
+        return _mm512_sub_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R adds16s(R a, R b)
+    {
+        return _mm512_adds_epi16(a, b);
+    }
+    [[gnu::always_inline]] static inline R min16s(R a, R b)
+    {
+        return _mm512_min_epi16(a, b);
+    }
+    /** Per-byte popcount: nibble lookup, no BITALG. */
+    [[gnu::always_inline]] static inline R popcount8(R v)
+    {
+        const R lut = _mm512_set4_epi32(0x04030302, 0x03020201, 0x03020201,
+                                        0x02010100);
+        const R nibble = _mm512_set1_epi8(0x0F);
+        return _mm512_add_epi8(
+            _mm512_shuffle_epi8(lut, _mm512_and_si512(v, nibble)),
+            _mm512_shuffle_epi8(
+                lut, _mm512_and_si512(_mm512_srli_epi16(v, 4), nibble)));
+    }
+    [[gnu::always_inline]] static inline R sumPairs8(R v)
+    {
+        return _mm512_maddubs_epi16(v, _mm512_set1_epi8(1));
+    }
+    [[gnu::always_inline]] static inline R widen32(R a, size_t h)
+    {
+        return _mm512_maskz_cvtepu16_epi32(
+            0xFFFF, h == 0 ? _mm512_maskz_extracti64x4_epi64(0xFF, a, 0)
+                           : _mm512_maskz_extracti64x4_epi64(0xFF, a, 1));
+    }
+    [[gnu::always_inline]] static inline R loadWinners(const uint8_t *p)
+    {
+        return _mm512_cvtepu8_epi16(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)));
+    }
+    [[gnu::always_inline]] static inline M eq16(R a, R b)
+    {
+        return _mm512_cmpeq_epi16_mask(a, b);
+    }
+    [[gnu::always_inline]] static inline M gt16(R a, R b)
+    {
+        return _mm512_cmpgt_epi16_mask(a, b);
+    }
+    [[gnu::always_inline]] static inline M32 gt32(R a, R b)
+    {
+        return _mm512_cmpgt_epi32_mask(a, b);
+    }
+    [[gnu::always_inline]] static inline R max32(R a, R b)
+    {
+        return _mm512_maskz_max_epi32(0xFFFF, a, b);
+    }
+    [[gnu::always_inline]] static inline R select(M m, R a, R b)
+    {
+        return _mm512_mask_blend_epi16(m, a, b);
+    }
+    [[gnu::always_inline]] static inline R select32(M32 m, R a, R b)
+    {
+        return _mm512_mask_blend_epi32(m, a, b);
+    }
+    [[gnu::always_inline]] static inline R orWhere(R acc, M m, R bit)
+    {
+        return _mm512_mask_add_epi16(acc, m, acc, bit);
+    }
+
+    /** The 16-bit field index tables of the regrouping permutes:
+     *  [g0 | g1] and [g2 | g3] of pixels 0-15 out of two row registers,
+     *  and back (pixels 0-7; + 8 for pixels 8-15). */
+    static constexpr std::array<uint16_t, 32> fieldIndex(int first)
+    {
+        std::array<uint16_t, 32> a{};
+        for (int e = 0; e < 32; ++e) {
+            const int g = first + e / 16, pix = e % 16;
+            a[e] = static_cast<uint16_t>((pix / 8) * 32 + (pix % 8) * 4 + g);
+        }
+        return a;
+    }
+    static constexpr std::array<uint16_t, 32> pixelIndex(int first)
+    {
+        std::array<uint16_t, 32> a{};
+        for (int e = 0; e < 32; ++e) {
+            const int m = first + e / 4, g = e % 4;
+            a[e] = static_cast<uint16_t>((g / 2) * 32 + (g % 2) * 16 + m);
+        }
+        return a;
+    }
+
+    /** Two-source 16-bit permutes gather two groups of 16 pixels per
+     *  register pair; 128-bit lane shuffles join the pixel halves. */
+    [[gnu::always_inline]] static inline void toGroups(const R in[4],
+                                                       R out[4])
+    {
+        static constexpr auto kLo = fieldIndex(0), kHi = fieldIndex(2);
+        const R lo = load(kLo.data()), hi = load(kHi.data());
+        const R a01 = _mm512_permutex2var_epi16(in[0], lo, in[1]);
+        const R b01 = _mm512_permutex2var_epi16(in[0], hi, in[1]);
+        const R a23 = _mm512_permutex2var_epi16(in[2], lo, in[3]);
+        const R b23 = _mm512_permutex2var_epi16(in[2], hi, in[3]);
+        out[0] = _mm512_maskz_shuffle_i64x2(0xFF, a01, a23, 0x44);
+        out[1] = _mm512_maskz_shuffle_i64x2(0xFF, a01, a23, 0xEE);
+        out[2] = _mm512_maskz_shuffle_i64x2(0xFF, b01, b23, 0x44);
+        out[3] = _mm512_maskz_shuffle_i64x2(0xFF, b01, b23, 0xEE);
+    }
+
+    [[gnu::always_inline]] static inline void fromGroups(const R in[4],
+                                                         R out[4])
+    {
+        static constexpr auto kFirst = pixelIndex(0), kSecond = pixelIndex(8);
+        const R first = load(kFirst.data()), second = load(kSecond.data());
+        const R a01 = _mm512_maskz_shuffle_i64x2(0xFF, in[0], in[1], 0x44);
+        const R a23 = _mm512_maskz_shuffle_i64x2(0xFF, in[0], in[1], 0xEE);
+        const R b01 = _mm512_maskz_shuffle_i64x2(0xFF, in[2], in[3], 0x44);
+        const R b23 = _mm512_maskz_shuffle_i64x2(0xFF, in[2], in[3], 0xEE);
+        out[0] = _mm512_permutex2var_epi16(a01, first, b01);
+        out[1] = _mm512_permutex2var_epi16(a01, second, b01);
+        out[2] = _mm512_permutex2var_epi16(a23, first, b23);
+        out[3] = _mm512_permutex2var_epi16(a23, second, b23);
+    }
+};
+
+#include "sc/simd_tile.inc"
+
+} // namespace w512
 } // namespace
 
 #pragma GCC pop_options
@@ -476,168 +856,83 @@ vectorProductFold(const ProductFold &fold)
         return 0;
     size_t w = fold.begin_word;
     if (lv == Level::Avx512)
-        w = fold512::foldRange(fold, w, full_end);
+        w = w512::foldRange(fold, w, full_end);
     if (w < full_end)
-        w = fold256::foldRange(fold, w, full_end);
+        w = w256::foldRange(fold, w, full_end);
     return w - fold.begin_word;
 }
 
 void
-avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
-                     uint16_t *out)
+tileGroupSums(const PlaneTile &tile, size_t n_pixels, uint16_t *sums)
 {
-    SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
-    if (enabled()) {
-        spreadPlanesWordAvx2(pw, n_planes, parity, out);
-        return;
-    }
-    spreadWordScalar(pw, n_planes, parity, out);
-}
-
-__attribute__((target("avx2"))) static void
-planeGroupSumsAvx2(const uint64_t *const *bufs, size_t n_pixels,
-                   size_t n_inputs, size_t pstride, size_t n_words,
-                   size_t n_planes, bool parity, uint16_t *sums)
-{
-    // Quad u holds planes [4u, 4u + 4), plane 4u + i in 64-bit lane i
-    // (plane 0 swapped for the parity word under the substitution).
-    // The byte weights are the planes' digit values 2^i within the
-    // quad (zero past the plane count), so maddubs turns the byte
-    // popcounts into lane i, 16-bit field g = plane 4u + i's weighted
-    // one-count over group g (<= 16 * 8 per byte pair, no
-    // saturation). Horner steps of 4 bits stack the quads in the same
-    // lanes; every partial sum is part of a final group sum, so none
-    // overflows 16 bits.
-    const size_t quads = (n_planes + 3) / 4;
-    __m256i wts[3];
-    for (size_t u = 0; u < quads; ++u) {
-        alignas(32) uint8_t w[32];
-        for (size_t b = 0; b < 32; ++b)
-            w[b] = 4 * u + b / 8 < n_planes
-                       ? static_cast<uint8_t>(1u << (b / 8))
-                       : 0;
-        wts[u] = _mm256_load_si256(reinterpret_cast<const __m256i *>(w));
-    }
-    for (size_t j = 0; j < n_pixels; ++j) {
-        for (size_t q = 0; q < n_words; ++q) {
-            __m128i x[4];
-            for (size_t k = 0; k < 4; ++k) {
-                x[k] = _mm_setzero_si128();
-                if (k >= n_inputs)
-                    continue;
-                const uint64_t *pw = bufs[j * n_inputs + k] + q * pstride;
-                __m256i acc = _mm256_setzero_si256();
-                for (size_t u = quads; u-- > 0;) {
-                    __m256i v = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(pw + 4 * u));
-                    if (u == 0 && parity)
-                        v = _mm256_blend_epi32(
-                            v,
-                            _mm256_set1_epi64x(
-                                static_cast<long long>(pw[n_planes])),
-                            0x03);
-                    acc = _mm256_add_epi16(
-                        _mm256_slli_epi16(acc, 4),
-                        _mm256_maddubs_epi16(popcountBytes(v), wts[u]));
-                }
-                x[k] = _mm_add_epi16(_mm256_castsi256_si128(acc),
-                                     _mm256_extracti128_si256(acc, 1));
-            }
-            // x[k]'s two qwords are lanes {0, 2} and {1, 3}: fold them,
-            // then transpose the (input, group) fields into one
-            // 4-input record per group.
-            const __m128i s01 =
-                _mm_add_epi16(_mm_unpacklo_epi64(x[0], x[1]),
-                              _mm_unpackhi_epi64(x[0], x[1]));
-            const __m128i s23 =
-                _mm_add_epi16(_mm_unpacklo_epi64(x[2], x[3]),
-                              _mm_unpackhi_epi64(x[2], x[3]));
-            const __m128i t0 = _mm_unpacklo_epi16(s01, s23);
-            const __m128i t1 = _mm_unpackhi_epi16(s01, s23);
-            uint16_t *rec = sums + (j * n_words + q) * 16;
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(rec),
-                             _mm_unpacklo_epi16(t0, t1));
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(rec + 8),
-                             _mm_unpackhi_epi16(t0, t1));
-        }
-    }
-}
-
-void
-avx2PlaneGroupSums(const uint64_t *const *bufs, size_t n_pixels,
-                   size_t n_inputs, size_t pstride, size_t n_words,
-                   size_t n_planes, bool parity, uint16_t *sums)
-{
-    SCDCNN_ASSERT(n_inputs <= 4, "%zu selector inputs, at most 4",
-                  n_inputs);
-    SCDCNN_ASSERT(n_planes >= 1 && n_planes <= 12,
+    checkTile(tile, n_pixels);
+    SCDCNN_ASSERT(tile.plane_cap <= 12,
                   "plane count %zu outside the uint16 group-sum range",
-                  n_planes);
-    if (enabled()) {
-        planeGroupSumsAvx2(bufs, n_pixels, n_inputs, pstride, n_words,
-                           n_planes, parity, sums);
+                  tile.plane_cap);
+    const Level lv = level();
+    if (lv == Level::Scalar) {
+        tileGroupSumsScalar(tile, n_pixels, sums);
         return;
     }
-    planeGroupSumsScalar(bufs, n_pixels, n_inputs, pstride, n_words,
-                         n_planes, parity, sums);
-}
-
-__attribute__((target("avx2"))) static void
-spreadWinnerPlanesAvx2(const uint64_t *const *bufs, size_t n_pixels,
-                       size_t n_inputs, size_t pstride, size_t n_words,
-                       size_t n_planes, bool parity, const uint8_t *winners,
-                       uint16_t *const *outs)
-{
-    const size_t chunks = (n_planes + 4) / 4; // the planes + parity word
-    alignas(32) uint64_t fwd[16];
-    for (size_t j = 0; j < n_pixels; ++j) {
-        for (size_t q = 0; q < n_words; ++q) {
-            // The winner bytes widened to 16-bit fields (winner *
-            // 0x0101): comparing them with k * 0x0101 yields input k's
-            // mask of won groups in the low 64 bits.
-            uint32_t win;
-            std::memcpy(&win, winners + (j * n_words + q) * 4, 4);
-            const __m128i wv = _mm_cvtsi32_si128(static_cast<int>(win));
-            const __m128i wide = _mm_unpacklo_epi8(wv, wv);
-            __m256i mask[4];
-            for (size_t k = 0; k < n_inputs; ++k)
-                mask[k] = _mm256_broadcastq_epi64(_mm_cmpeq_epi16(
-                    wide, _mm_set1_epi16(static_cast<short>(k * 0x0101))));
-            for (size_t c = 0; c < chunks; ++c) {
-                __m256i acc = _mm256_setzero_si256();
-                for (size_t k = 0; k < n_inputs; ++k)
-                    acc = _mm256_or_si256(
-                        acc, _mm256_and_si256(
-                                 _mm256_loadu_si256(
-                                     reinterpret_cast<const __m256i *>(
-                                         bufs[j * n_inputs + k] +
-                                         q * pstride + 4 * c)),
-                                 mask[k]));
-                _mm256_store_si256(reinterpret_cast<__m256i *>(fwd + 4 * c),
-                                   acc);
-            }
-            spreadWord([&fwd](size_t p) { return fwd + p; }, n_planes,
-                       parity, outs[j] + q * 64);
-        }
-    }
+    const TileChunks ch = tileChunks(lv, n_pixels);
+    w512::tile::groupSums(tile, 0, ch.wide_end, sums);
+    w256::tile::groupSums(tile, ch.wide_end, ch.end, sums);
 }
 
 void
-avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
-                       size_t n_inputs, size_t pstride, size_t n_words,
-                       size_t n_planes, bool parity, const uint8_t *winners,
-                       uint16_t *const *outs)
+tileSelectorWalk(const uint16_t *sums, const uint8_t *steps,
+                 size_t n_groups, size_t plane_cap, size_t pixel_stride,
+                 size_t n_pixels, uint64_t *counters, uint32_t *selected,
+                 uint8_t *winners)
 {
-    SCDCNN_ASSERT(n_inputs <= 4, "%zu selector inputs, at most 4",
-                  n_inputs);
-    SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
-    if (enabled()) {
-        spreadWinnerPlanesAvx2(bufs, n_pixels, n_inputs, pstride, n_words,
-                               n_planes, parity, winners, outs);
+    const Level lv = level();
+    // The range check of the 32-bit lanes: a group adds below
+    // 16 << plane_cap to a counter.
+    uint64_t top = 0;
+    for (size_t k = 0; k < 4; ++k)
+        for (size_t px = 0; px < n_pixels; ++px)
+            top = std::max(top, counters[k * pixel_stride + px]);
+    if (lv == Level::Scalar ||
+        top + n_groups * (uint64_t{16} << plane_cap) >= uint64_t{1} << 31) {
+        tileSelectorWalkScalar(sums, steps, n_groups, pixel_stride,
+                               n_pixels, counters, selected, winners);
         return;
     }
-    spreadWinnerPlanesScalar(bufs, n_pixels, n_inputs, pstride, n_words,
-                             n_planes, parity, winners, outs);
+    const TileChunks ch = tileChunks(lv, n_pixels);
+    thread_local std::vector<uint32_t> narrow;
+    narrow.resize(4 * pixel_stride);
+    for (size_t k = 0; k < 4; ++k)
+        for (size_t px = 0; px < ch.end; ++px)
+            narrow[k * pixel_stride + px] =
+                static_cast<uint32_t>(counters[k * pixel_stride + px]);
+    w512::tile::selectorWalk(sums, steps, n_groups, pixel_stride, 0,
+                             ch.wide_end, narrow.data(), selected, winners);
+    w256::tile::selectorWalk(sums, steps, n_groups, pixel_stride,
+                             ch.wide_end, ch.end, narrow.data(), selected,
+                             winners);
+    for (size_t k = 0; k < 4; ++k)
+        for (size_t px = 0; px < ch.end; ++px)
+            counters[k * pixel_stride + px] = narrow[k * pixel_stride + px];
+}
+
+void
+tileBtanh(const PlaneTile &tile, const uint8_t *winners, size_t n_pixels,
+          size_t n_cycles, unsigned k, unsigned n_inputs, uint16_t *states,
+          uint64_t *outs)
+{
+    checkTile(tile, n_pixels);
+    SCDCNN_ASSERT(k >= 2, "Btanh needs at least 2 states, got %u", k);
+    const Level lv = level();
+    if (lv == Level::Scalar || k > 8192 || n_inputs > 4096) {
+        tileBtanhScalar(tile, winners, n_pixels, n_cycles, k, n_inputs,
+                        states, outs);
+        return;
+    }
+    const TileChunks ch = tileChunks(lv, n_pixels);
+    w512::tile::btanh(tile, winners, n_cycles, k, n_inputs, 0, ch.wide_end,
+                      states, outs);
+    w256::tile::btanh(tile, winners, n_cycles, k, n_inputs, ch.wide_end,
+                      ch.end, states, outs);
 }
 
 __attribute__((target("avx2"))) static uint64_t
@@ -961,29 +1256,30 @@ vectorProductFold(const ProductFold &)
 }
 
 void
-avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
-                     uint16_t *out)
+tileGroupSums(const PlaneTile &tile, size_t n_pixels, uint16_t *sums)
 {
-    spreadWordScalar(pw, n_planes, parity, out);
+    checkTile(tile, n_pixels);
+    tileGroupSumsScalar(tile, n_pixels, sums);
 }
 
 void
-avx2PlaneGroupSums(const uint64_t *const *bufs, size_t n_pixels,
-                   size_t n_inputs, size_t pstride, size_t n_words,
-                   size_t n_planes, bool parity, uint16_t *sums)
+tileSelectorWalk(const uint16_t *sums, const uint8_t *steps,
+                 size_t n_groups, size_t, size_t pixel_stride,
+                 size_t n_pixels, uint64_t *counters, uint32_t *selected,
+                 uint8_t *winners)
 {
-    planeGroupSumsScalar(bufs, n_pixels, n_inputs, pstride, n_words,
-                         n_planes, parity, sums);
+    tileSelectorWalkScalar(sums, steps, n_groups, pixel_stride, n_pixels,
+                           counters, selected, winners);
 }
 
 void
-avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
-                       size_t n_inputs, size_t pstride, size_t n_words,
-                       size_t n_planes, bool parity, const uint8_t *winners,
-                       uint16_t *const *outs)
+tileBtanh(const PlaneTile &tile, const uint8_t *winners, size_t n_pixels,
+          size_t n_cycles, unsigned k, unsigned n_inputs, uint16_t *states,
+          uint64_t *outs)
 {
-    spreadWinnerPlanesScalar(bufs, n_pixels, n_inputs, pstride, n_words,
-                             n_planes, parity, winners, outs);
+    checkTile(tile, n_pixels);
+    tileBtanhScalar(tile, winners, n_pixels, n_cycles, k, n_inputs, states,
+                    outs);
 }
 
 uint64_t

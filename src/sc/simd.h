@@ -20,21 +20,26 @@
  *    two widths: 256-bit AVX2 (one stream word per register) and
  *    512-bit AVX-512 (words w and w + 1 of the four filter lanes in one
  *    register);
- *  - the plane readers (avx2SpreadPlanesWord, avx2PlaneGroupSums,
- *    avx2SpreadWinnerPlanes) of the Figure 8 max-pooling selector;
+ *  - the pixel-tile kernels of the max-pooled APC stages (tileGroupSums,
+ *    tileSelectorWalk, tileBtanh): a tile's count planes pixel-minor,
+ *    one pixel per vector lane from the group sums through the Figure 8
+ *    walk to the Btanh counters. They are written once over a width
+ *    trait too (sc/simd_tile.inc): 256-bit bodies on 16-pixel chunks and,
+ *    at Avx512, 512-bit bodies on 32-pixel chunks;
  *  - avx2SumU16: the segment accumulation of the masked binary
  *    max-pooling kernel and of the output layer's class scores;
- *  - avx2XnorPopcountMulti and avx2BtanhWordsBatch: the binary
- *    backend's inner product and the lane-parallel Btanh step;
+ *  - avx2XnorPopcountMulti: the binary backend's inner product;
+ *  - avx2BtanhWordsBatch: the lane-parallel Btanh step over uint16
+ *    counts (the fc stages' activation);
  *  - avx2SngUnipolar4: the word-at-a-time SNG body for four streams,
  *    four xoshiro256** generators stepped in the 64-bit lanes.
  *
  * Dispatch: level() is the best of Scalar < Avx2 < Avx512 that the
  * binary carries, the CPU reports, and neither SCDCNN_FORCE_SCALAR nor
- * setLevel() capped. The fold runs its 512-bit body at Avx512 and its
- * 256-bit body at Avx2; every other kernel has one AVX2 body, taken at
- * either SIMD level (enabled()). Callers fall back to the scalar path
- * for tails and small sizes.
+ * setLevel() capped. The fold and the tile kernels run their 512-bit
+ * bodies at Avx512 and their 256-bit bodies at Avx2; every other kernel
+ * has one AVX2 body, taken at either SIMD level (enabled()). Callers
+ * fall back to the scalar path for tails and small sizes.
  */
 
 #ifndef SCDCNN_SC_SIMD_H
@@ -56,7 +61,7 @@ enum class Level : int
 {
     Scalar = 0, //!< the portable scalar bodies only
     Avx2 = 1,   //!< AVX2 bodies, the fold one stream word per register
-    Avx512 = 2, //!< AVX2 bodies, the fold on AVX-512F/VL word pairs
+    Avx512 = 2, //!< AVX2 bodies, the fold and tiles on AVX-512F/VL/BW
 };
 
 /** The best level this binary and CPU run, Scalar when the
@@ -97,13 +102,16 @@ const char *levelName(Level lv);
  *    @c parity_lines lines) substituted when parity_lines > 0;
  *  - planes (@c planes set): the @c plane_cap canonical bit-planes of
  *    the counts (planes above the fold's high plane zeroed) and the
- *    leading-lines parity word at index plane_cap, lane f, image j,
- *    range-local word q at planes[j * image_stride + f * lane_stride
- *    + q * (plane_cap + 1)]. Segment sums follow from plane popcounts
- *    and per-cycle counts are recovered exactly by
- *    avx2SpreadPlanesWord, so the Figure 8 selector only transposes
- *    the input it forwards.
- *
+ *    leading-lines parity word as row plane_cap, pixel-minor: row r of
+ *    range-local word q of image j holds the kFilterLanes lanes
+ *    contiguously at planes[j * image_stride + (q * (plane_cap + 1) +
+ *    r) * row_stride], the order the fold's register holds them, so a
+ *    row is stored without a transpose (the PlaneTile layout). Lanes
+ *    past block.lanes carry the counts of the block's zero padding.
+ *    Segment sums follow from plane popcounts and per-cycle counts
+ *    from the planes' bits, so the Figure 8 selector never transposes
+ *    a losing window.
+
  * Operands are addressed through one table of tap word pointers:
  * image position j's tap t words start at x[j * block.taps + t]. The
  * caller builds it once per call, from one window (n_images == 1) or
@@ -126,7 +134,9 @@ struct ProductFold
     uint16_t *counts = nullptr; //!< counts form output
     uint64_t *planes = nullptr; //!< plane form output
     size_t plane_cap = 0;
-    size_t lane_stride = 0, image_stride = 0;
+    size_t lane_stride = 0; //!< counts form: lane to lane
+    size_t row_stride = 0;  //!< plane form: row to row
+    size_t image_stride = 0;
 };
 
 /**
@@ -146,53 +156,95 @@ struct ProductFold
 size_t vectorProductFold(const ProductFold &fold);
 
 /**
- * Transpose one word's canonical count planes back into 64 per-cycle
- * uint16 counts: pw[0 .. n_planes) are the planes (n_planes < 16),
- * pw[n_planes] the parity word; when @p parity is true each count's
- * LSB is replaced by the parity bit (the approximate-counter
- * substitution). Bit-exact with the transposes of the counts kernels.
- * Falls back to a scalar loop when AVX2 is not enabled.
+ * A max-pooled APC tile's count planes, pixel-minor: for every (input
+ * window k, range-local word q, row r) the tile's pixels sit contiguous,
+ * one uint64_t each, at row(k, q, r)[pixel]. Rows 0 .. plane_cap - 1 are
+ * the canonical count planes and row plane_cap the leading-lines parity
+ * word (the fusedProductPlanesMultiBatch form, which writes a tile with
+ * row_stride = pixel_stride and image_stride = kFilterLanes). Count
+ * digit p sits in row digitRow(p): the parity word replaces plane 0 when
+ * @c parity (the approximate-counter substitution).
  */
-void avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes,
-                          bool parity, uint16_t *out);
+struct PlaneTile
+{
+    const uint64_t *planes = nullptr;
+    size_t n_inputs = 0;     //!< pooling windows, 1 .. 4
+    size_t n_words = 0;      //!< range words
+    size_t plane_cap = 0;    //!< count planes per word, 1 .. 15
+    size_t pixel_stride = 0; //!< pixels per row, a multiple of 16
+    bool parity = false;
+
+    const uint64_t *row(size_t k, size_t q, size_t r) const
+    {
+        return planes +
+               ((k * n_words + q) * (plane_cap + 1) + r) * pixel_stride;
+    }
+
+    size_t digitRow(size_t p) const
+    {
+        return p == 0 && parity ? plane_cap : p;
+    }
+};
+
+/*
+ * The pixel-tile kernels. Each covers pixels [0, n_pixels) of a tile
+ * (n_pixels <= pixel_stride); the vector bodies run whole chunks of 16
+ * pixels, or 32 at Avx512 where the stride holds them, so lanes up to
+ * the chunk's end may be written too, with unspecified values. Group g
+ * of word q is cycles [64q + 16g, 64q + 16g + 16) of the range. Each
+ * kernel has a scalar body, taken at Level::Scalar and bit-exact with
+ * the vector bodies (tests/test_pooling.cc, tests/test_fsm_batch.cc).
+ */
 
 /**
  * Segment evidence of the Figure 8 selector on its 16-cycle grid: the
- * per-group count sums of a pooling call's window planes, without
- * materializing any per-cycle counts. bufs[j * n_inputs + k] is pixel
- * j, input k's plane buffer (word q's @p n_planes planes and parity
- * word at + q * pstride, the fusedProductPlanesMultiBatch form).
- * Writes sums[((j * n_words + q) * 4 + g) * 4 + k], the sum of input
- * k's counts over cycles [64q + 16g, 64q + 16g + 16) with the parity
- * substitution when @p parity: one 4-input record per group, inputs
- * k >= n_inputs zero. n_inputs <= 4 and 1 <= n_planes <= 12, so every
- * sum is below 16 * 2^12 and exact in uint16.
- *
- * The AVX2 body sums a word's 4-plane quads vertically in 16-bit lanes
- * (byte popcounts weighted by maddubs, Horner-shifted by 4 per quad)
- * and does one horizontal reduction per word. Its whole-quad loads
- * read up to three words past each word's parity slot: pad every
- * buffer's tail by four words.
+ * count sum of input k over group g of word q for pixel px, at
+ * sums[((q * 4 + g) * 4 + k) * pixel_stride + px], with the parity
+ * substitution; inputs k >= n_inputs read zero. plane_cap is 1 .. 12,
+ * so every sum is below 16 * 2^12 and exact in uint16. The vector
+ * bodies take per-byte popcounts by a nibble lookup, stack up to five
+ * planes by doubling in bytes, and widen once per stack into 16-bit
+ * group fields.
  */
-void avx2PlaneGroupSums(const uint64_t *const *bufs, size_t n_pixels,
-                        size_t n_inputs, size_t pstride, size_t n_words,
-                        size_t n_planes, bool parity, uint16_t *sums);
+void tileGroupSums(const PlaneTile &tile, size_t n_pixels, uint16_t *sums);
 
 /**
- * The Figure 8 selector's forwarding over the same buffers: group g of
- * word q of pixel j emits input winners[(j * n_words + q) * 4 + g]'s
- * counts into outs[j][64q + 16g, 64q + 16g + 16). Each word's winning
- * groups are muxed into one set of plane words (16-bit fields picked
- * by per-input group masks, no branches), which are then transposed
- * once, as avx2SpreadPlanesWord does — a word whose groups have
- * different winners costs the same as one with a single winner. Every
- * winner byte must be < n_inputs (<= 4); whole words are written. The
- * tail-padding requirement of avx2PlaneGroupSums applies.
+ * The Figure 8 walk over tileGroupSums' sums, one pixel per lane: for
+ * each of @p n_groups groups, record the selected input as the group's
+ * winner, add the group's sums to the carried counters and, where
+ * steps[g] & 1, select the first maximum (strict >, so ties go to the
+ * lower input); where steps[g] & 2, zero the counters after. Counters
+ * sit at counters[k * pixel_stride + px] for k < 4 (rows past the
+ * tile's inputs zero), selections at selected[px]. Winners land at
+ * winners[(q * pixel_stride + px) * 4 + g]; groups past n_groups in the
+ * last word repeat the final selection. The vector bodies run the
+ * counters in 32-bit lanes, taken only when no counter can reach 2^31
+ * within the call (sums are below 16 << plane_cap); otherwise, and at
+ * Level::Scalar, the 64-bit scalar walk runs.
  */
-void avx2SpreadWinnerPlanes(const uint64_t *const *bufs, size_t n_pixels,
-                            size_t n_inputs, size_t pstride,
-                            size_t n_words, size_t n_planes, bool parity,
-                            const uint8_t *winners, uint16_t *const *outs);
+void tileSelectorWalk(const uint16_t *sums, const uint8_t *steps,
+                      size_t n_groups, size_t plane_cap,
+                      size_t pixel_stride, size_t n_pixels,
+                      uint64_t *counters, uint32_t *selected,
+                      uint8_t *winners);
+
+/**
+ * The Btanh over a tile's forwarded counts: group g of word q of pixel
+ * px reads input winners[(q * pixel_stride + px) * 4 + g]'s planes
+ * (each winner < n_inputs), and every cycle of [0, n_cycles) steps the
+ * pixel's saturating counter states[px] to clamp(state + 2c - n_inputs,
+ * 0, k - 1), emitting state >= k / 2 as bit i % 64 of
+ * outs[(i / 64) * pixel_stride + px] (pad cycles past n_cycles emit 0
+ * and do not step). The vector bodies mux the winners' plane words per
+ * 16-bit group field, regroup every plane row into one 16-bit lane per
+ * pixel, transpose the planes' bits into per-cycle counts in bytes and
+ * step every pixel's counter at once. They run when k <= 8192 and
+ * n_inputs <= 4096, which keeps the unsigned saturating 16-bit step
+ * exact; the scalar body runs otherwise.
+ */
+void tileBtanh(const PlaneTile &tile, const uint8_t *winners,
+               size_t n_pixels, size_t n_cycles, unsigned k,
+               unsigned n_inputs, uint16_t *states, uint64_t *outs);
 
 /**
  * Sum of @p n uint16 values (the masked pooling segment accumulator

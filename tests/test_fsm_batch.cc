@@ -4,10 +4,15 @@
  * activation FSMs (sc/fsm_batch.h) against the scalar Stanh/Btanh
  * steppers — the oracle side of the twin contract: K across even
  * values, custom thresholds, lengths across word boundaries, and
- * Btanh deltas on both sides of the bucketed-table range.
+ * Btanh deltas on both sides of the bucketed-table range. The Btanh
+ * batch and tile forms run at every SIMD level the host supports,
+ * across stream counts around the vector tiles and the 16-bit lane
+ * guard edges.
  */
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -16,11 +21,26 @@
 #include "sc/btanh.h"
 #include "sc/fsm_batch.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 #include "sc/stanh.h"
 
 namespace scdcnn {
 namespace {
+
+/** Runs a body at every supported SIMD level, restoring the process
+ *  selection afterwards (the BatchKernel fixture's discipline). */
+template <class Body>
+void
+atEveryLevel(Body &&body)
+{
+    const sc::simd::Level was = sc::simd::level();
+    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+        sc::simd::setLevel(lv);
+        body(std::string(" level=") + sc::simd::levelName(lv));
+    }
+    sc::simd::setLevel(was);
+}
 
 class StanhBatchVsScalar
     : public ::testing::TestWithParam<std::tuple<unsigned, size_t>>
@@ -83,20 +103,40 @@ TEST_P(BtanhBatchVsScalar, CountsBitExact)
     auto [k, n, len] = GetParam();
     sc::SplitMix64 vals(30 + k * 131 + n * 17 + len);
     sc::BtanhBatchTable table(k, n);
-    for (int rep = 0; rep < 4; ++rep) {
-        // Counts across the full [0, n] range: with n > 63 many of the
-        // deltas 2v - n land outside the bucketed table and exercise
-        // the scalar fallback.
-        std::vector<uint16_t> counts(len);
-        for (auto &c : counts)
+    // Counts across the full [0, n] range: with n > 63 many of the
+    // deltas 2v - n land outside the bucketed table and exercise the
+    // scalar fallback. Four streams, each also through the batch form.
+    std::vector<std::vector<uint16_t>> counts(4, std::vector<uint16_t>(len));
+    for (auto &seq : counts)
+        for (auto &c : seq)
             c = static_cast<uint16_t>(vals.nextBelow(n + 1));
-        sc::Btanh scalar(k, n);
-        sc::Bitstream batch;
-        table.transform(counts, batch);
-        EXPECT_EQ(batch, scalar.transform(counts))
-            << "k=" << k << " n=" << n << " len=" << len
-            << " rep=" << rep;
-    }
+    atEveryLevel([&](const std::string &level) {
+        std::vector<std::vector<uint64_t>> outs(
+            counts.size(), std::vector<uint64_t>((len + 63) / 64));
+        std::vector<uint16_t> states(counts.size(), table.initialState());
+        std::vector<const uint16_t *> cnt_p;
+        std::vector<uint64_t *> out_p;
+        std::vector<uint16_t *> st_p;
+        for (size_t s = 0; s < counts.size(); ++s) {
+            cnt_p.push_back(counts[s].data());
+            out_p.push_back(outs[s].data());
+            st_p.push_back(&states[s]);
+        }
+        table.transformWordsBatch(cnt_p.data(), len, out_p.data(),
+                                  st_p.data(), counts.size());
+        for (size_t s = 0; s < counts.size(); ++s) {
+            sc::Btanh scalar(k, n);
+            const sc::Bitstream expect = scalar.transform(counts[s]);
+            sc::Bitstream batch;
+            table.transform(counts[s], batch);
+            EXPECT_EQ(batch, expect) << "k=" << k << " n=" << n
+                                     << " len=" << len << " stream=" << s
+                                     << level;
+            EXPECT_EQ(outs[s], expect.words())
+                << "k=" << k << " n=" << n << " len=" << len
+                << " stream=" << s << level;
+        }
+    });
 }
 
 TEST_P(BtanhBatchVsScalar, SignedStepsBitExact)
@@ -111,10 +151,13 @@ TEST_P(BtanhBatchVsScalar, SignedStepsBitExact)
                 static_cast<uint64_t>(span))) -
             static_cast<int>(n);
     sc::Btanh scalar(k, n);
-    sc::Bitstream batch;
-    table.transformSigned(steps, batch);
-    EXPECT_EQ(batch, scalar.transformSigned(steps))
-        << "k=" << k << " n=" << n << " len=" << len;
+    const sc::Bitstream expect = scalar.transformSigned(steps);
+    atEveryLevel([&](const std::string &level) {
+        sc::Bitstream batch;
+        table.transformSigned(steps, batch);
+        EXPECT_EQ(batch, expect)
+            << "k=" << k << " n=" << n << " len=" << len << level;
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -185,74 +228,260 @@ TEST(ResumableTransforms, AreTheBatchFormsReferenceTwins)
 {
     // The engine steps tiles of streams through the batch transforms;
     // per stream and per chunk they must match the resumable
-    // single-stream forms. 20 streams span a partial second tile.
+    // single-stream forms, at every SIMD level and for stream counts
+    // around the 16-lane tiles (one stream, a partial tile, a full one,
+    // a tile plus one, two, two plus one).
     sc::SplitMix64 vals(57);
     const size_t len = 300;
     const size_t n_words = (len + 63) / 64;
-    const size_t n = sc::kFsmBatchTile + 4;
     const sc::StanhBatchTable stanh(8);
     const sc::BtanhBatchTable btanh(12, 25);
 
-    std::vector<std::vector<uint64_t>> in(n, std::vector<uint64_t>(n_words));
-    std::vector<std::vector<uint16_t>> counts(n, std::vector<uint16_t>(len));
-    std::vector<std::vector<int>> steps(n, std::vector<int>(len));
-    for (size_t s = 0; s < n; ++s) {
-        for (auto &w : in[s])
-            w = vals.next();
-        in[s].back() &= (uint64_t{1} << (len % 64)) - 1;
-        for (size_t i = 0; i < len; ++i) {
-            counts[s][i] = static_cast<uint16_t>(vals.nextBelow(26));
-            steps[s][i] = static_cast<int>(vals.nextBelow(51)) - 25;
-        }
-    }
-
-    using Words = std::vector<std::vector<uint64_t>>;
-    Words twin[3], batch[3];
-    for (auto *set : {twin, batch})
-        for (size_t k = 0; k < 3; ++k)
-            set[k].assign(n, std::vector<uint64_t>(n_words));
-    std::vector<uint16_t> twin_st[3], batch_st[3];
-    for (size_t k = 0; k < 3; ++k) {
-        const uint16_t init =
-            k == 0 ? stanh.initialState() : btanh.initialState();
-        twin_st[k].assign(n, init);
-        batch_st[k].assign(n, init);
-    }
-    const size_t seg_words = 2;
-    for (size_t w0 = 0; w0 < n_words; w0 += seg_words) {
-        const size_t w1 = std::min(w0 + seg_words, n_words);
-        const size_t n_cycles = std::min(w1 * 64, len) - w0 * 64;
-        std::vector<const uint64_t *> in_p(n);
-        std::vector<const uint16_t *> cnt_p(n);
-        std::vector<const int *> step_p(n);
-        std::vector<uint64_t *> out_p[3];
-        std::vector<uint16_t *> st_p[3];
+    for (size_t n : {1, 15, 16, 17, 32, 33}) {
+        std::vector<std::vector<uint64_t>> in(n,
+                                              std::vector<uint64_t>(n_words));
+        std::vector<std::vector<uint16_t>> counts(
+            n, std::vector<uint16_t>(len));
+        std::vector<std::vector<int>> steps(n, std::vector<int>(len));
         for (size_t s = 0; s < n; ++s) {
-            in_p[s] = in[s].data() + w0;
-            cnt_p[s] = counts[s].data() + w0 * 64;
-            step_p[s] = steps[s].data() + w0 * 64;
-            stanh.transformWords(in_p[s], n_cycles, twin[0][s].data() + w0,
-                                 &twin_st[0][s]);
-            btanh.transformWords(cnt_p[s], n_cycles,
-                                 twin[1][s].data() + w0, &twin_st[1][s]);
-            btanh.transformSignedWords(step_p[s], n_cycles,
-                                       twin[2][s].data() + w0,
-                                       &twin_st[2][s]);
-            for (size_t k = 0; k < 3; ++k) {
-                out_p[k].push_back(batch[k][s].data() + w0);
-                st_p[k].push_back(&batch_st[k][s]);
+            for (auto &w : in[s])
+                w = vals.next();
+            in[s].back() &= (uint64_t{1} << (len % 64)) - 1;
+            for (size_t i = 0; i < len; ++i) {
+                counts[s][i] = static_cast<uint16_t>(vals.nextBelow(26));
+                steps[s][i] = static_cast<int>(vals.nextBelow(51)) - 25;
             }
         }
-        stanh.transformWordsBatch(in_p.data(), n_cycles, out_p[0].data(),
-                                  st_p[0].data(), n);
-        btanh.transformWordsBatch(cnt_p.data(), n_cycles, out_p[1].data(),
-                                  st_p[1].data(), n);
-        btanh.transformSignedWordsBatch(step_p.data(), n_cycles,
-                                        out_p[2].data(), st_p[2].data(), n);
+        atEveryLevel([&](const std::string &level) {
+            using Words = std::vector<std::vector<uint64_t>>;
+            Words twin[3], batch[3];
+            for (auto *set : {twin, batch})
+                for (size_t k = 0; k < 3; ++k)
+                    set[k].assign(n, std::vector<uint64_t>(n_words));
+            std::vector<uint16_t> twin_st[3], batch_st[3];
+            for (size_t k = 0; k < 3; ++k) {
+                const uint16_t init =
+                    k == 0 ? stanh.initialState() : btanh.initialState();
+                twin_st[k].assign(n, init);
+                batch_st[k].assign(n, init);
+            }
+            const size_t seg_words = 2;
+            for (size_t w0 = 0; w0 < n_words; w0 += seg_words) {
+                const size_t w1 = std::min(w0 + seg_words, n_words);
+                const size_t n_cycles = std::min(w1 * 64, len) - w0 * 64;
+                std::vector<const uint64_t *> in_p(n);
+                std::vector<const uint16_t *> cnt_p(n);
+                std::vector<const int *> step_p(n);
+                std::vector<uint64_t *> out_p[3];
+                std::vector<uint16_t *> st_p[3];
+                for (size_t s = 0; s < n; ++s) {
+                    in_p[s] = in[s].data() + w0;
+                    cnt_p[s] = counts[s].data() + w0 * 64;
+                    step_p[s] = steps[s].data() + w0 * 64;
+                    stanh.transformWords(in_p[s], n_cycles,
+                                         twin[0][s].data() + w0,
+                                         &twin_st[0][s]);
+                    btanh.transformWords(cnt_p[s], n_cycles,
+                                         twin[1][s].data() + w0,
+                                         &twin_st[1][s]);
+                    btanh.transformSignedWords(step_p[s], n_cycles,
+                                               twin[2][s].data() + w0,
+                                               &twin_st[2][s]);
+                    for (size_t k = 0; k < 3; ++k) {
+                        out_p[k].push_back(batch[k][s].data() + w0);
+                        st_p[k].push_back(&batch_st[k][s]);
+                    }
+                }
+                stanh.transformWordsBatch(in_p.data(), n_cycles,
+                                          out_p[0].data(), st_p[0].data(),
+                                          n);
+                btanh.transformWordsBatch(cnt_p.data(), n_cycles,
+                                          out_p[1].data(), st_p[1].data(),
+                                          n);
+                btanh.transformSignedWordsBatch(step_p.data(), n_cycles,
+                                                out_p[2].data(),
+                                                st_p[2].data(), n);
+            }
+            for (size_t k = 0; k < 3; ++k) {
+                EXPECT_EQ(batch[k], twin[k])
+                    << "transform " << k << " streams=" << n << level;
+                EXPECT_EQ(batch_st[k], twin_st[k])
+                    << "transform " << k << " streams=" << n << level;
+            }
+        });
     }
-    for (size_t k = 0; k < 3; ++k) {
-        EXPECT_EQ(batch[k], twin[k]) << "transform " << k;
-        EXPECT_EQ(batch_st[k], twin_st[k]) << "transform " << k;
+}
+
+/** The (K, n_inputs) edges of the vector Btanh bodies' 16-bit lanes:
+ *  K = 8192 with n = 4096 takes the vector body, K = 8194 or n = 4097
+ *  the scalar fallback. */
+const std::pair<unsigned, unsigned> kLaneGuardEdges[] = {
+    {8192, 4096}, {8194, 4096}, {8192, 4097}};
+
+TEST(BtanhBatchGuard, CountsBatchExactAtTheLaneEdges)
+{
+    // Counts up to 2n (what an approximate counter can report), so the
+    // states sweep the whole range and saturate at both ends.
+    sc::SplitMix64 vals(58);
+    const size_t len = 1000;
+    for (const auto &[k, n] : kLaneGuardEdges) {
+        const sc::BtanhBatchTable table(k, n);
+        const size_t streams = 17;
+        std::vector<std::vector<uint16_t>> counts(
+            streams, std::vector<uint16_t>(len));
+        for (auto &seq : counts) {
+            // Long runs of one extreme drive the counters into both rails.
+            size_t i = 0;
+            while (i < len) {
+                const uint16_t v = static_cast<uint16_t>(
+                    vals.nextBelow(3) == 0 ? vals.nextBelow(2) * 2 * n
+                                           : vals.nextBelow(2 * n + 1));
+                for (size_t run = 1 + vals.nextBelow(40); run > 0 && i < len;
+                     --run)
+                    seq[i++] = v;
+            }
+        }
+        atEveryLevel([&](const std::string &level) {
+            std::vector<std::vector<uint64_t>> outs(
+                streams, std::vector<uint64_t>((len + 63) / 64));
+            std::vector<uint16_t> states(streams, table.initialState());
+            std::vector<const uint16_t *> cnt_p;
+            std::vector<uint64_t *> out_p;
+            std::vector<uint16_t *> st_p;
+            for (size_t s = 0; s < streams; ++s) {
+                cnt_p.push_back(counts[s].data());
+                out_p.push_back(outs[s].data());
+                st_p.push_back(&states[s]);
+            }
+            table.transformWordsBatch(cnt_p.data(), len, out_p.data(),
+                                      st_p.data(), streams);
+            for (size_t s = 0; s < streams; ++s) {
+                std::vector<uint64_t> twin((len + 63) / 64);
+                uint16_t st = table.initialState();
+                table.transformWords(counts[s].data(), len, twin.data(),
+                                     &st);
+                EXPECT_EQ(outs[s], twin)
+                    << "k=" << k << " n=" << n << " stream=" << s << level;
+                EXPECT_EQ(states[s], st)
+                    << "k=" << k << " n=" << n << " stream=" << s << level;
+            }
+        });
+    }
+}
+
+/**
+ * A random pixel-minor plane tile (sc::simd::PlaneTile) and random
+ * winners, with the counts every pixel's winners forward.
+ */
+struct WinnerTile
+{
+    size_t stride;
+    sc::simd::PlaneTile tile;
+    std::vector<uint64_t> planes;
+    std::vector<uint8_t> winners;
+    std::vector<std::vector<uint16_t>> forwarded; //!< [pixel][cycle]
+
+    WinnerTile(size_t n_pixels, size_t n_inputs, size_t plane_cap,
+               bool parity, size_t n_cycles, sc::SplitMix64 &vals)
+        : stride((n_pixels + 15) / 16 * 16)
+    {
+        const size_t n_words = (n_cycles + 63) / 64;
+        const size_t rows = plane_cap + 1;
+        planes.resize(n_inputs * n_words * rows * stride);
+        for (auto &w : planes)
+            w = vals.next();
+        // Canonical planes hold no count above the cap's range; a run
+        // of all-ones counts pushes the counters into the top rail.
+        for (size_t k = 0; k < n_inputs; ++k)
+            for (size_t q = 0; q < n_words; ++q)
+                for (size_t px = 0; px < stride; ++px)
+                    if (vals.nextBelow(4) == 0)
+                        for (size_t r = 0; r < rows; ++r)
+                            planes[((k * n_words + q) * rows + r) * stride +
+                                   px] = ~uint64_t{0};
+        winners.resize(n_words * stride * 4);
+        for (auto &w : winners)
+            w = static_cast<uint8_t>(vals.nextBelow(n_inputs));
+        tile = {.planes = planes.data(),
+                .n_inputs = n_inputs,
+                .n_words = n_words,
+                .plane_cap = plane_cap,
+                .pixel_stride = stride,
+                .parity = parity};
+        forwarded.assign(n_pixels, std::vector<uint16_t>(n_cycles));
+        for (size_t px = 0; px < n_pixels; ++px)
+            for (size_t i = 0; i < n_cycles; ++i) {
+                const size_t q = i / 64;
+                const size_t w = winners[(q * stride + px) * 4 + i % 64 / 16];
+                uint16_t c = 0;
+                for (size_t p = 0; p < plane_cap; ++p)
+                    c |= static_cast<uint16_t>(
+                        ((tile.row(w, q, tile.digitRow(p))[px] >> (i % 64)) &
+                         1)
+                        << p);
+                forwarded[px][i] = c;
+            }
+    }
+};
+
+TEST(TileBtanh, MatchesTheSingleStreamTwinAtEveryLevel)
+{
+    // BtanhBatchTable::transformTile reads each pixel's counts straight
+    // from its winners' plane words; per pixel it must match the
+    // resumable single-stream transform over those counts, carried
+    // state included: every SIMD level, pixel counts around the 16- and
+    // 32-lane chunks, one to four inputs, plane counts across the
+    // one-byte and two-byte transposes, both parity readings, partial
+    // groups and words, and the 16-bit lane guard edges.
+    sc::SplitMix64 vals(59);
+    struct Shape
+    {
+        unsigned k, n;
+        size_t plane_cap;
+    };
+    const Shape shapes[] = {{2, 1, 1},      {12, 25, 5},    {8, 26, 8},
+                            {34, 151, 9},   {180, 257, 13}, {8192, 4096, 13},
+                            {8194, 4096, 13}, {8192, 4097, 13}};
+    for (const Shape &sh : shapes)
+    for (size_t n_pixels : {1, 15, 16, 17, 32, 33})
+    for (size_t n_inputs : {1, 4})
+    for (bool parity : {true, false})
+    for (size_t n_cycles : {size_t{256}, size_t{83}}) {
+        const WinnerTile in(n_pixels, n_inputs, sh.plane_cap, parity,
+                            n_cycles, vals);
+        const sc::BtanhBatchTable table(sh.k, sh.n);
+        std::vector<uint16_t> init(in.stride);
+        for (auto &st : init)
+            st = static_cast<uint16_t>(vals.nextBelow(sh.k));
+        std::vector<std::vector<uint64_t>> twin(n_pixels);
+        std::vector<uint16_t> twin_st(init.begin(),
+                                      init.begin() + n_pixels);
+        for (size_t px = 0; px < n_pixels; ++px) {
+            twin[px].resize(in.tile.n_words);
+            table.transformWords(in.forwarded[px].data(), n_cycles,
+                                 twin[px].data(), &twin_st[px]);
+        }
+        atEveryLevel([&](const std::string &level) {
+            std::vector<uint16_t> states = init;
+            std::vector<uint64_t> outs(in.tile.n_words * in.stride);
+            table.transformTile(in.tile, in.winners.data(), n_pixels,
+                                n_cycles, states.data(), outs.data());
+            for (size_t px = 0; px < n_pixels; ++px) {
+                const std::string where =
+                    "k=" + std::to_string(sh.k) +
+                    " n=" + std::to_string(sh.n) +
+                    " cap=" + std::to_string(sh.plane_cap) +
+                    " pixels=" + std::to_string(n_pixels) +
+                    " inputs=" + std::to_string(n_inputs) +
+                    " parity=" + std::to_string(parity) +
+                    " cycles=" + std::to_string(n_cycles) +
+                    " pixel=" + std::to_string(px) + level;
+                for (size_t q = 0; q < in.tile.n_words; ++q)
+                    EXPECT_EQ(outs[q * in.stride + px], twin[px][q])
+                        << where << " word=" << q;
+                EXPECT_EQ(states[px], twin_st[px]) << where;
+            }
+        });
     }
 }
 

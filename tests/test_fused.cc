@@ -325,15 +325,15 @@ class BatchLoopOrder : public ::testing::TestWithParam<size_t>
  *  index plane_cap) into per-cycle counts, substituting the parity LSB
  *  under the approximate reading. */
 uint16_t
-countFromPlanes(const uint64_t *pw, size_t plane_cap, bool approximate,
-                size_t bit)
+countFromPlanes(const uint64_t *pw, size_t row_stride, size_t plane_cap,
+                bool approximate, size_t bit)
 {
     uint16_t c = 0;
     for (size_t p = 0; p < plane_cap; ++p)
-        c |= static_cast<uint16_t>(((pw[p] >> bit) & 1) << p);
+        c |= static_cast<uint16_t>(((pw[p * row_stride] >> bit) & 1) << p);
     if (approximate)
-        c = static_cast<uint16_t>((c & ~uint16_t{1}) |
-                                  ((pw[plane_cap] >> bit) & 1));
+        c = static_cast<uint16_t>(
+            (c & ~uint16_t{1}) | ((pw[plane_cap * row_stride] >> bit) & 1));
     return c;
 }
 
@@ -387,10 +387,11 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
         const size_t n_cycles = len - w0 * 64;
         const size_t lane_stride = range_words * 64;
         const size_t image_stride = sc::kFilterLanes * lane_stride;
+        // The pixel-minor tile layout: each image's lanes side by side
+        // in rows padded past the images' lanes.
         const size_t plane_cap = sc::planeCapForTaps(taps);
-        const size_t plane_lane_stride = range_words * (plane_cap + 1);
-        const size_t plane_image_stride =
-            sc::kFilterLanes * plane_lane_stride;
+        const size_t plane_row_stride = active.size() * sc::kFilterLanes + 4;
+        const size_t plane_image_stride = sc::kFilterLanes;
         for (size_t g = 0; g < weights.groups(); ++g) {
             const sc::WeightBlockView block = weights.block(g);
             for (bool approximate : {false, true}) {
@@ -410,11 +411,12 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
                         approximate, w0, n_words, counts.data(),
                         lane_stride, image_stride);
                     std::vector<uint64_t> planes(
-                        active.size() * plane_image_stride, 0);
+                        range_words * (plane_cap + 1) * plane_row_stride,
+                        0);
                     sc::fusedProductPlanesMultiBatch(
                         xs0, strides, active.data(), active.size(), block,
                         approximate, w0, n_words, planes.data(), plane_cap,
-                        plane_lane_stride, plane_image_stride);
+                        plane_row_stride, plane_image_stride);
                     std::vector<uint16_t> from_planes(
                         active.size() * image_stride, 0);
                     for (size_t j = 0; j < active.size(); ++j)
@@ -424,10 +426,11 @@ TEST_P(BatchLoopOrder, PlanesCountsAndReferenceAgreeInBothOrders)
                                             f * lane_stride + i] =
                                     countFromPlanes(
                                         planes.data() +
-                                            j * plane_image_stride +
-                                            f * plane_lane_stride +
-                                            (i / 64) * (plane_cap + 1),
-                                        plane_cap, approximate, i % 64);
+                                            j * plane_image_stride + f +
+                                            (i / 64) * (plane_cap + 1) *
+                                                plane_row_stride,
+                                        plane_row_stride, plane_cap,
+                                        approximate, i % 64);
                     const std::string where =
                         "taps=" + std::to_string(taps) +
                         " word_outer=" + std::to_string(word_outer) +

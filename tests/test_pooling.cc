@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "blocks/pooling.h"
+#include "sc/fsm_batch.h"
 #include "sc/rng.h"
 #include "sc/simd.h"
 #include "sc/sng.h"
@@ -441,77 +442,114 @@ enum class Windows
 };
 
 /**
- * One pixel-batch of random canonical count planes (plane_cap planes
- * plus a parity word per word, kLen cycles, zero past the stream end,
- * four tail words for the kernel's overread), and the per-cycle counts
- * a consumer with the same parity flag would see.
+ * Random canonical counts (plane_cap bits) and leading-lines parity bits
+ * per (pixel, window) over kLen cycles, zero past the stream end; the
+ * per-cycle counts a consumer with the same parity flag sees, and the
+ * pixel-minor plane tile of any word-aligned range of them.
  */
 struct PlaneWindows
 {
     static constexpr size_t kLen = 200; // 4 words, 8-cycle tail
     static constexpr size_t kWords = (kLen + 63) / 64;
 
-    std::vector<std::vector<uint64_t>> planes; //!< [pixel * inputs + k]
-    std::vector<std::vector<uint16_t>> counts; //!< same indexing
+    size_t n_pixels, n_inputs, plane_cap, stride;
+    bool parity;
+    std::vector<std::vector<uint16_t>> raw;    //!< [pixel * inputs + k]
+    std::vector<std::vector<uint8_t>> lsb;     //!< same indexing
+    std::vector<std::vector<uint16_t>> counts; //!< what is pooled
 
-    PlaneWindows(size_t n_bufs, size_t plane_cap, bool parity,
-                 sc::SplitMix64 &vals)
-        : planes(n_bufs), counts(n_bufs)
+    PlaneWindows(size_t n_pixels_, size_t n_inputs_, size_t plane_cap_,
+                 bool parity_, sc::SplitMix64 &vals)
+        : n_pixels(n_pixels_), n_inputs(n_inputs_), plane_cap(plane_cap_),
+          // One spare chunk of lanes past the pixels.
+          stride((n_pixels_ + 15) / 16 * 16 + 16), parity(parity_),
+          raw(n_pixels_ * n_inputs_, std::vector<uint16_t>(kWords * 64)),
+          lsb(raw.size(), std::vector<uint8_t>(kWords * 64)),
+          counts(raw.size(), std::vector<uint16_t>(kWords * 64))
     {
-        const size_t pstride = plane_cap + 1;
-        for (size_t b = 0; b < n_bufs; ++b) {
-            planes[b].assign(kWords * pstride + 4, 0);
-            counts[b].assign(kWords * 64, 0);
+        for (size_t b = 0; b < raw.size(); ++b)
             for (size_t i = 0; i < kLen; ++i) {
-                const auto c = static_cast<uint16_t>(
+                raw[b][i] = static_cast<uint16_t>(
                     vals.next() & ((1u << plane_cap) - 1));
-                const uint64_t lsb = vals.next() & 1;
-                uint64_t *pw = planes[b].data() + (i / 64) * pstride;
-                const uint64_t bit = uint64_t{1} << (i % 64);
-                for (size_t p = 0; p < plane_cap; ++p)
-                    if ((c >> p) & 1)
-                        pw[p] |= bit;
-                if (lsb != 0)
-                    pw[plane_cap] |= bit;
-                counts[b][i] = parity ? static_cast<uint16_t>((c & ~1u) | lsb)
-                                      : c;
+                lsb[b][i] = static_cast<uint8_t>(vals.next() & 1);
             }
-        }
+        recount();
+    }
+
+    void recount()
+    {
+        for (size_t b = 0; b < raw.size(); ++b)
+            for (size_t i = 0; i < kLen; ++i)
+                counts[b][i] =
+                    parity ? static_cast<uint16_t>((raw[b][i] & ~1u) |
+                                                   lsb[b][i])
+                           : raw[b][i];
     }
 
     /** Overwrite window @p k of every pixel with window @p from's
      *  contents, or with zeros when @p from is SIZE_MAX. */
-    void copyWindow(size_t n_inputs, size_t k, size_t from)
+    void copyWindow(size_t k, size_t from)
     {
-        for (size_t b = k; b < planes.size(); b += n_inputs) {
+        for (size_t b = k; b < raw.size(); b += n_inputs) {
             if (from == SIZE_MAX) {
-                std::fill(planes[b].begin(), planes[b].end(), 0);
-                std::fill(counts[b].begin(), counts[b].end(), 0);
+                std::fill(raw[b].begin(), raw[b].end(), 0);
+                std::fill(lsb[b].begin(), lsb[b].end(), 0);
             } else {
-                planes[b] = planes[b - k + from];
-                counts[b] = counts[b - k + from];
+                raw[b] = raw[b - k + from];
+                lsb[b] = lsb[b - k + from];
             }
         }
+        recount();
+    }
+
+    /** The plane tile of words [w0, w0 + n_words), pixel lanes past
+     *  n_pixels filled with junk counts. */
+    std::vector<uint64_t> tile(size_t w0, size_t n_words,
+                               sc::SplitMix64 &vals) const
+    {
+        const size_t rows = plane_cap + 1;
+        std::vector<uint64_t> t(n_inputs * n_words * rows * stride, 0);
+        for (size_t k = 0; k < n_inputs; ++k)
+            for (size_t q = 0; q < n_words; ++q)
+                for (size_t px = 0; px < stride; ++px) {
+                    uint64_t *row =
+                        t.data() + ((k * n_words + q) * rows) * stride + px;
+                    for (size_t bit = 0; bit < 64; ++bit) {
+                        const size_t i = (w0 + q) * 64 + bit;
+                        uint64_t c = vals.next() & ((1u << plane_cap) - 1);
+                        uint64_t l = vals.next() & 1;
+                        if (px < n_pixels) {
+                            c = raw[px * n_inputs + k][i];
+                            l = lsb[px * n_inputs + k][i];
+                        }
+                        for (size_t p = 0; p < plane_cap; ++p)
+                            row[p * stride] |= ((c >> p) & 1) << bit;
+                        row[plane_cap * stride] |= l << bit;
+                    }
+                }
+        return t;
     }
 };
 
 TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
 {
-    // binaryMaxPoolPlanesBatch over canonical count planes must be
-    // bit-exact — outputs and carried selector state — with
-    // binaryMaxPoolRange over the (parity-substituted) transposed
-    // counts: the 16-cycle-grid fast path and the masked general path,
-    // across plane depths up to the fast path's bound, pool widths,
-    // pixel counts (17: a 16-pixel tile plus a tail), segment lengths
-    // on and off the group grid, both counter readings, SIMD on and
-    // off, tied and all-zero windows, from a non-zero first selection,
-    // carried over a word-aligned range split with a partial
-    // zero-masked tail word.
+    // binaryMaxPoolPlanesBatch over a pixel-minor plane tile must be
+    // bit-exact with binaryMaxPoolRange over the (parity-substituted)
+    // counts: the winners' groups forward the twin's pooled counts, and
+    // the carried selector state agrees. And the tile Btanh over those
+    // winners matches the resumable single-stream Btanh over the twin's
+    // pooled counts. Across the 16-cycle-grid path and the general path,
+    // plane depths up to the grid's bound, pool widths, pixel counts
+    // (1 and 3: one partial chunk; 17: a 32-pixel chunk at Avx512; 33: a
+    // 32-pixel chunk and a 16-pixel one), segment lengths on and off the
+    // group grid, both counter readings, every SIMD level, tied and
+    // all-zero windows, from a non-zero first selection, carried over a
+    // word-aligned range split with a partial zero-masked tail word.
     constexpr size_t kLen = PlaneWindows::kLen;
     sc::SplitMix64 vals(0xB007);
     for (size_t plane_cap : {3, 5, 9, 12})
     for (size_t n_inputs : {2, 4})
-    for (size_t n_pixels : {1, 3, 17})
+    for (size_t n_pixels : {1, 3, 17, 33})
     for (Windows windows : {Windows::Random, Windows::Identical,
                             Windows::ZeroTied, Windows::Zero})
     for (size_t segment_len : {16, 48, 10})
@@ -519,50 +557,81 @@ TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
     for (bool accumulate : {true, false})
     for (sc::simd::Level lv : sc::simd::supportedLevels()) {
         sc::simd::setLevel(lv);
-        const size_t pstride = plane_cap + 1;
-        PlaneWindows in(n_pixels * n_inputs, plane_cap, parity, vals);
+        PlaneWindows in(n_pixels, n_inputs, plane_cap, parity, vals);
         if (windows == Windows::Identical)
             for (size_t k = 1; k < n_inputs; ++k)
-                in.copyWindow(n_inputs, k, 0);
+                in.copyWindow(k, 0);
         if (windows == Windows::ZeroTied) {
-            in.copyWindow(n_inputs, 0, SIZE_MAX);
+            in.copyWindow(0, SIZE_MAX);
             for (size_t k = 2; k < n_inputs; ++k)
-                in.copyWindow(n_inputs, k, 1);
+                in.copyWindow(k, 1);
         }
         if (windows == Windows::Zero)
             for (size_t k = 0; k < n_inputs; ++k)
-                in.copyWindow(n_inputs, k, SIZE_MAX);
+                in.copyWindow(k, SIZE_MAX);
 
-        std::vector<MaxPoolCarryState> st_p(n_pixels), st_c(n_pixels);
-        std::vector<MaxPoolCarry> views(n_pixels);
+        const size_t S = in.stride;
+        const sc::BtanhBatchTable btanh(12, (1u << plane_cap) / 2);
+        std::vector<uint64_t> counters(4 * S, 0);
+        std::vector<uint32_t> selected(S, 0);
+        std::vector<uint16_t> fsm(S, btanh.initialState());
+        std::vector<MaxPoolCarryState> st_c(n_pixels);
+        std::vector<uint16_t> fsm_c(n_pixels, btanh.initialState());
         std::vector<std::vector<uint16_t>> out_p(n_pixels), out_c(n_pixels);
+        std::vector<std::vector<uint64_t>> act_p(n_pixels), act_c(n_pixels);
         for (size_t j = 0; j < n_pixels; ++j) {
             // The first segment forwards the last window.
-            st_p[j].reset(n_inputs, n_inputs - 1);
+            selected[j] = static_cast<uint32_t>(n_inputs - 1);
             st_c[j].reset(n_inputs, n_inputs - 1);
-            views[j] = st_p[j].view();
             out_p[j].assign(PlaneWindows::kWords * 64, 0);
             out_c[j].assign(PlaneWindows::kWords * 64, 0);
+            act_p[j].assign(PlaneWindows::kWords, 0);
+            act_c[j].assign(PlaneWindows::kWords, 0);
         }
         // Two ranges: [0, 128) and [128, 200).
         for (size_t r0 : {0, 128}) {
             const size_t nc = std::min(kLen, r0 + 128) - r0;
-            std::vector<const uint64_t *> pp;
-            std::vector<uint16_t *> op;
-            for (const auto &buf : in.planes)
-                pp.push_back(buf.data() + (r0 / 64) * pstride);
-            for (auto &out : out_p)
-                op.push_back(out.data() + r0);
-            binaryMaxPoolPlanesBatch(pp.data(), n_pixels, n_inputs,
-                                     plane_cap, parity, r0, nc, segment_len,
-                                     accumulate, views.data(), op.data());
+            const size_t n_words = (nc + 63) / 64;
+            const std::vector<uint64_t> planes =
+                in.tile(r0 / 64, n_words, vals);
+            const sc::simd::PlaneTile tile{.planes = planes.data(),
+                                           .n_inputs = n_inputs,
+                                           .n_words = n_words,
+                                           .plane_cap = plane_cap,
+                                           .pixel_stride = S,
+                                           .parity = parity};
+            std::vector<uint8_t> winners(n_words * S * 4);
+            std::vector<uint64_t> forwarded;
+            const sc::simd::PlaneTile pooled = binaryMaxPoolPlanesBatch(
+                tile, n_pixels, r0, nc, segment_len, accumulate,
+                {counters.data(), selected.data()}, winners.data(),
+                forwarded);
+            std::vector<uint64_t> acts(n_words * S);
+            btanh.transformTile(pooled, winners.data(), n_pixels, nc,
+                                fsm.data(), acts.data());
             for (size_t j = 0; j < n_pixels; ++j) {
+                for (size_t i = 0; i < nc; ++i) {
+                    const size_t q = i / 64;
+                    const size_t w = winners[(q * S + j) * 4 + i % 64 / 16];
+                    uint16_t c = 0;
+                    for (size_t p = 0; p < plane_cap; ++p)
+                        c |= static_cast<uint16_t>(
+                            ((pooled.row(w, q, pooled.digitRow(p))[j] >>
+                              (i % 64)) &
+                             1)
+                            << p);
+                    out_p[j][r0 + i] = c;
+                }
+                for (size_t q = 0; q < n_words; ++q)
+                    act_p[j][r0 / 64 + q] = acts[q * S + j];
                 std::vector<const uint16_t *> cp;
                 for (size_t k = 0; k < n_inputs; ++k)
                     cp.push_back(in.counts[j * n_inputs + k].data() + r0);
                 binaryMaxPoolRange(cp.data(), n_inputs, r0, nc, segment_len,
                                    accumulate, st_c[j].view(),
                                    out_c[j].data() + r0);
+                btanh.transformWords(out_c[j].data() + r0, nc,
+                                     act_c[j].data() + r0 / 64, &fsm_c[j]);
             }
         }
         for (size_t j = 0; j < n_pixels; ++j) {
@@ -579,13 +648,17 @@ TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
             EXPECT_TRUE(std::equal(out_p[j].begin(), out_p[j].begin() + kLen,
                                    out_c[j].begin()))
                 << where;
-            EXPECT_EQ(st_p[j].selected, st_c[j].selected) << where;
-            EXPECT_EQ(st_p[j].counters, st_c[j].counters) << where;
+            EXPECT_EQ(act_p[j], act_c[j]) << where;
+            EXPECT_EQ(fsm[j], fsm_c[j]) << where;
+            EXPECT_EQ(selected[j], st_c[j].selected) << where;
+            for (size_t k = 0; k < n_inputs; ++k)
+                EXPECT_EQ(counters[k * S + j], st_c[j].counters[k])
+                    << where << " input=" << k;
             // The tie rule itself, not just agreement with the twin.
             if (windows == Windows::Identical || windows == Windows::Zero) {
-                EXPECT_EQ(st_p[j].selected, 0u) << where;
+                EXPECT_EQ(selected[j], 0u) << where;
             } else if (windows == Windows::ZeroTied) {
-                EXPECT_EQ(st_p[j].selected, 1u) << where;
+                EXPECT_EQ(selected[j], 1u) << where;
             }
         }
     }

@@ -179,9 +179,9 @@ TEST_P(FoldTwins, EveryLevelMatchesScalarInBothForms)
                     const size_t lane_stride = (w1 - w0) * 64;
                     const size_t image_stride =
                         sc::kFilterLanes * lane_stride;
-                    const size_t plane_lane_stride = (w1 - w0) * (cap + 1);
-                    const size_t plane_image_stride =
-                        sc::kFilterLanes * plane_lane_stride;
+                    // Pixel-minor rows: the images' lanes side by side.
+                    const size_t plane_row_stride =
+                        images.size() * sc::kFilterLanes;
                     std::vector<uint16_t> scalar_counts;
                     std::vector<uint64_t> scalar_planes;
                     for (sc::simd::Level lv : sc::simd::supportedLevels()) {
@@ -193,11 +193,12 @@ TEST_P(FoldTwins, EveryLevelMatchesScalarInBothForms)
                             block, approximate, w0, w1, counts.data(),
                             lane_stride, image_stride);
                         std::vector<uint64_t> planes(
-                            images.size() * plane_image_stride, 0xA5A5);
+                            (w1 - w0) * (cap + 1) * plane_row_stride,
+                            0xA5A5);
                         sc::fusedProductPlanesMultiBatch(
                             xs0, strides, images.data(), images.size(),
                             block, approximate, w0, w1, planes.data(), cap,
-                            plane_lane_stride, plane_image_stride);
+                            plane_row_stride, sc::kFilterLanes);
                         const std::string where =
                             "taps=" + std::to_string(taps) +
                             " lanes=" + std::to_string(lanes) +
@@ -273,6 +274,25 @@ TEST_F(SimdTest, SetLevelIsObservedAndCapped)
     if (forcedScalarEnv()) {
         EXPECT_EQ(sc::simd::supportedLevel(), sc::simd::Level::Scalar);
     }
+}
+
+TEST_F(SimdTest, SupportedLevelFollowsTheCpuFeatures)
+{
+    // Avx512 needs AVX-512F, VL and BW (the tile kernels' 16-bit lane
+    // masks): a part without BW runs Avx2. BITALG and VPOPCNTDQ are not
+    // required, since both widths count bits by nibble lookup.
+    sc::simd::Level expect = sc::simd::Level::Scalar;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (__builtin_cpu_supports("avx2"))
+        expect = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512vl") &&
+                         __builtin_cpu_supports("avx512bw")
+                     ? sc::simd::Level::Avx512
+                     : sc::simd::Level::Avx2;
+#endif
+    if (forcedScalarEnv())
+        expect = sc::simd::Level::Scalar;
+    EXPECT_EQ(sc::simd::supportedLevel(), expect);
 }
 
 TEST_F(SimdTest, ForcedScalarSurvivesRaisingTheLevel)
