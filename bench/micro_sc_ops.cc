@@ -180,42 +180,6 @@ setPerCallCounters(benchmark::State &state, size_t n)
 constexpr size_t kBatchLen = 1024;
 constexpr size_t kBatchWords = kBatchLen / 64;
 
-/** Btanh over APC counts of a 25-input layer (K = 8). */
-void
-BM_BtanhWordsBatch(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    const BtanhBatchTable table(8, 26);
-    SplitMix64 vals(11);
-    std::vector<std::vector<uint16_t>> counts(
-        n, std::vector<uint16_t>(kBatchLen));
-    std::vector<std::vector<uint64_t>> outs(
-        n, std::vector<uint64_t>(kBatchWords));
-    std::vector<uint16_t> fsm(n, table.initialState());
-    std::vector<const uint16_t *> in_p(n);
-    std::vector<uint64_t *> out_p(n);
-    std::vector<uint16_t *> st_p(n);
-    for (size_t s = 0; s < n; ++s) {
-        for (auto &c : counts[s])
-            c = static_cast<uint16_t>(vals.nextBelow(27));
-        in_p[s] = counts[s].data();
-        out_p[s] = outs[s].data();
-        st_p[s] = &fsm[s];
-    }
-    for (auto _ : state) {
-        table.transformWordsBatch(in_p.data(), kBatchLen, out_p.data(),
-                                  st_p.data(), n);
-        benchmark::ClobberMemory();
-    }
-    setPerCallCounters(state, n);
-}
-BENCHMARK(BM_BtanhWordsBatch)
-    ->ArgName("streams")
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(32);
-
 /** Stanh over MUX product streams (K = 8). */
 void
 BM_StanhWordsBatch(benchmark::State &state)
@@ -253,16 +217,21 @@ BENCHMARK(BM_StanhWordsBatch)
     ->Arg(32);
 
 /**
- * One flush of a max-pooled APC pixel tile at L = 1024: the Figure 8
- * selector over the four windows' count planes (c = 16, accumulative
- * counters) and the Btanh over the winners' planes, for a layer with
- * 26 taps (plane_cap 5, the served mini-LeNet's conv1) or 201 (plane_cap
- * 8, its conv2), at dispatch level `level` (0 scalar, 1 AVX2, 2 AVX-512;
- * capped at what the host runs). `pixel_time` is the flush time per
- * pixel: a B = 1 tile holds 16 pixels, a B = 8 one 32.
+ * One flush of an APC pixel tile at L = 1024, at dispatch level `level`
+ * (0 scalar, 1 AVX2, 2 AVX-512; capped at what the host runs).
+ * `pixel_time` is the flush time per pixel: a B = 1 tile holds 16
+ * pixels, a B = 8 one 32.
+ *
+ * BM_PoolActivateTile: a max-pooled stage's flush, the Figure 8 selector
+ * over the four windows' count planes (c = 16, accumulative counters)
+ * and the Btanh over the winners' planes, for a layer with 26 taps
+ * (plane_cap 5, the served mini-LeNet's conv1) or 201 (plane_cap 8, its
+ * conv2). BM_PoolActivateTile/fc: an fc stage's flush, the Btanh over a
+ * one-input tile with every winner 0, at 257 taps (plane_cap 9, the
+ * mini-LeNet's fc).
  */
 void
-BM_PoolActivateTile(benchmark::State &state)
+poolActivateTile(benchmark::State &state, size_t n_inputs)
 {
     const size_t n = static_cast<size_t>(state.range(0));
     const size_t taps = static_cast<size_t>(state.range(1));
@@ -271,11 +240,12 @@ BM_PoolActivateTile(benchmark::State &state)
     const size_t cap = planeCapForTaps(taps);
     const size_t stride = (n + 15) / 16 * 16;
     SplitMix64 vals(13);
-    std::vector<uint64_t> planes(4 * kBatchWords * (cap + 1) * stride);
+    std::vector<uint64_t> planes(n_inputs * kBatchWords * (cap + 1) *
+                                 stride);
     for (auto &w : planes)
         w = vals.next();
     const simd::PlaneTile tile{.planes = planes.data(),
-                               .n_inputs = 4,
+                               .n_inputs = n_inputs,
                                .n_words = kBatchWords,
                                .plane_cap = cap,
                                .pixel_stride = stride,
@@ -287,13 +257,15 @@ BM_PoolActivateTile(benchmark::State &state)
     std::vector<uint8_t> winners(kBatchWords * stride * 4);
     std::vector<uint64_t> outs(kBatchWords * stride), forwarded;
     for (auto _ : state) {
-        // Fresh counters per flush, as a stream's first segment has.
-        std::fill(counters.begin(), counters.end(), 0);
-        const simd::PlaneTile pooled =
-            scdcnn::blocks::binaryMaxPoolPlanesBatch(
+        simd::PlaneTile pooled = tile;
+        if (n_inputs > 1) {
+            // Fresh counters per flush, as a stream's first segment has.
+            std::fill(counters.begin(), counters.end(), 0);
+            pooled = scdcnn::blocks::binaryMaxPoolPlanesBatch(
                 tile, n, 0, kBatchLen, 16, /*accumulate=*/true,
                 {counters.data(), selected.data()}, winners.data(),
                 forwarded);
+        }
         table.transformTile(pooled, winners.data(), n, kBatchLen,
                             fsm.data(), outs.data());
         benchmark::ClobberMemory();
@@ -303,9 +275,21 @@ BM_PoolActivateTile(benchmark::State &state)
         static_cast<double>(state.iterations()) * static_cast<double>(n),
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
+
+void
+BM_PoolActivateTile(benchmark::State &state)
+{
+    poolActivateTile(state, 4);
+}
 BENCHMARK(BM_PoolActivateTile)
     ->ArgNames({"pixels", "taps", "level"})
     ->ArgsProduct({{16, 32}, {26, 201}, {0, 1, 2}});
+
+[[maybe_unused]] const benchmark::internal::Benchmark *const kFcArm =
+    benchmark::RegisterBenchmark("BM_PoolActivateTile/fc", poolActivateTile,
+                                 size_t{1})
+        ->ArgNames({"pixels", "taps", "level"})
+        ->ArgsProduct({{16, 32}, {257}, {0, 1, 2}});
 
 /**
  * The product fold at the served mini-LeNet's shapes, L = 1024, a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <numeric>
 
 #include "common/logging.h"
 #include "sc/ops.h"
@@ -248,6 +249,23 @@ binaryAveragePoolingSignedRange(const uint16_t *const *counts,
 }
 
 void
+binaryAveragePoolingSignedPlanes(const sc::simd::PlaneTile &tile, size_t px,
+                                 size_t n_inputs, size_t n_cycles,
+                                 uint16_t *counts, int *out)
+{
+    SCDCNN_ASSERT(tile.n_inputs >= 1 && tile.n_inputs <= 4,
+                  "%zu tile inputs, 1 to 4", tile.n_inputs);
+    const uint16_t *windows[4];
+    for (size_t k = 0; k < tile.n_inputs; ++k) {
+        uint16_t *const window = counts + k * tile.n_words * 64;
+        sc::simd::tileCounts(tile, k, px, window);
+        windows[k] = window;
+    }
+    binaryAveragePoolingSignedRange(windows, tile.n_inputs, n_inputs,
+                                    n_cycles, out);
+}
+
+void
 averagePoolingRange(const uint64_t *const *inputs, size_t n_inputs,
                     size_t n_cycles, sc::Xoshiro256ss &rng, uint64_t *out)
 {
@@ -284,8 +302,7 @@ binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                    bool accumulate, MaxPoolCarry state, uint16_t *out)
 {
     // The shared walk with the bit counters replaced by count
-    // accumulators (SIMD-dispatched segment sums) and forwarding by
-    // element copy.
+    // accumulators and forwarding by element copy.
     rangedSelectorWalk(
         n_inputs, abs_begin, n_cycles, segment_len, accumulate, state,
         [&](size_t selected, size_t lo, size_t hi) {
@@ -293,7 +310,8 @@ binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                       out + lo);
         },
         [&](size_t k, size_t lo, size_t hi) {
-            return sc::simd::avx2SumU16(counts[k] + lo, hi - lo);
+            return std::accumulate(counts[k] + lo, counts[k] + hi,
+                                   uint64_t{0});
         });
 }
 

@@ -150,14 +150,27 @@ void binaryAveragePoolingSignedRange(const uint16_t *const *counts,
                                      size_t n_cycles, int *out);
 
 /**
+ * binaryAveragePoolingSignedRange over a tile's count planes, the
+ * average-pooled APC stages' pooling: the per-cycle counts of each of
+ * tile pixel @p px's windows are expanded from their plane rows
+ * (sc::simd::tileCounts) into @p counts, scratch for tile.n_inputs *
+ * tile.n_words * 64 of them, then averaged as signed steps over the
+ * range's first @p n_cycles cycles into @p out. Bit-exact with
+ * binaryAveragePoolingSigned over the same counts.
+ */
+void binaryAveragePoolingSignedPlanes(const sc::simd::PlaneTile &tile,
+                                      size_t px, size_t n_inputs,
+                                      size_t n_cycles, uint16_t *counts,
+                                      int *out);
+
+/**
  * Binary-domain Figure 8 selector over segment-local count buffers:
  * counts[k][i] is input k's count at absolute cycle abs_begin + i.
- * Segment accumulation goes through the SIMD-dispatched uint16 summer,
- * forwarding by segment copy. See maxPoolStreamsRange for the carry
- * contract; run once over a whole sequence it is bit-exact with
- * binaryMaxPoolReference. The engine pools count planes through
- * binaryMaxPoolPlanesBatch; this is its reference twin, the oracle of
- * the plane form in tests/test_pooling.cc.
+ * Segment accumulation sums the counts, forwarding copies them. See
+ * maxPoolStreamsRange for the carry contract; run once over a whole
+ * sequence it is bit-exact with binaryMaxPoolReference. The engine
+ * pools count planes through binaryMaxPoolPlanesBatch; this is its
+ * reference twin, the oracle of the plane form in tests/test_pooling.cc.
  */
 void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         size_t abs_begin, size_t n_cycles,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 #include "blocks/activation.h"
 #include "blocks/feature_block.h"
@@ -137,11 +138,12 @@ tileItems(size_t n_active)
  * one batched FSM call: a single image's pixels fill the
  * kFsmBatchTile lanes as well as a full micro-batch's do.
  *
- * A max-pooled APC stage's tile owns its windows' count planes in the
+ * An APC stage's tile owns its windows' count planes in the
  * pixel-minor sc::simd::PlaneTile layout, which the product fold
  * writes directly (planes()): tile pixel (slot, image, lane) sits at
  * (slot * n_active + image) * kFilterLanes + lane, its carried state
- * in pixel lanes gathered at flush.
+ * in pixel lanes gathered at flush. An unpooled (fc) stage's tile has
+ * one input, every winner 0.
  */
 class PixelTile
 {
@@ -161,7 +163,7 @@ class PixelTile
         const sc::BtanhBatchTable *btanh = nullptr; //!< APC layers
         const sc::StanhBatchTable *stanh = nullptr; //!< MUX layers
         size_t n_inputs = 0;    //!< APC fan-in (signed mean)
-        size_t plane_cap = 0;   //!< APC max: count planes per word
+        size_t plane_cap = 0;   //!< APC: count planes per word
         size_t segment_len = 0; //!< Figure 8 pooling segment c
         size_t c0 = 0;          //!< segment's first absolute cycle
         size_t n_cycles = 0;    //!< segment length in cycles
@@ -169,30 +171,35 @@ class PixelTile
 
     PixelTile(const Spec &spec, size_t capacity) : spec_(spec)
     {
-        // One pooled slice per tile entry, in the form the layer's
-        // activation unit reads: counts, signed steps or packed words;
-        // a max-pooled APC tile pools its plane tile in place.
+        // An APC tile pools and activates its plane tile in place (the
+        // average-pooled one through one signed-step slice per entry);
+        // a pooled MUX tile keeps one pooled word slice per entry.
         const size_t words = (spec_.n_cycles + 63) / 64;
-        const bool apc = spec_.btanh != nullptr;
-        if (apc && spec_.pool == Pool::Max) {
+        if (spec_.btanh != nullptr) {
             const size_t stride = (capacity + 15) / 16 * 16;
-            planes_.assign(4 * words * (spec_.plane_cap + 1) * stride, 0);
+            planes_.assign(fan() * words * (spec_.plane_cap + 1) * stride,
+                           0);
             tile_ = {.planes = planes_.data(),
-                     .n_inputs = 4,
+                     .n_inputs = fan(),
                      .n_words = words,
                      .plane_cap = spec_.plane_cap,
                      .pixel_stride = stride,
                      .parity = true};
-            lane_counters_.resize(4 * stride);
-            lane_selected_.resize(stride);
-            lane_fsm_.resize(stride);
-            winners_.resize(words * stride * 4);
-            lane_outs_.resize(words * stride);
-        } else if (apc && spec_.pool == Pool::Average) {
-            steps_.resize(capacity * words * 64);
-            for (size_t e = 0; e < capacity; ++e)
-                step_ptrs_.push_back(steps_.data() + e * words * 64);
-        } else if (!apc && spec_.pool != Pool::None) {
+            if (spec_.pool == Pool::Average) {
+                counts_.resize(4 * words * 64);
+                steps_.resize(capacity * words * 64);
+                for (size_t e = 0; e < capacity; ++e)
+                    step_ptrs_.push_back(steps_.data() + e * words * 64);
+            } else {
+                lane_fsm_.resize(stride);
+                winners_.resize(words * stride * 4); // fc: every one 0
+                lane_outs_.resize(words * stride);
+            }
+            if (spec_.pool == Pool::Max) {
+                lane_counters_.resize(4 * stride);
+                lane_selected_.resize(stride);
+            }
+        } else if (spec_.pool != Pool::None) {
             pooled_words_.resize(capacity * words);
             for (size_t e = 0; e < capacity; ++e)
                 pooled_word_ptrs_.push_back(pooled_words_.data() +
@@ -200,8 +207,8 @@ class PixelTile
         }
     }
 
-    /** Max-pooled APC stages: where the fold writes window @p window's
-     *  rows from tile pixel @p pixel on, row stride pixelStride(). */
+    /** APC stages: where the fold writes window @p window's rows from
+     *  tile pixel @p pixel on, row stride pixelStride(). */
     uint64_t *planes(size_t window, size_t pixel)
     {
         return planes_.data() +
@@ -211,15 +218,6 @@ class PixelTile
     }
 
     size_t pixelStride() const { return tile_.pixel_stride; }
-
-    /** Register a pixel read as count sequences (APC average pooling,
-     *  APC fc): fan() inputs at @p in. */
-    void add(const uint16_t *const *in, uint64_t *out, uint16_t *fsm)
-    {
-        counts_.insert(counts_.end(), in, in + fan());
-        outs_.push_back(out);
-        fsm_.push_back(fsm);
-    }
 
     /** Register a MUX stage's pixel, read as product streams, with its
      *  selector state (max pooling) or MUX generator (average). */
@@ -233,11 +231,11 @@ class PixelTile
         fsm_.push_back(fsm);
     }
 
-    /** Register tile pixel @p pixel of a max-pooled APC stage, whose
-     *  planes the fold wrote through planes(), with its selector
-     *  state. */
+    /** Register tile pixel @p pixel of an APC stage, whose planes the
+     *  fold wrote through planes(), with its selector state (max
+     *  pooling). */
     void add(size_t pixel, uint64_t *out, uint16_t *fsm,
-             blocks::MaxPoolCarry max)
+             blocks::MaxPoolCarry max = {})
     {
         pixels_.push_back(pixel);
         max_.push_back(max);
@@ -255,20 +253,16 @@ class PixelTile
         timer.start();
         const size_t len = spec_.n_cycles;
         if (spec_.btanh != nullptr) {
-            if (spec_.pool == Pool::Max) {
-                flushMaxPlanes(timer);
-            } else if (spec_.pool == Pool::Average) {
+            if (spec_.pool == Pool::Average) {
                 for (size_t e = 0; e < n; ++e)
-                    blocks::binaryAveragePoolingSignedRange(
-                        counts_.data() + 4 * e, 4, spec_.n_inputs, len,
-                        step_ptrs_[e]);
+                    blocks::binaryAveragePoolingSignedPlanes(
+                        tile_, pixels_[e], spec_.n_inputs, len,
+                        counts_.data(), step_ptrs_[e]);
                 timer.lap(timer.pooling);
                 spec_.btanh->transformSignedWordsBatch(
                     step_ptrs_.data(), len, outs_.data(), fsm_.data(), n);
             } else {
-                spec_.btanh->transformWordsBatch(counts_.data(), len,
-                                                 outs_.data(),
-                                                 fsm_.data(), n);
+                flushPlanes(timer);
             }
         } else if (spec_.pool != Pool::None) {
             for (size_t e = 0; e < n; ++e) {
@@ -290,7 +284,6 @@ class PixelTile
                                              outs_.data(), fsm_.data(), n);
         }
         timer.lap(timer.activation);
-        counts_.clear();
         words_.clear();
         pixels_.clear();
         max_.clear();
@@ -303,36 +296,43 @@ class PixelTile
     /** Window inputs per pixel. */
     size_t fan() const { return spec_.pool == Pool::None ? 1 : 4; }
 
-    /** The max-pooled APC flush: the pixels' carried state gathered
-     *  into lanes (unregistered lanes zero), the Figure 8 selector over
-     *  the plane tile, then the Btanh over the winners' planes. */
-    void flushMaxPlanes(PhaseTimer &timer)
+    /** The max-pooled and fc APC flush: the pixels' carried state
+     *  gathered into lanes (unregistered lanes zero), the Figure 8
+     *  selector over the plane tile (max pooling), then the Btanh over
+     *  the winners' planes. */
+    void flushPlanes(PhaseTimer &timer)
     {
         const size_t S = tile_.pixel_stride;
+        const bool max = spec_.pool == Pool::Max;
         std::fill(lane_counters_.begin(), lane_counters_.end(), 0);
         std::fill(lane_selected_.begin(), lane_selected_.end(), 0);
         std::fill(lane_fsm_.begin(), lane_fsm_.end(), 0);
         size_t n_pixels = 0;
         for (size_t e = 0; e < pixels_.size(); ++e) {
             const size_t px = pixels_[e];
-            for (size_t k = 0; k < 4; ++k)
-                lane_counters_[k * S + px] = max_[e].counters[k];
-            lane_selected_[px] = *max_[e].selected;
+            if (max) {
+                for (size_t k = 0; k < 4; ++k)
+                    lane_counters_[k * S + px] = max_[e].counters[k];
+                lane_selected_[px] = *max_[e].selected;
+            }
             lane_fsm_[px] = *fsm_[e];
             n_pixels = std::max(n_pixels, px + 1);
         }
-        const sc::simd::PlaneTile pooled = blocks::binaryMaxPoolPlanesBatch(
-            tile_, n_pixels, spec_.c0, spec_.n_cycles, spec_.segment_len,
-            /*accumulate=*/true,
-            {lane_counters_.data(), lane_selected_.data()}, winners_.data(),
-            forwarded_);
-        for (size_t e = 0; e < pixels_.size(); ++e) {
-            const size_t px = pixels_[e];
-            for (size_t k = 0; k < 4; ++k)
-                max_[e].counters[k] = lane_counters_[k * S + px];
-            *max_[e].selected = lane_selected_[px];
+        sc::simd::PlaneTile pooled = tile_;
+        if (max) {
+            pooled = blocks::binaryMaxPoolPlanesBatch(
+                tile_, n_pixels, spec_.c0, spec_.n_cycles,
+                spec_.segment_len, /*accumulate=*/true,
+                {lane_counters_.data(), lane_selected_.data()},
+                winners_.data(), forwarded_);
+            for (size_t e = 0; e < pixels_.size(); ++e) {
+                const size_t px = pixels_[e];
+                for (size_t k = 0; k < 4; ++k)
+                    max_[e].counters[k] = lane_counters_[k * S + px];
+                *max_[e].selected = lane_selected_[px];
+            }
+            timer.lap(timer.pooling);
         }
-        timer.lap(timer.pooling);
         spec_.btanh->transformTile(pooled, winners_.data(), n_pixels,
                                    spec_.n_cycles, lane_fsm_.data(),
                                    lane_outs_.data());
@@ -345,22 +345,23 @@ class PixelTile
     }
 
     Spec spec_;
-    // The registered pixels: fan() inputs each (counts or words, by
-    // the layer kind) or a plane-tile pixel, then one state / output
+    // The registered pixels: fan() product streams each (MUX stages)
+    // or a plane-tile pixel (APC stages), then one state / output
     // pointer each.
-    std::vector<const uint16_t *> counts_;
     std::vector<const uint64_t *> words_;
     std::vector<size_t> pixels_;
     std::vector<blocks::MaxPoolCarry> max_;
     std::vector<sc::Xoshiro256ss *> rng_;
     std::vector<uint64_t *> outs_;
     std::vector<uint16_t *> fsm_;
-    // Pooled slices, one per entry of a full tile.
+    // Pooled slices, one per entry of a full tile, and the average
+    // pooling's per-pixel window counts.
     std::vector<int> steps_;
     std::vector<uint64_t> pooled_words_;
     std::vector<int *> step_ptrs_;
     std::vector<uint64_t *> pooled_word_ptrs_;
-    // The max-pooled APC plane tile and its pixel lanes.
+    std::vector<uint16_t> counts_;
+    // The APC plane tile and its pixel lanes.
     sc::simd::PlaneTile tile_;
     std::vector<uint64_t> planes_;
     std::vector<uint64_t> lane_counters_;
@@ -732,26 +733,26 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
     // Contiguous chunks go to the pool workers, each with its own
     // reusable workspace; everything randomized is position-derived,
     // so the partition never changes the produced streams.
-    // Max-pooled APC layers carry the inner products as count planes,
-    // written by the fold straight into the pixel tile's pixel-minor
-    // layout: the Figure 8 selector needs per-cycle counts only for the
-    // input it forwards, and the tile's Btanh builds those from the
-    // winners' plane bits. The Reference oracle keeps plain counts for
-    // its bit-serial pooling twin.
-    const bool use_planes = use_max && use_apc && !reference;
+    // APC layers carry the inner products as count planes, written by
+    // the fold straight into the pixel tile's pixel-minor layout: the
+    // Figure 8 selector needs per-cycle counts only for the input it
+    // forwards, and the tile's Btanh builds those from the winners'
+    // plane bits (an fc unit's one input wins every group); the
+    // average-pooled flush expands its windows' counts from the rows.
+    // The Reference oracle keeps plain counts for its bit-serial
+    // pooling and activation twins.
+    const bool use_planes = use_apc && !reference;
     const size_t plane_cap = sc::planeCapForTaps(n_inputs);
-    const auto product_counts = reference
-                                    ? &sc::referenceProductCountsMultiBatch
-                                    : &sc::fusedProductCountsMultiBatch;
     const auto mux_product = reference ? &sc::referenceMuxProductMulti
                                        : &sc::fusedMuxProductMulti;
 
-    // Every item's inner products land in its own workspace slot until
-    // the tile holding its pixels flushes; the Reference oracle pools
-    // each item on the spot, so it needs one slot.
+    // Every item's inner products land in its own workspace slot (or
+    // its tile pixels) until the tile holding its pixels flushes; the
+    // Reference oracle pools each item on the spot, so it needs one
+    // slot.
     const size_t slots = reference ? 1 : tileItems(n_active);
     const size_t counts_per_slot =
-        use_apc && !use_planes
+        use_apc && reference
             ? windows * n_active * sc::kFilterLanes * seg_stride
             : 0;
     const size_t products_per_slot =
@@ -820,7 +821,7 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                         tile.planes(window, pixel0), plane_cap,
                         tile.pixelStride(), sc::kFilterLanes);
                 } else if (use_apc) {
-                    product_counts(
+                    sc::referenceProductCountsMultiBatch(
                         wsp.xs0, wsp.x_strides, active.data(), n_active,
                         block, /*approximate=*/true, seg.w0, seg.w1,
                         counts +
@@ -851,8 +852,10 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
             timer.lap(timer.inner_product);
 
             // Pool and activate every (lane, image) pixel of the item:
-            // the Reference oracle on the spot, the fused path through
-            // the tile, which runs them with the pixels of the
+            // the Reference oracle on the spot from its plain counts or
+            // product streams, the fused path through the tile (an APC
+            // pixel by its plane-tile index, a MUX one by its product
+            // words), which runs them with the pixels of the
             // neighbouring items, carrying each pixel's selector
             // counters, MUX generator and FSM state across segments.
             // Max pooling uses the accumulative (non-resetting) reading
@@ -870,11 +873,14 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                     uint64_t *const out =
                         reference ? nullptr
                                   : run.out.arena.wordsAt(p, img) + seg.w0;
+                    const blocks::MaxPoolCarry max =
+                        use_max ? blocks::MaxPoolCarry{
+                                      &run.pool_counters[s * 4],
+                                      &run.pool_selected[s]}
+                                : blocks::MaxPoolCarry{};
                     if (use_planes) {
                         tile.add(pixel0 + j * sc::kFilterLanes + f, out,
-                                 &run.fsm[s],
-                                 {&run.pool_counters[s * 4],
-                                  &run.pool_selected[s]});
+                                 &run.fsm[s], max);
                         continue;
                     }
                     // Window w of lane f, image j: the workspace's
@@ -898,15 +904,7 @@ ScNetwork::runStageSegment(const BatchStreamGrid &in, size_t stage,
                                            words, mux_avg, timer));
                         continue;
                     }
-                    if (use_apc)
-                        tile.add(cnt, out, &run.fsm[s]);
-                    else
-                        tile.add(words, out, &run.fsm[s],
-                                 use_max ? blocks::MaxPoolCarry{
-                                               &run.pool_counters[s * 4],
-                                               &run.pool_selected[s]}
-                                         : blocks::MaxPoolCarry{},
-                                 mux_avg);
+                    tile.add(words, out, &run.fsm[s], max, mux_avg);
                 }
             }
             if (++slot == slots) {
@@ -929,29 +927,53 @@ ScNetwork::runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
     const Clock::time_point t0 = Clock::now();
     const size_t B = run.consumed.size();
     const size_t n_active = active.size();
-    const size_t seg_stride = (seg.w1 - seg.w0) * 64;
-    const auto product_counts = reference
-                                    ? &sc::referenceProductCountsMultiBatch
-                                    : &sc::fusedProductCountsMultiBatch;
+    const size_t n_words = seg.w1 - seg.w0;
+    const size_t seg_stride = n_words * 64;
+    const size_t n_pixels = n_active * sc::kFilterLanes;
 
     // The output layer is an APC inner product whose counts feed an
     // accumulator instead of a Btanh: each class block's approximate
     // counts for every active image come from one weight-stationary
     // batch call, and the accumulator de-randomizes them into the
     // per-(class, image) running sums (score = sum of bipolar sums).
-    std::vector<uint16_t> counts(n_active * sc::kFilterLanes * seg_stride);
+    // The fused fold writes count planes, a one-input tile of the
+    // (image, class lane) pixels whose segment sums come from plane
+    // popcounts (sc::simd::tileCountSums; the fold leaves a partial
+    // tail word's pad cycles zero); the Reference oracle sums its plain
+    // counts.
+    sc::simd::PlaneTile tile{.n_inputs = 1,
+                             .n_words = n_words,
+                             .plane_cap = sc::planeCapForTaps(in0.size()),
+                             .pixel_stride = (n_pixels + 15) / 16 * 16,
+                             .parity = true};
+    std::vector<uint64_t> planes(
+        reference ? 0 : n_words * (tile.plane_cap + 1) * tile.pixel_stride);
+    std::vector<uint16_t> counts(reference ? n_pixels * seg_stride : 0);
+    std::vector<uint64_t> sums(n_pixels);
+    tile.planes = planes.data();
     for (size_t g = 0; g < out_.groups(); ++g) {
         const sc::WeightBlockView block = out_.block(g);
-        product_counts(in0, in_strides, active.data(), n_active, block,
-                       /*approximate=*/true, seg.w0, seg.w1, counts.data(),
-                       seg_stride, sc::kFilterLanes * seg_stride);
+        if (reference) {
+            sc::referenceProductCountsMultiBatch(
+                in0, in_strides, active.data(), n_active, block,
+                /*approximate=*/true, seg.w0, seg.w1, counts.data(),
+                seg_stride, sc::kFilterLanes * seg_stride);
+            for (size_t px = 0; px < n_pixels; ++px)
+                sums[px] = std::accumulate(
+                    counts.data() + px * seg_stride,
+                    counts.data() + px * seg_stride + seg.n_cycles,
+                    uint64_t{0});
+        } else {
+            sc::fusedProductPlanesMultiBatch(
+                in0, in_strides, active.data(), n_active, block,
+                /*approximate=*/true, seg.w0, seg.w1, planes.data(),
+                tile.plane_cap, tile.pixel_stride, sc::kFilterLanes);
+            sc::simd::tileCountSums(tile, n_pixels, sums.data());
+        }
         for (size_t j = 0; j < n_active; ++j)
             for (size_t f = 0; f < block.lanes; ++f)
                 run.acc[(g * sc::kFilterLanes + f) * B + active[j]] +=
-                    sc::simd::avx2SumU16(
-                        counts.data() +
-                            (j * sc::kFilterLanes + f) * seg_stride,
-                        seg.n_cycles);
+                    sums[j * sc::kFilterLanes + f];
     }
     for (const uint32_t img : active)
         run.consumed[img] += seg.n_cycles;

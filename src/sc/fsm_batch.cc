@@ -225,51 +225,6 @@ BtanhBatchTable::transformSignedWords(const int *steps, size_t length,
 }
 
 void
-BtanhBatchTable::transformWordsBatch(const uint16_t *const *counts,
-                                     size_t length, uint64_t *const *outs,
-                                     uint16_t *const *states,
-                                     size_t n_streams) const
-{
-    const size_t n_words = (length + 63) / 64;
-    // Lane-parallel whole words first: the saturating counter is pure
-    // add/clamp/compare arithmetic, so all streams step together as
-    // int16 lanes. The walk below finishes whatever the vector path
-    // left — everything when it is unavailable, else just the partial
-    // tail word — from the carried states.
-    const size_t w0 = simd::avx2BtanhWordsBatch(counts, length, outs,
-                                                states, n_streams, k_,
-                                                n_inputs_);
-    if (w0 >= n_words)
-        return;
-    const int n = static_cast<int>(n_inputs_);
-    for (size_t s0 = 0; s0 < n_streams; s0 += kFsmBatchTile) {
-        const size_t tile = std::min(kFsmBatchTile, n_streams - s0);
-        unsigned st[kFsmBatchTile];
-        for (size_t s = 0; s < tile; ++s)
-            st[s] = *states[s0 + s];
-        for (size_t w = w0; w < n_words; ++w) {
-            const size_t base = w * 64;
-            const size_t limit = std::min<size_t>(64, length - base);
-            uint64_t out_w[kFsmBatchTile] = {};
-            for (size_t b = 0; b < limit; ++b) {
-                for (size_t s = 0; s < tile; ++s) {
-                    const int delta =
-                        2 * static_cast<int>(counts[s0 + s][base + b]) -
-                        n;
-                    bool bit;
-                    st[s] = stepState(st[s], delta, bit);
-                    out_w[s] |= static_cast<uint64_t>(bit) << b;
-                }
-            }
-            for (size_t s = 0; s < tile; ++s)
-                outs[s0 + s][w] = out_w[s];
-        }
-        for (size_t s = 0; s < tile; ++s)
-            *states[s0 + s] = static_cast<uint16_t>(st[s]);
-    }
-}
-
-void
 BtanhBatchTable::transformSignedWordsBatch(const int *const *steps,
                                            size_t length,
                                            uint64_t *const *outs,

@@ -42,12 +42,13 @@ namespace simd {
 struct PlaneTile;
 } // namespace simd
 
-/** Streams interleaved per tile in the batch transforms — the int16
- *  lane count of the vector Btanh step: big enough to cover the serial
- *  table-walk latency with independent chains, small enough that the
- *  tile's local state and word buffers stay in registers / L1. The
- *  vector step costs about as much for one stream as for a full tile,
- *  so the engine gathers pixels into tiles of at least this many. */
+/** Streams interleaved per tile in the batch transforms — the 16-bit
+ *  lane count of the 256-bit tile Btanh (simd::tileBtanh): big enough
+ *  to cover the serial table-walk latency with independent chains,
+ *  small enough that the tile's local state and word buffers stay in
+ *  registers / L1. The vector step costs about as much for one pixel as
+ *  for a full chunk, so the engine gathers pixels into tiles of at
+ *  least this many. */
 constexpr size_t kFsmBatchTile = 16;
 
 /**
@@ -164,42 +165,39 @@ class BtanhBatchTable
                               uint64_t *out) const;
 
     /** Resumable variants for segment streaming (see the Stanh
-     *  counterpart): *state carries the counter across calls. Like
-     *  the Stanh one, both are reference twins: the engine runs
-     *  transformWordsBatch / transformSignedWordsBatch, and these are
-     *  their per-stream, per-segment oracles in
-     *  tests/test_fsm_batch.cc. */
+     *  counterpart): *state carries the counter across calls. Both are
+     *  reference twins: the engine runs transformTile over count
+     *  planes and transformSignedWordsBatch over signed means, and
+     *  these are their per-stream, per-segment oracles in
+     *  tests/test_fsm_batch.cc (and the counts form the block-level
+     *  API's Btanh). */
     void transformWords(const uint16_t *counts, size_t length,
                         uint64_t *out, uint16_t *state) const;
     void transformSignedWords(const int *steps, size_t length,
                               uint64_t *out, uint16_t *state) const;
 
-    /** Interleaved multi-stream variants for the batch engine (see the
-     *  Stanh counterpart): bit-exact per stream with the single-stream
-     *  resumable transforms over (counts[s] / steps[s], outs[s],
-     *  states[s]). */
-    void transformWordsBatch(const uint16_t *const *counts, size_t length,
-                             uint64_t *const *outs,
-                             uint16_t *const *states,
-                             size_t n_streams) const;
+    /** Interleaved multi-stream variant for the average-pooled APC
+     *  stages (see the Stanh counterpart): bit-exact per stream with
+     *  transformSignedWords(steps[s], length, outs[s], states[s]). */
     void transformSignedWordsBatch(const int *const *steps, size_t length,
                                    uint64_t *const *outs,
                                    uint16_t *const *states,
                                    size_t n_streams) const;
 
     /**
-     * Pixel-tile variant for the max-pooled APC stages: the counts of
-     * pixel px come straight from the plane words of the winners that
-     * blocks::binaryMaxPoolPlanesBatch picked for each 16-cycle group,
-     * with one pixel per vector lane (simd::tileBtanh). states[px]
-     * carries the counter; output word q lands at outs[q *
-     * tile.pixel_stride + px], tail bits masked. Both arrays hold
-     * tile.pixel_stride entries per word. Bit-exact per pixel with
-     * transformWords over the forwarded counts.
+     * Pixel-tile variant for the max-pooled and unpooled APC stages:
+     * the counts of pixel px come straight from the plane words of the
+     * winners of each 16-cycle group, with one pixel per vector lane
+     * (simd::tileBtanh). A max-pooled stage's winners are the ones
+     * blocks::binaryMaxPoolPlanesBatch picked; an fc unit's tile has
+     * one input and every winner 0. states[px] carries the counter;
+     * output word q lands at outs[q * tile.pixel_stride + px], tail
+     * bits masked. Both arrays hold tile.pixel_stride entries per word.
+     * Bit-exact per pixel with transformWords over the forwarded counts.
      *
-     * The fc and average-pooled APC stages keep the count forms above:
-     * their counts are not a tile's winner planes (an fc unit reads its
-     * one inner product, an average-pooled one a signed mean).
+     * An average-pooled APC stage feeds transformSignedWordsBatch
+     * instead: its signed mean trunc(sum(2v - n) / 4) is not a step of
+     * the form 2c - n.
      */
     void transformTile(const simd::PlaneTile &tile, const uint8_t *winners,
                        size_t n_pixels, size_t length, uint16_t *states,

@@ -13,7 +13,10 @@
  *    XNOR + carry-save fold for every filter lane at once, over one
  *    operand window or a weight-stationary micro-batch — the inner
  *    product of every APC stage, the binary output layer included
- *    (its class scores are the segment sums of these counts);
+ *    (its class scores are the segment sums of these counts). The
+ *    engine runs the plane-emitting batch form
+ *    (fusedProductPlanesMultiBatch); the counts forms serve the
+ *    block-level API;
  *  - fusedMuxProductMulti: the MUX-based inner product of a filter
  *    block, driven by one shared per-cycle select sequence.
  *
@@ -207,7 +210,10 @@ constexpr size_t kImageOuterSliceBytes = 32 * 1024;
  * cycle i land at out[j * image_stride + f * lane_stride + i].
  * Runs the same fold as fusedProductCountsMulti; weight slices under
  * kImageOuterSliceBytes take the image-outer order, larger ones the
- * word-outer order (bit-identical counts either way).
+ * word-outer order (bit-identical counts either way). The engine runs
+ * the plane form below; this counts twin keeps servebench's
+ * sc.product_counts_multi_batch probe and the fold's counts emitter at
+ * batch shape under test.
  */
 void fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
@@ -232,12 +238,14 @@ size_t planeCapForTaps(size_t taps);
  * (q * (plane_cap + 1) + r) * row_stride], rows 0 .. plane_cap - 1 the
  * planes and row plane_cap the parity word. Whole rows are written, the
  * lanes past block.lanes with the counts of the block's zero padding.
- * plane_cap must be >= planeCapForTaps(block.taps) and
- * <= kMaxCarrySavePlanes, row_stride >= kFilterLanes. The max-pool
- * tile path consumes this form: segment sums come from plane popcounts
- * and the forwarded counts straight from the winners' plane bits (see
- * blocks::binaryMaxPoolPlanesBatch and
- * BtanhBatchTable::transformTile).
+ * The pad cycles of the stream's partial tail word read zero in every
+ * row. plane_cap must be >= planeCapForTaps(block.taps) and
+ * <= kMaxCarrySavePlanes, row_stride >= kFilterLanes. Every APC stage
+ * of the engine and its output layer consume this form: segment sums
+ * come from plane popcounts, an activation's counts straight from the
+ * forwarded plane bits (see blocks::binaryMaxPoolPlanesBatch and
+ * BtanhBatchTable::transformTile), and an average-pooled stage's from
+ * sc::simd::tileCounts.
  */
 void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
@@ -270,10 +278,11 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
 /**
  * Reusable per-thread scratch for the network engine: one
  * instance per worker chunk holds the shared image-0 operand window,
- * the per-tap strides and the batch-major count/product blocks
- * ([window][image][lane][cycle]) of each work item awaiting its pixel
- * tile (the max-pooled APC stages' plane tile, the pooling buffers
- * and the FSM pointer tables live in the tile).
+ * the per-tap strides and the batch-major product blocks
+ * ([window][image][lane][word]) of each MUX work item awaiting its
+ * pixel tile (the APC stages' plane tile, the pooling buffers and the
+ * FSM pointer tables live in the tile). The count block is the
+ * Reference oracle's, which pools each item on the spot.
  */
 struct BatchFusedWorkspace
 {
@@ -281,7 +290,7 @@ struct BatchFusedWorkspace
     std::vector<size_t> x_strides;     //!< per-tap image word strides
     std::vector<BitstreamView> xs_img; //!< shifted views (MUX)
     std::vector<uint16_t> selects;     //!< one image's MUX selects
-    std::vector<uint16_t> counts;      //!< [item][window][image][lane][cycle]
+    std::vector<uint16_t> counts;      //!< [window][image][lane][cycle]
     std::vector<uint64_t> products;    //!< [item][window][image][lane][word]
 };
 

@@ -235,6 +235,35 @@ tileBtanhScalar(const PlaneTile &t, const uint8_t *winners,
     }
 }
 
+/** Scalar twin of the tileCounts body. */
+void
+tileCountsScalar(const PlaneTile &t, size_t k, size_t px, uint16_t *counts)
+{
+    for (size_t q = 0; q < t.n_words; ++q)
+        for (size_t b = 0; b < 64; ++b) {
+            uint16_t c = 0;
+            for (size_t p = 0; p < t.plane_cap; ++p)
+                c |= static_cast<uint16_t>(
+                    ((t.row(k, q, t.digitRow(p))[px] >> b) & 1) << p);
+            counts[q * 64 + b] = c;
+        }
+}
+
+/** Scalar twin of the tileCountSums body. */
+void
+tileCountSumsScalar(const PlaneTile &t, size_t n_pixels, uint64_t *sums)
+{
+    for (size_t px = 0; px < n_pixels; ++px) {
+        uint64_t sum = 0;
+        for (size_t q = 0; q < t.n_words; ++q)
+            for (size_t p = 0; p < t.plane_cap; ++p)
+                sum += static_cast<uint64_t>(
+                           std::popcount(t.row(0, q, t.digitRow(p))[px]))
+                       << p;
+        sums[px] = sum;
+    }
+}
+
 } // namespace
 
 #if SCDCNN_SIMD_X86
@@ -450,6 +479,11 @@ struct T
     [[gnu::always_inline]] static inline R shl16(R a, size_t n)
     {
         return _mm256_sll_epi16(a,
+                                _mm_cvtsi64_si128(static_cast<long long>(n)));
+    }
+    [[gnu::always_inline]] static inline R shr16(R a, size_t n)
+    {
+        return _mm256_srl_epi16(a,
                                 _mm_cvtsi64_si128(static_cast<long long>(n)));
     }
     [[gnu::always_inline]] static inline R sub16(R a, R b)
@@ -702,6 +736,11 @@ struct T
         return _mm512_sll_epi16(a,
                                 _mm_cvtsi64_si128(static_cast<long long>(n)));
     }
+    [[gnu::always_inline]] static inline R shr16(R a, size_t n)
+    {
+        return _mm512_srl_epi16(a,
+                                _mm_cvtsi64_si128(static_cast<long long>(n)));
+    }
     [[gnu::always_inline]] static inline R sub16(R a, R b)
     {
         return _mm512_sub_epi16(a, b);
@@ -935,168 +974,56 @@ tileBtanh(const PlaneTile &tile, const uint8_t *winners, size_t n_pixels,
                       ch.end, states, outs);
 }
 
-__attribute__((target("avx2"))) static uint64_t
-avx2SumU16Impl(const uint16_t *values, size_t n)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    uint64_t sum = 0;
-    size_t i = 0;
-    while (i + 16 <= n) {
-        // Zero-extend to 32-bit lanes (full uint16 range) and flush
-        // the lane accumulators to 64 bits before they can overflow:
-        // each of the 8 lanes gains at most 2 * 65535 per iteration,
-        // so 2^14 iterations stay under 2^31.
-        __m256i acc = zero;
-        const size_t chunk_end =
-            std::min(n - (n - i) % 16, i + (size_t{1} << 14) * 16);
-        for (; i + 16 <= chunk_end; i += 16) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(values + i));
-            acc = _mm256_add_epi32(acc,
-                                   _mm256_unpacklo_epi16(v, zero));
-            acc = _mm256_add_epi32(acc,
-                                   _mm256_unpackhi_epi16(v, zero));
-        }
-        alignas(32) uint32_t lanes[8];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-        for (uint32_t l : lanes)
-            sum += l;
-    }
-    for (; i < n; ++i)
-        sum += values[i];
-    return sum;
-}
-
-uint64_t
-avx2SumU16(const uint16_t *values, size_t n)
-{
-    if (!enabled() || n < 32) {
-        uint64_t sum = 0;
-        for (size_t i = 0; i < n; ++i)
-            sum += values[i];
-        return sum;
-    }
-    return avx2SumU16Impl(values, n);
-}
-
-/** In-place 16x16 uint16 transpose: m[r] holds row r (16 consecutive
- *  cycles of stream r); afterwards m[c] holds column c (all 16 streams
- *  at cycle c). Three unpack stages + a cross-lane permute. */
 __attribute__((target("avx2"))) static void
-transpose16x16Epi16(__m256i m[16])
+tileCountsAvx2(const PlaneTile &t, size_t k, size_t px, uint16_t *counts)
 {
-    __m256i a[16], b[16];
-    for (int i = 0; i < 8; ++i) {
-        a[2 * i] = _mm256_unpacklo_epi16(m[2 * i], m[2 * i + 1]);
-        a[2 * i + 1] = _mm256_unpackhi_epi16(m[2 * i], m[2 * i + 1]);
-    }
-    for (int q = 0; q < 4; ++q) {
-        b[4 * q + 0] =
-            _mm256_unpacklo_epi32(a[4 * q + 0], a[4 * q + 2]);
-        b[4 * q + 1] =
-            _mm256_unpackhi_epi32(a[4 * q + 0], a[4 * q + 2]);
-        b[4 * q + 2] =
-            _mm256_unpacklo_epi32(a[4 * q + 1], a[4 * q + 3]);
-        b[4 * q + 3] =
-            _mm256_unpackhi_epi32(a[4 * q + 1], a[4 * q + 3]);
-    }
-    // After this stage, a[8h + c] holds streams 8h..8h+7 at cycle c
-    // (low lane) and cycle c + 8 (high lane).
-    for (int h = 0; h < 2; ++h) {
-        for (int j = 0; j < 4; ++j) {
-            a[8 * h + 2 * j] =
-                _mm256_unpacklo_epi64(b[8 * h + j], b[8 * h + 4 + j]);
-            a[8 * h + 2 * j + 1] =
-                _mm256_unpackhi_epi64(b[8 * h + j], b[8 * h + 4 + j]);
-        }
-    }
-    for (int c = 0; c < 8; ++c) {
-        m[c] = _mm256_permute2x128_si256(a[c], a[8 + c], 0x20);
-        m[c + 8] = _mm256_permute2x128_si256(a[c], a[8 + c], 0x31);
-    }
+    for (size_t q = 0; q < t.n_words; ++q)
+        spreadWord([&](size_t j) { return t.row(k, q, j) + px; },
+                   t.plane_cap, t.parity, counts + q * 64);
 }
 
-__attribute__((target("avx2"))) static size_t
-avx2BtanhWordsBatchImpl(const uint16_t *const *counts, size_t n_full,
-                        uint64_t *const *outs, uint16_t *const *states,
-                        size_t n_streams, unsigned k, unsigned n_inputs)
+void
+tileCounts(const PlaneTile &tile, size_t k, size_t px, uint16_t *counts)
+{
+    if (enabled())
+        tileCountsAvx2(tile, k, px, counts);
+    else
+        tileCountsScalar(tile, k, px, counts);
+}
+
+__attribute__((target("avx2"))) static void
+tileCountSumsAvx2(const PlaneTile &t, size_t n_pixels, uint64_t *sums)
 {
     const __m256i zero = _mm256_setzero_si256();
-    const __m256i vmax = _mm256_set1_epi16(static_cast<short>(k - 1));
-    const __m256i vthr =
-        _mm256_set1_epi16(static_cast<short>(k / 2 - 1));
-    const __m256i vn = _mm256_set1_epi16(static_cast<short>(n_inputs));
-    for (size_t s0 = 0; s0 < n_streams; s0 += 16) {
-        const size_t tile = std::min<size_t>(16, n_streams - s0);
-        alignas(32) uint16_t st_buf[16] = {};
-        for (size_t s = 0; s < tile; ++s)
-            st_buf[s] = *states[s0 + s];
-        __m256i st = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(st_buf));
-        for (size_t w = 0; w < n_full; ++w) {
-            // Four 16-cycle tiles per word: transpose the 16x16 count
-            // block so one register holds every stream's count for a
-            // cycle, then all counters step together — add, clamp with
-            // max/min, compare against the upper-half threshold.
-            alignas(32) uint16_t a16[4][16];
-            for (int q = 0; q < 4; ++q) {
-                __m256i m[16];
-                for (size_t s = 0; s < tile; ++s)
-                    m[s] = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            counts[s0 + s] + w * 64 +
-                            static_cast<size_t>(q) * 16));
-                for (size_t s = tile; s < 16; ++s)
-                    m[s] = zero;
-                transpose16x16Epi16(m);
-                __m256i acc = zero;
-                for (int cyc = 0; cyc < 16; ++cyc) {
-                    const __m256i delta = _mm256_sub_epi16(
-                        _mm256_add_epi16(m[cyc], m[cyc]), vn);
-                    st = _mm256_add_epi16(st, delta);
-                    st = _mm256_max_epi16(st, zero);
-                    st = _mm256_min_epi16(st, vmax);
-                    acc = _mm256_or_si256(
-                        acc,
-                        _mm256_and_si256(
-                            _mm256_cmpgt_epi16(st, vthr),
-                            _mm256_set1_epi16(
-                                static_cast<short>(1u << cyc))));
-                }
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(a16[q]), acc);
+    for (size_t px0 = 0; px0 < n_pixels; px0 += 4) {
+        // Four pixels' words per register; the stride keeps the last
+        // group of four inside the rows.
+        __m256i acc = zero;
+        for (size_t q = 0; q < t.n_words; ++q)
+            for (size_t p = 0; p < t.plane_cap; ++p) {
+                const __m256i v = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(
+                        t.row(0, q, t.digitRow(p)) + px0));
+                acc = _mm256_add_epi64(
+                    acc, _mm256_sll_epi64(
+                             _mm256_sad_epu8(popcountBytes(v), zero),
+                             _mm_cvtsi64_si128(static_cast<long long>(p))));
             }
-            for (size_t s = 0; s < tile; ++s)
-                outs[s0 + s][w] =
-                    static_cast<uint64_t>(a16[0][s]) |
-                    (static_cast<uint64_t>(a16[1][s]) << 16) |
-                    (static_cast<uint64_t>(a16[2][s]) << 32) |
-                    (static_cast<uint64_t>(a16[3][s]) << 48);
-        }
-        _mm256_store_si256(reinterpret_cast<__m256i *>(st_buf), st);
-        for (size_t s = 0; s < tile; ++s)
-            *states[s0 + s] = st_buf[s];
+        alignas(32) uint64_t lanes[4];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
+        for (size_t i = 0; i < 4 && px0 + i < n_pixels; ++i)
+            sums[px0 + i] = lanes[i];
     }
-    return n_full;
 }
 
-size_t
-avx2BtanhWordsBatch(const uint16_t *const *counts, size_t length,
-                    uint64_t *const *outs, uint16_t *const *states,
-                    size_t n_streams, unsigned k, unsigned n_inputs)
+void
+tileCountSums(const PlaneTile &tile, size_t n_pixels, uint64_t *sums)
 {
-    if (!enabled())
-        return 0;
-    // int16 lane bounds: an approximate counter can report up to
-    // 2 * n_inputs, so |state + delta| < k + 4 * n_inputs must stay
-    // inside the signed-16 range.
-    if (k > 8192 || n_inputs > 4096)
-        return 0;
-    const size_t n_full = length / 64;
-    if (n_full == 0 || n_streams == 0)
-        return 0;
-    return avx2BtanhWordsBatchImpl(counts, n_full, outs, states,
-                                   n_streams, k, n_inputs);
+    checkTile(tile, n_pixels);
+    if (enabled())
+        tileCountSumsAvx2(tile, n_pixels, sums);
+    else
+        tileCountSumsScalar(tile, n_pixels, sums);
 }
 
 __attribute__((target("avx2"))) size_t
@@ -1282,20 +1209,17 @@ tileBtanh(const PlaneTile &tile, const uint8_t *winners, size_t n_pixels,
                     outs);
 }
 
-uint64_t
-avx2SumU16(const uint16_t *values, size_t n)
+void
+tileCounts(const PlaneTile &tile, size_t k, size_t px, uint16_t *counts)
 {
-    uint64_t sum = 0;
-    for (size_t i = 0; i < n; ++i)
-        sum += values[i];
-    return sum;
+    tileCountsScalar(tile, k, px, counts);
 }
 
-size_t
-avx2BtanhWordsBatch(const uint16_t *const *, size_t, uint64_t *const *,
-                    uint16_t *const *, size_t, unsigned, unsigned)
+void
+tileCountSums(const PlaneTile &tile, size_t n_pixels, uint64_t *sums)
 {
-    return 0;
+    checkTile(tile, n_pixels);
+    tileCountSumsScalar(tile, n_pixels, sums);
 }
 
 size_t

@@ -20,17 +20,19 @@
  *    two widths: 256-bit AVX2 (one stream word per register) and
  *    512-bit AVX-512 (words w and w + 1 of the four filter lanes in one
  *    register);
- *  - the pixel-tile kernels of the max-pooled APC stages (tileGroupSums,
+ *  - the pixel-tile kernels of the APC stages (tileGroupSums,
  *    tileSelectorWalk, tileBtanh): a tile's count planes pixel-minor,
  *    one pixel per vector lane from the group sums through the Figure 8
- *    walk to the Btanh counters. They are written once over a width
- *    trait too (sc/simd_tile.inc): 256-bit bodies on 16-pixel chunks and,
- *    at Avx512, 512-bit bodies on 32-pixel chunks;
- *  - avx2SumU16: the segment accumulation of the masked binary
- *    max-pooling kernel and of the output layer's class scores;
+ *    walk to the Btanh counters (the fc stages' activation too, as a
+ *    one-input tile). They are written once over a width trait too
+ *    (sc/simd_tile.inc): 256-bit bodies on 16-pixel chunks and, at
+ *    Avx512, 512-bit bodies on 32-pixel chunks;
+ *  - tileCounts: one tile pixel's per-cycle counts, the average-pooled
+ *    APC stages' input to the signed mean, through the fold's counts
+ *    emitter transpose;
+ *  - tileCountSums: every pixel's count sum over a one-input tile, the
+ *    output layer's class scores;
  *  - avx2XnorPopcountMulti: the binary backend's inner product;
- *  - avx2BtanhWordsBatch: the lane-parallel Btanh step over uint16
- *    counts (the fc stages' activation);
  *  - avx2SngUnipolar4: the word-at-a-time SNG body for four streams,
  *    four xoshiro256** generators stepped in the 64-bit lanes.
  *
@@ -156,7 +158,7 @@ struct ProductFold
 size_t vectorProductFold(const ProductFold &fold);
 
 /**
- * A max-pooled APC tile's count planes, pixel-minor: for every (input
+ * An APC stage's tile of count planes, pixel-minor: for every (input
  * window k, range-local word q, row r) the tile's pixels sit contiguous,
  * one uint64_t each, at row(k, q, r)[pixel]. Rows 0 .. plane_cap - 1 are
  * the canonical count planes and row plane_cap the leading-lines parity
@@ -168,7 +170,7 @@ size_t vectorProductFold(const ProductFold &fold);
 struct PlaneTile
 {
     const uint64_t *planes = nullptr;
-    size_t n_inputs = 0;     //!< pooling windows, 1 .. 4
+    size_t n_inputs = 0;     //!< pooling windows, 1 .. 4 (fc: 1)
     size_t n_words = 0;      //!< range words
     size_t plane_cap = 0;    //!< count planes per word, 1 .. 15
     size_t pixel_stride = 0; //!< pixels per row, a multiple of 16
@@ -237,8 +239,9 @@ void tileSelectorWalk(const uint16_t *sums, const uint8_t *steps,
  * outs[(i / 64) * pixel_stride + px] (pad cycles past n_cycles emit 0
  * and do not step). The vector bodies mux the winners' plane words per
  * 16-bit group field, regroup every plane row into one 16-bit lane per
- * pixel, transpose the planes' bits into per-cycle counts in bytes and
- * step every pixel's counter at once. They run when k <= 8192 and
+ * pixel, transpose the planes' bits into per-cycle counts in bytes (a
+ * lone ninth digit is read per cycle from its plane instead) and step
+ * every pixel's counter at once. They run when k <= 8192 and
  * n_inputs <= 4096, which keeps the unsigned saturating 16-bit step
  * exact; the scalar body runs otherwise.
  */
@@ -247,13 +250,25 @@ void tileBtanh(const PlaneTile &tile, const uint8_t *winners,
                unsigned n_inputs, uint16_t *states, uint64_t *outs);
 
 /**
- * Sum of @p n uint16 values (the masked pooling segment accumulator
- * and the output layer's per-segment class score),
- * exact for the full uint16 range and any length (lane accumulators
- * are flushed to 64 bits before they can overflow). Falls back to a
- * scalar loop when AVX2 is not enabled.
+ * The per-cycle counts of input @p k of tile pixel @p px, all
+ * tile.n_words * 64 cycles (pad cycles included): count digit p from
+ * row digitRow(p), so the parity word stands in for plane 0 when
+ * tile.parity. The SIMD body is the fold's counts emitter transpose,
+ * at either SIMD level; the scalar body reads the bits one cycle at a
+ * time.
  */
-uint64_t avx2SumU16(const uint16_t *values, size_t n);
+void tileCounts(const PlaneTile &tile, size_t k, size_t px,
+                uint16_t *counts);
+
+/**
+ * The count sums of a one-input tile's pixels over all its words, the
+ * output layer's per-segment class scores: sums[px] = sum over words q
+ * and digits p of popcount(row(0, q, digitRow(p))[px]) << p, for px <
+ * n_pixels. The SIMD body counts four pixels' words per register (a
+ * nibble lookup and a byte sum per 64-bit lane), at either SIMD level;
+ * the scalar body calls std::popcount.
+ */
+void tileCountSums(const PlaneTile &tile, size_t n_pixels, uint64_t *sums);
 
 /**
  * Binary XNOR-popcount accumulation over the words of a binary weight
@@ -267,27 +282,6 @@ uint64_t avx2SumU16(const uint16_t *values, size_t n);
 size_t avx2XnorPopcountMulti(const uint64_t *x_words,
                              const WeightBlockView &block,
                              uint32_t *matches);
-
-/**
- * Lane-parallel Btanh batch step: the saturating up/down counter of
- * stream s advances as an int16 lane, 16 streams per register, so the
- * whole micro-batch steps per cycle in a handful of vector ops instead
- * of 16 serial table walks. Stream s consumes counts[s] (one uint16
- * per cycle), writes output words to outs[s], and carries its counter
- * in *states[s] — bit-exact with the scalar saturating step
- * clamp(state + 2c - n_inputs, 0, k - 1), output = state >= k/2.
- *
- * Only whole 64-cycle words are processed; the caller finishes the
- * partial tail word (and masks its pad bits) from the carried states.
- *
- * @return the number of whole words processed per stream; 0 when AVX2
- *         is not enabled or (k, n_inputs) would overflow int16 lanes
- *         (the caller then takes its scalar path for everything).
- */
-size_t avx2BtanhWordsBatch(const uint16_t *const *counts, size_t length,
-                           uint64_t *const *outs,
-                           uint16_t *const *states, size_t n_streams,
-                           unsigned k, unsigned n_inputs);
 
 /**
  * Four-stream SNG body: the xoshiro256** generators rngs[0..4) step

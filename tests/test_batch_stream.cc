@@ -202,70 +202,49 @@ TEST(FsmBatchStreams, InterleavedStanhMatchesPerStreamAcrossSegments)
 
 TEST(FsmBatchStreams, InterleavedBtanhMatchesPerStreamAcrossSegments)
 {
+    // The average-pooled APC stages' signed-step form, carried across
+    // the same uneven split. (The count form's lanes are the tile
+    // Btanh's, swept by TileBtanh.MatchesTheSingleStreamTwinAtEveryLevel
+    // in tests/test_fsm_batch.cc.)
     constexpr size_t kStreams = 19;
     constexpr size_t kLen = 200;
     const size_t n_words = (kLen + 63) / 64;
     constexpr unsigned kInputs = 26;
     const sc::BtanhBatchTable table(16, kInputs);
 
-    std::vector<std::vector<uint16_t>> counts(kStreams);
     std::vector<std::vector<int>> steps(kStreams);
     sc::SplitMix64 vals(0xB7A9);
-    for (size_t s = 0; s < kStreams; ++s) {
-        counts[s].resize(kLen);
-        steps[s].resize(kLen);
-        for (size_t i = 0; i < kLen; ++i) {
-            counts[s][i] =
-                static_cast<uint16_t>(vals.next() % (kInputs + 1));
-            steps[s][i] = static_cast<int>(vals.next() % 9) - 4;
-        }
+    for (auto &seq : steps) {
+        seq.resize(kLen);
+        for (auto &v : seq)
+            v = static_cast<int>(vals.next() % 9) - 4;
     }
 
     std::vector<std::vector<uint64_t>> whole(kStreams),
         segmented(kStreams);
     std::vector<uint16_t> states(kStreams, table.initialState());
-    std::vector<const uint16_t *> cnt_ptrs(kStreams);
     std::vector<const int *> step_ptrs(kStreams);
     std::vector<uint64_t *> out_ptrs(kStreams);
     std::vector<uint16_t *> state_ptrs(kStreams);
     for (size_t s = 0; s < kStreams; ++s) {
         whole[s].resize(n_words);
         segmented[s].resize(n_words);
-        table.transformWords(counts[s].data(), kLen, whole[s].data());
-        cnt_ptrs[s] = counts[s].data();
+        table.transformSignedWords(steps[s].data(), kLen, whole[s].data());
+        step_ptrs[s] = steps[s].data();
         out_ptrs[s] = segmented[s].data();
         state_ptrs[s] = &states[s];
     }
-    table.transformWordsBatch(cnt_ptrs.data(), 128, out_ptrs.data(),
-                              state_ptrs.data(), kStreams);
+    table.transformSignedWordsBatch(step_ptrs.data(), 128, out_ptrs.data(),
+                                    state_ptrs.data(), kStreams);
     for (size_t s = 0; s < kStreams; ++s) {
-        cnt_ptrs[s] = counts[s].data() + 128;
+        step_ptrs[s] = steps[s].data() + 128;
         out_ptrs[s] = segmented[s].data() + 2;
     }
-    table.transformWordsBatch(cnt_ptrs.data(), kLen - 128,
-                              out_ptrs.data(), state_ptrs.data(),
-                              kStreams);
-    for (size_t s = 0; s < kStreams; ++s)
-        EXPECT_EQ(segmented[s], whole[s]) << "stream=" << s;
-
-    // The signed-step variant against its single-stream twin.
-    std::vector<std::vector<uint64_t>> signed_whole(kStreams),
-        signed_batch(kStreams);
-    states.assign(kStreams, table.initialState());
-    for (size_t s = 0; s < kStreams; ++s) {
-        signed_whole[s].resize(n_words);
-        signed_batch[s].resize(n_words);
-        table.transformSignedWords(steps[s].data(), kLen,
-                                   signed_whole[s].data());
-        step_ptrs[s] = steps[s].data();
-        out_ptrs[s] = signed_batch[s].data();
-        state_ptrs[s] = &states[s];
-    }
-    table.transformSignedWordsBatch(step_ptrs.data(), kLen,
+    table.transformSignedWordsBatch(step_ptrs.data(), kLen - 128,
                                     out_ptrs.data(), state_ptrs.data(),
                                     kStreams);
     for (size_t s = 0; s < kStreams; ++s)
-        EXPECT_EQ(signed_batch[s], signed_whole[s]) << "stream=" << s;
+        EXPECT_EQ(segmented[s], whole[s]) << "stream=" << s;
 }
 
 /** Predictions and every per-image ForwardInfo field must agree. */

@@ -5,9 +5,8 @@
  * steppers — the oracle side of the twin contract: K across even
  * values, custom thresholds, lengths across word boundaries, and
  * Btanh deltas on both sides of the bucketed-table range. The Btanh
- * batch and tile forms run at every SIMD level the host supports,
- * across stream counts around the vector tiles and the 16-bit lane
- * guard edges.
+ * tile form runs at every SIMD level the host supports, across pixel
+ * counts around the vector chunks and the 16-bit lane guard edges.
  */
 
 #include <algorithm>
@@ -105,38 +104,16 @@ TEST_P(BtanhBatchVsScalar, CountsBitExact)
     sc::BtanhBatchTable table(k, n);
     // Counts across the full [0, n] range: with n > 63 many of the
     // deltas 2v - n land outside the bucketed table and exercise the
-    // scalar fallback. Four streams, each also through the batch form.
-    std::vector<std::vector<uint16_t>> counts(4, std::vector<uint16_t>(len));
-    for (auto &seq : counts)
-        for (auto &c : seq)
-            c = static_cast<uint16_t>(vals.nextBelow(n + 1));
-    atEveryLevel([&](const std::string &level) {
-        std::vector<std::vector<uint64_t>> outs(
-            counts.size(), std::vector<uint64_t>((len + 63) / 64));
-        std::vector<uint16_t> states(counts.size(), table.initialState());
-        std::vector<const uint16_t *> cnt_p;
-        std::vector<uint64_t *> out_p;
-        std::vector<uint16_t *> st_p;
-        for (size_t s = 0; s < counts.size(); ++s) {
-            cnt_p.push_back(counts[s].data());
-            out_p.push_back(outs[s].data());
-            st_p.push_back(&states[s]);
-        }
-        table.transformWordsBatch(cnt_p.data(), len, out_p.data(),
-                                  st_p.data(), counts.size());
-        for (size_t s = 0; s < counts.size(); ++s) {
-            sc::Btanh scalar(k, n);
-            const sc::Bitstream expect = scalar.transform(counts[s]);
-            sc::Bitstream batch;
-            table.transform(counts[s], batch);
-            EXPECT_EQ(batch, expect) << "k=" << k << " n=" << n
-                                     << " len=" << len << " stream=" << s
-                                     << level;
-            EXPECT_EQ(outs[s], expect.words())
-                << "k=" << k << " n=" << n << " len=" << len
-                << " stream=" << s << level;
-        }
-    });
+    // scalar fallback. The single-stream counts form is the twin the
+    // tile Btanh is checked against (TileBtanh below).
+    std::vector<uint16_t> counts(len);
+    for (auto &c : counts)
+        c = static_cast<uint16_t>(vals.nextBelow(n + 1));
+    sc::Btanh scalar(k, n);
+    sc::Bitstream batch;
+    table.transform(counts, batch);
+    EXPECT_EQ(batch, scalar.transform(counts))
+        << "k=" << k << " n=" << n << " len=" << len;
 }
 
 TEST_P(BtanhBatchVsScalar, SignedStepsBitExact)
@@ -226,11 +203,11 @@ TEST(ResumableTransforms, WordAlignedChunksMatchWholeStream)
 
 TEST(ResumableTransforms, AreTheBatchFormsReferenceTwins)
 {
-    // The engine steps tiles of streams through the batch transforms;
-    // per stream and per chunk they must match the resumable
-    // single-stream forms, at every SIMD level and for stream counts
-    // around the 16-lane tiles (one stream, a partial tile, a full one,
-    // a tile plus one, two, two plus one).
+    // The engine steps tiles of streams through the Stanh and
+    // signed-step Btanh batch transforms; per stream and per chunk they
+    // must match the resumable single-stream forms, at every SIMD level
+    // and for stream counts around the 16-stream tiles (one stream, a
+    // partial tile, a full one, a tile plus one, two, two plus one).
     sc::SplitMix64 vals(57);
     const size_t len = 300;
     const size_t n_words = (len + 63) / 64;
@@ -240,26 +217,22 @@ TEST(ResumableTransforms, AreTheBatchFormsReferenceTwins)
     for (size_t n : {1, 15, 16, 17, 32, 33}) {
         std::vector<std::vector<uint64_t>> in(n,
                                               std::vector<uint64_t>(n_words));
-        std::vector<std::vector<uint16_t>> counts(
-            n, std::vector<uint16_t>(len));
         std::vector<std::vector<int>> steps(n, std::vector<int>(len));
         for (size_t s = 0; s < n; ++s) {
             for (auto &w : in[s])
                 w = vals.next();
             in[s].back() &= (uint64_t{1} << (len % 64)) - 1;
-            for (size_t i = 0; i < len; ++i) {
-                counts[s][i] = static_cast<uint16_t>(vals.nextBelow(26));
-                steps[s][i] = static_cast<int>(vals.nextBelow(51)) - 25;
-            }
+            for (auto &v : steps[s])
+                v = static_cast<int>(vals.nextBelow(51)) - 25;
         }
         atEveryLevel([&](const std::string &level) {
             using Words = std::vector<std::vector<uint64_t>>;
-            Words twin[3], batch[3];
+            Words twin[2], batch[2];
             for (auto *set : {twin, batch})
-                for (size_t k = 0; k < 3; ++k)
+                for (size_t k = 0; k < 2; ++k)
                     set[k].assign(n, std::vector<uint64_t>(n_words));
-            std::vector<uint16_t> twin_st[3], batch_st[3];
-            for (size_t k = 0; k < 3; ++k) {
+            std::vector<uint16_t> twin_st[2], batch_st[2];
+            for (size_t k = 0; k < 2; ++k) {
                 const uint16_t init =
                     k == 0 ? stanh.initialState() : btanh.initialState();
                 twin_st[k].assign(n, init);
@@ -270,24 +243,19 @@ TEST(ResumableTransforms, AreTheBatchFormsReferenceTwins)
                 const size_t w1 = std::min(w0 + seg_words, n_words);
                 const size_t n_cycles = std::min(w1 * 64, len) - w0 * 64;
                 std::vector<const uint64_t *> in_p(n);
-                std::vector<const uint16_t *> cnt_p(n);
                 std::vector<const int *> step_p(n);
-                std::vector<uint64_t *> out_p[3];
-                std::vector<uint16_t *> st_p[3];
+                std::vector<uint64_t *> out_p[2];
+                std::vector<uint16_t *> st_p[2];
                 for (size_t s = 0; s < n; ++s) {
                     in_p[s] = in[s].data() + w0;
-                    cnt_p[s] = counts[s].data() + w0 * 64;
                     step_p[s] = steps[s].data() + w0 * 64;
                     stanh.transformWords(in_p[s], n_cycles,
                                          twin[0][s].data() + w0,
                                          &twin_st[0][s]);
-                    btanh.transformWords(cnt_p[s], n_cycles,
-                                         twin[1][s].data() + w0,
-                                         &twin_st[1][s]);
                     btanh.transformSignedWords(step_p[s], n_cycles,
-                                               twin[2][s].data() + w0,
-                                               &twin_st[2][s]);
-                    for (size_t k = 0; k < 3; ++k) {
+                                               twin[1][s].data() + w0,
+                                               &twin_st[1][s]);
+                    for (size_t k = 0; k < 2; ++k) {
                         out_p[k].push_back(batch[k][s].data() + w0);
                         st_p[k].push_back(&batch_st[k][s]);
                     }
@@ -295,75 +263,15 @@ TEST(ResumableTransforms, AreTheBatchFormsReferenceTwins)
                 stanh.transformWordsBatch(in_p.data(), n_cycles,
                                           out_p[0].data(), st_p[0].data(),
                                           n);
-                btanh.transformWordsBatch(cnt_p.data(), n_cycles,
-                                          out_p[1].data(), st_p[1].data(),
-                                          n);
                 btanh.transformSignedWordsBatch(step_p.data(), n_cycles,
-                                                out_p[2].data(),
-                                                st_p[2].data(), n);
+                                                out_p[1].data(),
+                                                st_p[1].data(), n);
             }
-            for (size_t k = 0; k < 3; ++k) {
+            for (size_t k = 0; k < 2; ++k) {
                 EXPECT_EQ(batch[k], twin[k])
                     << "transform " << k << " streams=" << n << level;
                 EXPECT_EQ(batch_st[k], twin_st[k])
                     << "transform " << k << " streams=" << n << level;
-            }
-        });
-    }
-}
-
-/** The (K, n_inputs) edges of the vector Btanh bodies' 16-bit lanes:
- *  K = 8192 with n = 4096 takes the vector body, K = 8194 or n = 4097
- *  the scalar fallback. */
-const std::pair<unsigned, unsigned> kLaneGuardEdges[] = {
-    {8192, 4096}, {8194, 4096}, {8192, 4097}};
-
-TEST(BtanhBatchGuard, CountsBatchExactAtTheLaneEdges)
-{
-    // Counts up to 2n (what an approximate counter can report), so the
-    // states sweep the whole range and saturate at both ends.
-    sc::SplitMix64 vals(58);
-    const size_t len = 1000;
-    for (const auto &[k, n] : kLaneGuardEdges) {
-        const sc::BtanhBatchTable table(k, n);
-        const size_t streams = 17;
-        std::vector<std::vector<uint16_t>> counts(
-            streams, std::vector<uint16_t>(len));
-        for (auto &seq : counts) {
-            // Long runs of one extreme drive the counters into both rails.
-            size_t i = 0;
-            while (i < len) {
-                const uint16_t v = static_cast<uint16_t>(
-                    vals.nextBelow(3) == 0 ? vals.nextBelow(2) * 2 * n
-                                           : vals.nextBelow(2 * n + 1));
-                for (size_t run = 1 + vals.nextBelow(40); run > 0 && i < len;
-                     --run)
-                    seq[i++] = v;
-            }
-        }
-        atEveryLevel([&](const std::string &level) {
-            std::vector<std::vector<uint64_t>> outs(
-                streams, std::vector<uint64_t>((len + 63) / 64));
-            std::vector<uint16_t> states(streams, table.initialState());
-            std::vector<const uint16_t *> cnt_p;
-            std::vector<uint64_t *> out_p;
-            std::vector<uint16_t *> st_p;
-            for (size_t s = 0; s < streams; ++s) {
-                cnt_p.push_back(counts[s].data());
-                out_p.push_back(outs[s].data());
-                st_p.push_back(&states[s]);
-            }
-            table.transformWordsBatch(cnt_p.data(), len, out_p.data(),
-                                      st_p.data(), streams);
-            for (size_t s = 0; s < streams; ++s) {
-                std::vector<uint64_t> twin((len + 63) / 64);
-                uint16_t st = table.initialState();
-                table.transformWords(counts[s].data(), len, twin.data(),
-                                     &st);
-                EXPECT_EQ(outs[s], twin)
-                    << "k=" << k << " n=" << n << " stream=" << s << level;
-                EXPECT_EQ(states[s], st)
-                    << "k=" << k << " n=" << n << " stream=" << s << level;
             }
         });
     }

@@ -531,6 +531,65 @@ struct PlaneWindows
     }
 };
 
+TEST_F(BatchKernel, PlaneAverageMatchesCountAverage)
+{
+    // binaryAveragePoolingSignedPlanes expands each window's counts from
+    // a pixel-minor plane tile (sc::simd::tileCounts) and takes their
+    // signed mean; the counts must be the (parity-substituted) counts
+    // and the mean binaryAveragePoolingSigned's over them: both parity
+    // readings, plane depths on both sides of the counts transpose's
+    // one-byte split, a pixel in the first chunk and one past it, every
+    // SIMD level, over a word-aligned range split whose second range
+    // ends in a partial zero-masked tail word.
+    constexpr size_t kLen = PlaneWindows::kLen;
+    sc::SplitMix64 vals(0xA7E5);
+    for (size_t plane_cap : {3, 8, 9, 13})
+    for (size_t n_pixels : {1, 17})
+    for (bool parity : {true, false})
+    for (sc::simd::Level lv : sc::simd::supportedLevels()) {
+        sc::simd::setLevel(lv);
+        const PlaneWindows in(n_pixels, 4, plane_cap, parity, vals);
+        const size_t n = (size_t{1} << plane_cap) / 2;
+        std::vector<std::vector<int>> got(n_pixels, std::vector<int>(kLen));
+        for (size_t r0 : {0, 128}) {
+            const size_t nc = std::min(kLen, r0 + 128) - r0;
+            const size_t n_words = (nc + 63) / 64;
+            const std::vector<uint64_t> planes =
+                in.tile(r0 / 64, n_words, vals);
+            const sc::simd::PlaneTile tile{.planes = planes.data(),
+                                           .n_inputs = 4,
+                                           .n_words = n_words,
+                                           .plane_cap = plane_cap,
+                                           .pixel_stride = in.stride,
+                                           .parity = parity};
+            std::vector<uint16_t> scratch(4 * n_words * 64);
+            for (size_t j = 0; j < n_pixels; ++j) {
+                binaryAveragePoolingSignedPlanes(tile, j, n, nc,
+                                                 scratch.data(),
+                                                 got[j].data() + r0);
+                for (size_t k = 0; k < 4; ++k)
+                    EXPECT_TRUE(std::equal(
+                        scratch.begin() + k * n_words * 64,
+                        scratch.begin() + k * n_words * 64 + nc,
+                        in.counts[j * 4 + k].begin() + r0))
+                        << "cap=" << plane_cap << " parity=" << parity
+                        << " level=" << sc::simd::levelName(lv)
+                        << " pixel=" << j << " window=" << k
+                        << " range=" << r0;
+            }
+        }
+        for (size_t j = 0; j < n_pixels; ++j) {
+            std::vector<std::vector<uint16_t>> windows;
+            for (size_t k = 0; k < 4; ++k)
+                windows.emplace_back(in.counts[j * 4 + k].begin(),
+                                     in.counts[j * 4 + k].begin() + kLen);
+            EXPECT_EQ(got[j], binaryAveragePoolingSigned(windows, n))
+                << "cap=" << plane_cap << " parity=" << parity
+                << " level=" << sc::simd::levelName(lv) << " pixel=" << j;
+        }
+    }
+}
+
 TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
 {
     // binaryMaxPoolPlanesBatch over a pixel-minor plane tile must be

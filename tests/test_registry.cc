@@ -170,6 +170,10 @@ TEST(Artifact, EveryBitFlipIsRejectedWithADiagnostic)
     std::fclose(f);
 
     const auto writeBytes = [&](const std::vector<unsigned char> &b) {
+        // A fresh file each time: on ext4 a truncating rewrite flushes
+        // on close (tens of ms per write), an unlinked-then-new one
+        // does not.
+        std::remove(path.c_str());
         std::FILE *w = std::fopen(path.c_str(), "wb");
         ASSERT_NE(w, nullptr);
         // fwrite needs a non-null buffer even for zero bytes, and an

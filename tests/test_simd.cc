@@ -226,23 +226,44 @@ INSTANTIATE_TEST_SUITE_P(
                                          257),
                        ::testing::Values(1, 2, 3, 4)));
 
-TEST_F(SimdTest, SumU16MatchesScalar)
+TEST_F(SimdTest, TileCountSumsMatchThePerCycleCounts)
 {
-    sc::SplitMix64 vals(99);
-    // Full uint16 range (top-bit values would break a signed madd
-    // accumulation) and a length crossing the 64-bit flush boundary.
-    for (size_t n : {0ul, 1ul, 15ul, 16ul, 31ul, 32ul, 100ul, 4096ul,
-                     (1ul << 18) + 17ul}) {
-        std::vector<uint16_t> values(n);
-        for (auto &v : values)
-            v = static_cast<uint16_t>(vals.nextBelow(65536));
-        uint64_t expect = 0;
-        for (uint16_t v : values)
-            expect += v;
+    // The output layer's class scores: each pixel's count sum over a
+    // one-input plane tile must equal the sum of its per-cycle counts
+    // read bit by bit, for both parity readings, plane depths from one
+    // to the fold's cap, and pixel counts inside, at and past the
+    // four-pixel registers and the 16-pixel stride.
+    sc::SplitMix64 vals(101);
+    for (size_t plane_cap : {1, 7, 9, 13})
+    for (bool parity : {true, false})
+    for (size_t n_pixels : {1, 5, 16, 33}) {
+        const size_t n_words = 3;
+        const size_t stride = (n_pixels + 15) / 16 * 16;
+        std::vector<uint64_t> planes(n_words * (plane_cap + 1) * stride);
+        for (auto &w : planes)
+            w = vals.next();
+        const sc::simd::PlaneTile tile{.planes = planes.data(),
+                                       .n_inputs = 1,
+                                       .n_words = n_words,
+                                       .plane_cap = plane_cap,
+                                       .pixel_stride = stride,
+                                       .parity = parity};
+        std::vector<uint64_t> expect(n_pixels, 0);
+        for (size_t px = 0; px < n_pixels; ++px)
+            for (size_t q = 0; q < n_words; ++q)
+                for (size_t b = 0; b < 64; ++b)
+                    for (size_t p = 0; p < plane_cap; ++p)
+                        expect[px] +=
+                            ((tile.row(0, q, tile.digitRow(p))[px] >> b) & 1)
+                            << p;
         for (sc::simd::Level lv : sc::simd::supportedLevels()) {
             sc::simd::setLevel(lv);
-            EXPECT_EQ(sc::simd::avx2SumU16(values.data(), n), expect)
-                << "n=" << n << " level=" << sc::simd::levelName(lv);
+            std::vector<uint64_t> sums(n_pixels, ~uint64_t{0});
+            sc::simd::tileCountSums(tile, n_pixels, sums.data());
+            EXPECT_EQ(sums, expect)
+                << "cap=" << plane_cap << " parity=" << parity
+                << " pixels=" << n_pixels
+                << " level=" << sc::simd::levelName(lv);
         }
     }
 }
