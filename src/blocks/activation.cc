@@ -58,11 +58,5 @@ stanhMaxThreshold(unsigned k)
     return t;
 }
 
-unsigned
-stanhStateCountScaleBack(size_t n_inputs)
-{
-    return sc::nearestEvenState(2.0 * static_cast<double>(n_inputs));
-}
-
 } // namespace blocks
 } // namespace scdcnn

@@ -13,10 +13,7 @@
  *   Eq. (3)  APC-Avg-Btanh:  K ~= N/2
  *   (direct) APC-Max-Btanh:  the original DAC'16 sizing, K ~= 2N
  *
- * All results round to the nearest even number of states. A "scale-back"
- * sizing (K = 2N, threshold K/2) is also provided: it makes a MUX-based
- * block reproduce tanh(s) of the non-scaled sum exactly instead of the
- * paper's flattened response — used as an ablation in the benches.
+ * All results round to the nearest even number of states.
  */
 
 #ifndef SCDCNN_BLOCKS_ACTIVATION_H
@@ -35,9 +32,6 @@ unsigned stanhStateCountMax(size_t bitstream_len, size_t n_inputs);
 
 /** Output threshold for the Figure 11 FSM: state K/5. */
 unsigned stanhMaxThreshold(unsigned k);
-
-/** Scale-back sizing: K = 2N recovers tanh of the non-scaled sum. */
-unsigned stanhStateCountScaleBack(size_t n_inputs);
 
 } // namespace blocks
 } // namespace scdcnn

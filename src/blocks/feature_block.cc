@@ -46,8 +46,6 @@ namespace {
 unsigned
 selectStateCount(const FebConfig &cfg)
 {
-    if (cfg.k_policy == KPolicy::ScaleBack)
-        return stanhStateCountScaleBack(cfg.n_inputs);
     switch (cfg.kind) {
       case FebKind::MuxAvgStanh:
         return stanhStateCountAvg(cfg.length, cfg.n_inputs);
@@ -120,11 +118,8 @@ FeatureBlock::run(const std::vector<std::vector<sc::Bitstream>> &xs,
             pooled = HardwareMaxPooling::compute(ips, cfg_.segment_len);
         }
         int threshold = -1; // classic K/2
-        if (cfg_.kind == FebKind::MuxMaxStanh &&
-            cfg_.k_policy == KPolicy::Paper) {
-            threshold =
-                static_cast<int>(stanhMaxThreshold(state_count_));
-        }
+        if (cfg_.kind == FebKind::MuxMaxStanh)
+            threshold = static_cast<int>(stanhMaxThreshold(state_count_));
         sc::Stanh fsm(state_count_, threshold);
         return fsm.transform(pooled);
     }

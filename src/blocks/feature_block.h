@@ -11,9 +11,7 @@
  *   APC-Avg-Btanh   binary averaging, high accuracy
  *   APC-Max-Btanh   binary max pooling, best accuracy
  *
- * State counts come from the empirical equations in activation.h unless
- * the scale-back policy is selected (ablation: K = 2N makes the MUX
- * variants reproduce tanh of the non-scaled sum).
+ * State counts come from the empirical equations in activation.h.
  */
 
 #ifndef SCDCNN_BLOCKS_FEATURE_BLOCK_H
@@ -47,13 +45,6 @@ bool febUsesApc(FebKind kind);
 /** Whether the FEB uses max pooling. */
 bool febUsesMaxPool(FebKind kind);
 
-/** State-count selection policy. */
-enum class KPolicy
-{
-    Paper,     //!< the empirical equations (1)-(3) + DAC'16 direct sizing
-    ScaleBack, //!< K = 2N: recovers tanh(s) for MUX paths (ablation)
-};
-
 /** Static configuration of one feature extraction block. */
 struct FebConfig
 {
@@ -62,7 +53,6 @@ struct FebConfig
     size_t length = 1024;    //!< bit-stream length L
     size_t pool_size = 4;    //!< inner products per pooling window
     size_t segment_len = 16; //!< c, for the hardware max pooling block
-    KPolicy k_policy = KPolicy::Paper;
 };
 
 /**

@@ -200,29 +200,5 @@ OrInnerProduct::scaleCandidates(size_t n)
     return scales;
 }
 
-sc::TwoLineStream
-TwoLineInnerProduct::compute(const std::vector<double> &xs,
-                             const std::vector<double> &ws, size_t length,
-                             sc::Xoshiro256ss &rng, uint64_t *dropped_out)
-{
-    SCDCNN_ASSERT(xs.size() == ws.size() && !xs.empty(), "bad operands");
-    std::vector<sc::TwoLineStream> products;
-    products.reserve(xs.size());
-    for (size_t i = 0; i < xs.size(); ++i) {
-        sc::TwoLineStream a = sc::encodeTwoLine(xs[i], length, rng);
-        sc::TwoLineStream b = sc::encodeTwoLine(ws[i], length, rng);
-        products.push_back(sc::twoLineMultiply(a, b));
-    }
-    return sc::twoLineAddTree(products, dropped_out);
-}
-
-double
-TwoLineInnerProduct::estimate(const std::vector<double> &xs,
-                              const std::vector<double> &ws, size_t length,
-                              sc::Xoshiro256ss &rng)
-{
-    return compute(xs, ws, length, rng).value();
-}
-
 } // namespace blocks
 } // namespace scdcnn

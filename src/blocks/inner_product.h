@@ -1,6 +1,8 @@
 /**
  * @file
- * The four inner-product/convolution block designs of Section 4.1.
+ * The inner-product/convolution block designs of Section 4.1 that the
+ * paper evaluates (its two-line adder, Figure 5(d), is described there
+ * but set aside and not reproduced here).
  *
  * Every block multiplies n bipolar inputs by n bipolar weights with XNOR
  * gates and differs in how the n product streams are summed:
@@ -8,9 +10,7 @@
  *  - OrInnerProduct:      OR gate with pre-scaling; cheap, lossy;
  *  - MuxInnerProduct:     n-to-1 MUX; output encodes (1/n) * sum;
  *  - ApcInnerProduct:     (approximate) parallel counter; binary counts,
- *                         non-scaled, high accuracy;
- *  - TwoLineInnerProduct: two-line adder tree; non-scaled but saturates
- *                         at +/-1 and overflows for multi-input sums.
+ *                         non-scaled, high accuracy.
  */
 
 #ifndef SCDCNN_BLOCKS_INNER_PRODUCT_H
@@ -22,7 +22,6 @@
 #include "sc/bitstream.h"
 #include "sc/rng.h"
 #include "sc/sng.h"
-#include "sc/two_line.h"
 
 namespace scdcnn {
 namespace blocks {
@@ -134,28 +133,6 @@ class OrInnerProduct
 
     /** Candidate pre-scaling factors swept by the Table 1 harness. */
     static std::vector<double> scaleCandidates(size_t n);
-};
-
-/**
- * Two-line representation inner product block.
- */
-class TwoLineInnerProduct
-{
-  public:
-    /**
-     * Multiply and tree-sum in the two-line domain.
-     * @param dropped_out if non-null, receives the total carry weight
-     *        lost to three-state counter saturation (overflow)
-     */
-    static sc::TwoLineStream compute(const std::vector<double> &xs,
-                                     const std::vector<double> &ws,
-                                     size_t length, sc::Xoshiro256ss &rng,
-                                     uint64_t *dropped_out = nullptr);
-
-    /** Estimate of sum x.w (saturates at +/-1 by construction). */
-    static double estimate(const std::vector<double> &xs,
-                           const std::vector<double> &ws, size_t length,
-                           sc::Xoshiro256ss &rng);
 };
 
 } // namespace blocks

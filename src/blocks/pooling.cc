@@ -1,12 +1,12 @@
 #include "blocks/pooling.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <numeric>
 
 #include "common/logging.h"
 #include "sc/ops.h"
+#include "sc/popcount.h"
 #include "sc/simd.h"
 
 namespace scdcnn {
@@ -397,7 +397,7 @@ binaryMaxPoolPlanesBatch(const sc::simd::PlaneTile &tile, size_t n_pixels,
                     const size_t q = l / 64;
                     const uint64_t mask = maskOf(l, q, hi);
                     for (size_t p = 0; p < tile.plane_cap; ++p)
-                        sum += static_cast<uint64_t>(std::popcount(
+                        sum += static_cast<uint64_t>(sc::popcountSwar(
                                    tile.row(k, q, tile.digitRow(p))[px] &
                                    mask))
                                << p;

@@ -54,7 +54,6 @@ struct ScNetworkConfig
      *  layer_adders. */
     std::array<unsigned, 3> weight_bits = {7, 7, 6};
     size_t segment_len = 16;
-    blocks::KPolicy k_policy = blocks::KPolicy::Paper;
 
     /** Input image geometry the engine is built for (the plan is
      *  derived and validated against it at construction). */
@@ -115,8 +114,7 @@ struct ScNetworkConfig
                a.layer_adders == b.layer_adders &&
                a.bitstream_len == b.bitstream_len &&
                a.weight_bits == b.weight_bits &&
-               a.segment_len == b.segment_len &&
-               a.k_policy == b.k_policy && a.input_c == b.input_c &&
+               a.segment_len == b.segment_len && a.input_c == b.input_c &&
                a.input_h == b.input_h && a.input_w == b.input_w &&
                a.stream_segment_words == b.stream_segment_words &&
                a.progressive_margin == b.progressive_margin &&

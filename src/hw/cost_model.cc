@@ -145,21 +145,6 @@ parallelCounterApprox(size_t n)
 }
 
 HwCost
-twoLineAdderTree(size_t n)
-{
-    SCDCNN_ASSERT(n >= 1, "empty two-line adder tree");
-    if (n == 1)
-        return HwCost{};
-    // Per adder (Figure 5(d)): truth-table logic + three-state counter.
-    HwCost adder = cells(Cell::Nand2, 6.0, 2.0);
-    adder += cells(Cell::Xor2, 2.0, 0.0);
-    adder += cells(Cell::Dff, 2.0, 0.0);
-    HwCost tree = adder.times(static_cast<double>(n - 1));
-    tree.delay_ns = adder.delay_ns * static_cast<double>(clog2(n));
-    return tree;
-}
-
-HwCost
 stanhFsm(unsigned k)
 {
     const auto bits = static_cast<double>(clog2(std::max(2u, k)));

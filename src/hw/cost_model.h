@@ -65,9 +65,6 @@ HwCost parallelCounterExact(size_t n);
  *  (Kim et al. report ~40% reduction), same depth model. */
 HwCost parallelCounterApprox(size_t n);
 
-/** Two-line adder tree over n operands (Figure 5(d) units). */
-HwCost twoLineAdderTree(size_t n);
-
 /** K-state Stanh FSM (state register + next-state + output decode). */
 HwCost stanhFsm(unsigned k);
 

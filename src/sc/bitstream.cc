@@ -1,9 +1,9 @@
 #include "sc/bitstream.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.h"
+#include "sc/popcount.h"
 
 namespace scdcnn {
 namespace sc {
@@ -69,7 +69,7 @@ Bitstream::countOnes() const
 {
     size_t n = 0;
     for (uint64_t w : words_)
-        n += static_cast<size_t>(std::popcount(w));
+        n += popcountSwar(w);
     return n;
 }
 
@@ -100,21 +100,20 @@ countOnes(BitstreamView v, size_t begin, size_t end)
         size_t span = end - begin;
         if (span < 64)
             w &= (uint64_t{1} << span) - 1;
-        return static_cast<size_t>(std::popcount(w));
+        return popcountSwar(w);
     }
 
     // Head partial word.
-    n += static_cast<size_t>(
-        std::popcount(v.words[first_word] >> (begin % 64)));
+    n += popcountSwar(v.words[first_word] >> (begin % 64));
     // Full middle words.
     for (size_t i = first_word + 1; i < last_word; ++i)
-        n += static_cast<size_t>(std::popcount(v.words[i]));
+        n += popcountSwar(v.words[i]);
     // Tail partial word.
     uint64_t w = v.words[last_word];
     size_t tail_bits = ((end - 1) % 64) + 1;
     if (tail_bits < 64)
         w &= (uint64_t{1} << tail_bits) - 1;
-    n += static_cast<size_t>(std::popcount(w));
+    n += popcountSwar(w);
     return n;
 }
 

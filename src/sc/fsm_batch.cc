@@ -131,35 +131,11 @@ BtanhBatchTable::BtanhBatchTable(unsigned k, unsigned n_inputs)
 {
     if (k_ < 2)
         fatal("BtanhBatchTable needs at least 2 states, got %u", k_);
-
-    // One saturating step per (state, bucketed delta).
-    table_.resize(static_cast<size_t>(k_) * 256);
-    for (unsigned s = 0; s < k_; ++s) {
-        for (int code = 0; code < 256; ++code) {
-            const int delta = code - kDeltaOffset;
-            int state = static_cast<int>(s) + delta;
-            state = std::clamp(state, 0, static_cast<int>(k_) - 1);
-            const bool bit = state >= static_cast<int>(k_ / 2);
-            table_[(static_cast<size_t>(s) << 8) |
-                   static_cast<size_t>(code)] = {
-                static_cast<uint16_t>(state),
-                static_cast<uint8_t>(bit ? 1 : 0)};
-        }
-    }
 }
 
 unsigned
 BtanhBatchTable::stepState(unsigned state, int delta, bool &out_bit) const
 {
-    const int code = delta + kDeltaOffset;
-    if (code >= 0 && code < 256) {
-        const Entry &e =
-            table_[(static_cast<size_t>(state) << 8) |
-                   static_cast<size_t>(code)];
-        out_bit = e.out != 0;
-        return e.next;
-    }
-    // Out-of-table delta: the scalar saturating step.
     int s = static_cast<int>(state) + delta;
     s = std::clamp(s, 0, static_cast<int>(k_) - 1);
     out_bit = s >= static_cast<int>(k_ / 2);

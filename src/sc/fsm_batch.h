@@ -1,26 +1,24 @@
 /**
  * @file
- * Table-driven batched steppers for the activation FSMs.
+ * Batched steppers for the activation FSMs.
  *
  * The scalar Stanh/Btanh units walk one cycle at a time through a
  * state-dependent branch — the last bit-serial stage of the post-counter
- * pipeline. Both FSMs are tiny deterministic automata, so their
- * transition functions can be tabulated once and replayed at word
- * speed:
+ * pipeline. The batch forms replay them at word speed over many streams:
  *
  *  - StanhBatchTable maps (state, input byte) -> (next state, output
  *    byte), consuming 8 input cycles per lookup;
- *  - BtanhBatchTable maps (state, bucketed signed delta) -> (next
- *    state, output bit); deltas outside the bucket range fall back to
- *    the scalar saturating step, so the table stays one cache-friendly
- *    page while arbitrary counts remain exact.
+ *  - BtanhBatchTable needs no table: its transition is one saturating
+ *    add, clamp(state + delta, 0, K - 1), which is cheaper to compute
+ *    than to look up. It keeps the batch interface (resumable states,
+ *    interleaved streams, pixel tiles) of its Stanh counterpart.
  *
  * The scalar units (sc/stanh.h, sc/btanh.h) are the oracles: both
- * tables are bit-exact with a freshly constructed scalar unit's
+ * batch forms are bit-exact with a freshly constructed scalar unit's
  * transform() (randomized equivalence tests in tests/test_fsm_batch.cc).
- * Tables are built once per (K, threshold) / (K, n_inputs) — the
- * network caches them per layer through FsmTableCache so per-pixel
- * construction cost disappears.
+ * Both are built once per (K, threshold) / (K, n_inputs) — the network
+ * caches them per layer through FsmTableCache so per-pixel construction
+ * cost disappears.
  */
 
 #ifndef SCDCNN_SC_FSM_BATCH_H
@@ -124,9 +122,9 @@ class StanhBatchTable
 };
 
 /**
- * Batched saturated up/down counter tanh for binary (APC) inputs:
- * (state, signed delta) transition table over the bucketed delta range
- * [-128, 127]; out-of-table deltas take the scalar saturating step.
+ * Batched saturated up/down counter tanh for binary (APC) inputs: each
+ * cycle the counter takes the clamped step clamp(state + delta, 0,
+ * K - 1) and emits 1 while it sits in its upper half.
  *
  * transform*() start from the midpoint state, matching a freshly
  * constructed Btanh.
@@ -134,10 +132,6 @@ class StanhBatchTable
 class BtanhBatchTable
 {
   public:
-    /** Bucketed delta range half-width: deltas in [-128, 127] are
-     *  table-driven, anything larger falls back to the scalar step. */
-    static constexpr int kDeltaOffset = 128;
-
     /** @param k        number of counter states (even, >= 2)
      *  @param n_inputs the APC input count n (count v steps 2v - n) */
     BtanhBatchTable(unsigned k, unsigned n_inputs);
@@ -210,18 +204,11 @@ class BtanhBatchTable
     }
 
   private:
-    struct Entry
-    {
-        uint16_t next;
-        uint8_t out;
-    };
-
-    /** One table-or-fallback step from @p state on @p delta. */
+    /** One saturating step from @p state on @p delta. */
     unsigned stepState(unsigned state, int delta, bool &out_bit) const;
 
     unsigned k_;
     unsigned n_inputs_;
-    std::vector<Entry> table_; //!< (state << 8) | (delta + kDeltaOffset)
 };
 
 /**

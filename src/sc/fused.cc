@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "sc/counter.h"
+#include "sc/popcount.h"
 #include "sc/simd.h"
 
 namespace scdcnn {
@@ -19,16 +20,6 @@ parityLines(bool approximate, size_t n)
 {
     return approximate ? std::min(ApproxParallelCounter::kLsbParityLines, n)
                        : 0;
-}
-
-/** Population count of @p v by SWAR bit arithmetic. */
-uint32_t
-popcountSwar(uint64_t v)
-{
-    v -= (v >> 1) & 0x5555555555555555ull;
-    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
-    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
-    return static_cast<uint32_t>((v * 0x0101010101010101ull) >> 56);
 }
 
 /** Shared operand checks of the filter-blocked ranged kernels;
@@ -451,8 +442,7 @@ fusedXnorPopcountMulti(const BitstreamView &x, const WeightBlockView &block,
                   "operand length %zu != block length %zu", x.length,
                   block.length);
     // Fixed-size lane loops: they unroll instead of becoming memset /
-    // memcpy calls, and the SWAR count stays inline where a base x86-64
-    // build would call libgcc's __popcountdi2 for std::popcount.
+    // memcpy calls.
     uint32_t acc[kFilterLanes] = {};
     const size_t n_words = block.wordCount();
     size_t w = simd::avx2XnorPopcountMulti(x.words, block, acc);

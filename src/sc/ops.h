@@ -9,7 +9,7 @@
  * Addition:
  *  - OR gate:  cheapest, lossy ("1 OR 1" yields a single 1);
  *  - MUX:      selects one input per cycle, output = (1/n) * sum;
- *  - (APC and the two-line adder live in counter.h / two_line.h).
+ *  - (APC, the parallel counter, lives in counter.h).
  */
 
 #ifndef SCDCNN_SC_OPS_H

@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "sc/counter.h"
 #include "sc/fused.h"
+#include "sc/popcount.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SCDCNN_SIMD_X86 1
@@ -153,10 +154,10 @@ tileGroupSumsScalar(const PlaneTile &t, size_t n_pixels, uint16_t *sums)
                     uint32_t sum = 0;
                     for (size_t p = 0; k < t.n_inputs && p < t.plane_cap;
                          ++p)
-                        sum += static_cast<uint32_t>(std::popcount(
+                        sum += popcountSwar(
                                    (t.row(k, q, t.digitRow(p))[px] >>
                                     (16 * g)) &
-                                   0xFFFF))
+                                   0xFFFF)
                                << p;
                     sums[((q * 4 + g) * 4 + k) * S + px] =
                         static_cast<uint16_t>(sum);
@@ -258,7 +259,7 @@ tileCountSumsScalar(const PlaneTile &t, size_t n_pixels, uint64_t *sums)
         for (size_t q = 0; q < t.n_words; ++q)
             for (size_t p = 0; p < t.plane_cap; ++p)
                 sum += static_cast<uint64_t>(
-                           std::popcount(t.row(0, q, t.digitRow(p))[px]))
+                           popcountSwar(t.row(0, q, t.digitRow(p))[px]))
                        << p;
         sums[px] = sum;
     }

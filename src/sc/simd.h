@@ -266,7 +266,7 @@ void tileCounts(const PlaneTile &tile, size_t k, size_t px,
  * and digits p of popcount(row(0, q, digitRow(p))[px]) << p, for px <
  * n_pixels. The SIMD body counts four pixels' words per register (a
  * nibble lookup and a byte sum per 64-bit lane), at either SIMD level;
- * the scalar body calls std::popcount.
+ * the scalar body calls sc::popcountSwar.
  */
 void tileCountSums(const PlaneTile &tile, size_t n_pixels, uint64_t *sums);
 

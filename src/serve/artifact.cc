@@ -13,7 +13,7 @@ namespace serve {
 namespace {
 
 constexpr uint32_t kArtifactMagic = 0x53C4A27F;
-constexpr uint32_t kArtifactFormatVersion = 2;
+constexpr uint32_t kArtifactFormatVersion = 3;
 
 using Code = nn::LoadResult::Code;
 
@@ -128,7 +128,6 @@ encodeHeader(ByteWriter &w, const ModelArtifact &a)
     for (unsigned b : c.weight_bits)
         w.u32(b);
     w.u64(c.segment_len);
-    w.u8(static_cast<uint8_t>(c.k_policy));
     w.u64(c.input_c);
     w.u64(c.input_h);
     w.u64(c.input_w);
@@ -258,11 +257,6 @@ decodeHeader(ByteReader &r, ModelArtifact &a, uint32_t *n_tensors)
     if (c.segment_len == 0 || c.segment_len > c.bitstream_len)
         return badField(r, "segment length", c.bitstream_len,
                         c.segment_len);
-    if (!r.u8(&b))
-        return truncated("k policy");
-    if (b > 1)
-        return badField(r, "k policy", 1, b);
-    c.k_policy = static_cast<blocks::KPolicy>(b);
     if (!r.u64(&c.input_c) || !r.u64(&c.input_h) || !r.u64(&c.input_w))
         return truncated("config geometry");
     if (c.input_c != s.in_c || c.input_h != s.in_h ||

@@ -138,13 +138,6 @@ TEST(Builders, ApcDeeperThanMuxTree)
     EXPECT_GT(parallelCounterExact(64).delay_ns, muxTree(64).delay_ns);
 }
 
-TEST(Builders, TwoLineAdderAreaOverheadIsLarge)
-{
-    // Section 4.1 limitation (ii): two-line inner products cost far
-    // more than MUX ones.
-    EXPECT_GT(twoLineAdderTree(16).area_um2, 4.0 * muxTree(16).area_um2);
-}
-
 TEST(Builders, StanhSizeGrowsWithStates)
 {
     EXPECT_LT(stanhFsm(8).area_um2, stanhFsm(64).area_um2);

@@ -230,38 +230,6 @@ TEST(OrInnerProduct, ScaleCandidatesCoverWideRange)
     EXPECT_GE(scales.back(), 32.0);
 }
 
-TEST(TwoLineInnerProduct, AccurateForSmallSums)
-{
-    // Two operands with |sum| < 1: the non-scaled adder is fine.
-    sc::Xoshiro256ss rng(10);
-    std::vector<double> xs = {0.5, -0.4};
-    std::vector<double> ws = {0.6, 0.5};
-    double got = TwoLineInnerProduct::estimate(xs, ws, 1 << 15, rng);
-    EXPECT_NEAR(got, 0.1, 0.05);
-}
-
-TEST(TwoLineInnerProduct, OverflowsForLargeSums)
-{
-    // Section 4.1 limitation: many inputs overflow the carry counter.
-    sc::Xoshiro256ss rng(11);
-    std::vector<double> xs(16, 0.8);
-    std::vector<double> ws(16, 0.8);
-    uint64_t dropped = 0;
-    auto out = TwoLineInnerProduct::compute(xs, ws, 4096, rng, &dropped);
-    // True sum is 16*0.64 = 10.24; representable max is 1.
-    EXPECT_LE(out.value(), 1.0);
-    EXPECT_GT(dropped, 0u);
-}
-
-TEST(TwoLineInnerProduct, SignHandling)
-{
-    sc::Xoshiro256ss rng(12);
-    std::vector<double> xs = {-0.7, 0.3};
-    std::vector<double> ws = {0.8, -0.5};
-    double got = TwoLineInnerProduct::estimate(xs, ws, 1 << 15, rng);
-    EXPECT_NEAR(got, -0.71, 0.05);
-}
-
 } // namespace
 } // namespace blocks
 } // namespace scdcnn

@@ -154,6 +154,28 @@ TEST(Artifact, RoundTripsEveryField)
     std::remove(path.c_str());
 }
 
+TEST(Artifact, OlderFormatVersionIsRejectedAsBadVersion)
+{
+    // Format 2 carried a k-policy byte that format 3 dropped; a format
+    // 2 file must meet the typed version rejection, not a misparse.
+    const std::string path = tempPath("oldformat");
+    ASSERT_TRUE(serve::saveArtifact(miniArtifact("old", 1, 4), path));
+
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const uint32_t old_format = 2;
+    ASSERT_EQ(std::fseek(f, sizeof(uint32_t), SEEK_SET), 0); // past magic
+    ASSERT_EQ(std::fwrite(&old_format, sizeof old_format, 1, f), 1u);
+    std::fclose(f);
+
+    ModelArtifact out;
+    const nn::LoadResult r = serve::loadArtifact(path, &out);
+    EXPECT_EQ(r.code, nn::LoadResult::Code::BadVersion) << r.message();
+    EXPECT_EQ(r.expected, 3u);
+    EXPECT_EQ(r.actual, 2u);
+    std::remove(path.c_str());
+}
+
 TEST(Artifact, EveryBitFlipIsRejectedWithADiagnostic)
 {
     const std::string path = tempPath("fuzz");
