@@ -167,10 +167,12 @@ buildServingSetup(double fused_ms, size_t len)
     s.per_request.limits.shed_doomed = false;
     s.high.accuracy = serve::AccuracyClass::High;
 
-    // Micro-batching + QoS: dynamic batches under (max_batch,
-    // max_queue_delay), Balanced progressive precision, a deadline
-    // generous at light load but binding under overload — queue
-    // pressure degrades precision instead of blowing up latency.
+    // Micro-batching + QoS: work-conserving batches of up to
+    // max_batch (they grow from what queues while the worker is
+    // busy), Balanced progressive precision, a deadline generous at
+    // light load but binding under overload — queue pressure degrades
+    // precision instead of blowing up latency. max_queue_delay is the
+    // deadline-urgency slack.
     s.micro.limits.max_batch = kMaxBatch;
     s.micro.limits.max_queue_delay =
         std::chrono::microseconds(static_cast<long>(fused_ms * 250.0));

@@ -30,7 +30,7 @@ relativeInaccuracy(unsigned k, size_t len, int trials)
     double num = 0;
     double den = 0;
     for (int t = 0; t < trials; ++t) {
-        sc::SplitMix64 vals(4400 + t * 19 + k);
+        sc::SplitMix64 vals(4400 + t * 19);
         const double x = vals.nextInRange(-1.0, 1.0);
         sc::Xoshiro256ss rng(1200 + t);
         sc::Bitstream in = sc::sngBipolar(x, len, rng);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
+#include <system_error>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -190,6 +192,10 @@ trainedLeNet5(PoolingMode pooling, const std::string &data_dir,
     const double err = Trainer::errorRate(net, test);
     inform("trained LeNet5: test error %.2f%%", err * 100.0);
 
+    // The cache directory may not exist yet (a bench run from a fresh
+    // build directory); without it every run would retrain.
+    std::error_code ec;
+    std::filesystem::create_directories(cache_dir, ec);
     if (!net.saveWeights(cache_path))
         warn("could not persist weights to %s", cache_path.c_str());
     return net;

@@ -62,7 +62,8 @@ class Trainer
  *
  * @param pooling   pooling flavour (the cache is per flavour)
  * @param data_dir  dataset directory (MNIST if present)
- * @param cache_dir directory for the weight cache files
+ * @param cache_dir directory for the weight cache files (created,
+ *                  parents included, when missing)
  */
 Network trainedLeNet5(PoolingMode pooling, const std::string &data_dir,
                       const std::string &cache_dir);

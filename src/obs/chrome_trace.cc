@@ -45,7 +45,7 @@ closeReasonName(uint16_t reason)
 {
     switch (reason) {
     case 0: return "full";
-    case 1: return "delay_expired";
+    case 1: return "idle";
     case 2: return "expedited";
     case 3: return "drain";
     default: return nullptr;

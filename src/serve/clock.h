@@ -2,12 +2,12 @@
  * @file
  * Pluggable time source for the serving layer.
  *
- * The batch scheduler's close conditions are all time-driven (queue
- * delay expiry, deadline tightness), so scheduling logic reads time
- * through a ClockSource instead of calling std::chrono directly: the
- * server injects the steady clock, tests inject a ManualClock and
- * step it — every close decision becomes deterministically testable
- * without sleeps.
+ * The scheduler's deadline decisions (urgency, shedding) and the
+ * server's queue-wait and latency figures are time-driven, so they
+ * read time through a ClockSource instead of calling std::chrono
+ * directly: the server injects the steady clock, tests inject a
+ * ManualClock and step it — every deadline decision becomes
+ * deterministically testable without sleeps.
  */
 
 #ifndef SCDCNN_SERVE_CLOCK_H
@@ -29,11 +29,6 @@ class ClockSource
 
     virtual ~ClockSource() = default;
     virtual TimePoint now() const = 0;
-
-    /** Whether now() tracks the real steady clock — i.e. whether its
-     *  time points are valid targets for condition-variable
-     *  wait_until. False for manual test clocks. */
-    virtual bool isSteady() const { return false; }
 };
 
 /** The real monotonic clock (production). */
@@ -44,8 +39,6 @@ class SteadyClock final : public ClockSource
     {
         return std::chrono::steady_clock::now();
     }
-
-    bool isSteady() const override { return true; }
 };
 
 /** Settable clock for deterministic scheduler tests: time moves only

@@ -105,10 +105,9 @@ class FaultInjector
 
 /**
  * Clock-skew fault: wraps a base clock and offsets every reading by a
- * settable amount. isSteady() is false so timed waits fall back to
- * polling — skewed time points are not valid wait_until targets.
- * Chaos tests jump the skew mid-run to model a clock step and assert
- * the scheduler degrades (expedites/sheds) instead of wedging.
+ * settable amount. Chaos tests jump the skew mid-run to model a clock
+ * step and assert the scheduler degrades (expedites/sheds) instead of
+ * wedging.
  */
 class SkewedClock final : public ClockSource
 {
@@ -121,8 +120,6 @@ class SkewedClock final : public ClockSource
         return base_->now() + std::chrono::microseconds(skew_us_.load(
                                   std::memory_order_relaxed));
     }
-
-    bool isSteady() const override { return false; }
 
     void setSkew(std::chrono::microseconds skew)
     {

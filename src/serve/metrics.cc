@@ -319,7 +319,7 @@ MetricsSnapshot::toJson() const
     out += ", ";
     appendCounts(out, "queue_depths", queue_depth_counts);
     appendf(out,
-            ", \"close_reasons\": {\"full\": %llu, \"delay\": %llu, "
+            ", \"close_reasons\": {\"full\": %llu, \"idle\": %llu, "
             "\"expedited\": %llu, \"drain\": %llu}",
             static_cast<unsigned long long>(close_reasons[0]),
             static_cast<unsigned long long>(close_reasons[1]),

@@ -82,19 +82,11 @@ RequestQueue::popBatch()
             out.closed = true;
             return out;
         }
-
-        // Sleep exactly until the scheduler could next close a batch;
-        // pushes, close() and kick() wake us earlier. A ManualClock's
-        // time points do not track the real clock, so fall back to a
-        // short poll there (tests drive the clock and kick()).
-        const auto next = scheduler_.nextEventTime();
-        if (!next.has_value()) {
+        // The scheduler closes whenever anything is queued, so only an
+        // empty queue waits; a close suppressed by a SchedulerPoll
+        // fault retries at once (the fault has a finite shot count).
+        if (scheduler_.depth() == 0)
             cv_.wait(lk);
-        } else if (clock_->isSteady()) {
-            cv_.wait_until(lk, *next);
-        } else {
-            cv_.wait_for(lk, std::chrono::milliseconds(1));
-        }
     }
 }
 
@@ -131,12 +123,6 @@ RequestQueue::setServiceEstimate(AccuracyClass cls,
 {
     std::lock_guard<std::mutex> lk(mutex_);
     scheduler_.setServiceEstimate(cls, per_image);
-}
-
-void
-RequestQueue::kick()
-{
-    cv_.notify_all();
 }
 
 } // namespace serve

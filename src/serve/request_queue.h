@@ -3,10 +3,10 @@
  * Thread-safe intake queue of the serving layer.
  *
  * Producers push fully-formed pending requests (image + promise +
- * QoS metadata); consumer threads block in popBatch() until the
- * BatchScheduler closes a micro-batch, waking exactly at the next
- * scheduler event (queue-delay expiry or deadline urgency) via a
- * timed wait. The queue owns the request payloads; the scheduler only
+ * QoS metadata); consumer threads block in popBatch() only while the
+ * queue is empty. A consumer that finds work gets a batch at once:
+ * the BatchScheduler's close is work-conserving, so nothing waits on
+ * a timer. The queue owns the request payloads; the scheduler only
  * ever sees ids and times, keeping the decision logic pure.
  */
 
@@ -104,8 +104,8 @@ class RequestQueue
     /** Stop intake; queued requests still drain as batches. */
     void close();
 
-    /** Drain mode on/off: when on, partial batches close immediately
-     *  instead of waiting out max_queue_delay. */
+    /** Drain mode on/off: when on, partial batches close as Drain
+     *  instead of Idle. */
     void setFlush(bool on);
 
     /** Queued (not yet batched) requests. */
@@ -115,9 +115,6 @@ class RequestQueue
      *  deadline-urgency estimate. */
     void setServiceEstimate(AccuracyClass cls,
                             ClockSource::Duration per_image);
-
-    /** Wake blocked consumers (tests advancing a ManualClock). */
-    void kick();
 
   private:
     mutable std::mutex mutex_;

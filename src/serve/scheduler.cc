@@ -48,8 +48,8 @@ closeReasonName(CloseReason reason)
     switch (reason) {
     case CloseReason::Full:
         return "full";
-    case CloseReason::DelayExpired:
-        return "delay";
+    case CloseReason::Idle:
+        return "idle";
     case CloseReason::Expedited:
         return "expedited";
     case CloseReason::Drain:
@@ -134,8 +134,8 @@ BatchScheduler::urgentAt(const Item &item) const
 {
     if (!item.deadline.has_value())
         return TimePoint::max();
-    // Urgent one service-time-plus-one-queue-delay before the
-    // deadline: starting any later than this at the requested
+    // Urgent one service time plus max_queue_delay of slack before
+    // the deadline: starting any later than this at the requested
     // precision risks missing it.
     return *item.deadline -
            estimate_[static_cast<size_t>(item.requested)] -
@@ -222,7 +222,7 @@ BatchScheduler::poll(TimePoint now, bool flush)
 {
     // Fault injection: a SchedulerPoll shot makes this poll see
     // nothing due — models a scheduler that misses an event and must
-    // recover on the next wakeup.
+    // recover on the next poll.
     if (faults_ != nullptr && faults_->fire(FaultPoint::SchedulerPoll))
         return std::nullopt;
 
@@ -230,8 +230,8 @@ BatchScheduler::poll(TimePoint now, bool flush)
     if (auto expedited = closeExpedited(now))
         return expedited;
 
-    // Oldest head across classes — the fairness anchor for the full,
-    // delay, and drain closes alike.
+    // Oldest head across classes — the fairness anchor for the full
+    // and partial closes alike.
     size_t oldest = kAccuracyClasses;
     for (size_t q = 0; q < kAccuracyClasses; ++q) {
         if (queues_[q].empty())
@@ -270,42 +270,10 @@ BatchScheduler::poll(TimePoint now, bool flush)
     if (full != kAccuracyClasses)
         return close(full, CloseReason::Full);
 
-    // 3. The oldest request's queue-delay bound expired.
-    if (now - queues_[oldest].front().enqueued >= limits_.max_queue_delay)
-        return close(oldest, CloseReason::DelayExpired);
-
-    // 4. Drain mode flushes partial batches.
-    if (flush)
-        return close(oldest, CloseReason::Drain);
-
-    return std::nullopt;
-}
-
-std::optional<BatchScheduler::TimePoint>
-BatchScheduler::nextEventTime() const
-{
-    std::optional<TimePoint> next;
-    auto consider = [&next](TimePoint t) {
-        if (!next.has_value() || t < *next)
-            next = t;
-    };
-    const Duration doom_floor =
-        estimate_[static_cast<size_t>(AccuracyClass::Fast)];
-    for (const auto &q : queues_) {
-        if (!q.empty())
-            consider(q.front().enqueued + limits_.max_queue_delay);
-        for (const Item &item : q) {
-            if (!item.deadline.has_value())
-                continue;
-            consider(urgentAt(item));
-            // Shedding is also a timed event: wake when a queued
-            // request becomes doomed so it is dropped promptly, not
-            // at the next unrelated close.
-            if (limits_.shed_doomed)
-                consider(*item.deadline - doom_floor);
-        }
-    }
-    return next;
+    // 3. Work-conserving: the caller is an idle worker, so the oldest
+    //    head's class closes at once rather than waiting for
+    //    batch-mates.
+    return close(oldest, flush ? CloseReason::Drain : CloseReason::Idle);
 }
 
 } // namespace serve

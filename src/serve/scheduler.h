@@ -4,20 +4,23 @@
  *
  * Pure decision logic, no threads and no real clock: callers push
  * request metadata (id, accuracy class, enqueue time, optional
- * deadline) and poll with an explicit "now". A batch closes when one
- * of four conditions holds, checked in priority order:
+ * deadline) and poll with an explicit "now". The close is
+ * work-conserving: a poll comes from an idle batch worker, so it
+ * closes a batch whenever anything is queued, choosing by priority:
  *
- *   Expedited    — a deadlined request's remaining budget no longer
- *                  covers its precision class (plus one queue-delay of
- *                  slack); it and every other urgent request are
- *                  closed immediately at the cheapest degraded class
- *                  among them.
- *   Full         — some class queue reached max_batch.
- *   DelayExpired — the oldest queued request has waited
- *                  max_queue_delay; its class flushes (up to
- *                  max_batch) so light load still bounds latency.
- *   Drain        — flush mode (server drain/shutdown) closes partial
- *                  batches, oldest class first.
+ *   Expedited — a deadlined request's remaining budget no longer
+ *               covers its precision class (plus max_queue_delay of
+ *               slack); it and every other urgent request are closed
+ *               at the cheapest degraded class among them.
+ *   Full      — some class queue reached max_batch.
+ *   Idle      — otherwise the oldest head's class closes at once, up
+ *               to max_batch (Drain instead in flush mode, during
+ *               server drain/shutdown).
+ *
+ * Batches therefore only grow past one request from work that
+ * arrived while every worker was busy, which is also when the batch
+ * path's weight reuse pays off; a lone request never waits for
+ * batch-mates that cannot come.
  *
  * Requests are FIFO within a class; across classes the oldest head
  * wins, so no class starves. Batches never mix accuracy classes
@@ -47,6 +50,12 @@ namespace serve {
 struct SchedulerLimits
 {
     size_t max_batch = 8;
+
+    /**
+     * Deadline-urgency slack: a deadlined request turns urgent (and
+     * expedites) one service estimate plus this much before its
+     * deadline. No close ever waits on it.
+     */
     std::chrono::microseconds max_queue_delay{2000};
 
     /**
@@ -70,12 +79,12 @@ struct SchedulerLimits
 enum class CloseReason : uint8_t
 {
     Full,
-    DelayExpired,
+    Idle,
     Expedited,
     Drain,
 };
 
-/** "full" / "delay" / "expedited" / "drain". */
+/** "full" / "idle" / "expedited" / "drain". */
 const char *closeReasonName(CloseReason reason);
 
 /** One closed micro-batch: request ids in service order plus the
@@ -101,19 +110,10 @@ class BatchScheduler
     void push(uint64_t id, AccuracyClass cls, TimePoint enqueued,
               std::optional<TimePoint> deadline);
 
-    /** Close and return the next batch due at @p now, or nullopt when
-     *  no close condition holds yet. @p flush closes partial batches
-     *  (drain/shutdown). Call repeatedly until nullopt: several
-     *  batches can be due at once. */
+    /** Close and return the next batch at @p now, or nullopt when
+     *  nothing is queued (or a SchedulerPoll fault suppressed the
+     *  close). @p flush marks partial closes as Drain. */
     std::optional<BatchPlan> poll(TimePoint now, bool flush);
-
-    /**
-     * The earliest future instant at which poll() could close a batch
-     * without new pushes: the soonest queue-delay expiry or deadline
-     * urgency trigger. nullopt when nothing is queued. Drives the
-     * request queue's timed wait.
-     */
-    std::optional<TimePoint> nextEventTime() const;
 
     /** Queued requests across all classes. */
     size_t depth() const;

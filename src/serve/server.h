@@ -43,7 +43,8 @@ namespace serve {
 
 struct ServerConfig
 {
-    /** Micro-batching bounds (max_batch, max_queue_delay). */
+    /** Micro-batching and overload bounds (max_batch, urgency slack,
+     *  admission cap, shedding). */
     SchedulerLimits limits;
 
     /** Batch-runner threads pulling from the queue. One is right for

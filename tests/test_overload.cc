@@ -28,6 +28,7 @@
 #include "serve/request_queue.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
+#include "worker_hold.h"
 
 namespace scdcnn {
 namespace {
@@ -116,11 +117,10 @@ TEST(FaultInjector, ShotCountingAndPluggableStall)
     EXPECT_EQ(stalls.load(), 2);
 }
 
-TEST(SkewedClock, OffsetsBaseReadingsAndForcesPolling)
+TEST(SkewedClock, OffsetsBaseReadings)
 {
     ManualClock base;
     serve::SkewedClock skewed(&base);
-    EXPECT_FALSE(skewed.isSteady());
     EXPECT_EQ(skewed.now(), base.now());
     skewed.setSkew(250ms);
     EXPECT_EQ(skewed.now(), base.now() + 250ms);
@@ -383,10 +383,16 @@ TEST(OverloadServer, DoomedRequestsAreShedBeforeCompute)
 {
     OverloadFixture fx;
     ManualClock clock;
+    WorkerHold hold;
     serve::ServerConfig scfg;
     scfg.limits = limits(8, 2ms);
+    scfg.faults = &hold.faults;
     serve::InferenceServer server(*fx.sc, scfg, &clock);
 
+    // An undeadlined blocker holds the one worker, so the deadlined
+    // requests queue behind it.
+    auto blocker = server.submit(nn::DigitDataset::render(9, 2));
+    EXPECT_TRUE(hold.awaitHeld());
     serve::RequestOptions opts;
     opts.deadline = 10ms;
     std::vector<std::future<serve::InferenceResult>> futs;
@@ -394,9 +400,12 @@ TEST(OverloadServer, DoomedRequestsAreShedBeforeCompute)
         futs.push_back(
             server.submit(nn::DigitDataset::render(i, 3 + i), opts));
 
-    // Time jumps straight past every deadline (manual clock): the
-    // sweep must fail the requests without spending any compute.
+    // Time jumps straight past every deadline (manual clock) while
+    // they wait: the sweep must fail them without spending any
+    // compute.
     clock.advance(20ms);
+    hold.release();
+    EXPECT_NO_THROW(blocker.get());
     for (auto &f : futs) {
         try {
             f.get();
@@ -407,16 +416,18 @@ TEST(OverloadServer, DoomedRequestsAreShedBeforeCompute)
     }
     const auto snap = server.metricsSnapshot();
     EXPECT_EQ(snap.shed, 3u);
-    EXPECT_EQ(snap.completed, 0u);
-    EXPECT_EQ(snap.batches, 0u);
+    EXPECT_EQ(snap.completed, 1u);
+    EXPECT_EQ(snap.batches, 1u); // the blocker's alone
     EXPECT_EQ(server.outstanding(), 0u);
 }
 
 TEST(OverloadServer, CancelledRequestNeverCorruptsBatchMates)
 {
     OverloadFixture fx;
+    WorkerHold hold;
     serve::ServerConfig scfg;
-    scfg.limits = limits(3, 1h); // closes only when full
+    scfg.limits = limits(3, 1h);
+    scfg.faults = &hold.faults;
     serve::InferenceServer server(*fx.sc, scfg);
 
     serve::RequestOptions opts;
@@ -425,24 +436,34 @@ TEST(OverloadServer, CancelledRequestNeverCorruptsBatchMates)
     const nn::Tensor b = nn::DigitDataset::render(2, 5);
     const nn::Tensor c = nn::DigitDataset::render(3, 6);
 
+    // A blocker holds the one worker, so a, b and c queue into one
+    // full batch behind it.
+    opts.seed = 500;
+    auto blocker = server.submit(nn::DigitDataset::render(0, 3), opts);
+    EXPECT_TRUE(hold.awaitHeld());
     opts.seed = 501;
     auto fa = server.submit(a, opts);
     opts.seed = 502;
     auto sb = server.submitCancellable(b, opts);
-    sb.cancel->cancel(); // while queued: the batch is not full yet
+    sb.cancel->cancel(); // while queued
     opts.seed = 503;
-    auto fc = server.submit(c, opts); // closes the batch
+    auto fc = server.submit(c, opts);
+    hold.release();
     server.drain();
 
+    EXPECT_NO_THROW(blocker.get());
     EXPECT_THROW(sb.result.get(), ServeError);
-    // The survivors ran as a smaller batch and still match direct
-    // predict() bit-for-bit at their seeds.
-    EXPECT_EQ(fa.get().predicted, fx.sc->predict(a, 501));
+    // a, b and c closed as one batch of 3; the survivors ran as a
+    // smaller batch and still match direct predict() bit-for-bit at
+    // their seeds.
+    const serve::InferenceResult ra = fa.get();
+    EXPECT_EQ(ra.batch_size, 3u);
+    EXPECT_EQ(ra.predicted, fx.sc->predict(a, 501));
     EXPECT_EQ(fc.get().predicted, fx.sc->predict(c, 503));
 
     const auto snap = server.metricsSnapshot();
     EXPECT_EQ(snap.cancelled, 1u);
-    EXPECT_EQ(snap.completed, 2u);
+    EXPECT_EQ(snap.completed, 3u);
     EXPECT_EQ(server.outstanding(), 0u);
 }
 
@@ -508,27 +529,31 @@ TEST(OverloadServer, DeadlineStormResolvesEveryFuture)
 {
     OverloadFixture fx;
     ManualClock clock;
+    WorkerHold hold;
     serve::ServerConfig scfg;
     scfg.limits = limits(8, 2ms);
+    scfg.faults = &hold.faults;
     serve::InferenceServer server(*fx.sc, scfg, &clock);
 
-    // Group A: deadlines the scheduler can expedite once time reaches
-    // their urgency trigger. Group B: deadlines we jump straight
-    // past. Keeping total submissions under max_batch and the first
-    // advance under max_queue_delay pins every close to a deliberate
-    // clock step — nothing closes Full or DelayExpired on its own.
+    // Every request queues behind a held worker, so each close is
+    // pinned to a deliberate clock step. Group A: deadlines the
+    // scheduler expedites once time reaches their urgency trigger.
+    // Group B: deadlines the clock jumps straight past while a second
+    // blocker holds the worker. Each group stays under max_batch, so
+    // nothing closes Full.
     serve::RequestOptions a_opts, b_opts;
-    a_opts.deadline = 3ms;  // urgent at +1ms (3ms - 2ms delay)
+    a_opts.deadline = 3ms;  // urgent at +1ms (3ms - 2ms slack)
     b_opts.deadline = 50ms; // urgent long after the test's horizon
-    std::vector<std::future<serve::InferenceResult>> group_a, group_b;
-    for (size_t i = 0; i < 3; ++i) {
+    std::vector<std::future<serve::InferenceResult>> blockers, group_a,
+        group_b;
+    blockers.push_back(server.submit(nn::DigitDataset::render(9, 1)));
+    EXPECT_TRUE(hold.awaitHeld(1));
+    for (size_t i = 0; i < 3; ++i)
         group_a.push_back(
             server.submit(nn::DigitDataset::render(i, 2), a_opts));
-        group_b.push_back(
-            server.submit(nn::DigitDataset::render(i, 3), b_opts));
-    }
 
-    clock.advance(1500us); // A urgent, delay bound intact, none doomed
+    clock.advance(1500us); // A urgent, none doomed
+    hold.release();
     size_t a_completed = 0;
     for (auto &f : group_a) {
         const serve::InferenceResult r = f.get();
@@ -537,15 +562,26 @@ TEST(OverloadServer, DeadlineStormResolvesEveryFuture)
     }
     EXPECT_EQ(a_completed, 3u);
 
+    // The worker now idles on an empty queue: hold it again inside a
+    // second blocker while group B queues behind it.
+    hold.arm(1);
+    blockers.push_back(server.submit(nn::DigitDataset::render(9, 4)));
+    EXPECT_TRUE(hold.awaitHeld(2));
+    for (size_t i = 0; i < 3; ++i)
+        group_b.push_back(
+            server.submit(nn::DigitDataset::render(i, 3), b_opts));
     clock.advance(60ms); // now past every B deadline: shed, not run
+    hold.release();
     for (auto &f : group_b)
         EXPECT_THROW(f.get(), ServeError);
+    for (auto &f : blockers)
+        EXPECT_NO_THROW(f.get());
     server.drain(); // settle the outstanding bookkeeping
 
     const auto snap = server.metricsSnapshot();
-    EXPECT_EQ(snap.completed, 3u);
+    EXPECT_EQ(snap.completed, 5u); // group A and the two blockers
     EXPECT_EQ(snap.shed, 3u);
-    EXPECT_EQ(snap.good_completed, 3u);
+    EXPECT_EQ(snap.good_completed, 5u);
     EXPECT_GT(snap.close_reasons[static_cast<size_t>(
                   serve::CloseReason::Expedited)],
               0u);
@@ -557,20 +593,38 @@ TEST(OverloadServer, SurvivesClockSkewJump)
     OverloadFixture fx;
     serve::SteadyClock base;
     serve::SkewedClock skewed(&base);
+    WorkerHold hold;
     serve::ServerConfig scfg;
-    scfg.limits = limits(8, 1h); // only a time jump can close these
+    scfg.limits = limits(8, 1h);
+    scfg.faults = &hold.faults;
     serve::InferenceServer server(*fx.sc, scfg, &skewed);
 
-    std::vector<std::future<serve::InferenceResult>> futs;
+    // Requests queue behind a held worker; a forward clock step while
+    // they wait puts the deadlined ones past their deadline. The
+    // server must serve the rest and shed those rather than wedge on
+    // stale times.
+    auto blocker = server.submit(nn::DigitDataset::render(9, 9));
+    EXPECT_TRUE(hold.awaitHeld());
+    std::vector<std::future<serve::InferenceResult>> futs, doomed;
     for (size_t i = 0; i < 4; ++i)
         futs.push_back(server.submit(nn::DigitDataset::render(i, 9)));
+    serve::RequestOptions deadlined;
+    deadlined.deadline = 1h;
+    for (size_t i = 0; i < 2; ++i)
+        doomed.push_back(
+            server.submit(nn::DigitDataset::render(i, 10), deadlined));
 
-    // A forward clock step expires the queue-delay bound at once; the
-    // server must serve the batch rather than wedge on stale times.
     skewed.setSkew(2h);
+    hold.release();
+    EXPECT_NO_THROW(blocker.get());
     for (auto &f : futs)
         EXPECT_NO_THROW(f.get());
-    EXPECT_EQ(server.metricsSnapshot().completed, 4u);
+    for (auto &f : doomed)
+        EXPECT_THROW(f.get(), ServeError);
+    server.drain(); // settle the outstanding bookkeeping
+    const auto snap = server.metricsSnapshot();
+    EXPECT_EQ(snap.completed, 5u);
+    EXPECT_EQ(snap.shed, 2u);
     EXPECT_EQ(server.outstanding(), 0u);
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * Serving-layer tests: deterministic fake-clock coverage of every
- * batch-close condition in the scheduler, histogram/metrics sanity,
- * and end-to-end InferenceServer behaviour — answers matching direct
+ * batch-close condition in the scheduler (the close is
+ * work-conserving: a lone request never waits for batch-mates),
+ * histogram/metrics sanity, and end-to-end InferenceServer
+ * behaviour — answers matching direct
  * predict() calls, multi-producer stress (each request answered
  * exactly once), drain/shutdown semantics, and deadline-driven
  * precision degradation.
@@ -26,6 +28,7 @@
 #include "serve/request_queue.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
+#include "worker_hold.h"
 
 namespace scdcnn {
 namespace {
@@ -53,35 +56,39 @@ TEST(BatchScheduler, FullBatchClosesImmediately)
     ManualClock clock;
     BatchScheduler s(limits(3, 1000us));
     const auto t = clock.now();
-    s.push(10, AccuracyClass::Balanced, t, std::nullopt);
-    s.push(11, AccuracyClass::Balanced, t, std::nullopt);
-    EXPECT_FALSE(s.poll(t, false).has_value());
-    s.push(12, AccuracyClass::Balanced, t, std::nullopt);
+    for (uint64_t id = 10; id < 14; ++id)
+        s.push(id, AccuracyClass::Balanced, t, std::nullopt);
 
+    // Four queued behind a busy worker: the next poll takes a full
+    // batch in FIFO order, the one after that the remainder.
     const auto plan = s.poll(t, false);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Full);
     EXPECT_EQ(plan->cls, AccuracyClass::Balanced);
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{10, 11, 12}));
+    const auto rest = s.poll(t, false);
+    ASSERT_TRUE(rest.has_value());
+    EXPECT_EQ(rest->reason, CloseReason::Idle);
+    EXPECT_EQ(rest->ids, (std::vector<uint64_t>{13}));
     EXPECT_EQ(s.depth(), 0u);
 }
 
-TEST(BatchScheduler, QueueDelayExpiryClosesPartialBatch)
+TEST(BatchScheduler, IdlePollClosesPartialBatchAtOnce)
 {
     ManualClock clock;
-    BatchScheduler s(limits(8, 1000us));
+    BatchScheduler s(limits(8, 1h));
+    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
     s.push(1, AccuracyClass::High, clock.now(), std::nullopt);
     clock.advance(400us);
     s.push(2, AccuracyClass::High, clock.now(), std::nullopt);
 
-    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
-    clock.advance(599us); // oldest is now 999us old
-    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
-    clock.advance(1us); // exactly max_queue_delay
+    // Far inside the hour-long queue delay: the poll comes from an
+    // idle worker, so the partial batch closes without waiting.
     const auto plan = s.poll(clock.now(), false);
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->reason, CloseReason::DelayExpired);
+    EXPECT_EQ(plan->reason, CloseReason::Idle);
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{1, 2}));
+    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
 }
 
 TEST(BatchScheduler, DrainFlushesPartialBatchesOldestFirst)
@@ -129,10 +136,12 @@ TEST(BatchScheduler, BatchesNeverMixAccuracyClasses)
     BatchScheduler s(limits(4, 500us));
     s.push(1, AccuracyClass::High, clock.now(), std::nullopt);
     s.push(2, AccuracyClass::Balanced, clock.now(), std::nullopt);
-    clock.advance(500us);
     auto plan = s.poll(clock.now(), false);
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->ids.size(), 1u);
+    EXPECT_EQ(plan->ids, (std::vector<uint64_t>{1}));
+    plan = s.poll(clock.now(), false);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->ids, (std::vector<uint64_t>{2}));
 }
 
 TEST(BatchScheduler, TightDeadlineExpeditesAndDegrades)
@@ -153,23 +162,35 @@ TEST(BatchScheduler, TightDeadlineExpeditesAndDegrades)
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{7}));
 }
 
-TEST(BatchScheduler, RelaxedDeadlineWaitsThenBecomesUrgent)
+TEST(BatchScheduler, RelaxedDeadlineIsNotExpeditedUntilUrgent)
 {
     ManualClock clock;
     BatchScheduler s(limits(8, 10ms));
     s.setServiceEstimate(AccuracyClass::Balanced, 30ms);
     s.push(3, AccuracyClass::Balanced, clock.now(),
            clock.now() + 200ms);
-    // Not urgent yet (trigger at 200 - 30 - 10 = 160ms)...
-    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
-    const auto next = s.nextEventTime();
-    ASSERT_TRUE(next.has_value());
-    // ...but the delay bound (10ms) fires first.
-    EXPECT_EQ(*next - clock.now(), 10ms);
-    clock.advance(10ms);
+    // Not urgent yet (trigger at 200 - 30 - 10 = 160ms): it closes as
+    // ordinary idle work at its requested class, not expedited.
     auto plan = s.poll(clock.now(), false);
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->reason, CloseReason::DelayExpired);
+    EXPECT_EQ(plan->reason, CloseReason::Idle);
+    EXPECT_EQ(plan->cls, AccuracyClass::Balanced);
+
+    // The same deadline, still queued at its trigger, expedites ahead
+    // of older undeadlined work.
+    s.push(4, AccuracyClass::High, clock.now(), std::nullopt);
+    clock.advance(1us);
+    s.push(5, AccuracyClass::Balanced, clock.now(),
+           clock.now() + 200ms);
+    clock.advance(160ms);
+    plan = s.poll(clock.now(), false);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->reason, CloseReason::Expedited);
+    EXPECT_EQ(plan->ids, (std::vector<uint64_t>{5}));
+    plan = s.poll(clock.now(), false);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->reason, CloseReason::Idle);
+    EXPECT_EQ(plan->ids, (std::vector<uint64_t>{4}));
 }
 
 TEST(BatchScheduler, UrgentRequestsGroupIntoOneExpeditedBatch)
@@ -186,17 +207,6 @@ TEST(BatchScheduler, UrgentRequestsGroupIntoOneExpeditedBatch)
     // Tightest deadline first; the undeadlined request stays queued.
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{2, 1}));
     EXPECT_EQ(s.depth(), 1u);
-}
-
-TEST(BatchScheduler, NextEventTimeTracksOldestHead)
-{
-    ManualClock clock;
-    BatchScheduler s(limits(8, 250us));
-    EXPECT_FALSE(s.nextEventTime().has_value());
-    s.push(1, AccuracyClass::High, clock.now(), std::nullopt);
-    const auto next = s.nextEventTime();
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(*next, clock.now() + 250us);
 }
 
 // ------------------------------------------------------------ metrics
@@ -306,6 +316,33 @@ TEST(RequestQueue, CloseDrainsBacklogThenSignalsExit)
     EXPECT_EQ(q.push(std::move(late)), serve::AdmitResult::Closed);
 }
 
+TEST(RequestQueue, LonePushPopsAtOnceAsIdle)
+{
+    // A frozen manual clock and an hour-long queue delay: nothing
+    // time-driven can close this batch, so it pops only because the
+    // close is work-conserving.
+    ManualClock clock;
+    serve::RequestQueue q(limits(8, 1h), &clock);
+    serve::PendingRequest r;
+    r.id = 5;
+    r.submitted = clock.now();
+    ASSERT_EQ(q.push(std::move(r)), serve::AdmitResult::Accepted);
+
+    std::promise<serve::PopOutcome> popped;
+    std::future<serve::PopOutcome> out = popped.get_future();
+    std::thread consumer([&] { popped.set_value(q.popBatch()); });
+    const bool ready = out.wait_for(30s) == std::future_status::ready;
+    q.close(); // a still-blocked popBatch drains instead of hanging
+    consumer.join();
+    ASSERT_TRUE(ready) << "popBatch held a lone request back";
+    const auto batch = out.get().batch;
+    ASSERT_TRUE(batch.has_value());
+    EXPECT_EQ(batch->reason, CloseReason::Idle);
+    ASSERT_EQ(batch->items.size(), 1u);
+    EXPECT_EQ(batch->items[0].id, 5u);
+    EXPECT_EQ(batch->depth_after, 0u);
+}
+
 // ------------------------------------------------- server end-to-end
 
 /** Small, fast engine shared by the server tests. */
@@ -354,18 +391,46 @@ TEST(InferenceServer, AnswersMatchDirectPredict)
     EXPECT_EQ(snap.submitted, 6u);
 }
 
+TEST(InferenceServer, LoneRequestIsServedWithoutWaitingForBatchMates)
+{
+    // The clock never advances and the queue delay is an hour, so a
+    // close that waited for batch-mates would never serve this one
+    // request; the idle worker takes it at once.
+    ServingFixture fx;
+    ManualClock clock;
+    serve::ServerConfig scfg;
+    scfg.limits = limits(8, 1h);
+    serve::InferenceServer server(*fx.sc, scfg, &clock);
+
+    auto fut = server.submit(nn::DigitDataset::render(4, 8));
+    ASSERT_EQ(fut.wait_for(30s), std::future_status::ready);
+    const serve::InferenceResult r = fut.get();
+    EXPECT_EQ(r.batch_size, 1u);
+    EXPECT_EQ(r.queue_ms, 0.0);
+    const auto snap = server.metricsSnapshot();
+    EXPECT_EQ(snap.close_reasons[static_cast<size_t>(CloseReason::Idle)],
+              1u);
+}
+
 TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
 {
-    // With max_batch = 3 and an effectively-infinite queue delay the
-    // scheduler only closes full batches, so every executed
-    // micro-batch has 3 images on the weight-stationary batch kernels —
-    // answers still match direct predict() at the per-item seeds, and
-    // full-precision batches report zero effective-bits spread.
+    // The one batch worker is held inside a Fast (Binary) blocker
+    // while six High requests queue behind it, so with max_batch = 3
+    // it then closes two full batches, each 3 images on the
+    // weight-stationary batch kernels — answers still match direct
+    // predict() at the per-item seeds, and full-precision batches
+    // report zero effective-bits spread.
     ServingFixture fx;
+    WorkerHold hold;
     serve::ServerConfig scfg;
     scfg.limits = limits(3, 1h);
+    scfg.faults = &hold.faults;
     serve::InferenceServer server(*fx.sc, scfg);
 
+    serve::RequestOptions blocker;
+    blocker.accuracy = AccuracyClass::Fast;
+    auto blocked = server.submit(nn::DigitDataset::render(0, 29), blocker);
+    EXPECT_TRUE(hold.awaitHeld());
     std::vector<nn::Tensor> images;
     std::vector<std::future<serve::InferenceResult>> futures;
     for (size_t i = 0; i < 6; ++i) {
@@ -375,6 +440,8 @@ TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
         opts.seed = 5000 + i * 13;
         futures.push_back(server.submit(images.back(), opts));
     }
+    hold.release();
+    EXPECT_EQ(blocked.get().batch_size, 1u);
     for (size_t i = 0; i < futures.size(); ++i) {
         serve::InferenceResult r = futures[i].get();
         EXPECT_EQ(r.batch_size, 3u) << "request=" << i;
@@ -679,9 +746,11 @@ TEST(InferenceServer, TightDeadlineDegradesToFasterClass)
 
 TEST(InferenceServer, DrainAnswersPartialBatchesAndKeepsServing)
 {
+    // drain() returns only once every accepted request is answered,
+    // partial batches included, and leaves intake open.
     ServingFixture fx;
     serve::ServerConfig scfg;
-    scfg.limits = limits(8, 10min); // only drain can close these
+    scfg.limits = limits(8, 10min);
     serve::InferenceServer server(*fx.sc, scfg);
 
     std::vector<std::future<serve::InferenceResult>> futs;

@@ -472,7 +472,7 @@ TEST(ChromeTrace, ExportParsesBackAsJson)
     for (const char *needle :
          {"\"name\":\"queue_wait\"", "\"name\":\"batch_close\"",
           "\"name\":\"batch_compute\"", "\"name\":\"inner_product\"",
-          "\"name\":\"request\"", "\"reason\":\"delay_expired\"",
+          "\"name\":\"request\"", "\"reason\":\"idle\"",
           "\"model\":\"model-a\"", "\"seg\":2", "\"req\":42",
           "\"id\":\"0x2a\"", "\"test-main\""})
         EXPECT_NE(json.find(needle), std::string::npos) << needle;

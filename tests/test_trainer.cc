@@ -1,8 +1,15 @@
 /**
  * @file
  * Tests for the SGD trainer: loss decreases, learns the synthetic
- * digits, deterministic, and the error-rate evaluator is correct.
+ * digits, deterministic, the error-rate evaluator is correct, and the
+ * trained-LeNet5 cache persists into a directory it has to create.
  */
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -75,6 +82,37 @@ TEST(Trainer, AvgPoolingVariantAlsoLearns)
     cfg.epochs = 6;
     Trainer(net, cfg).train(train);
     EXPECT_LT(Trainer::errorRate(net, test), 0.15);
+}
+
+TEST(Trainer, TrainedLeNet5CreatesItsCacheDirectory)
+{
+    // A tiny training run into a nested cache directory that does not
+    // exist yet: the weights must persist there, so the second call
+    // loads them instead of retraining.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(::testing::TempDir()) /
+                          ("lenet5_cache_" + std::to_string(::getpid()));
+    const fs::path cache = root / "nested" / "data";
+    fs::remove_all(root);
+    ASSERT_FALSE(fs::exists(cache));
+    ::setenv("SCDCNN_TRAIN_IMAGES", "20", 1);
+    ::setenv("SCDCNN_TRAIN_EPOCHS", "1", 1);
+
+    Network trained = trainedLeNet5(PoolingMode::Max, cache.string(),
+                                    cache.string());
+    EXPECT_TRUE(fs::exists(cache / "lenet5_max.weights"));
+    Network cached = trainedLeNet5(PoolingMode::Max, cache.string(),
+                                   cache.string());
+    ::unsetenv("SCDCNN_TRAIN_IMAGES");
+    ::unsetenv("SCDCNN_TRAIN_EPOCHS");
+    ASSERT_EQ(trained.layerCount(), cached.layerCount());
+    for (size_t i = 0; i < trained.layerCount(); ++i) {
+        const std::vector<float> *w = trained.layer(i).weights();
+        if (w != nullptr) {
+            EXPECT_EQ(*w, *cached.layer(i).weights()) << "layer " << i;
+        }
+    }
+    fs::remove_all(root);
 }
 
 } // namespace

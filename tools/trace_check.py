@@ -15,7 +15,7 @@ instrumentation both actually fired —
 
   - "queue_wait" complete spans (admit -> batch close, per request);
   - "batch_close" instants, each carrying a recognizable close reason
-    (full / delay_expired / expedited / drain);
+    (full / idle / expedited / drain);
   - "batch_compute" complete spans (the forward pass over a batch);
   - "shed" instants (overload actually shed doomed requests), unless
     --no-shed;
@@ -35,7 +35,7 @@ import json
 import sys
 
 KNOWN_PH = {"X", "b", "e", "i", "C", "M"}
-CLOSE_REASONS = {"full", "delay_expired", "expedited", "drain"}
+CLOSE_REASONS = {"full", "idle", "expedited", "drain"}
 
 
 def malformed(msg):
