@@ -58,10 +58,13 @@ RequestQueue::popBatch()
             out.shed.push_back(std::move(it->second));
             payload_.erase(it);
         }
-        if (auto plan = scheduler_.poll(now, flush_ || closed_)) {
+        if (auto plan = scheduler_.poll(now)) {
             ClosedBatch batch;
             batch.cls = plan->cls;
-            batch.reason = plan->reason;
+            // Partial closes after close() are the shutdown flush.
+            batch.reason = closed_ && plan->reason == CloseReason::Idle
+                               ? CloseReason::Drain
+                               : plan->reason;
             batch.closed_at = now;
             batch.items.reserve(plan->ids.size());
             for (uint64_t id : plan->ids) {
@@ -96,16 +99,6 @@ RequestQueue::close()
     {
         std::lock_guard<std::mutex> lk(mutex_);
         closed_ = true;
-    }
-    cv_.notify_all();
-}
-
-void
-RequestQueue::setFlush(bool on)
-{
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        flush_ = on;
     }
     cv_.notify_all();
 }

@@ -101,12 +101,9 @@ class RequestQueue
      */
     PopOutcome popBatch();
 
-    /** Stop intake; queued requests still drain as batches. */
+    /** Stop intake; queued requests still drain as batches (partial
+     *  ones labelled Drain). */
     void close();
-
-    /** Drain mode on/off: when on, partial batches close as Drain
-     *  instead of Idle. */
-    void setFlush(bool on);
 
     /** Queued (not yet batched) requests. */
     size_t depth() const;
@@ -124,7 +121,6 @@ class RequestQueue
     BatchScheduler scheduler_;
     std::unordered_map<uint64_t, PendingRequest> payload_;
     bool closed_ = false;
-    bool flush_ = false;
 };
 
 } // namespace serve

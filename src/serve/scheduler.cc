@@ -218,7 +218,7 @@ BatchScheduler::closeExpedited(TimePoint now)
 }
 
 std::optional<BatchPlan>
-BatchScheduler::poll(TimePoint now, bool flush)
+BatchScheduler::poll(TimePoint now)
 {
     // Fault injection: a SchedulerPoll shot makes this poll see
     // nothing due — models a scheduler that misses an event and must
@@ -273,7 +273,7 @@ BatchScheduler::poll(TimePoint now, bool flush)
     // 3. Work-conserving: the caller is an idle worker, so the oldest
     //    head's class closes at once rather than waiting for
     //    batch-mates.
-    return close(oldest, flush ? CloseReason::Drain : CloseReason::Idle);
+    return close(oldest, CloseReason::Idle);
 }
 
 } // namespace serve

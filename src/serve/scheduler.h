@@ -14,8 +14,8 @@
  *               at the cheapest degraded class among them.
  *   Full      — some class queue reached max_batch.
  *   Idle      — otherwise the oldest head's class closes at once, up
- *               to max_batch (Drain instead in flush mode, during
- *               server drain/shutdown).
+ *               to max_batch (the RequestQueue relabels it Drain once
+ *               intake is closed for shutdown).
  *
  * Batches therefore only grow past one request from work that
  * arrived while every worker was busy, which is also when the batch
@@ -112,8 +112,8 @@ class BatchScheduler
 
     /** Close and return the next batch at @p now, or nullopt when
      *  nothing is queued (or a SchedulerPoll fault suppressed the
-     *  close). @p flush marks partial closes as Drain. */
-    std::optional<BatchPlan> poll(TimePoint now, bool flush);
+     *  close). */
+    std::optional<BatchPlan> poll(TimePoint now);
 
     /** Queued requests across all classes. */
     size_t depth() const;

@@ -167,11 +167,14 @@ InferenceServer::failRequest(PendingRequest &req, ServeErrorCode code,
         o.accuracy = req.opts.accuracy;
         cfg_.outcome_hook(o);
     }
-    req.promise.set_exception(
-        std::make_exception_ptr(ServeError(code, what)));
+    // Settle the count and the promise under one lock: a caller whose
+    // get() returned reads outstanding() without this request, and
+    // drain() never returns ahead of an unresolved future.
     {
         std::lock_guard<std::mutex> lk(state_mutex_);
         --outstanding_;
+        req.promise.set_exception(
+            std::make_exception_ptr(ServeError(code, what)));
     }
     idle_cv_.notify_all();
 }
@@ -310,7 +313,6 @@ InferenceServer::runBatch(ClosedBatch &&batch)
                 std::chrono::duration<double, std::milli>(e)));
     }
 
-    size_t delivered = 0;
     for (size_t j = 0; j < n_run; ++j) {
         PendingRequest &item = batch.items[run[j]];
         if (infos[j].cancelled) {
@@ -348,12 +350,12 @@ InferenceServer::runBatch(ClosedBatch &&batch)
                 obs::SpanName::Request, item.id, cfg_.trace_tag,
                 static_cast<uint16_t>(item.opts.accuracy), item.id,
                 r.effective_bits);
-        item.promise.set_value(std::move(r));
-        ++delivered;
-    }
-    if (delivered > 0) {
-        std::lock_guard<std::mutex> lk(state_mutex_);
-        outstanding_ -= delivered;
+        {
+            // Count and promise settle together (see failRequest).
+            std::lock_guard<std::mutex> lk(state_mutex_);
+            --outstanding_;
+            item.promise.set_value(std::move(r));
+        }
     }
     idle_cv_.notify_all();
 }
@@ -361,12 +363,8 @@ InferenceServer::runBatch(ClosedBatch &&batch)
 void
 InferenceServer::drain()
 {
-    queue_.setFlush(true);
-    {
-        std::unique_lock<std::mutex> lk(state_mutex_);
-        idle_cv_.wait(lk, [this] { return outstanding_ == 0; });
-    }
-    queue_.setFlush(false);
+    std::unique_lock<std::mutex> lk(state_mutex_);
+    idle_cv_.wait(lk, [this] { return outstanding_ == 0; });
 }
 
 void

@@ -153,9 +153,9 @@ class InferenceServer
                                  RequestOptions opts = {});
 
     /**
-     * Flush partial batches and block until every accepted request
-     * has been answered. Intake stays open — a server can be drained
-     * between load phases and keep serving.
+     * Block until every accepted request has been answered (partial
+     * batches already close at once). Intake stays open — a server
+     * can be drained between load phases and keep serving.
      */
     void drain();
 

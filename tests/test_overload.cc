@@ -179,8 +179,8 @@ TEST(BatchScheduler, PollFaultSuppressesOneCloseDecision)
     s.push(2, AccuracyClass::Balanced, t, std::nullopt); // full
 
     fi.arm(FaultPoint::SchedulerPoll, 1);
-    EXPECT_FALSE(s.poll(t, false).has_value()); // close suppressed
-    const auto plan = s.poll(t, false);         // next poll recovers
+    EXPECT_FALSE(s.poll(t).has_value()); // close suppressed
+    const auto plan = s.poll(t);         // next poll recovers
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->ids.size(), 2u);
     EXPECT_EQ(fi.firedCount(FaultPoint::SchedulerPoll), 1u);
@@ -576,7 +576,6 @@ TEST(OverloadServer, DeadlineStormResolvesEveryFuture)
         EXPECT_THROW(f.get(), ServeError);
     for (auto &f : blockers)
         EXPECT_NO_THROW(f.get());
-    server.drain(); // settle the outstanding bookkeeping
 
     const auto snap = server.metricsSnapshot();
     EXPECT_EQ(snap.completed, 5u); // group A and the two blockers
@@ -621,7 +620,6 @@ TEST(OverloadServer, SurvivesClockSkewJump)
         EXPECT_NO_THROW(f.get());
     for (auto &f : doomed)
         EXPECT_THROW(f.get(), ServeError);
-    server.drain(); // settle the outstanding bookkeeping
     const auto snap = server.metricsSnapshot();
     EXPECT_EQ(snap.completed, 5u);
     EXPECT_EQ(snap.shed, 2u);

@@ -61,12 +61,12 @@ TEST(BatchScheduler, FullBatchClosesImmediately)
 
     // Four queued behind a busy worker: the next poll takes a full
     // batch in FIFO order, the one after that the remainder.
-    const auto plan = s.poll(t, false);
+    const auto plan = s.poll(t);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Full);
     EXPECT_EQ(plan->cls, AccuracyClass::Balanced);
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{10, 11, 12}));
-    const auto rest = s.poll(t, false);
+    const auto rest = s.poll(t);
     ASSERT_TRUE(rest.has_value());
     EXPECT_EQ(rest->reason, CloseReason::Idle);
     EXPECT_EQ(rest->ids, (std::vector<uint64_t>{13}));
@@ -77,21 +77,21 @@ TEST(BatchScheduler, IdlePollClosesPartialBatchAtOnce)
 {
     ManualClock clock;
     BatchScheduler s(limits(8, 1h));
-    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
+    EXPECT_FALSE(s.poll(clock.now()).has_value());
     s.push(1, AccuracyClass::High, clock.now(), std::nullopt);
     clock.advance(400us);
     s.push(2, AccuracyClass::High, clock.now(), std::nullopt);
 
     // Far inside the hour-long queue delay: the poll comes from an
     // idle worker, so the partial batch closes without waiting.
-    const auto plan = s.poll(clock.now(), false);
+    const auto plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Idle);
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{1, 2}));
-    EXPECT_FALSE(s.poll(clock.now(), false).has_value());
+    EXPECT_FALSE(s.poll(clock.now()).has_value());
 }
 
-TEST(BatchScheduler, DrainFlushesPartialBatchesOldestFirst)
+TEST(BatchScheduler, PartialClosesTakeOldestHeadFirst)
 {
     ManualClock clock;
     BatchScheduler s(limits(8, 1h));
@@ -99,14 +99,14 @@ TEST(BatchScheduler, DrainFlushesPartialBatchesOldestFirst)
     clock.advance(1us);
     s.push(2, AccuracyClass::High, clock.now(), std::nullopt);
 
-    auto first = s.poll(clock.now(), true);
+    auto first = s.poll(clock.now());
     ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->reason, CloseReason::Drain);
+    EXPECT_EQ(first->reason, CloseReason::Idle);
     EXPECT_EQ(first->cls, AccuracyClass::Fast);
-    auto second = s.poll(clock.now(), true);
+    auto second = s.poll(clock.now());
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->cls, AccuracyClass::High);
-    EXPECT_FALSE(s.poll(clock.now(), true).has_value());
+    EXPECT_FALSE(s.poll(clock.now()).has_value());
 }
 
 TEST(BatchScheduler, FifoWithinAccuracyClass)
@@ -121,11 +121,11 @@ TEST(BatchScheduler, FifoWithinAccuracyClass)
     s.push(3, AccuracyClass::High, clock.now(), std::nullopt);
     s.push(4, AccuracyClass::Fast, clock.now(), std::nullopt);
 
-    auto a = s.poll(clock.now(), false);
+    auto a = s.poll(clock.now());
     ASSERT_TRUE(a.has_value());
     EXPECT_EQ(a->cls, AccuracyClass::High); // oldest head among full
     EXPECT_EQ(a->ids, (std::vector<uint64_t>{1, 3}));
-    auto b = s.poll(clock.now(), false);
+    auto b = s.poll(clock.now());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(b->ids, (std::vector<uint64_t>{2, 4}));
 }
@@ -136,10 +136,10 @@ TEST(BatchScheduler, BatchesNeverMixAccuracyClasses)
     BatchScheduler s(limits(4, 500us));
     s.push(1, AccuracyClass::High, clock.now(), std::nullopt);
     s.push(2, AccuracyClass::Balanced, clock.now(), std::nullopt);
-    auto plan = s.poll(clock.now(), false);
+    auto plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{1}));
-    plan = s.poll(clock.now(), false);
+    plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{2}));
 }
@@ -155,7 +155,7 @@ TEST(BatchScheduler, TightDeadlineExpeditesAndDegrades)
     // Requested High, but the deadline only affords Balanced: urgent
     // right away (100 + 10 > 40), served at the degraded class.
     s.push(7, AccuracyClass::High, clock.now(), clock.now() + 40ms);
-    const auto plan = s.poll(clock.now(), false);
+    const auto plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Expedited);
     EXPECT_EQ(plan->cls, AccuracyClass::Balanced);
@@ -171,7 +171,7 @@ TEST(BatchScheduler, RelaxedDeadlineIsNotExpeditedUntilUrgent)
            clock.now() + 200ms);
     // Not urgent yet (trigger at 200 - 30 - 10 = 160ms): it closes as
     // ordinary idle work at its requested class, not expedited.
-    auto plan = s.poll(clock.now(), false);
+    auto plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Idle);
     EXPECT_EQ(plan->cls, AccuracyClass::Balanced);
@@ -183,11 +183,11 @@ TEST(BatchScheduler, RelaxedDeadlineIsNotExpeditedUntilUrgent)
     s.push(5, AccuracyClass::Balanced, clock.now(),
            clock.now() + 200ms);
     clock.advance(160ms);
-    plan = s.poll(clock.now(), false);
+    plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Expedited);
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{5}));
-    plan = s.poll(clock.now(), false);
+    plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Idle);
     EXPECT_EQ(plan->ids, (std::vector<uint64_t>{4}));
@@ -201,7 +201,7 @@ TEST(BatchScheduler, UrgentRequestsGroupIntoOneExpeditedBatch)
     s.push(1, AccuracyClass::Fast, clock.now(), clock.now() + 12ms);
     s.push(2, AccuracyClass::Fast, clock.now(), clock.now() + 8ms);
     s.push(3, AccuracyClass::Fast, clock.now(), std::nullopt);
-    const auto plan = s.poll(clock.now(), false);
+    const auto plan = s.poll(clock.now());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->reason, CloseReason::Expedited);
     // Tightest deadline first; the undeadlined request stays queued.
